@@ -34,7 +34,6 @@ Schema (INI syntax, parsed with :mod:`configparser`)::
     warmup = 10000
     tol = 1e-9
     z_depth = 4096
-    z_window = 1000
     cftp_initial_horizon = 0     ; 0 means automatic
     cftp_max_horizon = 1048576
     cftp_interior_points = 8
@@ -79,7 +78,6 @@ class RunParams:
     warmup: int = 10_000
     tol: float = 1e-9
     z_depth: int = 4096
-    z_window: int = 1000
     cftp_initial_horizon: int = 0
     cftp_max_horizon: int = 1 << 20
     cftp_interior_points: int = 8
@@ -91,7 +89,7 @@ class RunParams:
     replications: int = 1
 
     def __post_init__(self):
-        for name in ("n_arrivals", "n_samples", "warmup", "z_depth", "z_window",
+        for name in ("n_arrivals", "n_samples", "warmup", "z_depth",
                      "cftp_max_horizon", "hset_cap", "batches", "replications"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"run.{name} must be >= 1")

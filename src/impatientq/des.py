@@ -23,7 +23,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import IO, NamedTuple, Optional
 
+import numpy as np
+
 from .kernel import _merge_shift, advance_lattice
+from .loynes import exact_states
 from .sequences import StationaryPath
 
 _CHUNK = 1 << 15
@@ -262,29 +265,17 @@ def cross_validate(path: StationaryPath, servers: int, n_arrivals: int,
                         first_div = (rec.index, rec.workload_seen, state)
             pos += count
     else:
-        u = (0.0,) * servers
-        pos = 0
-        while pos < n_arrivals:
-            count = min(_CHUNK, n_arrivals - pos)
-            blk = path.block(pos, count)
-            taus = blk.tau.tolist()
-            sigmas = blk.sigma.tolist()
-            patiences = blk.patience.tolist()
-            for j in range(count):
-                rec = records[pos + j]
-                disc = max(abs(a - b) for a, b in zip(rec.workload_seen, u))
-                if disc > max_disc:
-                    max_disc = disc
-                    if disc > tol and first_div is None:
-                        first_div = (rec.index, rec.workload_seen, u)
-                accepted = u[0] <= patiences[j]
-                if rec.served != accepted:
-                    decisions_ok = False
-                    if first_div is None:
-                        first_div = (rec.index, rec.workload_seen, u)
-                x = u[0] + sigmas[j] if accepted else u[0]
-                u = _merge_shift(u, x, taus[j])
-            pos += count
+        states, accepted = exact_states(path, 0, n_arrivals, (0.0,) * servers)
+        states = states[:-1]
+        seen = np.array([rec.workload_seen for rec in records])
+        served = np.fromiter((rec.served for rec in records), dtype=bool, count=n_arrivals)
+        disc = np.abs(seen - states).max(axis=1)
+        max_disc = float(disc.max())
+        bad = (disc > tol) | (served != accepted)
+        decisions_ok = bool(np.array_equal(served, accepted))
+        if bad.any():
+            j = int(np.argmax(bad))
+            first_div = (records[j].index, records[j].workload_seen, tuple(states[j].tolist()))
 
     return CrossValidation(n_arrivals, max_disc, decisions_ok, first_div, tol)
 

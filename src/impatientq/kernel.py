@@ -14,9 +14,10 @@ served. Three maps act on it:
 
 Workload vectors are plain ascending tuples of floats. Scalar functions
 take one ``DriverSample``; ``*_batch`` variants evaluate many states and
-drivers at once on numpy arrays (used by property suites and the lattice
-set propagation). Lattice variants operate on integer multiples of the
-lattice step so set membership stays exact.
+drivers at once on numpy arrays (used by property suites, the lattice
+set propagation and the time-parallel forward rolls in ``loynes``).
+Lattice variants operate on integer multiples of the lattice step so set
+membership stays exact.
 """
 
 from __future__ import annotations

@@ -4,13 +4,17 @@ The two monotone envelopes admit stationary states that sandwich every
 stationary workload of the exact system. Because they are monotone, the
 classic backward scheme applies: iterate the envelope from the empty state
 over drivers read backwards from the target index. Iterates only grow with
-the depth, so agreement between successive doublings is a sound stopping
-rule.
+the depth. Agreement between successive doublings is only a heuristic
+stopping rule, and it can stop early: the envelope can still grow from lags
+beyond the deeper of the two depths, so a ``stabilized`` estimate may sit
+below the stationary state.
 
 The module also computes the one-dimensional running-supremum bounds (the
 ascending vector whose j-th entry is the backward supremum started at lag
 S+1-j), Monte-Carlo estimates of the stability conditions, and forward
 state rolls along a driver path used throughout the higher-level modules.
+Long forward rolls run as time-parallel lanes with seam repair and return
+the scalar recursion's states bit for bit (see "Forward rolls" below).
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import _merge_shift
+from .kernel import _merge_shift, _merge_shift_batch, advance_batch
 from .sequences import StationaryPath
 
 DEFAULT_MAX_DEPTH = 1 << 20
@@ -162,7 +166,93 @@ def stationary_estimate(path: StationaryPath, at: int, kind: str, servers: int,
 
 # ---------------------------------------------------------------------------
 # Forward rolls along the path
+#
+# A forward roll is inherently sequential, and a Python step costs about
+# 2 us. Long rolls are therefore cut in time (Heidelberger & Stone 1990):
+# the roll of n steps splits into R = n // CHUNK chunks that advance
+# together, one numpy step of width R per row. Every chunk but the first
+# starts from a fixed guess instead of its unknown true state. The seams
+# are then repaired in order: from a seam's true incoming state the scalar
+# step re-runs, overwriting rows, until its state equals the stored
+# speculative row. From there on the chunk is correct as stored, because
+# the lockstep pass applied the same IEEE max, min, add and subtract to the
+# same operands. (Ties between +0 and -0 could pick different zeros, but
+# every gap is strictly positive, so a zero never survives the subtraction
+# that follows.) A repair that reaches the next seam runs on through it,
+# so the worst case is one scalar roll on top of the lockstep pass. Rows
+# equal the scalar roll's bit for bit; rolls shorter than two chunks run
+# the scalar loop alone.
 # ---------------------------------------------------------------------------
+
+CHUNK = 512
+
+
+def _scalar_roll(u0: tuple[float, ...], step, drivers: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The reference roll: row 0 is ``u0``, row i+1 is ``step(row i, *drivers[:, i])``."""
+    states = np.empty((len(drivers[0]) + 1, len(u0)))
+    states[0] = u0
+    u = tuple(u0)
+    for i, d in enumerate(zip(*[col.tolist() for col in drivers]), 1):
+        u = step(u, *d)
+        states[i] = u
+    return states
+
+
+def _forward_roll(u0: tuple[float, ...], step, lane_step, drivers: tuple[np.ndarray, ...],
+                  guess: float) -> np.ndarray:
+    """The rows of ``_scalar_roll(u0, step, drivers)``, by seam repair.
+
+    ``lane_step(U, *d)`` applies ``step`` to every row of ``U`` at once, row
+    ``r`` under the driver values ``d[k][r]``. ``guess`` fills the starting
+    state of every chunk after the first.
+    """
+    steps = len(drivers[0])
+    lanes = steps // CHUNK
+    if lanes < 2:
+        return _scalar_roll(u0, step, drivers)
+    length = -(-steps // lanes)
+    # Driver k of lane r at its j-th step is cols[k][j, r]; the last lane
+    # runs past the roll on zero padding, and those rows are cut off.
+    cols = []
+    for col in drivers:
+        padded = np.zeros(lanes * length)
+        padded[:steps] = col
+        cols.append(np.ascontiguousarray(padded.reshape(lanes, length).T))
+    states = np.empty((lanes * length + 1, len(u0)))
+    states[0] = u0
+    by_lane = states[1:].reshape(lanes, length, len(u0))
+    u = np.full((lanes, len(u0)), guess)
+    u[0] = u0
+    for j in range(length):
+        u = lane_step(u, *[c[j] for c in cols])
+        by_lane[:, j] = u
+    states = states[: steps + 1]
+
+    seam = length
+    while seam < steps:
+        seam = -(-_repair(states, step, drivers, seam) // length) * length
+    return states
+
+
+def _repair(states: np.ndarray, step, drivers: tuple[np.ndarray, ...], i: int) -> int:
+    """Overwrite rows after ``i`` with scalar steps until one already holds.
+
+    Returns the index of the first row the scalar step reproduced (or the
+    last row). Drivers convert to floats in doubling blocks, since most
+    repairs end within a few steps.
+    """
+    u = tuple(states[i].tolist())
+    block = 8
+    while i < len(drivers[0]):
+        stop = i + block
+        for d in zip(*[col[i:stop].tolist() for col in drivers]):
+            u = step(u, *d)
+            i += 1
+            if states[i].tolist() == list(u):
+                return i
+            states[i] = u
+        block *= 2
+    return i
 
 
 def envelope_states(path: StationaryPath, at: int, steps: int, u0: tuple[float, ...],
@@ -174,15 +264,19 @@ def envelope_states(path: StationaryPath, at: int, steps: int, u0: tuple[float, 
     stabilized estimate stays a pathwise fixed point of the envelope.
     """
     blk = path.block(at, steps)
-    work = _effective_work(blk.tau, blk.sigma, blk.patience, kind).tolist()
-    tau = blk.tau.tolist()
-    out = np.empty((steps + 1, len(u0)))
-    out[0] = u0
-    u = tuple(u0)
-    for i in range(steps):
-        u = _merge_shift(u, work[i], tau[i])
-        out[i + 1] = u
-    return out
+    work = _effective_work(blk.tau, blk.sigma, blk.patience, kind)
+    return _forward_roll(tuple(u0), _merge_shift, _merge_shift_batch, (work, blk.tau), 0.0)
+
+
+def _exact_step(u, tau, sigma, patience):
+    x = u[0] + sigma if u[0] <= patience else u[0]
+    return _merge_shift(u, x, tau)
+
+
+def _exact_lane_step(u, tau, sigma, patience):
+    # A rejected first coordinate exceeds a non-negative patience, so adding
+    # 0.0 to it leaves its bits alone: this is ``_exact_step`` on every row.
+    return advance_batch(u, tau, sigma, patience)[0]
 
 
 def exact_states(path: StationaryPath, at: int, steps: int,
@@ -194,21 +288,44 @@ def exact_states(path: StationaryPath, at: int, steps: int,
     customer at index ``at+i`` enters service before her deadline.
     """
     blk = path.block(at, steps)
-    tau = blk.tau.tolist()
-    sigma = blk.sigma.tolist()
-    patience = blk.patience.tolist()
-    s = len(u0)
-    states = np.empty((steps + 1, s))
-    accepted = np.empty(steps, dtype=bool)
-    states[0] = u0
-    u = tuple(u0)
-    for i in range(steps):
-        ok = u[0] <= patience[i]
-        accepted[i] = ok
-        x = u[0] + sigma[i] if ok else u[0]
-        u = _merge_shift(u, x, tau[i])
-        states[i + 1] = u
-    return states, accepted
+    states = _forward_roll(tuple(u0), _exact_step, _exact_lane_step,
+                           (blk.tau, blk.sigma, blk.patience), 0.0)
+    return states, states[:-1, 0] <= blk.patience
+
+
+def top_supremum_series(path: StationaryPath, at: int, n: int, depth: int,
+                        servers: int) -> np.ndarray:
+    """Unclipped lag-S backward supremum at indices ``at .. at+n-1``.
+
+    The family of lagged suprema rolls forward as a delay line: only the
+    lag-1 member absorbs new work terms, and each step the lag-l value
+    becomes the previous lag-(l-1) value minus the elapsing gap. Entries
+    can be negative; the clipped value exceeds a non-negative patience iff
+    the unclipped one does. The start is the depth-``depth`` truncation of
+    the upper ``supremum_bound`` family, left unclipped.
+    """
+    init = path.block(at - depth, depth)
+    terms = (init.sigma + init.patience)[::-1] - np.cumsum(init.tau[::-1])
+    m0 = tuple(float(terms[lag - 1 :].max()) for lag in range(1, servers + 1))
+
+    fwd = path.block(at, n)
+    # A chunk started from -inf holds the true values from the first step
+    # whose work term reaches the true lag-1 supremum.
+    return _forward_roll(m0, _delay_step, _delay_lane_step,
+                         (fwd.sigma + fwd.patience, fwd.tau), -math.inf)[:-1, -1]
+
+
+def _delay_step(m, work, tau):
+    top = m[0] if m[0] > work else work
+    return (top - tau,) + tuple(v - tau for v in m[:-1])
+
+
+def _delay_lane_step(m, work, tau):
+    out = np.empty_like(m)
+    out[:, 0] = np.maximum(m[:, 0], work)
+    out[:, 1:] = m[:, :-1]
+    out -= tau[:, None]
+    return out
 
 
 # ---------------------------------------------------------------------------

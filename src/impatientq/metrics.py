@@ -22,7 +22,13 @@ import numpy as np
 from scipy import stats as _stats
 
 from .des import ArrivalRecord
-from .loynes import envelope_states, exact_states, stationary_estimate, supremum_bound
+from .loynes import (
+    envelope_states,
+    exact_states,
+    stationary_estimate,
+    supremum_bound,
+    top_supremum_series,
+)
 from .sequences import StationaryPath
 
 DEFAULT_BATCHES = 30
@@ -129,7 +135,7 @@ def bound_report(path: StationaryPath, servers: int, n_samples: int, at: int = 0
     # break the pathwise domination, so never let it.
     z_depth = max(z_depth, servers, upper.depth)
     zb = supremum_bound(path, at, "upper", z_depth, servers)
-    z_top = _top_supremum_series(path, at, n_samples, z_depth, servers)
+    z_top = top_supremum_series(path, at, n_samples, z_depth, servers)
     z_ind = z_top > patience
 
     samples = None
@@ -150,33 +156,6 @@ def bound_report(path: StationaryPath, servers: int, n_samples: int, at: int = 0
         z_stabilized=zb.stabilized,
         samples=samples,
     )
-
-
-def _top_supremum_series(path: StationaryPath, at: int, n: int, depth: int,
-                         servers: int) -> np.ndarray:
-    """Unclipped lag-S backward supremum at indices ``at .. at+n-1``.
-
-    The family of lagged suprema rolls forward as a delay line: only the
-    lag-1 member absorbs new work terms, and each step the lag-l value
-    becomes the previous lag-(l-1) value minus the elapsing gap. Entries
-    can be negative; the clipped value exceeds a non-negative patience iff
-    the unclipped one does.
-    """
-    init = path.block(at - depth, depth)
-    terms = (init.sigma + init.patience)[::-1] - np.cumsum(init.tau[::-1])
-    m = [float(terms[lag - 1 :].max()) for lag in range(1, servers + 1)]
-
-    fwd = path.block(at, n)
-    work = (fwd.sigma + fwd.patience).tolist()
-    tau = fwd.tau.tolist()
-    out = np.empty(n)
-    for i in range(n):
-        out[i] = m[-1]
-        top = m[0] if m[0] > work[i] else work[i]
-        for lag in range(servers - 1, 0, -1):
-            m[lag] = m[lag - 1] - tau[i]
-        m[0] = top - tau[i]
-    return out
 
 
 # ---------------------------------------------------------------------------

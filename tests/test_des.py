@@ -70,6 +70,31 @@ def test_cross_validate_mm2():
     assert report.first_divergence is None
 
 
+def test_cross_validate_reports_first_divergence(monkeypatch):
+    # Corrupt the simulator's records: a flipped decision at 40 and a
+    # workload 0.5 off at 90. The first divergence is the earlier of the two.
+    from impatientq import des
+
+    path = StationaryPath(iid_spec(5, Exponential(1.0), Exponential(0.7), Uniform(0.0, 2.0)))
+    records = run(path, 2, 3_000)
+    honest = cross_validate(path, 2, 3_000)
+    bad = list(records)
+    bad[40] = bad[40]._replace(served=not bad[40].served)
+    bad[90] = bad[90]._replace(workload_seen=tuple(v + 0.5 for v in bad[90].workload_seen))
+    monkeypatch.setattr(des, "run", lambda *args: bad)
+    report = cross_validate(path, 2, 3_000)
+    assert not report.decisions_agree and not report.passed
+    assert report.first_divergence[:2] == (40, records[40].workload_seen)
+    assert report.max_discrepancy >= 0.5 - honest.max_discrepancy
+    # With only the workload corrupted, it is the first divergence.
+    bad[40] = records[40]
+    report = cross_validate(path, 2, 3_000)
+    assert report.decisions_agree
+    idx, seen, state = report.first_divergence
+    assert idx == 90 and seen == bad[90].workload_seen
+    assert max(abs(a - b) for a, b in zip(seen, state)) == report.max_discrepancy
+
+
 def test_cross_validate_null_patience_loss_system():
     # D = 0 degenerates to the pure loss system; decisions still agree
     spec = iid_spec(8, Exponential(1.0), Exponential(1.0), Deterministic(0.0))

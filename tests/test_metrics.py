@@ -137,13 +137,12 @@ def test_mm1_wait_tail_matches_simulation():
 def test_top_supremum_roll_matches_per_index_bound():
     # the rolled lag-S supremum must equal an independent truncated
     # computation at each index (clipped comparison, deep truncation)
-    from impatientq.metrics import _top_supremum_series
-    from impatientq.loynes import supremum_bound
+    from impatientq.loynes import supremum_bound, top_supremum_series
 
     spec = iid_spec(41, Exponential(1.0), Exponential(0.7), Uniform(0.0, 1.5))
     path = StationaryPath(spec)
     servers, depth, n = 3, 4096, 40
-    series = _top_supremum_series(path, 0, n, depth, servers)
+    series = top_supremum_series(path, 0, n, depth, servers)
     for t in range(0, n, 7):
         zb = supremum_bound(path, t, "upper", depth, servers, window=10**9)
         assert abs(max(series[t], 0.0) - zb.values[0]) <= 1e-9, t

@@ -1,0 +1,154 @@
+"""Seam-repair forward rolls against the scalar reference roll.
+
+Every long roll in ``loynes`` runs as time-parallel lanes whose chunk seams
+are repaired afterwards; the result must equal the plain scalar loop
+(``loynes._scalar_roll``) bit for bit, not merely closely. The reference is
+obtained by raising ``loynes.CHUNK`` past the roll length, which sends the
+same call down the scalar loop.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from impatientq import loynes, metrics
+from impatientq.kernel import advance
+from impatientq.sequences import (
+    Deterministic,
+    DriverSample,
+    Exponential,
+    ModulationSpec,
+    SequenceSpec,
+    StationaryPath,
+    Uniform,
+)
+
+from support import DRAIN, det_spec, iid_spec, random_iid_spec, random_mm_spec
+
+CHUNK = loynes.CHUNK
+STEPS = (2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1, 3 * CHUNK + 37)
+
+
+def _identical(a, b) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    if a.dtype == np.float64:
+        a, b = a.view(np.int64), b.view(np.int64)
+    return a.shape == b.shape and np.array_equal(a, b)
+
+
+def _rolls(path, at, steps, u0):
+    """Every lane-rolled recursion of ``u0`` at ``at`` over ``steps``, as arrays."""
+    states, accepted = loynes.exact_states(path, at, steps, u0)
+    return {
+        "exact": states,
+        "accepted": accepted,
+        "upper": loynes.envelope_states(path, at, steps, u0, "upper"),
+        "lower": loynes.envelope_states(path, at, steps, u0, "lower"),
+        "delay": loynes.top_supremum_series(path, at, steps, 64, len(u0)),
+    }
+
+
+def _assert_matches_oracle(monkeypatch, path, at, steps, u0):
+    lanes = _rolls(path, at, steps, u0)
+    with monkeypatch.context() as m:
+        m.setattr(loynes, "CHUNK", 1 << 40)
+        scalar = _rolls(path, at, steps, u0)
+    for name in scalar:
+        assert _identical(lanes[name], scalar[name]), (name, steps, u0)
+    return lanes
+
+
+SANDWICH = SequenceSpec(
+    model="markov_modulated", seed=5,
+    modulation=ModulationSpec(
+        transition=((0.995, 0.005), (0.02, 0.98)),
+        states=((Exponential(1.0), Exponential(0.6), Deterministic(1.0)),
+                (Exponential(1.8), Exponential(0.6), Uniform(0.0, 2.0)))),
+)
+CERTIFY = iid_spec(7, Exponential(1.0), Exponential(0.4), Exponential(0.2))
+MM1_HEAVY = iid_spec(3, Exponential(1.0), Exponential(1 / 0.95), Deterministic(math.inf))
+S8_HEAVY = iid_spec(9, Exponential(1.0), Exponential(0.13), Uniform(0.0, 3.0))
+LOSS = iid_spec(8, Exponential(1.0), Exponential(1.0), Deterministic(0.0))  # ties at W(1) = D = 0
+
+
+@pytest.mark.parametrize("servers", [1, 2, 3, 8])
+def test_random_sweep_matches_oracle(monkeypatch, servers):
+    rng = np.random.default_rng(1000 + servers)
+    for trial in range(3):
+        spec = random_mm_spec(rng) if trial == 2 else random_iid_spec(rng)
+        steps = STEPS[int(rng.integers(len(STEPS)))]
+        at = int(rng.integers(-5000, 5000))
+        _assert_matches_oracle(monkeypatch, StationaryPath(spec), at, steps, (0.0,) * servers)
+
+
+@pytest.mark.parametrize("steps", STEPS)
+def test_named_models_match_oracle(monkeypatch, steps):
+    for spec, servers in ((SANDWICH, 2), (CERTIFY, 3), (MM1_HEAVY, 1), (S8_HEAVY, 8), (LOSS, 2),
+                          (DRAIN, 2)):
+        _assert_matches_oracle(monkeypatch, StationaryPath(spec), 11, steps, (0.0,) * servers)
+
+
+def test_exact_lanes_match_kernel_advance():
+    # The scalar roll shares the acceptance rule with the lanes; check both
+    # against the kernel's one-step map, on a model that ties W(1) = D.
+    path = StationaryPath(LOSS)
+    steps = 2 * CHUNK + 1
+    states, accepted = loynes.exact_states(path, 0, steps, (0.0, 0.0))
+    blk = path.block(0, steps)
+    u = (0.0, 0.0)
+    for i, d in enumerate(zip(blk.tau.tolist(), blk.sigma.tolist(), blk.patience.tolist())):
+        out = advance(u, DriverSample(*d))
+        assert bool(accepted[i]) == out.accepted
+        u = out.next
+        assert tuple(states[i + 1].tolist()) == u
+    assert accepted.any() and not accepted.all()
+
+
+def test_infinite_patience_states_match_oracle(monkeypatch):
+    spec = iid_spec(21, Exponential(1.0), Exponential(0.7), Deterministic(math.inf))
+    lanes = _assert_matches_oracle(monkeypatch, StationaryPath(spec), 0, 3 * CHUNK, (0.0, 0.0))
+    assert np.isinf(lanes["upper"][2:]).all()
+    assert np.isinf(lanes["delay"]).all()
+
+
+def test_start_far_above_stationarity_matches_oracle(monkeypatch):
+    # Draining 1e3 units of work takes several chunks, so early seams stay
+    # wrong until the repair catches up with the lanes.
+    path = StationaryPath(CERTIFY)
+    _assert_matches_oracle(monkeypatch, path, 0, 6 * CHUNK + 5, (400.0, 700.0, 1000.0))
+
+
+def test_never_coalescing_repair_spans_every_seam(monkeypatch):
+    # tau = sigma = 1 with unbounded patience holds the workload at 1000.5,
+    # while every lane started from 0 stays at 0: no seam ever closes.
+    path = StationaryPath(det_spec(1, 1.0, 1.0, math.inf))
+    lanes = _assert_matches_oracle(monkeypatch, path, 0, 4 * CHUNK + 3, (1000.5,))
+    assert (lanes["exact"] == 1000.5).all()
+    assert lanes["accepted"].all()
+
+
+def test_small_chunks_match_oracle(monkeypatch):
+    # Many short chunks put a seam in nearly every transient.
+    rng = np.random.default_rng(77)
+    for servers in (1, 2, 4):
+        spec = random_iid_spec(rng)
+        with monkeypatch.context() as m:
+            m.setattr(loynes, "CHUNK", 8)
+            lanes = _rolls(StationaryPath(spec), 3, 700, (0.0,) * servers)
+        with monkeypatch.context() as m:
+            m.setattr(loynes, "CHUNK", 1 << 40)
+            scalar = _rolls(StationaryPath(spec), 3, 700, (0.0,) * servers)
+        for name in scalar:
+            assert _identical(lanes[name], scalar[name]), (name, servers)
+
+
+def test_bound_report_matches_scalar_rolls(monkeypatch):
+    for spec, servers in ((SANDWICH, 2), (CERTIFY, 3)):
+        path = StationaryPath(spec)
+        lanes = metrics.bound_report(path, servers, 4000, warmup=1000, keep_samples=True)
+        with monkeypatch.context() as m:
+            m.setattr(loynes, "CHUNK", 1 << 40)
+            scalar = metrics.bound_report(path, servers, 4000, warmup=1000, keep_samples=True)
+        assert lanes == scalar
+        assert _identical(lanes.samples, scalar.samples)
