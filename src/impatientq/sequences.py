@@ -11,6 +11,7 @@ window can be regenerated on demand, and concurrent readers never interact.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
@@ -43,6 +44,7 @@ def _mix64_int(x: int) -> int:
     return x
 
 
+@functools.lru_cache(maxsize=256)
 def _stream_key(seed: int, stream: int) -> int:
     return _mix64_int((seed & _MASK64) ^ _mix64_int(stream * 0xA24BAED4963EE407))
 
@@ -445,36 +447,98 @@ class StationaryPath:
         burn-in makes disagreement across block seams (two anchors driving
         the same index) vanishingly unlikely; this approximates a genuinely
         two-sided stationary chain.
+
+        The chain is a grand coupling: the uniform at each index fixes a
+        jump map ``jump[i]`` on ``{0..m-1}``, the state entered from every
+        state (looked up per cell of the transition rows, see
+        ``_chain_tables``), and the chain applies these maps in turn.
+        Composition of maps is associative, so the states come from composed
+        maps instead of a step-by-step loop: the block's first state is
+        ``jump[burn_in-1] o ... o jump[0]`` applied to the stationary draw
+        (a pairwise tree reduction, ``_compose``), and the rest are the
+        prefix compositions of the block's own maps read at that state
+        (``_prefix_compose``). Only integer gathers run, and each state is
+        the image of the same start under the same maps, so every state
+        equals the one the chain stepped index by index reaches, bit for
+        bit. The cost is O(m * burn_in) for the reduction plus
+        O(m * BLOCK * log BLOCK) for the scan, in about 12 + log2(burn_in)
+        numpy passes instead of ``burn_in + BLOCK`` interpreted steps; the
+        log factor makes the scan the larger share as m grows.
         """
         cached = self._chain_cache.get((self.spec, b))
         if cached is not None:
             return cached
-        mod = self.spec.modulation
-        m = mod.n_states()
-        anchor = b * _CHAIN_BLOCK - self.spec.burn_in
-        steps = self.spec.burn_in + _CHAIN_BLOCK
-        u = stream_uniforms(self.spec.seed, STREAM_MODULATION, anchor, steps)
-        if m == 1:
-            states = np.zeros(steps, dtype=np.int64)
-        else:
-            cum = np.cumsum(np.asarray(self.spec.modulation.transition, dtype=np.float64), axis=1)
-            cum[:, -1] = 1.0
-            # Per-step jump tables: jump[i, s] is the state entered from s.
-            jump = np.empty((steps, m), dtype=np.int64)
-            for s in range(m):
-                jump[:, s] = np.minimum(np.searchsorted(cum[s], u, side="right"), m - 1)
-            pi_cum = np.cumsum(mod.stationary())
-            pi_cum[-1] = 1.0
-            s = int(min(np.searchsorted(pi_cum, u[0], side="right"), m - 1))
-            states = np.empty(steps, dtype=np.int64)
-            states[0] = s
-            row = jump[1:]
-            for i in range(1, steps):
-                s = row[i - 1, s]
-                states[i] = s
-        block = states[self.spec.burn_in :]
+        edges, cell_maps, pi_cum = _chain_tables(self.spec.modulation)
+        burn_in = self.spec.burn_in
+        u = stream_uniforms(self.spec.seed, STREAM_MODULATION, b * _CHAIN_BLOCK - burn_in,
+                            burn_in + _CHAIN_BLOCK)
+        s0 = min(int(np.searchsorted(pi_cum, u[0], side="right")), len(pi_cum) - 1)
+        # jump[i] is the map taken at index b*BLOCK - burn_in + 1 + i.
+        jump = np.take(cell_maps, np.searchsorted(edges, u[1:], side="right"), axis=0)
+        block = np.empty(_CHAIN_BLOCK, dtype=np.int64)
+        block[0] = _compose(jump[:burn_in])[s0]
+        block[1:] = _prefix_compose(jump[burn_in:])[:, block[0]]
         self._chain_cache[(self.spec, b)] = block
         return block
+
+
+@functools.lru_cache(maxsize=64)
+def _chain_tables(mod: ModulationSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-spec constants of the modulating chain.
+
+    Returns the sorted distinct entries ``edges`` of the cumulative
+    transition rows, the jump map ``cell_maps[k]`` taken by a uniform in
+    cell ``k`` (``[edges[k-1], edges[k])``, with cell 0 below ``edges[0]``),
+    and the cumulative stationary law. A row's inverse-CDF search compares
+    the uniform only with that row's entries, none of which lies inside a
+    cell, so every uniform in a cell takes the cell's map exactly.
+    """
+    cum = np.cumsum(np.asarray(mod.transition, dtype=np.float64), axis=1)
+    cum[:, -1] = 1.0
+    m = len(cum)
+    edges = np.unique(cum)
+    cell_maps = np.zeros((len(edges) + 1, m), dtype=np.int64)
+    for s in range(m):
+        cell_maps[1:, s] = np.minimum(np.searchsorted(cum[s], edges, side="right"), m - 1)
+    pi_cum = np.cumsum(mod.stationary())
+    pi_cum[-1] = 1.0
+    for table in (edges, cell_maps, pi_cum):
+        table.setflags(write=False)
+    return edges, cell_maps, pi_cum
+
+
+def _compose(maps: np.ndarray) -> np.ndarray:
+    """The map ``maps[n-1] o ... o maps[0]`` of an ``(n, m)`` stack of maps
+    on ``{0..m-1}`` (``n >= 1``), by pairwise tree reduction.
+
+    Each pass composes neighbours ``(2k, 2k+1)`` with one flat gather,
+    ``flat[first + row offset of the second]``; an odd map left over is
+    folded into the last pair. About ``n*m`` gathers in ``log2 n`` passes.
+    """
+    n, m = maps.shape
+    # Row offset of the second map of pair k in the flattened stack: (2k+1)*m.
+    offsets = np.repeat(np.arange(m, n * m, 2 * m), m).reshape(-1, m)
+    while len(maps) > 1:
+        half = len(maps) // 2
+        pairs = np.take(maps.ravel(), maps[0 : 2 * half : 2] + offsets[:half])
+        if len(maps) % 2:
+            pairs[-1] = maps[-1][pairs[-1]]
+        maps = pairs
+    return maps[0]
+
+
+def _prefix_compose(maps: np.ndarray) -> np.ndarray:
+    """Row ``i`` is ``maps[i] o ... o maps[0]``, for an ``(n, m)`` stack of
+    maps on ``{0..m-1}``: a Hillis-Steele scan, ``log2 n`` passes that each
+    compose every row with the row ``d`` above it by one flat gather."""
+    prefix = np.array(maps)
+    n, m = prefix.shape
+    offsets = np.repeat(np.arange(0, n * m, m), m).reshape(n, m)
+    d = 1
+    while d < n:
+        prefix[d:] = np.take(prefix.ravel(), prefix[:-d] + offsets[d:])
+        d *= 2
+    return prefix
 
 
 def _multiplier_samples(dist: Distribution, u: np.ndarray, alpha: float) -> np.ndarray:

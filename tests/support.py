@@ -6,6 +6,8 @@ from __future__ import annotations
 import numpy as np
 
 from impatientq.sequences import (
+    _CHAIN_BLOCK,
+    STREAM_MODULATION,
     Deterministic,
     Exponential,
     LatticeDiscrete,
@@ -14,6 +16,7 @@ from impatientq.sequences import (
     ShiftedExponential,
     StationaryPath,
     Uniform,
+    stream_uniforms,
 )
 
 
@@ -102,3 +105,27 @@ def random_ordered(rng: np.random.Generator, count: int, servers: int,
 
 def path_of(spec) -> StationaryPath:
     return StationaryPath(spec)
+
+
+def sequential_chain_block(spec: SequenceSpec, b: int) -> np.ndarray:
+    """Reference for ``StationaryPath._chain_block``: the modulating chain
+    stepped one index at a time, from a stationary draw ``burn_in`` steps
+    before block ``b``, through the same per-index jump tables."""
+    mod = spec.modulation
+    m = mod.n_states()
+    steps = spec.burn_in + _CHAIN_BLOCK
+    u = stream_uniforms(spec.seed, STREAM_MODULATION, b * _CHAIN_BLOCK - spec.burn_in, steps)
+    cum = np.cumsum(np.asarray(mod.transition, dtype=np.float64), axis=1)
+    cum[:, -1] = 1.0
+    jump = np.empty((steps, m), dtype=np.int64)
+    for s in range(m):
+        jump[:, s] = np.minimum(np.searchsorted(cum[s], u, side="right"), m - 1)
+    pi_cum = np.cumsum(mod.stationary())
+    pi_cum[-1] = 1.0
+    s = int(min(np.searchsorted(pi_cum, u[0], side="right"), m - 1))
+    states = np.empty(steps, dtype=np.int64)
+    states[0] = s
+    for i in range(1, steps):
+        s = jump[i, s]
+        states[i] = s
+    return states[spec.burn_in:]

@@ -14,9 +14,13 @@ from impatientq.sequences import (
     ShiftedExponential,
     StationaryPath,
     Uniform,
+    _CHAIN_BLOCK,
+    _chain_tables,
+    _compose,
+    _prefix_compose,
     stream_uniforms,
 )
-from support import iid_spec, random_iid_spec, random_mm_spec
+from support import iid_spec, random_iid_spec, random_mm_spec, sequential_chain_block
 
 MM_SPEC = SequenceSpec(
     model="markov_modulated",
@@ -123,6 +127,95 @@ def test_markov_modulated_state_marginal():
     states = StationaryPath(MM_SPEC)._states(0, 50_000)
     freq = np.bincount(states, minlength=2) / states.size
     assert np.abs(freq - pi).max() < 0.02
+
+
+def test_markov_modulated_golden_states():
+    # Literal chain states of MM_SPEC; any change to driver values must edit these.
+    path = StationaryPath(MM_SPEC)
+    assert path._states(0, 16).tolist() == [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1]
+    assert [int(np.count_nonzero(path._chain_block(b) == 1)) for b in (-3, 0, 5)] == [1404, 1357, 1381]
+
+
+def _chain_spec(transition, burn_in):
+    states = tuple((Exponential(1.0 + s), Exponential(1.0), Uniform(0.0, 1.0 + s))
+                   for s in range(len(transition)))
+    return SequenceSpec(model="markov_modulated", seed=29, burn_in=burn_in,
+                        modulation=ModulationSpec(transition=transition, states=states))
+
+
+_RANDOM_ROWS = np.random.default_rng(17).uniform(0.1, 1.0, size=(3, 3))
+CHAINS = {
+    "sandwich": ((0.995, 0.005), (0.02, 0.98)),
+    "random3": tuple(tuple((row / row.sum()).tolist()) for row in _RANDOM_ROWS),
+    "near_reducible": ((0.9999, 0.0001), (0.0001, 0.9999)),
+    "periodic": ((0.0, 1.0), (1.0, 0.0)),
+    "single": ((1.0,),),
+    # A row summing to just over 1: its cumulative sum passes 1.0 before the
+    # last entry, which is then pinned back to 1.0.
+    "overshoot": ((0.5, 0.5 + 5e-10, 0.0), (0.0, 0.3, 0.7), (0.6, 0.0, 0.4)),
+}
+
+
+@pytest.mark.parametrize("burn_in", [1, 2, 3, 4095, 4096, 4097, 10_000])
+@pytest.mark.parametrize("chain", sorted(CHAINS))
+def test_chain_block_matches_sequential_chain(chain, burn_in):
+    spec = _chain_spec(CHAINS[chain], burn_in)
+    path = StationaryPath(spec)
+    for b in (-300, -1, 0, 7, 1000):
+        assert np.array_equal(path._chain_block(b), sequential_chain_block(spec, b))
+
+
+@pytest.mark.parametrize("chain", sorted(CHAINS))
+def test_chain_cell_maps_match_row_search(chain):
+    # The per-cell jump maps must equal each row's own inverse-CDF search,
+    # also for uniforms sitting exactly on, or one ulp either side of, a
+    # breakpoint.
+    mod = _chain_spec(CHAINS[chain], 1).modulation
+    edges, cell_maps, _ = _chain_tables(mod)
+    near = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+    u = np.concatenate([near[(near > 0.0) & (near < 1.0)], np.random.default_rng(3).random(1000)])
+    cum = np.cumsum(np.asarray(mod.transition), axis=1)
+    cum[:, -1] = 1.0
+    m = len(cum)
+    expected = np.stack([np.minimum(np.searchsorted(cum[s], u, side="right"), m - 1)
+                         for s in range(m)], axis=1)
+    assert np.array_equal(np.take(cell_maps, np.searchsorted(edges, u, side="right"), axis=0), expected)
+
+
+def test_block_straddling_chain_blocks_through_shift():
+    k = -3 * _CHAIN_BLOCK + 11
+    path = StationaryPath(MM_SPEC).shifted(k)
+    start, count = -5 - k, _CHAIN_BLOCK + 20  # base indices -5 .. BLOCK+14: blocks -1, 0, 1
+    states = np.concatenate([sequential_chain_block(MM_SPEC, b) for b in (-1, 0, 1)])
+    states = states[_CHAIN_BLOCK - 5 : _CHAIN_BLOCK - 5 + count]
+    assert set(states.tolist()) == {0, 1}
+    blk = path.block(start, count)
+    for coord, stream in enumerate((0xA1, 0xA2, 0xA3)):
+        u = stream_uniforms(MM_SPEC.seed, stream, -5, count)
+        expected = np.empty(count)
+        for s, dists in enumerate(MM_SPEC.modulation.states):
+            expected[states == s] = dists[coord].sample(u[states == s])
+        assert np.array_equal(blk[coord], expected)
+
+
+def _sequential_prefix(maps):
+    m = maps.shape[1]
+    acc, rows = np.arange(m), []
+    for f in maps:
+        acc = f[acc]
+        rows.append(acc)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 1024, 1025])
+def test_composition_helpers_match_sequential_loop(n, m):
+    rng = np.random.default_rng(1000 * n + m)
+    maps = rng.integers(0, m, size=(n, m))
+    expected = _sequential_prefix(maps)
+    assert np.array_equal(_compose(maps), expected[-1])
+    assert np.array_equal(_prefix_compose(maps), expected)
+    assert np.array_equal(_compose(maps[::-1]), _sequential_prefix(maps[::-1])[-1])  # strided input
 
 
 def test_iid_samples_uncorrelated_across_indices():
