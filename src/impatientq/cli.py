@@ -34,6 +34,8 @@ from .sequences import StationaryPath, _mix64_int
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error(f"--threads must be >= 1, got {args.threads}")
     try:
         cfg = load_config(args.config, seed_override=args.seed)
         out_dir = Path(args.out)
@@ -63,7 +65,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="path to the INI config file")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default=".", help="output directory (default: cwd)")
-    parser.add_argument("--threads", type=int, default=1, help="worker processes for replications")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="worker processes for replications (at most one per replication)")
     return parser
 
 
@@ -151,7 +154,7 @@ def _bounds_worker(payload) -> dict:
 def cmd_bounds(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     jobs = [(cfg.spec, cfg.servers, cfg.run, r) for r in range(cfg.run.replications)]
     if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
             results = list(pool.map(_bounds_worker, jobs))
     else:
         results = [_bounds_worker(job) for job in jobs]

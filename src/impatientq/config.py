@@ -10,6 +10,7 @@ Schema (INI syntax, parsed with :mod:`configparser`)::
     kind = iid             ; iid | deterministic | lattice | markov_modulated
     alpha = 1.0            ; lattice kind only: the lattice step
     burn_in = 10000        ; markov_modulated only: chain warm-up length
+                           ; (a key the kind does not read is refused)
 
     [tau]                  ; inter-arrival law (iid/deterministic/lattice kinds)
     dist = exponential
@@ -136,42 +137,56 @@ def parse_config(text: str, seed_override: Optional[int] = None,
         seed = seed_override
 
     kind = _get(cp, "model", "kind", "iid").strip()
+    # A key the chosen kind would ignore is refused, like an unknown run key.
+    used = {"kind", _KIND_KEYS.get(kind)}
+    for key in cp.options("model") if cp.has_section("model") else ():
+        if key not in used:
+            raise ConfigurationError(f"[model] {key} is not used by kind {kind!r}")
     if kind == "markov_modulated":
-        burn_in = int(_get(cp, "model", "burn_in", "10000"))
-        spec = SequenceSpec(model=kind, seed=seed, burn_in=burn_in,
+        spec = SequenceSpec(model=kind, seed=seed,
+                            burn_in=_number(cp, "model", "burn_in", int, 10_000),
                             modulation=_parse_modulation(cp))
     else:
-        alpha = _get(cp, "model", "alpha", None)
         spec = SequenceSpec(
             model=kind,
             seed=seed,
             tau=_parse_dist(cp, "tau"),
             sigma=_parse_dist(cp, "sigma"),
             patience=_parse_dist(cp, "patience"),
-            alpha=float(alpha) if alpha is not None else None,
+            alpha=_number(cp, "model", "alpha", float, None),
         )
 
     run_kwargs = {}
     if cp.has_section("run"):
         valid = set(RunParams.__dataclass_fields__)
-        for key, raw in cp.items("run"):
+        for key in cp.options("run"):
             if key not in valid:
                 raise ConfigurationError(f"unknown run parameter {key!r}")
-            caster = float if key == "tol" else int
-            try:
-                run_kwargs[key] = caster(raw)
-            except ValueError as exc:
-                raise ConfigurationError(f"run.{key}: {exc}") from exc
+            run_kwargs[key] = _number(cp, "run", key, float if key == "tol" else int, None)
 
     digest = hashlib.sha256(text.encode()).hexdigest()
     return ExperimentConfig(servers=servers, spec=spec, run=RunParams(**run_kwargs),
                             sha256=digest, source=source)
 
 
+# The one [model] key besides ``kind`` that each kind reads.
+_KIND_KEYS = {"lattice": "alpha", "markov_modulated": "burn_in"}
+
+
 def _get(cp: configparser.ConfigParser, section: str, key: str, default):
     if cp.has_option(section, key):
         return cp.get(section, key)
     return default
+
+
+def _number(cp: configparser.ConfigParser, section: str, key: str, cast, default):
+    raw = _get(cp, section, key, None)
+    if raw is None:
+        return default
+    try:
+        return cast(raw)
+    except ValueError as exc:
+        raise ConfigurationError(f"[{section}] {key}: {exc}") from exc
 
 
 def _parse_dist(cp: configparser.ConfigParser, section: str) -> Distribution:
@@ -208,9 +223,10 @@ def _parse_modulation(cp: configparser.ConfigParser) -> ModulationSpec:
     raw = _get(cp, "modulation", "transition", None)
     if raw is None:
         raise ConfigurationError("[modulation] needs a 'transition' key")
-    rows = []
-    for part in raw.split("/"):
-        rows.append(tuple(float(v) for v in part.split()))
+    try:
+        rows = [tuple(float(v) for v in part.split()) for part in raw.split("/")]
+    except ValueError as exc:
+        raise ConfigurationError(f"[modulation] transition: {exc}") from exc
     states = []
     for s in range(len(rows)):
         states.append(tuple(_parse_dist(cp, f"state{s}.{name}")

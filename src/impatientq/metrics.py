@@ -116,10 +116,10 @@ def bound_report(path: StationaryPath, servers: int, n_samples: int, at: int = 0
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    blk = path.block(at, n_samples)
-    patience = blk.patience
-
+    # The exact roll reads the widest driver window, so the path's window
+    # memo serves every later read when warmup >= max(z_depth, upper.depth).
     states, accepted = exact_states(path, at - warmup, warmup + n_samples, (0.0,) * servers)
+    patience = path.block(at, n_samples).patience
     loss_ind = ~accepted[warmup : warmup + n_samples]
     w_first = states[warmup : warmup + n_samples, 0]
 

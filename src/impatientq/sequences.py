@@ -7,6 +7,11 @@ tolerates before giving up. Values are produced by a stateless counter-based
 generator keyed on ``(seed, stream, index)``, so the sequence shifted by
 ``k`` customers is exactly the sequence read at translated indices, any
 window can be regenerated on demand, and concurrent readers never interact.
+
+Driver blocks are read-only arrays. A path memoizes the most recent float
+window it generated, next to its memo of modulating-chain segments, and
+serves any window inside it as slices of that one; since the values are
+pure, a race between two readers can only cost a regeneration.
 """
 
 from __future__ import annotations
@@ -366,13 +371,19 @@ class StationaryPath:
 
     ``sample_at(n)`` is a pure function of ``(spec, n + offset)``; a path
     shifted by ``k`` is just the same sequence read at translated indices.
-    The only mutable member is a memo of modulating-chain segments, shared
-    between a path and its shifts.
+    The only mutable members are memos: the modulating-chain segments,
+    shared between a path and its shifts, and the most recent float window
+    of ``block`` (its absolute base index and read-only arrays), kept per
+    path. A window inside the memo is returned as views of it, which hold
+    the very numbers a fresh generation would, since every value is a
+    function of its absolute index alone.
     """
 
     spec: SequenceSpec
     offset: int = 0
     _chain_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _window: Optional[tuple[int, DriverBlock]] = field(default=None, init=False, repr=False,
+                                                       compare=False)
 
     def shifted(self, k: int) -> "StationaryPath":
         return StationaryPath(self.spec, self.offset + k, self._chain_cache)
@@ -382,8 +393,20 @@ class StationaryPath:
         return DriverSample(float(b.tau[0]), float(b.sigma[0]), float(b.patience[0]))
 
     def block(self, start: int, count: int) -> DriverBlock:
-        """Driver triples for indices ``start .. start+count-1`` as arrays."""
+        """Driver triples for indices ``start .. start+count-1`` as read-only arrays."""
         base = start + self.offset
+        memo = self._window
+        if memo is not None:
+            i = base - memo[0]
+            if 0 <= i and i + count <= len(memo[1].tau):
+                return DriverBlock(*(a[i : i + count] for a in memo[1]))
+        window = self._generate(base, count)
+        for a in window:
+            a.setflags(write=False)
+        self._window = (base, window)
+        return window
+
+    def _generate(self, base: int, count: int) -> DriverBlock:
         u_tau = stream_uniforms(self.spec.seed, STREAM_TAU, base, count)
         u_sigma = stream_uniforms(self.spec.seed, STREAM_SIGMA, base, count)
         u_pat = stream_uniforms(self.spec.seed, STREAM_PATIENCE, base, count)

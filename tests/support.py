@@ -37,6 +37,20 @@ def mm2_patience_spec(seed, service_rate=0.6, patience=1.0):
 DRAIN = det_spec(1, 2.0, 1.0, 0.5)        # everything drains each step
 GROWTH = det_spec(1, 1.0, 2.0, 1.0)       # upper fixed point is positive
 
+# A two-state Markov-modulated path with a short burn-in.
+MM_SPEC = SequenceSpec(
+    model="markov_modulated",
+    seed=7,
+    burn_in=2000,
+    modulation=ModulationSpec(
+        transition=((0.9, 0.1), (0.2, 0.8)),
+        states=(
+            (Exponential(1.0), Exponential(1.0), Deterministic(1.0)),
+            (Exponential(3.0), Exponential(0.5), Uniform(0.0, 2.0)),
+        ),
+    ),
+)
+
 
 def random_distribution(rng: np.random.Generator, role: str):
     """A random marginal suitable for the given driver role."""

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from impatientq import cli
 from impatientq.cli import main, replication_seed
 from impatientq.config import load_config, parse_config
 from impatientq.errors import ConfigurationError
@@ -185,6 +186,59 @@ def test_cli_bad_config_exit_2(tmp_path):
     assert main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert main(["validate", "--config", str(tmp_path / "missing.ini"),
                  "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("ini, old, new, key", [
+    (MM_INI, "burn_in = 2000", "burn_in = 1e4", "burn_in"),
+    (LATTICE_INI, "alpha = 1.0\n\n[tau]", "alpha = x\n\n[tau]", "alpha"),
+    (MM_INI, "transition = 0.9 0.1", "transition = 0.9 x", "transition"),
+    (MM2D_INI, "kind = iid", "kind = iid\nalpha = 1.0", "alpha"),
+    (MM2D_INI, "kind = iid", "kind = iid\nburn_in = 500", "burn_in"),
+], ids=["burn_in-not-int", "alpha-not-float", "transition-not-float", "alpha-on-iid",
+        "burn_in-on-iid"])
+def test_cli_bad_model_key_exit_2(tmp_path, capsys, ini, old, new, key):
+    assert old in ini
+    cfg = _write(tmp_path, "bad.ini", ini.replace(old, new, 1))
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_cli_threads_below_one_exit_2(tmp_path, capsys, threads):
+    cfg = _write(tmp_path, "cfg.ini", MM2D_INI)
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--config", cfg, "--out", str(tmp_path), "--threads", threads])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records ``max_workers``, maps serially."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+def test_cli_bounds_pool_capped_at_replications(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    text = MM2D_INI.replace("renovation_end = 199", "renovation_end = 199\nreplications = 2")
+    cfg = _write(tmp_path, "cfg.ini", text)
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "a"), "--threads", "64"]) == 0
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "b"), "--threads", "1"]) == 0
+    assert _RecordingPool.sizes == [2]
 
 
 def test_cli_simulate_trace(tmp_path):

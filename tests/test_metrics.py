@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from impatientq import sequences
 from impatientq.des import run
 from impatientq.metrics import (
     batch_means,
@@ -11,8 +13,8 @@ from impatientq.metrics import (
     loss_probability,
     mm1_wait_tail,
 )
-from impatientq.sequences import Deterministic, Exponential, StationaryPath, Uniform
-from support import DRAIN, GROWTH, det_spec, iid_spec
+from impatientq.sequences import Deterministic, Exponential, StationaryPath, Uniform, stream_uniforms
+from support import DRAIN, GROWTH, MM_SPEC, det_spec, iid_spec
 
 
 def test_erlang_b_values():
@@ -162,3 +164,21 @@ def test_bound_report_markov_modulated():
     rep = bound_report(StationaryPath(random_mm_spec(np.random.default_rng(2))),
                        2, 20_000, warmup=2_000)
     assert rep.ordering_ok
+
+
+def test_bound_report_generates_its_drivers_once(monkeypatch):
+    generated = []
+
+    def counting(seed, stream, start, count):
+        if stream == sequences.STREAM_TAU:
+            generated.append((start, count))
+        return stream_uniforms(seed, stream, start, count)
+
+    monkeypatch.setattr(sequences, "stream_uniforms", counting)
+    rep = bound_report(StationaryPath(MM_SPEC), 2, 20_000, keep_samples=True)
+    # The exact roll's window [at - warmup, at + n) serves every other read.
+    assert generated == [(-10_000, 30_000)]
+    # sha256 of the samples as computed before driver windows were memoized,
+    # when the same report generated its tau uniforms 11 times.
+    assert hashlib.sha256(rep.samples.tobytes()).hexdigest() == (
+        "08da914a6d9cbf735b807ff8ce223fbb539d541cec1537c9f806b5ab005a81cc")

@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,19 +22,14 @@ from impatientq.sequences import (
     _prefix_compose,
     stream_uniforms,
 )
-from support import iid_spec, random_iid_spec, random_mm_spec, sequential_chain_block
-
-MM_SPEC = SequenceSpec(
-    model="markov_modulated",
-    seed=7,
-    burn_in=2000,
-    modulation=ModulationSpec(
-        transition=((0.9, 0.1), (0.2, 0.8)),
-        states=(
-            (Exponential(1.0), Exponential(1.0), Deterministic(1.0)),
-            (Exponential(3.0), Exponential(0.5), Uniform(0.0, 2.0)),
-        ),
-    ),
+from support import (
+    MM_SPEC,
+    det_spec,
+    iid_spec,
+    random_iid_spec,
+    random_lattice_spec,
+    random_mm_spec,
+    sequential_chain_block,
 )
 
 
@@ -196,6 +193,97 @@ def test_block_straddling_chain_blocks_through_shift():
         for s, dists in enumerate(MM_SPEC.modulation.states):
             expected[states == s] = dists[coord].sample(u[states == s])
         assert np.array_equal(blk[coord], expected)
+
+
+# ---------------------------------------------------------------------------
+# The float window memo of StationaryPath.block
+# ---------------------------------------------------------------------------
+
+MEMO_SPECS = {
+    "iid": iid_spec(13, Exponential(1.3), ShiftedExponential(0.2, 0.8), Uniform(0.0, 2.0)),
+    "deterministic": det_spec(4, 2.0, 1.0, 0.5),
+    "lattice": random_lattice_spec(np.random.default_rng(17), alpha=0.5),
+    "markov_modulated": MM_SPEC,
+}
+MEMO_LO, MEMO_N = -1000, 2 * _CHAIN_BLOCK + 100
+
+
+def _bits(blk):
+    return [a.tobytes() for a in blk]
+
+
+def _memo_windows(offset):
+    """(start, count) windows that lie inside the memo ``[MEMO_LO, MEMO_LO + MEMO_N)``
+    of a path shifted by ``offset``, and windows that do not."""
+    lo, n = MEMO_LO, MEMO_N
+    # First path index past lo + 10 that starts a chain block.
+    seam = -(-(lo + 10 + offset) // _CHAIN_BLOCK) * _CHAIN_BLOCK - offset
+    inside = [(lo, n), (lo + 17, 100), (lo, 50), (lo + n - 50, 50),
+              (seam - 7, 30), (seam - 7, _CHAIN_BLOCK + 14)]
+    outside = [(lo - 1, 50), (lo + n - 49, 50), (lo - 1, n + 2), (lo + n + 10, 30),
+               (lo - 200, 30)]
+    return inside, outside
+
+
+@pytest.mark.parametrize("offset", [0, -3 * _CHAIN_BLOCK + 11])
+@pytest.mark.parametrize("kind", sorted(MEMO_SPECS))
+def test_block_memo_equals_fresh_blocks(kind, offset):
+    spec = MEMO_SPECS[kind]
+    inside, outside = _memo_windows(offset)
+    for window, hit in [(w, True) for w in inside] + [(w, False) for w in outside]:
+        path = StationaryPath(spec).shifted(offset)
+        memo = path.block(MEMO_LO, MEMO_N)
+        got = path.block(*window)
+        assert _bits(got) == _bits(StationaryPath(spec).shifted(offset).block(*window)), window
+        assert np.shares_memory(got.tau, memo.tau) == hit, window
+        # A miss replaces the memo with the window it generated.
+        assert np.shares_memory(path.block(*window).tau, got.tau), window
+
+
+@pytest.mark.parametrize("kind", sorted(MEMO_SPECS))
+def test_sample_at_inside_and_outside_the_memo(kind):
+    spec = MEMO_SPECS[kind]
+    path = StationaryPath(spec)
+    for n in (MEMO_LO, MEMO_LO + 1234, MEMO_LO + MEMO_N - 1, MEMO_LO - 1, MEMO_LO + MEMO_N):
+        path.block(MEMO_LO, MEMO_N)
+        memo = path._window
+        got = path.sample_at(n)
+        assert np.array(got).tobytes() == np.array(StationaryPath(spec).sample_at(n)).tobytes()
+        assert (path._window is memo) == (MEMO_LO <= n < MEMO_LO + MEMO_N)
+
+
+@pytest.mark.parametrize("kind", sorted(MEMO_SPECS))
+def test_blocks_are_read_only(kind):
+    path = StationaryPath(MEMO_SPECS[kind])
+    for blk in (path.block(0, 100), path.block(10, 20)):  # a generated window, then a view of it
+        for a in blk:
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+
+
+def test_block_memo_shared_between_threads():
+    # Readers of one path race on its memo; a lost race may only cost a regeneration.
+    rng = np.random.default_rng(23)
+    windows = [(int(a), int(c)) for a, c in zip(rng.integers(-3000, 3000, 48),
+                                                 rng.integers(1, 2000, 48))]
+    expected = {w: _bits(StationaryPath(MM_SPEC).block(*w)) for w in windows}
+    path = StationaryPath(MM_SPEC)
+
+    def read(k):
+        return [(w, _bits(path.block(*w))) for w in windows[k::4] * 3]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(read, k) for k in range(4)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert sum(len(r) for r in results) == 3 * len(windows)
+    for r in results:
+        for w, bits in r:
+            assert bits == expected[w], w
 
 
 def _sequential_prefix(maps):
