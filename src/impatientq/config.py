@@ -10,7 +10,6 @@ Schema (INI syntax, parsed with :mod:`configparser`)::
     kind = iid             ; iid | deterministic | lattice | markov_modulated
     alpha = 1.0            ; lattice kind only: the lattice step
     burn_in = 10000        ; markov_modulated only: chain warm-up length
-                           ; (a key the kind does not read is refused)
 
     [tau]                  ; inter-arrival law (iid/deterministic/lattice kinds)
     dist = exponential
@@ -48,6 +47,12 @@ Schema (INI syntax, parsed with :mod:`configparser`)::
 Distribution sections: ``dist = exponential`` (rate), ``deterministic``
 (value), ``uniform`` (low, high), ``shifted_exponential`` (shift, rate),
 ``lattice`` (alpha, multipliers, probs).
+
+Every section and key in the file must be read by the parse: a key that
+would take no effect (a misspelled section, a key the chosen ``dist`` or
+model kind does not use, ``[tau]`` under ``markov_modulated``, a
+``stateN`` section beyond the chain's size) is refused, naming the section
+and key.
 """
 
 from __future__ import annotations
@@ -120,9 +125,21 @@ def load_config(path: str | Path, seed_override: Optional[int] = None) -> Experi
     return parse_config(text, seed_override=seed_override, source=str(path))
 
 
+class _Reader(configparser.ConfigParser):
+    """A parser that records every ``(section, key)`` the parse reads."""
+
+    def __init__(self):
+        super().__init__(inline_comment_prefixes=(";", "#"))
+        self.read_keys: set[tuple[str, str]] = set()
+
+    def get(self, section, option, **kwargs):
+        self.read_keys.add((section, self.optionxform(option)))
+        return super().get(section, option, **kwargs)
+
+
 def parse_config(text: str, seed_override: Optional[int] = None,
                  source: Optional[str] = None) -> ExperimentConfig:
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    cp = _Reader()
     try:
         cp.read_string(text)
     except configparser.Error as exc:
@@ -137,11 +154,6 @@ def parse_config(text: str, seed_override: Optional[int] = None,
         seed = seed_override
 
     kind = _get(cp, "model", "kind", "iid").strip()
-    # A key the chosen kind would ignore is refused, like an unknown run key.
-    used = {"kind", _KIND_KEYS.get(kind)}
-    for key in cp.options("model") if cp.has_section("model") else ():
-        if key not in used:
-            raise ConfigurationError(f"[model] {key} is not used by kind {kind!r}")
     if kind == "markov_modulated":
         spec = SequenceSpec(model=kind, seed=seed,
                             burn_in=_number(cp, "model", "burn_in", int, 10_000),
@@ -153,24 +165,24 @@ def parse_config(text: str, seed_override: Optional[int] = None,
             tau=_parse_dist(cp, "tau"),
             sigma=_parse_dist(cp, "sigma"),
             patience=_parse_dist(cp, "patience"),
-            alpha=_number(cp, "model", "alpha", float, None),
+            alpha=_number(cp, "model", "alpha", float, None) if kind == "lattice" else None,
         )
 
     run_kwargs = {}
-    if cp.has_section("run"):
-        valid = set(RunParams.__dataclass_fields__)
-        for key in cp.options("run"):
-            if key not in valid:
-                raise ConfigurationError(f"unknown run parameter {key!r}")
-            run_kwargs[key] = _number(cp, "run", key, float if key == "tol" else int, None)
+    for key in RunParams.__dataclass_fields__:
+        value = _number(cp, "run", key, float if key == "tol" else int, None)
+        if value is not None:
+            run_kwargs[key] = value
+
+    # A key the parse did not read would take no effect: refuse it.
+    for section in cp.sections():
+        for key in cp.options(section):
+            if (section, key) not in cp.read_keys:
+                raise ConfigurationError(f"[{section}] {key} is not read by a {kind!r} config")
 
     digest = hashlib.sha256(text.encode()).hexdigest()
     return ExperimentConfig(servers=servers, spec=spec, run=RunParams(**run_kwargs),
                             sha256=digest, source=source)
-
-
-# The one [model] key besides ``kind`` that each kind reads.
-_KIND_KEYS = {"lattice": "alpha", "markov_modulated": "burn_in"}
 
 
 def _get(cp: configparser.ConfigParser, section: str, key: str, default):

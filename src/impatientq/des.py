@@ -10,6 +10,21 @@ virtual workload fits inside her remaining patience. The folded vector is
 the workload the arriving customer sees, and must reproduce the one-step
 recursion exactly; ``cross_validate`` certifies that.
 
+The fold keeps the virtual workloads in a binary heap: a customer who fits
+replaces the least value ``w`` by ``w + sigma`` (``heapreplace``), and the
+heap is sorted once at the end. This is the recursion's merge with a zero
+gap, which only selects values (``max(hi - 0.0, 0.0) == hi`` for the
+non-negative values held here), so the folded tuple is the same multiset,
+sorted, bit for bit; the simulator shares no arithmetic with the kernel
+it is checked against.
+
+Expired customers leave the line at the next arrival. The loop that ages
+the line during each gap (remaining patience down, or elapsed wait up)
+raises a flag when an entry passes its deadline, and the line is purged
+only when the flag is set, instead of being scanned at every arrival. The
+purge only keeps the line short: an expired entry never fits in the fold
+and is lost when it reaches the head, so no output depends on it.
+
 Timekeeping is relative to the current arrival (everything is decremented
 by each gap), so values stay small and float error does not grow with the
 horizon. For lattice-model inputs an exact integer engine is used instead
@@ -18,15 +33,14 @@ and the comparison against the recursion is exact.
 
 from __future__ import annotations
 
-import csv
 from collections import deque
 from dataclasses import dataclass
+from heapq import heapreplace
 from typing import IO, NamedTuple, Optional
 
 import numpy as np
 
-from .kernel import _merge_shift, advance_lattice
-from .loynes import exact_states
+from .loynes import exact_states, lattice_states
 from .sequences import StationaryPath
 
 _CHUNK = 1 << 15
@@ -55,6 +69,7 @@ def _run_float(path: StationaryPath, servers: int, n_arrivals: int) -> list[Arri
     line: deque[list] = deque()  # [remaining_patience, sigma, index]
     seen: list[tuple[float, ...]] = []
     served: list[Optional[bool]] = [None] * n_arrivals
+    expired = False  # a deadline passed during the last gap
 
     pos = 0
     while pos < n_arrivals:
@@ -66,7 +81,7 @@ def _run_float(path: StationaryPath, servers: int, n_arrivals: int) -> list[Arri
         for j in range(count):
             n = pos + j
             # Customers whose deadline passed during earlier gaps are gone.
-            if line and any(entry[0] < 0.0 for entry in line):
+            if expired:
                 kept = deque()
                 for entry in line:
                     if entry[0] < 0.0:
@@ -76,20 +91,20 @@ def _run_float(path: StationaryPath, servers: int, n_arrivals: int) -> list[Arri
                 line = kept
 
             # Virtual workloads just before this arrival.
-            fold = sorted(residuals)
+            fold = sorted(residuals)  # a sorted list is a heap
             for rem, sig, _ in line:
                 if fold[0] <= rem:
-                    fold = _merge_shift(fold, fold[0] + sig, 0.0)
-            w = tuple(fold)
-            seen.append(w)
+                    heapreplace(fold, fold[0] + sig)
+            fold.sort()
+            seen.append(tuple(fold))
 
+            # With nobody waiting, ``fold`` is the sorted residuals.
             sigma_n = sigmas[j]
-            if line or min(residuals) > 0.0:
+            if line or fold[0] > 0.0:
                 line.append([patiences[j], sigma_n, n])
             else:
                 served[n] = True
-                k = residuals.index(min(residuals))
-                residuals[k] = sigma_n
+                residuals[residuals.index(fold[0])] = sigma_n
 
             # Gap until the next arrival: completions trigger FCFS starts.
             tau_n = taus[j]
@@ -105,8 +120,11 @@ def _run_float(path: StationaryPath, servers: int, n_arrivals: int) -> list[Arri
                     else:
                         served[i] = False
                 residuals = [r - tau_n if r > tau_n else 0.0 for r in residuals]
+                expired = False
                 for entry in line:
                     entry[0] -= tau_n
+                    if entry[0] < 0.0:
+                        expired = True
         pos += count
 
     # Drain: no further arrivals, so every waiting customer resolves.
@@ -137,6 +155,7 @@ def _run_lattice(path: StationaryPath, servers: int, n_arrivals: int) -> list[Ar
     line: deque[list] = deque()  # [waited_steps, sigma_steps, patience, index]
     seen: list[tuple[float, ...]] = []
     served: list[Optional[bool]] = [None] * n_arrivals
+    expired = False
 
     pos = 0
     while pos < n_arrivals:
@@ -147,7 +166,7 @@ def _run_lattice(path: StationaryPath, servers: int, n_arrivals: int) -> list[Ar
         patiences = blk.patience.tolist()
         for j in range(count):
             n = pos + j
-            if line and any(entry[2] < entry[0] * alpha for entry in line):
+            if expired:
                 kept = deque()
                 for entry in line:
                     if entry[2] < entry[0] * alpha:
@@ -156,19 +175,19 @@ def _run_lattice(path: StationaryPath, servers: int, n_arrivals: int) -> list[Ar
                         kept.append(entry)
                 line = kept
 
-            fold = sorted(residuals)
+            fold = sorted(residuals)  # a sorted list is a heap
             for waited, sig, pat, _ in line:
                 if (fold[0] + waited) * alpha <= pat:
-                    fold = _merge_int(fold, fold[0] + sig)
-            seen.append(tuple(v * alpha for v in fold))
+                    heapreplace(fold, fold[0] + sig)
+            fold.sort()
+            seen.append(tuple([v * alpha for v in fold]))
 
             sigma_n = sigmas[j]
-            if line or min(residuals) > 0:
+            if line or fold[0] > 0:
                 line.append([0, sigma_n, patiences[j], n])
             else:
                 served[n] = True
-                k = residuals.index(min(residuals))
-                residuals[k] = sigma_n
+                residuals[residuals.index(fold[0])] = sigma_n
 
             tau_n = taus[j]
             if n < n_arrivals - 1:
@@ -183,8 +202,11 @@ def _run_lattice(path: StationaryPath, servers: int, n_arrivals: int) -> list[Ar
                     else:
                         served[i] = False
                 residuals = [r - tau_n if r > tau_n else 0 for r in residuals]
+                expired = False
                 for entry in line:
                     entry[0] += tau_n
+                    if entry[2] < entry[0] * alpha:
+                        expired = True
         pos += count
 
     while line:
@@ -200,13 +222,6 @@ def _run_lattice(path: StationaryPath, servers: int, n_arrivals: int) -> list[Ar
         ArrivalRecord(n, seen[n], bool(served[n]), not served[n])
         for n in range(n_arrivals)
     ]
-
-
-def _merge_int(fold: list, x: int) -> list:
-    out = fold[1:]
-    out.append(x)
-    out.sort()
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -233,58 +248,36 @@ def cross_validate(path: StationaryPath, servers: int, n_arrivals: int,
 
     The workload vector seen by each arrival must match the recursion state
     within ``tol`` in every coordinate, and the served/lost flag must equal
-    the recursion's acceptance indicator exactly.
+    the recursion's acceptance indicator exactly. Lattice paths are rolled
+    in integer steps and scaled by ``alpha`` once, as the engine does.
     """
     records = run(path, servers, n_arrivals)
-    max_disc = 0.0
-    first_div = None
-    decisions_ok = True
-
     if path.spec.is_lattice:
-        alpha = path.spec.alpha
-        u = (0,) * servers
-        pos = 0
-        while pos < n_arrivals:
-            count = min(_CHUNK, n_arrivals - pos)
-            blk = path.lattice_block(pos, count)
-            taus = blk.tau.tolist()
-            sigmas = blk.sigma.tolist()
-            patiences = blk.patience.tolist()
-            for j in range(count):
-                rec = records[pos + j]
-                state = tuple(v * alpha for v in u)
-                disc = max(abs(a - b) for a, b in zip(rec.workload_seen, state))
-                if disc > max_disc:
-                    max_disc = disc
-                    if disc > tol and first_div is None:
-                        first_div = (rec.index, rec.workload_seen, state)
-                u, accepted = advance_lattice(u, taus[j], sigmas[j], patiences[j], alpha)
-                if rec.served != accepted:
-                    decisions_ok = False
-                    if first_div is None:
-                        first_div = (rec.index, rec.workload_seen, state)
-            pos += count
+        states, accepted = lattice_states(path, 0, n_arrivals, (0,) * servers)
+        states = states[:-1] * path.spec.alpha
     else:
         states, accepted = exact_states(path, 0, n_arrivals, (0.0,) * servers)
         states = states[:-1]
-        seen = np.array([rec.workload_seen for rec in records])
-        served = np.fromiter((rec.served for rec in records), dtype=bool, count=n_arrivals)
-        disc = np.abs(seen - states).max(axis=1)
-        max_disc = float(disc.max())
-        bad = (disc > tol) | (served != accepted)
-        decisions_ok = bool(np.array_equal(served, accepted))
-        if bad.any():
-            j = int(np.argmax(bad))
-            first_div = (records[j].index, records[j].workload_seen, tuple(states[j].tolist()))
-
-    return CrossValidation(n_arrivals, max_disc, decisions_ok, first_div, tol)
+    diff = np.array([rec.workload_seen for rec in records])
+    diff -= states
+    disc = np.abs(diff, out=diff).max(axis=1)
+    served = np.fromiter((rec.served for rec in records), dtype=bool, count=n_arrivals)
+    bad = (disc > tol) | (served != accepted)
+    first_div = None
+    if bad.any():
+        j = int(np.argmax(bad))
+        first_div = (records[j].index, records[j].workload_seen, tuple(states[j].tolist()))
+    return CrossValidation(n_arrivals, float(disc.max()), bool(np.array_equal(served, accepted)),
+                           first_div, tol)
 
 
 def write_trace(records: list[ArrivalRecord], out: IO[str]):
-    """CSV dump: index, W(1..S), served, loss."""
+    """CSV dump: index, W(1..S), served, loss.
+
+    Rows are joined by hand: ``repr`` of a float never holds a comma or a
+    quote, so no field needs CSV quoting.
+    """
     servers = len(records[0].workload_seen) if records else 0
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["index"] + [f"W{i + 1}" for i in range(servers)] + ["served", "loss"])
-    for rec in records:
-        writer.writerow([rec.index] + [repr(v) for v in rec.workload_seen]
-                        + [int(rec.served), int(rec.loss)])
+    out.write(",".join(["index", *(f"W{i + 1}" for i in range(servers)), "served", "loss"]) + "\n")
+    out.writelines(f"{rec.index},{','.join(map(repr, rec.workload_seen))},"
+                   f"{int(rec.served)},{int(rec.loss)}\n" for rec in records)

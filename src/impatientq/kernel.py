@@ -171,13 +171,17 @@ def advance_lattice(u_mult: Sequence[int], tau_mult: int, sigma_mult: int,
     return tuple(out), accepted
 
 
-def advance_lattice_batch(u_mult: np.ndarray, tau_mult: int, sigma_mult: int,
-                          patience: float, alpha: float) -> np.ndarray:
-    """Exact update on (N, S) int64 lattice states under one driver."""
+def advance_lattice_batch(u_mult: np.ndarray, tau_mult, sigma_mult, patience,
+                          alpha: float) -> np.ndarray:
+    """Exact update on (N, S) int64 lattice states.
+
+    The integer ``tau_mult``/``sigma_mult`` and float ``patience`` drivers
+    are scalars or per-row arrays, broadcast against the N rows.
+    """
     v = u_mult.copy()
     accepted = v[:, 0].astype(np.float64) * alpha <= patience
-    v[:, 0] += np.where(accepted, np.int64(sigma_mult), np.int64(0))
+    v[:, 0] += np.where(accepted, sigma_mult, 0)
     v.sort(axis=1)
-    v -= np.int64(tau_mult)
+    v -= np.asarray(tau_mult, dtype=np.int64).reshape(-1, 1) if np.ndim(tau_mult) else tau_mult
     np.maximum(v, 0, out=v)
     return v

@@ -24,7 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import _merge_shift, _merge_shift_batch, advance_batch
+from .kernel import (
+    _merge_shift,
+    _merge_shift_batch,
+    advance_batch,
+    advance_lattice,
+    advance_lattice_batch,
+)
 from .sequences import StationaryPath
 
 DEFAULT_MAX_DEPTH = 1 << 20
@@ -181,7 +187,9 @@ def stationary_estimate(path: StationaryPath, at: int, kind: str, servers: int,
 # that follows.) A repair that reaches the next seam runs on through it,
 # so the worst case is one scalar roll on top of the lockstep pass. Rows
 # equal the scalar roll's bit for bit; rolls shorter than two chunks run
-# the scalar loop alone.
+# the scalar loop alone. Rows take their dtype from the starting state, so
+# the same roll serves the int64 lattice recursion, where every step is
+# exact and the argument holds trivially.
 # ---------------------------------------------------------------------------
 
 CHUNK = 512
@@ -189,7 +197,7 @@ CHUNK = 512
 
 def _scalar_roll(u0: tuple[float, ...], step, drivers: tuple[np.ndarray, ...]) -> np.ndarray:
     """The reference roll: row 0 is ``u0``, row i+1 is ``step(row i, *drivers[:, i])``."""
-    states = np.empty((len(drivers[0]) + 1, len(u0)))
+    states = np.empty((len(drivers[0]) + 1, len(u0)), dtype=np.asarray(u0).dtype)
     states[0] = u0
     u = tuple(u0)
     for i, d in enumerate(zip(*[col.tolist() for col in drivers]), 1):
@@ -215,13 +223,14 @@ def _forward_roll(u0: tuple[float, ...], step, lane_step, drivers: tuple[np.ndar
     # runs past the roll on zero padding, and those rows are cut off.
     cols = []
     for col in drivers:
-        padded = np.zeros(lanes * length)
+        padded = np.zeros(lanes * length, dtype=col.dtype)
         padded[:steps] = col
         cols.append(np.ascontiguousarray(padded.reshape(lanes, length).T))
-    states = np.empty((lanes * length + 1, len(u0)))
+    dtype = np.asarray(u0).dtype
+    states = np.empty((lanes * length + 1, len(u0)), dtype=dtype)
     states[0] = u0
     by_lane = states[1:].reshape(lanes, length, len(u0))
-    u = np.full((lanes, len(u0)), guess)
+    u = np.full((lanes, len(u0)), guess, dtype=dtype)
     u[0] = u0
     for j in range(length):
         u = lane_step(u, *[c[j] for c in cols])
@@ -265,7 +274,8 @@ def envelope_states(path: StationaryPath, at: int, steps: int, u0: tuple[float, 
     """
     blk = path.block(at, steps)
     work = _effective_work(blk.tau, blk.sigma, blk.patience, kind)
-    return _forward_roll(tuple(u0), _merge_shift, _merge_shift_batch, (work, blk.tau), 0.0)
+    return _forward_roll(tuple(map(float, u0)), _merge_shift, _merge_shift_batch,
+                         (work, blk.tau), 0.0)
 
 
 def _exact_step(u, tau, sigma, patience):
@@ -288,9 +298,31 @@ def exact_states(path: StationaryPath, at: int, steps: int,
     customer at index ``at+i`` enters service before her deadline.
     """
     blk = path.block(at, steps)
-    states = _forward_roll(tuple(u0), _exact_step, _exact_lane_step,
+    states = _forward_roll(tuple(map(float, u0)), _exact_step, _exact_lane_step,
                            (blk.tau, blk.sigma, blk.patience), 0.0)
     return states, states[:-1, 0] <= blk.patience
+
+
+def lattice_states(path: StationaryPath, at: int, steps: int,
+                   u0: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """``exact_states`` for a lattice-model path, in integer lattice steps.
+
+    ``states`` is int64: row ``i`` is the workload at index ``at+i`` in
+    multiples of ``alpha`` (row 0 is ``u0``), as the ``advance_lattice``
+    loop gives it; ``accepted`` is that loop's acceptance indicator.
+    """
+    alpha = path.spec.alpha
+    blk = path.lattice_block(at, steps)
+
+    def step(u, tau, sigma, patience):
+        return advance_lattice(u, tau, sigma, patience, alpha)[0]
+
+    def lane_step(u, tau, sigma, patience):
+        return advance_lattice_batch(u, tau, sigma, patience, alpha)
+
+    states = _forward_roll(tuple(u0), step, lane_step,
+                           (blk.tau, blk.sigma, blk.patience), 0)
+    return states, states[:-1, 0] * alpha <= blk.patience
 
 
 def top_supremum_series(path: StationaryPath, at: int, n: int, depth: int,

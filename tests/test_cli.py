@@ -204,6 +204,26 @@ def test_cli_bad_model_key_exit_2(tmp_path, capsys, ini, old, new, key):
     assert key in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("ini, old, new, named", [
+    (MM2D_INI, "[experiment]", "[experimant]\nservers = 2\n\n[experiment]", "[experimant] servers"),
+    (MM2D_INI, "seed = 2024", "seed = 2024\nthreads = 4", "[experiment] threads"),
+    (MM2D_INI, "rate = 1.0", "rate = 1.0\nmean = 7", "[tau] mean"),
+    (MM_INI, "transition = 0.9 0.1 / 0.2 0.8", "transition = 0.9 0.1 / 0.2 0.8\nrows = 7",
+     "[modulation] rows"),
+    (MM_INI, "[run]", "[tau]\ndist = exponential\nrate = 1.0\n\n[run]", "[tau] dist"),
+    (MM_INI, "[run]", "[state2.tau]\ndist = exponential\nrate = 1.0\n\n[run]", "[state2.tau] dist"),
+    (MM2D_INI, "[run]", "[modulation]\ntransition = 0.5 0.5 / 0.5 0.5\n\n[run]",
+     "[modulation] transition"),
+], ids=["misspelled-section", "extra-experiment-key", "key-dist-ignores", "extra-modulation-key",
+        "iid-section-under-markov", "state-beyond-chain", "modulation-under-iid"])
+def test_cli_key_without_effect_exit_2(tmp_path, capsys, ini, old, new, named):
+    assert old in ini
+    cfg = _write(tmp_path, "bad.ini", ini.replace(old, new, 1))
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_cli_threads_below_one_exit_2(tmp_path, capsys, threads):
     cfg = _write(tmp_path, "cfg.ini", MM2D_INI)

@@ -226,6 +226,24 @@ def test_advance_lattice_scalar_matches_batch():
         assert acc == (u[0] * 1.0 <= pat)
 
 
+def test_advance_lattice_batch_per_row_drivers():
+    # One driver per row, as the lattice lane roll uses it: every row equals
+    # the scalar step under its own driver, deadline ties included.
+    rng = np.random.default_rng(84)
+    n = 400
+    for s in (1, 2, 3, 8):
+        u = np.sort(rng.integers(0, 8, size=(n, s)), axis=1).astype(np.int64)
+        tau = rng.integers(0, 4, n)
+        sigma = rng.integers(0, 5, n)
+        pat = np.where(rng.random(n) < 0.4, rng.integers(0, 8, n) * 0.5, rng.uniform(0.0, 4.0, n))
+        out = advance_lattice_batch(u, tau, sigma, pat, alpha=0.5)
+        assert out.dtype == np.int64
+        for r in range(n):
+            scalar, _ = advance_lattice(tuple(u[r].tolist()), int(tau[r]), int(sigma[r]),
+                                        float(pat[r]), alpha=0.5)
+            assert tuple(out[r].tolist()) == scalar
+
+
 # ---------------------------------------------------------------------------
 # Hypothesis spot checks
 # ---------------------------------------------------------------------------

@@ -13,18 +13,26 @@ import numpy as np
 import pytest
 
 from impatientq import loynes, metrics
-from impatientq.kernel import advance
+from impatientq.kernel import advance, advance_lattice
 from impatientq.sequences import (
     Deterministic,
     DriverSample,
     Exponential,
+    LatticeDiscrete,
     ModulationSpec,
     SequenceSpec,
     StationaryPath,
     Uniform,
 )
 
-from support import DRAIN, det_spec, iid_spec, random_iid_spec, random_mm_spec
+from support import (
+    DRAIN,
+    det_spec,
+    iid_spec,
+    random_iid_spec,
+    random_lattice_spec,
+    random_mm_spec,
+)
 
 CHUNK = loynes.CHUNK
 STEPS = (2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 1, 3 * CHUNK + 37)
@@ -152,3 +160,61 @@ def test_bound_report_matches_scalar_rolls(monkeypatch):
             scalar = metrics.bound_report(path, servers, 4000, warmup=1000, keep_samples=True)
         assert lanes == scalar
         assert _identical(lanes.samples, scalar.samples)
+
+
+# ---------------------------------------------------------------------------
+# The int64 lattice roll against the ``advance_lattice`` loop
+# ---------------------------------------------------------------------------
+
+LATTICE_STEPS = (1, CHUNK - 1) + STEPS
+# gap == service == step, patience on the lattice: every comparison ties
+LATTICE_TIES = SequenceSpec(
+    model="lattice", seed=6, alpha=1.0,
+    tau=LatticeDiscrete(1.0, (1,), (1.0,)),
+    sigma=LatticeDiscrete(1.0, (1,), (1.0,)),
+    patience=LatticeDiscrete(1.0, (0, 1, 2), (0.4, 0.3, 0.3)),
+)
+
+
+def _lattice_loop(path, at, steps, u0):
+    """The scalar lattice recursion, one ``advance_lattice`` call per index."""
+    blk = path.lattice_block(at, steps)
+    alpha = path.spec.alpha
+    u, rows, accepted = u0, [u0], []
+    for d in zip(blk.tau.tolist(), blk.sigma.tolist(), blk.patience.tolist()):
+        u, ok = advance_lattice(u, *d, alpha)
+        rows.append(u)
+        accepted.append(ok)
+    return np.array(rows, dtype=np.int64), np.array(accepted, dtype=bool)
+
+
+def _assert_lattice_matches_loop(path, at, steps, u0):
+    states, accepted = loynes.lattice_states(path, at, steps, u0)
+    ref_states, ref_accepted = _lattice_loop(path, at, steps, u0)
+    assert states.dtype == np.int64, steps
+    assert _identical(states, ref_states), (steps, u0)
+    assert _identical(accepted, ref_accepted), (steps, u0)
+
+
+@pytest.mark.parametrize("servers", [1, 2, 3, 8])
+def test_lattice_roll_matches_advance_lattice_loop(servers):
+    rng = np.random.default_rng(2000 + servers)
+    for steps in LATTICE_STEPS:
+        spec = random_lattice_spec(rng, alpha=float(rng.choice([0.5, 1.0, 0.3])))
+        for path in (StationaryPath(LATTICE_TIES), StationaryPath(spec)):
+            _assert_lattice_matches_loop(path, int(rng.integers(-5000, 5000)), steps,
+                                         (0,) * servers)
+
+
+def test_lattice_roll_from_a_high_start_matches_loop():
+    # A start far above stationarity keeps early seams wrong for a while.
+    path = StationaryPath(random_lattice_spec(np.random.default_rng(12), alpha=0.5))
+    _assert_lattice_matches_loop(path, 0, 6 * CHUNK + 5, (400, 700, 1000))
+
+
+def test_lattice_roll_small_chunks_match_loop(monkeypatch):
+    rng = np.random.default_rng(78)
+    monkeypatch.setattr(loynes, "CHUNK", 8)
+    for servers in (1, 2, 4):
+        for path in (StationaryPath(LATTICE_TIES), StationaryPath(random_lattice_spec(rng))):
+            _assert_lattice_matches_loop(path, 3, 700, (0,) * servers)
