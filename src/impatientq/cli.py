@@ -190,18 +190,13 @@ def cmd_bounds(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
 
 def cmd_cftp(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     path = StationaryPath(cfg.spec)
-    res = coupling.cftp(
-        path, cfg.servers,
-        initial_horizon=cfg.run.cftp_initial_horizon,
-        max_horizon=cfg.run.cftp_max_horizon,
-        interior_points=cfg.run.cftp_interior_points,
-        tol=cfg.run.tol,
-    )
+    res = coupling.cftp(path, cfg.servers, max_horizon=cfg.run.cftp_max_horizon)
     payload = _header(cfg, "cftp")
     payload.update({
         "coalesced": res.coalesced,
         "horizon_used": res.horizon_used,
-        "initial_set_size": res.initial_set_size,
+        "z_depth": res.z_depth,
+        "z_risk": res.z_risk,
         "value": list(res.value) if res.value is not None else None,
     })
     _write_json(out_dir / "cftp.json", payload)

@@ -34,9 +34,7 @@ Schema (INI syntax, parsed with :mod:`configparser`)::
     warmup = 10000
     tol = 1e-9
     z_depth = 4096
-    cftp_initial_horizon = 0     ; 0 means automatic
     cftp_max_horizon = 1048576
-    cftp_interior_points = 8
     renovation_start = 0
     renovation_end = 9999
     hset_depth = 0               ; 0 means 10 * servers
@@ -84,9 +82,7 @@ class RunParams:
     warmup: int = 10_000
     tol: float = 1e-9
     z_depth: int = 4096
-    cftp_initial_horizon: int = 0
     cftp_max_horizon: int = 1 << 20
-    cftp_interior_points: int = 8
     renovation_start: int = 0
     renovation_end: int = 9_999
     hset_depth: int = 0
@@ -103,8 +99,8 @@ class RunParams:
             raise ConfigurationError("run.tol must be positive")
         if self.renovation_end < self.renovation_start:
             raise ConfigurationError("run renovation window is empty")
-        if self.cftp_initial_horizon < 0 or self.hset_depth < 0:
-            raise ConfigurationError("horizons and depths must be non-negative")
+        if self.hset_depth < 0:
+            raise ConfigurationError("run.hset_depth must be non-negative")
 
 
 @dataclass(frozen=True)

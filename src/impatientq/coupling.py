@@ -4,10 +4,13 @@ A renovation index is one where the upper stationary estimate has an empty
 first coordinate and each higher coordinate fits under the accumulated
 forward gaps; from such an index, every trajectory started at or below the
 upper estimate reaches the same state S-1 steps later, erasing its initial
-condition. That mechanism justifies the coupling-from-the-past sampler:
-run the exact recursion from an increasingly remote past on a spread of
-initial states inside the sandwich until they all merge at the target
-index.
+condition.
+
+Coupling from the past needs no such event: every stationary workload lies
+in the box ``[0, Z]`` below the certified top supremum vector, and a
+bounding chain (Huber 2004) run from that box holds the image of every
+state in it. When it closes to a point at the target, that point is the
+stationary workload, bit for bit.
 
 For lattice-valued service and gaps the whole ordered box below the upper
 estimate is finite; propagating it forward with exact integer arithmetic
@@ -24,12 +27,17 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, ContractError, ResourceCapError
-from .kernel import advance_batch, advance_lattice_batch, is_ordered
-from .loynes import LoynesEstimate, envelope_states, stationary_estimate, _renovation_mask
-from .sequences import StationaryPath, stream_uniforms
-from .sequences import _mix64_int as _mix
-
-_STREAM_CFTP = 0xC7
+from .kernel import _merge_shift, advance_batch, advance_lattice_batch
+from .loynes import (
+    DEFAULT_MAX_DEPTH,
+    LoynesEstimate,
+    _chernoff_constants,
+    _renovation_mask,
+    envelope_states,
+    stationary_estimate,
+    supremum_bound,
+)
+from .sequences import StationaryPath
 
 
 @dataclass(frozen=True)
@@ -111,25 +119,28 @@ def coalescence_check(path: StationaryPath, at: int,
     (that is what the renovation argument covers); a violating state is a
     reported precondition error, not silently dropped.
     """
-    initials = [tuple(map(float, u)) for u in initials]
-    if not initials:
+    initials = np.asarray(initials, dtype=np.float64)
+    if initials.size == 0:
         raise ValueError("need at least one initial state")
-    servers = len(initials[0])
+    servers = initials.shape[1]
     if y_estimate is None:
         y_estimate = stationary_estimate(path, at, "upper", servers).vector
     slack = 0.0 if path.spec.is_lattice else 1e-12
-    for u in initials:
-        if not is_ordered(u):
+    unordered = ~((initials[:, :-1] <= initials[:, 1:]).all(axis=1) & (initials >= 0.0).all(axis=1))
+    above = (initials > np.asarray(y_estimate) + slack).any(axis=1)
+    bad = unordered | above
+    if bad.any():
+        row = int(np.argmax(bad))
+        u = tuple(initials[row].tolist())
+        if unordered[row]:
             raise ContractError(f"initial state must be ordered, got {u!r}")
-        if any(x > y + slack for x, y in zip(u, y_estimate)):
-            raise ContractError(
-                f"initial state {u!r} is not dominated by the upper estimate {tuple(y_estimate)!r}")
+        raise ContractError(
+            f"initial state {u!r} is not dominated by the upper estimate {tuple(y_estimate)!r}")
     if path.spec.is_lattice:
         pts = _to_lattice(initials, path.spec.alpha)
         out = _run_set_forward(path, at, servers - 1, pts) if servers > 1 else pts
         return bool((out == out[0]).all())
-    pts = np.asarray(initials, dtype=np.float64)
-    out = _run_set_forward(path, at, servers - 1, pts) if servers > 1 else pts
+    out = _run_set_forward(path, at, servers - 1, initials) if servers > 1 else initials
     return float(np.abs(out - out[0]).max()) <= tol
 
 
@@ -148,10 +159,14 @@ def _to_lattice(points: Sequence[Sequence[float]], alpha: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CftpResult:
+    """A sample, the horizon that coalesced (or the last one tried), and the
+    depth and risk of the certified start box."""
+
     value: Optional[tuple[float, ...]]
     coalesced: bool
     horizon_used: int
-    initial_set_size: int
+    z_depth: int
+    z_risk: float
 
     def __post_init__(self):
         if self.coalesced and self.value is None:
@@ -159,57 +174,91 @@ class CftpResult:
 
 
 def cftp(path: StationaryPath, servers: int, at: int = 0,
-         initial_horizon: int = 0, max_horizon: int = 1 << 20,
-         interior_points: int = 8, tol: float = 1e-9) -> CftpResult:
+         max_horizon: int = 1 << 20) -> CftpResult:
     """Sample the stationary workload at ``at`` by coupling from the past.
 
-    At horizon n the exact recursion runs from index ``at-n`` to ``at`` on
-    the empty state, the upper estimate at ``at-n``, and ``interior_points``
-    random states inside the sandwich between them. The horizon doubles
-    until every trajectory agrees at ``at`` (exactly on the lattice, within
-    ``tol`` otherwise); drivers are tied to indices, so deeper horizons
-    replay the same randomness over the shared suffix.
+    At horizon n a bounding chain runs from index ``at-n`` to ``at``,
+    started from the box between the empty state and the certified top
+    supremum vector at ``at-n``. The horizon doubles from ``max(2S, 16)``
+    until the chain closes to a point at ``at``; drivers are tied to
+    indices, so deeper horizons replay the same randomness.
     """
     if servers < 1:
         raise ValueError("servers must be >= 1")
-    horizon = initial_horizon if initial_horizon >= 1 else max(2 * servers, 16)
-    lattice = path.spec.is_lattice
+    horizon = max(2 * servers, 16)
+    # At the predicted depth the gaps read fall short of their mean often
+    # (a fifth of reads with Exp(1) gaps, Exp(0.4) service and Exp(0.2)
+    # patience); their spread is O(sqrt(depth)), so a quarter more makes a
+    # deeper read rare.
+    depth = max(servers, math.ceil(min(1.25 * _chernoff_constants(path.spec, "upper")[2],
+                                       DEFAULT_MAX_DEPTH)))
     while True:
         start = at - horizon
-        est = stationary_estimate(path, start, "upper", servers)
-        top = est.vector
-        if any(not math.isfinite(v) for v in top):
-            raise ConfigurationError("upper estimate is not finite; cannot build the sandwich")
-        pts = [(0.0,) * servers, top]
-        pts.extend(_sandwich_points(path.spec.seed, at, horizon, interior_points, top))
-        if lattice:
-            alpha = path.spec.alpha
-            arr = np.asarray(pts, dtype=np.float64) / alpha
-            arr = np.floor(arr + 1e-9).astype(np.int64)
-            arr.sort(axis=1)
-            out = _run_set_forward(path, start, horizon, arr)
-            if (out == out[0]).all():
-                value = tuple(float(v) * alpha for v in out[0])
-                return CftpResult(value, True, horizon, len(pts))
-        else:
-            arr = np.asarray(pts, dtype=np.float64)
-            out = _run_set_forward(path, start, horizon, arr)
-            if float(np.abs(out - out[0]).max()) <= tol:
-                return CftpResult(tuple(map(float, out[0])), True, horizon, len(pts))
+        while True:
+            # One window serves the box and a float chain; a failed read
+            # costs the horizon's drivers once more.
+            path.block(start - depth, depth + horizon)
+            zb = supremum_bound(path, start, "upper", depth, servers)
+            if zb.stabilized:
+                break
+            if depth >= DEFAULT_MAX_DEPTH:
+                raise ResourceCapError(f"top supremum at index {start} not certified "
+                                       f"(risk {zb.risk:.3g})", DEFAULT_MAX_DEPTH, 2 * depth)
+            depth = min(2 * depth, DEFAULT_MAX_DEPTH)
+        if any(not math.isfinite(v) for v in zb.values):
+            raise ConfigurationError("top supremum is not finite; cannot bound the stationary states")
+        lo, hi = _bounding_chain(path, start, horizon, zb.values)
+        if lo == hi:
+            if path.spec.is_lattice:
+                lo = tuple(float(k) * path.spec.alpha for k in lo)
+            return CftpResult(lo, True, horizon, depth, zb.risk)
         if horizon >= max_horizon:
-            return CftpResult(None, False, horizon, len(pts))
+            return CftpResult(None, False, horizon, depth, zb.risk)
         horizon = min(2 * horizon, max_horizon)
 
 
-def _sandwich_points(seed: int, at: int, horizon: int, count: int,
-                     top: tuple[float, ...]) -> list[tuple[float, ...]]:
-    if count <= 0:
-        return []
-    servers = len(top)
-    key = seed ^ _mix((at & ((1 << 64) - 1)) * 0x632BE59BD9B4E019 ^ horizon)
-    u = stream_uniforms(key, _STREAM_CFTP, 0, count * servers).reshape(count, servers)
-    pts = np.sort(u * np.asarray(top), axis=1)
-    return [tuple(row) for row in pts]
+def _bounding_chain(path: StationaryPath, start: int, steps: int,
+                    top: tuple[float, ...]) -> tuple[tuple, tuple]:
+    """The interval ``[L, U]`` at ``start + steps`` of the box ``[0, top]`` at
+    ``start`` (in lattice multiples on a lattice path).
+
+    The exact map adds sigma to ``u0`` iff ``u0 <= D``: for every state if
+    ``U0 <= D``, for none if ``L0 > D``, and otherwise the new work lies in
+    ``[L0, max(U0, D + sigma)]``. ``_merge_shift`` only selects, subtracts
+    and clips, all monotone under rounding, so the images of ``L`` and ``U``
+    bound every image bit for bit. On the lattice, ``D`` becomes the largest
+    accepted multiple.
+    """
+    lattice = path.spec.is_lattice
+    if lattice:
+        alpha = path.spec.alpha
+        blk = path.lattice_block(start, steps)
+        lo, hi = (0,) * len(top), tuple(int(math.floor(v / alpha + 1e-9)) for v in top)
+    else:
+        alpha = 1.0  # multiplying by it is exact
+        blk = path.block(start, steps)
+        lo, hi = (0.0,) * len(top), tuple(top)
+    for tau, sigma, patience in zip(blk.tau.tolist(), blk.sigma.tolist(), blk.patience.tolist()):
+        if hi[0] * alpha <= patience:
+            x_lo, x_hi = lo[0] + sigma, hi[0] + sigma
+        elif lo[0] * alpha > patience:
+            x_lo, x_hi = lo[0], hi[0]
+        else:
+            cut = _last_accepted(hi[0], patience, alpha) if lattice else patience
+            x_lo, x_hi = lo[0], max(hi[0], cut + sigma)
+        lo = _merge_shift(lo, x_lo, tau)
+        hi = _merge_shift(hi, x_hi, tau)
+    return lo, hi
+
+
+def _last_accepted(hi: int, patience: float, alpha: float) -> int:
+    """The largest ``k < hi`` with ``k * alpha <= patience``, for a rejected
+    ``hi``. The float quotient's floor is at most one below it, so count
+    down from one above that floor by the comparison itself."""
+    k = min(math.floor(patience / alpha) + 1, hi - 1)
+    while k * alpha > patience:
+        k -= 1
+    return k
 
 
 # ---------------------------------------------------------------------------

@@ -64,6 +64,11 @@ def run(path: StationaryPath, servers: int, n_arrivals: int) -> list[ArrivalReco
     return _run_float(path, servers, n_arrivals)
 
 
+def _records(seen: list[tuple], served: list[bool]) -> list[ArrivalRecord]:
+    # One map over the columns; a per-index comprehension cost a tenth of ``run``.
+    return list(map(ArrivalRecord, range(len(served)), seen, served, [not s for s in served]))
+
+
 def _run_float(path: StationaryPath, servers: int, n_arrivals: int) -> list[ArrivalRecord]:
     residuals = [0.0] * servers
     line: deque[list] = deque()  # [remaining_patience, sigma, index]
@@ -137,10 +142,7 @@ def _run_float(path: StationaryPath, servers: int, n_arrivals: int) -> list[Arri
         else:
             served[i] = False
 
-    return [
-        ArrivalRecord(n, seen[n], bool(served[n]), not served[n])
-        for n in range(n_arrivals)
-    ]
+    return _records(seen, served)
 
 
 def _run_lattice(path: StationaryPath, servers: int, n_arrivals: int) -> list[ArrivalRecord]:
@@ -218,10 +220,7 @@ def _run_lattice(path: StationaryPath, servers: int, n_arrivals: int) -> list[Ar
         else:
             served[i] = False
 
-    return [
-        ArrivalRecord(n, seen[n], bool(served[n]), not served[n])
-        for n in range(n_arrivals)
-    ]
+    return _records(seen, served)
 
 
 # ---------------------------------------------------------------------------

@@ -86,16 +86,18 @@ def advance_lower(u: Sequence[float], d: DriverSample) -> tuple[float, ...]:
 
 def _merge_shift(u: Sequence[float], x: float, tau: float) -> tuple[float, ...]:
     # Coordinate i of the sorted merge of {u[1:], x} is (u[i] v x) ^ u[i+1];
-    # the top coordinate is u[-1] v x. Subtract the gap and clip.
+    # the top coordinate is u[-1] v x. Subtract the gap and clip at the zero
+    # of the state's own type, so int lattice multiples stay ints.
+    zero = type(u[0])()
     s = len(u)
     out = []
     for i in range(s - 1):
         hi = u[i] if u[i] > x else x
         if hi > u[i + 1]:
             hi = u[i + 1]
-        out.append(max(hi - tau, 0.0))
+        out.append(max(hi - tau, zero))
     top = u[-1] if u[-1] > x else x
-    out.append(max(top - tau, 0.0))
+    out.append(max(top - tau, zero))
     return tuple(out)
 
 
@@ -159,16 +161,7 @@ def advance_lattice(u_mult: Sequence[int], tau_mult: int, sigma_mult: int,
     """
     accepted = u_mult[0] * alpha <= patience
     x = u_mult[0] + sigma_mult if accepted else u_mult[0]
-    s = len(u_mult)
-    out = []
-    for i in range(s - 1):
-        hi = u_mult[i] if u_mult[i] > x else x
-        if hi > u_mult[i + 1]:
-            hi = u_mult[i + 1]
-        out.append(max(hi - tau_mult, 0))
-    top = u_mult[-1] if u_mult[-1] > x else x
-    out.append(max(top - tau_mult, 0))
-    return tuple(out), accepted
+    return _merge_shift(u_mult, x, tau_mult), accepted
 
 
 def advance_lattice_batch(u_mult: np.ndarray, tau_mult, sigma_mult, patience,

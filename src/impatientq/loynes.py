@@ -13,12 +13,18 @@ The module also computes the one-dimensional running-supremum bounds (the
 ascending vector whose j-th entry is the backward supremum started at lag
 S+1-j), Monte-Carlo estimates of the stability conditions, and forward
 state rolls along a driver path used throughout the higher-level modules.
+A supremum is read to a finite depth and carries a certificate: a
+closed-form Chernoff bound on the chance that a deeper lag raises it,
+``stabilized`` when at most ``Z_RISK``. Up to that risk, the upper vector
+dominates the upper envelope's stationary state and hence every stationary
+workload, which makes it the start box of ``coupling.cftp``.
 Long forward rolls run as time-parallel lanes with seam repair and return
 the scalar recursion's states bit for bit (see "Forward rolls" below).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,25 +37,30 @@ from .kernel import (
     advance_lattice,
     advance_lattice_batch,
 )
-from .sequences import StationaryPath
+from .sequences import SequenceSpec, StationaryPath
 
 DEFAULT_MAX_DEPTH = 1 << 20
-DEFAULT_Z_WINDOW = 1000
+Z_RISK = 1e-12
+# Chernoff exponents the certificate tries, in units of one over the
+# largest mean of the laws: 2^-8 .. 2^3 in eighth octaves.
+_THETA_GRID = tuple(2.0 ** (k / 8) for k in range(-64, 25))
 
 
 @dataclass(frozen=True)
 class SupremumBound:
-    """Truncated backward supremum vector with a convergence diagnostic.
+    """Backward supremum vector read to a finite depth, with its certificate.
 
     ``values[j-1]`` is the supremum over lags ``S+1-j .. horizon`` (so the
     vector is ascending and the top coordinate uses every lag >= 1).
-    ``stabilized`` means no coordinate's running maximum moved during the
-    trailing ``window`` lags; a truncated value can only under-estimate.
+    Truncation can only under-estimate; ``risk`` bounds the probability
+    that some lag beyond ``horizon`` raises a coordinate, and
+    ``stabilized`` means ``risk <= Z_RISK``.
     """
 
     values: tuple[float, ...]
     horizon: int
     stabilized: bool
+    risk: float
 
 
 @dataclass(frozen=True)
@@ -70,9 +81,48 @@ def _effective_work(tau: np.ndarray, sigma: np.ndarray, patience: np.ndarray, ki
     raise ValueError(f"kind must be 'upper' or 'lower', got {kind!r}")
 
 
+@functools.lru_cache(maxsize=256)
+def _chernoff_constants(spec: SequenceSpec, kind: str) -> tuple[np.ndarray, np.ndarray, float]:
+    """Constants of the top-supremum certificate.
+
+    Past the ``d`` lags read, lag ``k`` raises a coordinate only if its work
+    exceeds ``m + T`` (least coordinate plus the gaps read) plus ``k - d``
+    unread gaps. By Markov's inequality and a union bound over ``k``, that
+    has probability at most ``M_work(theta) e^(-theta (m + T)) phi/(1-phi)``,
+    ``phi = M_tau(-theta)``, at any theta with ``M_work`` finite and
+    ``phi < 1``; ``M_work`` is ``M_sigma M_D`` (upper) or ``min(M_sigma, M_D)``
+    (lower). Under Markov modulation the drivers are independent given the
+    chain and the worst state bounds each factor. Thetas scale with one over
+    the largest finite mean, so a change of time unit scales them and leaves
+    the risk as it is. Returns the usable thetas, ``log(M_work phi/(1-phi))``
+    at each, and the depth at which the mean gaps alone reach ``Z_RISK``
+    (0 if no theta is usable).
+    """
+    if spec.model == "markov_modulated":
+        laws = spec.modulation.states
+    else:
+        laws = ((spec.tau, spec.sigma, spec.patience),)
+    scale = max(m for law in laws for m in (d.mean() for d in law) if math.isfinite(m))
+    thetas, log_c = [], []
+    for theta in (g / scale for g in _THETA_GRID):
+        log_phi = max(tau.log_mgf(-theta) for tau, _, _ in laws)
+        if kind == "upper":
+            log_work = max(sigma.log_mgf(theta) + patience.log_mgf(theta) for _, sigma, patience in laws)
+        else:
+            log_work = max(min(sigma.log_mgf(theta), patience.log_mgf(theta)) for _, sigma, patience in laws)
+        if log_work < math.inf and log_phi < 0.0:
+            thetas.append(theta)
+            log_c.append(log_work + log_phi - math.log(-math.expm1(log_phi)))
+    thetas, log_c = np.array(thetas), np.array(log_c)
+    thetas.setflags(write=False)  # the cache hands these arrays to every caller
+    log_c.setflags(write=False)
+    need = float(((log_c - math.log(Z_RISK)) / thetas).min()) if len(thetas) else 0.0
+    return thetas, log_c, max(need, 0.0) / min(tau.mean() for tau, _, _ in laws)
+
+
 def supremum_bound(path: StationaryPath, at: int, kind: str, depth: int,
-                   servers: int, window: int = DEFAULT_Z_WINDOW) -> SupremumBound:
-    """Truncated supremum vector at index ``at``.
+                   servers: int) -> SupremumBound:
+    """Supremum vector at index ``at`` read to ``depth`` lags, certified.
 
     Coordinate ``j`` is ``[max over k in [S+1-j, depth] of
     (work shifted back k) - (sum of the k previous gaps)]+`` with work
@@ -107,20 +157,12 @@ def supremum_bound(path: StationaryPath, at: int, kind: str, depth: int,
             per_lag[ell] = max(u - t, 0.0)
     values = tuple(per_lag[servers + 1 - j] for j in range(1, servers + 1))
 
-    # Stabilization: where each truncated supremum is attained. Positions
-    # use lag units (position p holds lag k = p+1).
-    terms = work_arr[::-1] - np.cumsum(blk.tau[::-1])
-    stab = True
-    for j in range(1, servers + 1):
-        lag0 = servers + 1 - j
-        sl = terms[lag0 - 1 :]
-        if float(sl.max()) <= 0.0:
-            last_change = lag0 - 1
-        else:
-            last_change = lag0 + int(np.argmax(sl))
-        if depth - last_change < window:
-            stab = False
-    return SupremumBound(values, depth, stab)
+    thetas, log_c, _ = _chernoff_constants(path.spec, kind)
+    # At most 1, which is also the risk when no theta is usable; no lag
+    # raises an infinite supremum.
+    exponent = float((log_c - thetas * (values[0] + blk.tau.sum())).min(initial=0.0))
+    risk = 0.0 if values[0] == math.inf else math.exp(exponent)
+    return SupremumBound(values, depth, risk <= Z_RISK, risk)
 
 
 def backward_iterate(path: StationaryPath, at: int, kind: str, depth: int,
@@ -392,13 +434,13 @@ class ConditionReport:
 
 
 def estimate_conditions(path: StationaryPath, servers: int, n_samples: int,
-                        at: int = 0, z_depth: int = 4096,
-                        window: int = DEFAULT_Z_WINDOW) -> ConditionReport:
+                        at: int = 0, z_depth: int = 4096) -> ConditionReport:
     """Monte-Carlo frequencies of the stability conditions over
-    ``n_samples`` consecutive indices starting at ``at``."""
+    ``n_samples`` consecutive indices starting at ``at``; the top supremum
+    is read ``max(z_depth, servers)`` lags deep."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    z_depth = max(z_depth, servers, window + 1)
+    z_depth = max(z_depth, servers)
     blk = path.block(at, n_samples + servers)
     tau = blk.tau[:n_samples]
     sigma = blk.sigma[:n_samples]
@@ -409,7 +451,7 @@ def estimate_conditions(path: StationaryPath, servers: int, n_samples: int,
 
     # Truncated top supremum rolled forward: each step both shifts the
     # index and deepens the truncation, so it is the 1-D envelope map.
-    zb = supremum_bound(path, at, "upper", z_depth, 1, window)
+    zb = supremum_bound(path, at, "upper", z_depth, 1)
     z_states = envelope_states(path, at, n_samples - 1, zb.values, "upper")
     z_hits = int(np.count_nonzero(z_states[:, 0] == 0.0))
 

@@ -76,6 +76,10 @@ def stream_uniforms(seed: int, stream: int, start: int, count: int) -> np.ndarra
 
 # ---------------------------------------------------------------------------
 # Marginal distributions (all sampled by inverse CDF from one uniform).
+#
+# ``log_mgf(theta)`` is log E e^(theta X), ``inf`` where the mean diverges;
+# the top-supremum certificate in ``loynes`` reads it at positive theta for
+# work and negative theta for gaps. In logs, large work cannot overflow.
 # ---------------------------------------------------------------------------
 
 
@@ -95,6 +99,9 @@ class Exponential:
 
     def sample(self, u: np.ndarray) -> np.ndarray:
         return -np.log1p(-u) / self.rate
+
+    def log_mgf(self, theta: float) -> float:
+        return -math.log1p(-theta / self.rate) if theta < self.rate else math.inf
 
     def lattice_multipliers(self, alpha: float) -> Optional[np.ndarray]:
         return None
@@ -116,6 +123,9 @@ class Deterministic:
 
     def sample(self, u: np.ndarray) -> np.ndarray:
         return np.full(u.shape, self.value, dtype=np.float64)
+
+    def log_mgf(self, theta: float) -> float:
+        return theta * self.value
 
     def lattice_multipliers(self, alpha: float) -> Optional[np.ndarray]:
         if not math.isfinite(self.value):
@@ -145,6 +155,13 @@ class Uniform:
     def sample(self, u: np.ndarray) -> np.ndarray:
         return self.low + u * (self.high - self.low)
 
+    def log_mgf(self, theta: float) -> float:
+        # log of (e^(theta b) - e^(theta a)) / (theta (b - a)), factored at
+        # the larger exponent so that neither overflows nor cancels
+        w = abs(theta) * (self.high - self.low)
+        edge = self.high if theta > 0.0 else self.low
+        return theta * edge + math.log(-math.expm1(-w) / w) if w else 0.0
+
     def lattice_multipliers(self, alpha: float) -> Optional[np.ndarray]:
         return None
 
@@ -166,6 +183,9 @@ class ShiftedExponential:
 
     def sample(self, u: np.ndarray) -> np.ndarray:
         return self.shift - np.log1p(-u) / self.rate
+
+    def log_mgf(self, theta: float) -> float:
+        return theta * self.shift - math.log1p(-theta / self.rate) if theta < self.rate else math.inf
 
     def lattice_multipliers(self, alpha: float) -> Optional[np.ndarray]:
         return None
@@ -207,6 +227,11 @@ class LatticeDiscrete:
 
     def sample(self, u: np.ndarray) -> np.ndarray:
         return self.sample_multipliers(u).astype(np.float64) * self.alpha
+
+    def log_mgf(self, theta: float) -> float:
+        terms = [(theta * self.alpha * k, p) for k, p in zip(self.multipliers, self.probs) if p > 0.0]
+        top = max(x for x, _ in terms)
+        return top + math.log(math.fsum(p * math.exp(x - top) for x, p in terms))
 
     def lattice_multipliers(self, alpha: float) -> Optional[np.ndarray]:
         if alpha != self.alpha:

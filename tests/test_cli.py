@@ -214,8 +214,11 @@ def test_cli_bad_model_key_exit_2(tmp_path, capsys, ini, old, new, key):
     (MM_INI, "[run]", "[state2.tau]\ndist = exponential\nrate = 1.0\n\n[run]", "[state2.tau] dist"),
     (MM2D_INI, "[run]", "[modulation]\ntransition = 0.5 0.5 / 0.5 0.5\n\n[run]",
      "[modulation] transition"),
+    (MM2D_INI, "[run]", "[run]\ncftp_interior_points = 8", "[run] cftp_interior_points"),
+    (MM2D_INI, "[run]", "[run]\ncftp_initial_horizon = 16", "[run] cftp_initial_horizon"),
 ], ids=["misspelled-section", "extra-experiment-key", "key-dist-ignores", "extra-modulation-key",
-        "iid-section-under-markov", "state-beyond-chain", "modulation-under-iid"])
+        "iid-section-under-markov", "state-beyond-chain", "modulation-under-iid",
+        "cftp-interior-points", "cftp-initial-horizon"])
 def test_cli_key_without_effect_exit_2(tmp_path, capsys, ini, old, new, named):
     assert old in ini
     cfg = _write(tmp_path, "bad.ini", ini.replace(old, new, 1))
@@ -353,7 +356,6 @@ dist = deterministic
 value = 1.0
 
 [run]
-cftp_initial_horizon = 8
 cftp_max_horizon = 64
 """
     cfg = _write(tmp_path, "cfg.ini", text)

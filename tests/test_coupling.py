@@ -1,7 +1,13 @@
+import dataclasses
+import math
+import re
+
 import numpy as np
 import pytest
 
 from impatientq.coupling import (
+    _bounding_chain,
+    _ordered_box,
     cftp,
     coalescence_check,
     detect_renovation,
@@ -9,17 +15,26 @@ from impatientq.coupling import (
     reachable_set,
 )
 from impatientq.errors import ConfigurationError, ContractError, ResourceCapError
-from impatientq.kernel import advance
+from impatientq.kernel import advance, advance_lattice
 from impatientq.loynes import stationary_estimate
 from impatientq.sequences import (
     Deterministic,
+    DriverSample,
     Exponential,
     LatticeDiscrete,
     SequenceSpec,
     StationaryPath,
     Uniform,
 )
-from support import DRAIN, GROWTH, det_spec, iid_spec, random_lattice_spec
+from support import (
+    DRAIN,
+    GROWTH,
+    det_spec,
+    iid_spec,
+    random_iid_spec,
+    random_lattice_spec,
+    random_mm_spec,
+)
 
 MM2D = iid_spec(17, Exponential(1.0), Exponential(0.6), Deterministic(1.0))
 
@@ -100,6 +115,21 @@ def test_coalescence_precondition_reported():
         coalescence_check(path, 0, [])
 
 
+def test_coalescence_precondition_names_first_offending_row():
+    path = StationaryPath(MM2D)
+    pts = np.sort(np.random.default_rng(3).uniform(0.0, 4.0, size=(20_000, 2)), axis=1)
+    pts[[7_000, 12_000]] = (1.0, 6.0), (2.0, 1.0)   # above y, then unordered
+    with pytest.raises(ContractError, match=re.escape(
+            "initial state (1.0, 6.0) is not dominated by the upper estimate (5.0, 5.0)")):
+        coalescence_check(path, 0, pts, y_estimate=(5.0, 5.0))
+    pts[7_000] = (0.5, 0.75)
+    with pytest.raises(ContractError, match=re.escape("initial state must be ordered, got (2.0, 1.0)")):
+        coalescence_check(path, 0, pts, y_estimate=(5.0, 5.0))
+    pts[12_000] = (-1.0, 1.0)
+    with pytest.raises(ContractError, match="must be ordered"):
+        coalescence_check(path, 0, pts, y_estimate=(5.0, 5.0))
+
+
 def test_deterministic_two_server_coalescence_in_one_step():
     # gap 2, service 1, patience 1.5: the upper state is (0, 0.5) and every
     # index renovates; any start (0, a) with a <= 0.5 maps to (0, 0) in one
@@ -133,7 +163,7 @@ def test_negative_control_non_coalescence():
     assert est.vector == (2.2 - 1.0,)
     # S=1: zero steps, distinct states simply stay distinct (diagnostic)
     assert not coalescence_check(path, 0, [(0.0,), (0.1,)], y_estimate=est.vector)
-    res = cftp(path, 1, initial_horizon=16, max_horizon=64)
+    res = cftp(path, 1, max_horizon=64)
     assert not res.coalesced
     assert res.value is None
     assert res.horizon_used == 64
@@ -145,8 +175,8 @@ def test_negative_control_non_coalescence():
 
 
 def test_cftp_drain_coalesces_immediately():
-    res = cftp(StationaryPath(DRAIN), 2, initial_horizon=1)
-    assert res.coalesced and res.horizon_used == 1
+    res = cftp(StationaryPath(DRAIN), 2)
+    assert res.coalesced and res.horizon_used == 16
     assert res.value == (0.0, 0.0)
 
 
@@ -172,15 +202,6 @@ def test_cftp_sandwich():
     assert all(v <= up + 1e-9 for v, up in zip(res.value, upper.vector))
 
 
-def test_cftp_enrichment_invariance():
-    path = StationaryPath(MM2D)
-    a = cftp(path, 2, interior_points=0)
-    b = cftp(path, 2, interior_points=8)
-    c = cftp(path, 2, interior_points=64)
-    assert a.coalesced and b.coalesced and c.coalesced
-    assert a.value == b.value == c.value
-
-
 def test_cftp_lattice_exact():
     spec = SequenceSpec(
         model="lattice", seed=21, alpha=0.5,
@@ -195,6 +216,185 @@ def test_cftp_lattice_exact():
     w_next = advance(res.value, path.sample_at(0)).next
     res1 = cftp(path, 2, at=1)
     assert res1.value == w_next
+
+
+# The perfbench ``certify`` model; before the bounding chain, ``cftp`` on seed
+# 1 returned a wrong value at target 341.
+CERTIFY = iid_spec(1, Exponential(1.0), Exponential(0.4), Exponential(0.2))
+LATTICE = SequenceSpec(
+    model="lattice", seed=1, alpha=0.5,
+    tau=LatticeDiscrete(0.5, (1, 2, 3), (0.3, 0.4, 0.3)),
+    sigma=LatticeDiscrete(0.5, (0, 2, 4, 6, 8), (0.2,) * 5),
+    patience=Uniform(0.0, 6.0),
+)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_cftp_equals_deep_forward_roll(seed):
+    # reference: one exact scalar roll from empty, started 8192 indices
+    # before the first target
+    path = StationaryPath(dataclasses.replace(CERTIFY, seed=seed))
+    blk = path.block(1 - 8192, 8192 + 499)
+    w, deep = (0.0,) * 3, {}
+    for n, d in enumerate(zip(blk.tau.tolist(), blk.sigma.tolist(), blk.patience.tolist()), 2 - 8192):
+        w = advance(w, DriverSample(*d)).next
+        deep[n] = w
+    for t in range(1, 501):
+        res = cftp(path, 3, at=t)
+        assert res.coalesced and res.value == deep[t], (t, res, deep[t])
+        assert res.z_risk <= 1e-12
+
+
+def test_cftp_lattice_equals_deep_advance_lattice_loop():
+    path = StationaryPath(LATTICE)
+    blk = path.lattice_block(1 - 8192, 8192 + 299)
+    u, deep = (0, 0, 0), {}
+    for n, d in enumerate(zip(blk.tau.tolist(), blk.sigma.tolist(), blk.patience.tolist()), 2 - 8192):
+        u = advance_lattice(u, *d, 0.5)[0]
+        deep[n] = tuple(float(k) * 0.5 for k in u)
+    for t in range(1, 301):
+        res = cftp(path, 3, at=t)
+        assert res.coalesced and res.value == deep[t], (t, res, deep[t])
+
+
+def test_last_accepted_matches_the_acceptance_comparison():
+    # Reference: count down from hi - 1 by the acceptance comparison itself.
+    # A patience equal to the float product k * alpha is where the float
+    # quotient's floor falls one short of k (k = 43 at alpha = 0.1).
+    from impatientq.coupling import _last_accepted
+
+    for alpha in (0.1, 0.3, 1 / 3, 0.45, 1.1):
+        for k in range(400):
+            for patience in (k * alpha, math.nextafter(k * alpha, 0.0), k * alpha + alpha / 2):
+                rejected = k + 2
+                while rejected * alpha <= patience:
+                    rejected += 1
+                for hi in (rejected, rejected + 5):
+                    want = hi - 1
+                    while want * alpha > patience:
+                        want -= 1
+                    assert _last_accepted(hi, patience, alpha) == want, (alpha, k, patience, hi)
+
+
+def test_bounding_chain_contains_every_trajectory():
+    # random states of a random box [0, top], stepped by the exact map, stay
+    # inside the chain's interval after every step
+    rng = np.random.default_rng(4242)
+    for trial in range(36):
+        family = trial % 3
+        if family == 0:
+            spec = random_iid_spec(rng)
+        elif family == 1:
+            spec = random_lattice_spec(rng, alpha=0.5)
+        else:
+            spec = random_mm_spec(rng)
+        servers = int(rng.integers(1, 5))
+        path = StationaryPath(spec)
+        start, steps = int(rng.integers(-5000, 5000)), 40
+        if spec.is_lattice:   # every ordered lattice state of the box
+            top_mult = np.sort(rng.integers(0, 13, size=servers))
+            top = tuple(float(k) * 0.5 for k in top_mult)
+            states = _ordered_box(top_mult.tolist(), 10**6)
+            blk = path.lattice_block(start, steps)
+            step = lambda u, i: advance_lattice(u, int(blk.tau[i]), int(blk.sigma[i]),  # noqa: E731
+                                                float(blk.patience[i]), 0.5)[0]
+        else:
+            top = tuple(np.sort(rng.uniform(0.0, 6.0, size=servers)).tolist())
+            states = [tuple(p) for p in (np.sort(rng.uniform(0.0, 1.0, size=(30, servers)), axis=1)
+                                         * np.asarray(top)).tolist()] + [(0.0,) * servers, top]
+            step = lambda u, i: advance(u, path.sample_at(start + i)).next  # noqa: E731
+        for i in range(steps):
+            states = [step(u, i) for u in states]
+            lo, hi = _bounding_chain(path, start, i + 1, top)
+            for u in states:
+                assert all(a <= b <= c for a, b, c in zip(lo, u, hi)), (trial, i, lo, u, hi)
+
+
+def test_certified_box_dominates_deep_states():
+    # the start box: the exact workload and the upper envelope iterate, both
+    # from empty 4096 indices back, sit under the certified supremum vector
+    from impatientq.loynes import backward_iterate, exact_states, supremum_bound
+
+    rng = np.random.default_rng(515)
+    for trial in range(40):
+        spec = (random_iid_spec, random_mm_spec)[trial % 2](rng)
+        servers = int(rng.integers(1, 5))
+        path = StationaryPath(spec)
+        at = int(rng.integers(-10_000, 10_000))
+        exact = exact_states(path, at - 4096, 4096, (0.0,) * servers)[0][-1]
+        upper = backward_iterate(path, at, "upper", 4096, servers)
+        depth = servers
+        zb = supremum_bound(path, at, "upper", depth, servers)
+        while not zb.stabilized:
+            depth *= 2
+            zb = supremum_bound(path, at, "upper", depth, servers)
+        assert all(w <= u <= z for w, u, z in zip(exact, upper, zb.values)), (trial, exact, upper, zb)
+
+
+def test_cftp_reports_certified_box():
+    res = cftp(StationaryPath(CERTIFY), 3, at=0)
+    assert res.z_depth >= 3 and 0.0 <= res.z_risk <= 1e-12
+
+
+def _rescaled(spec, c):
+    """``spec`` with every time (gap, service, patience) multiplied by ``c``."""
+    def law(d):
+        if isinstance(d, Exponential):
+            return Exponential(d.rate / c)
+        if isinstance(d, Uniform):
+            return Uniform(d.low * c, d.high * c)
+        return Deterministic(d.value * c)
+    return dataclasses.replace(spec, tau=law(spec.tau), sigma=law(spec.sigma), patience=law(spec.patience))
+
+
+BOUNDED_WORK = iid_spec(5, Exponential(1.0), Uniform(0.5, 1.5), Deterministic(2.0))
+
+
+@pytest.mark.parametrize("spec, servers, c", [
+    (CERTIFY, 3, 2.0**7), (CERTIFY, 3, 2.0**-7), (BOUNDED_WORK, 2, 2.0**17),
+], ids=["certify-x128", "certify-x1/128", "bounded-x2^17"])
+def test_cftp_does_not_depend_on_the_time_unit(spec, servers, c):
+    # A power-of-two time unit scales every sample, sum and difference
+    # exactly, so the horizon, the box depth and its risk stay the same and
+    # the value scales bit for bit. At x128 the patience rate is below 2^-8,
+    # and at x2^17 e^(theta D) exceeds the float range for every theta
+    # >= 2^-8, so only exponents scaled to the laws and taken in logs
+    # certify both.
+    base, scaled = StationaryPath(spec), StationaryPath(_rescaled(spec, c))
+    for at in range(0, 40, 4):
+        a, b = cftp(base, servers, at=at), cftp(scaled, servers, at=at)
+        assert (b.horizon_used, b.z_depth, b.z_risk) == (a.horizon_used, a.z_depth, a.z_risk), at
+        assert a.coalesced and b.value == tuple(c * v for v in a.value), at
+
+
+SLOW_PATIENCE = iid_spec(8, Exponential(1.0), Exponential(2.0), Exponential(0.001))
+
+
+def test_cftp_slow_patience_equals_deep_exact_roll():
+    # a light queue whose box needs some 50,000 lags and whose upper chain
+    # drains for thousands of steps
+    from impatientq.loynes import exact_states
+
+    path = StationaryPath(SLOW_PATIENCE)
+    res = cftp(path, 2, at=1)
+    assert res.coalesced and res.horizon_used < 2**15 and res.z_depth > 10_000
+    deep = exact_states(path, 1 - 2**15, 2**15, (0.0, 0.0))[0][-1]
+    assert res.value == tuple(deep.tolist())
+
+
+def test_cftp_uncertified_box_hits_depth_cap(monkeypatch):
+    # with the depth cap below the lags the certificate needs, cftp refuses
+    import impatientq.coupling as coupling
+
+    monkeypatch.setattr(coupling, "DEFAULT_MAX_DEPTH", 64)
+    with pytest.raises(ResourceCapError, match="not certified"):
+        cftp(StationaryPath(SLOW_PATIENCE), 2)
+
+
+def test_cftp_infinite_top_refused():
+    spec = iid_spec(3, Exponential(1.0), Exponential(2.0), Deterministic(float("inf")))
+    with pytest.raises(ConfigurationError):
+        cftp(StationaryPath(spec), 2)
 
 
 # ---------------------------------------------------------------------------

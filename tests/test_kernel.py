@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from impatientq.errors import ContractError
 from impatientq.kernel import (
+    _merge_shift,
     advance,
     advance_batch,
     advance_direct,
@@ -264,3 +265,12 @@ def test_hypothesis_equivalence_and_order(raw, sigma, pat, tau):
     assert is_ordered(advance_upper(u, d))
     assert is_ordered(advance_lower(u, d))
     assert out.accepted == (u[0] <= pat)
+
+
+def test_merge_clips_at_the_state_type_zero():
+    # one merge serves float states and int lattice multiples: clipped
+    # coordinates keep the state's type
+    out, _ = advance_lattice((0, 1, 5), 3, 2, 0.25, 0.5)
+    assert out == (0, 0, 2) and all(type(k) is int for k in out)
+    assert _merge_shift((0.0, 1.0), 0.5, 2.0) == (0.0, 0.0)
+    assert all(type(v) is float for v in _merge_shift((0.0, 1.0), 0.5, 2.0))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ MM2D = iid_spec(17, Exponential(1.0), Exponential(0.6), Deterministic(1.0))
 def test_supremum_bound_drain_is_zero():
     path = StationaryPath(DRAIN)
     for depth in (3, 10, 100):
-        zb = supremum_bound(path, 0, "upper", depth, 3, window=depth + 1)
+        zb = supremum_bound(path, 0, "upper", depth, 3)
         assert zb.values == (0.0, 0.0, 0.0)
 
 
@@ -35,8 +37,8 @@ def test_lower_below_upper():
     rng = np.random.default_rng(5)
     for _ in range(20):
         path = StationaryPath(random_iid_spec(rng))
-        lo = supremum_bound(path, 0, "lower", 256, 3, window=300)
-        up = supremum_bound(path, 0, "upper", 256, 3, window=300)
+        lo = supremum_bound(path, 0, "lower", 256, 3)
+        up = supremum_bound(path, 0, "upper", 256, 3)
         assert all(a <= b for a, b in zip(lo.values, up.values))
 
 
@@ -54,9 +56,9 @@ def test_supremum_monotone_in_horizon():
     rng = np.random.default_rng(6)
     for _ in range(10):
         path = StationaryPath(random_iid_spec(rng))
-        prev = supremum_bound(path, 0, "upper", 4, 4, window=10**9).values
+        prev = supremum_bound(path, 0, "upper", 4, 4).values
         for depth in (8, 16, 64, 256):
-            cur = supremum_bound(path, 0, "upper", depth, 4, window=10**9).values
+            cur = supremum_bound(path, 0, "upper", depth, 4).values
             assert all(a <= b for a, b in zip(prev, cur))
             prev = cur
 
@@ -69,7 +71,7 @@ def test_single_server_iterate_telescopes_exactly():
         for kind in ("upper", "lower"):
             for depth in (1, 3, 17, 128):
                 it = backward_iterate(path, 0, kind, depth, 1)
-                zb = supremum_bound(path, 0, kind, depth, 1, window=10**9)
+                zb = supremum_bound(path, 0, kind, depth, 1)
                 assert it[0] == zb.values[0]
 
 
@@ -80,10 +82,10 @@ def test_top_coordinate_identity_exact():
             path = StationaryPath(random_iid_spec(rng))
             for depth in (servers, 2 * servers, 64, 257):
                 it = backward_iterate(path, -3, "upper", depth, servers)
-                zb = supremum_bound(path, -3, "upper", depth, servers, window=10**9)
+                zb = supremum_bound(path, -3, "upper", depth, servers)
                 assert it[-1] == zb.values[-1]
                 lo = backward_iterate(path, -3, "lower", depth, servers)
-                zl = supremum_bound(path, -3, "lower", depth, servers, window=10**9)
+                zl = supremum_bound(path, -3, "lower", depth, servers)
                 assert lo[-1] == zl.values[-1]
 
 
@@ -95,7 +97,7 @@ def test_supremum_values_match_direct_maximum():
     blk = path.block(-depth, depth)
     work = (blk.sigma + blk.patience)[::-1]
     terms = work - np.cumsum(blk.tau[::-1])
-    zb = supremum_bound(path, 0, "upper", depth, servers, window=10**9)
+    zb = supremum_bound(path, 0, "upper", depth, servers)
     for j in range(1, servers + 1):
         lag0 = servers + 1 - j
         direct = max(float(terms[lag0 - 1:].max()), 0.0)
@@ -123,7 +125,7 @@ def test_iterate_dominated_by_supremum_at_stabilized_depth():
         est = stationary_estimate(path, 0, "upper", 3)
         if not est.stabilized:
             continue
-        zb = supremum_bound(path, 0, "upper", max(est.depth, 3), 3, window=1)
+        zb = supremum_bound(path, 0, "upper", max(est.depth, 3), 3)
         assert all(v <= z + 1e-9 for v, z in zip(est.vector, zb.values))
 
 
@@ -217,6 +219,76 @@ def test_conditions_exponential_pair():
     assert abs(rep.work_le_tau.frequency - 0.5) <= 0.01
 
 
+def test_conditions_read_the_top_supremum_at_z_depth():
+    # z_depth is the depth read, with no floor above the server count
+    path = StationaryPath(MM2D)
+    assert estimate_conditions(path, 2, 200, z_depth=64).z_depth == 64
+    assert estimate_conditions(path, 2, 200, z_depth=1).z_depth == 2
+    assert estimate_conditions(path, 2, 200).z_depth == 4096
+
+
 def test_conditions_reject_empty():
     with pytest.raises(ValueError):
         estimate_conditions(StationaryPath(DRAIN), 2, 0)
+
+
+def test_supremum_certificate_against_deep_reference():
+    # Certify at a loose risk: at the first doubling depth whose risk is at
+    # most 1e-2, the depth-8192 supremum (the direct formula over the lags,
+    # not the recursion) may exceed the certified values (a lag beyond the
+    # depth read raised a coordinate) in at most that share of (spec,
+    # index) pairs, up to three binomial standard deviations.
+    from support import random_lattice_spec, random_mm_spec
+
+    rng = np.random.default_rng(2024)
+    families = (random_iid_spec, lambda r: random_lattice_spec(r, alpha=0.5), random_mm_spec)
+    risk, pairs, exceed = 1e-2, 0, 0
+    for k in range(105):
+        spec = families[k % 3](rng)
+        servers = int(rng.integers(1, 4))
+        path = StationaryPath(spec)
+        window = path.block(-8192, 8192 + 19 * 997)   # the memo serves every read below
+        for at in range(0, 20 * 997, 997):
+            blk = [col[at : at + 8192] for col in window]
+            depth = servers
+            zb = supremum_bound(path, at, "upper", depth, servers)
+            while zb.risk > risk and depth < 8192:
+                depth *= 2
+                zb = supremum_bound(path, at, "upper", depth, servers)
+            if zb.risk > risk:
+                continue
+            tau, sigma, patience = blk
+            terms = (sigma + patience)[::-1] - np.cumsum(tau[::-1])
+            deep = [max(float(terms[servers - j:].max()), 0.0) for j in range(1, servers + 1)]
+            assert all(z <= d + 1e-9 for z, d in zip(zb.values, deep))
+            exceed += any(d > z + 1e-9 for z, d in zip(zb.values, deep))
+            pairs += 1
+    assert pairs >= 2000
+    assert exceed <= pairs * risk + 3 * (pairs * risk * (1 - risk)) ** 0.5, (exceed, pairs)
+
+
+def test_supremum_risk_closed_form():
+    # Exp(1) gaps, Exp(0.4) service, Exp(0.2) patience: phi/(1-phi) = 1/theta,
+    # so risk = min over the grid of M_sigma M_D e^(-theta (m + T)) / theta;
+    # the grid is 2^-8 .. 2^3 in eighth octaves over the largest mean, 5
+    spec = iid_spec(1, Exponential(1.0), Exponential(0.4), Exponential(0.2))
+    path = StationaryPath(spec)
+    for at, depth in ((28, 40), (35, 150), (7, 400)):
+        zb = supremum_bound(path, at, "upper", depth, 3)
+        assert zb.values[0] < zb.values[-1]   # the least coordinate is the one that counts
+        elapsed = float(path.block(at - depth, depth).tau.sum())
+        want = min(0.4 / (0.4 - t) * 0.2 / (0.2 - t) * math.exp(-t * (zb.values[0] + elapsed)) / t
+                   for t in (2.0 ** (k / 8) / 5.0 for k in range(-64, 25)) if t < 0.2)
+        assert zb.risk == pytest.approx(min(want, 1.0), rel=1e-9), (at, depth)
+
+
+def test_supremum_risk_fields():
+    path = StationaryPath(MM2D)
+    shallow = supremum_bound(path, 0, "upper", 4, 2)
+    deep = supremum_bound(path, 0, "upper", 4096, 2)
+    assert 0.0 <= deep.risk <= 1e-12 and deep.stabilized
+    assert shallow.risk > 1e-12 and not shallow.stabilized
+    # infinite work: nothing can raise an infinite supremum
+    inf = StationaryPath(iid_spec(3, Exponential(1.0), Exponential(2.0), Deterministic(float("inf"))))
+    zb = supremum_bound(inf, 0, "upper", 8, 2)
+    assert zb.values == (float("inf"),) * 2 and zb.risk == 0.0

@@ -146,7 +146,7 @@ def test_top_supremum_roll_matches_per_index_bound():
     servers, depth, n = 3, 4096, 40
     series = top_supremum_series(path, 0, n, depth, servers)
     for t in range(0, n, 7):
-        zb = supremum_bound(path, t, "upper", depth, servers, window=10**9)
+        zb = supremum_bound(path, t, "upper", depth, servers)
         assert abs(max(series[t], 0.0) - zb.values[0]) <= 1e-9, t
 
 

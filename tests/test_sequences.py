@@ -377,3 +377,29 @@ def test_lattice_deterministic_requires_exact_multiple():
                         tau=LatticeDiscrete(0.5, (2,), (1.0,)),
                         sigma=Deterministic(1.5), patience=Deterministic(1.0))
     assert StationaryPath(spec).lattice_block(0, 4).sigma.tolist() == [3, 3, 3, 3]
+
+
+@pytest.mark.parametrize("dist", [
+    Exponential(1.7), Deterministic(1.25), Uniform(0.3, 2.1), ShiftedExponential(0.4, 2.5),
+    LatticeDiscrete(0.5, (0, 1, 4), (0.2, 0.5, 0.3)),
+], ids=lambda d: type(d).__name__)
+def test_log_mgf_matches_quadrature_of_the_sampler(dist):
+    # log E e^(theta X) by the midpoint rule over the inverse-CDF sampler
+    u = (np.arange(200_000) + 0.5) / 200_000
+    x = dist.sample(u)
+    for theta in (-2.0, -0.25, 0.5):
+        want = math.log(float(np.exp(theta * x).mean()))
+        assert dist.log_mgf(theta) == pytest.approx(want, abs=2e-3), theta
+    assert dist.log_mgf(0.0) == pytest.approx(0.0)
+
+
+def test_log_mgf_diverges_past_the_rate_and_stays_finite_for_large_work():
+    assert Exponential(0.5).log_mgf(0.5) == math.inf
+    assert ShiftedExponential(1.0, 0.5).log_mgf(0.75) == math.inf
+    assert Deterministic(math.inf).log_mgf(0.25) == math.inf
+    assert Deterministic(math.inf).log_mgf(-0.25) == -math.inf
+    # e^4000 overflows a float; its log does not
+    assert Deterministic(500.0).log_mgf(8.0) == 4000.0
+    assert Uniform(0.0, 500.0).log_mgf(8.0) == pytest.approx(4000.0 - math.log(4000.0))
+    assert Uniform(0.0, 500.0).log_mgf(-8.0) == pytest.approx(-math.log(4000.0))
+    assert LatticeDiscrete(1.0, (0, 1000), (0.5, 0.5)).log_mgf(8.0) == pytest.approx(8000.0 + math.log(0.5))
