@@ -15,7 +15,10 @@ stationary workload, bit for bit.
 For lattice-valued service and gaps the whole ordered box below the upper
 estimate is finite; propagating it forward with exact integer arithmetic
 yields a shrinking nested family of reachable sets whose collapse to a
-single point certifies a unique stationary state on the lattice.
+single point certifies a unique stationary state on the lattice. All
+requested depths propagate in lockstep: one int64 array, whose first
+column tags each row with its depth, takes one step and one dedupe per
+index, so every depth shares the same driver block and kernel calls.
 """
 
 from __future__ import annotations
@@ -305,7 +308,15 @@ def reachable_profile(path: StationaryPath, servers: int, depths: Sequence[int],
 
     All boxes derive from a single backward estimate at the deepest index
     rolled forward, which makes the nested-family property exact; nesting
-    is verified between consecutive requested depths.
+    is verified between consecutive requested depths. The estimate must
+    have stabilized: an unstabilized one may under-estimate the box, so
+    the profile refuses rather than report sets built from it.
+
+    The depths propagate in lockstep over one driver block: the box of
+    depth ``d`` joins a single int64 array at index ``at-d``, tagged with
+    ``d`` in its first column, and every step advances all live rows at
+    once, then drops duplicate (tag, state) rows. ``cap`` bounds each box;
+    the lockstep array holds every live set at once.
     """
     if not path.spec.is_lattice:
         raise ConfigurationError("reachable sets require a lattice-model spec")
@@ -317,46 +328,69 @@ def reachable_profile(path: StationaryPath, servers: int, depths: Sequence[int],
     est = stationary_estimate(path, at - deepest, "upper", servers)
     if any(not math.isfinite(v) for v in est.vector):
         raise ConfigurationError("upper estimate is not finite; lattice box is unbounded")
+    if not est.stabilized:
+        raise ContractError(
+            f"upper estimate at index {at - deepest} did not stabilize by depth {est.depth}; "
+            "reachable sets disabled (a truncated estimate can under-estimate the box)")
     # Estimates at every shallower index, consistent by construction.
     rolled = envelope_states(path, at - deepest, deepest, est.vector, "upper")
+    blk = path.lattice_block(at - deepest, deepest)
+
+    requested = set(depths)
+    box_sizes = {}
+    rows = np.empty((0, servers + 1), dtype=np.int64)
+    for i in range(deepest + 1):
+        depth = deepest - i
+        if depth in requested:
+            box = _ordered_box([int(math.floor(v / alpha + 1e-9)) for v in rolled[i]], cap)
+            box_sizes[depth] = len(box)
+            rows = np.concatenate((rows, np.column_stack((np.full(len(box), depth), box))))
+        if depth > 0:
+            rows[:, 1:] = advance_lattice_batch(rows[:, 1:], blk.tau[i], blk.sigma[i],
+                                                blk.patience[i], alpha)
+            rows = _unique_rows(rows)
 
     results: list[ReachableSet] = []
     prev_points: Optional[frozenset] = None
     for depth in depths:
-        caps = [int(math.floor(v / alpha + 1e-9)) for v in rolled[deepest - depth]]
-        box = _ordered_box(caps, cap)
-        pts = np.asarray(box, dtype=np.int64)
-        if depth > 0:
-            blk = path.lattice_block(at - depth, depth)
-            for i in range(depth):
-                pts = advance_lattice_batch(pts, blk.tau[i], blk.sigma[i],
-                                            blk.patience[i], alpha)
-                pts = np.unique(pts, axis=0)
-        else:
-            pts = np.unique(pts, axis=0)
-        points = frozenset(map(tuple, pts.tolist()))
+        points = frozenset(map(tuple, rows[rows[:, 0] == depth, 1:].tolist()))
         nested = prev_points is None or points <= prev_points
-        results.append(ReachableSet(depth, points, alpha, len(box), nested, est.stabilized))
+        results.append(ReachableSet(depth, points, alpha, box_sizes[depth], nested, est.stabilized))
         prev_points = points
     return results
 
 
-def _ordered_box(caps: Sequence[int], cap: int) -> list[tuple[int, ...]]:
-    """Ordered integer vectors with coordinate j at most caps[j]."""
-    out: list[tuple[int, ...]] = []
+def _unique_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of an int64 array, in lexicographic order."""
+    order = np.lexsort(rows.T[::-1])
+    rows = rows[order]
+    keep = np.empty(len(rows), dtype=bool)
+    keep[:1] = True
+    np.any(rows[1:] != rows[:-1], axis=1, out=keep[1:])
+    return rows[keep]
+
+
+def _ordered_box(caps: Sequence[int], cap: int) -> np.ndarray:
+    """Ordered integer vectors with coordinate j at most caps[j], as an
+    int64 array in lexicographic order; more than ``cap`` of them raise.
+
+    Prefixes grow one column at a time. Coordinate j also lies below every
+    later cap, so the caps are first lowered to their suffix minima; then
+    each prefix has a completion, and a prefix count above ``cap`` already
+    proves the box too large.
+    """
     total_box = 1
     for c in caps:
         total_box *= c + 1
-
-    def rec(prefix: tuple[int, ...], j: int, low: int):
-        if j == len(caps):
-            out.append(prefix)
-            if len(out) > cap:
-                raise ResourceCapError("lattice box enumeration exceeds cap",
-                                       cap, total_box)
-            return
-        for v in range(low, caps[j] + 1):
-            rec(prefix + (v,), j + 1, v)
-
-    rec((), 0, 0)
-    return out
+    caps = np.minimum.accumulate(np.asarray(caps, dtype=np.int64)[::-1])[::-1]
+    box = np.zeros((1, 0), dtype=np.int64)
+    low = np.zeros(1, dtype=np.int64)
+    for c in caps.tolist():
+        counts = np.maximum(c - low + 1, 0)
+        n = int(counts.sum())
+        if n > cap:
+            raise ResourceCapError("lattice box enumeration exceeds cap", cap, total_box)
+        starts = np.cumsum(counts) - counts
+        low = np.repeat(low - starts, counts) + np.arange(n)
+        box = np.column_stack((np.repeat(box, counts, axis=0), low))
+    return box

@@ -70,7 +70,6 @@ class LoynesEstimate:
     vector: tuple[float, ...]
     depth: int
     stabilized: bool
-    window: int = 1
 
 
 def _effective_work(tau: np.ndarray, sigma: np.ndarray, patience: np.ndarray, kind: str) -> np.ndarray:
@@ -184,32 +183,26 @@ def backward_iterate(path: StationaryPath, at: int, kind: str, depth: int,
 
 
 def stationary_estimate(path: StationaryPath, at: int, kind: str, servers: int,
-                        tol: float = 1e-12, max_depth: int = DEFAULT_MAX_DEPTH,
-                        window: int = 1) -> LoynesEstimate:
+                        tol: float = 1e-12, max_depth: int = DEFAULT_MAX_DEPTH) -> LoynesEstimate:
     """Doubling-depth backward scheme for the extremal stationary state.
 
-    Depths S, 2S, 4S, ... are tried until ``window`` consecutive doublings
-    agree coordinate-wise within ``tol`` or ``max_depth`` is hit; the flag
+    Depths S, 2S, 4S, ... are tried until one doubling agrees
+    coordinate-wise within ``tol`` or ``max_depth`` is hit; the flag
     records which. An unstabilized vector is a lower estimate.
     """
     depth = servers
     prev = backward_iterate(path, at, kind, depth, servers)
-    agreements = 0
     while depth < max_depth:
         if math.isinf(prev[-1]):
             # infinite effective work (e.g. unbounded patience): the iterate
             # is permanently infinite, no finite stationary state to find
-            return LoynesEstimate(prev, depth, False, window)
+            return LoynesEstimate(prev, depth, False)
         depth *= 2
         cur = backward_iterate(path, at, kind, depth, servers)
         if all(abs(a - b) <= tol for a, b in zip(prev, cur)):
-            agreements += 1
-            if agreements >= window:
-                return LoynesEstimate(cur, depth, True, window)
-        else:
-            agreements = 0
+            return LoynesEstimate(cur, depth, True)
         prev = cur
-    return LoynesEstimate(prev, depth, False, window)
+    return LoynesEstimate(prev, depth, False)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,14 @@ configuration generators used by the property suites."""
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 
+from impatientq.coupling import ReachableSet
+from impatientq.kernel import advance_lattice
+from impatientq.loynes import envelope_states, stationary_estimate
 from impatientq.sequences import (
     _CHAIN_BLOCK,
     STREAM_MODULATION,
@@ -96,7 +102,8 @@ def random_mm_spec(rng: np.random.Generator, n_states: int = 2) -> SequenceSpec:
     )
 
 
-def random_lattice_spec(rng: np.random.Generator, alpha: float = 1.0) -> SequenceSpec:
+def random_lattice_spec(rng: np.random.Generator, alpha: float = 1.0,
+                        sigma_max: int = 2) -> SequenceSpec:
     def discrete(lo, hi):
         mults = tuple(range(lo, hi + 1))
         probs = rng.uniform(0.2, 1.0, size=len(mults))
@@ -107,7 +114,7 @@ def random_lattice_spec(rng: np.random.Generator, alpha: float = 1.0) -> Sequenc
         seed=int(rng.integers(2**62)),
         alpha=alpha,
         tau=discrete(1, 3),
-        sigma=discrete(0, 2),
+        sigma=discrete(0, sigma_max),
         patience=Uniform(0.0, float(rng.uniform(0.5, 3.0))),
     )
 
@@ -143,3 +150,37 @@ def sequential_chain_block(spec: SequenceSpec, b: int) -> np.ndarray:
         s = jump[i, s]
         states[i] = s
     return states[spec.burn_in:]
+
+
+def ordered_box_reference(caps) -> list[tuple[int, ...]]:
+    """Brute force for ``coupling._ordered_box``: every ascending vector
+    with coordinate j at most caps[j], in lexicographic order."""
+    top = max(caps, default=0)
+    return [u for u in itertools.combinations_with_replacement(range(top + 1), len(caps))
+            if all(k <= c for k, c in zip(u, caps))]
+
+
+def reachable_profile_reference(path: StationaryPath, servers: int, depths,
+                                at: int = 0) -> list[ReachableSet]:
+    """Per-depth reference for ``coupling.reachable_profile``: each depth's
+    box, read off the same rolled upper estimate, enumerated by brute force
+    and stepped state by state with the scalar ``advance_lattice`` over its
+    own ``lattice_block(at - d, d)``."""
+    depths = sorted(set(depths))
+    deepest = depths[-1]
+    alpha = path.spec.alpha
+    est = stationary_estimate(path, at - deepest, "upper", servers)
+    rolled = envelope_states(path, at - deepest, deepest, est.vector, "upper")
+    out, prev = [], None
+    for d in depths:
+        box = ordered_box_reference([math.floor(v / alpha + 1e-9) for v in rolled[deepest - d]])
+        blk = path.lattice_block(at - d, d)
+        points = set(box)
+        for i in range(d):
+            points = {advance_lattice(u, int(blk.tau[i]), int(blk.sigma[i]),
+                                      float(blk.patience[i]), alpha)[0] for u in points}
+        points = frozenset(points)
+        out.append(ReachableSet(d, points, alpha, len(box), prev is None or points <= prev,
+                                est.stabilized))
+        prev = points
+    return out

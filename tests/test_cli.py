@@ -1,9 +1,12 @@
+import dataclasses
+import hashlib
 import json
 import math
+import re
 
 import pytest
 
-from impatientq import cli
+from impatientq import cli, coupling
 from impatientq.cli import main, replication_seed
 from impatientq.config import load_config, parse_config
 from impatientq.errors import ConfigurationError
@@ -378,6 +381,72 @@ def test_cli_hset(tmp_path):
     assert lines[0].startswith("# config_sha256=")
     assert lines[1] == "depth,size,nested_in_previous,box_size"
     assert len(lines) == 11
+
+
+# The lattice benchmark model at S = 3, profiled to depth 30.
+LATTICE_BENCH_INI = """
+[experiment]
+servers = 3
+seed = 1
+
+[model]
+kind = lattice
+alpha = 0.5
+
+[tau]
+dist = lattice
+alpha = 0.5
+multipliers = 1 2 3
+probs = 0.3 0.4 0.3
+
+[sigma]
+dist = lattice
+alpha = 0.5
+multipliers = 0 2 4 6 8
+probs = 0.2 0.2 0.2 0.2 0.2
+
+[patience]
+dist = uniform
+low = 0.0
+high = 6.0
+
+[run]
+hset_depth = 30
+"""
+
+
+@pytest.mark.parametrize("text, json_sha, csv_sha", [
+    (LATTICE_INI,
+     "8944fdf52a51767c661ca98db35938fadd87fbfd49f2af99e8b82546e7682dd9",
+     "3bdb77dca6a79748477e24f966d3543c8df88c59c0d26e0ef9150cc40d5e2740"),
+    (LATTICE_BENCH_INI,
+     "994f518a26a454237595fa5a1a5cf1a23ddf4b5508304012d8110b0c8a3c2b59",
+     "21c55c07a22ad6b410e4cd6389b484198a732a0934c072f7508845af6d4d543b"),
+], ids=["lattice-ini", "lattice-bench-S3"])
+def test_cli_hset_golden(tmp_path, text, json_sha, csv_sha):
+    # Pinned outputs: set sizes, box sizes and nesting flags are part of the
+    # byte-reproducible contract.
+    cfg = _write(tmp_path, "cfg.ini", text)
+    out = tmp_path / "out"
+    assert main(["hset", "--config", cfg, "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "hset.json").read_bytes()).hexdigest() == json_sha
+    assert hashlib.sha256((out / "hset.csv").read_bytes()).hexdigest() == csv_sha
+
+
+def test_cli_hset_unstabilized_estimate_exit_1(tmp_path, monkeypatch, capsys):
+    # An upper estimate that did not stabilize may under-estimate the box,
+    # so the profile refuses rather than report sets built from it.
+    real = coupling.stationary_estimate
+
+    def unstabilized(path, at, kind, servers, **kw):
+        return dataclasses.replace(real(path, at, kind, servers, **kw), stabilized=False)
+
+    monkeypatch.setattr(coupling, "stationary_estimate", unstabilized)
+    cfg = _write(tmp_path, "cfg.ini", LATTICE_INI)
+    out = tmp_path / "out"
+    assert main(["hset", "--config", cfg, "--out", str(out)]) == 1
+    assert re.search(r"index -8 did not stabilize by depth \d+", capsys.readouterr().err)
+    assert not (out / "hset.json").exists()
 
 
 def test_cli_hset_on_non_lattice_exit_2(tmp_path):

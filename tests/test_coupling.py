@@ -31,9 +31,11 @@ from support import (
     GROWTH,
     det_spec,
     iid_spec,
+    ordered_box_reference,
     random_iid_spec,
     random_lattice_spec,
     random_mm_spec,
+    reachable_profile_reference,
 )
 
 MM2D = iid_spec(17, Exponential(1.0), Exponential(0.6), Deterministic(1.0))
@@ -294,7 +296,7 @@ def test_bounding_chain_contains_every_trajectory():
         if spec.is_lattice:   # every ordered lattice state of the box
             top_mult = np.sort(rng.integers(0, 13, size=servers))
             top = tuple(float(k) * 0.5 for k in top_mult)
-            states = _ordered_box(top_mult.tolist(), 10**6)
+            states = list(map(tuple, _ordered_box(top_mult.tolist(), 10**6).tolist()))
             blk = path.lattice_block(start, steps)
             step = lambda u, i: advance_lattice(u, int(blk.tau[i]), int(blk.sigma[i]),  # noqa: E731
                                                 float(blk.patience[i]), 0.5)[0]
@@ -462,6 +464,57 @@ def test_reachable_set_cap():
     )
     with pytest.raises(ResourceCapError):
         reachable_profile(StationaryPath(spec), 3, (8,), cap=50)
+
+
+def test_ordered_box_against_brute_force():
+    rng = np.random.default_rng(808)
+    for trial in range(60):
+        servers = 1 + trial % 4
+        caps = rng.integers(0, 7, size=servers)
+        if trial % 3:   # the caps a rolled upper estimate gives are ascending
+            caps = np.sort(caps)
+        caps = caps.tolist()
+        box = _ordered_box(caps, 10**6)
+        assert box.dtype == np.int64 and box.shape[1] == servers
+        assert list(map(tuple, box.tolist())) == ordered_box_reference(caps), caps
+
+
+def test_ordered_box_cap_boundary():
+    caps = [0, 2, 3, 5]
+    size = len(ordered_box_reference(caps))
+    assert len(_ordered_box(caps, size)) == size
+    with pytest.raises(ResourceCapError) as exc:
+        _ordered_box(caps, size - 1)
+    assert exc.value.cap == size - 1
+    assert exc.value.requested == 1 * 3 * 4 * 6
+    # a high cap before a low one bounds nothing: (0, 0) is the whole box
+    assert _ordered_box([5, 0], 1).tolist() == [[0, 0]]
+
+
+def test_reachable_profile_against_per_depth_reference():
+    # Lockstep propagation of all depths at once against each depth's box
+    # stepped on its own, state by state.
+    rng = np.random.default_rng(2718)
+    compared = 0
+    for trial in range(36):
+        # heavier service than the default keeps the deep sets from collapsing
+        spec = random_lattice_spec(rng, alpha=(1.0, 0.5)[trial % 2], sigma_max=2 + 3 * (trial % 3))
+        servers = 1 + trial % 4
+        at = int(rng.integers(-5000, 5001))
+        if trial == 0:
+            depths = (7, 0, 3, 3, 12)
+        else:   # unsorted, with a repeat and gaps
+            depths = [int(d) for d in rng.choice(13, size=4, replace=False)]
+            depths.append(depths[int(rng.integers(4))])
+        path = StationaryPath(spec)
+        want = reachable_profile_reference(path, servers, depths, at)
+        if not want[0].estimate_stabilized:
+            with pytest.raises(ContractError):
+                reachable_profile(path, servers, depths, at)
+            continue
+        assert reachable_profile(path, servers, depths, at) == want, (trial, depths)
+        compared += 1
+    assert compared >= 30
 
 
 def test_coupling_at_negative_indices():
