@@ -18,7 +18,6 @@ from .loynes import (
     ConditionReport,
     LoynesEstimate,
     SupremumBound,
-    backward_iterate,
     estimate_conditions,
     stationary_estimate,
     supremum_bound,
@@ -60,7 +59,6 @@ __all__ = [
     "ConditionReport",
     "LoynesEstimate",
     "SupremumBound",
-    "backward_iterate",
     "estimate_conditions",
     "stationary_estimate",
     "supremum_bound",

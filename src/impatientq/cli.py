@@ -129,7 +129,7 @@ def _bounds_worker(payload) -> dict:
     spec = dataclasses.replace(spec, seed=replication_seed(spec.seed, r))
     rep = metrics.bound_report(
         StationaryPath(spec), servers, run.n_samples,
-        warmup=run.warmup, z_depth=run.z_depth, n_batches=run.batches,
+        warmup=run.warmup, n_batches=run.batches,
         keep_samples=(r == 0),
     )
     out = {
@@ -218,6 +218,8 @@ def cmd_renovate(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
         "n_events": len(scan.events),
         "estimate_depth": scan.estimate.depth,
         "estimate_stabilized": scan.estimate.stabilized,
+        "z_depth": scan.estimate.z_depth,
+        "z_risk": scan.estimate.z_risk,
     })
     _write_json(out_dir / "renovate.json", payload)
     with open(out_dir / "renovate.csv", "w", newline="") as fh:

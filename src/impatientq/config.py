@@ -33,7 +33,6 @@ Schema (INI syntax, parsed with :mod:`configparser`)::
     n_samples = 100000
     warmup = 10000
     tol = 1e-9
-    z_depth = 4096
     cftp_max_horizon = 1048576
     renovation_start = 0
     renovation_end = 9999
@@ -50,7 +49,8 @@ Every section and key in the file must be read by the parse: a key that
 would take no effect (a misspelled section, a key the chosen ``dist`` or
 model kind does not use, ``[tau]`` under ``markov_modulated``, a
 ``stateN`` section beyond the chain's size) is refused, naming the section
-and key.
+and key. Backward reads take the depth their certificates need, so no key
+sets a depth; a ``z_depth`` key is refused like any other unread key.
 """
 
 from __future__ import annotations
@@ -81,7 +81,6 @@ class RunParams:
     n_samples: int = 100_000
     warmup: int = 10_000
     tol: float = 1e-9
-    z_depth: int = 4096
     cftp_max_horizon: int = 1 << 20
     renovation_start: int = 0
     renovation_end: int = 9_999
@@ -91,8 +90,8 @@ class RunParams:
     replications: int = 1
 
     def __post_init__(self):
-        for name in ("n_arrivals", "n_samples", "warmup", "z_depth",
-                     "cftp_max_horizon", "hset_cap", "batches", "replications"):
+        for name in ("n_arrivals", "n_samples", "warmup", "cftp_max_horizon", "hset_cap",
+                     "batches", "replications"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"run.{name} must be >= 1")
         if self.tol <= 0.0:

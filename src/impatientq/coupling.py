@@ -1,16 +1,17 @@
 """Renovation events, coalescence, coupling from the past, lattice sets.
 
-A renovation index is one where the upper stationary estimate has an empty
-first coordinate and each higher coordinate fits under the accumulated
-forward gaps; from such an index, every trajectory started at or below the
-upper estimate reaches the same state S-1 steps later, erasing its initial
-condition.
+A renovation index is one where the upper stationary state (the backward
+limit of ``loynes.stationary_estimate``, read by a dominating start) has an
+empty first coordinate and each higher coordinate fits under the
+accumulated forward gaps; from such an index, every trajectory started at
+or below it reaches the same state, bit for bit, S-1 steps later, erasing
+its initial condition.
 
 Coupling from the past needs no such event: every stationary workload lies
-in the box ``[0, Z]`` below the certified top supremum vector, and a
-bounding chain (Huber 2004) run from that box holds the image of every
-state in it. When it closes to a point at the target, that point is the
-stationary workload, bit for bit.
+in the box ``[0, Z]`` below the certified top supremum vector
+(``loynes.certified_supremum``), and a bounding chain (Huber 2004) run from
+that box holds the image of every state in it. When it closes to a point
+at the target, that point is the stationary workload, bit for bit.
 
 For lattice-valued service and gaps the whole ordered box below the upper
 estimate is finite; propagating it forward with exact integer arithmetic
@@ -32,13 +33,11 @@ import numpy as np
 from .errors import ConfigurationError, ContractError, ResourceCapError
 from .kernel import _merge_shift, advance_batch, advance_lattice_batch
 from .loynes import (
-    DEFAULT_MAX_DEPTH,
     LoynesEstimate,
-    _chernoff_constants,
     _renovation_mask,
+    certified_supremum,
     envelope_states,
     stationary_estimate,
-    supremum_bound,
 )
 from .sequences import StationaryPath
 
@@ -62,19 +61,18 @@ class RenovationScan:
 
 
 def detect_renovation(path: StationaryPath, servers: int,
-                      window: tuple[int, int],
-                      max_depth: int = 1 << 20) -> RenovationScan:
+                      window: tuple[int, int]) -> RenovationScan:
     """All renovation indices in the inclusive window ``[a, b]``.
 
-    The upper estimate is computed once at ``a`` and rolled forward (each
-    roll deepens the backward scheme by one step, so the estimate stays
-    consistent across the window). Detection refuses to run from an
-    unstabilized estimate: an under-estimate could flag spurious events.
+    The upper estimate is computed once at ``a`` and rolled forward (a
+    backward limit rolls into the limits at later indices). Detection
+    refuses to run from an unstabilized estimate: an under-estimate could
+    flag spurious events.
     """
     a, b = window
     if b < a:
         raise ValueError(f"empty window [{a}, {b}]")
-    est = stationary_estimate(path, a, "upper", servers, max_depth=max_depth)
+    est = stationary_estimate(path, a, "upper", servers)
     if not est.stabilized:
         raise ContractError(
             "upper estimate did not stabilize; renovation detection disabled "
@@ -114,9 +112,9 @@ def _run_set_forward(path: StationaryPath, start: int, steps: int,
 
 def coalescence_check(path: StationaryPath, at: int,
                       initials: Sequence[Sequence[float]],
-                      y_estimate: Optional[Sequence[float]] = None,
-                      tol: float = 1e-9) -> bool:
-    """Do all initial states merge within S-1 steps from index ``at``?
+                      y_estimate: Optional[Sequence[float]] = None) -> bool:
+    """Do all initial states merge, bit for bit, within S-1 steps from
+    index ``at``?
 
     Every initial state must sit at or below the upper estimate at ``at``
     (that is what the renovation argument covers); a violating state is a
@@ -139,12 +137,9 @@ def coalescence_check(path: StationaryPath, at: int,
             raise ContractError(f"initial state must be ordered, got {u!r}")
         raise ContractError(
             f"initial state {u!r} is not dominated by the upper estimate {tuple(y_estimate)!r}")
-    if path.spec.is_lattice:
-        pts = _to_lattice(initials, path.spec.alpha)
-        out = _run_set_forward(path, at, servers - 1, pts) if servers > 1 else pts
-        return bool((out == out[0]).all())
-    out = _run_set_forward(path, at, servers - 1, initials) if servers > 1 else initials
-    return float(np.abs(out - out[0]).max()) <= tol
+    pts = _to_lattice(initials, path.spec.alpha) if path.spec.is_lattice else initials
+    out = _run_set_forward(path, at, servers - 1, pts) if servers > 1 else pts
+    return bool((out == out[0]).all())
 
 
 def _to_lattice(points: Sequence[Sequence[float]], alpha: float) -> np.ndarray:
@@ -189,34 +184,18 @@ def cftp(path: StationaryPath, servers: int, at: int = 0,
     if servers < 1:
         raise ValueError("servers must be >= 1")
     horizon = max(2 * servers, 16)
-    # At the predicted depth the gaps read fall short of their mean often
-    # (a fifth of reads with Exp(1) gaps, Exp(0.4) service and Exp(0.2)
-    # patience); their spread is O(sqrt(depth)), so a quarter more makes a
-    # deeper read rare.
-    depth = max(servers, math.ceil(min(1.25 * _chernoff_constants(path.spec, "upper")[2],
-                                       DEFAULT_MAX_DEPTH)))
     while True:
         start = at - horizon
-        while True:
-            # One window serves the box and a float chain; a failed read
-            # costs the horizon's drivers once more.
-            path.block(start - depth, depth + horizon)
-            zb = supremum_bound(path, start, "upper", depth, servers)
-            if zb.stabilized:
-                break
-            if depth >= DEFAULT_MAX_DEPTH:
-                raise ResourceCapError(f"top supremum at index {start} not certified "
-                                       f"(risk {zb.risk:.3g})", DEFAULT_MAX_DEPTH, 2 * depth)
-            depth = min(2 * depth, DEFAULT_MAX_DEPTH)
+        zb = certified_supremum(path, start, "upper", servers, horizon)
         if any(not math.isfinite(v) for v in zb.values):
             raise ConfigurationError("top supremum is not finite; cannot bound the stationary states")
         lo, hi = _bounding_chain(path, start, horizon, zb.values)
         if lo == hi:
             if path.spec.is_lattice:
                 lo = tuple(float(k) * path.spec.alpha for k in lo)
-            return CftpResult(lo, True, horizon, depth, zb.risk)
+            return CftpResult(lo, True, horizon, zb.horizon, zb.risk)
         if horizon >= max_horizon:
-            return CftpResult(None, False, horizon, depth, zb.risk)
+            return CftpResult(None, False, horizon, zb.horizon, zb.risk)
         horizon = min(2 * horizon, max_horizon)
 
 

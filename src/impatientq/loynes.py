@@ -4,10 +4,10 @@ The two monotone envelopes admit stationary states that sandwich every
 stationary workload of the exact system. Because they are monotone, the
 classic backward scheme applies: iterate the envelope from the empty state
 over drivers read backwards from the target index. Iterates only grow with
-the depth. Agreement between successive doublings is only a heuristic
-stopping rule, and it can stop early: the envelope can still grow from lags
-beyond the deeper of the two depths, so a ``stabilized`` estimate may sit
-below the stationary state.
+the depth, and agreement between two depths says nothing about deeper
+lags. The limit is read instead by a dominating start (Kendall & Moller
+2000): the same roll from the certified supremum vector, which lies above
+the stationary state, meets the roll from empty only at that state.
 
 The module also computes the one-dimensional running-supremum bounds (the
 ascending vector whose j-th entry is the backward supremum started at lag
@@ -15,9 +15,11 @@ S+1-j), Monte-Carlo estimates of the stability conditions, and forward
 state rolls along a driver path used throughout the higher-level modules.
 A supremum is read to a finite depth and carries a certificate: a
 closed-form Chernoff bound on the chance that a deeper lag raises it,
-``stabilized`` when at most ``Z_RISK``. Up to that risk, the upper vector
-dominates the upper envelope's stationary state and hence every stationary
-workload, which makes it the start box of ``coupling.cftp``.
+``stabilized`` when at most ``Z_RISK``. Up to that risk, the vector
+dominates the envelope's stationary state and hence, for the upper kind,
+every stationary workload. ``certified_supremum`` reads it as deep as the
+certificate needs; it is the start box of ``coupling.cftp`` and the
+dominating start of ``stationary_estimate``.
 Long forward rolls run as time-parallel lanes with seam repair and return
 the scalar recursion's states bit for bit (see "Forward rolls" below).
 """
@@ -30,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ResourceCapError
 from .kernel import (
     _merge_shift,
     _merge_shift_batch,
@@ -65,11 +68,15 @@ class SupremumBound:
 
 @dataclass(frozen=True)
 class LoynesEstimate:
-    """Backward-iterate approximation of an extremal stationary state."""
+    """Backward limit of an envelope: the state, the horizon at which the
+    rolls from empty and from the certified box met (or the last one
+    tried), and the depth and risk of that box."""
 
     vector: tuple[float, ...]
     depth: int
     stabilized: bool
+    z_depth: int
+    z_risk: float
 
 
 def _effective_work(tau: np.ndarray, sigma: np.ndarray, patience: np.ndarray, kind: str) -> np.ndarray:
@@ -164,45 +171,57 @@ def supremum_bound(path: StationaryPath, at: int, kind: str, depth: int,
     return SupremumBound(values, depth, risk <= Z_RISK, risk)
 
 
-def backward_iterate(path: StationaryPath, at: int, kind: str, depth: int,
-                     servers: int) -> tuple[float, ...]:
-    """Envelope iterate of depth ``n`` from the empty state.
+def certified_supremum(path: StationaryPath, at: int, kind: str, servers: int,
+                       ahead: int = 0) -> SupremumBound:
+    """The supremum vector at ``at``, read as deep as its certificate needs.
 
-    Applies the envelope driven by the samples at ``at-n, ..., at-1`` in
-    that order, starting from the zero vector.
+    The first read goes a quarter past the depth at which the mean gaps
+    alone bring the risk to ``Z_RISK``: at that depth the gaps read fall
+    short of their mean often (a fifth of reads with Exp(1) gaps, Exp(0.4)
+    service and Exp(0.2) patience), their spread is O(sqrt(depth)), and a
+    quarter more makes a deeper read rare. The depth doubles until the
+    bound is stabilized; past ``DEFAULT_MAX_DEPTH`` it raises
+    ``ResourceCapError``. Each read fetches one driver window that also
+    covers the ``ahead`` indices from ``at``, so the path's window memo
+    serves a roll from the box.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    blk = path.block(at - depth, depth)
-    work = _effective_work(blk.tau, blk.sigma, blk.patience, kind).tolist()
-    tau = blk.tau.tolist()
-    u = (0.0,) * servers
-    for w, t in zip(work, tau):
-        u = _merge_shift(u, w, t)
-    return u
+    depth = max(servers, math.ceil(min(1.25 * _chernoff_constants(path.spec, kind)[2],
+                                       DEFAULT_MAX_DEPTH)))
+    while True:
+        path.block(at - depth, depth + ahead)
+        zb = supremum_bound(path, at, kind, depth, servers)
+        if zb.stabilized:
+            return zb
+        if depth >= DEFAULT_MAX_DEPTH:
+            raise ResourceCapError(f"{kind} supremum at index {at} not certified "
+                                   f"(risk {zb.risk:.3g})", DEFAULT_MAX_DEPTH, 2 * depth)
+        depth = min(2 * depth, DEFAULT_MAX_DEPTH)
 
 
-def stationary_estimate(path: StationaryPath, at: int, kind: str, servers: int,
-                        tol: float = 1e-12, max_depth: int = DEFAULT_MAX_DEPTH) -> LoynesEstimate:
-    """Doubling-depth backward scheme for the extremal stationary state.
+def stationary_estimate(path: StationaryPath, at: int, kind: str, servers: int) -> LoynesEstimate:
+    """Backward limit of the ``kind`` envelope at ``at``, by a dominating start.
 
-    Depths S, 2S, 4S, ... are tried until one doubling agrees
-    coordinate-wise within ``tol`` or ``max_depth`` is hit; the flag
-    records which. An unstabilized vector is a lower estimate.
+    At horizon ``h`` the envelope rolls over ``[at-h, at)`` twice: from the
+    empty state and from the certified supremum vector of the same kind at
+    ``at-h``, which dominates the stationary state there. The envelope is
+    monotone and every deeper iterate from empty lies between the two
+    starts at ``at-h``, so once the rolls are bit-equal at ``at`` their
+    value is every deeper iterate's. The horizon doubles from
+    ``max(2S, 16)``. The estimate is unstabilized only when the supremum is
+    infinite (the roll from empty is then returned) or the horizon reaches
+    ``DEFAULT_MAX_DEPTH``.
     """
-    depth = servers
-    prev = backward_iterate(path, at, kind, depth, servers)
-    while depth < max_depth:
-        if math.isinf(prev[-1]):
-            # infinite effective work (e.g. unbounded patience): the iterate
-            # is permanently infinite, no finite stationary state to find
-            return LoynesEstimate(prev, depth, False)
-        depth *= 2
-        cur = backward_iterate(path, at, kind, depth, servers)
-        if all(abs(a - b) <= tol for a, b in zip(prev, cur)):
-            return LoynesEstimate(cur, depth, True)
-        prev = cur
-    return LoynesEstimate(prev, depth, False)
+    horizon = max(2 * servers, 16)
+    while True:
+        start = at - horizon
+        zb = certified_supremum(path, start, kind, servers, horizon)
+        lo = tuple(envelope_states(path, start, horizon, (0.0,) * servers, kind)[-1].tolist())
+        if math.isinf(zb.values[-1]):
+            return LoynesEstimate(lo, horizon, False, zb.horizon, zb.risk)
+        hi = tuple(envelope_states(path, start, horizon, zb.values, kind)[-1].tolist())
+        if lo == hi or horizon >= DEFAULT_MAX_DEPTH:
+            return LoynesEstimate(lo, horizon, lo == hi, zb.horizon, zb.risk)
+        horizon = min(2 * horizon, DEFAULT_MAX_DEPTH)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +324,7 @@ def envelope_states(path: StationaryPath, at: int, steps: int, u0: tuple[float, 
 
     Row ``i`` is the state at index ``at+i``; row 0 is ``u0``. Rolling a
     backward iterate forward deepens it by one lag per step, so a
-    stabilized estimate stays a pathwise fixed point of the envelope.
+    backward limit rolls forward into the limits at the later indices.
     """
     blk = path.block(at, steps)
     work = _effective_work(blk.tau, blk.sigma, blk.patience, kind)
@@ -422,18 +441,16 @@ class ConditionReport:
     sigma_lt_tau: FrequencyEstimate       # sigma < tau
     renovation: FrequencyEstimate         # the coalescence-forcing event
     z_depth: int
-    z_stabilized: bool
     upper_estimate: LoynesEstimate
 
 
 def estimate_conditions(path: StationaryPath, servers: int, n_samples: int,
-                        at: int = 0, z_depth: int = 4096) -> ConditionReport:
+                        at: int = 0) -> ConditionReport:
     """Monte-Carlo frequencies of the stability conditions over
     ``n_samples`` consecutive indices starting at ``at``; the top supremum
-    is read ``max(z_depth, servers)`` lags deep."""
+    is read to the depth its certificate needs."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    z_depth = max(z_depth, servers)
     blk = path.block(at, n_samples + servers)
     tau = blk.tau[:n_samples]
     sigma = blk.sigma[:n_samples]
@@ -442,9 +459,9 @@ def estimate_conditions(path: StationaryPath, servers: int, n_samples: int,
     work_le_tau = int(np.count_nonzero(sigma + patience <= tau))
     sigma_lt_tau = int(np.count_nonzero(sigma < tau))
 
-    # Truncated top supremum rolled forward: each step both shifts the
+    # Certified top supremum rolled forward: each step both shifts the
     # index and deepens the truncation, so it is the 1-D envelope map.
-    zb = supremum_bound(path, at, "upper", z_depth, 1)
+    zb = certified_supremum(path, at, "upper", 1)
     z_states = envelope_states(path, at, n_samples - 1, zb.values, "upper")
     z_hits = int(np.count_nonzero(z_states[:, 0] == 0.0))
 
@@ -458,8 +475,7 @@ def estimate_conditions(path: StationaryPath, servers: int, n_samples: int,
         work_le_tau=FrequencyEstimate(work_le_tau, n_samples),
         sigma_lt_tau=FrequencyEstimate(sigma_lt_tau, n_samples),
         renovation=FrequencyEstimate(reno_hits, n_samples),
-        z_depth=z_depth,
-        z_stabilized=zb.stabilized,
+        z_depth=zb.horizon,
         upper_estimate=est,
     )
 

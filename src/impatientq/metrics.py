@@ -8,6 +8,10 @@ above again by the top backward supremum:
 
     P(lower(1) > D)  <=  P_loss  <=  P(upper(1) > D)  <=  P(Z_top > D)
 
+The envelopes start from their backward limits and the top supremum from
+its certified read, each as deep as its own certificate needs, so the
+report has no depth to configure.
+
 Confidence intervals use batch means (the driver sequence may be
 dependent), with a Student-t quantile on the batch count.
 """
@@ -23,10 +27,10 @@ from scipy import stats as _stats
 
 from .des import ArrivalRecord
 from .loynes import (
+    certified_supremum,
     envelope_states,
     exact_states,
     stationary_estimate,
-    supremum_bound,
     top_supremum_series,
 )
 from .sequences import StationaryPath
@@ -104,20 +108,20 @@ class BoundReport:
 
 
 def bound_report(path: StationaryPath, servers: int, n_samples: int, at: int = 0,
-                 warmup: int = 10_000, z_depth: int = 4096,
-                 n_batches: int = DEFAULT_BATCHES,
+                 warmup: int = 10_000, n_batches: int = DEFAULT_BATCHES,
                  keep_samples: bool = False) -> BoundReport:
     """Estimate the four sandwich probabilities over stationary indices.
 
     The workload itself runs from empty starting ``warmup`` indices before
     the sampling window (renovation erases the start); both envelopes roll
-    forward from stabilized backward estimates; the top supremum rolls its
-    own one-dimensional recursion.
+    forward from their backward limits; the top supremum, read to the depth
+    its certificate needs, rolls its own one-dimensional recursion.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     # The exact roll reads the widest driver window, so the path's window
-    # memo serves every later read when warmup >= max(z_depth, upper.depth).
+    # memo serves every later read while warmup covers the deepest one: an
+    # estimate's horizon plus the depth of its certified box.
     states, accepted = exact_states(path, at - warmup, warmup + n_samples, (0.0,) * servers)
     patience = path.block(at, n_samples).patience
     loss_ind = ~accepted[warmup : warmup + n_samples]
@@ -131,11 +135,8 @@ def bound_report(path: StationaryPath, servers: int, n_samples: int, at: int = 0
     upper_states = envelope_states(path, at, n_samples - 1, upper.vector, "upper")
     upper_ind = upper_states[:, 0] > patience
 
-    # Truncating the supremum shallower than the envelope estimate could
-    # break the pathwise domination, so never let it.
-    z_depth = max(z_depth, servers, upper.depth)
-    zb = supremum_bound(path, at, "upper", z_depth, servers)
-    z_top = top_supremum_series(path, at, n_samples, z_depth, servers)
+    zb = certified_supremum(path, at, "upper", servers)
+    z_top = top_supremum_series(path, at, n_samples, zb.horizon, servers)
     z_ind = z_top > patience
 
     samples = None

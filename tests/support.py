@@ -10,7 +10,7 @@ import numpy as np
 
 from impatientq.coupling import ReachableSet
 from impatientq.kernel import advance_lattice
-from impatientq.loynes import envelope_states, stationary_estimate
+from impatientq.loynes import _effective_work, envelope_states, stationary_estimate
 from impatientq.sequences import (
     _CHAIN_BLOCK,
     STREAM_MODULATION,
@@ -184,3 +184,55 @@ def reachable_profile_reference(path: StationaryPath, servers: int, depths,
                                 est.stabilized))
         prev = points
     return out
+
+
+def reference_sweep_configs() -> list[tuple[str, SequenceSpec, int]]:
+    """(name, spec, servers) for the deep-reference sweeps of the backward
+    estimates: the four models on which stopping at agreement between
+    doublings was seen to stop early, then random iid, Markov-modulated and
+    lattice configs."""
+    rng = np.random.default_rng(8192)
+    bursty = ModulationSpec(
+        transition=((0.995, 0.005), (0.02, 0.98)),
+        states=((Exponential(1.0), Exponential(0.6), Deterministic(1.0)),
+                (Exponential(1.8), Exponential(0.6), Uniform(0.0, 2.0))))
+    lattice = SequenceSpec(
+        model="lattice", seed=1, alpha=0.5,
+        tau=LatticeDiscrete(0.5, (1, 2, 3), (0.3, 0.4, 0.3)),
+        sigma=LatticeDiscrete(0.5, (0, 2, 4, 6, 8), (0.2,) * 5),
+        patience=Uniform(0.0, 6.0))
+    configs = [
+        ("mm2-d1", mm2_patience_spec(11), 2),
+        ("bursty", SequenceSpec(model="markov_modulated", seed=11, modulation=bursty), 2),
+        ("lattice", lattice, 3),
+        ("certify", iid_spec(11, Exponential(1.0), Exponential(0.4), Exponential(0.2)), 3),
+    ]
+    for k in range(3):
+        configs.append((f"iid-{k}", random_iid_spec(rng), 1 + k))
+    for k in range(2):
+        configs.append((f"mm-{k}", random_mm_spec(rng), 2 + k))
+    for k in range(2):
+        configs.append((f"lattice-{k}", random_lattice_spec(rng, alpha=0.5, sigma_max=4), 2 + k))
+    return configs
+
+
+def deep_envelope(path: StationaryPath, ats, kind: str, servers: int,
+                  depth: int = 8192) -> np.ndarray:
+    """Row r is the ``kind`` envelope iterate of depth ``depth`` from the
+    empty state at index ``ats[r]``: ``envelope_states(path, ats[r] - depth,
+    depth, zeros, kind)[-1]``. All rows roll at once, one array per
+    coordinate, through the scalar ``_merge_shift``'s IEEE operations on the
+    same operands (max with the work, min with the next coordinate,
+    subtract the gap, clip at zero), so each row equals that roll bit for
+    bit."""
+    ats = np.asarray(ats, dtype=np.int64)
+    base = int(ats.min()) - depth
+    blk = path.block(base, int(ats.max()) - base)
+    work = _effective_work(blk.tau, blk.sigma, blk.patience, kind)
+    offsets = ats - depth - base
+    u = [np.zeros(len(ats)) for _ in range(servers)]
+    for j in range(depth):
+        w, t = work[offsets + j], blk.tau[offsets + j]
+        merged = [np.minimum(np.maximum(a, w), b) for a, b in zip(u, u[1:])] + [np.maximum(u[-1], w)]
+        u = [np.maximum(m - t, 0.0) for m in merged]
+    return np.column_stack(u)

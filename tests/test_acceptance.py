@@ -16,7 +16,7 @@ from impatientq.kernel import (
     advance_lower_batch,
     advance_upper_batch,
 )
-from impatientq.loynes import backward_iterate, exact_states, supremum_bound
+from impatientq.loynes import envelope_states, exact_states, supremum_bound
 from impatientq.metrics import bound_report, erlang_b, loss_probability
 from impatientq.sequences import (
     Deterministic,
@@ -172,15 +172,15 @@ def test_criterion_6_backward_structure():
         servers = int(rng.integers(1, 6))
         path = StationaryPath(spec)
         for kind in ("upper", "lower"):
-            shallow = backward_iterate(path, 0, kind, 8, servers)
-            deep = backward_iterate(path, 0, kind, 16, servers)
+            shallow = envelope_states(path, -8, 8, (0.0,) * servers, kind)[-1]
+            deep = envelope_states(path, -16, 16, (0.0,) * servers, kind)[-1]
             assert all(a <= b + 1e-12 for a, b in zip(shallow, deep)), spec
 
     exact_hits = 0
     for _ in range(100):
         path = StationaryPath(random_iid_spec(rng))
         for depth in (1, 13, 64):
-            it = backward_iterate(path, 0, "upper", depth, 1)
+            it = envelope_states(path, -depth, depth, (0.0,), "upper")[-1]
             zb = supremum_bound(path, 0, "upper", depth, 1)
             assert it[0] == zb.values[0]
             exact_hits += 1
@@ -188,7 +188,7 @@ def test_criterion_6_backward_structure():
         for _ in range(40):
             path = StationaryPath(random_iid_spec(rng))
             for depth in (servers, 32, 129):
-                it = backward_iterate(path, 0, "upper", depth, servers)
+                it = envelope_states(path, -depth, depth, (0.0,) * servers, "upper")[-1]
                 zb = supremum_bound(path, 0, "upper", depth, servers)
                 assert it[-1] == zb.values[-1]
                 exact_hits += 1

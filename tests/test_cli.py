@@ -219,9 +219,10 @@ def test_cli_bad_model_key_exit_2(tmp_path, capsys, ini, old, new, key):
      "[modulation] transition"),
     (MM2D_INI, "[run]", "[run]\ncftp_interior_points = 8", "[run] cftp_interior_points"),
     (MM2D_INI, "[run]", "[run]\ncftp_initial_horizon = 16", "[run] cftp_initial_horizon"),
+    (MM2D_INI, "[run]", "[run]\nz_depth = 4096", "[run] z_depth"),
 ], ids=["misspelled-section", "extra-experiment-key", "key-dist-ignores", "extra-modulation-key",
         "iid-section-under-markov", "state-beyond-chain", "modulation-under-iid",
-        "cftp-interior-points", "cftp-initial-horizon"])
+        "cftp-interior-points", "cftp-initial-horizon", "z-depth"])
 def test_cli_key_without_effect_exit_2(tmp_path, capsys, ini, old, new, named):
     assert old in ini
     cfg = _write(tmp_path, "bad.ini", ini.replace(old, new, 1))
@@ -331,6 +332,9 @@ def test_cli_cftp_renovate(tmp_path):
     assert main(["renovate", "--config", cfg, "--out", str(out)]) == 0
     scan = json.loads((out / "renovate.json").read_text())
     assert scan["n_events"] >= 1
+    # the horizon at which the two rolls met, and the box they started from
+    assert scan["estimate_stabilized"] and scan["estimate_depth"] >= 16
+    assert scan["z_depth"] >= 2 and 0.0 <= scan["z_risk"] <= 1e-12
     lines = (out / "renovate.csv").read_text().strip().split("\n")
     assert lines[0].startswith("# config_sha256=")
     assert lines[1] == "index,checked_length,Y1,Y2,tau_sum_2"

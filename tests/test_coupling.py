@@ -16,7 +16,7 @@ from impatientq.coupling import (
 )
 from impatientq.errors import ConfigurationError, ContractError, ResourceCapError
 from impatientq.kernel import advance, advance_lattice
-from impatientq.loynes import stationary_estimate
+from impatientq.loynes import envelope_states, stationary_estimate
 from impatientq.sequences import (
     Deterministic,
     DriverSample,
@@ -29,6 +29,7 @@ from impatientq.sequences import (
 from support import (
     DRAIN,
     GROWTH,
+    deep_envelope,
     det_spec,
     iid_spec,
     ordered_box_reference,
@@ -36,6 +37,7 @@ from support import (
     random_lattice_spec,
     random_mm_spec,
     reachable_profile_reference,
+    reference_sweep_configs,
 )
 
 MM2D = iid_spec(17, Exponential(1.0), Exponential(0.6), Deterministic(1.0))
@@ -92,7 +94,29 @@ def test_unstabilized_estimate_disables_detection():
     spec = iid_spec(3, Exponential(1.0), Exponential(2.0), Deterministic(float("inf")))
     path = StationaryPath(spec)
     with pytest.raises(ContractError):
-        detect_renovation(path, 1, (0, 9), max_depth=64)
+        detect_renovation(path, 1, (0, 9))
+
+
+SWEEP = reference_sweep_configs()
+
+
+@pytest.mark.parametrize("name, spec, servers", SWEEP, ids=[c[0] for c in SWEEP])
+def test_renovation_events_against_deep_reference(name, spec, servers):
+    # 20 windows of 100 indices: the events are the indices where the upper
+    # iterate from empty 8192 indices before the window, rolled through it,
+    # has an empty first coordinate and each coordinate l >= 2 at most the
+    # sum of the l-1 gaps from that index.
+    path = StationaryPath(spec)
+    starts = np.arange(20) * 523 - 4000
+    deep = deep_envelope(path, starts, "upper", servers)
+    for a, y0 in zip(starts.tolist(), deep):
+        states = envelope_states(path, a, 99, tuple(y0.tolist()), "upper")
+        tau = path.block(a, 100 + servers).tau
+        want = [a + i for i, y in enumerate(states.tolist())
+                if y[0] == 0.0 and all(y[ell - 1] <= sum(tau[i : i + ell - 1].tolist())
+                                       for ell in range(2, servers + 1))]
+        scan = detect_renovation(path, servers, (a, a + 99))
+        assert [ev.index for ev in scan.events] == want, (a, scan.estimate, tuple(y0.tolist()))
 
 
 def test_renovation_implies_coalescence():
@@ -315,7 +339,7 @@ def test_bounding_chain_contains_every_trajectory():
 def test_certified_box_dominates_deep_states():
     # the start box: the exact workload and the upper envelope iterate, both
     # from empty 4096 indices back, sit under the certified supremum vector
-    from impatientq.loynes import backward_iterate, exact_states, supremum_bound
+    from impatientq.loynes import exact_states, supremum_bound
 
     rng = np.random.default_rng(515)
     for trial in range(40):
@@ -324,7 +348,7 @@ def test_certified_box_dominates_deep_states():
         path = StationaryPath(spec)
         at = int(rng.integers(-10_000, 10_000))
         exact = exact_states(path, at - 4096, 4096, (0.0,) * servers)[0][-1]
-        upper = backward_iterate(path, at, "upper", 4096, servers)
+        upper = envelope_states(path, at - 4096, 4096, (0.0,) * servers, "upper")[-1]
         depth = servers
         zb = supremum_bound(path, at, "upper", depth, servers)
         while not zb.stabilized:
@@ -386,9 +410,9 @@ def test_cftp_slow_patience_equals_deep_exact_roll():
 
 def test_cftp_uncertified_box_hits_depth_cap(monkeypatch):
     # with the depth cap below the lags the certificate needs, cftp refuses
-    import impatientq.coupling as coupling
+    import impatientq.loynes as loynes
 
-    monkeypatch.setattr(coupling, "DEFAULT_MAX_DEPTH", 64)
+    monkeypatch.setattr(loynes, "DEFAULT_MAX_DEPTH", 64)
     with pytest.raises(ResourceCapError, match="not certified"):
         cftp(StationaryPath(SLOW_PATIENCE), 2)
 

@@ -5,7 +5,7 @@ import pytest
 
 from impatientq.kernel import advance_lower, advance_upper
 from impatientq.loynes import (
-    backward_iterate,
+    certified_supremum,
     envelope_states,
     estimate_conditions,
     exact_states,
@@ -13,7 +13,15 @@ from impatientq.loynes import (
     supremum_bound,
 )
 from impatientq.sequences import Deterministic, Exponential, StationaryPath
-from support import DRAIN, GROWTH, iid_spec, random_iid_spec, random_mm_spec
+from support import (
+    DRAIN,
+    GROWTH,
+    deep_envelope,
+    iid_spec,
+    random_iid_spec,
+    random_mm_spec,
+    reference_sweep_configs,
+)
 
 MM2D = iid_spec(17, Exponential(1.0), Exponential(0.6), Deterministic(1.0))
 
@@ -47,8 +55,6 @@ def test_depth_below_servers_rejected():
     with pytest.raises(ValueError):
         supremum_bound(path, 0, "upper", 2, 3)
     with pytest.raises(ValueError):
-        backward_iterate(path, 0, "upper", 0, 3)
-    with pytest.raises(ValueError):
         supremum_bound(path, 0, "sideways", 8, 2)
 
 
@@ -70,7 +76,7 @@ def test_single_server_iterate_telescopes_exactly():
     for path in paths:
         for kind in ("upper", "lower"):
             for depth in (1, 3, 17, 128):
-                it = backward_iterate(path, 0, kind, depth, 1)
+                it = envelope_states(path, -depth, depth, (0.0,), kind)[-1]
                 zb = supremum_bound(path, 0, kind, depth, 1)
                 assert it[0] == zb.values[0]
 
@@ -81,10 +87,10 @@ def test_top_coordinate_identity_exact():
         for _ in range(10):
             path = StationaryPath(random_iid_spec(rng))
             for depth in (servers, 2 * servers, 64, 257):
-                it = backward_iterate(path, -3, "upper", depth, servers)
+                it = envelope_states(path, -3 - depth, depth, (0.0,) * servers, "upper")[-1]
                 zb = supremum_bound(path, -3, "upper", depth, servers)
                 assert it[-1] == zb.values[-1]
-                lo = backward_iterate(path, -3, "lower", depth, servers)
+                lo = envelope_states(path, -3 - depth, depth, (0.0,) * servers, "lower")[-1]
                 zl = supremum_bound(path, -3, "lower", depth, servers)
                 assert lo[-1] == zl.values[-1]
 
@@ -111,9 +117,9 @@ def test_iterate_monotone_in_depth():
         servers = int(rng.integers(1, 6))
         path = StationaryPath(spec)
         for kind in ("upper", "lower"):
-            prev = backward_iterate(path, 0, kind, 1, servers)
+            prev = envelope_states(path, -1, 1, (0.0,) * servers, kind)[-1]
             for depth in (2, 4, 8, 16, 32):
-                cur = backward_iterate(path, 0, kind, depth, servers)
+                cur = envelope_states(path, -depth, depth, (0.0,) * servers, kind)[-1]
                 assert all(a <= b + 1e-12 for a, b in zip(prev, cur))
                 prev = cur
 
@@ -133,7 +139,7 @@ def test_backward_iterate_drain_is_empty():
     # negative drift: nothing accumulates at any depth
     path = StationaryPath(DRAIN)
     for depth in (1, 5, 64):
-        assert backward_iterate(path, 0, "upper", depth, 3) == (0.0, 0.0, 0.0)
+        assert envelope_states(path, -depth, depth, (0.0,) * 3, "upper")[-1].tolist() == [0.0] * 3
 
 
 def test_stationary_estimate_deterministic_fixed_points():
@@ -157,19 +163,42 @@ def test_stabilized_estimate_is_pathwise_fixed_point():
                 continue
             hits += 1
             rolled = step(est.vector, path.sample_at(0))
-            nxt = backward_iterate(path, 1, kind, est.depth, 2)
+            nxt = envelope_states(path, 1 - est.depth, est.depth, (0.0, 0.0), kind)[-1]
             assert all(abs(a - b) <= 1e-9 for a, b in zip(rolled, nxt))
     assert hits > 10
 
 
 def test_unstabilized_flag_on_divergent_config():
-    # infinite patience makes the upper effective work infinite; the scheme
-    # bails out immediately instead of doubling to the cap
+    # infinite patience makes the upper effective work and the supremum
+    # infinite; the scheme returns at its first horizon instead of doubling
+    # to the cap
     spec = iid_spec(3, Exponential(1.0), Exponential(2.0), Deterministic(float("inf")))
     est = stationary_estimate(StationaryPath(spec), 0, "upper", 1)
     assert not est.stabilized
     assert est.vector[0] == float("inf")
-    assert est.depth <= 2
+    assert est.depth == 16
+
+
+SWEEP = reference_sweep_configs()
+
+
+@pytest.mark.parametrize("name, spec, servers", SWEEP, ids=[c[0] for c in SWEEP])
+def test_estimate_equals_deep_reference(name, spec, servers):
+    # Both estimates at 1000 indices (every 37th) against the envelope
+    # iterate from empty 8192 indices back, bit for bit.
+    path = StationaryPath(spec)
+    ats = np.arange(-18_000, 19_000, 37)
+    for kind in ("upper", "lower"):
+        deep = deep_envelope(path, ats, kind, servers)
+        wrong = [(at, est.vector, tuple(ref.tolist()))
+                 for at, ref in zip(ats.tolist(), deep)
+                 for est in [stationary_estimate(path, at, kind, servers)]
+                 if not est.stabilized or est.vector != tuple(ref.tolist())]
+        assert not wrong, (kind, len(wrong), wrong[:3])
+    # the lane reference is the scalar roll it stands for
+    at = int(ats[500])
+    roll = envelope_states(path, at - 8192, 8192, (0.0,) * servers, "upper")[-1]
+    assert roll.tolist() == deep_envelope(path, [at], "upper", servers)[0].tolist()
 
 
 def test_envelope_states_consistency():
@@ -220,11 +249,13 @@ def test_conditions_exponential_pair():
 
 
 def test_conditions_read_the_top_supremum_at_z_depth():
-    # z_depth is the depth read, with no floor above the server count
+    # z_depth is the depth the certificate needed for the one-dimensional
+    # top supremum: certified there, and far short of a fixed 4096
     path = StationaryPath(MM2D)
-    assert estimate_conditions(path, 2, 200, z_depth=64).z_depth == 64
-    assert estimate_conditions(path, 2, 200, z_depth=1).z_depth == 2
-    assert estimate_conditions(path, 2, 200).z_depth == 4096
+    rep = estimate_conditions(path, 2, 200)
+    assert rep.z_depth == certified_supremum(path, 0, "upper", 1).horizon
+    assert supremum_bound(path, 0, "upper", rep.z_depth, 1).stabilized
+    assert 1 <= rep.z_depth < 4096
 
 
 def test_conditions_reject_empty():
