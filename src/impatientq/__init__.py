@@ -14,14 +14,7 @@ from .sequences import (
     Uniform,
 )
 from .kernel import StepOutcome, advance, advance_direct, advance_lower, advance_upper, ordered
-from .loynes import (
-    ConditionReport,
-    LoynesEstimate,
-    SupremumBound,
-    estimate_conditions,
-    stationary_estimate,
-    supremum_bound,
-)
+from .loynes import LoynesEstimate, SupremumBound, stationary_estimate, supremum_bound
 from .coupling import (
     CftpResult,
     ReachableSet,
@@ -34,7 +27,15 @@ from .coupling import (
     reachable_set,
 )
 from .des import ArrivalRecord, CrossValidation, cross_validate, run
-from .metrics import BoundReport, bound_report, erlang_b, loss_probability, mm1_wait_tail
+from .metrics import (
+    BoundReport,
+    ConditionReport,
+    bound_report,
+    erlang_b,
+    estimate_conditions,
+    loss_probability,
+    mm1_wait_tail,
+)
 from .config import ExperimentConfig, RunParams, load_config, parse_config
 
 __all__ = [

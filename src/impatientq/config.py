@@ -38,7 +38,7 @@ Schema (INI syntax, parsed with :mod:`configparser`)::
     renovation_end = 9999
     hset_depth = 0               ; 0 means 10 * servers
     hset_cap = 1000000
-    batches = 30
+    batches = 30                 ; >= 2
     replications = 1
 
 Distribution sections: ``dist = exponential`` (rate), ``deterministic``
@@ -91,9 +91,12 @@ class RunParams:
 
     def __post_init__(self):
         for name in ("n_arrivals", "n_samples", "warmup", "cftp_max_horizon", "hset_cap",
-                     "batches", "replications"):
+                     "replications"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"run.{name} must be >= 1")
+        if self.batches < 2:
+            # one batch leaves no spread to estimate: the half-width is NaN
+            raise ConfigurationError(f"run.batches must be >= 2, got {self.batches}")
         if self.tol <= 0.0:
             raise ConfigurationError("run.tol must be positive")
         if self.renovation_end < self.renovation_start:

@@ -11,8 +11,8 @@ the stationary state, meets the roll from empty only at that state.
 
 The module also computes the one-dimensional running-supremum bounds (the
 ascending vector whose j-th entry is the backward supremum started at lag
-S+1-j), Monte-Carlo estimates of the stability conditions, and forward
-state rolls along a driver path used throughout the higher-level modules.
+S+1-j), the renovation-event mask, and forward state rolls along a driver
+path used throughout the higher-level modules.
 A supremum is read to a finite depth and carries a certificate: a
 closed-form Chernoff bound on the chance that a deeper lag raises it,
 ``stabilized`` when at most ``Z_RISK``. Up to that risk, the vector
@@ -415,69 +415,8 @@ def _delay_lane_step(m, work, tau):
 
 
 # ---------------------------------------------------------------------------
-# Stability-condition estimation
+# Renovation event
 # ---------------------------------------------------------------------------
-
-
-class FrequencyEstimate:
-    __slots__ = ("frequency", "half_width")
-
-    def __init__(self, hits: int, n: int):
-        p = hits / n
-        self.frequency = p
-        self.half_width = 1.96 * math.sqrt(p * (1.0 - p) / n)
-
-    def __repr__(self):
-        return f"FrequencyEstimate({self.frequency:.6g} ± {self.half_width:.2g})"
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    """Empirical frequencies of the sufficient stability conditions."""
-
-    n_samples: int
-    z1_zero: FrequencyEstimate
-    work_le_tau: FrequencyEstimate        # sigma + patience <= tau
-    sigma_lt_tau: FrequencyEstimate       # sigma < tau
-    renovation: FrequencyEstimate         # the coalescence-forcing event
-    z_depth: int
-    upper_estimate: LoynesEstimate
-
-
-def estimate_conditions(path: StationaryPath, servers: int, n_samples: int,
-                        at: int = 0) -> ConditionReport:
-    """Monte-Carlo frequencies of the stability conditions over
-    ``n_samples`` consecutive indices starting at ``at``; the top supremum
-    is read to the depth its certificate needs."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    blk = path.block(at, n_samples + servers)
-    tau = blk.tau[:n_samples]
-    sigma = blk.sigma[:n_samples]
-    patience = blk.patience[:n_samples]
-
-    work_le_tau = int(np.count_nonzero(sigma + patience <= tau))
-    sigma_lt_tau = int(np.count_nonzero(sigma < tau))
-
-    # Certified top supremum rolled forward: each step both shifts the
-    # index and deepens the truncation, so it is the 1-D envelope map.
-    zb = certified_supremum(path, at, "upper", 1)
-    z_states = envelope_states(path, at, n_samples - 1, zb.values, "upper")
-    z_hits = int(np.count_nonzero(z_states[:, 0] == 0.0))
-
-    est = stationary_estimate(path, at, "upper", servers)
-    y_states = envelope_states(path, at, n_samples - 1, est.vector, "upper")
-    reno_hits = int(np.count_nonzero(_renovation_mask(y_states, blk.tau, servers)))
-
-    return ConditionReport(
-        n_samples=n_samples,
-        z1_zero=FrequencyEstimate(z_hits, n_samples),
-        work_le_tau=FrequencyEstimate(work_le_tau, n_samples),
-        sigma_lt_tau=FrequencyEstimate(sigma_lt_tau, n_samples),
-        renovation=FrequencyEstimate(reno_hits, n_samples),
-        z_depth=zb.horizon,
-        upper_estimate=est,
-    )
 
 
 def _renovation_mask(y_states: np.ndarray, tau: np.ndarray, servers: int,

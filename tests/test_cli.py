@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 
@@ -240,6 +241,19 @@ def test_cli_threads_below_one_exit_2(tmp_path, capsys, threads):
     assert "--threads" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("batches", ["1", "0"])
+def test_cli_batches_below_two_exit_2(tmp_path, capsys, batches):
+    # One batch leaves no spread to estimate: refuse it rather than write a
+    # NaN half-width (which is not valid JSON).
+    text = MM2D_INI.replace("n_arrivals = 5000", f"n_arrivals = 2000\nbatches = {batches}")
+    cfg = _write(tmp_path, "cfg.ini", text)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "run.batches" in err and "Traceback" not in err
+    assert not (out / "simulate.json").exists()
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records ``max_workers``, maps serially."""
 
@@ -471,3 +485,37 @@ def test_cli_markov_modulated_validate(tmp_path):
     cfg = _write(tmp_path, "cfg.ini", MM_INI)
     out = tmp_path / "out"
     assert main(["validate", "--config", cfg, "--out", str(out)]) == 0
+
+
+PINNED = json.loads((Path(__file__).parent / "data" / "cli_outputs.json").read_text())
+
+
+def _same_up_to_half_widths(got, want, where=""):
+    """Equal, except that ``half_width`` values need only agree to 1e-12
+    relative: they carry a t quantile, whose last bits depend on how it
+    is computed."""
+    if isinstance(want, dict):
+        assert got.keys() == want.keys(), where
+        for key in want:
+            if key == "half_width":
+                assert got[key] == pytest.approx(want[key], rel=1e-12, abs=0.0), where
+            else:
+                _same_up_to_half_widths(got[key], want[key], f"{where}/{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _same_up_to_half_widths(g, w, f"{where}[{i}]")
+    else:
+        assert got == want, where
+
+
+@pytest.mark.parametrize("name", ["MM2D_INI", "MM_INI", "LATTICE_INI"])
+@pytest.mark.parametrize("command", ["bounds", "simulate"])
+def test_cli_outputs_match_pinned(tmp_path, name, command):
+    # Outputs pinned when the t quantile came from scipy.stats.t.ppf;
+    # the closed-form quantile may move only the half-widths' last bits.
+    cfg = _write(tmp_path, "cfg.ini", globals()[name])
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    got = json.loads((out / f"{command}.json").read_text())
+    _same_up_to_half_widths(got, PINNED[f"{name}/{command}"])

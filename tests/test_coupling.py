@@ -80,13 +80,13 @@ def test_empty_window_rejected():
 
 
 def test_renovation_frequency_consistent_with_conditions():
-    from impatientq.loynes import estimate_conditions
+    from impatientq.metrics import estimate_conditions
 
     path = StationaryPath(MM2D)
     n = 2_000
     scan = detect_renovation(path, 2, (0, n - 1))
     rep = estimate_conditions(path, 2, n)
-    assert scan.frequency == rep.renovation.frequency
+    assert scan.frequency == rep.renovation.probability
 
 
 def test_unstabilized_estimate_disables_detection():

@@ -7,11 +7,11 @@ from impatientq.kernel import advance_lower, advance_upper
 from impatientq.loynes import (
     certified_supremum,
     envelope_states,
-    estimate_conditions,
     exact_states,
     stationary_estimate,
     supremum_bound,
 )
+from impatientq.metrics import estimate_conditions
 from impatientq.sequences import Deterministic, Exponential, StationaryPath
 from support import (
     DRAIN,
@@ -231,21 +231,21 @@ def test_exact_states_matches_scalar_advance():
 
 def test_conditions_drain():
     rep = estimate_conditions(StationaryPath(DRAIN), 2, 1000)
-    assert rep.work_le_tau.frequency == 1.0
-    assert rep.z1_zero.frequency == 1.0
-    assert rep.renovation.frequency == 1.0
+    assert rep.work_le_tau.probability == 1.0
+    assert rep.z1_zero.probability == 1.0
+    assert rep.renovation.probability == 1.0
 
 
 def test_conditions_growth():
     rep = estimate_conditions(StationaryPath(GROWTH), 1, 1000)
-    assert rep.sigma_lt_tau.frequency == 0.0
-    assert rep.renovation.frequency == 0.0   # upper state is constant 2 > 0
+    assert rep.sigma_lt_tau.probability == 0.0
+    assert rep.renovation.probability == 0.0   # upper state is constant 2 > 0
 
 
 def test_conditions_exponential_pair():
     spec = iid_spec(11, Exponential(1.0), Exponential(1.0), Deterministic(0.0))
     rep = estimate_conditions(StationaryPath(spec), 1, 100_000)
-    assert abs(rep.work_le_tau.frequency - 0.5) <= 0.01
+    assert abs(rep.work_le_tau.probability - 0.5) <= 0.01
 
 
 def test_conditions_read_the_top_supremum_at_z_depth():

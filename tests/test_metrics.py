@@ -1,5 +1,9 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,11 +11,13 @@ import pytest
 from impatientq import sequences
 from impatientq.des import run
 from impatientq.metrics import (
+    ProbabilityEstimate,
     batch_means,
     bound_report,
     erlang_b,
     loss_probability,
     mm1_wait_tail,
+    t_quantile,
 )
 from impatientq.sequences import Deterministic, Exponential, StationaryPath, Uniform, stream_uniforms
 from support import DRAIN, GROWTH, MM_SPEC, det_spec, iid_spec
@@ -64,8 +70,9 @@ def test_loss_probability_short_trace_binomial():
     spec = det_spec(1, tau=1.0, sigma=1.5, patience=0.0)
     est = loss_probability(run(StationaryPath(spec), 1, 10))
     assert est.n == 10 and 0.0 <= est.probability <= 1.0
-    with pytest.raises(ValueError):
-        loss_probability([])
+    for empty in ([], np.array([], dtype=bool)):
+        with pytest.raises(ValueError):
+            loss_probability(empty)
 
 
 def test_batch_means_basics():
@@ -78,6 +85,83 @@ def test_batch_means_basics():
     assert 0.0 < est.half_width < 0.02
     with pytest.raises(ValueError):
         batch_means(np.ones(10))
+
+
+@pytest.mark.parametrize("n_batches", [1, 0, -3])
+def test_batch_means_needs_two_batches(n_batches):
+    # one batch has no spread (the half-width would be NaN), none divides by zero
+    with pytest.raises(ValueError, match="at least 2 batches"):
+        batch_means(np.ones(100), n_batches)
+
+
+def test_binomial_estimate():
+    est = ProbabilityEstimate.binomial(3, 10)
+    assert (est.probability, est.n) == (0.3, 10)
+    assert est.half_width == 1.96 * math.sqrt(0.3 * 0.7 / 10)
+    assert ProbabilityEstimate.binomial(0, 50).half_width == 0.0
+    # the short-trace fallback of loss_probability is this estimate
+    losses = np.array([1, 0, 0, 1, 0, 0, 0, 1, 0, 0], dtype=bool)
+    assert loss_probability(losses) == est
+
+
+# ---------------------------------------------------------------------------
+# Student-t quantile
+# ---------------------------------------------------------------------------
+
+
+def test_t_quantile_matches_reference_at_975():
+    stats = pytest.importorskip("scipy.stats")
+    for df in list(range(1, 1001)) + [10_000, 1_000_000]:
+        want = float(stats.t.ppf(0.975, df))
+        assert abs(t_quantile(0.975, df) / want - 1.0) <= 1e-12, df
+
+
+def test_t_quantile_matches_reference_on_a_grid():
+    stats = pytest.importorskip("scipy.stats")
+    for q in (1e-6, 1e-3, 0.025, 0.1, 0.3, 0.7, 0.9, 0.999, 1 - 1e-6):
+        for df in (1, 1.5, 2, 3, 4, 5, 7, 10, 29, 100, 1000, 1e4, 1e6, 1e12):
+            want = float(stats.t.ppf(q, df))
+            assert abs(t_quantile(q, df) / want - 1.0) <= 1e-12, (q, df)
+
+
+def test_t_quantile_closed_forms_and_symmetry():
+    for q in (0.001, 0.2, 0.6, 0.975):
+        # Cauchy (df = 1) and df = 2 have closed-form quantiles
+        assert t_quantile(q, 1) == pytest.approx(math.tan(math.pi * (q - 0.5)), rel=1e-13)
+        assert t_quantile(q, 2) == pytest.approx((2 * q - 1) / math.sqrt(2 * q * (1 - q)), rel=1e-13)
+    for q in (2.0 ** -10, 0.125, 0.375):   # 1 - q exact
+        for df in (1, 3, 29, 1e5):
+            assert t_quantile(1 - q, df) == -t_quantile(q, df)
+    assert t_quantile(0.5, 7) == 0.0
+    # the normal limit: 1.959963984540054 is the standard normal 0.975 quantile
+    assert t_quantile(0.975, math.inf) == pytest.approx(1.959963984540054, rel=1e-15)
+
+
+@pytest.mark.parametrize("q, df", [(0.0, 5), (1.0, 5), (-0.1, 5), (0.975, 0.5), (0.975, math.nan)])
+def test_t_quantile_rejects_bad_arguments(q, df):
+    with pytest.raises(ValueError):
+        t_quantile(q, df)
+
+
+def test_package_import_loads_only_stdlib_and_numpy():
+    # The t quantile needs no scipy; importing the package and its CLI must
+    # not pull it in, nor anything beyond the standard library and numpy.
+    # The statistics and fractions modules are left out too: they are slow
+    # to import and the package has no use for them. (``__mp_main__`` is
+    # the alias of ``__main__`` that multiprocessing registers.)
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import impatientq, impatientq.cli\n"
+        "new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+        "print(sorted(new - set(sys.stdlib_module_names) - {'numpy', 'impatientq', '__mp_main__'}))\n"
+        "print(sorted(new & {'scipy', 'statistics', 'fractions'}))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout.split("\n")
+    assert out[:2] == ["[]", "[]"], out
 
 
 def test_bound_report_drain_all_zero():
