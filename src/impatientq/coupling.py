@@ -177,13 +177,14 @@ def cftp(path: StationaryPath, servers: int, at: int = 0,
 
     At horizon n a bounding chain runs from index ``at-n`` to ``at``,
     started from the box between the empty state and the certified top
-    supremum vector at ``at-n``. The horizon doubles from ``max(2S, 16)``
-    until the chain closes to a point at ``at``; drivers are tied to
+    supremum vector at ``at-n``. The horizon doubles from ``max(2S, 16)``,
+    or from ``max_horizon`` if that is smaller, until the chain closes to a
+    point at ``at``; it never exceeds ``max_horizon``. Drivers are tied to
     indices, so deeper horizons replay the same randomness.
     """
     if servers < 1:
         raise ValueError("servers must be >= 1")
-    horizon = max(2 * servers, 16)
+    horizon = min(max(2 * servers, 16), max_horizon)
     while True:
         start = at - horizon
         zb = certified_supremum(path, start, "upper", servers, horizon)

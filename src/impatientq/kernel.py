@@ -87,17 +87,19 @@ def advance_lower(u: Sequence[float], d: DriverSample) -> tuple[float, ...]:
 def _merge_shift(u: Sequence[float], x: float, tau: float) -> tuple[float, ...]:
     # Coordinate i of the sorted merge of {u[1:], x} is (u[i] v x) ^ u[i+1];
     # the top coordinate is u[-1] v x. Subtract the gap and clip at the zero
-    # of the state's own type, so int lattice multiples stay ints.
+    # of the state's own type, so int lattice multiples stay ints. The clip
+    # ``zero if v < zero else v`` is the selection ``max(v, zero)`` makes (it
+    # returns zero only when zero > v), without the builtin call.
     zero = type(u[0])()
-    s = len(u)
     out = []
-    for i in range(s - 1):
-        hi = u[i] if u[i] > x else x
-        if hi > u[i + 1]:
-            hi = u[i + 1]
-        out.append(max(hi - tau, zero))
-    top = u[-1] if u[-1] > x else x
-    out.append(max(top - tau, zero))
+    a = u[0]
+    for b in u[1:]:
+        v = a if a > x else x
+        v = (b if v > b else v) - tau
+        out.append(zero if v < zero else v)
+        a = b
+    v = (a if a > x else x) - tau
+    out.append(zero if v < zero else v)
     return tuple(out)
 
 

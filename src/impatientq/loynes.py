@@ -145,13 +145,16 @@ def supremum_bound(path: StationaryPath, at: int, kind: str, depth: int,
     # the equivalent one-dimensional clipped recursion (numerically stable,
     # and float-identical to the autonomous top coordinate of the envelope
     # iterate). Lags >= S are common to every coordinate; the final S-1
-    # steps stop injecting new work terms one coordinate at a time.
+    # steps stop injecting new work terms one coordinate at a time. The clip
+    # is the selection ``max(v, 0.0)`` makes, without the builtin call.
     work = work_arr.tolist()
     tau = blk.tau.tolist()
+    common = depth - servers + 1
     v = 0.0
-    for i in range(depth - servers + 1):
-        hi = v if v > work[i] else work[i]
-        v = max(hi - tau[i], 0.0)
+    for w, t in zip(work[:common], tau[:common]):
+        v = (v if v > w else w) - t
+        if v < 0.0:
+            v = 0.0
     per_lag = [v] * (servers + 1)  # per_lag[ell] tracks the lag-ell coordinate
     for k in range(servers - 1, 0, -1):
         i = depth - k
@@ -181,9 +184,11 @@ def certified_supremum(path: StationaryPath, at: int, kind: str, servers: int,
     service and Exp(0.2) patience), their spread is O(sqrt(depth)), and a
     quarter more makes a deeper read rare. The depth doubles until the
     bound is stabilized; past ``DEFAULT_MAX_DEPTH`` it raises
-    ``ResourceCapError``. Each read fetches one driver window that also
-    covers the ``ahead`` indices from ``at``, so the path's window memo
-    serves a roll from the box.
+    ``ResourceCapError``. Each read first asks for the one driver window
+    that also covers the ``ahead`` indices from ``at``, so the box read and
+    a roll from the box over those indices share one page cover of the
+    path's memo. Without it, a roll that ends past the last page of the box
+    read would miss and generate a second cover.
     """
     depth = max(servers, math.ceil(min(1.25 * _chernoff_constants(path.spec, kind)[2],
                                        DEFAULT_MAX_DEPTH)))

@@ -274,9 +274,10 @@ def bound_report(path: StationaryPath, servers: int, n_samples: int, at: int = 0
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    # The exact roll reads the widest driver window, so the path's window
-    # memo serves every later read while warmup covers the deepest one: an
-    # estimate's horizon plus the depth of its certified box.
+    # The exact roll reads the widest driver window, so the page cover it
+    # leaves in the path's memo serves every later read while warmup covers
+    # the deepest one: an estimate's horizon plus the depth of its certified
+    # box.
     states, accepted = exact_states(path, at - warmup, warmup + n_samples, (0.0,) * servers)
     patience = path.block(at, n_samples).patience
     loss_ind = ~accepted[warmup : warmup + n_samples]

@@ -9,9 +9,10 @@ generator keyed on ``(seed, stream, index)``, so the sequence shifted by
 window can be regenerated on demand, and concurrent readers never interact.
 
 Driver blocks are read-only arrays. A path memoizes the most recent float
-window it generated, next to its memo of modulating-chain segments, and
-serves any window inside it as slices of that one; since the values are
-pure, a race between two readers can only cost a regeneration.
+cover it generated (whole pages of ``_CHAIN_BLOCK`` indices), next to its
+memo of modulating-chain segments, and serves any window inside it as
+slices of that one; since the values are pure, a race between two readers
+can only cost a regeneration.
 """
 
 from __future__ import annotations
@@ -397,11 +398,16 @@ class StationaryPath:
     ``sample_at(n)`` is a pure function of ``(spec, n + offset)``; a path
     shifted by ``k`` is just the same sequence read at translated indices.
     The only mutable members are memos: the modulating-chain segments,
-    shared between a path and its shifts, and the most recent float window
-    of ``block`` (its absolute base index and read-only arrays), kept per
-    path. A window inside the memo is returned as views of it, which hold
-    the very numbers a fresh generation would, since every value is a
-    function of its absolute index alone.
+    shared between a path and its shifts, and the float cover of ``block``
+    (its absolute base index and read-only arrays), kept per path. On a
+    miss, ``block`` generates the request's aligned cover: the whole pages
+    of ``_CHAIN_BLOCK`` absolute indices it touches, so that on a Markov
+    path a page is exactly one chain block. The cover replaces the memo,
+    and the request and any later window inside it are returned as views
+    of it. They hold the very numbers a fresh generation would, since every
+    value is a function of its absolute index alone; a run of short reads
+    near one index, such as the horizons of ``coupling.cftp`` at
+    neighbouring targets, then shares one generation.
     """
 
     spec: SequenceSpec
@@ -419,17 +425,19 @@ class StationaryPath:
 
     def block(self, start: int, count: int) -> DriverBlock:
         """Driver triples for indices ``start .. start+count-1`` as read-only arrays."""
+        if count < 0:
+            raise ValueError("count must be non-negative")
         base = start + self.offset
         memo = self._window
-        if memo is not None:
-            i = base - memo[0]
-            if 0 <= i and i + count <= len(memo[1].tau):
-                return DriverBlock(*(a[i : i + count] for a in memo[1]))
-        window = self._generate(base, count)
-        for a in window:
-            a.setflags(write=False)
-        self._window = (base, window)
-        return window
+        if memo is None or not (0 <= base - memo[0] <= len(memo[1].tau) - count):
+            lo = base - base % _CHAIN_BLOCK
+            hi = base + count + (-(base + count)) % _CHAIN_BLOCK
+            cover = self._generate(lo, hi - lo)
+            for a in cover:
+                a.setflags(write=False)
+            memo = self._window = (lo, cover)
+        i = base - memo[0]
+        return DriverBlock(*(a[i : i + count] for a in memo[1]))
 
     def _generate(self, base: int, count: int) -> DriverBlock:
         u_tau = stream_uniforms(self.spec.seed, STREAM_TAU, base, count)

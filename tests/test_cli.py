@@ -386,6 +386,19 @@ cftp_max_horizon = 64
     assert payload["coalesced"] is False and payload["value"] is None
 
 
+def test_cli_cftp_max_horizon_below_the_starting_horizon(tmp_path):
+    # S = 3 starts at horizon 16; run.cftp_max_horizon = 8 must cap it.
+    text = (MM2D_INI.replace("servers = 2", "servers = 3").replace("rate = 0.6", "rate = 0.4")
+            .replace("dist = deterministic\nvalue = 1.0", "dist = exponential\nrate = 0.2")
+            + "cftp_max_horizon = 8\n")
+    cfg = _write(tmp_path, "cfg.ini", text)
+    out = tmp_path / "out"
+    code = main(["cftp", "--config", cfg, "--out", str(out)])
+    payload = json.loads((out / "cftp.json").read_text())
+    assert payload["horizon_used"] <= 8
+    assert code == (0 if payload["coalesced"] else 1)
+
+
 def test_cli_hset(tmp_path):
     cfg = _write(tmp_path, "cfg.ini", LATTICE_INI)
     out = tmp_path / "out"

@@ -271,6 +271,36 @@ def test_cftp_equals_deep_forward_roll(seed):
         assert res.z_risk <= 1e-12
 
 
+def test_cftp_horizon_never_exceeds_max_horizon():
+    # max_horizon below the starting horizon max(2S, 16) = 16 caps the start.
+    path = StationaryPath(CERTIFY)
+    free = cftp(path, 3, at=7)
+    for max_horizon in (1, 4, 8, 16, 32):
+        res = cftp(path, 3, at=7, max_horizon=max_horizon)
+        assert res.horizon_used <= max_horizon, (max_horizon, res)
+        assert res.value == (free.value if res.coalesced else None), (max_horizon, res)
+
+
+def test_consecutive_cftp_targets_share_driver_generations(monkeypatch):
+    # Every horizon of every target reads a window inside one page cover of
+    # the path's memo; one window per read would generate over 200 times.
+    from impatientq import sequences
+
+    generated = []
+    uniforms = sequences.stream_uniforms
+
+    def counting(seed, stream, start, count):
+        if stream == sequences.STREAM_TAU:
+            generated.append((start, count))
+        return uniforms(seed, stream, start, count)
+
+    monkeypatch.setattr(sequences, "stream_uniforms", counting)
+    path = StationaryPath(CERTIFY)
+    for t in range(1, 101):
+        assert cftp(path, 3, at=t).coalesced
+    assert 1 <= len(generated) <= 2, generated
+
+
 def test_cftp_lattice_equals_deep_advance_lattice_loop():
     path = StationaryPath(LATTICE)
     blk = path.lattice_block(1 - 8192, 8192 + 299)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from impatientq.errors import ContractError
 from impatientq.kernel import (
     _merge_shift,
+    _merge_shift_batch,
     advance,
     advance_batch,
     advance_direct,
@@ -274,3 +277,67 @@ def test_merge_clips_at_the_state_type_zero():
     assert out == (0, 0, 2) and all(type(k) is int for k in out)
     assert _merge_shift((0.0, 1.0), 0.5, 2.0) == (0.0, 0.0)
     assert all(type(v) is float for v in _merge_shift((0.0, 1.0), 0.5, 2.0))
+
+
+# The merge at the edges random draws rarely reach: the new work ``x`` equal
+# to a coordinate, a coordinate minus the gap exactly zero, clipped
+# coordinates, one server. ``(u, sigma, tau)`` with ``x = u[0] + sigma``.
+MERGE_EDGES = [
+    ((0.5, 1.0, 2.0), 0.0, 0.25),   # x equals u[0]
+    ((0.5, 1.0, 2.0), 0.5, 0.25),   # x equals u[1]
+    ((0.5, 1.0, 2.0), 1.5, 0.25),   # x equals the top coordinate
+    ((1.0, 1.0, 1.0), 0.0, 1.0),    # every coordinate minus the gap is exactly 0
+    ((0.25, 1.0, 3.0), 0.75, 1.0),  # x = u[1] = tau: exactly 0 below a survivor
+    ((0.5, 1.0, 2.0), 4.0, 3.0),    # lower coordinates clipped, the top survives
+    ((0.5, 1.0, 2.0), 0.5, 9.0),    # every coordinate clipped
+    ((0.0, 0.0), 0.0, 0.5),         # empty state, nothing joins
+    ((0.0,), 0.0, 1.0),             # S = 1, clipped
+    ((2.0,), 1.0, 3.0),             # S = 1, exactly 0
+    ((2.0,), 1.0, 0.5),             # S = 1, no clip
+]
+
+
+def _float_bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("u, sigma, tau", MERGE_EDGES)
+def test_merge_edges_bit_identical_to_batch_and_direct(u, sigma, tau):
+    x = u[0] + sigma
+    got = _merge_shift(u, x, tau)
+    assert all(type(v) is float for v in got)
+    batch = _merge_shift_batch(np.array([u]), np.array([x]), tau)[0]
+    direct = advance_direct(u, DriverSample(tau, sigma, math.inf))
+    assert _float_bits(got) == batch.tobytes() == _float_bits(direct), (got, batch, direct)
+
+
+@pytest.mark.parametrize("u, sigma, tau", MERGE_EDGES)
+def test_merge_edges_on_int_lattice_states(u, sigma, tau):
+    # The same edges in lattice multiples (step 0.25): ints stay ints, and
+    # int64 states keep int64 down to the clipped zero.
+    u, sigma, tau = tuple(round(4 * v) for v in u), round(4 * sigma), round(4 * tau)
+    want = advance_lattice_batch(np.array([u], dtype=np.int64), tau, sigma, math.inf, 0.25)[0]
+    got = _merge_shift(u, u[0] + sigma, tau)
+    assert got == tuple(want.tolist()) and all(type(k) is int for k in got)
+    u64 = tuple(np.int64(k) for k in u)
+    got64 = _merge_shift(u64, u64[0] + np.int64(sigma), np.int64(tau))
+    assert got64 == got and all(type(k) is np.int64 for k in got64)
+
+
+@pytest.mark.parametrize("servers", [1, 2, 3, 5])
+def test_merge_bit_identical_to_batch_on_ties(servers):
+    # Small integer-valued floats make ties between x and the coordinates,
+    # and exact zeros after the gap, the common case.
+    rng = np.random.default_rng(40 + servers)
+    n = 4000
+    u = np.sort(rng.integers(0, 4, (n, servers)), axis=1).astype(np.float64)
+    sigma = rng.integers(0, 4, n).astype(np.float64)
+    tau = rng.integers(1, 4, n).astype(np.float64)
+    x = u[:, 0] + sigma
+    batch = _merge_shift_batch(u, x, tau)
+    for i in range(n):
+        row = tuple(u[i].tolist())
+        got = _merge_shift(row, x[i].item(), tau[i].item())
+        assert _float_bits(got) == batch[i].tobytes(), (row, x[i], tau[i])
+        direct = advance_direct(row, DriverSample(tau[i].item(), sigma[i].item(), math.inf))
+        assert _float_bits(got) == _float_bits(direct), (row, x[i], tau[i])

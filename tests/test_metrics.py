@@ -260,8 +260,9 @@ def test_bound_report_generates_its_drivers_once(monkeypatch):
 
     monkeypatch.setattr(sequences, "stream_uniforms", counting)
     rep = bound_report(StationaryPath(MM_SPEC), 2, 20_000, keep_samples=True)
-    # The exact roll's window [at - warmup, at + n) serves every other read.
-    assert generated == [(-10_000, 30_000)]
+    # The page cover of the exact roll's window [at - warmup, at + n) serves
+    # every other read.
+    assert generated == [(-12_288, 32_768)]
     # sha256 of the samples as computed before driver windows were memoized,
     # when the same report generated its tau uniforms 11 times.
     assert hashlib.sha256(rep.samples.tobytes()).hexdigest() == (

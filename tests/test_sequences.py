@@ -196,7 +196,7 @@ def test_block_straddling_chain_blocks_through_shift():
 
 
 # ---------------------------------------------------------------------------
-# The float window memo of StationaryPath.block
+# The float page memo of StationaryPath.block
 # ---------------------------------------------------------------------------
 
 MEMO_SPECS = {
@@ -212,13 +212,23 @@ def _bits(blk):
     return [a.tobytes() for a in blk]
 
 
+def _memo_cover(offset):
+    """Path indices ``[lo, hi)`` of the page cover that ``block(MEMO_LO, MEMO_N)``
+    generates on a path shifted by ``offset``: whole pages of ``_CHAIN_BLOCK``
+    absolute indices."""
+    lo = (MEMO_LO + offset) // _CHAIN_BLOCK * _CHAIN_BLOCK - offset
+    hi = -(-(MEMO_LO + MEMO_N + offset) // _CHAIN_BLOCK) * _CHAIN_BLOCK - offset
+    return lo, hi
+
+
 def _memo_windows(offset):
-    """(start, count) windows that lie inside the memo ``[MEMO_LO, MEMO_LO + MEMO_N)``
-    of a path shifted by ``offset``, and windows that do not."""
-    lo, n = MEMO_LO, MEMO_N
+    """(start, count) windows that lie inside the memo of a path shifted by
+    ``offset`` after ``block(MEMO_LO, MEMO_N)``, and windows that do not."""
+    lo, hi = _memo_cover(offset)
+    n = hi - lo
     # First path index past lo + 10 that starts a chain block.
     seam = -(-(lo + 10 + offset) // _CHAIN_BLOCK) * _CHAIN_BLOCK - offset
-    inside = [(lo, n), (lo + 17, 100), (lo, 50), (lo + n - 50, 50),
+    inside = [(lo, n), (MEMO_LO, MEMO_N), (lo + 17, 100), (lo, 50), (lo + n - 50, 50),
               (seam - 7, 30), (seam - 7, _CHAIN_BLOCK + 14)]
     outside = [(lo - 1, 50), (lo + n - 49, 50), (lo - 1, n + 2), (lo + n + 10, 30),
                (lo - 200, 30)]
@@ -232,11 +242,15 @@ def test_block_memo_equals_fresh_blocks(kind, offset):
     inside, outside = _memo_windows(offset)
     for window, hit in [(w, True) for w in inside] + [(w, False) for w in outside]:
         path = StationaryPath(spec).shifted(offset)
-        memo = path.block(MEMO_LO, MEMO_N)
+        path.block(MEMO_LO, MEMO_N)
+        memo = path._window[1]
         got = path.block(*window)
         assert _bits(got) == _bits(StationaryPath(spec).shifted(offset).block(*window)), window
         assert np.shares_memory(got.tau, memo.tau) == hit, window
-        # A miss replaces the memo with the window it generated.
+        # A miss replaces the memo with the page cover it generated, which
+        # starts at an absolute page boundary.
+        base, cover = path._window
+        assert base % _CHAIN_BLOCK == 0 and len(cover.tau) % _CHAIN_BLOCK == 0, window
         assert np.shares_memory(path.block(*window).tau, got.tau), window
 
 
@@ -244,12 +258,23 @@ def test_block_memo_equals_fresh_blocks(kind, offset):
 def test_sample_at_inside_and_outside_the_memo(kind):
     spec = MEMO_SPECS[kind]
     path = StationaryPath(spec)
-    for n in (MEMO_LO, MEMO_LO + 1234, MEMO_LO + MEMO_N - 1, MEMO_LO - 1, MEMO_LO + MEMO_N):
+    lo, hi = _memo_cover(0)
+    for n in (lo, MEMO_LO, MEMO_LO + 1234, hi - 1, lo - 1, hi):
         path.block(MEMO_LO, MEMO_N)
         memo = path._window
         got = path.sample_at(n)
         assert np.array(got).tobytes() == np.array(StationaryPath(spec).sample_at(n)).tobytes()
-        assert (path._window is memo) == (MEMO_LO <= n < MEMO_LO + MEMO_N)
+        assert (path._window is memo) == (lo <= n < hi)
+
+
+@pytest.mark.parametrize("kind", sorted(MEMO_SPECS))
+def test_block_rejects_a_negative_count_on_a_hit_and_a_miss(kind):
+    path = StationaryPath(MEMO_SPECS[kind])
+    with pytest.raises(ValueError, match="count must be non-negative"):
+        path.block(10, -5)  # a miss: nothing is memoized yet
+    path.block(0, 100)
+    with pytest.raises(ValueError, match="count must be non-negative"):
+        path.block(10, -5)  # starts inside the memo
 
 
 @pytest.mark.parametrize("kind", sorted(MEMO_SPECS))
