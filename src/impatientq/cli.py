@@ -128,8 +128,7 @@ def _bounds_worker(payload) -> dict:
     spec, servers, run, r = payload
     spec = dataclasses.replace(spec, seed=replication_seed(spec.seed, r))
     rep = metrics.bound_report(
-        StationaryPath(spec), servers, run.n_samples,
-        warmup=run.warmup, n_batches=run.batches,
+        StationaryPath(spec), servers, run.n_samples, n_batches=run.batches,
         keep_samples=(r == 0),
     )
     out = {
@@ -167,7 +166,6 @@ def cmd_bounds(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     payload = _header(cfg, "bounds")
     payload.update({
         "n_samples": cfg.run.n_samples,
-        "warmup": cfg.run.warmup,
         "replications": results,
         "all_orderings_ok": all(r["ordering_ok"] for r in results),
     })

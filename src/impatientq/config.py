@@ -31,7 +31,6 @@ Schema (INI syntax, parsed with :mod:`configparser`)::
     [run]                  ; command parameters, all optional
     n_arrivals = 100000
     n_samples = 100000
-    warmup = 10000
     tol = 1e-9
     cftp_max_horizon = 1048576
     renovation_start = 0
@@ -50,7 +49,9 @@ would take no effect (a misspelled section, a key the chosen ``dist`` or
 model kind does not use, ``[tau]`` under ``markov_modulated``, a
 ``stateN`` section beyond the chain's size) is refused, naming the section
 and key. Backward reads take the depth their certificates need, so no key
-sets a depth; a ``z_depth`` key is refused like any other unread key.
+sets a depth; a ``z_depth`` key is refused like any other unread key. Nor
+does a key set where ``bounds`` starts the workload: it starts from its
+coupling-from-the-past sample.
 """
 
 from __future__ import annotations
@@ -79,7 +80,6 @@ from .sequences import (
 class RunParams:
     n_arrivals: int = 100_000
     n_samples: int = 100_000
-    warmup: int = 10_000
     tol: float = 1e-9
     cftp_max_horizon: int = 1 << 20
     renovation_start: int = 0
@@ -90,8 +90,7 @@ class RunParams:
     replications: int = 1
 
     def __post_init__(self):
-        for name in ("n_arrivals", "n_samples", "warmup", "cftp_max_horizon", "hset_cap",
-                     "replications"):
+        for name in ("n_arrivals", "n_samples", "cftp_max_horizon", "hset_cap", "replications"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"run.{name} must be >= 1")
         if self.batches < 2:

@@ -128,13 +128,14 @@ def advance_lower_batch(u: np.ndarray, tau, sigma, patience) -> np.ndarray:
 
 
 def _merge_shift_batch(u: np.ndarray, x: np.ndarray, tau) -> np.ndarray:
-    s = u.shape[1]
+    # States run along the last axis of ``u``; ``x`` has the leading shape
+    # and ``tau`` broadcasts against it from the right.
     out = np.empty_like(u)
-    if s > 1:
-        hi = np.maximum(u[:, :-1], x[:, None])
-        out[:, :-1] = np.minimum(hi, u[:, 1:])
-    out[:, -1] = np.maximum(u[:, -1], x)
-    out -= np.asarray(tau, dtype=np.float64).reshape(-1, 1) if np.ndim(tau) else tau
+    if u.shape[-1] > 1:
+        hi = np.maximum(u[..., :-1], x[..., None])
+        out[..., :-1] = np.minimum(hi, u[..., 1:])
+    out[..., -1] = np.maximum(u[..., -1], x)
+    out -= np.asarray(tau, dtype=np.float64)[..., None]
     np.maximum(out, 0.0, out=out)
     return out
 

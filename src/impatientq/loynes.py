@@ -21,7 +21,8 @@ every stationary workload. ``certified_supremum`` reads it as deep as the
 certificate needs; it is the start box of ``coupling.cftp`` and the
 dominating start of ``stationary_estimate``.
 Long forward rolls run as time-parallel lanes with seam repair and return
-the scalar recursion's states bit for bit (see "Forward rolls" below).
+the scalar recursion's states bit for bit; recursions over the same drivers
+can share one such pass (see "Forward rolls" below).
 """
 
 from __future__ import annotations
@@ -249,6 +250,13 @@ def stationary_estimate(path: StationaryPath, at: int, kind: str, servers: int) 
 # the scalar loop alone. Rows take their dtype from the starting state, so
 # the same roll serves the int64 lattice recursion, where every step is
 # exact and the argument holds trivially.
+#
+# One pass can carry k recursions over the same drivers: their lanes stack
+# into one (k*R, S) array, recursion i in rows [i*R, (i+1)*R), so a step
+# costs one set of numpy calls on k times the rows instead of k sets. The
+# lane step applies each recursion's own map to its rows, and each
+# recursion then repairs its own seams with its own scalar step, so every
+# recursion's rows are still its scalar roll's, bit for bit.
 # ---------------------------------------------------------------------------
 
 CHUNK = 512
@@ -265,40 +273,52 @@ def _scalar_roll(u0: tuple[float, ...], step, drivers: tuple[np.ndarray, ...]) -
     return states
 
 
-def _forward_roll(u0: tuple[float, ...], step, lane_step, drivers: tuple[np.ndarray, ...],
-                  guess: float) -> np.ndarray:
-    """The rows of ``_scalar_roll(u0, step, drivers)``, by seam repair.
+def _forward_roll(rolls, lane_step, drivers: tuple[np.ndarray, ...], guess: float) -> np.ndarray:
+    """``_scalar_roll(u0, step, own)`` for every ``(u0, step, own)`` in
+    ``rolls``, by seam repair, stacked into one ``(k, steps+1, S)`` array.
 
-    ``lane_step(U, *d)`` applies ``step`` to every row of ``U`` at once, row
-    ``r`` under the driver values ``d[k][r]``. ``guess`` fills the starting
-    state of every chunk after the first.
+    The k recursions share the lane drivers ``drivers``, columns of the
+    same ``steps`` indices as each ``own``: ``lane_step(U, *d)`` applies
+    recursion i's ``step`` to rows ``[i*R, (i+1)*R)`` of the ``(k*R, S)``
+    lane array ``U``, lane ``r`` under the values ``d[c][r]``. ``guess``
+    fills the starting state of every chunk after the first.
     """
     steps = len(drivers[0])
     lanes = steps // CHUNK
     if lanes < 2:
-        return _scalar_roll(u0, step, drivers)
+        return np.stack([_scalar_roll(u0, step, own) for u0, step, own in rolls])
     length = -(-steps // lanes)
-    # Driver k of lane r at its j-th step is cols[k][j, r]; the last lane
+    # Driver c of lane r at its j-th step is cols[c][j, r]; the last lane
     # runs past the roll on zero padding, and those rows are cut off.
     cols = []
     for col in drivers:
         padded = np.zeros(lanes * length, dtype=col.dtype)
         padded[:steps] = col
         cols.append(np.ascontiguousarray(padded.reshape(lanes, length).T))
-    dtype = np.asarray(u0).dtype
-    states = np.empty((lanes * length + 1, len(u0)), dtype=dtype)
-    states[0] = u0
-    by_lane = states[1:].reshape(lanes, length, len(u0))
-    u = np.full((lanes, len(u0)), guess, dtype=dtype)
-    u[0] = u0
-    for j in range(length):
-        u = lane_step(u, *[c[j] for c in cols])
-        by_lane[:, j] = u
-    states = states[: steps + 1]
+    k, width = len(rolls), len(rolls[0][0])
+    dtype = np.asarray(rolls[0][0]).dtype
+    states = np.empty((k, lanes * length + 1, width), dtype=dtype)
+    u = np.full((k, lanes, width), guess, dtype=dtype)
+    for i, (u0, _, _) in enumerate(rolls):
+        states[i, 0] = u[i, 0] = u0
+    by_lane = states[:, 1:].reshape(k, lanes, length, width)
+    # Lanes are stored column by column, so each numpy call's inner loop
+    # runs over the lanes rather than over the few coordinates. Their rows
+    # reach ``states`` 16 steps at a time: a lane's rows lie a chunk apart
+    # there, and a write per step would touch every lane's page.
+    u = np.asfortranarray(u.reshape(k * lanes, width))
+    batch = np.empty((k, lanes, 16, width), dtype=dtype)
+    for j, d in enumerate(zip(*cols)):
+        u = lane_step(u, *d)
+        batch[:, :, j % 16] = u.reshape(k, lanes, width)
+        if j % 16 == 15 or j == length - 1:
+            by_lane[:, :, j - j % 16 : j + 1] = batch[:, :, : j % 16 + 1]
+    states = states[:, : steps + 1]
 
-    seam = length
-    while seam < steps:
-        seam = -(-_repair(states, step, drivers, seam) // length) * length
+    for rows, (_, step, own) in zip(states, rolls):
+        seam = length
+        while seam < steps:
+            seam = -(-_repair(rows, step, own, seam) // length) * length
     return states
 
 
@@ -332,9 +352,9 @@ def envelope_states(path: StationaryPath, at: int, steps: int, u0: tuple[float, 
     backward limit rolls forward into the limits at the later indices.
     """
     blk = path.block(at, steps)
-    work = _effective_work(blk.tau, blk.sigma, blk.patience, kind)
-    return _forward_roll(tuple(map(float, u0)), _merge_shift, _merge_shift_batch,
-                         (work, blk.tau), 0.0)
+    drivers = (_effective_work(blk.tau, blk.sigma, blk.patience, kind), blk.tau)
+    return _forward_roll(((tuple(map(float, u0)), _merge_shift, drivers),), _merge_shift_batch,
+                         drivers, 0.0)[0]
 
 
 def _exact_step(u, tau, sigma, patience):
@@ -357,9 +377,40 @@ def exact_states(path: StationaryPath, at: int, steps: int,
     customer at index ``at+i`` enters service before her deadline.
     """
     blk = path.block(at, steps)
-    states = _forward_roll(tuple(map(float, u0)), _exact_step, _exact_lane_step,
-                           (blk.tau, blk.sigma, blk.patience), 0.0)
+    states = _forward_roll(((tuple(map(float, u0)), _exact_step, blk),), _exact_lane_step,
+                           blk, 0.0)[0]
     return states, states[:-1, 0] <= blk.patience
+
+
+def _sandwich_lane_step(u, tau, sigma, patience, lower, upper):
+    # Rows stack the exact, lower and upper lanes; each block takes its own
+    # contribution (the exact one as ``advance_batch`` forms it), then one
+    # merge shift advances all three.
+    rows = u.reshape(3, -1, u.shape[1])
+    x = np.empty(rows.shape[:2])
+    first = rows[0, :, 0]
+    np.add(first, np.where(first <= patience, sigma, 0.0), out=x[0])
+    x[1] = lower
+    x[2] = upper
+    return _merge_shift_batch(rows, x, tau).reshape(u.shape)
+
+
+def sandwich_states(path: StationaryPath, at: int, steps: int, exact0: tuple[float, ...],
+                    lower0: tuple[float, ...], upper0: tuple[float, ...]) -> np.ndarray:
+    """The exact workload and both envelopes rolled together from index ``at``.
+
+    ``states[0]``, ``states[1]`` and ``states[2]`` are the rows of
+    ``exact_states`` from ``exact0`` and of ``envelope_states`` from
+    ``lower0`` (lower) and ``upper0`` (upper), bit for bit; the three share
+    one lane pass over the drivers of ``[at, at+steps)``.
+    """
+    blk = path.block(at, steps)
+    lower = _effective_work(blk.tau, blk.sigma, blk.patience, "lower")
+    upper = _effective_work(blk.tau, blk.sigma, blk.patience, "upper")
+    rolls = ((tuple(map(float, exact0)), _exact_step, blk),
+             (tuple(map(float, lower0)), _merge_shift, (lower, blk.tau)),
+             (tuple(map(float, upper0)), _merge_shift, (upper, blk.tau)))
+    return _forward_roll(rolls, _sandwich_lane_step, (*blk, lower, upper), 0.0)
 
 
 def lattice_states(path: StationaryPath, at: int, steps: int,
@@ -379,8 +430,7 @@ def lattice_states(path: StationaryPath, at: int, steps: int,
     def lane_step(u, tau, sigma, patience):
         return advance_lattice_batch(u, tau, sigma, patience, alpha)
 
-    states = _forward_roll(tuple(u0), step, lane_step,
-                           (blk.tau, blk.sigma, blk.patience), 0)
+    states = _forward_roll(((tuple(u0), step, blk),), lane_step, blk, 0)[0]
     return states, states[:-1, 0] * alpha <= blk.patience
 
 
@@ -400,10 +450,11 @@ def top_supremum_series(path: StationaryPath, at: int, n: int, depth: int,
     m0 = tuple(float(terms[lag - 1 :].max()) for lag in range(1, servers + 1))
 
     fwd = path.block(at, n)
+    drivers = (fwd.sigma + fwd.patience, fwd.tau)
     # A chunk started from -inf holds the true values from the first step
     # whose work term reaches the true lag-1 supremum.
-    return _forward_roll(m0, _delay_step, _delay_lane_step,
-                         (fwd.sigma + fwd.patience, fwd.tau), -math.inf)[:-1, -1]
+    return _forward_roll(((m0, _delay_step, drivers),), _delay_lane_step, drivers,
+                         -math.inf)[0, :-1, -1]
 
 
 def _delay_step(m, work, tau):

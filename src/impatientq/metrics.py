@@ -8,9 +8,10 @@ above again by the top backward supremum:
 
     P(lower(1) > D)  <=  P_loss  <=  P(upper(1) > D)  <=  P(Z_top > D)
 
-The envelopes start from their backward limits and the top supremum from
-its certified read, each as deep as its own certificate needs, so the
-report has no depth to configure.
+The exact workload starts from its coupling-from-the-past sample, the
+envelopes from their backward limits and the top supremum from its
+certified read, each as deep as its own certificate needs, so the report
+has no depth or warm-up to configure: every sampled index is stationary.
 
 Confidence intervals use batch means (the driver sequence may be
 dependent), with a Student-t quantile on the batch count. The quantile
@@ -33,13 +34,15 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from .coupling import cftp
 from .des import ArrivalRecord
+from .errors import ContractError
 from .loynes import (
     LoynesEstimate,
     _renovation_mask,
     certified_supremum,
     envelope_states,
-    exact_states,
+    sandwich_states,
     stationary_estimate,
     top_supremum_series,
 )
@@ -245,7 +248,6 @@ class BoundReport:
     p_upper: ProbabilityEstimate   # P(upper envelope first coordinate > patience)
     p_z: ProbabilityEstimate       # P(top backward supremum > patience)
     n_samples: int
-    warmup: int
     lower_stabilized: bool
     upper_stabilized: bool
     z_stabilized: bool
@@ -263,42 +265,44 @@ class BoundReport:
 
 
 def bound_report(path: StationaryPath, servers: int, n_samples: int, at: int = 0,
-                 warmup: int = 10_000, n_batches: int = DEFAULT_BATCHES,
-                 keep_samples: bool = False) -> BoundReport:
+                 n_batches: int = DEFAULT_BATCHES, keep_samples: bool = False) -> BoundReport:
     """Estimate the four sandwich probabilities over stationary indices.
 
-    The workload itself runs from empty starting ``warmup`` indices before
-    the sampling window (renovation erases the start); both envelopes roll
-    forward from their backward limits; the top supremum, read to the depth
-    its certificate needs, rolls its own one-dimensional recursion.
+    Every sampled state is stationary by construction. ``coupling.cftp``
+    gives the exact workload at ``at``, bit for bit, and both envelopes
+    start from their backward limits there; the three recursions then roll
+    forward over the window together (``loynes.sandwich_states``). The top
+    supremum, read to the depth its certificate needs, rolls its own
+    one-dimensional recursion. The report refuses (``ContractError``)
+    when ``cftp`` does not coalesce, since no start from an arbitrary state
+    is stationary; an infinite top supremum leaves no box to couple from,
+    and ``cftp`` refuses it (``ConfigurationError``).
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    # The exact roll reads the widest driver window, so the page cover it
-    # leaves in the path's memo serves every later read while warmup covers
-    # the deepest one: an estimate's horizon plus the depth of its certified
-    # box.
-    states, accepted = exact_states(path, at - warmup, warmup + n_samples, (0.0,) * servers)
-    patience = path.block(at, n_samples).patience
-    loss_ind = ~accepted[warmup : warmup + n_samples]
-    w_first = states[warmup : warmup + n_samples, 0]
-
+    # Read first, the certified supremum covers the window too, so the page
+    # cover it leaves in the path's memo serves the rolls and, unless their
+    # deeper reads cross a page boundary, the coupling box and estimates.
+    zb = certified_supremum(path, at, "upper", servers, n_samples)
+    anchor = cftp(path, servers, at)
+    if not anchor.coalesced:
+        raise ContractError(f"cftp did not coalesce at index {at} by horizon "
+                            f"{anchor.horizon_used}; the exact workload has no stationary start")
     lower = stationary_estimate(path, at, "lower", servers)
-    lower_states = envelope_states(path, at, n_samples - 1, lower.vector, "lower")
-    lower_ind = lower_states[:, 0] > patience
-
     upper = stationary_estimate(path, at, "upper", servers)
-    upper_states = envelope_states(path, at, n_samples - 1, upper.vector, "upper")
+    exact, lower_states, upper_states = sandwich_states(path, at, n_samples - 1, anchor.value,
+                                                        lower.vector, upper.vector)
+    patience = path.block(at, n_samples).patience
+    loss_ind = exact[:, 0] > patience
+    lower_ind = lower_states[:, 0] > patience
     upper_ind = upper_states[:, 0] > patience
-
-    zb = certified_supremum(path, at, "upper", servers)
     z_top = top_supremum_series(path, at, n_samples, zb.horizon, servers)
     z_ind = z_top > patience
 
     samples = None
     if keep_samples:
         samples = np.column_stack([
-            lower_states[:, 0], w_first, upper_states[:, 0], z_top, patience,
+            lower_states[:, 0], exact[:, 0], upper_states[:, 0], z_top, patience,
             loss_ind.astype(np.float64),
         ])
     return BoundReport(
@@ -307,7 +311,6 @@ def bound_report(path: StationaryPath, servers: int, n_samples: int, at: int = 0
         p_upper=batch_means(upper_ind, n_batches),
         p_z=batch_means(z_ind, n_batches),
         n_samples=n_samples,
-        warmup=warmup,
         lower_stabilized=lower.stabilized,
         upper_stabilized=upper.stabilized,
         z_stabilized=zb.stabilized,

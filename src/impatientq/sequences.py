@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -351,6 +351,20 @@ class SequenceSpec:
     @property
     def is_lattice(self) -> bool:
         return self.model == "lattice"
+
+    def __hash__(self) -> int:
+        # The hash of the fields, computed once: hashing the laws and the
+        # modulating chain takes microseconds, and the caches keyed on a
+        # spec hash it on every lookup. Equality stays the fields'.
+        try:
+            return self._hash
+        except AttributeError:
+            h = self.__dict__["_hash"] = hash(tuple(getattr(self, f.name) for f in fields(self)))
+            return h
+
+    def __getstate__(self) -> dict:
+        # String hashes differ between processes: a copy hashes afresh.
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
 
 def _check_roles(tau: Distribution, sigma: Distribution, patience: Distribution):

@@ -113,7 +113,7 @@ def test_criterion_4_sandwich_bounds():
     for r in range(10):
         spec = iid_spec(2000 + r, Exponential(1.0), Exponential(0.6),
                         Deterministic(patiences[r % 3]))
-        rep = bound_report(StationaryPath(spec), 2, 100_000, warmup=10_000)
+        rep = bound_report(StationaryPath(spec), 2, 100_000)
         assert rep.lower_stabilized and rep.upper_stabilized and rep.z_stabilized
         if not rep.ordering_ok:
             violations += 1
@@ -317,7 +317,6 @@ high = 2.0
 [run]
 n_arrivals = 20000
 n_samples = 20000
-warmup = 2000
 renovation_start = 0
 renovation_end = 999
 """

@@ -36,7 +36,6 @@ value = 1.0
 [run]
 n_arrivals = 5000
 n_samples = 5000
-warmup = 500
 renovation_start = 0
 renovation_end = 199
 """
@@ -221,9 +220,10 @@ def test_cli_bad_model_key_exit_2(tmp_path, capsys, ini, old, new, key):
     (MM2D_INI, "[run]", "[run]\ncftp_interior_points = 8", "[run] cftp_interior_points"),
     (MM2D_INI, "[run]", "[run]\ncftp_initial_horizon = 16", "[run] cftp_initial_horizon"),
     (MM2D_INI, "[run]", "[run]\nz_depth = 4096", "[run] z_depth"),
+    (MM2D_INI, "[run]", "[run]\nwarmup = 500", "[run] warmup"),
 ], ids=["misspelled-section", "extra-experiment-key", "key-dist-ignores", "extra-modulation-key",
         "iid-section-under-markov", "state-beyond-chain", "modulation-under-iid",
-        "cftp-interior-points", "cftp-initial-horizon", "z-depth"])
+        "cftp-interior-points", "cftp-initial-horizon", "z-depth", "warmup"])
 def test_cli_key_without_effect_exit_2(tmp_path, capsys, ini, old, new, named):
     assert old in ini
     cfg = _write(tmp_path, "bad.ini", ini.replace(old, new, 1))
@@ -304,6 +304,48 @@ def test_cli_bounds_and_reproducibility(tmp_path):
     payload = json.loads((out1 / "bounds.json").read_text())
     assert payload["all_orderings_ok"] is True
     assert len(payload["replications"]) == 1
+
+
+GROWTH_INI = """
+[experiment]
+servers = 1
+seed = 1
+
+[model]
+kind = deterministic
+
+[tau]
+dist = deterministic
+value = 1.0
+
+[sigma]
+dist = deterministic
+value = 2.0
+
+[patience]
+dist = deterministic
+value = 1.0
+
+[run]
+n_samples = 2000
+"""
+
+
+@pytest.mark.parametrize("text, code, named", [
+    (GROWTH_INI, 1, "cftp did not coalesce"),
+    (MM2D_INI.replace("value = 1.0", "value = inf"), 2, "top supremum is not finite"),
+], ids=["growth-no-coalescence", "infinite-patience"])
+def test_cli_bounds_refuses_without_a_stationary_start(tmp_path, capsys, text, code, named):
+    # GROWTH_INI's workload cycles through 1, 2, 1, ... from one start and
+    # 2, 1, 2, ... from another, so cftp never coalesces (exit 1). Without
+    # impatience the top supremum is infinite and there is no box to couple
+    # from (exit 2).
+    cfg = _write(tmp_path, "cfg.ini", text)
+    out = tmp_path / "out"
+    assert main(["bounds", "--config", cfg, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert not (out / "bounds.json").exists()
 
 
 def test_cli_bounds_replications(tmp_path):

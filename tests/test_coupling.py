@@ -29,6 +29,7 @@ from impatientq.sequences import (
 from support import (
     DRAIN,
     GROWTH,
+    MM_SPEC,
     deep_envelope,
     det_spec,
     iid_spec,
@@ -311,6 +312,34 @@ def test_cftp_lattice_equals_deep_advance_lattice_loop():
     for t in range(1, 301):
         res = cftp(path, 3, at=t)
         assert res.coalesced and res.value == deep[t], (t, res, deep[t])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("model", ["certify", "lattice", "markov"])
+def test_cftp_anchor_rolls_into_every_later_target(monkeypatch, model, seed):
+    # Once the chain closes at ``at``, the stationary workload at every later
+    # index is the exact recursion rolled from that value: the identity that
+    # lets ``metrics.bound_report`` anchor one roll with one ``cftp`` call.
+    # Chunks of 100 steps send the roll through its lanes and seam repairs.
+    from impatientq import loynes
+
+    monkeypatch.setattr(loynes, "CHUNK", 100)
+    spec, servers = {"certify": (CERTIFY, 3), "lattice": (LATTICE, 3), "markov": (MM_SPEC, 2)}[model]
+    path = StationaryPath(dataclasses.replace(spec, seed=seed))
+    at, n = 1, 1000
+    anchor = cftp(path, servers, at=at)
+    assert anchor.coalesced
+    if spec.is_lattice:
+        alpha = spec.alpha
+        start = tuple(round(v / alpha) for v in anchor.value)
+        states = loynes.lattice_states(path, at, n - 1, start)[0].astype(np.float64) * alpha
+    else:
+        states = loynes.exact_states(path, at, n - 1, anchor.value)[0]
+    for i in range(n):
+        res = cftp(path, servers, at=at + i)
+        assert res.coalesced, (at + i, res)
+        assert np.array_equal(np.array(res.value).view(np.int64), states[i].view(np.int64)), \
+            (at + i, res.value, states[i])
 
 
 def test_last_accepted_matches_the_acceptance_comparison():

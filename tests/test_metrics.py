@@ -8,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from impatientq import sequences
+from impatientq import metrics, sequences
+from impatientq.coupling import CftpResult
+from impatientq.errors import ConfigurationError, ContractError
 from impatientq.des import run
 from impatientq.metrics import (
     ProbabilityEstimate,
@@ -165,22 +167,40 @@ def test_package_import_loads_only_stdlib_and_numpy():
 
 
 def test_bound_report_drain_all_zero():
-    rep = bound_report(StationaryPath(DRAIN), 2, 2_000, warmup=100)
+    rep = bound_report(StationaryPath(DRAIN), 2, 2_000)
     for est in (rep.p_lower, rep.p_loss, rep.p_upper, rep.p_z):
         assert est.probability == 0.0 and est.half_width == 0.0
     assert rep.ordering_ok
 
 
-def test_bound_report_growth_upper_one():
-    rep = bound_report(StationaryPath(GROWTH), 1, 2_000, warmup=100)
-    assert rep.p_upper.probability == 1.0
-    assert rep.p_z.probability == 1.0
-    assert rep.ordering_ok
+def test_bound_report_growth_refuses():
+    # Gaps of 1, service 2, patience 1: from empty the workload runs
+    # 0, 1, 2, 1, 2, ... and from 2 (the top supremum) it runs 2, 1, 2, ...
+    # The two orbits never meet, so the path has no unique stationary state,
+    # cftp does not coalesce, and the report refuses instead of rolling from
+    # an arbitrary start.
+    with pytest.raises(ContractError, match="cftp did not coalesce at index 0"):
+        bound_report(StationaryPath(GROWTH), 1, 2_000)
+
+
+def test_bound_report_refuses_an_infinite_top_supremum():
+    spec = iid_spec(3, Exponential(1.0), Exponential(2.0), Deterministic(math.inf))
+    with pytest.raises(ConfigurationError, match="top supremum is not finite"):
+        bound_report(StationaryPath(spec), 2, 2_000)
+
+
+def test_bound_report_refuses_without_coalescence(monkeypatch):
+    def stuck(path, servers, at=0, max_horizon=1 << 20):
+        return CftpResult(None, False, 64, 100, 1e-13)
+
+    monkeypatch.setattr(metrics, "cftp", stuck)
+    with pytest.raises(ContractError, match="cftp did not coalesce at index 5 by horizon 64"):
+        bound_report(StationaryPath(DRAIN), 2, 2_000, at=5)
 
 
 def test_bound_report_ordering_mm2d():
     spec = iid_spec(23, Exponential(1.0), Exponential(0.6), Deterministic(1.0))
-    rep = bound_report(StationaryPath(spec), 2, 30_000, warmup=3_000)
+    rep = bound_report(StationaryPath(spec), 2, 30_000)
     assert rep.lower_stabilized and rep.upper_stabilized and rep.z_stabilized
     assert rep.ordering_ok
     # the sandwich is strict for this load
@@ -192,7 +212,7 @@ def test_bound_report_ordering_mm2d():
 
 def test_bound_report_samples():
     spec = iid_spec(23, Exponential(1.0), Exponential(0.6), Deterministic(1.0))
-    rep = bound_report(StationaryPath(spec), 2, 1_000, warmup=500, keep_samples=True)
+    rep = bound_report(StationaryPath(spec), 2, 1_000, keep_samples=True)
     samples = rep.samples
     assert samples.shape == (1_000, 6)
     # pathwise ordering of the sampled processes
@@ -236,7 +256,7 @@ def test_top_supremum_roll_matches_per_index_bound():
 
 def test_bound_report_single_server():
     spec = iid_spec(53, Exponential(1.0), Exponential(0.8), Deterministic(0.5))
-    rep = bound_report(StationaryPath(spec), 1, 20_000, warmup=2_000)
+    rep = bound_report(StationaryPath(spec), 1, 20_000)
     assert rep.ordering_ok
     assert rep.p_loss.probability > 0.0
 
@@ -245,8 +265,7 @@ def test_bound_report_markov_modulated():
     from support import random_mm_spec
     import numpy as np
 
-    rep = bound_report(StationaryPath(random_mm_spec(np.random.default_rng(2))),
-                       2, 20_000, warmup=2_000)
+    rep = bound_report(StationaryPath(random_mm_spec(np.random.default_rng(2))), 2, 20_000)
     assert rep.ordering_ok
 
 
@@ -260,10 +279,11 @@ def test_bound_report_generates_its_drivers_once(monkeypatch):
 
     monkeypatch.setattr(sequences, "stream_uniforms", counting)
     rep = bound_report(StationaryPath(MM_SPEC), 2, 20_000, keep_samples=True)
-    # The page cover of the exact roll's window [at - warmup, at + n) serves
-    # every other read.
-    assert generated == [(-12_288, 32_768)]
+    # The page cover of the certified supremum's read [at - depth, at + n)
+    # serves every other read.
+    assert generated == [(-4_096, 24_576)]
     # sha256 of the samples as computed before driver windows were memoized,
-    # when the same report generated its tau uniforms 11 times.
+    # when the same report generated its tau uniforms 11 times and started
+    # the exact workload from empty 10,000 indices before the window.
     assert hashlib.sha256(rep.samples.tobytes()).hexdigest() == (
         "08da914a6d9cbf735b807ff8ce223fbb539d541cec1537c9f806b5ab005a81cc")

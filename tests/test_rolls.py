@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from impatientq import loynes, metrics
-from impatientq.kernel import advance, advance_lattice
+from impatientq.kernel import advance, advance_lattice, advance_lower, advance_upper
 from impatientq.sequences import (
     Deterministic,
     DriverSample,
@@ -53,6 +53,7 @@ def _rolls(path, at, steps, u0):
         "accepted": accepted,
         "upper": loynes.envelope_states(path, at, steps, u0, "upper"),
         "lower": loynes.envelope_states(path, at, steps, u0, "lower"),
+        "sandwich": loynes.sandwich_states(path, at, steps, u0, u0, u0),
         "delay": loynes.top_supremum_series(path, at, steps, 64, len(u0)),
     }
 
@@ -154,12 +155,52 @@ def test_small_chunks_match_oracle(monkeypatch):
 def test_bound_report_matches_scalar_rolls(monkeypatch):
     for spec, servers in ((SANDWICH, 2), (CERTIFY, 3)):
         path = StationaryPath(spec)
-        lanes = metrics.bound_report(path, servers, 4000, warmup=1000, keep_samples=True)
+        lanes = metrics.bound_report(path, servers, 4000, keep_samples=True)
         with monkeypatch.context() as m:
             m.setattr(loynes, "CHUNK", 1 << 40)
-            scalar = metrics.bound_report(path, servers, 4000, warmup=1000, keep_samples=True)
+            scalar = metrics.bound_report(path, servers, 4000, keep_samples=True)
         assert lanes == scalar
         assert _identical(lanes.samples, scalar.samples)
+
+
+# ---------------------------------------------------------------------------
+# The stacked exact, lower and upper roll against three scalar rolls
+# ---------------------------------------------------------------------------
+
+
+def _kernel_roll(u0, one_step, blk):
+    """The scalar reference roll under one of the kernel's public maps."""
+    return loynes._scalar_roll(u0, lambda u, *d: one_step(u, DriverSample(*d)), blk)
+
+
+def _assert_stacked_matches_scalar_rolls(path, at, steps, starts):
+    blk = path.block(at, steps)
+    stacked = loynes.sandwich_states(path, at, steps, *starts)
+    assert stacked.shape == (3, steps + 1, len(starts[0]))
+    references = (_kernel_roll(starts[0], lambda u, d: advance(u, d).next, blk),
+                  _kernel_roll(starts[1], advance_lower, blk),
+                  _kernel_roll(starts[2], advance_upper, blk))
+    for name, rows, reference in zip(("exact", "lower", "upper"), stacked, references):
+        assert _identical(rows, reference), (name, steps, starts)
+
+
+def _ascending(rng, servers, scale):
+    return tuple(np.sort(rng.uniform(0.0, scale, servers)).tolist())
+
+
+@pytest.mark.parametrize("servers", [1, 2, 4])
+def test_stacked_roll_matches_three_scalar_rolls(monkeypatch, servers):
+    # Chunks of 8 steps put a seam in nearly every transient, and each
+    # recursion starts elsewhere, so the three repair different seams.
+    monkeypatch.setattr(loynes, "CHUNK", 8)
+    rng = np.random.default_rng(3000 + servers)
+    specs = (random_iid_spec(rng), random_mm_spec(rng), random_lattice_spec(rng),
+             LOSS, LATTICE_TIES)
+    for spec in specs:
+        path = StationaryPath(spec)
+        for steps in (7, 16, 700):
+            starts = ((0.0,) * servers, _ascending(rng, servers, 3.0), _ascending(rng, servers, 30.0))
+            _assert_stacked_matches_scalar_rolls(path, int(rng.integers(-500, 500)), steps, starts)
 
 
 # ---------------------------------------------------------------------------
