@@ -9,7 +9,6 @@ Schema (INI syntax, parsed with :mod:`configparser`)::
     [model]
     kind = iid             ; iid | deterministic | lattice | markov_modulated
     alpha = 1.0            ; lattice kind only: the lattice step
-    burn_in = 10000        ; markov_modulated only: chain warm-up length
 
     [tau]                  ; inter-arrival law (iid/deterministic/lattice kinds)
     dist = exponential
@@ -50,8 +49,8 @@ model kind does not use, ``[tau]`` under ``markov_modulated``, a
 ``stateN`` section beyond the chain's size) is refused, naming the section
 and key. Backward reads take the depth their certificates need, so no key
 sets a depth; a ``z_depth`` key is refused like any other unread key. Nor
-does a key set where ``bounds`` starts the workload: it starts from its
-coupling-from-the-past sample.
+does a key set where ``bounds`` starts the workload or a warm-up for the
+modulating chain: both are read by coupling from the past.
 """
 
 from __future__ import annotations
@@ -152,9 +151,7 @@ def parse_config(text: str, seed_override: Optional[int] = None,
 
     kind = _get(cp, "model", "kind", "iid").strip()
     if kind == "markov_modulated":
-        spec = SequenceSpec(model=kind, seed=seed,
-                            burn_in=_number(cp, "model", "burn_in", int, 10_000),
-                            modulation=_parse_modulation(cp))
+        spec = SequenceSpec(model=kind, seed=seed, modulation=_parse_modulation(cp))
     else:
         spec = SequenceSpec(
             model=kind,

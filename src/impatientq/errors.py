@@ -14,5 +14,11 @@ class ResourceCapError(RuntimeError):
 
     def __init__(self, message: str, cap: int, requested: int):
         super().__init__(f"{message} (cap={cap}, requested={requested})")
+        self.message = message
         self.cap = cap
         self.requested = requested
+
+    def __reduce__(self):
+        # ``args`` holds only the formatted text, so a copy (a pickle sent
+        # back from a worker process) is rebuilt from the parts.
+        return type(self), (self.message, self.cap, self.requested)

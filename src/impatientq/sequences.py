@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ResourceCapError
 
 _MASK64 = (1 << 64) - 1
 _PHI64 = 0x9E3779B97F4A7C15
@@ -37,6 +37,10 @@ STREAM_PATIENCE = 0xA3
 STREAM_MODULATION = 0xA4
 
 _CHAIN_BLOCK = 4096
+# A chain block looks back from _BACK_START maps before its start, doubling
+# until the maps coalesce, and refuses past _BACK_CAP maps.
+_BACK_START = 256
+_BACK_CAP = 1 << 20
 
 
 def _mix64_int(x: int) -> int:
@@ -270,16 +274,6 @@ class ModulationSpec:
     def n_states(self) -> int:
         return len(self.transition)
 
-    def stationary(self) -> np.ndarray:
-        p = np.asarray(self.transition, dtype=np.float64)
-        m = p.shape[0]
-        a = np.vstack([p.T - np.eye(m), np.ones((1, m))])
-        b = np.zeros(m + 1)
-        b[-1] = 1.0
-        pi, *_ = np.linalg.lstsq(a, b, rcond=None)
-        pi = np.clip(pi, 0.0, None)
-        return pi / pi.sum()
-
 
 def _strongly_connected(transition: Sequence[Sequence[float]]) -> bool:
     m = len(transition)
@@ -309,8 +303,9 @@ class SequenceSpec:
     * ``deterministic``: constant triple (a degenerate iid case).
     * ``lattice``: iid with tau and sigma supported on multiples of ``alpha``.
     * ``markov_modulated``: a hidden irreducible chain picks per-state
-      marginals; the chain starts from its stationary law so the sequence
-      is stationary and ergodic.
+      marginals; each chain state is read by coupling from the past, so the
+      sequence is exactly stationary and ergodic (see
+      ``StationaryPath._chain_block``).
     """
 
     model: str
@@ -320,7 +315,6 @@ class SequenceSpec:
     patience: Optional[Distribution] = None
     alpha: Optional[float] = None
     modulation: Optional[ModulationSpec] = None
-    burn_in: int = 10_000
 
     def __post_init__(self):
         if self.model not in ("iid", "deterministic", "lattice", "markov_modulated"):
@@ -328,8 +322,6 @@ class SequenceSpec:
         if self.model == "markov_modulated":
             if self.modulation is None:
                 raise ConfigurationError("markov_modulated model requires a modulation spec")
-            if self.burn_in < 1:
-                raise ConfigurationError("burn_in must be >= 1")
             for tau_d, sigma_d, pat_d in self.modulation.states:
                 _check_roles(tau_d, sigma_d, pat_d)
             return
@@ -511,57 +503,60 @@ class StationaryPath:
     def _chain_block(self, b: int) -> np.ndarray:
         """Chain states for indices ``[b*BLOCK, (b+1)*BLOCK)``.
 
-        Each block is rebuilt from a stationary draw ``burn_in`` steps
-        before its start, so every index has the stationary marginal and
-        the construction stays a pure function of ``(spec, index)``. The
-        burn-in makes disagreement across block seams (two anchors driving
-        the same index) vanishingly unlikely; this approximates a genuinely
-        two-sided stationary chain.
-
         The chain is a grand coupling: the uniform at each index fixes a
-        jump map ``jump[i]`` on ``{0..m-1}``, the state entered from every
-        state (looked up per cell of the transition rows, see
-        ``_chain_tables``), and the chain applies these maps in turn.
-        Composition of maps is associative, so the states come from composed
-        maps instead of a step-by-step loop: the block's first state is
-        ``jump[burn_in-1] o ... o jump[0]`` applied to the stationary draw
-        (a pairwise tree reduction, ``_compose``), and the rest are the
-        prefix compositions of the block's own maps read at that state
-        (``_prefix_compose``). Only integer gathers run, and each state is
-        the image of the same start under the same maps, so every state
-        equals the one the chain stepped index by index reaches, bit for
-        bit. The cost is O(m * burn_in) for the reduction plus
-        O(m * BLOCK * log BLOCK) for the scan, in about 12 + log2(burn_in)
-        numpy passes instead of ``burn_in + BLOCK`` interpreted steps; the
-        log factor makes the scan the larger share as m grows.
+        jump map on ``{0..m-1}``, the state entered from every state (looked
+        up per cell of the transition rows, see ``_chain_tables``), and the
+        chain applies these maps in turn. The state at an index is the
+        constant value of the backward composition of the maps ending there
+        (coupling from the past, Propp & Wilson 1996): once some composition
+        is constant every longer one is the same constant, so each state is
+        exactly stationary, a pure function of ``(spec, index)``, and two
+        blocks agree at their seam by construction.
+
+        The block looks back ``back`` maps from its start, ``_BACK_START``
+        at first and doubling, and runs one prefix scan
+        (``_prefix_compose``) over the maps at indices
+        ``b*BLOCK - back + 1 .. (b+1)*BLOCK - 1``. When row ``back - 1``, the
+        composition ending at the block start, is constant, the block is
+        column 0 of that row and of the rows after it. Only integer
+        gathers run, so every state equals the one the chain stepped index
+        by index from the coalesced state reaches, bit for bit. Each try
+        costs O(m * (back + BLOCK) * log(back + BLOCK)) in about
+        log2(back + BLOCK) numpy passes. A chain whose maps do not coalesce
+        within ``_BACK_CAP`` maps (a periodic one never does) is refused
+        with ``ResourceCapError``.
         """
         cached = self._chain_cache.get((self.spec, b))
         if cached is not None:
             return cached
-        edges, cell_maps, pi_cum = _chain_tables(self.spec.modulation)
-        burn_in = self.spec.burn_in
-        u = stream_uniforms(self.spec.seed, STREAM_MODULATION, b * _CHAIN_BLOCK - burn_in,
-                            burn_in + _CHAIN_BLOCK)
-        s0 = min(int(np.searchsorted(pi_cum, u[0], side="right")), len(pi_cum) - 1)
-        # jump[i] is the map taken at index b*BLOCK - burn_in + 1 + i.
-        jump = np.take(cell_maps, np.searchsorted(edges, u[1:], side="right"), axis=0)
-        block = np.empty(_CHAIN_BLOCK, dtype=np.int64)
-        block[0] = _compose(jump[:burn_in])[s0]
-        block[1:] = _prefix_compose(jump[burn_in:])[:, block[0]]
-        self._chain_cache[(self.spec, b)] = block
-        return block
+        edges, cell_maps = _chain_tables(self.spec.modulation)
+        back = _BACK_START
+        while back <= _BACK_CAP:
+            u = stream_uniforms(self.spec.seed, STREAM_MODULATION, b * _CHAIN_BLOCK - back + 1,
+                                back + _CHAIN_BLOCK - 1)
+            prefix = _prefix_compose(np.take(cell_maps, np.searchsorted(edges, u, side="right"),
+                                             axis=0))
+            if (prefix[back - 1] == prefix[back - 1, 0]).all():
+                block = prefix[back - 1 :, 0].copy()
+                self._chain_cache[(self.spec, b)] = block
+                return block
+            back *= 2
+        raise ResourceCapError(
+            f"modulating chain {self.spec.modulation.transition} did not coalesce before "
+            f"chain block {b} (indices {b * _CHAIN_BLOCK}..{(b + 1) * _CHAIN_BLOCK - 1})",
+            _BACK_CAP, back)
 
 
 @functools.lru_cache(maxsize=64)
-def _chain_tables(mod: ModulationSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _chain_tables(mod: ModulationSpec) -> tuple[np.ndarray, np.ndarray]:
     """Per-spec constants of the modulating chain.
 
     Returns the sorted distinct entries ``edges`` of the cumulative
-    transition rows, the jump map ``cell_maps[k]`` taken by a uniform in
-    cell ``k`` (``[edges[k-1], edges[k])``, with cell 0 below ``edges[0]``),
-    and the cumulative stationary law. A row's inverse-CDF search compares
-    the uniform only with that row's entries, none of which lies inside a
-    cell, so every uniform in a cell takes the cell's map exactly.
+    transition rows and the jump map ``cell_maps[k]`` taken by a uniform in
+    cell ``k`` (``[edges[k-1], edges[k])``, with cell 0 below ``edges[0]``).
+    A row's inverse-CDF search compares the uniform only with that row's
+    entries, none of which lies inside a cell, so every uniform in a cell
+    takes the cell's map exactly.
     """
     cum = np.cumsum(np.asarray(mod.transition, dtype=np.float64), axis=1)
     cum[:, -1] = 1.0
@@ -570,31 +565,9 @@ def _chain_tables(mod: ModulationSpec) -> tuple[np.ndarray, np.ndarray, np.ndarr
     cell_maps = np.zeros((len(edges) + 1, m), dtype=np.int64)
     for s in range(m):
         cell_maps[1:, s] = np.minimum(np.searchsorted(cum[s], edges, side="right"), m - 1)
-    pi_cum = np.cumsum(mod.stationary())
-    pi_cum[-1] = 1.0
-    for table in (edges, cell_maps, pi_cum):
+    for table in (edges, cell_maps):
         table.setflags(write=False)
-    return edges, cell_maps, pi_cum
-
-
-def _compose(maps: np.ndarray) -> np.ndarray:
-    """The map ``maps[n-1] o ... o maps[0]`` of an ``(n, m)`` stack of maps
-    on ``{0..m-1}`` (``n >= 1``), by pairwise tree reduction.
-
-    Each pass composes neighbours ``(2k, 2k+1)`` with one flat gather,
-    ``flat[first + row offset of the second]``; an odd map left over is
-    folded into the last pair. About ``n*m`` gathers in ``log2 n`` passes.
-    """
-    n, m = maps.shape
-    # Row offset of the second map of pair k in the flattened stack: (2k+1)*m.
-    offsets = np.repeat(np.arange(m, n * m, 2 * m), m).reshape(-1, m)
-    while len(maps) > 1:
-        half = len(maps) // 2
-        pairs = np.take(maps.ravel(), maps[0 : 2 * half : 2] + offsets[:half])
-        if len(maps) % 2:
-            pairs[-1] = maps[-1][pairs[-1]]
-        maps = pairs
-    return maps[0]
+    return edges, cell_maps
 
 
 def _prefix_compose(maps: np.ndarray) -> np.ndarray:

@@ -43,11 +43,10 @@ def mm2_patience_spec(seed, service_rate=0.6, patience=1.0):
 DRAIN = det_spec(1, 2.0, 1.0, 0.5)        # everything drains each step
 GROWTH = det_spec(1, 1.0, 2.0, 1.0)       # upper fixed point is positive
 
-# A two-state Markov-modulated path with a short burn-in.
+# A two-state Markov-modulated path.
 MM_SPEC = SequenceSpec(
     model="markov_modulated",
     seed=7,
-    burn_in=2000,
     modulation=ModulationSpec(
         transition=((0.9, 0.1), (0.2, 0.8)),
         states=(
@@ -98,7 +97,6 @@ def random_mm_spec(rng: np.random.Generator, n_states: int = 2) -> SequenceSpec:
         model="markov_modulated",
         seed=int(rng.integers(2**62)),
         modulation=ModulationSpec(transition=tuple(rows), states=states),
-        burn_in=2000,
     )
 
 
@@ -128,28 +126,40 @@ def path_of(spec) -> StationaryPath:
     return StationaryPath(spec)
 
 
-def sequential_chain_block(spec: SequenceSpec, b: int) -> np.ndarray:
-    """Reference for ``StationaryPath._chain_block``: the modulating chain
-    stepped one index at a time, from a stationary draw ``burn_in`` steps
-    before block ``b``, through the same per-index jump tables."""
+def sequential_chain_block(spec: SequenceSpec, b: int, max_depth: int = 1 << 20):
+    """Reference for ``StationaryPath._chain_block``: every state of the
+    modulating chain stepped forward one index at a time, through each
+    row's own inverse-CDF search, from depths 1, 2, 4, ... before block
+    ``b`` until all of them meet at its start; then that state stepped on
+    through the block. ``None`` when they have not met from ``max_depth``."""
     mod = spec.modulation
     m = mod.n_states()
-    steps = spec.burn_in + _CHAIN_BLOCK
-    u = stream_uniforms(spec.seed, STREAM_MODULATION, b * _CHAIN_BLOCK - spec.burn_in, steps)
     cum = np.cumsum(np.asarray(mod.transition, dtype=np.float64), axis=1)
     cum[:, -1] = 1.0
-    jump = np.empty((steps, m), dtype=np.int64)
-    for s in range(m):
-        jump[:, s] = np.minimum(np.searchsorted(cum[s], u, side="right"), m - 1)
-    pi_cum = np.cumsum(mod.stationary())
-    pi_cum[-1] = 1.0
-    s = int(min(np.searchsorted(pi_cum, u[0], side="right"), m - 1))
-    states = np.empty(steps, dtype=np.int64)
-    states[0] = s
-    for i in range(1, steps):
-        s = jump[i, s]
-        states[i] = s
-    return states[spec.burn_in:]
+    start = b * _CHAIN_BLOCK
+
+    def jumps(lo, count):
+        """Row i: the state entered from every state at index lo + i."""
+        u = stream_uniforms(spec.seed, STREAM_MODULATION, lo, count)
+        return np.stack([np.minimum(np.searchsorted(cum[s], u, side="right"), m - 1)
+                         for s in range(m)], axis=1).tolist()
+
+    depth = 1
+    while True:
+        states = list(range(m))
+        for row in jumps(start - depth + 1, depth):
+            states = [row[s] for s in states]
+        if len(set(states)) == 1:
+            break
+        depth *= 2
+        if depth > max_depth:
+            return None
+    s = states[0]
+    out = [s]
+    for row in jumps(start + 1, _CHAIN_BLOCK - 1):
+        s = row[s]
+        out.append(s)
+    return np.array(out, dtype=np.int64)
 
 
 def ordered_box_reference(caps) -> list[tuple[int, ...]]:

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import pickle
 import re
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 from impatientq import cli, coupling
 from impatientq.cli import main, replication_seed
 from impatientq.config import load_config, parse_config
-from impatientq.errors import ConfigurationError
+from impatientq.errors import ConfigurationError, ResourceCapError
 from impatientq.sequences import Deterministic, Exponential, LatticeDiscrete, Uniform
 
 MM2D_INI = """
@@ -78,7 +79,6 @@ seed = 11
 
 [model]
 kind = markov_modulated
-burn_in = 2000
 
 [modulation]
 transition = 0.9 0.1 / 0.2 0.8
@@ -133,7 +133,6 @@ def test_parse_config_lattice_and_mm():
     mm = parse_config(MM_INI)
     assert mm.spec.model == "markov_modulated"
     assert mm.spec.modulation.n_states() == 2
-    assert mm.spec.burn_in == 2000
 
 
 def test_parse_config_seed_override():
@@ -192,13 +191,10 @@ def test_cli_bad_config_exit_2(tmp_path):
 
 
 @pytest.mark.parametrize("ini, old, new, key", [
-    (MM_INI, "burn_in = 2000", "burn_in = 1e4", "burn_in"),
     (LATTICE_INI, "alpha = 1.0\n\n[tau]", "alpha = x\n\n[tau]", "alpha"),
     (MM_INI, "transition = 0.9 0.1", "transition = 0.9 x", "transition"),
     (MM2D_INI, "kind = iid", "kind = iid\nalpha = 1.0", "alpha"),
-    (MM2D_INI, "kind = iid", "kind = iid\nburn_in = 500", "burn_in"),
-], ids=["burn_in-not-int", "alpha-not-float", "transition-not-float", "alpha-on-iid",
-        "burn_in-on-iid"])
+], ids=["alpha-not-float", "transition-not-float", "alpha-on-iid"])
 def test_cli_bad_model_key_exit_2(tmp_path, capsys, ini, old, new, key):
     assert old in ini
     cfg = _write(tmp_path, "bad.ini", ini.replace(old, new, 1))
@@ -221,9 +217,13 @@ def test_cli_bad_model_key_exit_2(tmp_path, capsys, ini, old, new, key):
     (MM2D_INI, "[run]", "[run]\ncftp_initial_horizon = 16", "[run] cftp_initial_horizon"),
     (MM2D_INI, "[run]", "[run]\nz_depth = 4096", "[run] z_depth"),
     (MM2D_INI, "[run]", "[run]\nwarmup = 500", "[run] warmup"),
+    (MM_INI, "kind = markov_modulated", "kind = markov_modulated\nburn_in = 2000",
+     "[model] burn_in"),
+    (MM2D_INI, "kind = iid", "kind = iid\nburn_in = 500", "[model] burn_in"),
 ], ids=["misspelled-section", "extra-experiment-key", "key-dist-ignores", "extra-modulation-key",
         "iid-section-under-markov", "state-beyond-chain", "modulation-under-iid",
-        "cftp-interior-points", "cftp-initial-horizon", "z-depth", "warmup"])
+        "cftp-interior-points", "cftp-initial-horizon", "z-depth", "warmup", "burn_in-on-markov",
+        "burn_in-on-iid"])
 def test_cli_key_without_effect_exit_2(tmp_path, capsys, ini, old, new, named):
     assert old in ini
     cfg = _write(tmp_path, "bad.ini", ini.replace(old, new, 1))
@@ -252,6 +252,30 @@ def test_cli_batches_below_two_exit_2(tmp_path, capsys, batches):
     err = capsys.readouterr().err
     assert "run.batches" in err and "Traceback" not in err
     assert not (out / "simulate.json").exists()
+
+
+def test_resource_cap_error_survives_pickling():
+    # A bounds worker process sends its exception back pickled.
+    err = pickle.loads(pickle.dumps(ResourceCapError("x", 1, 2)))
+    assert type(err) is ResourceCapError
+    assert (str(err), err.cap, err.requested) == ("x (cap=1, requested=2)", 1, 2)
+
+
+PERIODIC_INI = MM_INI.replace("transition = 0.9 0.1 / 0.2 0.8", "transition = 0 1 / 1 0")
+
+
+@pytest.mark.parametrize("command, threads", [("simulate", "1"), ("bounds", "1"), ("bounds", "2")])
+def test_cli_periodic_chain_exit_3(tmp_path, capsys, command, threads):
+    # The states of a periodic chain never meet, so no chain block can be
+    # read by coupling from the past; a worker process reports it as the
+    # serial run does.
+    text = PERIODIC_INI.replace("n_arrivals = 3000", "n_arrivals = 3000\nreplications = 2")
+    cfg = _write(tmp_path, "cfg.ini", text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out"),
+                 "--threads", threads]) == 3
+    err = capsys.readouterr().err
+    assert "modulating chain ((0.0, 1.0), (1.0, 0.0)) did not coalesce" in err
+    assert "Traceback" not in err
 
 
 class _RecordingPool:

@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from impatientq.errors import ConfigurationError
+from impatientq import sequences
+from impatientq.errors import ConfigurationError, ResourceCapError
 from impatientq.sequences import (
     Deterministic,
     Exponential,
@@ -18,7 +20,6 @@ from impatientq.sequences import (
     Uniform,
     _CHAIN_BLOCK,
     _chain_tables,
-    _compose,
     _prefix_compose,
     stream_uniforms,
 )
@@ -120,7 +121,9 @@ def test_markov_modulated_empirical_stationarity():
 
 
 def test_markov_modulated_state_marginal():
-    pi = MM_SPEC.modulation.stationary()
+    # pi P = pi for a two-state chain: pi is proportional to (p10, p01)
+    p = MM_SPEC.modulation.transition
+    pi = np.array([p[1][0], p[0][1]]) / (p[0][1] + p[1][0])
     states = StationaryPath(MM_SPEC)._states(0, 50_000)
     freq = np.bincount(states, minlength=2) / states.size
     assert np.abs(freq - pi).max() < 0.02
@@ -133,10 +136,10 @@ def test_markov_modulated_golden_states():
     assert [int(np.count_nonzero(path._chain_block(b) == 1)) for b in (-3, 0, 5)] == [1404, 1357, 1381]
 
 
-def _chain_spec(transition, burn_in):
+def _chain_spec(transition):
     states = tuple((Exponential(1.0 + s), Exponential(1.0), Uniform(0.0, 1.0 + s))
                    for s in range(len(transition)))
-    return SequenceSpec(model="markov_modulated", seed=29, burn_in=burn_in,
+    return SequenceSpec(model="markov_modulated", seed=29,
                         modulation=ModulationSpec(transition=transition, states=states))
 
 
@@ -152,14 +155,74 @@ CHAINS = {
     "overshoot": ((0.5, 0.5 + 5e-10, 0.0), (0.0, 0.3, 0.7), (0.6, 0.0, 0.4)),
 }
 
+_reference_chain_block = functools.lru_cache(maxsize=None)(sequential_chain_block)
 
-@pytest.mark.parametrize("burn_in", [1, 2, 3, 4095, 4096, 4097, 10_000])
+
+@pytest.mark.parametrize("start", [1, 2, 3, 4095, 4096, 4097, 10_000])
 @pytest.mark.parametrize("chain", sorted(CHAINS))
-def test_chain_block_matches_sequential_chain(chain, burn_in):
-    spec = _chain_spec(CHAINS[chain], burn_in)
+def test_chain_block_matches_sequential_chain(monkeypatch, chain, start):
+    # Any look-back length the search starts from reads the same block; a
+    # chain whose states never meet (periodic) is refused by both. The cap
+    # keeps the stepped reference short there and is far above the ~5,000
+    # maps near_reducible needs.
+    cap = 1 << 16
+    monkeypatch.setattr(sequences, "_BACK_START", start)
+    monkeypatch.setattr(sequences, "_BACK_CAP", cap)
+    spec = _chain_spec(CHAINS[chain])
     path = StationaryPath(spec)
     for b in (-300, -1, 0, 7, 1000):
-        assert np.array_equal(path._chain_block(b), sequential_chain_block(spec, b))
+        want = _reference_chain_block(spec, b, cap)
+        if want is None:
+            with pytest.raises(ResourceCapError):
+                path._chain_block(b)
+        else:
+            assert np.array_equal(path._chain_block(b), want), b
+    assert (chain == "periodic") == (want is None)
+
+
+SEAM_SPECS = {name: _chain_spec(t) for name, t in CHAINS.items() if name != "periodic"}
+_SEAM_RNG = np.random.default_rng(4242)
+SEAM_SPECS.update({f"random_mm{k}": random_mm_spec(_SEAM_RNG, n_states=2 + k % 3)
+                   for k in range(20)})
+
+
+@pytest.mark.parametrize("name", sorted(SEAM_SPECS))
+def test_chain_seams_take_the_jump_of_their_uniform(name):
+    # The state at each block start is the state one index earlier moved by
+    # the jump its uniform selects: the blocks form one chain.
+    spec = SEAM_SPECS[name]
+    mod = spec.modulation
+    m = mod.n_states()
+    cum = np.cumsum(np.asarray(mod.transition, dtype=np.float64), axis=1)
+    cum[:, -1] = 1.0
+    lo, n_blocks = -20, 40
+    states = StationaryPath(spec)._states(lo * _CHAIN_BLOCK, n_blocks * _CHAIN_BLOCK)
+    for k in range(1, n_blocks):
+        seam = (lo + k) * _CHAIN_BLOCK
+        u = stream_uniforms(spec.seed, sequences.STREAM_MODULATION, seam, 1)
+        prev = states[k * _CHAIN_BLOCK - 1]
+        assert states[k * _CHAIN_BLOCK] == min(int(np.searchsorted(cum[prev], u[0], side="right")),
+                                               m - 1), seam
+
+
+def test_periodic_chain_refused():
+    spec = _chain_spec(CHAINS["periodic"])
+    with pytest.raises(ResourceCapError) as exc:
+        StationaryPath(spec).block(0, 10)
+    assert "((0.0, 1.0), (1.0, 0.0))" in str(exc.value) and "chain block 0" in str(exc.value)
+    assert exc.value.cap == sequences._BACK_CAP
+
+
+def test_chain_block_refused_past_the_cap(monkeypatch):
+    # near_reducible coalesces after about 5,000 maps; a cap of 512 refuses.
+    monkeypatch.setattr(sequences, "_BACK_START", 256)
+    monkeypatch.setattr(sequences, "_BACK_CAP", 512)
+    path = StationaryPath(_chain_spec(CHAINS["near_reducible"]))
+    with pytest.raises(ResourceCapError) as exc:
+        for b in range(10):
+            path._chain_block(b)
+    assert (exc.value.cap, exc.value.requested) == (512, 1024)
+    assert "did not coalesce" in str(exc.value)
 
 
 @pytest.mark.parametrize("chain", sorted(CHAINS))
@@ -167,8 +230,8 @@ def test_chain_cell_maps_match_row_search(chain):
     # The per-cell jump maps must equal each row's own inverse-CDF search,
     # also for uniforms sitting exactly on, or one ulp either side of, a
     # breakpoint.
-    mod = _chain_spec(CHAINS[chain], 1).modulation
-    edges, cell_maps, _ = _chain_tables(mod)
+    mod = _chain_spec(CHAINS[chain]).modulation
+    edges, cell_maps = _chain_tables(mod)
     near = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
     u = np.concatenate([near[(near > 0.0) & (near < 1.0)], np.random.default_rng(3).random(1000)])
     cum = np.cumsum(np.asarray(mod.transition), axis=1)
@@ -325,10 +388,8 @@ def _sequential_prefix(maps):
 def test_composition_helpers_match_sequential_loop(n, m):
     rng = np.random.default_rng(1000 * n + m)
     maps = rng.integers(0, m, size=(n, m))
-    expected = _sequential_prefix(maps)
-    assert np.array_equal(_compose(maps), expected[-1])
-    assert np.array_equal(_prefix_compose(maps), expected)
-    assert np.array_equal(_compose(maps[::-1]), _sequential_prefix(maps[::-1])[-1])  # strided input
+    assert np.array_equal(_prefix_compose(maps), _sequential_prefix(maps))
+    assert np.array_equal(_prefix_compose(maps[::-1]), _sequential_prefix(maps[::-1]))  # strided input
 
 
 def test_iid_samples_uncorrelated_across_indices():
