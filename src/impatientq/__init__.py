@@ -13,7 +13,7 @@ from .sequences import (
     StationaryPath,
     Uniform,
 )
-from .kernel import StepOutcome, advance, advance_direct, advance_lower, advance_upper, ordered
+from .kernel import StepOutcome, advance, advance_lower, advance_upper, ordered
 from .loynes import LoynesEstimate, SupremumBound, stationary_estimate, supremum_bound
 from .coupling import (
     CftpResult,
@@ -53,7 +53,6 @@ __all__ = [
     "Uniform",
     "StepOutcome",
     "advance",
-    "advance_direct",
     "advance_lower",
     "advance_upper",
     "ordered",

@@ -129,7 +129,7 @@ def _bounds_worker(payload) -> dict:
     spec = dataclasses.replace(spec, seed=replication_seed(spec.seed, r))
     rep = metrics.bound_report(
         StationaryPath(spec), servers, run.n_samples, n_batches=run.batches,
-        keep_samples=(r == 0),
+        keep_samples=(r == 0), max_horizon=run.cftp_max_horizon,
     )
     out = {
         "replication": r,

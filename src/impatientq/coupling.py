@@ -13,7 +13,10 @@ in the box ``[0, Z]`` below the certified top supremum vector
 that box holds the image of every state in it. When it closes to a point
 at the target, that point is the stationary workload, bit for bit.
 
-For lattice-valued service and gaps the whole ordered box below the upper
+Every exact step here, on a lattice path too, is the one exact map: there
+it runs on int64 multiples of ``alpha`` with each patience's integer
+deadline (``kernel.accepted_multiples``) in place of the patience. For
+lattice-valued service and gaps the whole ordered box below the upper
 estimate is finite; propagating it forward with exact integer arithmetic
 yields a shrinking nested family of reachable sets whose collapse to a
 single point certifies a unique stationary state on the lattice. All
@@ -31,9 +34,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, ContractError, ResourceCapError
-from .kernel import _merge_shift, advance_batch, advance_lattice_batch
+from .kernel import _merge_shift, advance_batch
 from .loynes import (
     LoynesEstimate,
+    _exact_drivers,
     _renovation_mask,
     certified_supremum,
     envelope_states,
@@ -96,17 +100,11 @@ def detect_renovation(path: StationaryPath, servers: int,
 
 def _run_set_forward(path: StationaryPath, start: int, steps: int,
                      points: np.ndarray) -> np.ndarray:
-    """Exact map applied to every row of ``points`` over ``steps`` indices."""
-    if path.spec.is_lattice:
-        blk = path.lattice_block(start, steps)
-        alpha = path.spec.alpha
-        for i in range(steps):
-            points = advance_lattice_batch(points, blk.tau[i], blk.sigma[i],
-                                           blk.patience[i], alpha)
-        return points
-    blk = path.block(start, steps)
+    """Exact map applied to every row of ``points`` over ``steps`` indices
+    (int64 multiples on a lattice path)."""
+    tau, sigma, deadline = _exact_drivers(path, start, steps)
     for i in range(steps):
-        points, _ = advance_batch(points, blk.tau[i], blk.sigma[i], blk.patience[i])
+        points, _ = advance_batch(points, tau[i], sigma[i], deadline[i])
     return points
 
 
@@ -209,39 +207,23 @@ def _bounding_chain(path: StationaryPath, start: int, steps: int,
     ``U0 <= D``, for none if ``L0 > D``, and otherwise the new work lies in
     ``[L0, max(U0, D + sigma)]``. ``_merge_shift`` only selects, subtracts
     and clips, all monotone under rounding, so the images of ``L`` and ``U``
-    bound every image bit for bit. On the lattice, ``D`` becomes the largest
-    accepted multiple.
+    bound every image bit for bit. ``D`` is the patience, or on the lattice
+    its deadline, the largest accepted multiple.
     """
-    lattice = path.spec.is_lattice
-    if lattice:
-        alpha = path.spec.alpha
-        blk = path.lattice_block(start, steps)
-        lo, hi = (0,) * len(top), tuple(int(math.floor(v / alpha + 1e-9)) for v in top)
+    if path.spec.is_lattice:
+        lo, hi = (0,) * len(top), tuple(int(math.floor(v / path.spec.alpha + 1e-9)) for v in top)
     else:
-        alpha = 1.0  # multiplying by it is exact
-        blk = path.block(start, steps)
         lo, hi = (0.0,) * len(top), tuple(top)
-    for tau, sigma, patience in zip(blk.tau.tolist(), blk.sigma.tolist(), blk.patience.tolist()):
-        if hi[0] * alpha <= patience:
+    for tau, sigma, deadline in zip(*(col.tolist() for col in _exact_drivers(path, start, steps))):
+        if hi[0] <= deadline:
             x_lo, x_hi = lo[0] + sigma, hi[0] + sigma
-        elif lo[0] * alpha > patience:
+        elif lo[0] > deadline:
             x_lo, x_hi = lo[0], hi[0]
         else:
-            cut = _last_accepted(hi[0], patience, alpha) if lattice else patience
-            x_lo, x_hi = lo[0], max(hi[0], cut + sigma)
+            x_lo, x_hi = lo[0], max(hi[0], deadline + sigma)
         lo = _merge_shift(lo, x_lo, tau)
         hi = _merge_shift(hi, x_hi, tau)
     return lo, hi
-
-
-def _last_accepted(hi: int, patience: float, alpha: float) -> int:
-    """The largest ``k < hi`` with ``k * alpha <= patience``, for a rejected
-    ``hi``. The float quotient's floor is at most one below it, so count
-    down from one above that floor by the comparison itself."""
-    k = min(math.floor(patience / alpha) + 1, hi - 1)
-    while k * alpha > patience:
-        k -= 1
-    return k
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +296,7 @@ def reachable_profile(path: StationaryPath, servers: int, depths: Sequence[int],
             "reachable sets disabled (a truncated estimate can under-estimate the box)")
     # Estimates at every shallower index, consistent by construction.
     rolled = envelope_states(path, at - deepest, deepest, est.vector, "upper")
-    blk = path.lattice_block(at - deepest, deepest)
+    tau, sigma, deadline = _exact_drivers(path, at - deepest, deepest)
 
     requested = set(depths)
     box_sizes = {}
@@ -326,8 +308,7 @@ def reachable_profile(path: StationaryPath, servers: int, depths: Sequence[int],
             box_sizes[depth] = len(box)
             rows = np.concatenate((rows, np.column_stack((np.full(len(box), depth), box))))
         if depth > 0:
-            rows[:, 1:] = advance_lattice_batch(rows[:, 1:], blk.tau[i], blk.sigma[i],
-                                                blk.patience[i], alpha)
+            rows[:, 1:] = advance_batch(rows[:, 1:], tau[i], sigma[i], deadline[i])[0]
             rows = _unique_rows(rows)
 
     results: list[ReachableSet] = []

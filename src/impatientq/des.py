@@ -19,15 +19,18 @@ sorted, bit for bit; the simulator shares no arithmetic with the kernel
 it is checked against.
 
 Expired customers leave the line at the next arrival. The loop that ages
-the line during each gap (remaining patience down, or elapsed wait up)
-raises a flag when an entry passes its deadline, and the line is purged
-only when the flag is set, instead of being scanned at every arrival. The
-purge only keeps the line short: an expired entry never fits in the fold
-and is lost when it reaches the head, so no output depends on it.
+the line during each gap (remaining patience down by the gap) raises a
+flag when an entry passes its deadline, and the line is purged only when
+the flag is set, instead of being scanned at every arrival. The purge
+only keeps the line short: an expired entry never fits in the fold and
+is lost when it reaches the head, so no output depends on it.
 
 Timekeeping is relative to the current arrival (everything is decremented
 by each gap), so values stay small and float error does not grow with the
-horizon. For lattice-model inputs an exact integer engine is used instead
+horizon. A lattice path runs the same engine on integers: gaps and service
+in multiples of ``alpha``, and for each customer the deadline from
+``kernel.accepted_multiples`` in place of her patience, so every deadline
+comparison is exact; the workloads seen are scaled by ``alpha`` at the end,
 and the comparison against the recursion is exact.
 """
 
@@ -40,7 +43,7 @@ from typing import IO, NamedTuple, Optional
 
 import numpy as np
 
-from .loynes import exact_states, lattice_states
+from .loynes import _exact_drivers, exact_states, lattice_states
 from .sequences import StationaryPath
 
 _CHUNK = 1 << 15
@@ -59,9 +62,13 @@ def run(path: StationaryPath, servers: int, n_arrivals: int) -> list[ArrivalReco
         raise ValueError("servers must be >= 1")
     if n_arrivals < 1:
         raise ValueError("n_arrivals must be >= 1")
-    if path.spec.is_lattice:
-        return _run_lattice(path, servers, n_arrivals)
-    return _run_float(path, servers, n_arrivals)
+    lattice = path.spec.is_lattice
+    seen, served = _simulate(path, servers, n_arrivals, 0 if lattice else 0.0)
+    if lattice:  # scale each distinct state once; records share the tuples
+        alpha = path.spec.alpha
+        scaled = {fold: tuple([v * alpha for v in fold]) for fold in set(seen)}
+        seen = list(map(scaled.__getitem__, seen))
+    return _records(seen, served)
 
 
 def _records(seen: list[tuple], served: list[bool]) -> list[ArrivalRecord]:
@@ -69,9 +76,14 @@ def _records(seen: list[tuple], served: list[bool]) -> list[ArrivalRecord]:
     return list(map(ArrivalRecord, range(len(served)), seen, served, [not s for s in served]))
 
 
-def _run_float(path: StationaryPath, servers: int, n_arrivals: int) -> list[ArrivalRecord]:
-    residuals = [0.0] * servers
-    line: deque[list] = deque()  # [remaining_patience, sigma, index]
+def _simulate(path: StationaryPath, servers: int, n_arrivals: int, zero) -> tuple[list, list]:
+    """The workloads seen and the served flags, in the path's own arithmetic.
+
+    ``zero`` is that arithmetic's zero (``0.0``, or ``0`` on a lattice), so
+    every comparison in the loop is between two floats or two ints.
+    """
+    residuals = [zero] * servers
+    line: deque[list] = deque()  # [remaining patience or deadline, sigma, index]
     seen: list[tuple[float, ...]] = []
     served: list[Optional[bool]] = [None] * n_arrivals
     expired = False  # a deadline passed during the last gap
@@ -79,17 +91,14 @@ def _run_float(path: StationaryPath, servers: int, n_arrivals: int) -> list[Arri
     pos = 0
     while pos < n_arrivals:
         count = min(_CHUNK, n_arrivals - pos)
-        blk = path.block(pos, count)
-        taus = blk.tau.tolist()
-        sigmas = blk.sigma.tolist()
-        patiences = blk.patience.tolist()
+        taus, sigmas, patiences = (col.tolist() for col in _exact_drivers(path, pos, count))
         for j in range(count):
             n = pos + j
             # Customers whose deadline passed during earlier gaps are gone.
             if expired:
                 kept = deque()
                 for entry in line:
-                    if entry[0] < 0.0:
+                    if entry[0] < zero:
                         served[entry[2]] = False
                     else:
                         kept.append(entry)
@@ -105,7 +114,7 @@ def _run_float(path: StationaryPath, servers: int, n_arrivals: int) -> list[Arri
 
             # With nobody waiting, ``fold`` is the sorted residuals.
             sigma_n = sigmas[j]
-            if line or fold[0] > 0.0:
+            if line or fold[0] > zero:
                 line.append([patiences[j], sigma_n, n])
             else:
                 served[n] = True
@@ -124,11 +133,11 @@ def _run_float(path: StationaryPath, servers: int, n_arrivals: int) -> list[Arri
                         residuals[residuals.index(f)] = f + sig
                     else:
                         served[i] = False
-                residuals = [r - tau_n if r > tau_n else 0.0 for r in residuals]
+                residuals = [r - tau_n if r > tau_n else zero for r in residuals]
                 expired = False
                 for entry in line:
                     entry[0] -= tau_n
-                    if entry[0] < 0.0:
+                    if entry[0] < zero:
                         expired = True
         pos += count
 
@@ -142,85 +151,7 @@ def _run_float(path: StationaryPath, servers: int, n_arrivals: int) -> list[Arri
         else:
             served[i] = False
 
-    return _records(seen, served)
-
-
-def _run_lattice(path: StationaryPath, servers: int, n_arrivals: int) -> list[ArrivalRecord]:
-    """Integer engine: service and gap quantities counted in lattice steps.
-
-    A waiting customer is tracked by her total elapsed wait (in steps), so
-    every deadline comparison is a single ``int * alpha <= float`` test and
-    the state never accumulates rounding.
-    """
-    alpha = path.spec.alpha
-    residuals = [0] * servers
-    line: deque[list] = deque()  # [waited_steps, sigma_steps, patience, index]
-    seen: list[tuple[float, ...]] = []
-    served: list[Optional[bool]] = [None] * n_arrivals
-    expired = False
-
-    pos = 0
-    while pos < n_arrivals:
-        count = min(_CHUNK, n_arrivals - pos)
-        blk = path.lattice_block(pos, count)
-        taus = blk.tau.tolist()
-        sigmas = blk.sigma.tolist()
-        patiences = blk.patience.tolist()
-        for j in range(count):
-            n = pos + j
-            if expired:
-                kept = deque()
-                for entry in line:
-                    if entry[2] < entry[0] * alpha:
-                        served[entry[3]] = False
-                    else:
-                        kept.append(entry)
-                line = kept
-
-            fold = sorted(residuals)  # a sorted list is a heap
-            for waited, sig, pat, _ in line:
-                if (fold[0] + waited) * alpha <= pat:
-                    heapreplace(fold, fold[0] + sig)
-            fold.sort()
-            seen.append(tuple([v * alpha for v in fold]))
-
-            sigma_n = sigmas[j]
-            if line or fold[0] > 0:
-                line.append([0, sigma_n, patiences[j], n])
-            else:
-                served[n] = True
-                residuals[residuals.index(fold[0])] = sigma_n
-
-            tau_n = taus[j]
-            if n < n_arrivals - 1:
-                while line:
-                    f = min(residuals)
-                    if f > tau_n:
-                        break
-                    waited, sig, pat, i = line.popleft()
-                    if (waited + f) * alpha <= pat:
-                        served[i] = True
-                        residuals[residuals.index(f)] = f + sig
-                    else:
-                        served[i] = False
-                residuals = [r - tau_n if r > tau_n else 0 for r in residuals]
-                expired = False
-                for entry in line:
-                    entry[0] += tau_n
-                    if entry[2] < entry[0] * alpha:
-                        expired = True
-        pos += count
-
-    while line:
-        f = min(residuals)
-        waited, sig, pat, i = line.popleft()
-        if (waited + f) * alpha <= pat:
-            served[i] = True
-            residuals[residuals.index(f)] = f + sig
-        else:
-            served[i] = False
-
-    return _records(seen, served)
+    return seen, served
 
 
 # ---------------------------------------------------------------------------

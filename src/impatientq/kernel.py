@@ -12,12 +12,16 @@ served. Three maps act on it:
   ``min(sigma, patience)``), bounding the exact map from above (below) on
   coordinate suffixes. They drive the backward schemes.
 
-Workload vectors are plain ascending tuples of floats. Scalar functions
-take one ``DriverSample``; ``*_batch`` variants evaluate many states and
-drivers at once on numpy arrays (used by property suites, the lattice
-set propagation and the time-parallel forward rolls in ``loynes``).
-Lattice variants operate on integer multiples of the lattice step so set
-membership stays exact.
+Workload vectors are plain ascending tuples. Scalar functions take one
+``DriverSample``; ``advance_batch`` evaluates many states and drivers at
+once on ``(N, S)`` arrays (used by the property suites, the lattice set
+propagation and the time-parallel forward rolls in ``loynes``).
+
+Every map works in its state's dtype. On a lattice the state, tau and
+sigma are int64 multiples of the step ``alpha``, and the float test
+``k * alpha <= patience`` is decided once per patience by
+``accepted_multiples``, whose integer deadline ``D`` accepts ``k`` iff
+``k <= D``; ``advance_lattice`` keeps the literal test as the reference.
 """
 
 from __future__ import annotations
@@ -56,20 +60,6 @@ def advance(u: Sequence[float], d: DriverSample) -> StepOutcome:
     accepted = u[0] <= d.patience
     x = u[0] + d.sigma if accepted else u[0]
     return StepOutcome(_merge_shift(u, x, d.tau), accepted)
-
-
-def advance_direct(u: Sequence[float], d: DriverSample) -> tuple[float, ...]:
-    """Literal add/sort/subtract/clip evaluation of the same update.
-
-    Independent of the coordinate form in ``advance``; kept as an internal
-    oracle for equivalence testing.
-    """
-    _require_ordered(u)
-    v = list(u)
-    if u[0] <= d.patience:
-        v[0] += d.sigma
-    v.sort()
-    return tuple(max(x - d.tau, 0.0) for x in v)
 
 
 def advance_upper(u: Sequence[float], d: DriverSample) -> tuple[float, ...]:
@@ -111,43 +101,27 @@ def _merge_shift(u: Sequence[float], x: float, tau: float) -> tuple[float, ...]:
 def advance_batch(u: np.ndarray, tau, sigma, patience) -> tuple[np.ndarray, np.ndarray]:
     """Exact update on rows of ``u``; returns (next states, accepted mask).
 
-    ``tau``/``sigma``/``patience`` broadcast against the N rows.
+    ``tau``/``sigma``/``patience`` broadcast against the N rows. On int64
+    lattice states the drivers are int multiples and ``patience`` is the
+    deadline from ``accepted_multiples``.
     """
     accepted = u[:, 0] <= patience
-    x = u[:, 0] + np.where(accepted, sigma, 0.0)
+    x = u[:, 0] + np.where(accepted, sigma, 0)
     return _merge_shift_batch(u, x, tau), accepted
-
-
-def advance_upper_batch(u: np.ndarray, tau, sigma, patience) -> np.ndarray:
-    return _merge_shift_batch(u, np.broadcast_to(np.asarray(sigma + patience, dtype=np.float64), u.shape[:1]), tau)
-
-
-def advance_lower_batch(u: np.ndarray, tau, sigma, patience) -> np.ndarray:
-    work = np.minimum(sigma, patience)
-    return _merge_shift_batch(u, np.broadcast_to(np.asarray(work, dtype=np.float64), u.shape[:1]), tau)
 
 
 def _merge_shift_batch(u: np.ndarray, x: np.ndarray, tau) -> np.ndarray:
     # States run along the last axis of ``u``; ``x`` has the leading shape
-    # and ``tau`` broadcasts against it from the right.
+    # and ``tau`` broadcasts against it from the right. The gap and the clip
+    # take the state's dtype, so int64 lattice states stay int64.
     out = np.empty_like(u)
     if u.shape[-1] > 1:
         hi = np.maximum(u[..., :-1], x[..., None])
         out[..., :-1] = np.minimum(hi, u[..., 1:])
     out[..., -1] = np.maximum(u[..., -1], x)
-    out -= np.asarray(tau, dtype=np.float64)[..., None]
-    np.maximum(out, 0.0, out=out)
+    out -= np.asarray(tau, dtype=u.dtype)[..., None]
+    np.maximum(out, 0, out=out)
     return out
-
-
-def advance_direct_batch(u: np.ndarray, tau, sigma, patience) -> np.ndarray:
-    v = u.copy()
-    accepted = v[:, 0] <= patience
-    v[:, 0] += np.where(accepted, sigma, 0.0)
-    v.sort(axis=1)
-    v -= np.asarray(tau, dtype=np.float64).reshape(-1, 1) if np.ndim(tau) else tau
-    np.maximum(v, 0.0, out=v)
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -167,17 +141,24 @@ def advance_lattice(u_mult: Sequence[int], tau_mult: int, sigma_mult: int,
     return _merge_shift(u_mult, x, tau_mult), accepted
 
 
-def advance_lattice_batch(u_mult: np.ndarray, tau_mult, sigma_mult, patience,
-                          alpha: float) -> np.ndarray:
-    """Exact update on (N, S) int64 lattice states.
+NEVER = 1 << 62  # above every reachable state
 
-    The integer ``tau_mult``/``sigma_mult`` and float ``patience`` drivers
-    are scalars or per-row arrays, broadcast against the N rows.
+
+def accepted_multiples(patience, alpha: float) -> np.ndarray:
+    """The deadline of each patience on the lattice of step ``alpha``: the
+    largest int64 ``k`` with ``k * alpha <= patience``, or ``NEVER`` from
+    2^52 steps on (an infinite patience included).
+
+    ``k * alpha`` rounds monotonically in ``k``, so for every int ``k``
+    below 2^51, ``k <= D`` holds exactly when ``k * alpha <= patience``.
+    Below 2^52 steps the floor of the float quotient is within two of the
+    deadline, and the comparison itself corrects it.
     """
-    v = u_mult.copy()
-    accepted = v[:, 0].astype(np.float64) * alpha <= patience
-    v[:, 0] += np.where(accepted, sigma_mult, 0)
-    v.sort(axis=1)
-    v -= np.asarray(tau_mult, dtype=np.int64).reshape(-1, 1) if np.ndim(tau_mult) else tau_mult
-    np.maximum(v, 0, out=v)
-    return v
+    p = np.asarray(patience, dtype=np.float64)
+    k = np.floor(np.minimum(p, 2.0**52 * alpha) / alpha).astype(np.int64)
+    big = k >= 1 << 52
+    while (up := ((k + 1) * alpha <= p) & ~big).any():
+        k += up
+    while (down := (k * alpha > p) & ~big).any():
+        k -= down
+    return np.where(big, NEVER, k)

@@ -34,13 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceCapError
-from .kernel import (
-    _merge_shift,
-    _merge_shift_batch,
-    advance_batch,
-    advance_lattice,
-    advance_lattice_batch,
-)
+from .kernel import _merge_shift, _merge_shift_batch, accepted_multiples, advance_batch
 from .sequences import SequenceSpec, StationaryPath
 
 DEFAULT_MAX_DEPTH = 1 << 20
@@ -357,15 +351,31 @@ def envelope_states(path: StationaryPath, at: int, steps: int, u0: tuple[float, 
                          drivers, 0.0)[0]
 
 
-def _exact_step(u, tau, sigma, patience):
-    x = u[0] + sigma if u[0] <= patience else u[0]
+def _exact_step(u, tau, sigma, deadline):
+    x = u[0] + sigma if u[0] <= deadline else u[0]
     return _merge_shift(u, x, tau)
 
 
-def _exact_lane_step(u, tau, sigma, patience):
+def _exact_lane_step(u, tau, sigma, deadline):
     # A rejected first coordinate exceeds a non-negative patience, so adding
-    # 0.0 to it leaves its bits alone: this is ``_exact_step`` on every row.
-    return advance_batch(u, tau, sigma, patience)[0]
+    # zero to it leaves its bits alone: this is ``_exact_step`` on every row.
+    return advance_batch(u, tau, sigma, deadline)[0]
+
+
+def _exact_drivers(path: StationaryPath, at: int, steps: int) -> tuple[np.ndarray, ...]:
+    """``(tau, sigma, deadline)`` of the exact map at ``at .. at+steps-1`` in
+    the path's own arithmetic: the float block, or on a lattice path the
+    int64 multiples of tau and sigma and ``kernel.accepted_multiples`` of
+    each patience."""
+    if not path.spec.is_lattice:
+        return path.block(at, steps)
+    blk = path.lattice_block(at, steps)
+    return blk.tau, blk.sigma, accepted_multiples(blk.patience, path.spec.alpha)
+
+
+def _exact_roll(u0: tuple, drivers: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
+    states = _forward_roll(((u0, _exact_step, drivers),), _exact_lane_step, drivers, 0)[0]
+    return states, states[:-1, 0] <= drivers[2]
 
 
 def exact_states(path: StationaryPath, at: int, steps: int,
@@ -376,10 +386,7 @@ def exact_states(path: StationaryPath, at: int, steps: int,
     index ``at+i`` (row 0 is ``u0``) and ``accepted[i]`` says whether the
     customer at index ``at+i`` enters service before her deadline.
     """
-    blk = path.block(at, steps)
-    states = _forward_roll(((tuple(map(float, u0)), _exact_step, blk),), _exact_lane_step,
-                           blk, 0.0)[0]
-    return states, states[:-1, 0] <= blk.patience
+    return _exact_roll(tuple(map(float, u0)), path.block(at, steps))
 
 
 def _sandwich_lane_step(u, tau, sigma, patience, lower, upper):
@@ -417,21 +424,12 @@ def lattice_states(path: StationaryPath, at: int, steps: int,
                    u0: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """``exact_states`` for a lattice-model path, in integer lattice steps.
 
-    ``states`` is int64: row ``i`` is the workload at index ``at+i`` in
-    multiples of ``alpha`` (row 0 is ``u0``), as the ``advance_lattice``
-    loop gives it; ``accepted`` is that loop's acceptance indicator.
+    The same roll runs on int64 states with integer deadlines: row ``i``
+    is the workload at index ``at+i`` in multiples of ``alpha`` (row 0 is
+    ``u0``) and ``accepted`` the acceptance indicator, both as the
+    ``advance_lattice`` loop gives them.
     """
-    alpha = path.spec.alpha
-    blk = path.lattice_block(at, steps)
-
-    def step(u, tau, sigma, patience):
-        return advance_lattice(u, tau, sigma, patience, alpha)[0]
-
-    def lane_step(u, tau, sigma, patience):
-        return advance_lattice_batch(u, tau, sigma, patience, alpha)
-
-    states = _forward_roll(((tuple(u0), step, blk),), lane_step, blk, 0)[0]
-    return states, states[:-1, 0] * alpha <= blk.patience
+    return _exact_roll(tuple(u0), _exact_drivers(path, at, steps))
 
 
 def top_supremum_series(path: StationaryPath, at: int, n: int, depth: int,

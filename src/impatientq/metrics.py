@@ -265,7 +265,8 @@ class BoundReport:
 
 
 def bound_report(path: StationaryPath, servers: int, n_samples: int, at: int = 0,
-                 n_batches: int = DEFAULT_BATCHES, keep_samples: bool = False) -> BoundReport:
+                 n_batches: int = DEFAULT_BATCHES, keep_samples: bool = False,
+                 max_horizon: int = 1 << 20) -> BoundReport:
     """Estimate the four sandwich probabilities over stationary indices.
 
     Every sampled state is stationary by construction. ``coupling.cftp``
@@ -276,7 +277,8 @@ def bound_report(path: StationaryPath, servers: int, n_samples: int, at: int = 0
     one-dimensional recursion. The report refuses (``ContractError``)
     when ``cftp`` does not coalesce, since no start from an arbitrary state
     is stationary; an infinite top supremum leaves no box to couple from,
-    and ``cftp`` refuses it (``ConfigurationError``).
+    and ``cftp`` refuses it (``ConfigurationError``). ``max_horizon`` caps
+    the ``cftp`` call.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -284,7 +286,7 @@ def bound_report(path: StationaryPath, servers: int, n_samples: int, at: int = 0
     # cover it leaves in the path's memo serves the rolls and, unless their
     # deeper reads cross a page boundary, the coupling box and estimates.
     zb = certified_supremum(path, at, "upper", servers, n_samples)
-    anchor = cftp(path, servers, at)
+    anchor = cftp(path, servers, at, max_horizon)
     if not anchor.coalesced:
         raise ContractError(f"cftp did not coalesce at index {at} by horizon "
                             f"{anchor.horizon_used}; the exact workload has no stationary start")

@@ -12,7 +12,8 @@ Driver blocks are read-only arrays. A path memoizes the most recent float
 cover it generated (whole pages of ``_CHAIN_BLOCK`` indices), next to its
 memo of modulating-chain segments, and serves any window inside it as
 slices of that one; since the values are pure, a race between two readers
-can only cost a regeneration.
+can only cost a regeneration. Lattice reads (``lattice_block``) round the
+same memo's values to integer multiples of the step.
 """
 
 from __future__ import annotations
@@ -471,19 +472,15 @@ class StationaryPath:
         )
 
     def lattice_block(self, start: int, count: int) -> LatticeBlock:
-        """Integer tau/sigma multipliers for exact-arithmetic consumers."""
+        """Integer tau/sigma multipliers for exact-arithmetic consumers, read
+        off ``block``'s page memo: a float value ``fl(k * alpha)`` over
+        ``alpha`` rounds back to ``k`` for every ``k`` below 2^51."""
         if not self.spec.is_lattice:
             raise ConfigurationError("lattice_block requires a lattice-model spec")
-        base = start + self.offset
+        blk = self.block(start, count)
         alpha = self.spec.alpha
-        u_tau = stream_uniforms(self.spec.seed, STREAM_TAU, base, count)
-        u_sigma = stream_uniforms(self.spec.seed, STREAM_SIGMA, base, count)
-        u_pat = stream_uniforms(self.spec.seed, STREAM_PATIENCE, base, count)
-        return LatticeBlock(
-            _multiplier_samples(self.spec.tau, u_tau, alpha),
-            _multiplier_samples(self.spec.sigma, u_sigma, alpha),
-            self.spec.patience.sample(u_pat),
-        )
+        return LatticeBlock(np.rint(blk.tau / alpha).astype(np.int64),
+                            np.rint(blk.sigma / alpha).astype(np.int64), blk.patience)
 
     # -- modulating chain ---------------------------------------------------
 
@@ -582,12 +579,3 @@ def _prefix_compose(maps: np.ndarray) -> np.ndarray:
         prefix[d:] = np.take(prefix.ravel(), prefix[:-d] + offsets[d:])
         d *= 2
     return prefix
-
-
-def _multiplier_samples(dist: Distribution, u: np.ndarray, alpha: float) -> np.ndarray:
-    if isinstance(dist, LatticeDiscrete):
-        return dist.sample_multipliers(u)
-    if isinstance(dist, Deterministic):
-        mult = dist.lattice_multipliers(alpha)
-        return np.full(u.shape, int(mult[0]), dtype=np.int64)
-    raise ConfigurationError(f"{type(dist).__name__} is not supported on a lattice")

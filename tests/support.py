@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from impatientq.coupling import ReachableSet
-from impatientq.kernel import advance_lattice
+from impatientq.kernel import _require_ordered, advance_lattice
 from impatientq.loynes import _effective_work, envelope_states, stationary_estimate
 from impatientq.sequences import (
     _CHAIN_BLOCK,
@@ -24,6 +24,53 @@ from impatientq.sequences import (
     Uniform,
     stream_uniforms,
 )
+
+
+# ---------------------------------------------------------------------------
+# Literal oracles of the one-step maps: add the new work, sort, subtract the
+# gap, clip at zero. They share no code with the kernel's merge.
+# ---------------------------------------------------------------------------
+
+
+def advance_direct(u, d):
+    """The exact update of ``kernel.advance``, by literal add/sort/subtract/clip."""
+    _require_ordered(u)
+    v = list(u)
+    if u[0] <= d.patience:
+        v[0] += d.sigma
+    v.sort()
+    return tuple(max(x - d.tau, 0.0) for x in v)
+
+
+def sort_merge_batch(u: np.ndarray, x, tau) -> np.ndarray:
+    """Rows of ``u`` with the least coordinate raised to ``x`` (where ``x``
+    is larger), sorted, minus the gap ``tau`` and clipped at zero, in
+    ``u``'s dtype."""
+    v = u.copy()
+    v[:, 0] = np.maximum(u[:, 0], x)
+    v.sort(axis=1)
+    v -= np.asarray(tau, dtype=u.dtype).reshape(-1, 1) if np.ndim(tau) else tau
+    np.maximum(v, 0, out=v)
+    return v
+
+
+def advance_direct_batch(u, tau, sigma, patience):
+    return sort_merge_batch(u, u[:, 0] + np.where(u[:, 0] <= patience, sigma, 0.0), tau)
+
+
+def advance_upper_batch(u, tau, sigma, patience):
+    return sort_merge_batch(u, sigma + patience, tau)
+
+
+def advance_lower_batch(u, tau, sigma, patience):
+    return sort_merge_batch(u, np.minimum(sigma, patience), tau)
+
+
+def advance_lattice_batch(u_mult, tau_mult, sigma_mult, patience, alpha):
+    """``advance_lattice`` on (N, S) int64 rows, with its float acceptance
+    comparison ``k * alpha <= patience``."""
+    accepted = u_mult[:, 0].astype(np.float64) * alpha <= patience
+    return sort_merge_batch(u_mult, u_mult[:, 0] + np.where(accepted, sigma_mult, 0), tau_mult)
 
 
 def iid_spec(seed, tau, sigma, patience):

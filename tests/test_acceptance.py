@@ -10,12 +10,7 @@ import numpy as np
 from impatientq.cli import main as cli_main
 from impatientq.coupling import cftp, coalescence_check, detect_renovation, reachable_profile
 from impatientq.des import cross_validate
-from impatientq.kernel import (
-    advance,
-    advance_batch,
-    advance_lower_batch,
-    advance_upper_batch,
-)
+from impatientq.kernel import advance, advance_batch
 from impatientq.loynes import envelope_states, exact_states, supremum_bound
 from impatientq.metrics import bound_report, erlang_b, loss_probability
 from impatientq.sequences import (
@@ -26,6 +21,8 @@ from impatientq.sequences import (
     Uniform,
 )
 from support import (
+    advance_lower_batch,
+    advance_upper_batch,
     iid_spec,
     random_iid_spec,
     random_lattice_spec,

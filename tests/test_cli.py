@@ -356,14 +356,14 @@ n_samples = 2000
 
 
 @pytest.mark.parametrize("text, code, named", [
-    (GROWTH_INI, 1, "cftp did not coalesce"),
+    (GROWTH_INI + "cftp_max_horizon = 4096\n", 1, "cftp did not coalesce at index 0 by horizon 4096"),
     (MM2D_INI.replace("value = 1.0", "value = inf"), 2, "top supremum is not finite"),
 ], ids=["growth-no-coalescence", "infinite-patience"])
 def test_cli_bounds_refuses_without_a_stationary_start(tmp_path, capsys, text, code, named):
     # GROWTH_INI's workload cycles through 1, 2, 1, ... from one start and
-    # 2, 1, 2, ... from another, so cftp never coalesces (exit 1). Without
-    # impatience the top supremum is infinite and there is no box to couple
-    # from (exit 2).
+    # 2, 1, 2, ... from another, so cftp never coalesces (exit 1); it gives
+    # up at the configured cftp_max_horizon. Without impatience the top
+    # supremum is infinite and there is no box to couple from (exit 2).
     cfg = _write(tmp_path, "cfg.ini", text)
     out = tmp_path / "out"
     assert main(["bounds", "--config", cfg, "--out", str(out)]) == code

@@ -1,5 +1,4 @@
 import dataclasses
-import math
 import re
 
 import numpy as np
@@ -340,25 +339,6 @@ def test_cftp_anchor_rolls_into_every_later_target(monkeypatch, model, seed):
         assert res.coalesced, (at + i, res)
         assert np.array_equal(np.array(res.value).view(np.int64), states[i].view(np.int64)), \
             (at + i, res.value, states[i])
-
-
-def test_last_accepted_matches_the_acceptance_comparison():
-    # Reference: count down from hi - 1 by the acceptance comparison itself.
-    # A patience equal to the float product k * alpha is where the float
-    # quotient's floor falls one short of k (k = 43 at alpha = 0.1).
-    from impatientq.coupling import _last_accepted
-
-    for alpha in (0.1, 0.3, 1 / 3, 0.45, 1.1):
-        for k in range(400):
-            for patience in (k * alpha, math.nextafter(k * alpha, 0.0), k * alpha + alpha / 2):
-                rejected = k + 2
-                while rejected * alpha <= patience:
-                    rejected += 1
-                for hi in (rejected, rejected + 5):
-                    want = hi - 1
-                    while want * alpha > patience:
-                        want -= 1
-                    assert _last_accepted(hi, patience, alpha) == want, (alpha, k, patience, hi)
 
 
 def test_bounding_chain_contains_every_trajectory():

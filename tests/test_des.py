@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import math
@@ -7,8 +8,9 @@ from heapq import heapreplace
 import numpy as np
 import pytest
 
+from impatientq.config import parse_config
 from impatientq.des import cross_validate, run, write_trace
-from impatientq.kernel import _merge_shift
+from impatientq.kernel import _merge_shift, advance_lattice
 from impatientq.sequences import (
     Deterministic,
     Exponential,
@@ -18,6 +20,7 @@ from impatientq.sequences import (
     Uniform,
 )
 from support import det_spec, iid_spec, random_iid_spec, random_lattice_spec, random_mm_spec
+from test_cli import LATTICE_INI, MM2D_INI
 
 
 def test_hand_trace_single_server():
@@ -176,6 +179,38 @@ def test_lattice_mixed_rates_exact():
     report = cross_validate(StationaryPath(spec), 3, 50_000)
     assert report.passed
     assert report.max_discrepancy == 0.0
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 1 / 3, 7.3])
+def test_lattice_run_equals_the_scalar_advance_lattice_loop(alpha):
+    # The engine on int multiples and deadlines against the recursion
+    # stepped by the scalar ``advance_lattice`` and its float comparison, on
+    # patience on the lattice (ties), off it, and infinite.
+    rng = np.random.default_rng(round(alpha * 1000))
+    for patience in (Deterministic(math.inf), Deterministic(3 * alpha), Uniform(0.0, 4 * alpha),
+                     Exponential(0.5 / alpha)):
+        spec = dataclasses.replace(random_lattice_spec(rng, alpha=alpha, sigma_max=4), patience=patience)
+        servers, n = int(rng.integers(1, 5)), 3000
+        path = StationaryPath(spec)
+        records = run(path, servers, n)
+        blk = path.lattice_block(0, n)
+        u = (0,) * servers
+        for rec, d in zip(records, zip(blk.tau.tolist(), blk.sigma.tolist(), blk.patience.tolist())):
+            assert rec.workload_seen == tuple(k * alpha for k in u), (patience, rec)
+            u, accepted = advance_lattice(u, *d, alpha)
+            assert rec.served == accepted and rec.loss != accepted, (patience, rec)
+
+
+# sha256 of ``des.run``'s records on two ``test_cli`` configs, pinned from
+# the separate float and lattice engines before they were merged.
+@pytest.mark.parametrize("text, digest", [
+    (LATTICE_INI, "bffa72d99c030807c534db508325671c72a724888c2c31f5a8ea3ea55afbfb1a"),
+    (MM2D_INI, "8edf522c4aeecbdb8716977401420d46c1b7de7cf28ffdf2addc6070d7671100"),
+], ids=["LATTICE_INI", "MM2D_INI"])
+def test_run_records_pinned(text, digest):
+    cfg = parse_config(text)
+    records = run(StationaryPath(cfg.spec), cfg.servers, cfg.run.n_arrivals)
+    assert hashlib.sha256(repr([tuple(r) for r in records]).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("name,spec,servers", [

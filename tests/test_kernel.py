@@ -6,23 +6,27 @@ from hypothesis import given, settings, strategies as st
 
 from impatientq.errors import ContractError
 from impatientq.kernel import (
+    NEVER,
     _merge_shift,
     _merge_shift_batch,
+    accepted_multiples,
     advance,
     advance_batch,
-    advance_direct,
-    advance_direct_batch,
     advance_lattice,
-    advance_lattice_batch,
     advance_lower,
-    advance_lower_batch,
     advance_upper,
-    advance_upper_batch,
     is_ordered,
     ordered,
 )
 from impatientq.sequences import DriverSample
-from support import random_ordered
+from support import (
+    advance_direct,
+    advance_direct_batch,
+    advance_lattice_batch,
+    advance_lower_batch,
+    advance_upper_batch,
+    random_ordered,
+)
 
 N_TRIALS = 100_000
 
@@ -199,6 +203,12 @@ def test_conditional_work_inequalities():
     assert np.all(contrib >= np.maximum(u1, np.minimum(sigma, pat)))
 
 
+def _lattice_step(u, tau, sigma, patience, alpha):
+    """The int64 exact map as the package runs it: ``advance_batch`` with the
+    deadline of each patience."""
+    return advance_batch(u, tau, sigma, accepted_multiples(patience, alpha))
+
+
 def test_lattice_closure():
     rng = np.random.default_rng(82)
     servers = 3
@@ -207,14 +217,15 @@ def test_lattice_closure():
         tau = int(rng.integers(1, 4))
         sigma = int(rng.integers(0, 4))
         pat = float(rng.uniform(0.0, 5.0))  # patience may live off the lattice
-        u = advance_lattice_batch(u, tau, sigma, pat, alpha=0.5)
+        u = _lattice_step(u, tau, sigma, pat, alpha=0.5)[0]
     assert u.dtype == np.int64 and u.min() >= 0
     # float path agrees with the integer path on lattice data
     uf = np.sort(rng.integers(0, 8, size=(1000, servers)), axis=1).astype(np.float64) * 0.5
     ui = (uf / 0.5).astype(np.int64)
-    out_f, _ = advance_batch(uf, 1.0, 1.5, 0.8)
-    out_i = advance_lattice_batch(ui, 2, 3, 0.8, alpha=0.5)
+    out_f, acc_f = advance_batch(uf, 1.0, 1.5, 0.8)
+    out_i, acc_i = _lattice_step(ui, 2, 3, 0.8, alpha=0.5)
     assert np.array_equal(out_f, out_i.astype(np.float64) * 0.5)
+    assert np.array_equal(acc_f, acc_i)
 
 
 def test_advance_lattice_scalar_matches_batch():
@@ -225,27 +236,55 @@ def test_advance_lattice_scalar_matches_batch():
         tau, sigma = int(rng.integers(1, 4)), int(rng.integers(0, 4))
         pat = float(rng.uniform(0.0, 4.0))
         scalar, acc = advance_lattice(u, tau, sigma, pat, alpha=1.0)
-        batch = advance_lattice_batch(np.array([u], dtype=np.int64), tau, sigma, pat, alpha=1.0)
-        assert scalar == tuple(batch[0])
+        batch, batch_acc = _lattice_step(np.array([u], dtype=np.int64), tau, sigma, pat, alpha=1.0)
+        assert scalar == tuple(batch[0]) and acc == batch_acc[0]
         assert acc == (u[0] * 1.0 <= pat)
 
 
 def test_advance_lattice_batch_per_row_drivers():
-    # One driver per row, as the lattice lane roll uses it: every row equals
-    # the scalar step under its own driver, deadline ties included.
+    # One driver per row, as the lattice lane roll uses it: the int64
+    # ``advance_batch`` with deadlines equals the literal sort oracle and the
+    # scalar ``advance_lattice`` under each row's own driver, deadline ties
+    # (patience on the lattice) and infinite patience included.
     rng = np.random.default_rng(84)
     n = 400
     for s in (1, 2, 3, 8):
-        u = np.sort(rng.integers(0, 8, size=(n, s)), axis=1).astype(np.int64)
-        tau = rng.integers(0, 4, n)
-        sigma = rng.integers(0, 5, n)
-        pat = np.where(rng.random(n) < 0.4, rng.integers(0, 8, n) * 0.5, rng.uniform(0.0, 4.0, n))
-        out = advance_lattice_batch(u, tau, sigma, pat, alpha=0.5)
-        assert out.dtype == np.int64
-        for r in range(n):
-            scalar, _ = advance_lattice(tuple(u[r].tolist()), int(tau[r]), int(sigma[r]),
-                                        float(pat[r]), alpha=0.5)
-            assert tuple(out[r].tolist()) == scalar
+        for alpha in (0.5, 0.1, 1 / 3):
+            u = np.sort(rng.integers(0, 8, size=(n, s)), axis=1).astype(np.int64)
+            tau = rng.integers(0, 4, n)
+            sigma = rng.integers(0, 5, n)
+            pat = np.select([rng.random(n) < 0.4, rng.random(n) < 0.1],
+                            [rng.integers(0, 8, n) * alpha, np.full(n, math.inf)],
+                            rng.uniform(0.0, 8 * alpha, n))
+            out, acc = _lattice_step(u, tau, sigma, pat, alpha)
+            assert out.dtype == np.int64
+            assert np.array_equal(out, advance_lattice_batch(u, tau, sigma, pat, alpha))
+            for r in range(n):
+                scalar, accepted = advance_lattice(tuple(u[r].tolist()), int(tau[r]), int(sigma[r]),
+                                                   float(pat[r]), alpha)
+                assert tuple(out[r].tolist()) == scalar and acc[r] == accepted
+
+
+def test_accepted_multiples_matches_the_acceptance_comparison():
+    # For k in a window around each deadline, and for the largest k the
+    # contract covers, ``k <= deadline`` holds exactly when the float
+    # comparison ``k * alpha <= patience`` does. A patience equal to the
+    # float product k * alpha is where the float quotient's floor can fall
+    # one short of k (k = 43 at alpha = 0.1); one ulp either side moves the
+    # deadline by at most one. Patience of 2^52 steps and more maps to NEVER.
+    top = 2**51 - 1
+    for alpha in (0.1, 0.3, 1 / 3, 0.45, 1.1, 1e-9, 7.3, 1e6):
+        products = [k * alpha for k in range(400)] + [top * alpha, 3e15 * alpha]
+        patience = np.array([0.0, math.inf, 1e300, 2.0**60 * alpha, 2.0**52 * alpha]
+                            + [q for p in products for q in (p, math.nextafter(p, 0.0),
+                                                             math.nextafter(p, math.inf), p + alpha / 2)])
+        got = accepted_multiples(patience, alpha)
+        assert got.dtype == np.int64 and got.shape == patience.shape
+        for p, d in zip(patience.tolist(), got.tolist()):
+            for k in [*range(max(d - 3, 0), min(d + 4, top)), top]:
+                assert (k <= d) == (k * alpha <= p), (alpha, p, d, k)
+        assert got[:5].tolist() == [0] + [NEVER] * 4
+    assert 43 * 0.1 / 0.1 < 43 and accepted_multiples(43 * 0.1, 0.1) == 43
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +356,8 @@ def test_merge_edges_on_int_lattice_states(u, sigma, tau):
     # int64 states keep int64 down to the clipped zero.
     u, sigma, tau = tuple(round(4 * v) for v in u), round(4 * sigma), round(4 * tau)
     want = advance_lattice_batch(np.array([u], dtype=np.int64), tau, sigma, math.inf, 0.25)[0]
+    got_batch = advance_batch(np.array([u], dtype=np.int64), tau, sigma, NEVER)[0][0]
+    assert got_batch.dtype == np.int64 and np.array_equal(got_batch, want)
     got = _merge_shift(u, u[0] + sigma, tau)
     assert got == tuple(want.tolist()) and all(type(k) is int for k in got)
     u64 = tuple(np.int64(k) for k in u)

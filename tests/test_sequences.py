@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import sys
@@ -18,6 +19,8 @@ from impatientq.sequences import (
     ShiftedExponential,
     StationaryPath,
     Uniform,
+    STREAM_SIGMA,
+    STREAM_TAU,
     _CHAIN_BLOCK,
     _chain_tables,
     _prefix_compose,
@@ -109,6 +112,38 @@ def test_lattice_support():
     lat = path.lattice_block(-50, 100)
     assert np.array_equal(lat.tau.astype(float) * 0.5, blk.tau)
     assert np.array_equal(lat.sigma.astype(float) * 0.5, blk.sigma)
+
+
+def _drawn_multipliers(dist, u, alpha):
+    """The multipliers drawn straight from the uniforms: the lattice
+    generation ``lattice_block`` used before it read the float page memo."""
+    if isinstance(dist, LatticeDiscrete):
+        return dist.sample_multipliers(u)
+    return np.full(u.shape, int(dist.lattice_multipliers(alpha)[0]), dtype=np.int64)
+
+
+def test_lattice_block_equals_the_multipliers_drawn_from_the_uniforms():
+    # ``lattice_block`` rounds the float block over alpha; it must return the
+    # multipliers the uniforms draw, on random specs and on steps from 1e-9
+    # to 1e6, with deterministic laws, large multipliers and memo hits.
+    rng = np.random.default_rng(2051)
+    alphas = [1e-9, 1e-3, 0.1, 1 / 3, 0.5, 1.0, 7.3, 1e3, 1e6]
+    for trial in range(200):
+        alpha = alphas[trial % len(alphas)]
+        spec = random_lattice_spec(rng, alpha=alpha, sigma_max=int(rng.integers(1, 9)))
+        if trial % 4 == 1:
+            spec = dataclasses.replace(spec, tau=Deterministic(int(rng.integers(1, 5)) * alpha))
+        if trial % 4 >= 2:
+            large = LatticeDiscrete(alpha, tuple(int(k) for k in rng.integers(1, 2**40, 3)), (0.2, 0.3, 0.5))
+            spec = dataclasses.replace(spec, **{"sigma" if trial % 4 == 2 else "tau": large})
+        path = StationaryPath(spec)
+        start, count = int(rng.integers(-10_000, 10_000)), int(rng.integers(1, 3000))
+        for lo, n in ((start, count), (start + count // 3, count // 2)):  # a miss, then a hit
+            lat = path.lattice_block(lo, n)
+            for got, dist, stream in ((lat.tau, spec.tau, STREAM_TAU), (lat.sigma, spec.sigma, STREAM_SIGMA)):
+                want = _drawn_multipliers(dist, stream_uniforms(spec.seed, stream, lo, n), alpha)
+                assert got.dtype == np.int64 and np.array_equal(got, want), (trial, alpha, dist)
+            assert np.array_equal(lat.patience, path.block(lo, n).patience)
 
 
 def test_markov_modulated_empirical_stationarity():
