@@ -490,7 +490,6 @@ def test_invalid_specs():
 
 
 def test_spec_hash_is_computed_once_and_keeps_equality():
-    import dataclasses
     import os
     import pickle
     import subprocess
