@@ -228,32 +228,42 @@ def stationary_estimate(path: StationaryPath, at: int, kind: str, servers: int) 
 # Forward rolls along the path
 #
 # A forward roll is inherently sequential, and a Python step costs about
-# 2 us. Long rolls are therefore cut in time (Heidelberger & Stone 1990):
-# the roll of n steps splits into R = n // CHUNK chunks that advance
-# together, one numpy step of width R per row. Every chunk but the first
-# starts from a fixed guess instead of its unknown true state. The seams
-# are then repaired in order: from a seam's true incoming state the scalar
-# step re-runs, overwriting rows, until its state equals the stored
-# speculative row. From there on the chunk is correct as stored, because
-# the lockstep pass applied the same IEEE max, min, add and subtract to the
-# same operands. (Ties between +0 and -0 could pick different zeros, but
-# every gap is strictly positive, so a zero never survives the subtraction
-# that follows.) A repair that reaches the next seam runs on through it,
-# so the worst case is one scalar roll on top of the lockstep pass. Rows
-# equal the scalar roll's bit for bit; rolls shorter than two chunks run
-# the scalar loop alone. Rows take their dtype from the starting state, so
-# the same roll serves the int64 lattice recursion, where every step is
-# exact and the argument holds trivially.
+# 2 us. Long rolls are therefore cut in time (Heidelberger & Stone 1990;
+# Greenberg, Lubachevsky & Mitrani 1991): the roll of n steps splits into
+# R chunks (lanes) of about CHUNK steps that advance together, one numpy
+# step of width R per row. Every lane but the first starts from a fixed
+# guess instead of its unknown true state, and its first row is its seam.
+#
+# The seams are repaired in one lockstep round. Every seam restarts from
+# its predecessor's last row, and all unfinished seams advance together
+# through the same lane step, each under its own drivers, overwriting their
+# rows. A seam drops out as soon as its new row equals the stored one in
+# every recursion the pass carries. From there on its lane is correct as
+# stored, because the lane step applies the same IEEE max, min, add and
+# subtract to the same operands. (Ties between +0 and -0 could pick
+# different zeros, but every gap is strictly positive, so a zero never
+# survives the subtraction that follows.) A seam that reaches its lane's
+# end without matching changes that lane's last row, so the next seam
+# restarted from a row that was not yet true. The scalar walk then runs in
+# order, from the first seam whose incoming row differs from the one its
+# round read: the scalar step re-runs from the true row until a stored row
+# holds, running on through later seams if it must. Seams whose incoming
+# row did not move are skipped. The worst case is one scalar roll on top
+# of the lane pass and one round. Rows equal the scalar roll's bit for
+# bit; rolls shorter than two chunks run the scalar loop alone. Rows take
+# their dtype from the starting state, so the same roll serves the int64
+# lattice recursion, where every step is exact and the argument holds
+# trivially.
 #
 # One pass can carry k recursions over the same drivers: their lanes stack
 # into one (k*R, S) array, recursion i in rows [i*R, (i+1)*R), so a step
 # costs one set of numpy calls on k times the rows instead of k sets. The
-# lane step applies each recursion's own map to its rows, and each
-# recursion then repairs its own seams with its own scalar step, so every
-# recursion's rows are still its scalar roll's, bit for bit.
+# lane step applies each recursion's own map to its rows, and the walk
+# repairs each recursion with its own scalar step, so every recursion's
+# rows are still its scalar roll's, bit for bit.
 # ---------------------------------------------------------------------------
 
-CHUNK = 512
+CHUNK = 256
 
 
 def _scalar_roll(u0: tuple[float, ...], step, drivers: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -282,13 +292,15 @@ def _forward_roll(rolls, lane_step, drivers: tuple[np.ndarray, ...], guess: floa
     if lanes < 2:
         return np.stack([_scalar_roll(u0, step, own) for u0, step, own in rolls])
     length = -(-steps // lanes)
+    lanes = -(-steps // length)  # no lane lies wholly in the padding
     # Driver c of lane r at its j-th step is cols[c][j, r]; the last lane
     # runs past the roll on zero padding, and those rows are cut off.
-    cols = []
+    cols, full = [], (lanes - 1) * length
     for col in drivers:
-        padded = np.zeros(lanes * length, dtype=col.dtype)
-        padded[:steps] = col
-        cols.append(np.ascontiguousarray(padded.reshape(lanes, length).T))
+        lane_col = np.zeros((length, lanes), dtype=col.dtype)
+        lane_col[:, :-1] = col[:full].reshape(lanes - 1, length).T
+        lane_col[: steps - full, -1] = col[full:]
+        cols.append(lane_col)
     k, width = len(rolls), len(rolls[0][0])
     dtype = np.asarray(rolls[0][0]).dtype
     states = np.empty((k, lanes * length + 1, width), dtype=dtype)
@@ -307,12 +319,30 @@ def _forward_roll(rolls, lane_step, drivers: tuple[np.ndarray, ...], guess: floa
         batch[:, :, j % 16] = u.reshape(k, lanes, width)
         if j % 16 == 15 or j == length - 1:
             by_lane[:, :, j - j % 16 : j + 1] = batch[:, :, : j % 16 + 1]
+
+    # The round: every seam restarts from its predecessor's last row.
+    incoming = by_lane[:, :-1, -1].copy()
+    live = np.arange(1, lanes)
+    u = incoming.reshape(-1, width)
+    for j in range(length):
+        u = lane_step(u, *(col[j, live] for col in cols)).reshape(k, len(live), width)
+        held = (u == by_lane[:, live, j]).all(axis=(0, 2))
+        by_lane[:, live, j] = u
+        if held.any():
+            if held.all():
+                break
+            live, u = live[~held], u[:, ~held]
+        u = u.reshape(-1, width)
     states = states[:, : steps + 1]
 
-    for rows, (_, step, own) in zip(states, rolls):
-        seam = length
-        while seam < steps:
-            seam = -(-_repair(rows, step, own, seam) // length) * length
+    # The walk: a seam whose incoming row moved since the round read it
+    # restarts from the true row; a repair that runs into later lanes
+    # repairs their seams on the way.
+    for rows, read, (_, step, own) in zip(states, incoming, rolls):
+        done = 0
+        for seam in np.flatnonzero((rows[length:steps:length] != read).any(axis=1)) + 1:
+            if seam * length >= done:
+                done = _repair(rows, step, own, seam * length)
     return states
 
 
@@ -320,20 +350,26 @@ def _repair(states: np.ndarray, step, drivers: tuple[np.ndarray, ...], i: int) -
     """Overwrite rows after ``i`` with scalar steps until one already holds.
 
     Returns the index of the first row the scalar step reproduced (or the
-    last row). Drivers convert to floats in doubling blocks, since most
-    repairs end within a few steps.
+    last row). Drivers and stored rows convert to Python values in blocks
+    that double up to 1024 steps, since most repairs end within a few steps.
     """
     u = tuple(states[i].tolist())
     block = 8
     while i < len(drivers[0]):
         stop = i + block
-        for d in zip(*[col[i:stop].tolist() for col in drivers]):
+        rows = []
+        for d, held in zip(zip(*[col[i:stop].tolist() for col in drivers]),
+                           map(tuple, states[i + 1 : stop + 1].tolist())):
             u = step(u, *d)
-            i += 1
-            if states[i].tolist() == list(u):
-                return i
-            states[i] = u
-        block *= 2
+            if u == held:
+                break
+            rows.append(u)
+        if rows:
+            states[i + 1 : i + 1 + len(rows)] = rows
+        i += len(rows)
+        if u == held:
+            return i + 1
+        block = min(2 * block, 1024)
     return i
 
 
@@ -389,7 +425,15 @@ def exact_states(path: StationaryPath, at: int, steps: int,
     return _exact_roll(tuple(map(float, u0)), path.block(at, steps))
 
 
-def _sandwich_lane_step(u, tau, sigma, patience, lower, upper):
+def _lower_step(u, tau, sigma, patience):
+    return _merge_shift(u, min(sigma, patience), tau)
+
+
+def _upper_step(u, tau, sigma, patience):
+    return _merge_shift(u, sigma + patience, tau)
+
+
+def _sandwich_lane_step(u, tau, sigma, patience):
     # Rows stack the exact, lower and upper lanes; each block takes its own
     # contribution (the exact one as ``advance_batch`` forms it), then one
     # merge shift advances all three.
@@ -397,8 +441,8 @@ def _sandwich_lane_step(u, tau, sigma, patience, lower, upper):
     x = np.empty(rows.shape[:2])
     first = rows[0, :, 0]
     np.add(first, np.where(first <= patience, sigma, 0.0), out=x[0])
-    x[1] = lower
-    x[2] = upper
+    np.minimum(sigma, patience, out=x[1])
+    np.add(sigma, patience, out=x[2])
     return _merge_shift_batch(rows, x, tau).reshape(u.shape)
 
 
@@ -412,12 +456,10 @@ def sandwich_states(path: StationaryPath, at: int, steps: int, exact0: tuple[flo
     one lane pass over the drivers of ``[at, at+steps)``.
     """
     blk = path.block(at, steps)
-    lower = _effective_work(blk.tau, blk.sigma, blk.patience, "lower")
-    upper = _effective_work(blk.tau, blk.sigma, blk.patience, "upper")
     rolls = ((tuple(map(float, exact0)), _exact_step, blk),
-             (tuple(map(float, lower0)), _merge_shift, (lower, blk.tau)),
-             (tuple(map(float, upper0)), _merge_shift, (upper, blk.tau)))
-    return _forward_roll(rolls, _sandwich_lane_step, (*blk, lower, upper), 0.0)
+             (tuple(map(float, lower0)), _lower_step, blk),
+             (tuple(map(float, upper0)), _upper_step, blk))
+    return _forward_roll(rolls, _sandwich_lane_step, blk, 0.0)
 
 
 def lattice_states(path: StationaryPath, at: int, steps: int,

@@ -42,6 +42,7 @@ _CHAIN_BLOCK = 4096
 # until the maps coalesce, and refuses past _BACK_CAP maps.
 _BACK_START = 256
 _BACK_CAP = 1 << 20
+_PIECE = 1 << 16  # jump maps one look-back reduction holds at once
 
 
 def _mix64_int(x: int) -> int:
@@ -427,8 +428,15 @@ class StationaryPath:
         return StationaryPath(self.spec, self.offset + k, self._chain_cache)
 
     def sample_at(self, n: int) -> DriverSample:
-        b = self.block(n, 1)
-        return DriverSample(float(b.tau[0]), float(b.sigma[0]), float(b.patience[0]))
+        """The triple at index ``n``: read from the memo on a hit, otherwise
+        generated alone, leaving the memo as it is."""
+        base = n + self.offset
+        memo = self._window
+        if memo is not None and 0 <= base - memo[0] < len(memo[1].tau):
+            blk, i = memo[1], base - memo[0]
+        else:
+            blk, i = self._generate(base, 1), 0
+        return DriverSample(float(blk.tau[i]), float(blk.sigma[i]), float(blk.patience[i]))
 
     def block(self, start: int, count: int) -> DriverBlock:
         """Driver triples for indices ``start .. start+count-1`` as read-only arrays."""
@@ -511,30 +519,36 @@ class StationaryPath:
         blocks agree at their seam by construction.
 
         The block looks back ``back`` maps from its start, ``_BACK_START``
-        at first and doubling, and runs one prefix scan
-        (``_prefix_compose``) over the maps at indices
-        ``b*BLOCK - back + 1 .. (b+1)*BLOCK - 1``. When row ``back - 1``, the
-        composition ending at the block start, is constant, the block is
-        column 0 of that row and of the rows after it. Only integer
-        gathers run, so every state equals the one the chain stepped index
-        by index from the coalesced state reaches, bit for bit. Each try
-        costs O(m * (back + BLOCK) * log(back + BLOCK)) in about
-        log2(back + BLOCK) numpy passes. A chain whose maps do not coalesce
-        within ``_BACK_CAP`` maps (a periodic one never does) is refused
-        with ``ResourceCapError``.
+        at first and doubling. One prefix scan (``_prefix_compose``) runs
+        over the first ``_BACK_START`` look-back maps and the block's own, so
+        row ``_BACK_START - 1 + j`` composes the maps from the look-back
+        start to index ``b*BLOCK + j``. Each deeper try folds only the maps
+        it adds to the look-back (``_compose``, a pairwise reduction in
+        pieces of at most ``_PIECE`` maps) into ``deeper``, the composition
+        of the look-back before the scan. The composition ending at the
+        block start is row ``_BACK_START - 1`` read at ``deeper``; once that
+        is constant, the block is the scan's rows from there on, read at
+        ``deeper[0]``. Only integer gathers run, so every state equals the
+        one the chain stepped index by index from the coalesced state
+        reaches, bit for bit, and memory stays bounded whatever the
+        look-back. A chain whose maps do not coalesce within ``_BACK_CAP``
+        maps (a periodic one never does) is refused with
+        ``ResourceCapError``.
         """
         cached = self._chain_cache.get((self.spec, b))
         if cached is not None:
             return cached
-        edges, cell_maps = _chain_tables(self.spec.modulation)
+        start = b * _CHAIN_BLOCK
+        prefix = _prefix_compose(_jump_maps(self.spec, start + 1 - _BACK_START,
+                                            _BACK_START + _CHAIN_BLOCK - 1))
+        deeper = np.arange(self.spec.modulation.n_states())
         back = _BACK_START
         while back <= _BACK_CAP:
-            u = stream_uniforms(self.spec.seed, STREAM_MODULATION, b * _CHAIN_BLOCK - back + 1,
-                                back + _CHAIN_BLOCK - 1)
-            prefix = _prefix_compose(np.take(cell_maps, np.searchsorted(edges, u, side="right"),
-                                             axis=0))
-            if (prefix[back - 1] == prefix[back - 1, 0]).all():
-                block = prefix[back - 1 :, 0].copy()
+            if back > _BACK_START:
+                deeper = deeper[_compose(self.spec, start + 1 - back, start + 1 - back // 2)]
+            at_start = prefix[_BACK_START - 1, deeper]
+            if (at_start == at_start[0]).all():
+                block = prefix[_BACK_START - 1 :, deeper[0]].copy()
                 self._chain_cache[(self.spec, b)] = block
                 return block
             back *= 2
@@ -565,6 +579,34 @@ def _chain_tables(mod: ModulationSpec) -> tuple[np.ndarray, np.ndarray]:
     for table in (edges, cell_maps):
         table.setflags(write=False)
     return edges, cell_maps
+
+
+def _jump_maps(spec: SequenceSpec, start: int, count: int) -> np.ndarray:
+    """The ``(count, m)`` jump maps of the chain at indices ``start ..
+    start+count-1``, each chosen by the uniform at its index."""
+    edges, cell_maps = _chain_tables(spec.modulation)
+    u = stream_uniforms(spec.seed, STREAM_MODULATION, start, count)
+    return np.take(cell_maps, np.searchsorted(edges, u, side="right"), axis=0)
+
+
+def _compose(spec: SequenceSpec, lo: int, hi: int) -> np.ndarray:
+    """The composition ``f(hi-1) o ... o f(lo)`` of the chain's jump maps.
+
+    Each piece of at most ``_PIECE`` maps folds pairwise, the later map of
+    each pair composed onto the earlier by one flat gather, halving the
+    stack per pass; the pieces then compose in order.
+    """
+    out = np.arange(spec.modulation.n_states())
+    for a in range(lo, hi, _PIECE):
+        maps = _jump_maps(spec, a, min(_PIECE, hi - a))
+        m = maps.shape[1]
+        while len(maps) > 1:
+            n = len(maps) // 2
+            pairs = maps[: 2 * n].reshape(n, 2 * m)
+            top = np.take(pairs, pairs[:, :m] + np.arange(m, 2 * n * m, 2 * m)[:, None])
+            maps = np.concatenate((top, maps[2 * n :]))
+        out = maps[0][out]
+    return out
 
 
 def _prefix_compose(maps: np.ndarray) -> np.ndarray:

@@ -259,3 +259,87 @@ def test_lattice_roll_small_chunks_match_loop(monkeypatch):
     for servers in (1, 2, 4):
         for path in (StationaryPath(LATTICE_TIES), StationaryPath(random_lattice_spec(rng))):
             _assert_lattice_matches_loop(path, 3, 700, (0,) * servers)
+
+
+# ---------------------------------------------------------------------------
+# The lane round and the walk after it
+# ---------------------------------------------------------------------------
+
+
+def _record_repairs(monkeypatch):
+    """Replace ``loynes._repair`` by a wrapper that records each call's step and row."""
+    calls, repair = [], loynes._repair
+
+    def recorded(states, step, drivers, i):
+        calls.append((step, i))
+        return repair(states, step, drivers, i)
+
+    monkeypatch.setattr(loynes, "_repair", recorded)
+    return calls
+
+
+def test_walk_runs_through_the_seams_of_one_stacked_recursion(monkeypatch):
+    # Gaps and services of 1 with unbounded patience drain two servers by one
+    # unit a step, so the exact rows from (300.5, 1000.5) stay high all roll
+    # long while every exact lane started from 0 stays at 0: no exact seam
+    # closes. Both envelopes close every seam within two steps. Seams stay
+    # in the round until their exact rows hold too, and the walk then runs
+    # the exact recursion alone from the second seam to the end.
+    monkeypatch.setattr(loynes, "CHUNK", 8)
+    calls = _record_repairs(monkeypatch)
+    path = StationaryPath(det_spec(1, 1.0, 1.0, math.inf))
+    _assert_stacked_matches_scalar_rolls(path, 0, 700, ((300.5, 1000.5), (0.0, 0.0), (0.0, 0.0)))
+    assert len(calls) == 1 and calls[0][0] is loynes._exact_step
+    assert 0 < calls[0][1] < 700
+
+
+def test_seam_first_matching_on_its_last_row(monkeypatch):
+    # Gaps of 1 and services of 0.5 drain the work by 0.5 a step, and a lane
+    # started from 0 stays at 0. With 8 lanes of 8 steps, lane 0 ends at 4.0
+    # from 8.0, and the seam restarting there reaches 0 exactly on its
+    # lane's last row (row 16); every later seam restarts from 0 and holds
+    # at once, so the round alone repairs the roll.
+    monkeypatch.setattr(loynes, "CHUNK", 8)
+    calls = _record_repairs(monkeypatch)
+    path = StationaryPath(det_spec(1, 1.0, 0.5, math.inf))
+    states, _ = loynes.exact_states(path, 0, 64, (8.0,))
+    assert states[15, 0] == 0.5 and states[16, 0] == 0.0
+    assert calls == []
+    _assert_matches_oracle(monkeypatch, path, 0, 64, (8.0,))
+
+
+def test_lattice_round_and_walk_match_loop(monkeypatch):
+    # From far above stationarity the int64 lanes run through their seams,
+    # so the walk repairs cascaded seams as well as the round.
+    monkeypatch.setattr(loynes, "CHUNK", 8)
+    calls = _record_repairs(monkeypatch)
+    path = StationaryPath(random_lattice_spec(np.random.default_rng(12), alpha=0.5))
+    _assert_lattice_matches_loop(path, 0, 700, (40, 70, 100))
+    assert calls
+
+
+def test_sandwich_report_needs_no_walk(monkeypatch):
+    # The main job at the default chunk: every seam of every roll closes in
+    # the lane round, with no scalar repair step.
+    calls = _record_repairs(monkeypatch)
+    metrics.bound_report(StationaryPath(SANDWICH), 2, 100_000)
+    assert calls == []
+
+
+def test_walk_resumes_at_the_seam_where_it_matched(monkeypatch):
+    # Hand-made drivers: every step adds 0.25 to the workload, so distinct
+    # rows stay distinct, except at index 23, where a deadline of 2 and a
+    # gap of 20 send every row above 2 to 0 and lift a row below it by 80.
+    # With 8 lanes of 8 steps, the walk from seam 2 (true row 14) first
+    # matches the round's rows on row 24, which is seam 3's incoming row;
+    # the round read it as 81.75 (lane 2 from its guess), so the walk must
+    # resume there.
+    monkeypatch.setattr(loynes, "CHUNK", 8)
+    tau, sigma, deadline = np.full(64, 0.25), np.full(64, 0.5), np.full(64, math.inf)
+    tau[23], sigma[23], deadline[23] = 20.0, 100.0, 2.0
+    drivers = (tau, sigma, deadline)
+    calls = _record_repairs(monkeypatch)
+    rows = loynes._forward_roll((((10.0,), loynes._exact_step, drivers),), loynes._exact_lane_step,
+                                drivers, 0.0)[0]
+    assert _identical(rows, loynes._scalar_roll((10.0,), loynes._exact_step, drivers))
+    assert [i for _, i in calls][:2] == [16, 24]

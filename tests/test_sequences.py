@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -248,6 +249,21 @@ def test_periodic_chain_refused():
     assert exc.value.cap == sequences._BACK_CAP
 
 
+def test_refusal_holds_a_bounded_look_back():
+    # A 4-state cycle never coalesces: the refusal reads 2^20 look-back maps,
+    # and holds at most one piece of them at a time.
+    transition = tuple(tuple(float(j == (i + 1) % 4) for j in range(4)) for i in range(4))
+    spec = _chain_spec(transition)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError):
+            StationaryPath(spec).block(0, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+
+
 def test_chain_block_refused_past_the_cap(monkeypatch):
     # near_reducible coalesces after about 5,000 maps; a cap of 512 refuses.
     monkeypatch.setattr(sequences, "_BACK_START", 256)
@@ -362,7 +378,22 @@ def test_sample_at_inside_and_outside_the_memo(kind):
         memo = path._window
         got = path.sample_at(n)
         assert np.array(got).tobytes() == np.array(StationaryPath(spec).sample_at(n)).tobytes()
-        assert (path._window is memo) == (lo <= n < hi)
+        # A miss generates the one index and leaves the memo as it was.
+        assert path._window is memo
+
+
+@pytest.mark.parametrize("kind", ["iid", "lattice", "markov_modulated"])
+def test_sample_at_equals_a_one_index_block_at_random_indices(kind):
+    spec = MEMO_SPECS[kind]
+    path = StationaryPath(spec).shifted(-5)
+    path.block(MEMO_LO, MEMO_N)
+    memo = path._window
+    rng = np.random.default_rng(91)
+    inside = rng.integers(MEMO_LO, MEMO_LO + MEMO_N, 20)
+    for n in np.concatenate([inside, rng.integers(-10**9, 10**9, 40)]).tolist():
+        want = StationaryPath(spec).shifted(-5).block(n, 1)
+        assert np.array(path.sample_at(n)).tobytes() == np.array([a[0] for a in want]).tobytes(), n
+        assert path._window is memo, n
 
 
 @pytest.mark.parametrize("kind", sorted(MEMO_SPECS))
@@ -425,6 +456,18 @@ def test_composition_helpers_match_sequential_loop(n, m):
     maps = rng.integers(0, m, size=(n, m))
     assert np.array_equal(_prefix_compose(maps), _sequential_prefix(maps))
     assert np.array_equal(_prefix_compose(maps[::-1]), _sequential_prefix(maps[::-1]))  # strided input
+
+
+@pytest.mark.parametrize("piece", [1, 2, 7, 64, 1 << 16])
+@pytest.mark.parametrize("name", ["random3", "overshoot", "random_mm3"])
+def test_look_back_fold_matches_sequential_loop(monkeypatch, name, piece):
+    # Odd and even stacks, pieces of one map and pieces that split the range
+    # unevenly all give the composition the maps make applied in turn.
+    monkeypatch.setattr(sequences, "_PIECE", piece)
+    spec = SEAM_SPECS[name]
+    for lo, count in ((-3, 1), (0, 2), (17, 3), (-700, 255), (5000, 1000)):
+        want = _sequential_prefix(sequences._jump_maps(spec, lo, count))[-1]
+        assert np.array_equal(sequences._compose(spec, lo, lo + count), want), (lo, count)
 
 
 def test_iid_samples_uncorrelated_across_indices():
