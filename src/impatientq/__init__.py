@@ -26,7 +26,7 @@ from .coupling import (
     reachable_profile,
     reachable_set,
 )
-from .des import ArrivalRecord, CrossValidation, cross_validate, run
+from .des import CrossValidation, Trace, cross_validate, run
 from .metrics import (
     BoundReport,
     ConditionReport,
@@ -71,8 +71,8 @@ __all__ = [
     "detect_renovation",
     "reachable_profile",
     "reachable_set",
-    "ArrivalRecord",
     "CrossValidation",
+    "Trace",
     "cross_validate",
     "run",
     "BoundReport",

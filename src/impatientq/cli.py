@@ -262,19 +262,20 @@ def cmd_hset(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
 
 def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     path = StationaryPath(cfg.spec)
-    records = des.run(path, cfg.servers, cfg.run.n_arrivals)
-    est = metrics.loss_probability(records, n_batches=cfg.run.batches)
+    trace = des.run(path, cfg.servers, cfg.run.n_arrivals)
+    lost = ~trace.served
+    est = metrics.loss_probability(lost, n_batches=cfg.run.batches)
     payload = _header(cfg, "simulate")
     payload.update({
         "n_arrivals": cfg.run.n_arrivals,
-        "losses": sum(r.loss for r in records),
+        "losses": int(lost.sum()),
         "loss_probability": est.probability,
         "half_width": est.half_width,
     })
     _write_json(out_dir / "simulate.json", payload)
     with open(out_dir / "trace.csv", "w", newline="") as fh:
         _csv_stamp(fh, cfg)
-        des.write_trace(records, fh)
+        des.write_trace(trace, fh)
     print(f"simulate: loss probability {est.probability:.6f} ± {est.half_width:.6f} "
           f"over {cfg.run.n_arrivals} arrivals")
     return 0

@@ -8,38 +8,38 @@ inductive virtual-workload construction: starting from the ordered residual
 services, fold in every waiting customer's requirement whenever the least
 virtual workload fits inside her remaining patience. The folded vector is
 the workload the arriving customer sees, and must reproduce the one-step
-recursion exactly; ``cross_validate`` certifies that.
+recursion (exactly on a lattice; to a few ulps on floats, where a waiting
+customer's service is added after gaps the recursion subtracts after it);
+``cross_validate`` certifies that.
 
-The fold keeps the virtual workloads in a binary heap: a customer who fits
-replaces the least value ``w`` by ``w + sigma`` (``heapreplace``), and the
-heap is sorted once at the end. This is the recursion's merge with a zero
-gap, which only selects values (``max(hi - 0.0, 0.0) == hi`` for the
-non-negative values held here), so the folded tuple is the same multiset,
-sorted, bit for bit; the simulator shares no arithmetic with the kernel
-it is checked against.
+The residuals are kept ascending, so with nobody waiting they are the fold
+as they stand. Otherwise the fold keeps the virtual workloads in a heap: a
+customer who fits replaces the least value ``w`` by ``w + sigma``
+(``heapreplace``), and the heap is sorted once at the end. This is the
+recursion's merge with a zero gap, which only selects values, so the fold
+is the same multiset, sorted, bit for bit; the simulator shares no
+arithmetic with the kernel it is checked against.
 
-Expired customers leave the line at the next arrival. The loop that ages
-the line during each gap (remaining patience down by the gap) raises a
-flag when an entry passes its deadline, and the line is purged only when
-the flag is set, instead of being scanned at every arrival. The purge
-only keeps the line short: an expired entry never fits in the fold and
-is lost when it reaches the head, so no output depends on it.
+Aging the line during a gap raises a flag when an entry passes its
+deadline, and only then is the line purged at the next arrival. The purge
+only keeps the line short: an expired entry never fits in the fold and is
+lost when it reaches the head.
 
 Timekeeping is relative to the current arrival (everything is decremented
-by each gap), so values stay small and float error does not grow with the
-horizon. A lattice path runs the same engine on integers: gaps and service
-in multiples of ``alpha``, and for each customer the deadline from
-``kernel.accepted_multiples`` in place of her patience, so every deadline
-comparison is exact; the workloads seen are scaled by ``alpha`` at the end,
-and the comparison against the recursion is exact.
+by each gap), so float error does not grow with the horizon. A lattice path
+runs the same engine on integers: multiples of ``alpha`` for gaps and
+service, and each customer's deadline from ``kernel.accepted_multiples``,
+so every deadline comparison is exact. ``run`` returns a ``Trace`` of
+columns, which ``cross_validate`` and ``write_trace`` read.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from heapq import heapreplace
-from typing import IO, NamedTuple, Optional
+from typing import IO, Optional
 
 import numpy as np
 
@@ -47,110 +47,100 @@ from .loynes import _exact_drivers, exact_states, lattice_states
 from .sequences import StationaryPath
 
 _CHUNK = 1 << 15
+_WRITE_ROWS = 1 << 12  # rows formatted per write in ``write_trace``
 
 
-class ArrivalRecord(NamedTuple):
-    index: int
-    workload_seen: tuple[float, ...]
-    served: bool
-    loss: bool
+@dataclass(frozen=True, eq=False)
+class Trace:
+    """One run as read-only columns: arrival ``i`` sees the ascending
+    workload vector ``seen[i]`` (float64) and is served iff ``served[i]``."""
+
+    seen: np.ndarray
+    served: np.ndarray
+
+    def __post_init__(self):
+        self.seen.flags.writeable = self.served.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.served)
 
 
-def run(path: StationaryPath, servers: int, n_arrivals: int) -> list[ArrivalRecord]:
-    """Simulate ``n_arrivals`` customers from an initially empty system."""
+def run(path: StationaryPath, servers: int, n_arrivals: int) -> Trace:
+    """Simulate ``n_arrivals`` customers from an initially empty system.
+
+    The engine's flat list of workloads is reshaped once. A lattice run's
+    multiples are scaled by ``alpha`` in one array multiply; int64 to
+    float64 is exact here, so each value has the bits of ``k * alpha``.
+    """
     if servers < 1:
         raise ValueError("servers must be >= 1")
     if n_arrivals < 1:
         raise ValueError("n_arrivals must be >= 1")
-    lattice = path.spec.is_lattice
-    seen, served = _simulate(path, servers, n_arrivals, 0 if lattice else 0.0)
-    if lattice:  # scale each distinct state once; records share the tuples
-        alpha = path.spec.alpha
-        scaled = {fold: tuple([v * alpha for v in fold]) for fold in set(seen)}
-        seen = list(map(scaled.__getitem__, seen))
-    return _records(seen, served)
+    flat, served = _simulate(path, servers, n_arrivals, 0 if path.spec.is_lattice else 0.0)
+    if path.spec.is_lattice:
+        seen = np.array(flat, dtype=np.int64) * path.spec.alpha
+    else:
+        seen = np.array(flat, dtype=np.float64)
+    return Trace(seen.reshape(n_arrivals, servers), np.frombuffer(served, dtype=bool))
 
 
-def _records(seen: list[tuple], served: list[bool]) -> list[ArrivalRecord]:
-    # One map over the columns; a per-index comprehension cost a tenth of ``run``.
-    return list(map(ArrivalRecord, range(len(served)), seen, served, [not s for s in served]))
-
-
-def _simulate(path: StationaryPath, servers: int, n_arrivals: int, zero) -> tuple[list, list]:
-    """The workloads seen and the served flags, in the path's own arithmetic.
-
-    ``zero`` is that arithmetic's zero (``0.0``, or ``0`` on a lattice), so
-    every comparison in the loop is between two floats or two ints.
-    """
+def _simulate(path: StationaryPath, servers: int, n_arrivals: int, zero) -> tuple[list, bytearray]:
+    """The workloads seen (``servers`` values per arrival, one flat list)
+    and the served flags, in the path's own arithmetic, whose zero is
+    ``zero``. ``residuals`` stays ascending: the server that takes a job is
+    ``residuals[0]``, and subtracting the gap and clipping keeps the order.
+    The last arrival's gap is infinite, which drains the line."""
     residuals = [zero] * servers
     line: deque[list] = deque()  # [remaining patience or deadline, sigma, index]
-    seen: list[tuple[float, ...]] = []
-    served: list[Optional[bool]] = [None] * n_arrivals
+    seen: list = []
+    served = bytearray(n_arrivals)  # a customer never marked served is lost
     expired = False  # a deadline passed during the last gap
 
-    pos = 0
-    while pos < n_arrivals:
+    for pos in range(0, n_arrivals, _CHUNK):
         count = min(_CHUNK, n_arrivals - pos)
         taus, sigmas, patiences = (col.tolist() for col in _exact_drivers(path, pos, count))
+        if pos + count == n_arrivals:
+            taus[-1] = math.inf
         for j in range(count):
-            n = pos + j
             # Customers whose deadline passed during earlier gaps are gone.
             if expired:
-                kept = deque()
-                for entry in line:
-                    if entry[0] < zero:
-                        served[entry[2]] = False
-                    else:
-                        kept.append(entry)
-                line = kept
+                line = deque([entry for entry in line if entry[0] >= zero])
 
             # Virtual workloads just before this arrival.
-            fold = sorted(residuals)  # a sorted list is a heap
-            for rem, sig, _ in line:
-                if fold[0] <= rem:
-                    heapreplace(fold, fold[0] + sig)
-            fold.sort()
-            seen.append(tuple(fold))
-
-            # With nobody waiting, ``fold`` is the sorted residuals.
-            sigma_n = sigmas[j]
-            if line or fold[0] > zero:
-                line.append([patiences[j], sigma_n, n])
+            if line:
+                fold = residuals.copy()  # an ascending list is a heap
+                for rem, sig, _ in line:
+                    if fold[0] <= rem:
+                        heapreplace(fold, fold[0] + sig)
+                fold.sort()
+                seen += fold
+                line.append([patiences[j], sigmas[j], pos + j])
             else:
-                served[n] = True
-                residuals[residuals.index(fold[0])] = sigma_n
+                seen += residuals
+                if residuals[0] > zero:
+                    line.append([patiences[j], sigmas[j], pos + j])
+                else:
+                    served[pos + j] = True
+                    residuals[0] = sigmas[j]
+                    residuals.sort()
 
             # Gap until the next arrival: completions trigger FCFS starts.
             tau_n = taus[j]
-            if n < n_arrivals - 1:
-                while line:
-                    f = min(residuals)
-                    if f > tau_n:
-                        break
-                    rem, sig, i = line.popleft()
-                    if rem >= f:
-                        served[i] = True
-                        residuals[residuals.index(f)] = f + sig
-                    else:
-                        served[i] = False
-                residuals = [r - tau_n if r > tau_n else zero for r in residuals]
-                expired = False
-                for entry in line:
-                    entry[0] -= tau_n
-                    if entry[0] < zero:
-                        expired = True
-        pos += count
-
-    # Drain: no further arrivals, so every waiting customer resolves.
-    while line:
-        f = min(residuals)
-        rem, sig, i = line.popleft()
-        if rem >= f:
-            served[i] = True
-            residuals[residuals.index(f)] = f + sig
-        else:
-            served[i] = False
-
+            while line:
+                f = residuals[0]
+                if f > tau_n:
+                    break
+                rem, sig, i = line.popleft()
+                if rem >= f:
+                    served[i] = True
+                    residuals[0] = f + sig
+                    residuals.sort()
+            residuals = [r - tau_n if r > tau_n else zero for r in residuals]
+            expired = False
+            for entry in line:
+                entry[0] -= tau_n
+                if entry[0] < zero:
+                    expired = True
     return seen, served
 
 
@@ -181,33 +171,46 @@ def cross_validate(path: StationaryPath, servers: int, n_arrivals: int,
     the recursion's acceptance indicator exactly. Lattice paths are rolled
     in integer steps and scaled by ``alpha`` once, as the engine does.
     """
-    records = run(path, servers, n_arrivals)
+    trace = run(path, servers, n_arrivals)
     if path.spec.is_lattice:
         states, accepted = lattice_states(path, 0, n_arrivals, (0,) * servers)
-        states = states[:-1] * path.spec.alpha
+        states = states * path.spec.alpha
     else:
         states, accepted = exact_states(path, 0, n_arrivals, (0.0,) * servers)
-        states = states[:-1]
-    diff = np.array([rec.workload_seen for rec in records])
-    diff -= states
+    diff = trace.seen - states[:-1]
     disc = np.abs(diff, out=diff).max(axis=1)
-    served = np.fromiter((rec.served for rec in records), dtype=bool, count=n_arrivals)
-    bad = (disc > tol) | (served != accepted)
+    bad = (disc > tol) | (trace.served != accepted)
     first_div = None
     if bad.any():
         j = int(np.argmax(bad))
-        first_div = (records[j].index, records[j].workload_seen, tuple(states[j].tolist()))
-    return CrossValidation(n_arrivals, float(disc.max()), bool(np.array_equal(served, accepted)),
+        first_div = (j, tuple(trace.seen[j].tolist()), tuple(states[j].tolist()))
+    return CrossValidation(n_arrivals, float(disc.max()), bool(np.array_equal(trace.served, accepted)),
                            first_div, tol)
 
 
-def write_trace(records: list[ArrivalRecord], out: IO[str]):
+def write_trace(records: Trace, out: IO[str]):
     """CSV dump: index, W(1..S), served, loss.
 
-    Rows are joined by hand: ``repr`` of a float never holds a comma or a
-    quote, so no field needs CSV quoting.
+    Rows are formatted ``_WRITE_ROWS`` at a time, by one ``%`` over a
+    repeated row template. ``%s`` of a float is its ``repr``, which never
+    holds a comma or a quote, so no field needs CSV quoting. A block with
+    few distinct values (a lattice trace) formats each of them once; they
+    are told apart by their bits, so ``0.0`` and ``-0.0`` stay apart.
     """
-    servers = len(records[0].workload_seen) if records else 0
+    n, servers = records.seen.shape
     out.write(",".join(["index", *(f"W{i + 1}" for i in range(servers)), "served", "loss"]) + "\n")
-    out.writelines(f"{rec.index},{','.join(map(repr, rec.workload_seen))},"
-                   f"{int(rec.served)},{int(rec.loss)}\n" for rec in records)
+    template = "%d," + "%s," * servers + "%s\n"
+    flags = np.array(["0,1", "1,0"], dtype=object)  # served, loss
+    for a in range(0, n, _WRITE_ROWS):
+        block = records.seen[a:a + _WRITE_ROWS]
+        rows = len(block)
+        cells = np.empty((rows, servers + 2), dtype=object)
+        cells[:, 0] = range(a, a + rows)
+        bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
+        if 2 * bits.size < block.size:
+            text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+            cells[:, 1:-1] = text[inverse].reshape(block.shape)
+        else:
+            cells[:, 1:-1] = block
+        cells[:, -1] = flags[records.served[a:a + rows].view(np.uint8)]
+        out.write((template * rows) % tuple(cells.ravel()))

@@ -30,12 +30,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
 from .coupling import cftp
-from .des import ArrivalRecord
 from .errors import ContractError
 from .loynes import (
     LoynesEstimate,
@@ -83,13 +82,9 @@ def batch_means(x: np.ndarray, n_batches: int = DEFAULT_BATCHES) -> ProbabilityE
                                t_quantile(0.975, n_batches - 1) * spread / math.sqrt(n_batches), n)
 
 
-def loss_probability(trace: Union[Sequence[ArrivalRecord], np.ndarray],
-                     n_batches: int = DEFAULT_BATCHES) -> ProbabilityEstimate:
-    """Fraction of lost arrivals in a trace, with a batch-means interval."""
-    if isinstance(trace, np.ndarray):
-        losses = trace.astype(np.float64)
-    else:
-        losses = np.fromiter((r.loss for r in trace), dtype=np.float64, count=len(trace))
+def loss_probability(losses: np.ndarray, n_batches: int = DEFAULT_BATCHES) -> ProbabilityEstimate:
+    """Fraction of lost arrivals, from their loss indicators, with a batch-means interval."""
+    losses = np.asarray(losses, dtype=np.float64)
     if losses.size < 1:
         raise ValueError("trace must contain at least one arrival")
     if losses.size < n_batches:

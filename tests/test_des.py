@@ -8,9 +8,11 @@ from heapq import heapreplace
 import numpy as np
 import pytest
 
+from impatientq import des
 from impatientq.config import parse_config
-from impatientq.des import cross_validate, run, write_trace
+from impatientq.des import Trace, cross_validate, run, write_trace
 from impatientq.kernel import _merge_shift, advance_lattice
+from impatientq.loynes import _exact_drivers, exact_states, lattice_states
 from impatientq.sequences import (
     Deterministic,
     Exponential,
@@ -25,48 +27,46 @@ from test_cli import LATTICE_INI, MM2D_INI
 
 def test_hand_trace_single_server():
     spec = det_spec(1, tau=1.0, sigma=1.5, patience=0.0)
-    records = run(StationaryPath(spec), 1, 3)
-    assert [r.workload_seen for r in records] == [(0.0,), (0.5,), (0.0,)]
-    assert [r.served for r in records] == [True, False, True]
-    assert all(r.served != r.loss for r in records)
+    trace = run(StationaryPath(spec), 1, 3)
+    assert len(trace) == 3
+    assert trace.seen.tolist() == [[0.0], [0.5], [0.0]]
+    assert trace.served.tolist() == [True, False, True]
 
 
 def test_periodic_loss_limit():
     spec = det_spec(1, tau=1.0, sigma=1.5, patience=0.0)
-    records = run(StationaryPath(spec), 1, 10_000)
-    assert sum(r.loss for r in records) / 10_000 == 0.5
+    trace = run(StationaryPath(spec), 1, 10_000)
+    assert (~trace.served).sum() / 10_000 == 0.5
 
 
 def test_infinite_patience_never_loses():
     spec = iid_spec(9, Exponential(1.0), Exponential(2.0), Deterministic(math.inf))
-    records = run(StationaryPath(spec), 1, 20_000)
-    assert sum(r.loss for r in records) == 0
+    trace = run(StationaryPath(spec), 1, 20_000)
+    assert trace.served.all()
     assert cross_validate(StationaryPath(spec), 1, 20_000).passed
 
 
 def test_zero_service_keeps_empty_workload():
     spec = iid_spec(4, Exponential(1.0), Deterministic(0.0), Uniform(0.0, 1.0))
-    records = run(StationaryPath(spec), 2, 2_000)
-    assert all(r.workload_seen == (0.0, 0.0) for r in records)
-    assert all(r.served for r in records)
+    trace = run(StationaryPath(spec), 2, 2_000)
+    assert trace.seen.shape == (2_000, 2) and not trace.seen.any()
+    assert trace.served.all()
 
 
 def test_loss_accounting():
     spec = iid_spec(12, Exponential(1.0), Exponential(0.5), Uniform(0.0, 1.0))
-    records = run(StationaryPath(spec), 2, 5_000)
-    served = sum(r.served for r in records)
-    lost = sum(r.loss for r in records)
-    assert served + lost == 5_000
-    assert all(r.served != r.loss for r in records)
+    trace = run(StationaryPath(spec), 2, 5_000)
+    assert len(trace) == trace.served.size == 5_000 and trace.served.dtype == bool
+    assert 0 < trace.served.sum() < 5_000
 
 
 def test_decisions_match_patience_comparison():
     spec = iid_spec(13, Exponential(1.0), Exponential(0.7), Uniform(0.0, 2.0))
     path = StationaryPath(spec)
-    records = run(path, 3, 5_000)
+    trace = run(path, 3, 5_000)
     patience = path.block(0, 5_000).patience
-    for r in records:
-        assert r.served == (r.workload_seen[0] <= patience[r.index])
+    for i, (seen, served) in enumerate(zip(trace.seen.tolist(), trace.served.tolist())):
+        assert served == (seen[0] <= patience[i])
 
 
 def test_cross_validate_mm2():
@@ -77,28 +77,47 @@ def test_cross_validate_mm2():
     assert report.first_divergence is None
 
 
-def test_cross_validate_reports_first_divergence(monkeypatch):
-    # Corrupt the simulator's records: a flipped decision at 40 and a
-    # workload 0.5 off at 90. The first divergence is the earlier of the two.
-    from impatientq import des
+def _corrupted(trace, flip=None, shift=None):
+    """``trace`` with the decision at ``flip`` reversed and the workload at
+    ``shift`` raised by 0.5 in every coordinate."""
+    seen, served = trace.seen.copy(), trace.served.copy()
+    if flip is not None:
+        served[flip] = not served[flip]
+    if shift is not None:
+        seen[shift] += 0.5
+    return Trace(seen, served)
 
+
+def _row(trace, i):
+    return tuple(trace.seen[i].tolist())
+
+
+def _assert_python_divergence(div):
+    idx, seen, state = div
+    assert type(idx) is int
+    assert all(type(v) is float for v in seen + state)
+
+
+def test_cross_validate_reports_first_divergence(monkeypatch):
+    # Corrupt the simulator's trace: a flipped decision at 40 and a
+    # workload 0.5 off at 90. The first divergence is the earlier of the two.
     path = StationaryPath(iid_spec(5, Exponential(1.0), Exponential(0.7), Uniform(0.0, 2.0)))
-    records = run(path, 2, 3_000)
+    trace = run(path, 2, 3_000)
     honest = cross_validate(path, 2, 3_000)
-    bad = list(records)
-    bad[40] = bad[40]._replace(served=not bad[40].served)
-    bad[90] = bad[90]._replace(workload_seen=tuple(v + 0.5 for v in bad[90].workload_seen))
+    bad = _corrupted(trace, flip=40, shift=90)
     monkeypatch.setattr(des, "run", lambda *args: bad)
     report = cross_validate(path, 2, 3_000)
     assert not report.decisions_agree and not report.passed
-    assert report.first_divergence[:2] == (40, records[40].workload_seen)
+    assert report.first_divergence[:2] == (40, _row(trace, 40))
+    _assert_python_divergence(report.first_divergence)
     assert report.max_discrepancy >= 0.5 - honest.max_discrepancy
     # With only the workload corrupted, it is the first divergence.
-    bad[40] = records[40]
+    bad = _corrupted(trace, shift=90)
     report = cross_validate(path, 2, 3_000)
     assert report.decisions_agree
     idx, seen, state = report.first_divergence
-    assert idx == 90 and seen == bad[90].workload_seen
+    assert idx == 90 and seen == _row(bad, 90)
+    _assert_python_divergence(report.first_divergence)
     assert max(abs(a - b) for a, b in zip(seen, state)) == report.max_discrepancy
 
 
@@ -106,13 +125,10 @@ def test_lattice_cross_validate_reports_first_divergence(monkeypatch):
     # The lattice twin of the test above: the recursion side is the integer
     # lane roll, scaled by alpha. Expected values come from the scalar
     # ``advance_lattice`` loop, as the lattice branch computed them before.
-    from impatientq import des
-    from impatientq.kernel import advance_lattice
-
     spec = random_lattice_spec(np.random.default_rng(41), alpha=0.5)
     path = StationaryPath(spec)
     n = 3_000
-    records = run(path, 2, n)
+    trace = run(path, 2, n)
     blk = path.lattice_block(0, n)
     u, states = (0, 0), []
     for tau, sigma, patience in zip(blk.tau.tolist(), blk.sigma.tolist(), blk.patience.tolist()):
@@ -120,18 +136,17 @@ def test_lattice_cross_validate_reports_first_divergence(monkeypatch):
         u, _ = advance_lattice(u, tau, sigma, patience, 0.5)
     honest = cross_validate(path, 2, n)
     assert honest.passed and honest.max_discrepancy == 0.0
-    bad = list(records)
-    bad[40] = bad[40]._replace(served=not bad[40].served)
-    bad[90] = bad[90]._replace(workload_seen=tuple(v + 0.5 for v in bad[90].workload_seen))
+    bad = _corrupted(trace, flip=40, shift=90)
     monkeypatch.setattr(des, "run", lambda *args: bad)
     report = cross_validate(path, 2, n)
     assert not report.decisions_agree and not report.passed
-    assert report.first_divergence == (40, records[40].workload_seen, states[40])
+    assert report.first_divergence == (40, _row(trace, 40), states[40])
+    _assert_python_divergence(report.first_divergence)
     assert report.max_discrepancy == 0.5
-    bad[40] = records[40]
+    bad = _corrupted(trace, shift=90)
     report = cross_validate(path, 2, n)
     assert report.decisions_agree and not report.passed
-    assert report.first_divergence == (90, bad[90].workload_seen, states[90])
+    assert report.first_divergence == (90, _row(bad, 90), states[90])
     assert report.max_discrepancy == 0.5
 
 
@@ -192,25 +207,30 @@ def test_lattice_run_equals_the_scalar_advance_lattice_loop(alpha):
         spec = dataclasses.replace(random_lattice_spec(rng, alpha=alpha, sigma_max=4), patience=patience)
         servers, n = int(rng.integers(1, 5)), 3000
         path = StationaryPath(spec)
-        records = run(path, servers, n)
+        trace = run(path, servers, n)
         blk = path.lattice_block(0, n)
         u = (0,) * servers
-        for rec, d in zip(records, zip(blk.tau.tolist(), blk.sigma.tolist(), blk.patience.tolist())):
-            assert rec.workload_seen == tuple(k * alpha for k in u), (patience, rec)
+        drivers = zip(blk.tau.tolist(), blk.sigma.tolist(), blk.patience.tolist())
+        for seen, served, d in zip(trace.seen.tolist(), trace.served.tolist(), drivers):
+            assert seen == [k * alpha for k in u], (patience, seen)
             u, accepted = advance_lattice(u, *d, alpha)
-            assert rec.served == accepted and rec.loss != accepted, (patience, rec)
+            assert served == accepted, (patience, seen)
 
 
 # sha256 of ``des.run``'s records on two ``test_cli`` configs, pinned from
-# the separate float and lattice engines before they were merged.
+# the separate float and lattice engines before they were merged. The
+# records are the ``(index, seen tuple, served, loss)`` tuples the engine
+# returned then, rebuilt from the trace's columns.
 @pytest.mark.parametrize("text, digest", [
     (LATTICE_INI, "bffa72d99c030807c534db508325671c72a724888c2c31f5a8ea3ea55afbfb1a"),
     (MM2D_INI, "8edf522c4aeecbdb8716977401420d46c1b7de7cf28ffdf2addc6070d7671100"),
 ], ids=["LATTICE_INI", "MM2D_INI"])
 def test_run_records_pinned(text, digest):
     cfg = parse_config(text)
-    records = run(StationaryPath(cfg.spec), cfg.servers, cfg.run.n_arrivals)
-    assert hashlib.sha256(repr([tuple(r) for r in records]).encode()).hexdigest() == digest
+    trace = run(StationaryPath(cfg.spec), cfg.servers, cfg.run.n_arrivals)
+    records = [(i, tuple(seen), served, not served)
+               for i, (seen, served) in enumerate(zip(trace.seen.tolist(), trace.served.tolist()))]
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("name,spec,servers", [
@@ -241,23 +261,31 @@ def test_run_argument_errors():
 
 def test_write_trace():
     spec = det_spec(1, tau=1.0, sigma=1.5, patience=0.0)
-    records = run(StationaryPath(spec), 1, 3)
+    trace = run(StationaryPath(spec), 1, 3)
     buf = io.StringIO()
-    write_trace(records, buf)
+    write_trace(trace, buf)
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "index,W1,served,loss"
     assert lines[1] == "0,0.0,1,0"
     assert lines[2] == "1,0.5,0,1"
 
 
-def _old_write_trace(records, out):
-    # The csv-module writer this module used before rows were joined by hand.
-    servers = len(records[0].workload_seen) if records else 0
+def _old_write_trace(trace, out):
+    # The csv-module writer this module used before rows were joined by
+    # hand, reading the trace's columns one row at a time.
+    servers = trace.seen.shape[1]
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["index"] + [f"W{i + 1}" for i in range(servers)] + ["served", "loss"])
-    for rec in records:
-        writer.writerow([rec.index] + [repr(v) for v in rec.workload_seen]
-                        + [int(rec.served), int(rec.loss)])
+    for i, (seen, served) in enumerate(zip(trace.seen.tolist(), trace.served.tolist())):
+        writer.writerow([i] + [repr(v) for v in seen] + [int(served), int(not served)])
+
+
+def _assert_writers_agree(trace):
+    new, old = io.StringIO(), io.StringIO()
+    write_trace(trace, new)
+    _old_write_trace(trace, old)
+    assert new.getvalue() == old.getvalue()
+    return new.getvalue()
 
 
 @pytest.mark.parametrize("spec,servers,n", [
@@ -267,15 +295,113 @@ def _old_write_trace(records, out):
     (random_lattice_spec(np.random.default_rng(9), alpha=0.3), 4, 2_000),
 ], ids=["det-one-server", "iid-one-server", "iid-three-servers", "lattice"])
 def test_write_trace_bytes_match_csv_writer(spec, servers, n):
-    records = run(StationaryPath(spec), servers, n)
-    new, old = io.StringIO(), io.StringIO()
-    write_trace(records, new)
-    _old_write_trace(records, old)
-    assert new.getvalue() == old.getvalue()
-    new, old = io.StringIO(), io.StringIO()
-    write_trace([], new)
-    _old_write_trace([], old)
-    assert new.getvalue() == old.getvalue() == "index,served,loss\n"
+    _assert_writers_agree(run(StationaryPath(spec), servers, n))
+    empty = Trace(np.empty((0, 0)), np.empty(0, dtype=bool))
+    assert _assert_writers_agree(empty) == "index,served,loss\n"
+
+
+@pytest.mark.parametrize("rows", [des._WRITE_ROWS - 1, des._WRITE_ROWS, des._WRITE_ROWS + 1,
+                                  2 * des._WRITE_ROWS + 1])
+@pytest.mark.parametrize("spec,servers", [
+    (iid_spec(12, Exponential(1.0), Exponential(0.5), Uniform(0.0, 1.0)), 2),
+    (random_lattice_spec(np.random.default_rng(9), alpha=0.3), 3),
+], ids=["iid", "lattice"])
+def test_write_trace_bytes_match_csv_writer_at_write_seams(spec, servers, rows):
+    _assert_writers_agree(run(StationaryPath(spec), servers, rows))
+
+
+@pytest.mark.parametrize("rows", [des._WRITE_ROWS - 1, des._WRITE_ROWS + 1])
+def test_write_trace_formats_values_by_their_bits(rows):
+    # Blocks of few distinct values, where 0.0 and -0.0 compare equal but
+    # print apart, and blocks of mostly distinct values holding both zeros.
+    rng = np.random.default_rng(rows)
+    pool = np.array([0.0, -0.0, 0.5, 0.1 + 0.2, 1e-5, 1e16, 2.5e-300, 7.0])
+    few = pool[rng.integers(0, pool.size, (rows, 3))]
+    many = rng.exponential(size=(rows, 3))
+    many[rng.random((rows, 3)) < 0.2] = 0.0
+    many[rng.random((rows, 3)) < 0.2] = -0.0
+    for seen in (few, many, np.vstack([few, many]), np.vstack([many, few])):
+        text = _assert_writers_agree(Trace(seen, rng.random(len(seen)) < 0.5))
+        assert ",-0.0," in text and ",0.0," in text
+
+
+def _reference_engine(path, servers, n):
+    """The simulator before its residuals were kept ascending: residuals in
+    server order, a sorted copy for every fold, ``min`` and ``list.index``
+    to find the server that takes a job, and the line purged at every
+    arrival. Workloads are in the path's own arithmetic."""
+    zero = 0 if path.spec.is_lattice else 0.0
+    taus, sigmas, patiences = (col.tolist() for col in _exact_drivers(path, 0, n))
+    residuals, line, seen, served = [zero] * servers, [], [], [False] * n
+    for j in range(n):
+        line = [entry for entry in line if entry[0] >= zero]
+        fold = sorted(residuals)
+        for rem, sig, _ in line:
+            if fold[0] <= rem:
+                heapreplace(fold, fold[0] + sig)
+        seen.append(sorted(fold))
+        if line or fold[0] > zero:
+            line.append([patiences[j], sigmas[j], j])
+        else:
+            served[j] = True
+            residuals[residuals.index(fold[0])] = sigmas[j]
+        if j < n - 1:
+            while line and min(residuals) <= taus[j]:
+                f = min(residuals)
+                rem, sig, i = line.pop(0)
+                if rem >= f:
+                    served[i] = True
+                    residuals[residuals.index(f)] = f + sig
+            residuals = [r - taus[j] if r > taus[j] else zero for r in residuals]
+            for entry in line:
+                entry[0] -= taus[j]
+    for rem, sig, i in line:
+        f = min(residuals)
+        if rem >= f:
+            served[i] = True
+            residuals[residuals.index(f)] = f + sig
+    return seen, served
+
+
+@pytest.mark.parametrize("kind,seed", [("iid", 72), ("lattice", 75), ("mm", 74)])
+def test_run_equals_the_recursion_across_engine_chunks(kind, seed):
+    # Seeded random specs, with losses, and n crossing the engine's driver
+    # chunk. The trace equals the reference engine bit for bit, and the
+    # served flags are the recursion's acceptance indicator. The workloads
+    # equal the recursion's bit for bit on a lattice; a float engine adds a
+    # waiting customer's service after gaps the recursion subtracts after
+    # it, so there they agree to a few ulps.
+    rng = np.random.default_rng(seed)
+    if kind == "lattice":
+        spec = random_lattice_spec(rng, alpha=0.3, sigma_max=6)
+    else:
+        spec = (random_iid_spec if kind == "iid" else random_mm_spec)(rng)
+    servers, n = int(rng.integers(1, 5)), des._CHUNK + 1_000
+    path = StationaryPath(spec)
+    trace = run(path, servers, n)
+    ref_seen, ref_served = _reference_engine(path, servers, n)
+    if spec.is_lattice:
+        ref_seen = np.array(ref_seen, dtype=np.int64) * spec.alpha
+        states, accepted = lattice_states(path, 0, n, (0,) * servers)
+        states = states[:-1] * spec.alpha
+        assert np.array_equal(trace.seen.view(np.int64), states.view(np.int64))
+    else:
+        ref_seen = np.array(ref_seen, dtype=np.float64)
+        states, accepted = exact_states(path, 0, n, (0.0,) * servers)
+        assert np.abs(trace.seen - states[:-1]).max() <= 1e-12
+    assert trace.seen.dtype == np.float64 and trace.seen.shape == (n, servers)
+    assert np.array_equal(trace.seen.view(np.int64), ref_seen.view(np.int64))
+    assert trace.served.tolist() == ref_served
+    assert np.array_equal(trace.served, accepted)
+    assert 0 < accepted.sum() < n
+
+
+def test_trace_columns_are_read_only():
+    trace = run(StationaryPath(det_spec(1, tau=1.0, sigma=1.5, patience=0.0)), 2, 10)
+    assert len(trace) == 10
+    for column in (trace.seen, trace.served):
+        with pytest.raises(ValueError):
+            column[0] = 0
 
 
 # Golden pins: sha256 of the ``write_trace`` output and the loss count, taken
@@ -305,11 +431,11 @@ GOLDEN = [
 
 @pytest.mark.parametrize("name,spec,servers,n,digest,losses", GOLDEN, ids=[g[0] for g in GOLDEN])
 def test_golden_traces(name, spec, servers, n, digest, losses):
-    records = run(StationaryPath(spec), servers, n)
+    trace = run(StationaryPath(spec), servers, n)
     buf = io.StringIO()
-    write_trace(records, buf)
+    write_trace(trace, buf)
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
-    assert sum(r.loss for r in records) == losses
+    assert (~trace.served).sum() == losses
 
 
 def _bits(values) -> list[int]:

@@ -57,20 +57,20 @@ def test_mm1_wait_tail_arguments():
 
 def test_loss_probability_no_impatience():
     spec = iid_spec(9, Exponential(1.0), Exponential(2.0), Deterministic(math.inf))
-    est = loss_probability(run(StationaryPath(spec), 1, 5_000))
+    est = loss_probability(~run(StationaryPath(spec), 1, 5_000).served)
     assert est.probability == 0.0
     assert est.half_width == 0.0
 
 
 def test_loss_probability_periodic():
     spec = det_spec(1, tau=1.0, sigma=1.5, patience=0.0)
-    est = loss_probability(run(StationaryPath(spec), 1, 10_000))
+    est = loss_probability(~run(StationaryPath(spec), 1, 10_000).served)
     assert est.probability == 0.5
 
 
 def test_loss_probability_short_trace_binomial():
     spec = det_spec(1, tau=1.0, sigma=1.5, patience=0.0)
-    est = loss_probability(run(StationaryPath(spec), 1, 10))
+    est = loss_probability(~run(StationaryPath(spec), 1, 10).served)
     assert est.n == 10 and 0.0 <= est.probability <= 1.0
     for empty in ([], np.array([], dtype=bool)):
         with pytest.raises(ValueError):
