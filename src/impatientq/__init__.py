@@ -24,7 +24,6 @@ from .coupling import (
     coalescence_check,
     detect_renovation,
     reachable_profile,
-    reachable_set,
 )
 from .des import CrossValidation, Trace, cross_validate, run
 from .metrics import (
@@ -70,7 +69,6 @@ __all__ = [
     "coalescence_check",
     "detect_renovation",
     "reachable_profile",
-    "reachable_set",
     "CrossValidation",
     "Trace",
     "cross_validate",

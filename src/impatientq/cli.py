@@ -2,7 +2,7 @@
 
 Commands::
 
-    impatientq validate --config cfg.ini [--seed N] [--out DIR] [--threads N]
+    impatientq validate --config cfg.ini [--seed N] [--out DIR]
     impatientq bounds   ...
     impatientq cftp     ...
     impatientq renovate ...
@@ -22,7 +22,6 @@ import csv
 import dataclasses
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import coupling, des, metrics
@@ -34,14 +33,12 @@ from .sequences import StationaryPath, _mix64_int
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error(f"--threads must be >= 1, got {args.threads}")
     try:
         cfg = load_config(args.config, seed_override=args.seed)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         handler = _COMMANDS[args.command]
-        return handler(cfg, out_dir, args.threads)
+        return handler(cfg, out_dir)
     except ConfigurationError as exc:
         print(f"error: bad configuration: {exc}", file=sys.stderr)
         return 2
@@ -65,8 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="path to the INI config file")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--out", default=".", help="output directory (default: cwd)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker processes for replications (at most one per replication)")
     return parser
 
 
@@ -96,7 +91,7 @@ def replication_seed(seed: int, r: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_validate(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
+def cmd_validate(cfg: ExperimentConfig, out_dir: Path) -> int:
     path = StationaryPath(cfg.spec)
     report = des.cross_validate(path, cfg.servers, cfg.run.n_arrivals, tol=cfg.run.tol)
     payload = _header(cfg, "validate")
@@ -124,45 +119,31 @@ def cmd_validate(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     return 0
 
 
-def _bounds_worker(payload) -> dict:
-    spec, servers, run, r = payload
-    spec = dataclasses.replace(spec, seed=replication_seed(spec.seed, r))
-    rep = metrics.bound_report(
-        StationaryPath(spec), servers, run.n_samples, n_batches=run.batches,
-        keep_samples=(r == 0), max_horizon=run.cftp_max_horizon,
-    )
-    out = {
-        "replication": r,
-        "seed": spec.seed,
-        "ordering_ok": rep.ordering_ok,
-        "stabilized": {
-            "lower": rep.lower_stabilized,
-            "upper": rep.upper_stabilized,
-            "z": rep.z_stabilized,
-        },
-    }
-    for name, est in (("p_lower", rep.p_lower), ("p_loss", rep.p_loss),
-                      ("p_upper", rep.p_upper), ("p_z", rep.p_z)):
-        out[name] = {"probability": est.probability, "half_width": est.half_width, "n": est.n}
-    samples = rep.samples
-    if samples is not None:
-        out["_samples"] = samples
-    return out
+def cmd_bounds(cfg: ExperimentConfig, out_dir: Path) -> int:
+    results = []
+    for r in range(cfg.run.replications):
+        spec = dataclasses.replace(cfg.spec, seed=replication_seed(cfg.spec.seed, r))
+        rep = metrics.bound_report(
+            StationaryPath(spec), cfg.servers, cfg.run.n_samples, n_batches=cfg.run.batches,
+            keep_samples=(r == 0), max_horizon=cfg.run.cftp_max_horizon,
+        )
+        if r == 0:
+            samples = rep.samples
+        res = {
+            "replication": r,
+            "seed": spec.seed,
+            "ordering_ok": rep.ordering_ok,
+            "stabilized": {
+                "lower": rep.lower_stabilized,
+                "upper": rep.upper_stabilized,
+                "z": rep.z_stabilized,
+            },
+        }
+        for name, est in (("p_lower", rep.p_lower), ("p_loss", rep.p_loss),
+                          ("p_upper", rep.p_upper), ("p_z", rep.p_z)):
+            res[name] = {"probability": est.probability, "half_width": est.half_width, "n": est.n}
+        results.append(res)
 
-
-def cmd_bounds(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
-    jobs = [(cfg.spec, cfg.servers, cfg.run, r) for r in range(cfg.run.replications)]
-    if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
-            results = list(pool.map(_bounds_worker, jobs))
-    else:
-        results = [_bounds_worker(job) for job in jobs]
-
-    samples = None
-    for res in results:
-        popped = res.pop("_samples", None)
-        if popped is not None:
-            samples = popped
     payload = _header(cfg, "bounds")
     payload.update({
         "n_samples": cfg.run.n_samples,
@@ -171,13 +152,12 @@ def cmd_bounds(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     })
     _write_json(out_dir / "bounds.json", payload)
 
-    if samples is not None:
-        with open(out_dir / "bounds_samples.csv", "w", newline="") as fh:
-            _csv_stamp(fh, cfg)
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["index", "lower1", "W1", "upper1", "z_top", "patience", "loss"])
-            for i, row in enumerate(samples):
-                writer.writerow([i] + [repr(float(v)) for v in row[:5]] + [int(row[5])])
+    with open(out_dir / "bounds_samples.csv", "w", newline="") as fh:
+        _csv_stamp(fh, cfg)
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["index", "lower1", "W1", "upper1", "z_top", "patience", "loss"])
+        for i, row in enumerate(samples):
+            writer.writerow([i] + [repr(float(v)) for v in row[:5]] + [int(row[5])])
 
     flagged = [r for r in results if not all(r["stabilized"].values())]
     status = "ok" if payload["all_orderings_ok"] else "ORDER VIOLATION"
@@ -186,7 +166,7 @@ def cmd_bounds(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     return 0 if payload["all_orderings_ok"] else 1
 
 
-def cmd_cftp(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
+def cmd_cftp(cfg: ExperimentConfig, out_dir: Path) -> int:
     path = StationaryPath(cfg.spec)
     res = coupling.cftp(path, cfg.servers, max_horizon=cfg.run.cftp_max_horizon)
     payload = _header(cfg, "cftp")
@@ -205,7 +185,7 @@ def cmd_cftp(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     return 1
 
 
-def cmd_renovate(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
+def cmd_renovate(cfg: ExperimentConfig, out_dir: Path) -> int:
     path = StationaryPath(cfg.spec)
     scan = coupling.detect_renovation(
         path, cfg.servers, (cfg.run.renovation_start, cfg.run.renovation_end))
@@ -235,7 +215,7 @@ def cmd_renovate(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     return 0
 
 
-def cmd_hset(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
+def cmd_hset(cfg: ExperimentConfig, out_dir: Path) -> int:
     path = StationaryPath(cfg.spec)
     depth = cfg.run.hset_depth or 10 * cfg.servers
     sets = coupling.reachable_profile(path, cfg.servers, range(0, depth + 1),
@@ -260,7 +240,7 @@ def cmd_hset(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     return 0 if payload["all_nested"] else 1
 
 
-def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
+def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
     path = StationaryPath(cfg.spec)
     trace = des.run(path, cfg.servers, cfg.run.n_arrivals)
     lost = ~trace.served

@@ -84,7 +84,7 @@ def detect_renovation(path: StationaryPath, servers: int,
     n = b - a + 1
     states = envelope_states(path, a, n - 1, est.vector, "upper")
     tau = path.block(a, n + servers).tau
-    mask, sums_by_ell = _renovation_mask(states, tau, servers, return_sums=True)
+    mask, sums_by_ell = _renovation_mask(states, tau, servers)
     events = []
     for row in np.flatnonzero(mask):
         sums = tuple(float(col[row]) for col in sums_by_ell)
@@ -247,21 +247,6 @@ class ReachableSet:
 
     def workloads(self) -> set[tuple[float, ...]]:
         return {tuple(k * self.alpha for k in p) for p in self.points}
-
-
-def reachable_set(path: StationaryPath, servers: int, depth: int, at: int = 0,
-                  cap: int = 1_000_000) -> ReachableSet:
-    """Forward image of the ordered lattice box from depth ``n``.
-
-    The box at index ``at-n`` collects every ordered lattice state at or
-    below the upper estimate there; its exact-integer image at ``at`` is
-    the reachable set. The set at depth ``n-1`` is computed from the same
-    rolled estimate and checked to contain it.
-    """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    sets = reachable_profile(path, servers, (depth - 1, depth), at, cap)
-    return sets[-1]
 
 
 def reachable_profile(path: StationaryPath, servers: int, depths: Sequence[int],

@@ -18,7 +18,3 @@ class ResourceCapError(RuntimeError):
         self.cap = cap
         self.requested = requested
 
-    def __reduce__(self):
-        # ``args`` holds only the formatted text, so a copy (a pickle sent
-        # back from a worker process) is rebuilt from the parts.
-        return type(self), (self.message, self.cap, self.requested)

@@ -425,14 +425,6 @@ def exact_states(path: StationaryPath, at: int, steps: int,
     return _exact_roll(tuple(map(float, u0)), path.block(at, steps))
 
 
-def _lower_step(u, tau, sigma, patience):
-    return _merge_shift(u, min(sigma, patience), tau)
-
-
-def _upper_step(u, tau, sigma, patience):
-    return _merge_shift(u, sigma + patience, tau)
-
-
 def _sandwich_lane_step(u, tau, sigma, patience):
     # Rows stack the exact, lower and upper lanes; each block takes its own
     # contribution (the exact one as ``advance_batch`` forms it), then one
@@ -456,9 +448,11 @@ def sandwich_states(path: StationaryPath, at: int, steps: int, exact0: tuple[flo
     one lane pass over the drivers of ``[at, at+steps)``.
     """
     blk = path.block(at, steps)
+    lower, upper = ((_effective_work(blk.tau, blk.sigma, blk.patience, kind), blk.tau)
+                    for kind in ("lower", "upper"))
     rolls = ((tuple(map(float, exact0)), _exact_step, blk),
-             (tuple(map(float, lower0)), _lower_step, blk),
-             (tuple(map(float, upper0)), _upper_step, blk))
+             (tuple(map(float, lower0)), _merge_shift, lower),
+             (tuple(map(float, upper0)), _merge_shift, upper))
     return _forward_roll(rolls, _sandwich_lane_step, blk, 0.0)
 
 
@@ -515,9 +509,8 @@ def _delay_lane_step(m, work, tau):
 # ---------------------------------------------------------------------------
 
 
-def _renovation_mask(y_states: np.ndarray, tau: np.ndarray, servers: int,
-                     return_sums: bool = False):
-    """Rows of ``y_states`` where the renovation event holds.
+def _renovation_mask(y_states: np.ndarray, tau: np.ndarray, servers: int) -> tuple[np.ndarray, list]:
+    """Rows of ``y_states`` where the renovation event holds, and its gap sums.
 
     At index t the event requires the first coordinate to vanish and, for
     each remaining coordinate l, that it not exceed the sum of the l-1
@@ -533,6 +526,4 @@ def _renovation_mask(y_states: np.ndarray, tau: np.ndarray, servers: int,
         sums = sums + tau[ell - 2 : ell - 2 + n]
         sums_by_ell.append(sums)
         mask &= y_states[:, ell - 1] <= sums
-    if return_sums:
-        return mask, sums_by_ell
-    return mask
+    return mask, sums_by_ell

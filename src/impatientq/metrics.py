@@ -356,7 +356,7 @@ def estimate_conditions(path: StationaryPath, servers: int, n_samples: int,
 
     est = stationary_estimate(path, at, "upper", servers)
     y_states = envelope_states(path, at, n_samples - 1, est.vector, "upper")
-    reno_hits = int(np.count_nonzero(_renovation_mask(y_states, blk.tau, servers)))
+    reno_hits = int(np.count_nonzero(_renovation_mask(y_states, blk.tau, servers)[0]))
 
     return ConditionReport(
         n_samples=n_samples,

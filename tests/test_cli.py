@@ -2,7 +2,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import pickle
 import re
 from pathlib import Path
 
@@ -11,7 +10,7 @@ import pytest
 from impatientq import cli, coupling
 from impatientq.cli import main, replication_seed
 from impatientq.config import load_config, parse_config
-from impatientq.errors import ConfigurationError, ResourceCapError
+from impatientq.errors import ConfigurationError
 from impatientq.sequences import Deterministic, Exponential, LatticeDiscrete, Uniform
 
 MM2D_INI = """
@@ -232,15 +231,6 @@ def test_cli_key_without_effect_exit_2(tmp_path, capsys, ini, old, new, named):
     assert named in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("threads", ["0", "-3"])
-def test_cli_threads_below_one_exit_2(tmp_path, capsys, threads):
-    cfg = _write(tmp_path, "cfg.ini", MM2D_INI)
-    with pytest.raises(SystemExit) as exc:
-        main(["bounds", "--config", cfg, "--out", str(tmp_path), "--threads", threads])
-    assert exc.value.code == 2
-    assert "--threads" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("batches", ["1", "0"])
 def test_cli_batches_below_two_exit_2(tmp_path, capsys, batches):
     # One batch leaves no spread to estimate: refuse it rather than write a
@@ -254,56 +244,41 @@ def test_cli_batches_below_two_exit_2(tmp_path, capsys, batches):
     assert not (out / "simulate.json").exists()
 
 
-def test_resource_cap_error_survives_pickling():
-    # A bounds worker process sends its exception back pickled.
-    err = pickle.loads(pickle.dumps(ResourceCapError("x", 1, 2)))
-    assert type(err) is ResourceCapError
-    assert (str(err), err.cap, err.requested) == ("x (cap=1, requested=2)", 1, 2)
+def test_cli_n_samples_below_batches_exit_2(tmp_path, capsys):
+    # Fewer samples than batches leave a batch empty; refuse the config
+    # before any coupling or roll work rather than fail in batch_means.
+    cfg = _write(tmp_path, "cfg.ini", MM2D_INI.replace("n_samples = 5000", "n_samples = 10"))
+    out = tmp_path / "out"
+    assert main(["bounds", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "run.n_samples" in err and "run.batches" in err and "Traceback" not in err
+    assert not (out / "bounds.json").exists()
+    assert not (out / "bounds_samples.csv").exists()
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_cli_threads_flag_refused(tmp_path, capsys, command):
+    # Replications run in one process; there is no worker count to set.
+    cfg = _write(tmp_path, "cfg.ini", MM2D_INI)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, "--out", str(tmp_path), "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 PERIODIC_INI = MM_INI.replace("transition = 0.9 0.1 / 0.2 0.8", "transition = 0 1 / 1 0")
 
 
-@pytest.mark.parametrize("command, threads", [("simulate", "1"), ("bounds", "1"), ("bounds", "2")])
-def test_cli_periodic_chain_exit_3(tmp_path, capsys, command, threads):
+@pytest.mark.parametrize("command", ["simulate", "bounds"])
+def test_cli_periodic_chain_exit_3(tmp_path, capsys, command):
     # The states of a periodic chain never meet, so no chain block can be
-    # read by coupling from the past; a worker process reports it as the
-    # serial run does.
+    # read by coupling from the past.
     text = PERIODIC_INI.replace("n_arrivals = 3000", "n_arrivals = 3000\nreplications = 2")
     cfg = _write(tmp_path, "cfg.ini", text)
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "out"),
-                 "--threads", threads]) == 3
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert "modulating chain ((0.0, 1.0), (1.0, 0.0)) did not coalesce" in err
     assert "Traceback" not in err
-
-
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records ``max_workers``, maps serially."""
-
-    sizes = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, jobs):
-        return map(fn, jobs)
-
-
-def test_cli_bounds_pool_capped_at_replications(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    text = MM2D_INI.replace("renovation_end = 199", "renovation_end = 199\nreplications = 2")
-    cfg = _write(tmp_path, "cfg.ini", text)
-    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "a"), "--threads", "64"]) == 0
-    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "b"), "--threads", "1"]) == 0
-    assert _RecordingPool.sizes == [2]
 
 
 def test_cli_simulate_trace(tmp_path):
@@ -381,15 +356,11 @@ def test_cli_bounds_replications(tmp_path):
     assert len(payload["replications"]) == 3
     seeds = {r["seed"] for r in payload["replications"]}
     assert len(seeds) == 3
-
-
-def test_cli_bounds_worker_pool_matches_serial(tmp_path):
-    text = MM2D_INI.replace("renovation_end = 199", "renovation_end = 199\nreplications = 2")
-    cfg = _write(tmp_path, "cfg.ini", text)
-    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
-    assert main(["bounds", "--config", cfg, "--out", str(serial)]) == 0
-    assert main(["bounds", "--config", cfg, "--out", str(pooled), "--threads", "2"]) == 0
-    assert (serial / "bounds.json").read_bytes() == (pooled / "bounds.json").read_bytes()
+    # Pinned bytes: the replications' estimates and replication 0's samples.
+    assert hashlib.sha256((out / "bounds.json").read_bytes()).hexdigest() == (
+        "f19db71f5cdf08058d6daa6f2c32a3587a06a0c0851c511573b5b44cc9d6af7b")
+    assert hashlib.sha256((out / "bounds_samples.csv").read_bytes()).hexdigest() == (
+        "fb4e2bd489a186fa3e611f33fdea5a651aea892a815285d4e4f2a6aaf03f59a4")
 
 
 def test_cli_seed_override_changes_output(tmp_path):

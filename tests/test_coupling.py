@@ -11,7 +11,6 @@ from impatientq.coupling import (
     coalescence_check,
     detect_renovation,
     reachable_profile,
-    reachable_set,
 )
 from impatientq.errors import ConfigurationError, ContractError, ResourceCapError
 from impatientq.kernel import advance, advance_lattice
@@ -474,7 +473,7 @@ def test_reachable_set_trivial_box():
         sigma=LatticeDiscrete(1.0, (1,), (1.0,)),
         patience=Deterministic(0.0),
     )
-    rs = reachable_set(StationaryPath(spec), 1, 5)
+    rs = reachable_profile(StationaryPath(spec), 1, (4, 5))[-1]
     assert rs.points == frozenset({(0,)})
     assert rs.nested_in_previous
 
@@ -515,7 +514,7 @@ def test_reachable_set_collapse_under_drift():
 
 def test_reachable_set_requires_lattice():
     with pytest.raises(ConfigurationError):
-        reachable_set(StationaryPath(MM2D), 2, 4)
+        reachable_profile(StationaryPath(MM2D), 2, (3, 4))
 
 
 def test_reachable_set_cap():
@@ -607,4 +606,4 @@ def test_reachable_set_depth_validation():
         patience=Deterministic(0.0),
     )
     with pytest.raises(ValueError):
-        reachable_set(StationaryPath(spec), 1, 0)
+        reachable_profile(StationaryPath(spec), 1, (-1, 0))
