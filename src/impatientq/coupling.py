@@ -19,10 +19,10 @@ deadline (``kernel.accepted_multiples``) in place of the patience. For
 lattice-valued service and gaps the whole ordered box below the upper
 estimate is finite; propagating it forward with exact integer arithmetic
 yields a shrinking nested family of reachable sets whose collapse to a
-single point certifies a unique stationary state on the lattice. All
-requested depths propagate in lockstep: one int64 array, whose first
-column tags each row with its depth, takes one step and one dedupe per
-index, so every depth shares the same driver block and kernel calls.
+single point certifies a unique stationary state on the lattice. One
+pass enumerates the boxes of all requested depths; they propagate in
+lockstep as one int64 row per distinct state with a membership bit per
+depth, so every depth shares the same driver block and kernel calls.
 """
 
 from __future__ import annotations
@@ -255,15 +255,18 @@ def reachable_profile(path: StationaryPath, servers: int, depths: Sequence[int],
 
     All boxes derive from a single backward estimate at the deepest index
     rolled forward, which makes the nested-family property exact; nesting
-    is verified between consecutive requested depths. The estimate must
-    have stabilized: an unstabilized one may under-estimate the box, so
-    the profile refuses rather than report sets built from it.
+    is still checked between the sets of consecutive requested depths. The
+    estimate must have stabilized: an unstabilized one may under-estimate
+    the box, so the profile refuses rather than report sets built from it.
 
-    The depths propagate in lockstep over one driver block: the box of
-    depth ``d`` joins a single int64 array at index ``at-d``, tagged with
-    ``d`` in its first column, and every step advances all live rows at
-    once, then drops duplicate (tag, state) rows. ``cap`` bounds each box;
-    the lockstep array holds every live set at once.
+    One ``_ordered_boxes`` pass enumerates every box, deepest first, so it
+    holds at most ``len(depths) * cap`` rows. They propagate in lockstep as
+    one int64 row per distinct state and uint64 words whose bit k is set
+    when the k-th depth's box reaches the state: the box of depth ``d``
+    joins at index ``at-d``, and each index takes one step, one sort and
+    one OR of the words of equal states. A box over ``cap`` is refused; of
+    several, the error names the deepest one over it at the first column
+    where any box is.
     """
     if not path.spec.is_lattice:
         raise ConfigurationError("reachable sets require a lattice-model spec")
@@ -283,60 +286,57 @@ def reachable_profile(path: StationaryPath, servers: int, depths: Sequence[int],
     rolled = envelope_states(path, at - deepest, deepest, est.vector, "upper")
     tau, sigma, deadline = _exact_drivers(path, at - deepest, deepest)
 
-    requested = set(depths)
-    box_sizes = {}
-    rows = np.empty((0, servers + 1), dtype=np.int64)
+    desc = depths[::-1]   # box j is the box of depth desc[j], with bit len(depths)-1-j
+    caps = np.floor(rolled[deepest - np.array(desc)] / alpha + 1e-9).astype(np.int64)
+    boxes, sizes = _ordered_boxes(caps, cap, [f"at depth {d} (index {at - d})" for d in desc])
+    bit = np.repeat(np.arange(len(depths))[::-1], sizes)
+    words = np.zeros((len(boxes), (len(depths) + 63) // 64), dtype=np.uint64)
+    words[np.arange(len(boxes)), bit // 64] = np.uint64(1) << (bit % 64).astype(np.uint64)
+    joins = {d: slice(e - n, e) for d, n, e in zip(desc, sizes.tolist(), np.cumsum(sizes).tolist())}
+    states, member = boxes[:0], words[:0]
     for i in range(deepest + 1):
         depth = deepest - i
-        if depth in requested:
-            box = _ordered_box([int(math.floor(v / alpha + 1e-9)) for v in rolled[i]], cap)
-            box_sizes[depth] = len(box)
-            rows = np.concatenate((rows, np.column_stack((np.full(len(box), depth), box))))
+        if depth in joins:
+            states = np.concatenate((states, boxes[joins[depth]]))
+            member = np.concatenate((member, words[joins[depth]]))
         if depth > 0:
-            rows[:, 1:] = advance_batch(rows[:, 1:], tau[i], sigma[i], deadline[i])[0]
-            rows = _unique_rows(rows)
+            states = advance_batch(states, tau[i], sigma[i], deadline[i])[0]
+            order = np.lexsort(states.T)
+            states = states[order]
+            first = np.flatnonzero(np.concatenate(([True], (states[1:] != states[:-1]).any(axis=1))))
+            states = states[first]
+            member = np.bitwise_or.reduceat(member[order], first, axis=0)
 
-    results: list[ReachableSet] = []
-    prev_points: Optional[frozenset] = None
-    for depth in depths:
-        points = frozenset(map(tuple, rows[rows[:, 0] == depth, 1:].tolist()))
-        nested = prev_points is None or points <= prev_points
-        results.append(ReachableSet(depth, points, alpha, box_sizes[depth], nested, est.stabilized))
-        prev_points = points
-    return results
-
-
-def _unique_rows(rows: np.ndarray) -> np.ndarray:
-    """The distinct rows of an int64 array, in lexicographic order."""
-    order = np.lexsort(rows.T[::-1])
-    rows = rows[order]
-    keep = np.empty(len(rows), dtype=bool)
-    keep[:1] = True
-    np.any(rows[1:] != rows[:-1], axis=1, out=keep[1:])
-    return rows[keep]
+    reached = [(member[:, k // 64] >> np.uint64(k % 64)) & np.uint64(1) == 1 for k in range(len(depths))]
+    sets = [frozenset(map(tuple, states[r].tolist())) for r in reached]
+    return [ReachableSet(d, p, alpha, len(boxes[joins[d]]), k == 0 or p <= sets[k - 1], est.stabilized)
+            for k, (d, p) in enumerate(zip(depths, sets))]
 
 
-def _ordered_box(caps: Sequence[int], cap: int) -> np.ndarray:
-    """Ordered integer vectors with coordinate j at most caps[j], as an
-    int64 array in lexicographic order; more than ``cap`` of them raise.
+def _ordered_boxes(caps, cap: int, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The ordered integer vectors of every box of a ``(B, S)`` array of cap
+    rows (coordinate j at most ``caps[b, j]``) in one pass: int64 rows
+    grouped by box, each box in lexicographic order, and the box sizes.
 
-    Prefixes grow one column at a time. Coordinate j also lies below every
-    later cap, so the caps are first lowered to their suffix minima; then
-    each prefix has a completion, and a prefix count above ``cap`` already
-    proves the box too large.
+    Prefixes of all boxes grow a column at a time. Coordinate j also lies
+    below every later cap, so the caps are first lowered to their suffix
+    minima; then each prefix has a completion, and a prefix count above
+    ``cap`` proves a box too large. The error names the first box over the
+    cap (``names[b]``) at the first column where any box is over it.
     """
-    total_box = 1
-    for c in caps:
-        total_box *= c + 1
-    caps = np.minimum.accumulate(np.asarray(caps, dtype=np.int64)[::-1])[::-1]
-    box = np.zeros((1, 0), dtype=np.int64)
-    low = np.zeros(1, dtype=np.int64)
-    for c in caps.tolist():
-        counts = np.maximum(c - low + 1, 0)
+    caps = np.asarray(caps, dtype=np.int64)
+    box = np.zeros((len(caps), 0), dtype=np.int64)
+    owner = np.arange(len(caps))
+    low = np.zeros(len(caps), dtype=np.int64)
+    for col in np.minimum.accumulate(caps[:, ::-1], axis=1)[:, ::-1].T:
+        counts = np.maximum(col[owner] - low + 1, 0)
+        over = np.flatnonzero(np.bincount(owner, weights=counts, minlength=len(caps)) > cap)
+        if len(over):
+            raise ResourceCapError(f"lattice box {names[over[0]]} exceeds cap", cap,
+                                   math.prod(c + 1 for c in caps[over[0]].tolist()))
         n = int(counts.sum())
-        if n > cap:
-            raise ResourceCapError("lattice box enumeration exceeds cap", cap, total_box)
         starts = np.cumsum(counts) - counts
         low = np.repeat(low - starts, counts) + np.arange(n)
+        owner = np.repeat(owner, counts)
         box = np.column_stack((np.repeat(box, counts, axis=0), low))
-    return box
+    return box, np.bincount(owner, minlength=len(caps))

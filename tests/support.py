@@ -210,8 +210,9 @@ def sequential_chain_block(spec: SequenceSpec, b: int, max_depth: int = 1 << 20)
 
 
 def ordered_box_reference(caps) -> list[tuple[int, ...]]:
-    """Brute force for ``coupling._ordered_box``: every ascending vector
-    with coordinate j at most caps[j], in lexicographic order."""
+    """Brute force for one box of ``coupling._ordered_boxes``: every
+    ascending vector with coordinate j at most caps[j], in lexicographic
+    order."""
     top = max(caps, default=0)
     return [u for u in itertools.combinations_with_replacement(range(top + 1), len(caps))
             if all(k <= c for k, c in zip(u, caps))]

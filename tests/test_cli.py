@@ -11,7 +11,7 @@ from impatientq import cli, coupling
 from impatientq.cli import main, replication_seed
 from impatientq.config import load_config, parse_config
 from impatientq.errors import ConfigurationError
-from impatientq.sequences import Deterministic, Exponential, LatticeDiscrete, Uniform
+from impatientq.sequences import Deterministic, Exponential, LatticeDiscrete, StationaryPath, Uniform
 
 MM2D_INI = """
 [experiment]
@@ -515,6 +515,42 @@ def test_cli_hset_unstabilized_estimate_exit_1(tmp_path, monkeypatch, capsys):
     assert main(["hset", "--config", cfg, "--out", str(out)]) == 1
     assert re.search(r"index -8 did not stabilize by depth \d+", capsys.readouterr().err)
     assert not (out / "hset.json").exists()
+
+
+def test_cli_hset_cap_exit_3(tmp_path, capsys):
+    # a box over hset_cap is refused before any set is reported, naming the
+    # box: its depth and the path index where it starts
+    cfg = _write(tmp_path, "cfg.ini", LATTICE_BENCH_INI + "hset_cap = 300\n")
+    out = tmp_path / "out"
+    assert main(["hset", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "lattice box at depth 30 (index -30) exceeds cap" in err
+    assert "cap=300, requested=715" in err
+    assert not (out / "hset.json").exists()
+
+
+def test_cli_hset_nesting_failure_exit_1(tmp_path, monkeypatch):
+    # A rolled estimate lowered at depth 1 shrinks that box to the empty
+    # state, so the depth-2 set (the image of a larger box) falls outside
+    # the depth-1 set. Nesting is checked between the sets read back, so it
+    # must fail there and only there, and hset must refuse.
+    real = coupling.envelope_states
+
+    def lowered(path, at, steps, u0, kind):
+        out = real(path, at, steps, u0, kind).copy()
+        out[steps - 1] = 0.0
+        return out
+
+    monkeypatch.setattr(coupling, "envelope_states", lowered)
+    cfg = _write(tmp_path, "cfg.ini", LATTICE_BENCH_INI)
+    spec = load_config(cfg).spec
+    sets = coupling.reachable_profile(StationaryPath(spec), 3, range(0, 31))
+    assert sets[1].box_size == len(sets[1]) == 1
+    assert [s.depth for s in sets if not s.nested_in_previous] == [2]
+    out = tmp_path / "out"
+    assert main(["hset", "--config", cfg, "--out", str(out)]) == 1
+    payload = json.loads((out / "hset.json").read_text())
+    assert payload["all_nested"] is False
 
 
 def test_cli_hset_on_non_lattice_exit_2(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from impatientq.coupling import (
     _bounding_chain,
-    _ordered_box,
+    _ordered_boxes,
     cftp,
     coalescence_check,
     detect_renovation,
@@ -358,7 +358,7 @@ def test_bounding_chain_contains_every_trajectory():
         if spec.is_lattice:   # every ordered lattice state of the box
             top_mult = np.sort(rng.integers(0, 13, size=servers))
             top = tuple(float(k) * 0.5 for k in top_mult)
-            states = list(map(tuple, _ordered_box(top_mult.tolist(), 10**6).tolist()))
+            states = list(map(tuple, _ordered_boxes([top_mult.tolist()], 10**6, ["top"])[0].tolist()))
             blk = path.lattice_block(start, steps)
             step = lambda u, i: advance_lattice(u, int(blk.tau[i]), int(blk.sigma[i]),  # noqa: E731
                                                 float(blk.patience[i]), 0.5)[0]
@@ -536,21 +536,82 @@ def test_ordered_box_against_brute_force():
         if trial % 3:   # the caps a rolled upper estimate gives are ascending
             caps = np.sort(caps)
         caps = caps.tolist()
-        box = _ordered_box(caps, 10**6)
+        box, sizes = _ordered_boxes([caps], 10**6, ["one"])
         assert box.dtype == np.int64 and box.shape[1] == servers
         assert list(map(tuple, box.tolist())) == ordered_box_reference(caps), caps
+        assert sizes.tolist() == [len(box)]
 
 
 def test_ordered_box_cap_boundary():
     caps = [0, 2, 3, 5]
     size = len(ordered_box_reference(caps))
-    assert len(_ordered_box(caps, size)) == size
+    assert len(_ordered_boxes([caps], size, ["one"])[0]) == size
     with pytest.raises(ResourceCapError) as exc:
-        _ordered_box(caps, size - 1)
+        _ordered_boxes([caps], size - 1, ["one"])
     assert exc.value.cap == size - 1
     assert exc.value.requested == 1 * 3 * 4 * 6
     # a high cap before a low one bounds nothing: (0, 0) is the whole box
-    assert _ordered_box([5, 0], 1).tolist() == [[0, 0]]
+    assert _ordered_boxes([[5, 0]], 1, ["one"])[0].tolist() == [[0, 0]]
+
+
+def test_ordered_boxes_batch_against_brute_force():
+    # several boxes in one pass, each with its own caps, come back grouped
+    # in row order, each equal to its own brute-force enumeration
+    rng = np.random.default_rng(909)
+    for trial in range(40):
+        servers = 1 + trial % 4
+        caps = rng.integers(0, 7, size=(1 + trial % 6, servers))
+        if trial % 3:
+            caps = np.sort(caps, axis=1)
+        box, sizes = _ordered_boxes(caps, 10**6, [str(b) for b in range(len(caps))])
+        assert box.dtype == np.int64 and box.shape == (int(sizes.sum()), servers)
+        want = [ordered_box_reference(row) for row in caps.tolist()]
+        assert sizes.tolist() == [len(w) for w in want], caps
+        got = np.split(box, np.cumsum(sizes)[:-1])
+        assert [list(map(tuple, g.tolist())) for g in got] == want, caps
+
+
+def test_ordered_boxes_cap_names_the_box_over_it():
+    # only the second box is over the cap: the error carries its own size
+    # bound and name, not the first box's
+    small, large = [1, 1, 2], [0, 2, 3, 5]
+    cap = len(ordered_box_reference(large)) - 1
+    assert len(ordered_box_reference([0] + small)) <= cap
+    with pytest.raises(ResourceCapError) as exc:
+        _ordered_boxes([[0] + small, large], cap, ["first", "second"])
+    assert exc.value.cap == cap
+    assert exc.value.requested == 1 * 3 * 4 * 6
+    assert "second" in str(exc.value) and "first" not in str(exc.value)
+    # two boxes over the cap at the same column: the first row is named
+    with pytest.raises(ResourceCapError) as exc:
+        _ordered_boxes([[4, 4], [6, 6]], 3, ["deep", "shallow"])
+    assert exc.value.requested == 5 * 5 and "deep" in str(exc.value)
+    # the first row passes the cap only at its last column, the second at
+    # its first: the first column over the cap decides
+    with pytest.raises(ResourceCapError) as exc:
+        _ordered_boxes([[1, 1, 9], [6, 6, 6]], 5, ["deep", "shallow"])
+    assert exc.value.requested == 7 ** 3 and "shallow" in str(exc.value)
+
+
+def test_reachable_profile_two_membership_words():
+    # More than 64 depths: the membership bits of the deepest sets live in a
+    # second uint64 word. A null-drift queue with long patience keeps those
+    # sets apart from the shallow ones, so a word mix-up shows.
+    def spec(seed, tau, sigma, patience):
+        return SequenceSpec(
+            model="lattice", seed=seed, alpha=1.0,
+            tau=LatticeDiscrete(1.0, tau, (1 / len(tau),) * len(tau)),
+            sigma=LatticeDiscrete(1.0, sigma, (1 / len(sigma),) * len(sigma)),
+            patience=Uniform(0.0, patience))
+
+    cases = [(spec(1, (1, 3), (0, 4), 40.0), 1), (spec(3, (1, 3), (0, 4), 40.0), 1),
+             (spec(1, (2,), (1, 3), 20.0), 2)]
+    for lattice, servers in cases:
+        path = StationaryPath(lattice)
+        got = reachable_profile(path, servers, range(70))
+        assert got == reachable_profile_reference(path, servers, range(70)), lattice
+        if servers == 1:   # the second word holds sets of several sizes
+            assert len(got[64]) > 1 and len(got[69]) == 1
 
 
 def test_reachable_profile_against_per_depth_reference():
