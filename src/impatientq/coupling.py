@@ -11,7 +11,11 @@ Coupling from the past needs no such event: every stationary workload lies
 in the box ``[0, Z]`` below the certified top supremum vector
 (``loynes.certified_supremum``), and a bounding chain (Huber 2004) run from
 that box holds the image of every state in it. When it closes to a point
-at the target, that point is the stationary workload, bit for bit.
+at the target, that point is the stationary workload, bit for bit. A path
+remembers each start's box and chain, so a later target that starts at the
+same index resumes the chain instead of reading the box again; the chain
+is a deterministic function of its interval and of index-tied drivers, so
+the result is the same, bit for bit.
 
 Every exact step here, on a lattice path too, is the one exact map: there
 it runs on int64 multiples of ``alpha`` with each patience's integer
@@ -44,6 +48,9 @@ from .loynes import (
     stationary_estimate,
 )
 from .sequences import StationaryPath
+
+# Starts whose certified box and bounding chain a path remembers (``cftp``).
+CHAIN_MEMO = 1024
 
 
 @dataclass(frozen=True)
@@ -179,16 +186,46 @@ def cftp(path: StationaryPath, servers: int, at: int = 0,
     or from ``max_horizon`` if that is smaller, until the chain closes to a
     point at ``at``; it never exceeds ``max_horizon``. Drivers are tied to
     indices, so deeper horizons replay the same randomness.
+
+    The path remembers, for the ``CHAIN_MEMO`` starts used last (keyed on
+    the absolute start index and ``servers``), the certified box read there
+    and the furthest index its chain has reached, with the interval there.
+    A start seen before skips the box read; its chain resumes from that
+    index when the index is not past ``at``, and reruns from the box
+    otherwise. The chain is a deterministic function of its interval and of
+    drivers tied to indices, so a resumed chain ends on the interval a
+    fresh one would, bit for bit: the memo changes no result. A start whose
+    box is refused is never remembered.
     """
     if servers < 1:
         raise ValueError("servers must be >= 1")
+    chains = path._chains
     horizon = min(max(2 * servers, 16), max_horizon)
     while True:
         start = at - horizon
-        zb = certified_supremum(path, start, "upper", servers, horizon)
-        if any(not math.isfinite(v) for v in zb.values):
-            raise ConfigurationError("top supremum is not finite; cannot bound the stationary states")
-        lo, hi = _bounding_chain(path, start, horizon, zb.values)
+        key = (start + path.offset, servers)
+        # (box, absolute index the chain reached, L and U there); taken out
+        # and put back, so the entry evicted first is the least recently used
+        memo = chains.pop(key, None)
+        if memo is None:
+            zb = certified_supremum(path, start, "upper", servers, horizon)
+            if any(not math.isfinite(v) for v in zb.values):
+                raise ConfigurationError("top supremum is not finite; cannot bound the stationary states")
+        else:
+            zb = memo[0]
+        resume = memo is not None and memo[1] - path.offset <= at
+        if resume:
+            reached, lo, hi = memo[1] - path.offset, memo[2], memo[3]
+        else:
+            reached, lo, hi = start, (0.0,) * servers, zb.values
+            if path.spec.is_lattice:
+                lo, hi = (0,) * servers, tuple(int(math.floor(v / path.spec.alpha + 1e-9)) for v in hi)
+        lo, hi = _bounding_chain(path, reached, at - reached, lo, hi)
+        if memo is None or resume:   # otherwise the remembered chain reached further
+            memo = (zb, at + path.offset, lo, hi)
+        chains[key] = memo
+        if len(chains) > CHAIN_MEMO:
+            chains.popitem(last=False)
         if lo == hi:
             if path.spec.is_lattice:
                 lo = tuple(float(k) * path.spec.alpha for k in lo)
@@ -199,9 +236,9 @@ def cftp(path: StationaryPath, servers: int, at: int = 0,
 
 
 def _bounding_chain(path: StationaryPath, start: int, steps: int,
-                    top: tuple[float, ...]) -> tuple[tuple, tuple]:
-    """The interval ``[L, U]`` at ``start + steps`` of the box ``[0, top]`` at
-    ``start`` (in lattice multiples on a lattice path).
+                    lo: tuple, hi: tuple) -> tuple[tuple, tuple]:
+    """The interval ``[L, U]`` at ``start + steps`` of the interval ``[lo, hi]``
+    at ``start`` (in lattice multiples on a lattice path).
 
     The exact map adds sigma to ``u0`` iff ``u0 <= D``: for every state if
     ``U0 <= D``, for none if ``L0 > D``, and otherwise the new work lies in
@@ -210,10 +247,6 @@ def _bounding_chain(path: StationaryPath, start: int, steps: int,
     bound every image bit for bit. ``D`` is the patience, or on the lattice
     its deadline, the largest accepted multiple.
     """
-    if path.spec.is_lattice:
-        lo, hi = (0,) * len(top), tuple(int(math.floor(v / path.spec.alpha + 1e-9)) for v in top)
-    else:
-        lo, hi = (0.0,) * len(top), tuple(top)
     for tau, sigma, deadline in zip(*(col.tolist() for col in _exact_drivers(path, start, steps))):
         if hi[0] <= deadline:
             x_lo, x_hi = lo[0] + sigma, hi[0] + sigma
@@ -289,16 +322,17 @@ def reachable_profile(path: StationaryPath, servers: int, depths: Sequence[int],
     desc = depths[::-1]   # box j is the box of depth desc[j], with bit len(depths)-1-j
     caps = np.floor(rolled[deepest - np.array(desc)] / alpha + 1e-9).astype(np.int64)
     boxes, sizes = _ordered_boxes(caps, cap, [f"at depth {d} (index {at - d})" for d in desc])
-    bit = np.repeat(np.arange(len(depths))[::-1], sizes)
-    words = np.zeros((len(boxes), (len(depths) + 63) // 64), dtype=np.uint64)
-    words[np.arange(len(boxes)), bit // 64] = np.uint64(1) << (bit % 64).astype(np.uint64)
     joins = {d: slice(e - n, e) for d, n, e in zip(desc, sizes.tolist(), np.cumsum(sizes).tolist())}
-    states, member = boxes[:0], words[:0]
+    n_words = (len(depths) + 63) // 64
+    states, member = boxes[:0], np.zeros((0, n_words), dtype=np.uint64)
     for i in range(deepest + 1):
         depth = deepest - i
         if depth in joins:
-            states = np.concatenate((states, boxes[joins[depth]]))
-            member = np.concatenate((member, words[joins[depth]]))
+            joined, k = boxes[joins[depth]], depths.index(depth)
+            words = np.zeros((len(joined), n_words), dtype=np.uint64)
+            words[:, k // 64] = np.uint64(1) << np.uint64(k % 64)
+            states = np.concatenate((states, joined))
+            member = np.concatenate((member, words))
         if depth > 0:
             states = advance_batch(states, tau[i], sigma[i], deadline[i])[0]
             order = np.lexsort(states.T)
@@ -322,21 +356,32 @@ def _ordered_boxes(caps, cap: int, names: Sequence[str]) -> tuple[np.ndarray, np
     below every later cap, so the caps are first lowered to their suffix
     minima; then each prefix has a completion, and a prefix count above
     ``cap`` proves a box too large. The error names the first box over the
-    cap (``names[b]``) at the first column where any box is over it.
+    cap (``names[b]``) at the first column where any box is over it. Each
+    column keeps only its new coordinate and each row's parent prefix; the
+    rows are gathered once at the end, so the builder holds about two box
+    copies at its peak.
     """
     caps = np.asarray(caps, dtype=np.int64)
-    box = np.zeros((len(caps), 0), dtype=np.int64)
     owner = np.arange(len(caps))
     low = np.zeros(len(caps), dtype=np.int64)
+    coords, parents = [], []
     for col in np.minimum.accumulate(caps[:, ::-1], axis=1)[:, ::-1].T:
         counts = np.maximum(col[owner] - low + 1, 0)
         over = np.flatnonzero(np.bincount(owner, weights=counts, minlength=len(caps)) > cap)
         if len(over):
             raise ResourceCapError(f"lattice box {names[over[0]]} exceeds cap", cap,
                                    math.prod(c + 1 for c in caps[over[0]].tolist()))
-        n = int(counts.sum())
-        starts = np.cumsum(counts) - counts
-        low = np.repeat(low - starts, counts) + np.arange(n)
-        owner = np.repeat(owner, counts)
-        box = np.column_stack((np.repeat(box, counts, axis=0), low))
-    return box, np.bincount(owner, minlength=len(caps))
+        parent = np.repeat(np.arange(len(low)), counts)
+        low = np.repeat(low - (np.cumsum(counts) - counts), counts)
+        low += np.arange(len(low))
+        owner = owner[parent]
+        coords.append(low)
+        parents.append(parent)
+    sizes = np.bincount(owner, minlength=len(caps))
+    del owner, low, parent   # before the box is allocated
+    box = np.empty((len(coords[-1]), len(coords)), dtype=np.int64)
+    rows = slice(None)
+    for j in range(len(coords) - 1, -1, -1):   # popped, so each column is freed once read
+        box[:, j] = coords.pop()[rows]
+        rows = parents.pop()[rows]
+    return box, sizes

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ResourceCapError
 from .kernel import _merge_shift, _merge_shift_batch, accepted_multiples, advance_batch
-from .sequences import SequenceSpec, StationaryPath
+from .sequences import StationaryPath
 
 DEFAULT_MAX_DEPTH = 1 << 20
 Z_RISK = 1e-12
@@ -83,8 +83,8 @@ def _effective_work(tau: np.ndarray, sigma: np.ndarray, patience: np.ndarray, ki
 
 
 @functools.lru_cache(maxsize=256)
-def _chernoff_constants(spec: SequenceSpec, kind: str) -> tuple[np.ndarray, np.ndarray, float]:
-    """Constants of the top-supremum certificate.
+def _chernoff_constants(laws: tuple, kind: str) -> tuple[np.ndarray, np.ndarray, float]:
+    """Constants of the top-supremum certificate for ``SequenceSpec.laws``.
 
     Past the ``d`` lags read, lag ``k`` raises a coordinate only if its work
     exceeds ``m + T`` (least coordinate plus the gaps read) plus ``k - d``
@@ -97,12 +97,9 @@ def _chernoff_constants(spec: SequenceSpec, kind: str) -> tuple[np.ndarray, np.n
     the largest finite mean, so a change of time unit scales them and leaves
     the risk as it is. Returns the usable thetas, ``log(M_work phi/(1-phi))``
     at each, and the depth at which the mean gaps alone reach ``Z_RISK``
-    (0 if no theta is usable).
+    (0 if no theta is usable). They depend on the laws alone, so specs
+    that differ only in their seed share one entry.
     """
-    if spec.model == "markov_modulated":
-        laws = spec.modulation.states
-    else:
-        laws = ((spec.tau, spec.sigma, spec.patience),)
     scale = max(m for law in laws for m in (d.mean() for d in law) if math.isfinite(m))
     thetas, log_c = [], []
     for theta in (g / scale for g in _THETA_GRID):
@@ -161,7 +158,7 @@ def supremum_bound(path: StationaryPath, at: int, kind: str, depth: int,
             per_lag[ell] = max(u - t, 0.0)
     values = tuple(per_lag[servers + 1 - j] for j in range(1, servers + 1))
 
-    thetas, log_c, _ = _chernoff_constants(path.spec, kind)
+    thetas, log_c, _ = _chernoff_constants(path.spec.laws, kind)
     # At most 1, which is also the risk when no theta is usable; no lag
     # raises an infinite supremum.
     exponent = float((log_c - thetas * (values[0] + blk.tau.sum())).min(initial=0.0))
@@ -185,7 +182,7 @@ def certified_supremum(path: StationaryPath, at: int, kind: str, servers: int,
     path's memo. Without it, a roll that ends past the last page of the box
     read would miss and generate a second cover.
     """
-    depth = max(servers, math.ceil(min(1.25 * _chernoff_constants(path.spec, kind)[2],
+    depth = max(servers, math.ceil(min(1.25 * _chernoff_constants(path.spec.laws, kind)[2],
                                        DEFAULT_MAX_DEPTH)))
     while True:
         path.block(at - depth, depth + ahead)

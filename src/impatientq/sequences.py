@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Optional, Sequence
 
@@ -346,6 +347,13 @@ class SequenceSpec:
     def is_lattice(self) -> bool:
         return self.model == "lattice"
 
+    @property
+    def laws(self) -> tuple[tuple[Distribution, Distribution, Distribution], ...]:
+        """The (tau, sigma, patience) laws: one triple, or one per modulating state."""
+        if self.model == "markov_modulated":
+            return self.modulation.states
+        return ((self.tau, self.sigma, self.patience),)
+
     def __hash__(self) -> int:
         # The hash of the fields, computed once: hashing the laws and the
         # modulating chain takes microseconds, and the caches keyed on a
@@ -406,8 +414,12 @@ class StationaryPath:
     ``sample_at(n)`` is a pure function of ``(spec, n + offset)``; a path
     shifted by ``k`` is just the same sequence read at translated indices.
     The only mutable members are memos: the modulating-chain segments,
-    shared between a path and its shifts, and the float cover of ``block``
-    (its absolute base index and read-only arrays), kept per path. On a
+    shared between a path and its shifts; the float cover of ``block``
+    (its absolute base index and read-only arrays), kept per path; and, per
+    path too, ``coupling.cftp``'s bounded memo of each start's certified
+    box and bounding chain. Each holds only values that are functions of
+    absolute indices, so a race between two readers can at worst cost a
+    recomputation, never a different result. On a
     miss, ``block`` generates the request's aligned cover: the whole pages
     of ``_CHAIN_BLOCK`` absolute indices it touches, so that on a Markov
     path a page is exactly one chain block. The cover replaces the memo,
@@ -423,6 +435,7 @@ class StationaryPath:
     _chain_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _window: Optional[tuple[int, DriverBlock]] = field(default=None, init=False, repr=False,
                                                        compare=False)
+    _chains: OrderedDict = field(default_factory=OrderedDict, init=False, repr=False, compare=False)
 
     def shifted(self, k: int) -> "StationaryPath":
         return StationaryPath(self.spec, self.offset + k, self._chain_cache)

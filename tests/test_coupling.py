@@ -300,6 +300,76 @@ def test_consecutive_cftp_targets_share_driver_generations(monkeypatch):
     assert 1 <= len(generated) <= 2, generated
 
 
+def test_consecutive_cftp_targets_read_each_box_once(monkeypatch):
+    # Target t at horizon h starts where target t - h/2 started at h/2, so
+    # past the deepest horizon only each target's first start is new.
+    # Without the chain memo, cftp read about 2.3 boxes per target here.
+    from impatientq import coupling
+
+    reads = []
+    certified = coupling.certified_supremum
+    monkeypatch.setattr(coupling, "certified_supremum", lambda *a, **k: reads.append(a) or certified(*a, **k))
+    path = StationaryPath(CERTIFY)
+    horizons = [cftp(path, 3, at=t).horizon_used for t in range(1, 129)]
+    reads.clear()
+    for t in range(129, 229):
+        assert cftp(path, 3, at=t).coalesced
+    assert max(horizons) <= 128 and len(reads) <= 110, len(reads)
+
+
+def _fields(res):
+    return res.value, res.coalesced, res.horizon_used, res.z_depth, np.float64(res.z_risk).view(np.int64)
+
+
+@pytest.mark.parametrize("family", ["iid", "lattice", "markov"])
+def test_cftp_memo_changes_no_result(family):
+    # one path shared by every call against a fresh path per call, over
+    # ascending, descending, shuffled and strided targets, mixed server
+    # counts and horizon caps. The fixed models reach horizons 32-128, so
+    # later targets resume remembered chains, or on descending targets meet
+    # chains already past them; a cap of 16 leaves some chains open.
+    rng = np.random.default_rng(1818)
+    fixed, draw = {"iid": (CERTIFY, random_iid_spec),
+                   "lattice": (LATTICE, lambda r: random_lattice_spec(r, alpha=0.5)),
+                   "markov": (MM_SPEC, random_mm_spec)}[family]
+    open_chains = 0
+    for k, spec in enumerate([fixed, draw(rng), draw(rng)]):
+        shared = StationaryPath(spec)
+        for order in range(4):
+            targets = list(range(-20, 20))
+            if order == 1:
+                targets.reverse()
+            elif order == 2:
+                rng.shuffle(targets)
+            elif order == 3:
+                targets = [7 * t for t in targets]
+            servers = (3, 3, 2, 3)[order] if k == 0 else 1 + (order + k) % 3
+            for i, t in enumerate(targets):
+                max_horizon = (16, 64, 1 << 20)[i % 3]
+                res = cftp(shared, servers, at=t, max_horizon=max_horizon)
+                assert _fields(res) == _fields(cftp(StationaryPath(spec), servers, at=t, max_horizon=max_horizon)), \
+                    (k, order, t, servers, max_horizon)
+                open_chains += not res.coalesced
+    assert open_chains > 0
+
+
+def test_cftp_on_a_shifted_path():
+    path = StationaryPath(MM_SPEC)
+    shifted = path.shifted(37)
+    for t in list(range(-20, 20)) + list(range(20, -20, -3)):
+        assert _fields(cftp(shifted, 2, at=t)) == _fields(cftp(path, 2, at=t + 37)), t
+
+
+def test_cftp_memo_stays_bounded():
+    from impatientq import coupling
+
+    path = StationaryPath(CERTIFY)
+    for t in range(3000):
+        cftp(path, 3, at=t)
+        assert len(path._chains) <= coupling.CHAIN_MEMO
+    assert len(path._chains) == coupling.CHAIN_MEMO
+
+
 def test_cftp_lattice_equals_deep_advance_lattice_loop():
     path = StationaryPath(LATTICE)
     blk = path.lattice_block(1 - 8192, 8192 + 299)
@@ -357,21 +427,42 @@ def test_bounding_chain_contains_every_trajectory():
         start, steps = int(rng.integers(-5000, 5000)), 40
         if spec.is_lattice:   # every ordered lattice state of the box
             top_mult = np.sort(rng.integers(0, 13, size=servers))
-            top = tuple(float(k) * 0.5 for k in top_mult)
+            box = (0,) * servers, tuple(top_mult.tolist())
             states = list(map(tuple, _ordered_boxes([top_mult.tolist()], 10**6, ["top"])[0].tolist()))
             blk = path.lattice_block(start, steps)
             step = lambda u, i: advance_lattice(u, int(blk.tau[i]), int(blk.sigma[i]),  # noqa: E731
                                                 float(blk.patience[i]), 0.5)[0]
         else:
             top = tuple(np.sort(rng.uniform(0.0, 6.0, size=servers)).tolist())
+            box = (0.0,) * servers, top
             states = [tuple(p) for p in (np.sort(rng.uniform(0.0, 1.0, size=(30, servers)), axis=1)
                                          * np.asarray(top)).tolist()] + [(0.0,) * servers, top]
             step = lambda u, i: advance(u, path.sample_at(start + i)).next  # noqa: E731
         for i in range(steps):
             states = [step(u, i) for u in states]
-            lo, hi = _bounding_chain(path, start, i + 1, top)
+            lo, hi = _bounding_chain(path, start, i + 1, *box)
             for u in states:
                 assert all(a <= b <= c for a, b, c in zip(lo, u, hi)), (trial, i, lo, u, hi)
+
+
+def test_bounding_chain_resumes_bit_for_bit():
+    # the chain run over j steps and resumed from its interval over the rest
+    # ends where one run over every step does, for every j: what lets
+    # ``cftp`` resume a remembered chain
+    rng = np.random.default_rng(4343)
+    for trial in range(12):
+        spec = (random_iid_spec, lambda r: random_lattice_spec(r, alpha=0.5), random_mm_spec)[trial % 3](rng)
+        servers = int(rng.integers(1, 5))
+        path = StationaryPath(spec)
+        start, steps = int(rng.integers(-5000, 5000)), 40
+        if spec.is_lattice:
+            box = (0,) * servers, tuple(np.sort(rng.integers(0, 13, size=servers)).tolist())
+        else:
+            box = (0.0,) * servers, tuple(np.sort(rng.uniform(0.0, 6.0, size=servers)).tolist())
+        whole = _bounding_chain(path, start, steps, *box)
+        for j in range(steps + 1):
+            assert _bounding_chain(path, start + j, steps - j, *_bounding_chain(path, start, j, *box)) == whole, \
+                (trial, j)
 
 
 def test_certified_box_dominates_deep_states():
@@ -451,14 +542,20 @@ def test_cftp_uncertified_box_hits_depth_cap(monkeypatch):
     import impatientq.loynes as loynes
 
     monkeypatch.setattr(loynes, "DEFAULT_MAX_DEPTH", 64)
-    with pytest.raises(ResourceCapError, match="not certified"):
-        cftp(StationaryPath(SLOW_PATIENCE), 2)
+    path = StationaryPath(SLOW_PATIENCE)
+    for _ in range(2):   # a refused box is not remembered
+        with pytest.raises(ResourceCapError, match="not certified"):
+            cftp(path, 2)
+        assert not path._chains
 
 
 def test_cftp_infinite_top_refused():
     spec = iid_spec(3, Exponential(1.0), Exponential(2.0), Deterministic(float("inf")))
-    with pytest.raises(ConfigurationError):
-        cftp(StationaryPath(spec), 2)
+    path = StationaryPath(spec)
+    for _ in range(2):   # a refused box is not remembered
+        with pytest.raises(ConfigurationError):
+            cftp(path, 2)
+        assert not path._chains
 
 
 # ---------------------------------------------------------------------------
@@ -569,6 +666,23 @@ def test_ordered_boxes_batch_against_brute_force():
         assert sizes.tolist() == [len(w) for w in want], caps
         got = np.split(box, np.cumsum(sizes)[:-1])
         assert [list(map(tuple, g.tolist())) for g in got] == want, caps
+
+
+@pytest.mark.parametrize("servers", [3, 4])
+def test_ordered_boxes_peak_memory(servers):
+    # the builder holds its columns and parent indices, not copies of the
+    # growing box: at most twice the returned box at its peak (about 2.4x
+    # when every column repeated and restacked the box)
+    import tracemalloc
+
+    caps = np.sort(np.random.default_rng(31).integers(20, 60 if servers == 3 else 30, size=(12, servers)), axis=1)
+    tracemalloc.start()
+    try:
+        box, _ = _ordered_boxes(caps, 10**7, ["box"] * len(caps))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert box.nbytes > 4 * 2**20 and peak <= 2 * box.nbytes, (peak, box.nbytes)
 
 
 def test_ordered_boxes_cap_names_the_box_over_it():

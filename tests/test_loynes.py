@@ -323,3 +323,25 @@ def test_supremum_risk_fields():
     inf = StationaryPath(iid_spec(3, Exponential(1.0), Exponential(2.0), Deterministic(float("inf"))))
     zb = supremum_bound(inf, 0, "upper", 8, 2)
     assert zb.values == (float("inf"),) * 2 and zb.risk == 0.0
+
+
+@pytest.mark.parametrize("model", ["iid", "markov"])
+def test_chernoff_constants_are_shared_across_seeds(model):
+    # the certificate's constants depend on the laws alone: two specs that
+    # differ only by seed (every bounds replication, every sandwich job)
+    # compute them once between them
+    import dataclasses
+
+    from impatientq import loynes
+
+    base = (iid_spec(1, Exponential(1.37), Exponential(0.61), Exponential(0.29)) if model == "iid"
+            else random_mm_spec(np.random.default_rng(2718)))
+    other = dataclasses.replace(base, seed=base.seed + 1)
+    misses = loynes._chernoff_constants.cache_info().misses
+    a = loynes._chernoff_constants(base.laws, "upper")
+    b = loynes._chernoff_constants(other.laws, "upper")
+    assert loynes._chernoff_constants.cache_info().misses == misses + 1
+    assert all(np.array_equal(x, y) for x, y in zip(a[:2], b[:2])) and a[2] == b[2]
+    zb = [certified_supremum(StationaryPath(s), 0, "upper", 2) for s in (base, other)]
+    assert loynes._chernoff_constants.cache_info().misses == misses + 1
+    assert zb[0].values != zb[1].values   # the seeds read different paths

@@ -547,9 +547,9 @@ def test_spec_hash_is_computed_once_and_keeps_equality():
     other = dataclasses.replace(MM_SPEC, seed=MM_SPEC.seed + 1)
     assert other != spec and hash(other) != hash(spec)
     # An equal spec built apart finds the entries cached under the first one.
-    loynes._chernoff_constants(MM_SPEC, "upper")
+    loynes._chernoff_constants(MM_SPEC.laws, "upper")
     hits = loynes._chernoff_constants.cache_info().hits
-    loynes._chernoff_constants(spec, "upper")
+    loynes._chernoff_constants(spec.laws, "upper")
     assert loynes._chernoff_constants.cache_info().hits == hits + 1
     # String hashes differ between processes, so a copy must hash afresh: a
     # spec pickled after hashing, loaded under another hash seed, hashes as
