@@ -184,7 +184,8 @@ def cftp(path: StationaryPath, servers: int, at: int = 0,
     started from the box between the empty state and the certified top
     supremum vector at ``at-n``. The horizon doubles from ``max(2S, 16)``,
     or from ``max_horizon`` if that is smaller, until the chain closes to a
-    point at ``at``; it never exceeds ``max_horizon``. Drivers are tied to
+    point at ``at``; it never exceeds ``max_horizon``, which must be at
+    least 1. Drivers are tied to
     indices, so deeper horizons replay the same randomness.
 
     The path remembers, for the ``CHAIN_MEMO`` starts used last (keyed on
@@ -199,6 +200,8 @@ def cftp(path: StationaryPath, servers: int, at: int = 0,
     """
     if servers < 1:
         raise ValueError("servers must be >= 1")
+    if max_horizon < 1:
+        raise ValueError(f"max_horizon must be >= 1, got {max_horizon}")
     chains = path._chains
     horizon = min(max(2 * servers, 16), max_horizon)
     while True:
@@ -245,9 +248,12 @@ def _bounding_chain(path: StationaryPath, start: int, steps: int,
     ``[L0, max(U0, D + sigma)]``. ``_merge_shift`` only selects, subtracts
     and clips, all monotone under rounding, so the images of ``L`` and ``U``
     bound every image bit for bit. ``D`` is the patience, or on the lattice
-    its deadline, the largest accepted multiple.
+    its deadline, the largest accepted multiple. Once the interval closes
+    (``L == U``) the two updates are the same computation, so the point
+    advances alone, one ``_merge_shift`` per index.
     """
-    for tau, sigma, deadline in zip(*(col.tolist() for col in _exact_drivers(path, start, steps))):
+    drivers = zip(*(col.tolist() for col in _exact_drivers(path, start, steps)))
+    for tau, sigma, deadline in drivers:
         if hi[0] <= deadline:
             x_lo, x_hi = lo[0] + sigma, hi[0] + sigma
         elif lo[0] > deadline:
@@ -256,6 +262,10 @@ def _bounding_chain(path: StationaryPath, start: int, steps: int,
             x_lo, x_hi = lo[0], max(hi[0], deadline + sigma)
         lo = _merge_shift(lo, x_lo, tau)
         hi = _merge_shift(hi, x_hi, tau)
+        if lo == hi:
+            for tau, sigma, deadline in drivers:
+                lo = _merge_shift(lo, lo[0] + sigma if lo[0] <= deadline else lo[0], tau)
+            return lo, lo
     return lo, hi
 
 

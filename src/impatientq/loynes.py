@@ -19,7 +19,10 @@ closed-form Chernoff bound on the chance that a deeper lag raises it,
 dominates the envelope's stationary state and hence, for the upper kind,
 every stationary workload. ``certified_supremum`` reads it as deep as the
 certificate needs; it is the start box of ``coupling.cftp`` and the
-dominating start of ``stationary_estimate``.
+dominating start of ``stationary_estimate``. A read resumes the path's
+previous read of the same kind, server count and depth from its last reset,
+so reads at neighbouring indices step only their new lags, bit-identical to
+a read from scratch (see ``supremum_bound``).
 Long forward rolls run as time-parallel lanes with seam repair and return
 the scalar recursion's states bit for bit; recursions over the same drivers
 can share one such pass (see "Forward rolls" below).
@@ -125,32 +128,63 @@ def supremum_bound(path: StationaryPath, at: int, kind: str, depth: int,
     Coordinate ``j`` is ``[max over k in [S+1-j, depth] of
     (work shifted back k) - (sum of the k previous gaps)]+`` with work
     equal to sigma+patience (upper) or min(sigma, patience) (lower).
+
+    The lags ``>= S`` common to every coordinate run as one clipped
+    recursion ``v = [max(v, w) - t]+`` from ``v = 0`` at the deepest lag,
+    which resumes the path's previous read of the same ``(kind, servers)``
+    (``StationaryPath._suprema``). A *reset* is an index where ``v`` took
+    the work term (``v <= w``) or was clipped to zero; from there on ``v``
+    no longer depends on the steps before it. A read of the same depth
+    whose window ends at or after the remembered one, and contains its
+    last reset, steps only its new lags from the remembered ``v``. That is
+    the value a fresh run reaches, bit for bit: the max, the subtraction of
+    the same gap and the clip are monotone under rounding, so the later
+    start holds at most the earlier run's value at every common index. At
+    the reset it therefore takes the same work term or the same clip, and
+    from there both runs are one computation. The final ``S-1`` lags and
+    the risk run over the whole window as always.
     """
     if servers < 1:
         raise ValueError("servers must be >= 1")
     if depth < servers:
         raise ValueError(f"depth must be at least the server count, got {depth} < {servers}")
     blk = path.block(at - depth, depth)
-    work_arr = _effective_work(blk.tau, blk.sigma, blk.patience, kind)
+    # Absolute indices: the window starts at ``base`` and its common lags
+    # end at ``end``. The memo is (depth, end, v there, last reset).
+    common = depth - servers + 1
+    base = at - depth + path.offset
+    end = base + common
+    memo = path._suprema.get((kind, servers))
+    if memo is not None and memo[0] == depth and memo[1] <= end and memo[3] >= base:
+        _, first, v, reset = memo
+    else:
+        first, v, reset = base, 0.0, base
+    new = slice(first - base, None)
+    work = _effective_work(blk.tau[new], blk.sigma[new], blk.patience[new], kind).tolist()
+    tau = blk.tau[new].tolist()
 
     # Each coordinate is a running supremum of partial sums; evaluate it by
     # the equivalent one-dimensional clipped recursion (numerically stable,
     # and float-identical to the autonomous top coordinate of the envelope
-    # iterate). Lags >= S are common to every coordinate; the final S-1
-    # steps stop injecting new work terms one coordinate at a time. The clip
-    # is the selection ``max(v, 0.0)`` makes, without the builtin call.
-    work = work_arr.tolist()
-    tau = blk.tau.tolist()
-    common = depth - servers + 1
-    v = 0.0
-    for w, t in zip(work[:common], tau[:common]):
-        v = (v if v > w else w) - t
-        if v < 0.0:
+    # iterate). The final S-1 steps stop injecting new work terms one
+    # coordinate at a time. The clip is the selection ``max(v, 0.0)``
+    # makes, without the builtin call.
+    fresh = end - first
+    for i, w, t in zip(range(first, end), work[:fresh], tau[:fresh]):
+        if v > w:
+            v -= t
+            if not v < 0.0:
+                continue
             v = 0.0
+        else:
+            v = w - t
+            if v < 0.0:
+                v = 0.0
+        reset = i
+    path._suprema[(kind, servers)] = (depth, end, v, reset)
     per_lag = [v] * (servers + 1)  # per_lag[ell] tracks the lag-ell coordinate
     for k in range(servers - 1, 0, -1):
-        i = depth - k
-        w, t = work[i], tau[i]
+        w, t = work[-k], tau[-k]
         for ell in range(1, servers + 1):
             u = per_lag[ell]
             if ell <= k:
@@ -180,7 +214,10 @@ def certified_supremum(path: StationaryPath, at: int, kind: str, servers: int,
     that also covers the ``ahead`` indices from ``at``, so the box read and
     a roll from the box over those indices share one page cover of the
     path's memo. Without it, a roll that ends past the last page of the box
-    read would miss and generate a second cover.
+    read would miss and generate a second cover. Reads at neighbouring
+    indices take the same first depth, so each resumes the one before it
+    and steps only its new lags (``supremum_bound``); a doubled read
+    replaces the path's resume entry and starts from scratch.
     """
     depth = max(servers, math.ceil(min(1.25 * _chernoff_constants(path.spec.laws, kind)[2],
                                        DEFAULT_MAX_DEPTH)))

@@ -349,10 +349,14 @@ class SequenceSpec:
 
     @property
     def laws(self) -> tuple[tuple[Distribution, Distribution, Distribution], ...]:
-        """The (tau, sigma, patience) laws: one triple, or one per modulating state."""
-        if self.model == "markov_modulated":
-            return self.modulation.states
-        return ((self.tau, self.sigma, self.patience),)
+        """The (tau, sigma, patience) laws: one triple, or one per modulating
+        state. Built once, like the hash, and left out of a copy's state."""
+        try:
+            return self._laws
+        except AttributeError:
+            laws = self.__dict__["_laws"] = (self.modulation.states if self.model == "markov_modulated"
+                                             else ((self.tau, self.sigma, self.patience),))
+            return laws
 
     def __hash__(self) -> int:
         # The hash of the fields, computed once: hashing the laws and the
@@ -365,8 +369,9 @@ class SequenceSpec:
             return h
 
     def __getstate__(self) -> dict:
-        # String hashes differ between processes: a copy hashes afresh.
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+        # String hashes differ between processes: a copy hashes afresh, and
+        # builds its own laws.
+        return {k: v for k, v in self.__dict__.items() if k not in ("_hash", "_laws")}
 
 
 def _check_roles(tau: Distribution, sigma: Distribution, patience: Distribution):
@@ -417,9 +422,12 @@ class StationaryPath:
     shared between a path and its shifts; the float cover of ``block``
     (its absolute base index and read-only arrays), kept per path; and, per
     path too, ``coupling.cftp``'s bounded memo of each start's certified
-    box and bounding chain. Each holds only values that are functions of
-    absolute indices, so a race between two readers can at worst cost a
-    recomputation, never a different result. On a
+    box and bounding chain, and ``loynes.supremum_bound``'s resume entry
+    per ``(kind, servers)``: the depth, the absolute index where the read's
+    common recursion ended, its value there and the absolute index of its
+    last reset. Each holds only values that are functions of absolute
+    indices, each entry one tuple, so a race between two readers can at
+    worst cost a recomputation, never a different result. On a
     miss, ``block`` generates the request's aligned cover: the whole pages
     of ``_CHAIN_BLOCK`` absolute indices it touches, so that on a Markov
     path a page is exactly one chain block. The cover replaces the memo,
@@ -436,6 +444,7 @@ class StationaryPath:
     _window: Optional[tuple[int, DriverBlock]] = field(default=None, init=False, repr=False,
                                                        compare=False)
     _chains: OrderedDict = field(default_factory=OrderedDict, init=False, repr=False, compare=False)
+    _suprema: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def shifted(self, k: int) -> "StationaryPath":
         return StationaryPath(self.spec, self.offset + k, self._chain_cache)

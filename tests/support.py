@@ -3,6 +3,7 @@ configuration generators used by the property suites."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -104,6 +105,17 @@ MM_SPEC = SequenceSpec(
 )
 
 
+# The perfbench ``certify`` model; before the bounding chain, ``cftp`` on seed
+# 1 returned a wrong value at target 341.
+CERTIFY = iid_spec(1, Exponential(1.0), Exponential(0.4), Exponential(0.2))
+LATTICE = SequenceSpec(
+    model="lattice", seed=1, alpha=0.5,
+    tau=LatticeDiscrete(0.5, (1, 2, 3), (0.3, 0.4, 0.3)),
+    sigma=LatticeDiscrete(0.5, (0, 2, 4, 6, 8), (0.2,) * 5),
+    patience=Uniform(0.0, 6.0),
+)
+
+
 def random_distribution(rng: np.random.Generator, role: str):
     """A random marginal suitable for the given driver role."""
     kinds = ["exponential", "deterministic", "uniform", "shifted_exponential"]
@@ -145,6 +157,45 @@ def random_mm_spec(rng: np.random.Generator, n_states: int = 2) -> SequenceSpec:
         seed=int(rng.integers(2**62)),
         modulation=ModulationSpec(transition=tuple(rows), states=states),
     )
+
+
+def law_with_mean(rng: np.random.Generator, mean: float):
+    """A random marginal with the given mean: exponential, uniform from
+    zero, constant or shifted exponential."""
+    kind = int(rng.integers(4))
+    if kind == 0:
+        return Exponential(rate=1.0 / mean)
+    if kind == 1:
+        return Uniform(low=0.0, high=2.0 * mean)
+    if kind == 2:
+        return Deterministic(value=mean)
+    shift = float(rng.uniform(0.1, 0.9)) * mean
+    return ShiftedExponential(shift=shift, rate=1.0 / (mean - shift))
+
+
+def random_heavy_spec(rng: np.random.Generator, servers: int, model: str = "iid") -> SequenceSpec:
+    """A heavily loaded random spec: in every (modulating) state the
+    per-server load ``E[sigma] / (S E[tau])`` lies in [0.9, 1.1] and the
+    mean patience in [5, 10] mean gaps. Its box reads run deeper and end
+    further from their last reset (a 90th percentile of 7-10 lags against
+    3-4 for the light random specs above), and its bounding chains reach
+    horizons of 32-512 where those mostly coalesce at 16."""
+    def triple():
+        gap = float(rng.uniform(0.5, 2.0))
+        return (law_with_mean(rng, gap),
+                law_with_mean(rng, float(rng.uniform(0.9, 1.1)) * servers * gap),
+                law_with_mean(rng, float(rng.uniform(5.0, 10.0)) * gap))
+
+    seed = int(rng.integers(2**62))
+    if model == "iid":
+        tau, sigma, patience = triple()
+        return SequenceSpec(model="iid", seed=seed, tau=tau, sigma=sigma, patience=patience)
+    rows = []
+    for _ in range(2):
+        row = rng.uniform(0.1, 1.0, size=2)
+        rows.append(tuple((row / row.sum()).tolist()))
+    return SequenceSpec(model="markov_modulated", seed=seed,
+                        modulation=ModulationSpec(transition=tuple(rows), states=(triple(), triple())))
 
 
 def random_lattice_spec(rng: np.random.Generator, alpha: float = 1.0,
@@ -254,16 +305,11 @@ def reference_sweep_configs() -> list[tuple[str, SequenceSpec, int]]:
         transition=((0.995, 0.005), (0.02, 0.98)),
         states=((Exponential(1.0), Exponential(0.6), Deterministic(1.0)),
                 (Exponential(1.8), Exponential(0.6), Uniform(0.0, 2.0))))
-    lattice = SequenceSpec(
-        model="lattice", seed=1, alpha=0.5,
-        tau=LatticeDiscrete(0.5, (1, 2, 3), (0.3, 0.4, 0.3)),
-        sigma=LatticeDiscrete(0.5, (0, 2, 4, 6, 8), (0.2,) * 5),
-        patience=Uniform(0.0, 6.0))
     configs = [
         ("mm2-d1", mm2_patience_spec(11), 2),
         ("bursty", SequenceSpec(model="markov_modulated", seed=11, modulation=bursty), 2),
-        ("lattice", lattice, 3),
-        ("certify", iid_spec(11, Exponential(1.0), Exponential(0.4), Exponential(0.2)), 3),
+        ("lattice", LATTICE, 3),
+        ("certify", dataclasses.replace(CERTIFY, seed=11), 3),
     ]
     for k in range(3):
         configs.append((f"iid-{k}", random_iid_spec(rng), 1 + k))

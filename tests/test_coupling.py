@@ -25,13 +25,16 @@ from impatientq.sequences import (
     Uniform,
 )
 from support import (
+    CERTIFY,
     DRAIN,
     GROWTH,
+    LATTICE,
     MM_SPEC,
     deep_envelope,
     det_spec,
     iid_spec,
     ordered_box_reference,
+    random_heavy_spec,
     random_iid_spec,
     random_lattice_spec,
     random_mm_spec,
@@ -243,17 +246,6 @@ def test_cftp_lattice_exact():
     assert res1.value == w_next
 
 
-# The perfbench ``certify`` model; before the bounding chain, ``cftp`` on seed
-# 1 returned a wrong value at target 341.
-CERTIFY = iid_spec(1, Exponential(1.0), Exponential(0.4), Exponential(0.2))
-LATTICE = SequenceSpec(
-    model="lattice", seed=1, alpha=0.5,
-    tau=LatticeDiscrete(0.5, (1, 2, 3), (0.3, 0.4, 0.3)),
-    sigma=LatticeDiscrete(0.5, (0, 2, 4, 6, 8), (0.2,) * 5),
-    patience=Uniform(0.0, 6.0),
-)
-
-
 @pytest.mark.parametrize("seed", [1, 2])
 def test_cftp_equals_deep_forward_roll(seed):
     # reference: one exact scalar roll from empty, started 8192 indices
@@ -327,13 +319,18 @@ def test_cftp_memo_changes_no_result(family):
     # ascending, descending, shuffled and strided targets, mixed server
     # counts and horizon caps. The fixed models reach horizons 32-128, so
     # later targets resume remembered chains, or on descending targets meet
-    # chains already past them; a cap of 16 leaves some chains open.
+    # chains already past them; a cap of 16 leaves some chains open. The
+    # heavy iid and Markov specs reach deeper horizons and resume box reads
+    # over long runs without a reset.
     rng = np.random.default_rng(1818)
     fixed, draw = {"iid": (CERTIFY, random_iid_spec),
                    "lattice": (LATTICE, lambda r: random_lattice_spec(r, alpha=0.5)),
                    "markov": (MM_SPEC, random_mm_spec)}[family]
+    specs = [fixed, draw(rng), draw(rng)]
+    if family != "lattice":
+        specs.append(random_heavy_spec(rng, 2, {"iid": "iid", "markov": "markov_modulated"}[family]))
     open_chains = 0
-    for k, spec in enumerate([fixed, draw(rng), draw(rng)]):
+    for k, spec in enumerate(specs):
         shared = StationaryPath(spec)
         for order in range(4):
             targets = list(range(-20, 20))
@@ -351,6 +348,16 @@ def test_cftp_memo_changes_no_result(family):
                     (k, order, t, servers, max_horizon)
                 open_chains += not res.coalesced
     assert open_chains > 0
+
+
+@pytest.mark.parametrize("max_horizon", [0, -5])
+def test_cftp_refuses_max_horizon_below_one(monkeypatch, max_horizon):
+    # refused before any box read, naming the argument
+    from impatientq import coupling
+
+    monkeypatch.setattr(coupling, "certified_supremum", None)
+    with pytest.raises(ValueError, match="max_horizon"):
+        cftp(StationaryPath(CERTIFY), 3, at=0, max_horizon=max_horizon)
 
 
 def test_cftp_on_a_shifted_path():

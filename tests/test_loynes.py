@@ -14,10 +14,14 @@ from impatientq.loynes import (
 from impatientq.metrics import estimate_conditions
 from impatientq.sequences import Deterministic, Exponential, StationaryPath
 from support import (
+    CERTIFY,
     DRAIN,
     GROWTH,
+    LATTICE,
+    MM_SPEC,
     deep_envelope,
     iid_spec,
+    random_heavy_spec,
     random_iid_spec,
     random_mm_spec,
     reference_sweep_configs,
@@ -345,3 +349,95 @@ def test_chernoff_constants_are_shared_across_seeds(model):
     zb = [certified_supremum(StationaryPath(s), 0, "upper", 2) for s in (base, other)]
     assert loynes._chernoff_constants.cache_info().misses == misses + 1
     assert zb[0].values != zb[1].values   # the seeds read different paths
+
+
+def _bound_fields(zb):
+    return zb.values, zb.horizon, zb.stabilized, np.float64(zb.risk).view(np.int64)
+
+
+def _sweep_targets(order, depth, rng, n=16, first=4096 + 8):
+    """Targets of one read order; windows ``[t - depth, t)`` near ``first``
+    cross the driver page boundary at 4096."""
+    if order == "descending":
+        return list(range(first + n, first, -1))
+    if order == "shuffled":
+        return rng.permutation(np.arange(first, first + n)).tolist()
+    stride = {"ascending": 1, "stride-7": 7, "stride-depth-1": depth - 1, "stride-depth+1": depth + 1}[order]
+    return [first + stride * k for k in range(n)]
+
+
+RESUME_SPECS = {
+    "certify": CERTIFY, "markov": MM_SPEC, "lattice": LATTICE,
+    "infinite-patience": iid_spec(3, Exponential(1.0), Exponential(2.0), Deterministic(math.inf)),
+    "heavy-iid": random_heavy_spec(np.random.default_rng(1919), 4),
+    "heavy-markov": random_heavy_spec(np.random.default_rng(1920), 4, "markov_modulated"),
+}
+
+
+@pytest.mark.parametrize("name", list(RESUME_SPECS))
+def test_supremum_bound_resume_changes_no_result(name):
+    # reads on one shared path, which resume each other, against a fresh
+    # path per read: every field, the risk by its bits. Each order
+    # interleaves both kinds and S = 1..4 at the certified depth or its
+    # doubling, so a read also follows reads of other keys; every other
+    # order runs on a shifted path. The sweep must both resume reads and
+    # meet remembered resets that lie before the new window.
+    spec = RESUME_SPECS[name]
+    rng = np.random.default_rng(2020)
+    keys = [(kind, servers) for kind in ("upper", "lower") for servers in range(1, 5)]
+    reference = StationaryPath(spec)   # its shifts share one memo of chain blocks
+    certified = {key: certified_supremum(reference, 0, *key).horizon for key in keys}
+    orders = ("ascending", "descending", "shuffled", "stride-7", "stride-depth-1", "stride-depth+1")
+    resumed = reset_outside = 0
+    for scale in (1, 2):
+        for i, order in enumerate(orders):
+            shift = 37 * (i % 2)
+            shared = StationaryPath(spec).shifted(shift)
+            reads = zip(*[[(t, key) for t in _sweep_targets(order, scale * certified[key], rng)] for key in keys])
+            for t, (kind, servers) in (read for step in reads for read in step):
+                depth = scale * certified[kind, servers]
+                before = shared._suprema.get((kind, servers))
+                if before is not None and before[0] == depth and before[1] <= t + shift - servers + 1:
+                    inside = before[3] >= t + shift - depth
+                    resumed += inside
+                    reset_outside += not inside
+                zb = supremum_bound(shared, t, kind, depth, servers)
+                fresh = supremum_bound(reference.shifted(t + shift), 0, kind, depth, servers)
+                assert _bound_fields(zb) == _bound_fields(fresh), (name, scale, order, t, kind, servers)
+    assert resumed > 0 and reset_outside > 0, (resumed, reset_outside)
+
+
+def test_consecutive_cftp_box_reads_step_few_lags(monkeypatch):
+    # each box read of consecutive cftp targets resumes the read before it
+    # and steps only its new lags; a read from scratch steps all 222
+    from impatientq import coupling, loynes
+
+    stepped = []
+    effective_work = loynes._effective_work
+
+    def counting(tau, sigma, patience, kind):
+        stepped.append(len(tau) - 2)   # less the final S - 1 = 2 lags
+        return effective_work(tau, sigma, patience, kind)
+
+    path = StationaryPath(CERTIFY)
+    for t in range(1, 129):
+        coupling.cftp(path, 3, at=t)
+    monkeypatch.setattr(loynes, "_effective_work", counting)
+    for t in range(129, 429):
+        assert coupling.cftp(path, 3, at=t).coalesced
+    assert len(stepped) >= 290 and sum(stepped) <= 8 * len(stepped), (len(stepped), sum(stepped))
+
+
+def test_supremum_bound_resume_is_keyed_on_servers():
+    # a read of S = 4 at t + 3 ends its common lags where a read of S = 1
+    # at t does, but starts 3 lags later: the S = 1 read must not resume it.
+    # At depth 8 the 3 deeper lags often hold the supremum.
+    path = StationaryPath(CERTIFY)
+    deeper_lags_count = 0
+    for t in range(-200, 200):
+        supremum_bound(path, t + 3, "upper", 8, 4)
+        zb = supremum_bound(path, t, "upper", 8, 1)
+        fresh = StationaryPath(CERTIFY)
+        assert _bound_fields(zb) == _bound_fields(supremum_bound(fresh, t, "upper", 8, 1)), t
+        deeper_lags_count += zb.values != supremum_bound(fresh, t, "upper", 5, 1).values
+    assert deeper_lags_count > 0
