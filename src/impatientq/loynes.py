@@ -12,7 +12,9 @@ the stationary state, meets the roll from empty only at that state.
 The module also computes the one-dimensional running-supremum bounds (the
 ascending vector whose j-th entry is the backward supremum started at lag
 S+1-j), the renovation-event mask, and forward state rolls along a driver
-path used throughout the higher-level modules.
+path used throughout the higher-level modules. One clipped delay line ends
+every read and rolls it forward (``top_supremum_series``), so the rolled
+series is the certified read at every index.
 A supremum is read to a finite depth and carries a certificate: a
 closed-form Chernoff bound on the chance that a deeper lag raises it,
 ``stabilized`` when at most ``Z_RISK``. Up to that risk, the vector
@@ -141,8 +143,8 @@ def supremum_bound(path: StationaryPath, at: int, kind: str, depth: int,
     the same gap and the clip are monotone under rounding, so the later
     start holds at most the earlier run's value at every common index. At
     the reset it therefore takes the same work term or the same clip, and
-    from there both runs are one computation. The final ``S-1`` lags and
-    the risk run over the whole window as always.
+    from there both runs are one computation. The final ``S-1`` lags run
+    the delay line of ``top_supremum_series``; the risk reads every lag.
     """
     if servers < 1:
         raise ValueError("servers must be >= 1")
@@ -166,9 +168,8 @@ def supremum_bound(path: StationaryPath, at: int, kind: str, depth: int,
     # Each coordinate is a running supremum of partial sums; evaluate it by
     # the equivalent one-dimensional clipped recursion (numerically stable,
     # and float-identical to the autonomous top coordinate of the envelope
-    # iterate). The final S-1 steps stop injecting new work terms one
-    # coordinate at a time. The clip is the selection ``max(v, 0.0)``
-    # makes, without the builtin call.
+    # iterate). The clip is the selection ``max(v, 0.0)`` makes, without
+    # the builtin call.
     fresh = end - first
     for i, w, t in zip(range(first, end), work[:fresh], tau[:fresh]):
         if v > w:
@@ -182,15 +183,13 @@ def supremum_bound(path: StationaryPath, at: int, kind: str, depth: int,
                 v = 0.0
         reset = i
     path._suprema[(kind, servers)] = (depth, end, v, reset)
-    per_lag = [v] * (servers + 1)  # per_lag[ell] tracks the lag-ell coordinate
-    for k in range(servers - 1, 0, -1):
-        w, t = work[-k], tau[-k]
-        for ell in range(1, servers + 1):
-            u = per_lag[ell]
-            if ell <= k:
-                u = u if u > w else w
-            per_lag[ell] = max(u - t, 0.0)
-    values = tuple(per_lag[servers + 1 - j] for j in range(1, servers + 1))
+    # The final S-1 lags run the delay line of ``top_supremum_series``: each
+    # value shifts one lag deeper and only the new lag-1 value takes work.
+    values = [v]
+    for w, t in zip(work[fresh:], tau[fresh:]):
+        top = values[-1]
+        values = [max(x - t, 0.0) for x in values] + [max((top if top > w else w) - t, 0.0)]
+    values = tuple(values)
 
     thetas, log_c, _ = _chernoff_constants(path.spec.laws, kind)
     # At most 1, which is also the risk when no theta is usable; no lag
@@ -265,8 +264,8 @@ def stationary_estimate(path: StationaryPath, at: int, kind: str, servers: int) 
 # 2 us. Long rolls are therefore cut in time (Heidelberger & Stone 1990;
 # Greenberg, Lubachevsky & Mitrani 1991): the roll of n steps splits into
 # R chunks (lanes) of about CHUNK steps that advance together, one numpy
-# step of width R per row. Every lane but the first starts from a fixed
-# guess instead of its unknown true state, and its first row is its seam.
+# step of width R per row. Every lane but the first starts from the empty
+# state, a guess at its unknown true state, and its first row is its seam.
 #
 # The seams are repaired in one lockstep round. Every seam restarts from
 # its predecessor's last row, and all unfinished seams advance together
@@ -311,15 +310,15 @@ def _scalar_roll(u0: tuple[float, ...], step, drivers: tuple[np.ndarray, ...]) -
     return states
 
 
-def _forward_roll(rolls, lane_step, drivers: tuple[np.ndarray, ...], guess: float) -> np.ndarray:
+def _forward_roll(rolls, lane_step, drivers: tuple[np.ndarray, ...]) -> np.ndarray:
     """``_scalar_roll(u0, step, own)`` for every ``(u0, step, own)`` in
     ``rolls``, by seam repair, stacked into one ``(k, steps+1, S)`` array.
 
     The k recursions share the lane drivers ``drivers``, columns of the
     same ``steps`` indices as each ``own``: ``lane_step(U, *d)`` applies
     recursion i's ``step`` to rows ``[i*R, (i+1)*R)`` of the ``(k*R, S)``
-    lane array ``U``, lane ``r`` under the values ``d[c][r]``. ``guess``
-    fills the starting state of every chunk after the first.
+    lane array ``U``, lane ``r`` under the values ``d[c][r]``. Every chunk
+    after the first starts from the empty state.
     """
     steps = len(drivers[0])
     lanes = steps // CHUNK
@@ -338,7 +337,7 @@ def _forward_roll(rolls, lane_step, drivers: tuple[np.ndarray, ...], guess: floa
     k, width = len(rolls), len(rolls[0][0])
     dtype = np.asarray(rolls[0][0]).dtype
     states = np.empty((k, lanes * length + 1, width), dtype=dtype)
-    u = np.full((k, lanes, width), guess, dtype=dtype)
+    u = np.zeros((k, lanes, width), dtype=dtype)
     for i, (u0, _, _) in enumerate(rolls):
         states[i, 0] = u[i, 0] = u0
     by_lane = states[:, 1:].reshape(k, lanes, length, width)
@@ -418,7 +417,7 @@ def envelope_states(path: StationaryPath, at: int, steps: int, u0: tuple[float, 
     blk = path.block(at, steps)
     drivers = (_effective_work(blk.tau, blk.sigma, blk.patience, kind), blk.tau)
     return _forward_roll(((tuple(map(float, u0)), _merge_shift, drivers),), _merge_shift_batch,
-                         drivers, 0.0)[0]
+                         drivers)[0]
 
 
 def _exact_step(u, tau, sigma, deadline):
@@ -444,7 +443,7 @@ def _exact_drivers(path: StationaryPath, at: int, steps: int) -> tuple[np.ndarra
 
 
 def _exact_roll(u0: tuple, drivers: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
-    states = _forward_roll(((u0, _exact_step, drivers),), _exact_lane_step, drivers, 0)[0]
+    states = _forward_roll(((u0, _exact_step, drivers),), _exact_lane_step, drivers)[0]
     return states, states[:-1, 0] <= drivers[2]
 
 
@@ -487,7 +486,7 @@ def sandwich_states(path: StationaryPath, at: int, steps: int, exact0: tuple[flo
     rolls = ((tuple(map(float, exact0)), _exact_step, blk),
              (tuple(map(float, lower0)), _merge_shift, lower),
              (tuple(map(float, upper0)), _merge_shift, upper))
-    return _forward_roll(rolls, _sandwich_lane_step, blk, 0.0)
+    return _forward_roll(rolls, _sandwich_lane_step, blk)
 
 
 def lattice_states(path: StationaryPath, at: int, steps: int,
@@ -502,40 +501,20 @@ def lattice_states(path: StationaryPath, at: int, steps: int,
     return _exact_roll(tuple(u0), _exact_drivers(path, at, steps))
 
 
-def top_supremum_series(path: StationaryPath, at: int, n: int, depth: int,
-                        servers: int) -> np.ndarray:
-    """Unclipped lag-S backward supremum at indices ``at .. at+n-1``.
-
-    The family of lagged suprema rolls forward as a delay line: only the
-    lag-1 member absorbs new work terms, and each step the lag-l value
-    becomes the previous lag-(l-1) value minus the elapsing gap. Entries
-    can be negative; the clipped value exceeds a non-negative patience iff
-    the unclipped one does. The start is the depth-``depth`` truncation of
-    the upper ``supremum_bound`` family, left unclipped.
+def top_supremum_series(path: StationaryPath, at: int, n: int, zb: SupremumBound) -> np.ndarray:
+    """The lag-S supremum of the upper read ``zb`` at ``at``, rolled over
+    indices ``at .. at+n-1`` as a clipped delay line: the lag-1 value is
+    the 1-D upper envelope from ``zb.values[-1]``, and lag l+1 at ``t+1`` is
+    ``[lag l at t - tau_t]+``, started from ``zb``'s own value at ``at``.
+    These are ``supremum_bound``'s steps, so entry ``i`` is the read's
+    ``values[0]`` at ``at+i``, bit for bit, unless a lag deeper than that
+    read raises it (by the resume argument there).
     """
-    init = path.block(at - depth, depth)
-    terms = (init.sigma + init.patience)[::-1] - np.cumsum(init.tau[::-1])
-    m0 = tuple(float(terms[lag - 1 :].max()) for lag in range(1, servers + 1))
-
-    fwd = path.block(at, n)
-    drivers = (fwd.sigma + fwd.patience, fwd.tau)
-    # A chunk started from -inf holds the true values from the first step
-    # whose work term reaches the true lag-1 supremum.
-    return _forward_roll(((m0, _delay_step, drivers),), _delay_lane_step, drivers,
-                         -math.inf)[0, :-1, -1]
-
-
-def _delay_step(m, work, tau):
-    top = m[0] if m[0] > work else work
-    return (top - tau,) + tuple(v - tau for v in m[:-1])
-
-
-def _delay_lane_step(m, work, tau):
-    out = np.empty_like(m)
-    out[:, 0] = np.maximum(m[:, 0], work)
-    out[:, 1:] = m[:, :-1]
-    out -= tau[:, None]
-    return out
+    z = envelope_states(path, at, n - 1, (zb.values[-1],), "upper")[:, 0]
+    tau = path.block(at, n - 1).tau
+    for start in zb.values[-2::-1]:
+        z = np.concatenate(([start], np.maximum(z[:-1] - tau, 0.0)))
+    return z
 
 
 # ---------------------------------------------------------------------------

@@ -246,7 +246,8 @@ class BoundReport:
     lower_stabilized: bool
     upper_stabilized: bool
     z_stabilized: bool
-    # per-index columns (lower1, W1, upper1, z_top, patience, loss), optional
+    # per-index columns (lower1, W1, upper1, z_top, patience, loss), optional;
+    # z_top is the clipped lag-S supremum, the certified read at its index
     samples: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @property
@@ -268,12 +269,13 @@ def bound_report(path: StationaryPath, servers: int, n_samples: int, at: int = 0
     gives the exact workload at ``at``, bit for bit, and both envelopes
     start from their backward limits there; the three recursions then roll
     forward over the window together (``loynes.sandwich_states``). The top
-    supremum, read to the depth its certificate needs, rolls its own
-    one-dimensional recursion. The report refuses (``ContractError``)
+    supremum, read to the depth its certificate needs, rolls forward by
+    ``loynes.top_supremum_series``. The report refuses (``ContractError``)
     when ``cftp`` does not coalesce, since no start from an arbitrary state
-    is stationary; an infinite top supremum leaves no box to couple from,
-    and ``cftp`` refuses it (``ConfigurationError``). ``max_horizon`` caps
-    the ``cftp`` call.
+    is stationary, or when the four loss indicators are out of order at a
+    sample; an infinite top supremum leaves no box to couple from, and
+    ``cftp`` refuses it (``ConfigurationError``). ``max_horizon`` caps the
+    ``cftp`` call.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -293,8 +295,16 @@ def bound_report(path: StationaryPath, servers: int, n_samples: int, at: int = 0
     loss_ind = exact[:, 0] > patience
     lower_ind = lower_states[:, 0] > patience
     upper_ind = upper_states[:, 0] > patience
-    z_top = top_supremum_series(path, at, n_samples, zb.horizon, servers)
+    z_top = top_supremum_series(path, at, n_samples, zb)
     z_ind = z_top > patience
+    # The sandwich holds pointwise: lower_ind <= loss_ind <= upper_ind <= z_ind.
+    inds = np.stack([lower_ind, loss_ind, upper_ind, z_ind])
+    bad = np.flatnonzero((inds[:-1] > inds[1:]).any(axis=0))
+    if len(bad):
+        i = int(bad[0])
+        got = (lower_states[i, 0], exact[i, 0], upper_states[i, 0], z_top[i], patience[i])
+        raise ContractError("loss indicators out of order at sample {} (index {}): lower1 {!r}, W1 {!r}, "
+                            "upper1 {!r}, z_top {!r}, patience {!r}".format(i, at + i, *map(float, got)))
 
     samples = None
     if keep_samples:
@@ -348,11 +358,8 @@ def estimate_conditions(path: StationaryPath, servers: int, n_samples: int,
     work_le_tau = int(np.count_nonzero(sigma + patience <= tau))
     sigma_lt_tau = int(np.count_nonzero(sigma < tau))
 
-    # Certified top supremum rolled forward: each step both shifts the
-    # index and deepens the truncation, so it is the 1-D envelope map.
     zb = certified_supremum(path, at, "upper", 1)
-    z_states = envelope_states(path, at, n_samples - 1, zb.values, "upper")
-    z_hits = int(np.count_nonzero(z_states[:, 0] == 0.0))
+    z_hits = int(np.count_nonzero(top_supremum_series(path, at, n_samples, zb) == 0.0))
 
     est = stationary_estimate(path, at, "upper", servers)
     y_states = envelope_states(path, at, n_samples - 1, est.vector, "upper")

@@ -5,9 +5,10 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from impatientq import cli, coupling
+from impatientq import cli, coupling, metrics
 from impatientq.cli import main, replication_seed
 from impatientq.config import load_config, parse_config
 from impatientq.errors import ConfigurationError
@@ -347,6 +348,19 @@ def test_cli_bounds_refuses_without_a_stationary_start(tmp_path, capsys, text, c
     assert not (out / "bounds.json").exists()
 
 
+def test_cli_bounds_refuses_out_of_order_indicators(tmp_path, capsys, monkeypatch):
+    # A z_top below upper1 at a sample breaks the pointwise sandwich: exit 1,
+    # naming the sample, and no output file.
+    monkeypatch.setattr(metrics, "top_supremum_series", lambda path, at, n, zb: np.zeros(n))
+    cfg = _write(tmp_path, "cfg.ini", MM2D_INI)
+    out = tmp_path / "out"
+    assert main(["bounds", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "loss indicators out of order at sample" in err and "z_top 0.0" in err
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
 def test_cli_bounds_replications(tmp_path):
     text = MM2D_INI.replace("renovation_end = 199", "renovation_end = 199\nreplications = 3")
     cfg = _write(tmp_path, "cfg.ini", text)
@@ -360,7 +374,7 @@ def test_cli_bounds_replications(tmp_path):
     assert hashlib.sha256((out / "bounds.json").read_bytes()).hexdigest() == (
         "f19db71f5cdf08058d6daa6f2c32a3587a06a0c0851c511573b5b44cc9d6af7b")
     assert hashlib.sha256((out / "bounds_samples.csv").read_bytes()).hexdigest() == (
-        "fb4e2bd489a186fa3e611f33fdea5a651aea892a815285d4e4f2a6aaf03f59a4")
+        "f62ffd65486cf139ecd855dd871aa825074ea487d3d4b79a771815b6e8fb2e59")
 
 
 def test_cli_seed_override_changes_output(tmp_path):

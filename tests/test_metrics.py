@@ -22,7 +22,7 @@ from impatientq.metrics import (
     t_quantile,
 )
 from impatientq.sequences import Deterministic, Exponential, StationaryPath, Uniform, stream_uniforms
-from support import DRAIN, GROWTH, MM_SPEC, det_spec, iid_spec
+from support import DRAIN, GROWTH, MM_SPEC, det_spec, iid_spec, random_iid_spec
 
 
 def test_erlang_b_values():
@@ -213,12 +213,18 @@ def test_bound_report_ordering_mm2d():
 def test_bound_report_samples():
     spec = iid_spec(23, Exponential(1.0), Exponential(0.6), Deterministic(1.0))
     rep = bound_report(StationaryPath(spec), 2, 1_000, keep_samples=True)
-    samples = rep.samples
-    assert samples.shape == (1_000, 6)
-    # pathwise ordering of the sampled processes
-    assert np.all(samples[:, 0] <= samples[:, 1] + 1e-9)
-    assert np.all(samples[:, 1] <= samples[:, 2] + 1e-9)
-    assert np.all(samples[:, 2] <= np.maximum(samples[:, 3], 0.0) + 1e-9)
+    assert rep.samples.shape == (1_000, 6)
+    # lower1 <= W1 <= upper1 <= z_top by value at every sample. A z_top
+    # rolled from an unclipped cumulative maximum over its window fell
+    # 4.4e-16 below upper1 at the first six samples of draw 17 at S = 1.
+    rng = np.random.default_rng(11)
+    draws = [random_iid_spec(rng) for _ in range(17)]
+    reports = [(spec, 2, rep)] + [
+        (spec, servers, bound_report(StationaryPath(spec), servers, 5_000, keep_samples=True))
+        for spec in (MM_SPEC, draws[8], draws[13], draws[16]) for servers in (1, 2, 3)]
+    for spec, servers, rep in reports:
+        bad = np.flatnonzero((np.diff(rep.samples[:, :4], axis=1) < 0.0).any(axis=1))
+        assert not len(bad), (spec.seed, servers, bad[:8], rep.samples[bad[:8], :4])
 
 
 def test_bound_report_rejects_empty():
@@ -241,17 +247,33 @@ def test_mm1_wait_tail_matches_simulation():
 
 
 def test_top_supremum_roll_matches_per_index_bound():
-    # the rolled lag-S supremum must equal an independent truncated
-    # computation at each index (clipped comparison, deep truncation)
-    from impatientq.loynes import supremum_bound, top_supremum_series
+    # The rolled lag-S supremum is the certified read at every index, bit
+    # for bit, across the seams of its lane roll; the reads run on a path
+    # of their own.
+    from impatientq.loynes import CHUNK, certified_supremum, top_supremum_series
 
-    spec = iid_spec(41, Exponential(1.0), Exponential(0.7), Uniform(0.0, 1.5))
-    path = StationaryPath(spec)
-    servers, depth, n = 3, 4096, 40
-    series = top_supremum_series(path, 0, n, depth, servers)
-    for t in range(0, n, 7):
-        zb = supremum_bound(path, t, "upper", depth, servers)
-        assert abs(max(series[t], 0.0) - zb.values[0]) <= 1e-9, t
+    n = 3 * CHUNK + 37
+    for spec in (iid_spec(41, Exponential(1.0), Exponential(0.7), Uniform(0.0, 1.5)), MM_SPEC):
+        for servers in (1, 2, 3, 4):
+            series = top_supremum_series(StationaryPath(spec), 0, n,
+                                         certified_supremum(StationaryPath(spec), 0, "upper", servers))
+            reads = StationaryPath(spec)
+            want = np.array([certified_supremum(reads, t, "upper", servers).values[0] for t in range(n)])
+            assert np.array_equal(series.view(np.int64), want.view(np.int64)), (spec.seed, servers)
+
+
+def test_bound_report_refuses_out_of_order_indicators(monkeypatch):
+    # With z_top forced to zero, the first sample whose upper envelope
+    # exceeds its patience breaks upper_ind <= z_ind.
+    samples = bound_report(StationaryPath(MM_SPEC), 2, 2_000, at=5, keep_samples=True).samples
+    i = int(np.argmax(samples[:, 2] > samples[:, 4]))
+    lower1, w1, upper1, _, patience = samples[i, :5].tolist()
+    monkeypatch.setattr(metrics, "top_supremum_series", lambda path, at, n, zb: np.zeros(n))
+    with pytest.raises(ContractError) as err:
+        bound_report(StationaryPath(MM_SPEC), 2, 2_000, at=5)
+    assert str(err.value) == (
+        f"loss indicators out of order at sample {i} (index {i + 5}): lower1 {lower1!r}, "
+        f"W1 {w1!r}, upper1 {upper1!r}, z_top 0.0, patience {patience!r}")
 
 
 def test_bound_report_single_server():
@@ -282,8 +304,10 @@ def test_bound_report_generates_its_drivers_once(monkeypatch):
     # The page cover of the certified supremum's read [at - depth, at + n)
     # serves every other read.
     assert generated == [(-4_096, 24_576)]
-    # sha256 of the samples as computed before driver windows were memoized,
-    # when the same report generated its tau uniforms 11 times and started
-    # the exact workload from empty 10,000 indices before the window.
+    # sha256 of the samples. Every column but z_top is as computed before
+    # driver windows were memoized, when the same report generated its tau
+    # uniforms 11 times and started the exact workload from empty 10,000
+    # indices before the window; z_top is the clipped lag-S supremum, the
+    # earlier unclipped series' positive part at every sample here.
     assert hashlib.sha256(rep.samples.tobytes()).hexdigest() == (
-        "08da914a6d9cbf735b807ff8ce223fbb539d541cec1537c9f806b5ab005a81cc")
+        "70f19c73afe443143f1a610caf3df0d429626f5b8ed95150a1e9c2061de26ba9")

@@ -54,7 +54,8 @@ def _rolls(path, at, steps, u0):
         "upper": loynes.envelope_states(path, at, steps, u0, "upper"),
         "lower": loynes.envelope_states(path, at, steps, u0, "lower"),
         "sandwich": loynes.sandwich_states(path, at, steps, u0, u0, u0),
-        "delay": loynes.top_supremum_series(path, at, steps, 64, len(u0)),
+        "delay": loynes.top_supremum_series(
+            path, at, steps, loynes.supremum_bound(path, at, "upper", 64, len(u0))),
     }
 
 
@@ -340,6 +341,6 @@ def test_walk_resumes_at_the_seam_where_it_matched(monkeypatch):
     drivers = (tau, sigma, deadline)
     calls = _record_repairs(monkeypatch)
     rows = loynes._forward_roll((((10.0,), loynes._exact_step, drivers),), loynes._exact_lane_step,
-                                drivers, 0.0)[0]
+                                drivers)[0]
     assert _identical(rows, loynes._scalar_roll((10.0,), loynes._exact_step, drivers))
     assert [i for _, i in calls][:2] == [16, 24]
