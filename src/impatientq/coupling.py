@@ -27,12 +27,15 @@ single point certifies a unique stationary state on the lattice. One
 pass enumerates the boxes of all requested depths; they propagate in
 lockstep as one int64 row per distinct state with a membership bit per
 depth, so every depth shares the same driver block and kernel calls.
+Equal states are found by one sort of exact int64 keys into which the
+rows are packed, as many columns to a key as its base allows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Optional, Sequence
 
 import numpy as np
@@ -305,11 +308,19 @@ def reachable_profile(path: StationaryPath, servers: int, depths: Sequence[int],
     One ``_ordered_boxes`` pass enumerates every box, deepest first, so it
     holds at most ``len(depths) * cap`` rows. They propagate in lockstep as
     one int64 row per distinct state and uint64 words whose bit k is set
-    when the k-th depth's box reaches the state: the box of depth ``d``
-    joins at index ``at-d``, and each index takes one step, one sort and
-    one OR of the words of equal states. A box over ``cap`` is refused; of
-    several, the error names the deepest one over it at the first column
-    where any box is.
+    when the k-th depth's box reaches the state; every box row's word is
+    built once, and the box of depth ``d`` joins with its words at index
+    ``at-d``. Each index takes one step, one ``np.lexsort`` of the rows
+    packed into int64 keys (``_key_weights``), and keeps the first row of
+    each run of equal keys with the OR of the run's words; rows are held in
+    key order, which is lexicographic. The keys are exact: a step raises
+    the top coordinate by at most sigma and clips at zero, so over the
+    window every coordinate lies in ``[0, base)`` with ``base = max cap +
+    sum of sigma + 1``. The sets are read back from one bit matrix over
+    one list of row tuples.
+
+    A box over ``cap`` is refused; of several, the error names the deepest
+    one over it at the first column where any box is.
     """
     if not path.spec.is_lattice:
         raise ConfigurationError("reachable sets require a lattice-model spec")
@@ -333,28 +344,66 @@ def reachable_profile(path: StationaryPath, servers: int, depths: Sequence[int],
     caps = np.floor(rolled[deepest - np.array(desc)] / alpha + 1e-9).astype(np.int64)
     boxes, sizes = _ordered_boxes(caps, cap, [f"at depth {d} (index {at - d})" for d in desc])
     joins = {d: slice(e - n, e) for d, n, e in zip(desc, sizes.tolist(), np.cumsum(sizes).tolist())}
-    n_words = (len(depths) + 63) // 64
-    states, member = boxes[:0], np.zeros((0, n_words), dtype=np.uint64)
+    bit = np.arange(len(depths))   # depths[k] owns bit k of the membership words
+    words = np.zeros((len(desc), (len(depths) + 63) // 64), dtype=np.uint64)
+    words[bit, bit[::-1] // 64] = np.uint64(1) << (bit[::-1] % 64).astype(np.uint64)
+    words = np.repeat(words, sizes, axis=0)   # one per box row, sliced like the boxes
+    weights = _key_weights(int(caps.max()) + int(sigma.sum()) + 1, servers)
+    states, member = boxes[:0], words[:0]
     for i in range(deepest + 1):
         depth = deepest - i
         if depth in joins:
-            joined, k = boxes[joins[depth]], depths.index(depth)
-            words = np.zeros((len(joined), n_words), dtype=np.uint64)
-            words[:, k // 64] = np.uint64(1) << np.uint64(k % 64)
-            states = np.concatenate((states, joined))
-            member = np.concatenate((member, words))
+            states = np.concatenate((states, boxes[joins[depth]]))
+            member = np.concatenate((member, words[joins[depth]]))
         if depth > 0:
             states = advance_batch(states, tau[i], sigma[i], deadline[i])[0]
-            order = np.lexsort(states.T)
-            states = states[order]
-            first = np.flatnonzero(np.concatenate(([True], (states[1:] != states[:-1]).any(axis=1))))
-            states = states[first]
-            member = np.bitwise_or.reduceat(member[order], first, axis=0)
+            keys = [states[:, cols] @ w for cols, w in weights]
+            order = np.lexsort(keys)
+            keys = [key.take(order) for key in keys]
+            new = np.empty(len(order), dtype=bool)   # first row of each distinct state
+            new[:1] = True
+            np.not_equal(keys[0][1:], keys[0][:-1], out=new[1:])
+            for key in keys[1:]:
+                new[1:] |= key[1:] != key[:-1]
+            first = new.nonzero()[0]
+            states = states.take(order[first], axis=0)
+            member = np.bitwise_or.reduceat(member.take(order, axis=0), first, axis=0)
 
-    reached = [(member[:, k // 64] >> np.uint64(k % 64)) & np.uint64(1) == 1 for k in range(len(depths))]
-    sets = [frozenset(map(tuple, states[r].tolist())) for r in reached]
+    bits = (member[:, bit // 64] >> (bit % 64).astype(np.uint64)) & np.uint64(1) == 1
+    rows = list(map(tuple, states.tolist()))
+    sets = [frozenset(compress(rows, col)) for col in bits.T.tolist()]
     return [ReachableSet(d, p, alpha, len(boxes[joins[d]]), k == 0 or p <= sets[k - 1], est.stabilized)
             for k, (d, p) in enumerate(zip(depths, sets))]
+
+
+# Packed keys stay below this bound, so every key is an exact int64.
+_KEY_LIMIT = 1 << 63
+
+
+def _key_columns(base: int, width: int) -> int:
+    """Columns per packed key for coordinates in ``[0, base)``: the largest
+    ``k <= width`` with ``base**k < _KEY_LIMIT``, and at least one."""
+    k = 1
+    while k < width and base ** (k + 1) < _KEY_LIMIT:
+        k += 1
+    return k
+
+
+def _key_weights(base: int, width: int) -> list[tuple[slice, np.ndarray]]:
+    """Column groups and int64 weights that pack rows of ``width``
+    coordinates in ``[0, base)`` into exact keys, ``rows[:, group] @ weights``.
+
+    Each group reads as a number in base ``base``, first column most
+    significant, so equal keys mean equal rows; at S = 3 one group holds
+    the row, and wider rows spill into further groups (base 354 puts seven
+    of eight columns in one). The groups are listed last first: one
+    ``np.lexsort`` sorts by its last key, so the rows come out in
+    lexicographic order whatever the number of keys.
+    """
+    k = _key_columns(base, width)
+    groups = [slice(a, min(a + k, width)) for a in range(0, width, k)]
+    return [(g, np.array([base ** e for e in range(g.stop - g.start - 1, -1, -1)], dtype=np.int64))
+            for g in groups[::-1]]
 
 
 def _ordered_boxes(caps, cap: int, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:

@@ -20,10 +20,13 @@ recursion's merge with a zero gap, which only selects values, so the fold
 is the same multiset, sorted, bit for bit; the simulator shares no
 arithmetic with the kernel it is checked against.
 
-Aging the line during a gap raises a flag when an entry passes its
-deadline, and only then is the line purged at the next arrival. The purge
-only keeps the line short: an expired entry never fits in the fold and is
-lost when it reaches the head.
+The line is walked once per arrival: the fold's walk also takes the last
+gap off each waiting customer's patience, the same subtraction the gap
+itself would make, and drops the customers it leaves past their deadline.
+Dropping only keeps the line short: an expired entry never fits in the
+fold and would be lost when it reached the head. During a gap the line
+holds patiences as of its start, which the FCFS starts compare against
+the completion times measured from that arrival.
 
 Timekeeping is relative to the current arrival (everything is decremented
 by each gap), so float error does not grow with the horizon. A lattice path
@@ -94,7 +97,7 @@ def _simulate(path: StationaryPath, servers: int, n_arrivals: int, zero) -> tupl
     line: deque[list] = deque()  # [remaining patience or deadline, sigma, index]
     seen: list = []
     served = bytearray(n_arrivals)  # a customer never marked served is lost
-    expired = False  # a deadline passed during the last gap
+    gap = zero  # the last gap, not yet taken off the line's patiences
 
     for pos in range(0, n_arrivals, _CHUNK):
         count = min(_CHUNK, n_arrivals - pos)
@@ -102,16 +105,19 @@ def _simulate(path: StationaryPath, servers: int, n_arrivals: int, zero) -> tupl
         if pos + count == n_arrivals:
             taus[-1] = math.inf
         for j in range(count):
-            # Customers whose deadline passed during earlier gaps are gone.
-            if expired:
-                line = deque([entry for entry in line if entry[0] >= zero])
-
-            # Virtual workloads just before this arrival.
+            # Virtual workloads just before this arrival. The walk ages the
+            # line by the last gap and drops whom it leaves past a deadline.
             if line:
                 fold = residuals.copy()  # an ascending list is a heap
-                for rem, sig, _ in line:
-                    if fold[0] <= rem:
-                        heapreplace(fold, fold[0] + sig)
+                waiting: deque[list] = deque()
+                for entry in line:
+                    rem = entry[0] - gap
+                    if rem >= zero:
+                        entry[0] = rem
+                        waiting.append(entry)
+                        if fold[0] <= rem:
+                            heapreplace(fold, fold[0] + entry[1])
+                line = waiting
                 fold.sort()
                 seen += fold
                 line.append([patiences[j], sigmas[j], pos + j])
@@ -136,11 +142,7 @@ def _simulate(path: StationaryPath, servers: int, n_arrivals: int, zero) -> tupl
                     residuals[0] = f + sig
                     residuals.sort()
             residuals = [r - tau_n if r > tau_n else zero for r in residuals]
-            expired = False
-            for entry in line:
-                entry[0] -= tau_n
-                if entry[0] < zero:
-                    expired = True
+            gap = tau_n
     return seen, served
 
 

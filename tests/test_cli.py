@@ -497,6 +497,12 @@ hset_depth = 30
 """
 
 
+# The same model at S = 8, profiled to depth 80: its coordinates need base
+# 354, seven columns to an int64 key, so each row packs into two keys.
+LATTICE_BENCH_S8_INI = LATTICE_BENCH_INI.replace("servers = 3", "servers = 8").replace(
+    "hset_depth = 30", "hset_depth = 80")
+
+
 @pytest.mark.parametrize("text, json_sha, csv_sha", [
     (LATTICE_INI,
      "8944fdf52a51767c661ca98db35938fadd87fbfd49f2af99e8b82546e7682dd9",
@@ -504,7 +510,10 @@ hset_depth = 30
     (LATTICE_BENCH_INI,
      "994f518a26a454237595fa5a1a5cf1a23ddf4b5508304012d8110b0c8a3c2b59",
      "21c55c07a22ad6b410e4cd6389b484198a732a0934c072f7508845af6d4d543b"),
-], ids=["lattice-ini", "lattice-bench-S3"])
+    (LATTICE_BENCH_S8_INI,
+     "e16da1e25c730ebf56de8e60ed0587aabd4b4632e8b5cbcf9e3883bb2eb8b7cc",
+     "bd6fb7e95fcf38c6732ad22f3ce7bf14b0d61f0dff3d5972cb571f39dbb56287"),
+], ids=["lattice-ini", "lattice-bench-S3", "lattice-bench-S8"])
 def test_cli_hset_golden(tmp_path, text, json_sha, csv_sha):
     # Pinned outputs: set sizes, box sizes and nesting flags are part of the
     # byte-reproducible contract.
