@@ -14,7 +14,7 @@ from .sequences import (
     Uniform,
 )
 from .kernel import StepOutcome, advance, advance_lower, advance_upper, ordered
-from .loynes import LoynesEstimate, SupremumBound, stationary_estimate, supremum_bound
+from .loynes import SupremumBound, supremum_bound
 from .coupling import (
     CftpResult,
     ReachableSet,
@@ -56,10 +56,8 @@ __all__ = [
     "advance_upper",
     "ordered",
     "ConditionReport",
-    "LoynesEstimate",
     "SupremumBound",
     "estimate_conditions",
-    "stationary_estimate",
     "supremum_bound",
     "CftpResult",
     "ReachableSet",

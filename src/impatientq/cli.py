@@ -194,8 +194,8 @@ def cmd_renovate(cfg: ExperimentConfig, out_dir: Path) -> int:
         "window": list(scan.window),
         "frequency": scan.frequency,
         "n_events": len(scan.events),
-        "estimate_depth": scan.estimate.depth,
-        "estimate_stabilized": scan.estimate.stabilized,
+        "estimate_depth": scan.estimate.horizon_used,
+        "estimate_stabilized": scan.estimate.coalesced,
         "z_depth": scan.estimate.z_depth,
         "z_risk": scan.estimate.z_risk,
     })

@@ -1,17 +1,19 @@
 """Renovation events, coalescence, coupling from the past, lattice sets.
 
-A renovation index is one where the upper stationary state (the backward
-limit of ``loynes.stationary_estimate``, read by a dominating start) has an
-empty first coordinate and each higher coordinate fits under the
-accumulated forward gaps; from such an index, every trajectory started at
-or below it reaches the same state, bit for bit, S-1 steps later, erasing
-its initial condition.
+A renovation index is one where the upper stationary state (``cftp`` of
+the upper kind) has an empty first coordinate and each higher coordinate
+fits under the accumulated forward gaps; from such an index, every
+trajectory started at or below it reaches the same state, bit for bit, S-1
+steps later, erasing its initial condition.
 
 Coupling from the past needs no such event: every stationary workload lies
 in the box ``[0, Z]`` below the certified top supremum vector
 (``loynes.certified_supremum``), and a bounding chain (Huber 2004) run from
 that box holds the image of every state in it. When it closes to a point
-at the target, that point is the stationary workload, bit for bit. A path
+at the target, that point is the stationary workload, bit for bit. The same
+routine reads each monotone envelope's backward limit from the box of its
+own kind: an envelope's contribution does not depend on the state, so its
+chain is the two rolls of dominated CFTP (Kendall & Moller 2000). A path
 remembers each start's box and chain, so a later target that starts at the
 same index resumes the chain instead of reading the box again; the chain
 is a deterministic function of its interval and of index-tied drivers, so
@@ -43,12 +45,11 @@ import numpy as np
 from .errors import ConfigurationError, ContractError, ResourceCapError
 from .kernel import _merge_shift, advance_batch
 from .loynes import (
-    LoynesEstimate,
+    _effective_work,
     _exact_drivers,
     _renovation_mask,
     certified_supremum,
     envelope_states,
-    stationary_estimate,
 )
 from .sequences import StationaryPath
 
@@ -71,28 +72,25 @@ class RenovationScan:
     events: tuple[RenovationEvent, ...]
     window: tuple[int, int]
     frequency: float
-    estimate: LoynesEstimate
+    estimate: CftpResult
 
 
 def detect_renovation(path: StationaryPath, servers: int,
                       window: tuple[int, int]) -> RenovationScan:
     """All renovation indices in the inclusive window ``[a, b]``.
 
-    The upper estimate is computed once at ``a`` and rolled forward (a
-    backward limit rolls into the limits at later indices). Detection
-    refuses to run from an unstabilized estimate: an under-estimate could
-    flag spurious events.
+    The upper estimate (``cftp`` of the upper kind) is computed once at
+    ``a`` and rolled forward (a backward limit rolls into the limits at
+    later indices). Detection refuses to run from an estimate whose chain
+    did not close (``_envelope_estimate``): an under-estimate could flag
+    spurious events.
     """
     a, b = window
     if b < a:
         raise ValueError(f"empty window [{a}, {b}]")
-    est = stationary_estimate(path, a, "upper", servers)
-    if not est.stabilized:
-        raise ContractError(
-            "upper estimate did not stabilize; renovation detection disabled "
-            "(a truncated estimate can produce false positives)")
+    est = _envelope_estimate(path, servers, a, "upper")
     n = b - a + 1
-    states = envelope_states(path, a, n - 1, est.vector, "upper")
+    states = envelope_states(path, a, n - 1, est.value, "upper")
     tau = path.block(a, n + servers).tau
     mask, sums_by_ell = _renovation_mask(states, tau, servers)
     events = []
@@ -133,7 +131,7 @@ def coalescence_check(path: StationaryPath, at: int,
         raise ValueError("need at least one initial state")
     servers = initials.shape[1]
     if y_estimate is None:
-        y_estimate = stationary_estimate(path, at, "upper", servers).vector
+        y_estimate = _envelope_estimate(path, servers, at, "upper").value
     slack = 0.0 if path.spec.is_lattice else 1e-12
     unordered = ~((initials[:, :-1] <= initials[:, 1:]).all(axis=1) & (initials >= 0.0).all(axis=1))
     above = (initials > np.asarray(y_estimate) + slack).any(axis=1)
@@ -180,41 +178,48 @@ class CftpResult:
 
 
 def cftp(path: StationaryPath, servers: int, at: int = 0,
-         max_horizon: int = 1 << 20) -> CftpResult:
-    """Sample the stationary workload at ``at`` by coupling from the past.
+         max_horizon: int = 1 << 20, kind: str = "exact") -> CftpResult:
+    """Sample the stationary state of the ``kind`` recursion at ``at`` by
+    coupling from the past.
 
-    At horizon n a bounding chain runs from index ``at-n`` to ``at``,
-    started from the box between the empty state and the certified top
-    supremum vector at ``at-n``. The horizon doubles from ``max(2S, 16)``,
-    or from ``max_horizon`` if that is smaller, until the chain closes to a
-    point at ``at``; it never exceeds ``max_horizon``, which must be at
-    least 1. Drivers are tied to
-    indices, so deeper horizons replay the same randomness.
+    ``kind`` is ``"exact"`` (the workload) or ``"lower"`` / ``"upper"`` (an
+    envelope, whose sample is its backward limit). At horizon n a bounding
+    chain runs from index ``at-n`` to ``at``, started from the box between
+    the empty state and the certified supremum vector of the same kind
+    (upper for the exact map) at ``at-n``. The horizon doubles from
+    ``max(2S, 16)``, or from ``max_horizon`` if that is smaller, until the
+    chain closes to a point at ``at``; it never exceeds ``max_horizon``,
+    which must be at least 1. Drivers are tied to indices, so deeper
+    horizons replay the same randomness. The exact chain runs on int64
+    multiples on a lattice path; an envelope's always runs in floats.
 
     The path remembers, for the ``CHAIN_MEMO`` starts used last (keyed on
-    the absolute start index and ``servers``), the certified box read there
-    and the furthest index its chain has reached, with the interval there.
-    A start seen before skips the box read; its chain resumes from that
-    index when the index is not past ``at``, and reruns from the box
-    otherwise. The chain is a deterministic function of its interval and of
-    drivers tied to indices, so a resumed chain ends on the interval a
-    fresh one would, bit for bit: the memo changes no result. A start whose
-    box is refused is never remembered.
+    the absolute start index, ``servers`` and ``kind``), the certified box
+    read there and the furthest index its chain has reached, with the
+    interval there. A start seen before skips the box read; its chain
+    resumes from that index when the index is not past ``at``, and reruns
+    from the box otherwise. The chain is a deterministic function of its
+    interval and of drivers tied to indices, so a resumed chain ends on the
+    interval a fresh one would, bit for bit: the memo changes no result. A
+    start whose box is refused is never remembered.
     """
     if servers < 1:
         raise ValueError("servers must be >= 1")
     if max_horizon < 1:
         raise ValueError(f"max_horizon must be >= 1, got {max_horizon}")
+    if kind not in ("exact", "lower", "upper"):
+        raise ValueError(f"kind must be 'exact', 'lower' or 'upper', got {kind!r}")
+    lattice = kind == "exact" and path.spec.is_lattice
     chains = path._chains
     horizon = min(max(2 * servers, 16), max_horizon)
     while True:
         start = at - horizon
-        key = (start + path.offset, servers)
+        key = (start + path.offset, servers, kind)
         # (box, absolute index the chain reached, L and U there); taken out
         # and put back, so the entry evicted first is the least recently used
         memo = chains.pop(key, None)
         if memo is None:
-            zb = certified_supremum(path, start, "upper", servers, horizon)
+            zb = certified_supremum(path, start, "upper" if kind == "exact" else kind, servers, horizon)
             if any(not math.isfinite(v) for v in zb.values):
                 raise ConfigurationError("top supremum is not finite; cannot bound the stationary states")
         else:
@@ -224,16 +229,16 @@ def cftp(path: StationaryPath, servers: int, at: int = 0,
             reached, lo, hi = memo[1] - path.offset, memo[2], memo[3]
         else:
             reached, lo, hi = start, (0.0,) * servers, zb.values
-            if path.spec.is_lattice:
+            if lattice:
                 lo, hi = (0,) * servers, tuple(int(math.floor(v / path.spec.alpha + 1e-9)) for v in hi)
-        lo, hi = _bounding_chain(path, reached, at - reached, lo, hi)
+        lo, hi = _bounding_chain(path, reached, at - reached, lo, hi, kind)
         if memo is None or resume:   # otherwise the remembered chain reached further
             memo = (zb, at + path.offset, lo, hi)
         chains[key] = memo
         if len(chains) > CHAIN_MEMO:
             chains.popitem(last=False)
         if lo == hi:
-            if path.spec.is_lattice:
+            if lattice:
                 lo = tuple(float(k) * path.spec.alpha for k in lo)
             return CftpResult(lo, True, horizon, zb.horizon, zb.risk)
         if horizon >= max_horizon:
@@ -241,20 +246,44 @@ def cftp(path: StationaryPath, servers: int, at: int = 0,
         horizon = min(2 * horizon, max_horizon)
 
 
-def _bounding_chain(path: StationaryPath, start: int, steps: int,
-                    lo: tuple, hi: tuple) -> tuple[tuple, tuple]:
-    """The interval ``[L, U]`` at ``start + steps`` of the interval ``[lo, hi]``
-    at ``start`` (in lattice multiples on a lattice path).
+def _envelope_estimate(path: StationaryPath, servers: int, at: int, kind: str) -> CftpResult:
+    """``cftp`` of the envelope ``kind`` at ``at``, refused with
+    ``ContractError`` when its chain did not close: a truncated roll from
+    empty can under-estimate the backward limit."""
+    est = cftp(path, servers, at, kind=kind)
+    if not est.coalesced:
+        raise ContractError(f"{kind} estimate at index {at} did not coalesce by horizon {est.horizon_used}")
+    return est
 
-    The exact map adds sigma to ``u0`` iff ``u0 <= D``: for every state if
-    ``U0 <= D``, for none if ``L0 > D``, and otherwise the new work lies in
-    ``[L0, max(U0, D + sigma)]``. ``_merge_shift`` only selects, subtracts
-    and clips, all monotone under rounding, so the images of ``L`` and ``U``
+
+def _bounding_chain(path: StationaryPath, start: int, steps: int,
+                    lo: tuple, hi: tuple, kind: str = "exact") -> tuple[tuple, tuple]:
+    """The interval ``[L, U]`` at ``start + steps`` of the interval ``[lo, hi]``
+    at ``start`` under the ``kind`` recursion (for the exact map, in lattice
+    multiples on a lattice path).
+
+    An envelope's contribution does not depend on the state, so both ends
+    take the same one, and each end is the envelope's own roll. The exact
+    map adds sigma to ``u0`` iff ``u0 <= D``: for every state if ``U0 <=
+    D``, for none if ``L0 > D``, and otherwise the new work lies in ``[L0,
+    max(U0, D + sigma)]``. ``_merge_shift`` only selects, subtracts and
+    clips, all monotone under rounding, so the images of ``L`` and ``U``
     bound every image bit for bit. ``D`` is the patience, or on the lattice
     its deadline, the largest accepted multiple. Once the interval closes
     (``L == U``) the two updates are the same computation, so the point
     advances alone, one ``_merge_shift`` per index.
     """
+    if kind != "exact":
+        blk = path.block(start, steps)
+        drivers = zip(_effective_work(blk.tau, blk.sigma, blk.patience, kind).tolist(), blk.tau.tolist())
+        for x, tau in drivers:
+            lo = _merge_shift(lo, x, tau)
+            hi = _merge_shift(hi, x, tau)
+            if lo == hi:
+                for x, tau in drivers:
+                    lo = _merge_shift(lo, x, tau)
+                return lo, lo
+        return lo, hi
     drivers = zip(*(col.tolist() for col in _exact_drivers(path, start, steps)))
     for tau, sigma, deadline in drivers:
         if hi[0] <= deadline:
@@ -302,8 +331,9 @@ def reachable_profile(path: StationaryPath, servers: int, depths: Sequence[int],
     All boxes derive from a single backward estimate at the deepest index
     rolled forward, which makes the nested-family property exact; nesting
     is still checked between the sets of consecutive requested depths. The
-    estimate must have stabilized: an unstabilized one may under-estimate
-    the box, so the profile refuses rather than report sets built from it.
+    estimate's chain must have closed (``_envelope_estimate``): an open one
+    may under-estimate the box, so the profile refuses rather than report
+    sets built from it.
 
     One ``_ordered_boxes`` pass enumerates every box, deepest first, so it
     holds at most ``len(depths) * cap`` rows. They propagate in lockstep as
@@ -329,15 +359,9 @@ def reachable_profile(path: StationaryPath, servers: int, depths: Sequence[int],
         raise ValueError("depths must be non-negative")
     deepest = depths[-1]
     alpha = path.spec.alpha
-    est = stationary_estimate(path, at - deepest, "upper", servers)
-    if any(not math.isfinite(v) for v in est.vector):
-        raise ConfigurationError("upper estimate is not finite; lattice box is unbounded")
-    if not est.stabilized:
-        raise ContractError(
-            f"upper estimate at index {at - deepest} did not stabilize by depth {est.depth}; "
-            "reachable sets disabled (a truncated estimate can under-estimate the box)")
+    est = _envelope_estimate(path, servers, at - deepest, "upper")
     # Estimates at every shallower index, consistent by construction.
-    rolled = envelope_states(path, at - deepest, deepest, est.vector, "upper")
+    rolled = envelope_states(path, at - deepest, deepest, est.value, "upper")
     tau, sigma, deadline = _exact_drivers(path, at - deepest, deepest)
 
     desc = depths[::-1]   # box j is the box of depth desc[j], with bit len(depths)-1-j
@@ -372,7 +396,7 @@ def reachable_profile(path: StationaryPath, servers: int, depths: Sequence[int],
     bits = (member[:, bit // 64] >> (bit % 64).astype(np.uint64)) & np.uint64(1) == 1
     rows = list(map(tuple, states.tolist()))
     sets = [frozenset(compress(rows, col)) for col in bits.T.tolist()]
-    return [ReachableSet(d, p, alpha, len(boxes[joins[d]]), k == 0 or p <= sets[k - 1], est.stabilized)
+    return [ReachableSet(d, p, alpha, len(boxes[joins[d]]), k == 0 or p <= sets[k - 1], est.coalesced)
             for k, (d, p) in enumerate(zip(depths, sets))]
 
 

@@ -1,15 +1,15 @@
-"""Backward construction of the extremal stationary workload bounds.
+"""Backward supremum bounds and forward rolls of the workload recursions.
 
 The two monotone envelopes admit stationary states that sandwich every
-stationary workload of the exact system. Because they are monotone, the
-classic backward scheme applies: iterate the envelope from the empty state
-over drivers read backwards from the target index. Iterates only grow with
-the depth, and agreement between two depths says nothing about deeper
-lags. The limit is read instead by a dominating start (Kendall & Moller
-2000): the same roll from the certified supremum vector, which lies above
-the stationary state, meets the roll from empty only at that state.
+stationary workload of the exact system. Because they are monotone, their
+iterates from the empty state over drivers read backwards from the target
+index only grow with the depth, and agreement between two depths says
+nothing about deeper lags. Their limits are read instead by a dominating
+start (Kendall & Moller 2000): ``coupling.cftp`` of an envelope kind rolls
+from empty and from the certified supremum vector of this module, which
+lies above the stationary state, and the two rolls meet only at that state.
 
-The module also computes the one-dimensional running-supremum bounds (the
+The module computes the one-dimensional running-supremum bounds (the
 ascending vector whose j-th entry is the backward supremum started at lag
 S+1-j), the renovation-event mask, and forward state rolls along a driver
 path used throughout the higher-level modules. One clipped delay line ends
@@ -20,11 +20,11 @@ closed-form Chernoff bound on the chance that a deeper lag raises it,
 ``stabilized`` when at most ``Z_RISK``. Up to that risk, the vector
 dominates the envelope's stationary state and hence, for the upper kind,
 every stationary workload. ``certified_supremum`` reads it as deep as the
-certificate needs; it is the start box of ``coupling.cftp`` and the
-dominating start of ``stationary_estimate``. A read resumes the path's
-previous read of the same kind, server count and depth from its last reset,
-so reads at neighbouring indices step only their new lags, bit-identical to
-a read from scratch (see ``supremum_bound``).
+certificate needs; it is the start box of every ``coupling.cftp`` chain,
+exact or envelope. A read resumes the path's previous read of the same
+kind, server count and depth from its last reset, so reads at neighbouring
+indices step only their new lags, bit-identical to a read from scratch
+(see ``supremum_bound``).
 Long forward rolls run as time-parallel lanes with seam repair and return
 the scalar recursion's states bit for bit; recursions over the same drivers
 can share one such pass (see "Forward rolls" below).
@@ -64,19 +64,6 @@ class SupremumBound:
     horizon: int
     stabilized: bool
     risk: float
-
-
-@dataclass(frozen=True)
-class LoynesEstimate:
-    """Backward limit of an envelope: the state, the horizon at which the
-    rolls from empty and from the certified box met (or the last one
-    tried), and the depth and risk of that box."""
-
-    vector: tuple[float, ...]
-    depth: int
-    stabilized: bool
-    z_depth: int
-    z_risk: float
 
 
 def _effective_work(tau: np.ndarray, sigma: np.ndarray, patience: np.ndarray, kind: str) -> np.ndarray:
@@ -229,32 +216,6 @@ def certified_supremum(path: StationaryPath, at: int, kind: str, servers: int,
             raise ResourceCapError(f"{kind} supremum at index {at} not certified "
                                    f"(risk {zb.risk:.3g})", DEFAULT_MAX_DEPTH, 2 * depth)
         depth = min(2 * depth, DEFAULT_MAX_DEPTH)
-
-
-def stationary_estimate(path: StationaryPath, at: int, kind: str, servers: int) -> LoynesEstimate:
-    """Backward limit of the ``kind`` envelope at ``at``, by a dominating start.
-
-    At horizon ``h`` the envelope rolls over ``[at-h, at)`` twice: from the
-    empty state and from the certified supremum vector of the same kind at
-    ``at-h``, which dominates the stationary state there. The envelope is
-    monotone and every deeper iterate from empty lies between the two
-    starts at ``at-h``, so once the rolls are bit-equal at ``at`` their
-    value is every deeper iterate's. The horizon doubles from
-    ``max(2S, 16)``. The estimate is unstabilized only when the supremum is
-    infinite (the roll from empty is then returned) or the horizon reaches
-    ``DEFAULT_MAX_DEPTH``.
-    """
-    horizon = max(2 * servers, 16)
-    while True:
-        start = at - horizon
-        zb = certified_supremum(path, start, kind, servers, horizon)
-        lo = tuple(envelope_states(path, start, horizon, (0.0,) * servers, kind)[-1].tolist())
-        if math.isinf(zb.values[-1]):
-            return LoynesEstimate(lo, horizon, False, zb.horizon, zb.risk)
-        hi = tuple(envelope_states(path, start, horizon, zb.values, kind)[-1].tolist())
-        if lo == hi or horizon >= DEFAULT_MAX_DEPTH:
-            return LoynesEstimate(lo, horizon, lo == hi, zb.horizon, zb.risk)
-        horizon = min(2 * horizon, DEFAULT_MAX_DEPTH)
 
 
 # ---------------------------------------------------------------------------

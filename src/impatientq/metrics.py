@@ -8,10 +8,11 @@ above again by the top backward supremum:
 
     P(lower(1) > D)  <=  P_loss  <=  P(upper(1) > D)  <=  P(Z_top > D)
 
-The exact workload starts from its coupling-from-the-past sample, the
-envelopes from their backward limits and the top supremum from its
-certified read, each as deep as its own certificate needs, so the report
-has no depth or warm-up to configure: every sampled index is stationary.
+The exact workload and both envelopes start from ``coupling.cftp`` of
+their kind (an envelope's sample is its backward limit) and the top
+supremum from its certified read, each as deep as its own certificate
+needs, so the report has no depth or warm-up to configure: every sampled
+index is stationary.
 
 Confidence intervals use batch means (the driver sequence may be
 dependent), with a Student-t quantile on the batch count. The quantile
@@ -34,17 +35,9 @@ from typing import Optional
 
 import numpy as np
 
-from .coupling import cftp
+from .coupling import CftpResult, _envelope_estimate, cftp, detect_renovation
 from .errors import ContractError
-from .loynes import (
-    LoynesEstimate,
-    _renovation_mask,
-    certified_supremum,
-    envelope_states,
-    sandwich_states,
-    stationary_estimate,
-    top_supremum_series,
-)
+from .loynes import certified_supremum, sandwich_states, top_supremum_series
 from .sequences import StationaryPath
 
 DEFAULT_BATCHES = 30
@@ -266,16 +259,17 @@ def bound_report(path: StationaryPath, servers: int, n_samples: int, at: int = 0
     """Estimate the four sandwich probabilities over stationary indices.
 
     Every sampled state is stationary by construction. ``coupling.cftp``
-    gives the exact workload at ``at``, bit for bit, and both envelopes
-    start from their backward limits there; the three recursions then roll
-    forward over the window together (``loynes.sandwich_states``). The top
-    supremum, read to the depth its certificate needs, rolls forward by
-    ``loynes.top_supremum_series``. The report refuses (``ContractError``)
-    when ``cftp`` does not coalesce, since no start from an arbitrary state
-    is stationary, or when the four loss indicators are out of order at a
-    sample; an infinite top supremum leaves no box to couple from, and
-    ``cftp`` refuses it (``ConfigurationError``). ``max_horizon`` caps the
-    ``cftp`` call.
+    gives the exact workload at ``at``, bit for bit, and of the envelope
+    kinds the backward limits there that both envelopes start from; the
+    three recursions then roll forward over the window together
+    (``loynes.sandwich_states``). The top supremum, read to the depth its
+    certificate needs, rolls forward by ``loynes.top_supremum_series``. The
+    report refuses (``ContractError``) when a chain does not coalesce,
+    naming the kind, the index and the horizon, since no start from an
+    arbitrary state is stationary, or when the four loss indicators are
+    out of order at a sample; an infinite top supremum leaves no box to
+    couple from, and ``cftp`` refuses it (``ConfigurationError``).
+    ``max_horizon`` caps the exact ``cftp`` call.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -285,12 +279,10 @@ def bound_report(path: StationaryPath, servers: int, n_samples: int, at: int = 0
     zb = certified_supremum(path, at, "upper", servers, n_samples)
     anchor = cftp(path, servers, at, max_horizon)
     if not anchor.coalesced:
-        raise ContractError(f"cftp did not coalesce at index {at} by horizon "
-                            f"{anchor.horizon_used}; the exact workload has no stationary start")
-    lower = stationary_estimate(path, at, "lower", servers)
-    upper = stationary_estimate(path, at, "upper", servers)
+        raise ContractError(f"cftp did not coalesce at index {at} by horizon {anchor.horizon_used}")
+    lower, upper = (_envelope_estimate(path, servers, at, kind) for kind in ("lower", "upper"))
     exact, lower_states, upper_states = sandwich_states(path, at, n_samples - 1, anchor.value,
-                                                        lower.vector, upper.vector)
+                                                        lower.value, upper.value)
     patience = path.block(at, n_samples).patience
     loss_ind = exact[:, 0] > patience
     lower_ind = lower_states[:, 0] > patience
@@ -318,8 +310,8 @@ def bound_report(path: StationaryPath, servers: int, n_samples: int, at: int = 0
         p_upper=batch_means(upper_ind, n_batches),
         p_z=batch_means(z_ind, n_batches),
         n_samples=n_samples,
-        lower_stabilized=lower.stabilized,
-        upper_stabilized=upper.stabilized,
+        lower_stabilized=lower.coalesced,
+        upper_stabilized=upper.coalesced,
         z_stabilized=zb.stabilized,
         samples=samples,
     )
@@ -340,39 +332,34 @@ class ConditionReport:
     sigma_lt_tau: ProbabilityEstimate       # sigma < tau
     renovation: ProbabilityEstimate         # the coalescence-forcing event
     z_depth: int
-    upper_estimate: LoynesEstimate
+    upper_estimate: CftpResult
 
 
 def estimate_conditions(path: StationaryPath, servers: int, n_samples: int,
                         at: int = 0) -> ConditionReport:
     """Monte-Carlo frequencies of the stability conditions over
     ``n_samples`` consecutive indices starting at ``at``; the top supremum
-    is read to the depth its certificate needs."""
+    is read to the depth its certificate needs, and the renovation events
+    are ``coupling.detect_renovation``'s over the same window."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    blk = path.block(at, n_samples + servers)
-    tau = blk.tau[:n_samples]
-    sigma = blk.sigma[:n_samples]
-    patience = blk.patience[:n_samples]
-
-    work_le_tau = int(np.count_nonzero(sigma + patience <= tau))
-    sigma_lt_tau = int(np.count_nonzero(sigma < tau))
+    blk = path.block(at, n_samples)
+    work_le_tau = int(np.count_nonzero(blk.sigma + blk.patience <= blk.tau))
+    sigma_lt_tau = int(np.count_nonzero(blk.sigma < blk.tau))
 
     zb = certified_supremum(path, at, "upper", 1)
     z_hits = int(np.count_nonzero(top_supremum_series(path, at, n_samples, zb) == 0.0))
 
-    est = stationary_estimate(path, at, "upper", servers)
-    y_states = envelope_states(path, at, n_samples - 1, est.vector, "upper")
-    reno_hits = int(np.count_nonzero(_renovation_mask(y_states, blk.tau, servers)[0]))
+    scan = detect_renovation(path, servers, (at, at + n_samples - 1))
 
     return ConditionReport(
         n_samples=n_samples,
         z1_zero=ProbabilityEstimate.binomial(z_hits, n_samples),
         work_le_tau=ProbabilityEstimate.binomial(work_le_tau, n_samples),
         sigma_lt_tau=ProbabilityEstimate.binomial(sigma_lt_tau, n_samples),
-        renovation=ProbabilityEstimate.binomial(reno_hits, n_samples),
+        renovation=ProbabilityEstimate.binomial(len(scan.events), n_samples),
         z_depth=zb.horizon,
-        upper_estimate=est,
+        upper_estimate=scan.estimate,
     )
 
 

@@ -9,9 +9,9 @@ import math
 
 import numpy as np
 
-from impatientq.coupling import ReachableSet
+from impatientq.coupling import ReachableSet, cftp
 from impatientq.kernel import _require_ordered, advance_lattice
-from impatientq.loynes import _effective_work, envelope_states, stationary_estimate
+from impatientq.loynes import _effective_work, envelope_states
 from impatientq.sequences import (
     _CHAIN_BLOCK,
     STREAM_MODULATION,
@@ -278,8 +278,8 @@ def reachable_profile_reference(path: StationaryPath, servers: int, depths,
     depths = sorted(set(depths))
     deepest = depths[-1]
     alpha = path.spec.alpha
-    est = stationary_estimate(path, at - deepest, "upper", servers)
-    rolled = envelope_states(path, at - deepest, deepest, est.vector, "upper")
+    est = cftp(path, servers, at - deepest, kind="upper")
+    rolled = envelope_states(path, at - deepest, deepest, est.value, "upper")
     out, prev = [], None
     for d in depths:
         box = ordered_box_reference([math.floor(v / alpha + 1e-9) for v in rolled[deepest - d]])
@@ -290,7 +290,7 @@ def reachable_profile_reference(path: StationaryPath, servers: int, depths,
                                       float(blk.patience[i]), alpha)[0] for u in points}
         points = frozenset(points)
         out.append(ReachableSet(d, points, alpha, len(box), prev is None or points <= prev,
-                                est.stabilized))
+                                est.coalesced))
         prev = points
     return out
 

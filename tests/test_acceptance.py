@@ -210,7 +210,7 @@ def test_criterion_7_renovation_coalescence():
         # premise: the explicit sufficient condition holds empirically
         assert estimate_conditions(path, servers, 2_000).z1_zero.probability > 0.0
         scan = detect_renovation(path, servers, (0, 9_999))
-        assert scan.estimate.stabilized
+        assert scan.estimate.coalesced
         assert scan.frequency > 0.0
         for ev in scan.events:
             y = np.asarray(ev.y_estimate)

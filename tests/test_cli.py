@@ -345,7 +345,20 @@ def test_cli_bounds_refuses_without_a_stationary_start(tmp_path, capsys, text, c
     assert main(["bounds", "--config", cfg, "--out", str(out)]) == code
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
+    # coupling that did not close by a horizon proves no lack of a start
+    assert "no stationary start" not in err
     assert not (out / "bounds.json").exists()
+
+
+def test_cli_renovate_infinite_patience_exit_2(tmp_path, capsys):
+    # Without impatience the upper supremum is infinite: no box to read the
+    # upper estimate from, so renovate refuses as a configuration error.
+    cfg = _write(tmp_path, "cfg.ini", MM2D_INI.replace("value = 1.0", "value = inf"))
+    out = tmp_path / "out"
+    assert main(["renovate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "top supremum is not finite" in err and "Traceback" not in err
+    assert not (out / "renovate.json").exists()
 
 
 def test_cli_bounds_refuses_out_of_order_indicators(tmp_path, capsys, monkeypatch):
@@ -525,18 +538,19 @@ def test_cli_hset_golden(tmp_path, text, json_sha, csv_sha):
 
 
 def test_cli_hset_unstabilized_estimate_exit_1(tmp_path, monkeypatch, capsys):
-    # An upper estimate that did not stabilize may under-estimate the box,
-    # so the profile refuses rather than report sets built from it.
-    real = coupling.stationary_estimate
+    # An upper estimate whose chain did not close may under-estimate the
+    # box, so the profile refuses rather than report sets built from it.
+    real = coupling.cftp
 
-    def unstabilized(path, at, kind, servers, **kw):
-        return dataclasses.replace(real(path, at, kind, servers, **kw), stabilized=False)
+    def unstabilized(path, servers, at=0, max_horizon=1 << 20, kind="exact"):
+        res = real(path, servers, at, max_horizon, kind)
+        return dataclasses.replace(res, value=None, coalesced=False) if kind == "upper" else res
 
-    monkeypatch.setattr(coupling, "stationary_estimate", unstabilized)
+    monkeypatch.setattr(coupling, "cftp", unstabilized)
     cfg = _write(tmp_path, "cfg.ini", LATTICE_INI)
     out = tmp_path / "out"
     assert main(["hset", "--config", cfg, "--out", str(out)]) == 1
-    assert re.search(r"index -8 did not stabilize by depth \d+", capsys.readouterr().err)
+    assert re.search(r"upper estimate at index -8 did not coalesce by horizon \d+", capsys.readouterr().err)
     assert not (out / "hset.json").exists()
 
 

@@ -18,7 +18,7 @@ from impatientq.coupling import (
 )
 from impatientq.errors import ConfigurationError, ContractError, ResourceCapError
 from impatientq.kernel import advance, advance_lattice
-from impatientq.loynes import envelope_states, stationary_estimate
+from impatientq.loynes import envelope_states
 from impatientq.sequences import (
     Deterministic,
     DriverSample,
@@ -96,10 +96,11 @@ def test_renovation_frequency_consistent_with_conditions():
 
 
 def test_unstabilized_estimate_disables_detection():
-    # infinite patience: the upper scheme diverges and never stabilizes
+    # infinite patience: the upper supremum is infinite, so there is no box
+    # to read the upper estimate from and detection is refused
     spec = iid_spec(3, Exponential(1.0), Exponential(2.0), Deterministic(float("inf")))
     path = StationaryPath(spec)
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigurationError, match="top supremum is not finite"):
         detect_renovation(path, 1, (0, 9))
 
 
@@ -169,12 +170,12 @@ def test_deterministic_two_server_coalescence_in_one_step():
     # exactly S-1 = 1 step
     spec = det_spec(5, tau=2.0, sigma=1.0, patience=1.5)
     path = StationaryPath(spec)
-    est = stationary_estimate(path, 0, "upper", 2)
-    assert est.vector == (0.0, 0.5)
+    est = cftp(path, 2, 0, kind="upper")
+    assert est.value == (0.0, 0.5)
     scan = detect_renovation(path, 2, (0, 9))
     assert scan.frequency == 1.0
     initials = [(0.0, 0.0), (0.0, 0.25), (0.0, 0.5)]
-    assert coalescence_check(path, 0, initials, y_estimate=est.vector)
+    assert coalescence_check(path, 0, initials, y_estimate=est.value)
     out = advance((0.0, 0.25), path.sample_at(0)).next
     assert out == (0.0, 0.0)
 
@@ -191,10 +192,10 @@ def test_negative_control_non_coalescence():
     scan = detect_renovation(path, 1, (0, 99))
     assert scan.frequency == 0.0
     # distinct starts below the upper state stay distinct forever
-    est = stationary_estimate(path, 0, "upper", 1)
-    assert est.vector == (2.2 - 1.0,)
+    est = cftp(path, 1, 0, kind="upper")
+    assert est.value == (2.2 - 1.0,)
     # S=1: zero steps, distinct states simply stay distinct (diagnostic)
-    assert not coalescence_check(path, 0, [(0.0,), (0.1,)], y_estimate=est.vector)
+    assert not coalescence_check(path, 0, [(0.0,), (0.1,)], y_estimate=est.value)
     res = cftp(path, 1, max_horizon=64)
     assert not res.coalesced
     assert res.value is None
@@ -228,10 +229,10 @@ def test_cftp_fixed_point_shift_consistency():
 def test_cftp_sandwich():
     path = StationaryPath(MM2D)
     res = cftp(path, 2)
-    lower = stationary_estimate(path, 0, "lower", 2)
-    upper = stationary_estimate(path, 0, "upper", 2)
-    assert all(lo <= v + 1e-9 for lo, v in zip(lower.vector, res.value))
-    assert all(v <= up + 1e-9 for v, up in zip(res.value, upper.vector))
+    lower = cftp(path, 2, 0, kind="lower")
+    upper = cftp(path, 2, 0, kind="upper")
+    assert all(lo <= v + 1e-9 for lo, v in zip(lower.value, res.value))
+    assert all(v <= up + 1e-9 for v, up in zip(res.value, upper.value))
 
 
 def test_cftp_lattice_exact():
@@ -313,6 +314,9 @@ def test_consecutive_cftp_targets_read_each_box_once(monkeypatch):
     assert max(horizons) <= 128 and len(reads) <= 110, len(reads)
 
 
+KINDS = ("exact", "lower", "upper")
+
+
 def _fields(res):
     return res.value, res.coalesced, res.horizon_used, res.z_depth, np.float64(res.z_risk).view(np.int64)
 
@@ -325,7 +329,10 @@ def test_cftp_memo_changes_no_result(family):
     # later targets resume remembered chains, or on descending targets meet
     # chains already past them; a cap of 16 leaves some chains open. The
     # heavy iid and Markov specs reach deeper horizons and resume box reads
-    # over long runs without a reset.
+    # over long runs without a reset. Every target runs the exact map and
+    # both envelopes, in a rotating order, so the chains of all three kinds
+    # start at the same indices of one path: a memo that did not tell the
+    # kinds apart would hand one kind's box or chain to another.
     rng = np.random.default_rng(1818)
     fixed, draw = {"iid": (CERTIFY, random_iid_spec),
                    "lattice": (LATTICE, lambda r: random_lattice_spec(r, alpha=0.5)),
@@ -347,10 +354,12 @@ def test_cftp_memo_changes_no_result(family):
             servers = (3, 3, 2, 3)[order] if k == 0 else 1 + (order + k) % 3
             for i, t in enumerate(targets):
                 max_horizon = (16, 64, 1 << 20)[i % 3]
-                res = cftp(shared, servers, at=t, max_horizon=max_horizon)
-                assert _fields(res) == _fields(cftp(StationaryPath(spec), servers, at=t, max_horizon=max_horizon)), \
-                    (k, order, t, servers, max_horizon)
-                open_chains += not res.coalesced
+                turn = i // 3 % 3
+                for kind in (KINDS[turn:] + KINDS[:turn]):
+                    res = cftp(shared, servers, at=t, max_horizon=max_horizon, kind=kind)
+                    fresh = cftp(StationaryPath(spec), servers, at=t, max_horizon=max_horizon, kind=kind)
+                    assert _fields(res) == _fields(fresh), (k, order, t, servers, max_horizon, kind)
+                    open_chains += not res.coalesced
     assert open_chains > 0
 
 
@@ -362,6 +371,15 @@ def test_cftp_refuses_max_horizon_below_one(monkeypatch, max_horizon):
     monkeypatch.setattr(coupling, "certified_supremum", None)
     with pytest.raises(ValueError, match="max_horizon"):
         cftp(StationaryPath(CERTIFY), 3, at=0, max_horizon=max_horizon)
+
+
+def test_cftp_refuses_unknown_kind(monkeypatch):
+    # refused before any box read, naming the argument
+    from impatientq import coupling
+
+    monkeypatch.setattr(coupling, "certified_supremum", None)
+    with pytest.raises(ValueError, match="kind must be 'exact', 'lower' or 'upper', got 'middle'"):
+        cftp(StationaryPath(CERTIFY), 3, at=0, kind="middle")
 
 
 def test_cftp_on_a_shifted_path():
@@ -597,10 +615,10 @@ def test_reachable_profile_nesting_random_configs():
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
         assert sizes[-1] >= 1
         # reachable points stay inside the sandwich box at the target index
-        est = stationary_estimate(path, 0, "upper", 2)
+        est = cftp(path, 2, 0, kind="upper")
         for s in sets:
             for p in s.points:
-                assert all(k * s.alpha <= y + 1e-9 for k, y in zip(p, est.vector))
+                assert all(k * s.alpha <= y + 1e-9 for k, y in zip(p, est.value))
 
 
 def test_reachable_set_collapse_under_drift():

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from impatientq.coupling import cftp
+from impatientq.errors import ConfigurationError
 from impatientq.kernel import advance_lower, advance_upper
 from impatientq.loynes import (
     certified_supremum,
     envelope_states,
     exact_states,
-    stationary_estimate,
     supremum_bound,
 )
 from impatientq.metrics import estimate_conditions
@@ -132,11 +133,11 @@ def test_iterate_dominated_by_supremum_at_stabilized_depth():
     rng = np.random.default_rng(11)
     for _ in range(20):
         path = StationaryPath(random_iid_spec(rng))
-        est = stationary_estimate(path, 0, "upper", 3)
-        if not est.stabilized:
+        est = cftp(path, 3, 0, kind="upper")
+        if not est.coalesced:
             continue
-        zb = supremum_bound(path, 0, "upper", max(est.depth, 3), 3)
-        assert all(v <= z + 1e-9 for v, z in zip(est.vector, zb.values))
+        zb = supremum_bound(path, 0, "upper", max(est.horizon_used, 3), 3)
+        assert all(v <= z + 1e-9 for v, z in zip(est.value, zb.values))
 
 
 def test_backward_iterate_drain_is_empty():
@@ -147,13 +148,13 @@ def test_backward_iterate_drain_is_empty():
 
 
 def test_stationary_estimate_deterministic_fixed_points():
-    drain = stationary_estimate(StationaryPath(DRAIN), 0, "upper", 2)
-    assert drain.stabilized and drain.vector == (0.0, 0.0)
-    growth = stationary_estimate(StationaryPath(GROWTH), 0, "upper", 1)
-    assert growth.stabilized and growth.vector == (2.0,)
-    lower = stationary_estimate(StationaryPath(GROWTH), 0, "lower", 1)
+    drain = cftp(StationaryPath(DRAIN), 2, 0, kind="upper")
+    assert drain.coalesced and drain.value == (0.0, 0.0)
+    growth = cftp(StationaryPath(GROWTH), 1, 0, kind="upper")
+    assert growth.coalesced and growth.value == (2.0,)
+    lower = cftp(StationaryPath(GROWTH), 1, 0, kind="lower")
     # effective work min(2, 1) = 1, gap 1: the lower state stays empty
-    assert lower.stabilized and lower.vector == (0.0,)
+    assert lower.coalesced and lower.value == (0.0,)
 
 
 def test_stabilized_estimate_is_pathwise_fixed_point():
@@ -162,25 +163,25 @@ def test_stabilized_estimate_is_pathwise_fixed_point():
     for _ in range(15):
         path = StationaryPath(random_iid_spec(rng))
         for kind, step in (("upper", advance_upper), ("lower", advance_lower)):
-            est = stationary_estimate(path, 0, kind, 2)
-            if not est.stabilized:
+            est = cftp(path, 2, 0, kind=kind)
+            if not est.coalesced:
                 continue
             hits += 1
-            rolled = step(est.vector, path.sample_at(0))
-            nxt = envelope_states(path, 1 - est.depth, est.depth, (0.0, 0.0), kind)[-1]
+            rolled = step(est.value, path.sample_at(0))
+            nxt = envelope_states(path, 1 - est.horizon_used, est.horizon_used, (0.0, 0.0), kind)[-1]
             assert all(abs(a - b) <= 1e-9 for a, b in zip(rolled, nxt))
     assert hits > 10
 
 
 def test_unstabilized_flag_on_divergent_config():
     # infinite patience makes the upper effective work and the supremum
-    # infinite; the scheme returns at its first horizon instead of doubling
-    # to the cap
+    # infinite: there is no box to couple from, so the upper estimate is
+    # refused at its first box read rather than rolled from empty alone
     spec = iid_spec(3, Exponential(1.0), Exponential(2.0), Deterministic(float("inf")))
-    est = stationary_estimate(StationaryPath(spec), 0, "upper", 1)
-    assert not est.stabilized
-    assert est.vector[0] == float("inf")
-    assert est.depth == 16
+    path = StationaryPath(spec)
+    with pytest.raises(ConfigurationError, match="top supremum is not finite"):
+        cftp(path, 1, 0, kind="upper")
+    assert not path._chains
 
 
 SWEEP = reference_sweep_configs()
@@ -194,10 +195,10 @@ def test_estimate_equals_deep_reference(name, spec, servers):
     ats = np.arange(-18_000, 19_000, 37)
     for kind in ("upper", "lower"):
         deep = deep_envelope(path, ats, kind, servers)
-        wrong = [(at, est.vector, tuple(ref.tolist()))
+        wrong = [(at, est.value, tuple(ref.tolist()))
                  for at, ref in zip(ats.tolist(), deep)
-                 for est in [stationary_estimate(path, at, kind, servers)]
-                 if not est.stabilized or est.vector != tuple(ref.tolist())]
+                 for est in [cftp(path, servers, at, kind=kind)]
+                 if not est.coalesced or est.value != tuple(ref.tolist())]
         assert not wrong, (kind, len(wrong), wrong[:3])
     # the lane reference is the scalar roll it stands for
     at = int(ats[500])
@@ -207,9 +208,9 @@ def test_estimate_equals_deep_reference(name, spec, servers):
 
 def test_envelope_states_consistency():
     path = StationaryPath(MM2D)
-    est = stationary_estimate(path, 0, "upper", 2)
-    states = envelope_states(path, 0, 100, est.vector, "upper")
-    u = est.vector
+    est = cftp(path, 2, 0, kind="upper")
+    states = envelope_states(path, 0, 100, est.value, "upper")
+    u = est.value
     for i in range(100):
         u = advance_upper(u, path.sample_at(i))
         assert tuple(states[i + 1]) == u

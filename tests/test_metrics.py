@@ -198,6 +198,24 @@ def test_bound_report_refuses_without_coalescence(monkeypatch):
         bound_report(StationaryPath(DRAIN), 2, 2_000, at=5)
 
 
+@pytest.mark.parametrize("open_kind", ["lower", "upper"])
+def test_bound_report_refuses_an_open_envelope_chain(monkeypatch, open_kind):
+    # An envelope whose chain did not close has no backward limit to start
+    # from; the refusal names the kind, the index and the horizon.
+    from impatientq import coupling
+
+    real = coupling.cftp
+
+    def stuck(path, servers, at=0, max_horizon=1 << 20, kind="exact"):
+        if kind == open_kind:
+            return CftpResult(None, False, 1 << 20, 100, 1e-13)
+        return real(path, servers, at, max_horizon, kind)
+
+    monkeypatch.setattr(coupling, "cftp", stuck)
+    with pytest.raises(ContractError, match=f"{open_kind} estimate at index 5 did not coalesce by horizon 1048576"):
+        bound_report(StationaryPath(DRAIN), 2, 2_000, at=5)
+
+
 def test_bound_report_ordering_mm2d():
     spec = iid_spec(23, Exponential(1.0), Exponential(0.6), Deterministic(1.0))
     rep = bound_report(StationaryPath(spec), 2, 30_000)
