@@ -201,7 +201,9 @@ def cftp(path: StationaryPath, servers: int, at: int = 0,
     from the box otherwise. The chain is a deterministic function of its
     interval and of drivers tied to indices, so a resumed chain ends on the
     interval a fresh one would, bit for bit: the memo changes no result. A
-    start whose box is refused is never remembered.
+    start first seen by the exact chain takes the box the upper envelope's
+    chain read there, and vice versa. A start whose box is refused is never
+    remembered.
     """
     if servers < 1:
         raise ValueError("servers must be >= 1")
@@ -211,6 +213,7 @@ def cftp(path: StationaryPath, servers: int, at: int = 0,
         raise ValueError(f"kind must be 'exact', 'lower' or 'upper', got {kind!r}")
     lattice = kind == "exact" and path.spec.is_lattice
     chains = path._chains
+    twin = {"exact": "upper", "upper": "exact"}.get(kind)  # the other kind whose chain starts from this box
     horizon = min(max(2 * servers, 16), max_horizon)
     while True:
         start = at - horizon
@@ -218,12 +221,13 @@ def cftp(path: StationaryPath, servers: int, at: int = 0,
         # (box, absolute index the chain reached, L and U there); taken out
         # and put back, so the entry evicted first is the least recently used
         memo = chains.pop(key, None)
-        if memo is None:
+        boxed = memo or chains.get((key[0], servers, twin))
+        if boxed is None:
             zb = certified_supremum(path, start, "upper" if kind == "exact" else kind, servers, horizon)
             if any(not math.isfinite(v) for v in zb.values):
                 raise ConfigurationError("top supremum is not finite; cannot bound the stationary states")
         else:
-            zb = memo[0]
+            zb = boxed[0]
         resume = memo is not None and memo[1] - path.offset <= at
         if resume:
             reached, lo, hi = memo[1] - path.offset, memo[2], memo[3]

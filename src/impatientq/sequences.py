@@ -10,7 +10,7 @@ window can be regenerated on demand, and concurrent readers never interact.
 
 Driver blocks are read-only arrays. A path memoizes the most recent float
 cover it generated (whole pages of ``_CHAIN_BLOCK`` indices), next to its
-memo of modulating-chain segments, and serves any window inside it as
+memo of modulating-chain blocks, and serves any window inside it as
 slices of that one; since the values are pure, a race between two readers
 can only cost a regeneration. Lattice reads (``lattice_block``) round the
 same memo's values to integer multiples of the step.
@@ -308,7 +308,7 @@ class SequenceSpec:
     * ``markov_modulated``: a hidden irreducible chain picks per-state
       marginals; each chain state is read by coupling from the past, so the
       sequence is exactly stationary and ergodic (see
-      ``StationaryPath._chain_block``).
+      ``StationaryPath._states``).
     """
 
     model: str
@@ -418,7 +418,7 @@ class StationaryPath:
 
     ``sample_at(n)`` is a pure function of ``(spec, n + offset)``; a path
     shifted by ``k`` is just the same sequence read at translated indices.
-    The only mutable members are memos: the modulating-chain segments,
+    The only mutable members are memos: the modulating-chain blocks,
     shared between a path and its shifts; the float cover of ``block``
     (its absolute base index and read-only arrays), kept per path; and, per
     path too, ``coupling.cftp``'s bounded memo of each start's certified
@@ -515,20 +515,7 @@ class StationaryPath:
     # -- modulating chain ---------------------------------------------------
 
     def _states(self, base_start: int, count: int) -> np.ndarray:
-        out = np.empty(count, dtype=np.int64)
-        pos = 0
-        b = base_start // _CHAIN_BLOCK
-        while pos < count:
-            block = self._chain_block(b)
-            lo = max(base_start + pos, b * _CHAIN_BLOCK) - b * _CHAIN_BLOCK
-            take = min(_CHAIN_BLOCK - lo, count - pos)
-            out[pos : pos + take] = block[lo : lo + take]
-            pos += take
-            b += 1
-        return out
-
-    def _chain_block(self, b: int) -> np.ndarray:
-        """Chain states for indices ``[b*BLOCK, (b+1)*BLOCK)``.
+        """Chain states for indices ``base_start .. base_start+count-1``.
 
         The chain is a grand coupling: the uniform at each index fixes a
         jump map on ``{0..m-1}``, the state entered from every state (looked
@@ -537,47 +524,78 @@ class StationaryPath:
         constant value of the backward composition of the maps ending there
         (coupling from the past, Propp & Wilson 1996): once some composition
         is constant every longer one is the same constant, so each state is
-        exactly stationary, a pure function of ``(spec, index)``, and two
-        blocks agree at their seam by construction.
+        exactly stationary and a pure function of ``(spec, index)``.
 
-        The block looks back ``back`` maps from its start, ``_BACK_START``
-        at first and doubling. One prefix scan (``_prefix_compose``) runs
-        over the first ``_BACK_START`` look-back maps and the block's own, so
-        row ``_BACK_START - 1 + j`` composes the maps from the look-back
-        start to index ``b*BLOCK + j``. Each deeper try folds only the maps
-        it adds to the look-back (``_compose``, a pairwise reduction in
-        pieces of at most ``_PIECE`` maps) into ``deeper``, the composition
-        of the look-back before the scan. The composition ending at the
-        block start is row ``_BACK_START - 1`` read at ``deeper``; once that
-        is constant, the block is the scan's rows from there on, read at
-        ``deeper[0]``. Only integer gathers run, so every state equals the
-        one the chain stepped index by index from the coalesced state
-        reaches, bit for bit, and memory stays bounded whatever the
-        look-back. A chain whose maps do not coalesce within ``_BACK_CAP``
-        maps (a periodic one never does) is refused with
-        ``ResourceCapError``.
+        States are cached per chain block of ``_CHAIN_BLOCK`` indices, keyed
+        on ``(spec, b)`` and shared between a path and its shifts. Each run
+        of consecutive blocks not yet cached is built in one pass
+        (``_chain_run``).
         """
-        cached = self._chain_cache.get((self.spec, b))
-        if cached is not None:
-            return cached
-        start = b * _CHAIN_BLOCK
-        prefix = _prefix_compose(_jump_maps(self.spec, start + 1 - _BACK_START,
-                                            _BACK_START + _CHAIN_BLOCK - 1))
-        deeper = np.arange(self.spec.modulation.n_states())
-        back = _BACK_START
-        while back <= _BACK_CAP:
-            if back > _BACK_START:
-                deeper = deeper[_compose(self.spec, start + 1 - back, start + 1 - back // 2)]
-            at_start = prefix[_BACK_START - 1, deeper]
-            if (at_start == at_start[0]).all():
-                block = prefix[_BACK_START - 1 :, deeper[0]].copy()
-                self._chain_cache[(self.spec, b)] = block
-                return block
-            back *= 2
-        raise ResourceCapError(
-            f"modulating chain {self.spec.modulation.transition} did not coalesce before "
-            f"chain block {b} (indices {b * _CHAIN_BLOCK}..{(b + 1) * _CHAIN_BLOCK - 1})",
-            _BACK_CAP, back)
+        if count == 0:
+            return np.empty(0, dtype=np.int64)
+        cache = self._chain_cache
+        first, last = base_start // _CHAIN_BLOCK, (base_start + count - 1) // _CHAIN_BLOCK
+        blocks = {b: cache.get((self.spec, b)) for b in range(first, last + 1)}
+        missing = [b for b, block in blocks.items() if block is None]
+        while missing:
+            run = 1
+            while run < len(missing) and missing[run] == missing[0] + run:
+                run += 1
+            for b, block in zip(missing, self._chain_run(missing[0], missing[0] + run)):
+                blocks[b] = cache[(self.spec, b)] = block
+            missing = missing[run:]
+        lo = base_start - first * _CHAIN_BLOCK
+        return np.concatenate(list(blocks.values()))[lo : lo + count]
+
+    def _chain_run(self, first: int, stop: int) -> list[np.ndarray]:
+        """Chain blocks ``first .. stop-1``, in one linear pass.
+
+        The modulation uniforms are drawn once, from the first block's
+        look-back window to the run's end, and mapped to their cells. Each
+        block keeps its own certificate: its window, the ``_BACK_START``
+        maps ending at its start, is composed (``_fold``, every window at
+        once); a block whose window composes to a constant, as one holding
+        a constant map does, has coalesced, and any other runs the doubling
+        look-back (``_look_back``). The blocks are checked in order before
+        any is built, so a run is refused as a read of its first refused
+        block alone is.
+
+        Only the maps that move some state are composed: prefix scans
+        (``_prefix_compose``) in pieces of at most ``_CHAIN_BLOCK`` maps,
+        each read at the state where the last one ended, give the state
+        after every move, and one ``np.repeat`` holds it until the next
+        (when no cell map is the identity, every index moves). The
+        pass starts before the first window, at a state from which that
+        window reaches the first block's certified state. Only integer
+        gathers run, so every state equals the one the chain stepped index
+        by index from the coalesced state reaches, bit for bit.
+        """
+        spec = self.spec
+        cell_maps = _chain_tables(spec.modulation)[1]
+        m = cell_maps.shape[1]
+        lo = first * _CHAIN_BLOCK + 1 - _BACK_START
+        n = stop * _CHAIN_BLOCK - lo
+        cells = _cells(spec, lo, n)
+        # the composition of each block's window, the _BACK_START maps ending at its start
+        window = np.arange(stop - first)[:, None] * _CHAIN_BLOCK + np.arange(_BACK_START)
+        windows = _fold(np.take(cell_maps, np.take(cells, window), axis=0))
+        state = 0
+        for k in np.flatnonzero((windows != windows[:, :1]).any(axis=1)).tolist():
+            before = _look_back(spec, first + k, windows[k])
+            if k == 0:
+                state = before
+        moving = (cell_maps != np.arange(m)).any(axis=1)
+        # a chain with no identity cell moves at every index: nothing to skip
+        moves = None if moving.all() else np.flatnonzero(np.take(moving, cells))
+        moved = cells if moves is None else cells[moves]
+        after = np.empty(len(moved) + 1, dtype=np.int64)
+        after[0] = state
+        for a in range(0, len(moved), _CHAIN_BLOCK):
+            piece = np.take(cell_maps, moved[a : a + _CHAIN_BLOCK], axis=0)
+            after[a + 1 : a + 1 + len(piece)] = _prefix_compose(piece)[:, state]
+            state = after[a + len(piece)]
+        states = after[1:] if moves is None else np.repeat(after, np.diff(moves, prepend=0, append=n))
+        return np.split(states[_BACK_START - 1 :], stop - first)
 
 
 @functools.lru_cache(maxsize=64)
@@ -594,7 +612,8 @@ def _chain_tables(mod: ModulationSpec) -> tuple[np.ndarray, np.ndarray]:
     cum = np.cumsum(np.asarray(mod.transition, dtype=np.float64), axis=1)
     cum[:, -1] = 1.0
     m = len(cum)
-    edges = np.unique(cum)
+    flat = np.sort(cum, axis=None)  # np.unique would import numpy.ma
+    edges = flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
     cell_maps = np.zeros((len(edges) + 1, m), dtype=np.int64)
     for s in range(m):
         cell_maps[1:, s] = np.minimum(np.searchsorted(cum[s], edges, side="right"), m - 1)
@@ -603,32 +622,80 @@ def _chain_tables(mod: ModulationSpec) -> tuple[np.ndarray, np.ndarray]:
     return edges, cell_maps
 
 
+def _cells(spec: SequenceSpec, start: int, count: int) -> np.ndarray:
+    """The cell of ``_chain_tables`` that holds the modulation uniform at
+    each index ``start .. start+count-1``: the number of breakpoints at or
+    below it, as ``np.searchsorted(edges, u, side="right")`` gives, counted
+    by one comparison pass per breakpoint, which is faster for the few
+    breakpoints a chain has."""
+    u = stream_uniforms(spec.seed, STREAM_MODULATION, start, count)
+    cells = np.zeros(count, dtype=np.intp)
+    for edge in _chain_tables(spec.modulation)[0].tolist():
+        cells += u >= edge
+    return cells
+
+
 def _jump_maps(spec: SequenceSpec, start: int, count: int) -> np.ndarray:
     """The ``(count, m)`` jump maps of the chain at indices ``start ..
     start+count-1``, each chosen by the uniform at its index."""
-    edges, cell_maps = _chain_tables(spec.modulation)
-    u = stream_uniforms(spec.seed, STREAM_MODULATION, start, count)
-    return np.take(cell_maps, np.searchsorted(edges, u, side="right"), axis=0)
+    return np.take(_chain_tables(spec.modulation)[1], _cells(spec, start, count), axis=0)
+
+
+def _look_back(spec: SequenceSpec, b: int, window: np.ndarray) -> int:
+    """The doubling look-back of chain block ``b``.
+
+    It looks back ``back`` maps from the block start, ``_BACK_START`` at
+    first and doubling: ``window`` composes the first ``_BACK_START`` of
+    them, and each deeper try folds only the maps it adds (``_compose``)
+    into ``deeper``, the composition of the look-back before the window.
+    Once ``window`` read at ``deeper`` is constant, the block's start state
+    is that constant, and ``deeper[0]`` is returned: a state at index
+    ``b*BLOCK - _BACK_START`` from which the window's maps reach it. Memory
+    stays bounded whatever the look-back. Past ``_BACK_CAP`` maps the block
+    is refused with ``ResourceCapError``.
+    """
+    start = b * _CHAIN_BLOCK
+    deeper = np.arange(spec.modulation.n_states())
+    back = _BACK_START
+    while back <= _BACK_CAP:
+        if back > _BACK_START:
+            deeper = deeper[_compose(spec, start + 1 - back, start + 1 - back // 2)]
+        at_start = window[deeper]
+        if (at_start == at_start[0]).all():
+            return int(deeper[0])
+        back *= 2
+    raise ResourceCapError(
+        f"modulating chain {spec.modulation.transition} did not coalesce before "
+        f"chain block {b} (indices {start}..{start + _CHAIN_BLOCK - 1})",
+        _BACK_CAP, back)
 
 
 def _compose(spec: SequenceSpec, lo: int, hi: int) -> np.ndarray:
     """The composition ``f(hi-1) o ... o f(lo)`` of the chain's jump maps.
 
-    Each piece of at most ``_PIECE`` maps folds pairwise, the later map of
-    each pair composed onto the earlier by one flat gather, halving the
-    stack per pass; the pieces then compose in order.
+    Each piece of at most ``_PIECE`` maps folds pairwise (``_fold``); the
+    pieces then compose in order.
     """
     out = np.arange(spec.modulation.n_states())
     for a in range(lo, hi, _PIECE):
-        maps = _jump_maps(spec, a, min(_PIECE, hi - a))
-        m = maps.shape[1]
-        while len(maps) > 1:
-            n = len(maps) // 2
-            pairs = maps[: 2 * n].reshape(n, 2 * m)
-            top = np.take(pairs, pairs[:, :m] + np.arange(m, 2 * n * m, 2 * m)[:, None])
-            maps = np.concatenate((top, maps[2 * n :]))
-        out = maps[0][out]
+        out = _fold(_jump_maps(spec, a, min(_PIECE, hi - a)))[out]
     return out
+
+
+def _fold(maps: np.ndarray) -> np.ndarray:
+    """The composition ``maps[..., -1, :] o ... o maps[..., 0, :]`` of each
+    non-empty stack of ``n`` maps in a ``(..., n, m)`` array: the later map
+    of each pair composed onto the earlier by one flat gather, halving every
+    stack per pass."""
+    *outer, n, m = maps.shape
+    maps = maps.reshape(-1, n, m)
+    while n > 1:
+        half = n // 2
+        pairs = maps[:, : 2 * half].reshape(-1, half, 2 * m)
+        top = np.take(pairs, pairs[..., :m] + np.arange(m, pairs.size, 2 * m).reshape(-1, half, 1))
+        maps = np.concatenate((top, maps[:, 2 * half :]), axis=1)
+        n = maps.shape[1]
+    return maps.reshape(*outer, m)
 
 
 def _prefix_compose(maps: np.ndarray) -> np.ndarray:

@@ -314,6 +314,31 @@ def test_consecutive_cftp_targets_read_each_box_once(monkeypatch):
     assert max(horizons) <= 128 and len(reads) <= 110, len(reads)
 
 
+def test_exact_and_upper_chains_share_one_box_read(monkeypatch):
+    # The exact chain and the upper envelope's start from the same box: at a
+    # start where either kind has run, the other reads no box of its own.
+    # bound_report runs all three kinds from the same start.
+    from impatientq import coupling
+    from impatientq.metrics import bound_report
+
+    reads = []
+    certified = coupling.certified_supremum
+    monkeypatch.setattr(coupling, "certified_supremum",
+                        lambda *a, **k: reads.append(a[1:3]) or certified(*a, **k))
+    bound_report(StationaryPath(MM_SPEC), 2, 2000)
+    assert reads and len(set(reads)) == len(reads), reads
+    assert {kind for _, kind in reads} == {"lower", "upper"}
+    calls = [(kind, at) for kind in KINDS for at in (0, 5, -40)]
+    fresh = {call: _fields(cftp(StationaryPath(MM_SPEC), 2, at=call[1], kind=call[0])) for call in calls}
+    for first in ("exact", "upper"):
+        reads.clear()
+        path = StationaryPath(MM_SPEC)
+        for kind, at in sorted(calls, key=lambda call: call[0] != first):
+            assert _fields(cftp(path, 2, at=at, kind=kind)) == fresh[kind, at], (first, kind, at)
+        assert len(set(reads)) == len(reads), (first, reads)
+        assert {kind for _, kind in reads} == {"lower", "upper"}, (first, reads)
+
+
 KINDS = ("exact", "lower", "upper")
 
 

@@ -165,11 +165,16 @@ def test_markov_modulated_state_marginal():
     assert np.abs(freq - pi).max() < 0.02
 
 
+def _chain_block(path, b):
+    """Chain block ``b`` of ``path``'s modulating chain, read alone."""
+    return path._states(b * _CHAIN_BLOCK, _CHAIN_BLOCK)
+
+
 def test_markov_modulated_golden_states():
     # Literal chain states of MM_SPEC; any change to driver values must edit these.
     path = StationaryPath(MM_SPEC)
     assert path._states(0, 16).tolist() == [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1]
-    assert [int(np.count_nonzero(path._chain_block(b) == 1)) for b in (-3, 0, 5)] == [1404, 1357, 1381]
+    assert [int(np.count_nonzero(_chain_block(path, b) == 1)) for b in (-3, 0, 5)] == [1404, 1357, 1381]
 
 
 def _chain_spec(transition):
@@ -189,6 +194,11 @@ CHAINS = {
     # A row summing to just over 1: its cumulative sum passes 1.0 before the
     # last entry, which is then pinned back to 1.0.
     "overshoot": ((0.5, 0.5 + 5e-10, 0.0), (0.0, 0.3, 0.7), (0.6, 0.0, 0.4)),
+    # No identity cell: every jump map moves a state.
+    "dense": ((0.3, 0.7), (0.6, 0.4)),
+    # No constant cell either: the maps (0, 1, 0) and (1, 2, 2) only reach a
+    # constant composed, so every block runs the doubling look-back.
+    "merging": ((0.5, 0.5, 0.0), (0.0, 0.5, 0.5), (0.5, 0.0, 0.5)),
 }
 
 _reference_chain_block = functools.lru_cache(maxsize=None)(sequential_chain_block)
@@ -210,9 +220,9 @@ def test_chain_block_matches_sequential_chain(monkeypatch, chain, start):
         want = _reference_chain_block(spec, b, cap)
         if want is None:
             with pytest.raises(ResourceCapError):
-                path._chain_block(b)
+                _chain_block(path, b)
         else:
-            assert np.array_equal(path._chain_block(b), want), b
+            assert np.array_equal(_chain_block(path, b), want), b
     assert (chain == "periodic") == (want is None)
 
 
@@ -271,9 +281,152 @@ def test_chain_block_refused_past_the_cap(monkeypatch):
     path = StationaryPath(_chain_spec(CHAINS["near_reducible"]))
     with pytest.raises(ResourceCapError) as exc:
         for b in range(10):
-            path._chain_block(b)
+            _chain_block(path, b)
     assert (exc.value.cap, exc.value.requested) == (512, 1024)
     assert "did not coalesce" in str(exc.value)
+
+
+def _lone_refusal(spec, b):
+    """``(cap, requested, message)`` of a read of chain block ``b`` alone on a
+    fresh path, or ``None`` when the block is read."""
+    try:
+        _chain_block(StationaryPath(spec), b)
+    except ResourceCapError as exc:
+        return exc.cap, exc.requested, str(exc)
+    return None
+
+
+@pytest.mark.parametrize("seed", [29, 30, 31])
+def test_run_refuses_as_its_first_refused_block_alone(monkeypatch, seed):
+    # A read across many blocks is refused with the cap, the request and the
+    # block that a read of the first refused block alone gives, also when
+    # the run starts at blocks that coalesce.
+    monkeypatch.setattr(sequences, "_BACK_START", 256)
+    monkeypatch.setattr(sequences, "_BACK_CAP", 512)
+    spec = dataclasses.replace(_chain_spec(CHAINS["near_reducible"]), seed=seed)
+    lone = [_lone_refusal(spec, b) for b in range(-40, 40)]
+    assert any(r is None for r in lone) and any(r is not None for r in lone)
+    starts = {0, next(k for k, r in enumerate(lone) if r is None)}
+    for k in sorted(starts):
+        refused = next((r for r in lone[k : k + 10] if r is not None), None)
+        path = StationaryPath(spec)
+        if refused is None:
+            path._states((k - 40) * _CHAIN_BLOCK + 5, 10 * _CHAIN_BLOCK - 5)
+            continue
+        with pytest.raises(ResourceCapError) as exc:
+            path._states((k - 40) * _CHAIN_BLOCK + 5, 10 * _CHAIN_BLOCK - 5)
+        assert (exc.value.cap, exc.value.requested, str(exc.value)) == refused
+        assert refused[:2] == (512, 1024)
+
+
+COVER_CHAINS = ("sandwich", "dense", "overshoot", "single", "merging")
+
+
+def _reference_states(spec, lo, count):
+    """The stepped reference over ``lo .. lo+count-1``, block by block."""
+    first = lo // _CHAIN_BLOCK
+    stop = -(-(lo + count) // _CHAIN_BLOCK)
+    states = np.concatenate([_reference_chain_block(spec, b, 1 << 20) for b in range(first, stop)])
+    return states[lo - first * _CHAIN_BLOCK :][:count]
+
+
+@pytest.mark.parametrize("back_start", [1, 256, 4097, 10_000])
+@pytest.mark.parametrize("chain", COVER_CHAINS)
+def test_states_over_covers_match_sequential_chain(monkeypatch, chain, back_start):
+    # Covers that start mid-block and span up to ten blocks, read on fresh
+    # paths, equal the chain stepped index by index.
+    monkeypatch.setattr(sequences, "_BACK_START", back_start)
+    spec = _chain_spec(CHAINS[chain])
+    rng = np.random.default_rng([back_start, len(chain)])
+    for _ in range(3):
+        lo = int(rng.integers(-20 * _CHAIN_BLOCK, 20 * _CHAIN_BLOCK))
+        count = int(rng.integers(1, 10 * _CHAIN_BLOCK))
+        got = StationaryPath(spec)._states(lo, count)
+        assert got.dtype == np.int64 and np.array_equal(got, _reference_states(spec, lo, count)), (lo, count)
+
+
+@pytest.mark.parametrize("chain", COVER_CHAINS)
+def test_partly_cached_runs_through_shifts(chain):
+    # Shifted paths share the block cache: a wide read after scattered
+    # narrow ones builds only the runs between cached blocks, and every
+    # block it returns, cached or new, is the stepped reference.
+    spec = _chain_spec(CHAINS[chain])
+    path = StationaryPath(spec)
+    rng = np.random.default_rng(len(chain))
+    for b in (-4, -1, 0, 3, 4):
+        k = int(rng.integers(-3 * _CHAIN_BLOCK, 3 * _CHAIN_BLOCK))
+        path.shifted(k).block(b * _CHAIN_BLOCK + 100 - k, 50)
+    assert {key[1] for key in path._chain_cache} == {-4, -1, 0, 3, 4}
+    k = int(rng.integers(-3 * _CHAIN_BLOCK, 3 * _CHAIN_BLOCK))
+    lo, count = -6 * _CHAIN_BLOCK + 7, 12 * _CHAIN_BLOCK - 20
+    path.shifted(k).block(lo - k, count)
+    assert {key[1] for key in path._chain_cache} == set(range(-6, 6))
+    for (_, b), block in path._chain_cache.items():
+        assert np.array_equal(block, _reference_chain_block(spec, b, 1 << 20)), b
+    assert np.array_equal(path._states(lo, count), _reference_states(spec, lo, count))
+
+
+def test_run_composes_moving_maps_across_piece_seams(monkeypatch):
+    # On the dense chain every map moves a state, so a run of three blocks
+    # composes more than _CHAIN_BLOCK maps and reads its later pieces at the
+    # state where the one before ended.
+    spec = _chain_spec(CHAINS["dense"])
+    edges, cell_maps = _chain_tables(spec.modulation)
+    assert not (cell_maps == np.arange(2)).all(axis=1).any()
+    pieces = []
+    compose = sequences._prefix_compose
+    monkeypatch.setattr(sequences, "_prefix_compose", lambda maps: pieces.append(len(maps)) or compose(maps))
+    lo = -2 * _CHAIN_BLOCK + 1234
+    got = StationaryPath(spec)._states(lo, 2 * _CHAIN_BLOCK)
+    assert len(pieces) > 1 and max(pieces) == _CHAIN_BLOCK, pieces
+    assert np.array_equal(got, _reference_states(spec, lo, 2 * _CHAIN_BLOCK))
+
+
+@pytest.mark.parametrize("back_start", [2, 256])
+@pytest.mark.parametrize("chain", ["merging", "overshoot", "dense", "sandwich"])
+def test_deeper_look_back_runs_only_for_open_windows(monkeypatch, chain, back_start):
+    # A block whose window, the _BACK_START maps ending at its start, does
+    # not compose to a constant looks back deeper; no other block does. With
+    # windows of two maps, merging's maps (0, 1, 0) and (1, 2, 2), none of
+    # them constant, leave windows open and reach the folded look-back.
+    monkeypatch.setattr(sequences, "_BACK_START", back_start)
+    spec = _chain_spec(CHAINS[chain])
+    calls, composed = [], []
+    look_back, compose = sequences._look_back, sequences._compose
+    monkeypatch.setattr(sequences, "_look_back",
+                        lambda spec, b, window: calls.append(b) or look_back(spec, b, window))
+    monkeypatch.setattr(sequences, "_compose", lambda *args: composed.append(args[1:]) or compose(*args))
+    got = StationaryPath(spec)._states(-3 * _CHAIN_BLOCK, 6 * _CHAIN_BLOCK)
+    open_windows = []
+    for b in range(-3, 3):
+        window = _sequential_prefix(sequences._jump_maps(spec, b * _CHAIN_BLOCK + 1 - back_start, back_start))[-1]
+        if len(set(window.tolist())) > 1:
+            open_windows.append(b)
+    assert calls == open_windows
+    assert bool(composed) == bool(open_windows)
+    if (chain, back_start) == ("merging", 2):
+        assert open_windows
+    assert np.array_equal(got, _reference_states(spec, -3 * _CHAIN_BLOCK, 6 * _CHAIN_BLOCK))
+
+
+def test_markov_modulated_block_does_not_import_numpy_ma():
+    # numpy.ma takes over 10 ms to import; the chain tables find the
+    # distinct breakpoints without it.
+    import os
+    import subprocess
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    probe = ("import sys\n"
+             "from impatientq.sequences import *\n"
+             "laws = tuple((Exponential(r), Exponential(1.0), Exponential(1.0)) for r in (1.0, 2.0))\n"
+             "mod = ModulationSpec(((0.9, 0.1), (0.2, 0.8)), laws)\n"
+             "print('numpy.ma' in sys.modules)\n"
+             "StationaryPath(SequenceSpec('markov_modulated', 11, modulation=mod)).block(-5000, 10000)\n"
+             "print('numpy.ma' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True, capture_output=True, text=True)
+    assert out.stdout.split() == ["False", "False"], out
 
 
 @pytest.mark.parametrize("chain", sorted(CHAINS))
