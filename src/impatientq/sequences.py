@@ -563,19 +563,19 @@ class StationaryPath:
         Only the maps that move some state are composed: prefix scans
         (``_prefix_compose``) in pieces of at most ``_CHAIN_BLOCK`` maps,
         each read at the state where the last one ended, give the state
-        after every move, and one ``np.repeat`` holds it until the next
-        (when no cell map is the identity, every index moves). The
+        after every move, and one ``np.repeat`` holds it until the next. The
         pass starts before the first window, at a state from which that
         window reaches the first block's certified state. Only integer
         gathers run, so every state equals the one the chain stepped index
         by index from the coalesced state reaches, bit for bit.
         """
         spec = self.spec
-        cell_maps = _chain_tables(spec.modulation)[1]
+        edges, cell_maps = _chain_tables(spec.modulation)
         m = cell_maps.shape[1]
         lo = first * _CHAIN_BLOCK + 1 - _BACK_START
         n = stop * _CHAIN_BLOCK - lo
-        cells = _cells(spec, lo, n)
+        cells = np.searchsorted(edges, stream_uniforms(spec.seed, STREAM_MODULATION, lo, n),
+                                side="right")
         # the composition of each block's window, the _BACK_START maps ending at its start
         window = np.arange(stop - first)[:, None] * _CHAIN_BLOCK + np.arange(_BACK_START)
         windows = _fold(np.take(cell_maps, np.take(cells, window), axis=0))
@@ -584,17 +584,14 @@ class StationaryPath:
             before = _look_back(spec, first + k, windows[k])
             if k == 0:
                 state = before
-        moving = (cell_maps != np.arange(m)).any(axis=1)
-        # a chain with no identity cell moves at every index: nothing to skip
-        moves = None if moving.all() else np.flatnonzero(np.take(moving, cells))
-        moved = cells if moves is None else cells[moves]
-        after = np.empty(len(moved) + 1, dtype=np.int64)
+        moves = np.flatnonzero(np.take((cell_maps != np.arange(m)).any(axis=1), cells))
+        after = np.empty(len(moves) + 1, dtype=np.int64)
         after[0] = state
-        for a in range(0, len(moved), _CHAIN_BLOCK):
-            piece = np.take(cell_maps, moved[a : a + _CHAIN_BLOCK], axis=0)
+        for a in range(0, len(moves), _CHAIN_BLOCK):
+            piece = np.take(cell_maps, cells[moves[a : a + _CHAIN_BLOCK]], axis=0)
             after[a + 1 : a + 1 + len(piece)] = _prefix_compose(piece)[:, state]
             state = after[a + len(piece)]
-        states = after[1:] if moves is None else np.repeat(after, np.diff(moves, prepend=0, append=n))
+        states = np.repeat(after, np.diff(moves, prepend=0, append=n))
         return np.split(states[_BACK_START - 1 :], stop - first)
 
 
@@ -622,23 +619,12 @@ def _chain_tables(mod: ModulationSpec) -> tuple[np.ndarray, np.ndarray]:
     return edges, cell_maps
 
 
-def _cells(spec: SequenceSpec, start: int, count: int) -> np.ndarray:
-    """The cell of ``_chain_tables`` that holds the modulation uniform at
-    each index ``start .. start+count-1``: the number of breakpoints at or
-    below it, as ``np.searchsorted(edges, u, side="right")`` gives, counted
-    by one comparison pass per breakpoint, which is faster for the few
-    breakpoints a chain has."""
-    u = stream_uniforms(spec.seed, STREAM_MODULATION, start, count)
-    cells = np.zeros(count, dtype=np.intp)
-    for edge in _chain_tables(spec.modulation)[0].tolist():
-        cells += u >= edge
-    return cells
-
-
 def _jump_maps(spec: SequenceSpec, start: int, count: int) -> np.ndarray:
     """The ``(count, m)`` jump maps of the chain at indices ``start ..
     start+count-1``, each chosen by the uniform at its index."""
-    return np.take(_chain_tables(spec.modulation)[1], _cells(spec, start, count), axis=0)
+    edges, cell_maps = _chain_tables(spec.modulation)
+    u = stream_uniforms(spec.seed, STREAM_MODULATION, start, count)
+    return np.take(cell_maps, np.searchsorted(edges, u, side="right"), axis=0)
 
 
 def _look_back(spec: SequenceSpec, b: int, window: np.ndarray) -> int:

@@ -225,7 +225,7 @@ def path_of(spec) -> StationaryPath:
 
 
 def sequential_chain_block(spec: SequenceSpec, b: int, max_depth: int = 1 << 20):
-    """Reference for ``StationaryPath._chain_block``: every state of the
+    """Reference for ``StationaryPath._states``: every state of the
     modulating chain stepped forward one index at a time, through each
     row's own inverse-CDF search, from depths 1, 2, 4, ... before block
     ``b`` until all of them meet at its start; then that state stepped on
