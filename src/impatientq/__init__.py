@@ -13,7 +13,7 @@ from .sequences import (
     StationaryPath,
     Uniform,
 )
-from .kernel import StepOutcome, advance, advance_lower, advance_upper, ordered
+from .kernel import StepOutcome, advance
 from .loynes import SupremumBound, supremum_bound
 from .coupling import (
     CftpResult,
@@ -21,7 +21,6 @@ from .coupling import (
     RenovationEvent,
     RenovationScan,
     cftp,
-    coalescence_check,
     detect_renovation,
     reachable_profile,
 )
@@ -30,10 +29,8 @@ from .metrics import (
     BoundReport,
     ConditionReport,
     bound_report,
-    erlang_b,
     estimate_conditions,
     loss_probability,
-    mm1_wait_tail,
 )
 from .config import ExperimentConfig, RunParams, load_config, parse_config
 
@@ -52,9 +49,6 @@ __all__ = [
     "Uniform",
     "StepOutcome",
     "advance",
-    "advance_lower",
-    "advance_upper",
-    "ordered",
     "ConditionReport",
     "SupremumBound",
     "estimate_conditions",
@@ -64,7 +58,6 @@ __all__ = [
     "RenovationEvent",
     "RenovationScan",
     "cftp",
-    "coalescence_check",
     "detect_renovation",
     "reachable_profile",
     "CrossValidation",
@@ -73,9 +66,7 @@ __all__ = [
     "run",
     "BoundReport",
     "bound_report",
-    "erlang_b",
     "loss_probability",
-    "mm1_wait_tail",
     "ExperimentConfig",
     "RunParams",
     "load_config",

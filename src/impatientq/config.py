@@ -97,7 +97,7 @@ class RunParams:
             raise ConfigurationError(f"run.batches must be >= 2, got {self.batches}")
         if self.n_samples < self.batches:
             raise ConfigurationError(f"run.n_samples must be >= run.batches ({self.batches}), got {self.n_samples}")
-        if self.tol <= 0.0:
+        if not self.tol > 0.0:
             raise ConfigurationError("run.tol must be positive")
         if self.renovation_end < self.renovation_start:
             raise ConfigurationError("run renovation window is empty")

@@ -1,10 +1,12 @@
-"""Renovation events, coalescence, coupling from the past, lattice sets.
+"""Renovation events, coupling from the past, lattice sets.
 
 A renovation index is one where the upper stationary state (``cftp`` of
 the upper kind) has an empty first coordinate and each higher coordinate
 fits under the accumulated forward gaps; from such an index, every
 trajectory started at or below it reaches the same state, bit for bit, S-1
-steps later, erasing its initial condition.
+steps later, erasing its initial condition. The bounding chain below
+proves this for a whole box at once: run from ``[0, Y]`` at the index for
+S-1 steps, it closes to that one state.
 
 Coupling from the past needs no such event: every stationary workload lies
 in the box ``[0, Z]`` below the certified top supremum vector
@@ -99,61 +101,6 @@ def detect_renovation(path: StationaryPath, servers: int,
         events.append(RenovationEvent(a + int(row), servers - 1,
                                       tuple(map(float, states[row])), sums))
     return RenovationScan(tuple(events), (a, b), len(events) / n, est)
-
-
-# ---------------------------------------------------------------------------
-# Coalescence
-# ---------------------------------------------------------------------------
-
-
-def _run_set_forward(path: StationaryPath, start: int, steps: int,
-                     points: np.ndarray) -> np.ndarray:
-    """Exact map applied to every row of ``points`` over ``steps`` indices
-    (int64 multiples on a lattice path)."""
-    tau, sigma, deadline = _exact_drivers(path, start, steps)
-    for i in range(steps):
-        points, _ = advance_batch(points, tau[i], sigma[i], deadline[i])
-    return points
-
-
-def coalescence_check(path: StationaryPath, at: int,
-                      initials: Sequence[Sequence[float]],
-                      y_estimate: Optional[Sequence[float]] = None) -> bool:
-    """Do all initial states merge, bit for bit, within S-1 steps from
-    index ``at``?
-
-    Every initial state must sit at or below the upper estimate at ``at``
-    (that is what the renovation argument covers); a violating state is a
-    reported precondition error, not silently dropped.
-    """
-    initials = np.asarray(initials, dtype=np.float64)
-    if initials.size == 0:
-        raise ValueError("need at least one initial state")
-    servers = initials.shape[1]
-    if y_estimate is None:
-        y_estimate = _envelope_estimate(path, servers, at, "upper").value
-    slack = 0.0 if path.spec.is_lattice else 1e-12
-    unordered = ~((initials[:, :-1] <= initials[:, 1:]).all(axis=1) & (initials >= 0.0).all(axis=1))
-    above = (initials > np.asarray(y_estimate) + slack).any(axis=1)
-    bad = unordered | above
-    if bad.any():
-        row = int(np.argmax(bad))
-        u = tuple(initials[row].tolist())
-        if unordered[row]:
-            raise ContractError(f"initial state must be ordered, got {u!r}")
-        raise ContractError(
-            f"initial state {u!r} is not dominated by the upper estimate {tuple(y_estimate)!r}")
-    pts = _to_lattice(initials, path.spec.alpha) if path.spec.is_lattice else initials
-    out = _run_set_forward(path, at, servers - 1, pts) if servers > 1 else pts
-    return bool((out == out[0]).all())
-
-
-def _to_lattice(points: Sequence[Sequence[float]], alpha: float) -> np.ndarray:
-    arr = np.asarray(points, dtype=np.float64) / alpha
-    mult = np.rint(arr).astype(np.int64)
-    if np.abs(arr - mult).max() > 1e-9:
-        raise ContractError("initial states must lie on the lattice in lattice mode")
-    return mult
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +270,6 @@ class ReachableSet:
 
     def __len__(self):
         return len(self.points)
-
-    def workloads(self) -> set[tuple[float, ...]]:
-        return {tuple(k * self.alpha for k in p) for p in self.points}
 
 
 def reachable_profile(path: StationaryPath, servers: int, depths: Sequence[int],

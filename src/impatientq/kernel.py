@@ -2,20 +2,17 @@
 
 The state is the ascending vector of the S servers' committed work seen
 just before an arrival, counting only customers that will eventually be
-served. Three maps act on it:
+served. ``advance`` is the exact update: the arriving customer joins
+(adding her service requirement to the least-loaded server) iff the least
+workload does not exceed her patience; then the inter-arrival gap elapses.
 
-* ``advance``: the exact update. The arriving customer joins (adding her
-  service requirement to the least-loaded server) iff the least workload
-  does not exceed her patience; then the inter-arrival gap elapses.
-* ``advance_upper`` / ``advance_lower``: monotone envelopes that replace
-  the conditional contribution by ``sigma + patience`` (resp.
-  ``min(sigma, patience)``), bounding the exact map from above (below) on
-  coordinate suffixes. They drive the backward schemes.
-
-Workload vectors are plain ascending tuples. Scalar functions take one
-``DriverSample``; ``advance_batch`` evaluates many states and drivers at
-once on ``(N, S)`` arrays (used by the property suites, the lattice set
-propagation and the time-parallel forward rolls in ``loynes``).
+Each map merges a new work ``x`` into the state in place of its least
+coordinate, subtracts the gap and clips at zero (``_merge_shift``). The
+exact map merges ``u0 + sigma`` or ``u0``; the monotone envelopes of the
+backward schemes merge a work that does not depend on the state
+(``loynes._effective_work``). ``advance_batch`` steps many ascending
+states at once on ``(N, S)`` arrays (the lattice set propagation and the
+time-parallel forward rolls in ``loynes``).
 
 Every map works in its state's dtype. On a lattice the state, tau and
 sigma are int64 multiples of the step ``alpha``, and the float test
@@ -39,18 +36,10 @@ class StepOutcome(NamedTuple):
     accepted: bool
 
 
-def ordered(values: Sequence[float]) -> tuple[float, ...]:
-    return tuple(sorted(values))
-
-
-def is_ordered(u: Sequence[float]) -> bool:
-    return all(u[i] <= u[i + 1] for i in range(len(u) - 1)) and all(x >= 0 for x in u)
-
-
 def _require_ordered(u: Sequence[float]):
     if not u:
         raise ContractError("workload vector must have at least one coordinate")
-    if not is_ordered(u):
+    if not (all(u[i] <= u[i + 1] for i in range(len(u) - 1)) and all(x >= 0 for x in u)):
         raise ContractError(f"workload vector must be ascending and non-negative, got {u!r}")
 
 
@@ -60,18 +49,6 @@ def advance(u: Sequence[float], d: DriverSample) -> StepOutcome:
     accepted = u[0] <= d.patience
     x = u[0] + d.sigma if accepted else u[0]
     return StepOutcome(_merge_shift(u, x, d.tau), accepted)
-
-
-def advance_upper(u: Sequence[float], d: DriverSample) -> tuple[float, ...]:
-    """Monotone upper envelope: contribution forced to sigma + patience."""
-    _require_ordered(u)
-    return _merge_shift(u, d.sigma + d.patience, d.tau)
-
-
-def advance_lower(u: Sequence[float], d: DriverSample) -> tuple[float, ...]:
-    """Monotone lower envelope: contribution capped at min(sigma, patience)."""
-    _require_ordered(u)
-    return _merge_shift(u, min(d.sigma, d.patience), d.tau)
 
 
 def _merge_shift(u: Sequence[float], x: float, tau: float) -> tuple[float, ...]:

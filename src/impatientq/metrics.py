@@ -362,30 +362,3 @@ def estimate_conditions(path: StationaryPath, servers: int, n_samples: int,
         upper_estimate=scan.estimate,
     )
 
-
-# ---------------------------------------------------------------------------
-# Closed-form references
-# ---------------------------------------------------------------------------
-
-
-def erlang_b(servers: int, offered_load: float) -> float:
-    """Blocking probability of the S-server loss system (stable recursion)."""
-    if servers < 1:
-        raise ValueError("servers must be >= 1")
-    if not (offered_load > 0.0):
-        raise ValueError("offered load must be positive")
-    b = 1.0
-    for k in range(1, servers + 1):
-        b = offered_load * b / (k + offered_load * b)
-    return b
-
-
-def mm1_wait_tail(rho: float, mu: float, x: float) -> float:
-    """P(stationary wait > x) for the single-server Markovian queue."""
-    if not (0.0 < rho < 1.0):
-        raise ValueError("utilization must be in (0, 1)")
-    if mu <= 0.0:
-        raise ValueError("service rate must be positive")
-    if x < 0.0:
-        raise ValueError("x must be non-negative")
-    return rho * math.exp(-mu * (1.0 - rho) * x)

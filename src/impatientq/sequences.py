@@ -180,7 +180,7 @@ class ShiftedExponential:
     rate: float
 
     def __post_init__(self):
-        if self.shift < 0.0 or not (0.0 < self.rate < math.inf):
+        if not self.shift >= 0.0 or not (0.0 < self.rate < math.inf):
             raise ConfigurationError(f"shifted exponential needs shift >= 0 and rate > 0, got ({self.shift}, {self.rate})")
 
     def mean(self) -> float:
@@ -214,7 +214,7 @@ class LatticeDiscrete:
             raise ConfigurationError("multipliers and probs must be non-empty and equal length")
         if any(k < 0 or k != int(k) for k in self.multipliers):
             raise ConfigurationError("multipliers must be non-negative integers")
-        if any(p < 0.0 for p in self.probs) or abs(sum(self.probs) - 1.0) > 1e-9:
+        if not all(p >= 0.0 for p in self.probs) or not abs(sum(self.probs) - 1.0) <= 1e-9:
             raise ConfigurationError("probs must be non-negative and sum to 1")
 
     def _cum(self) -> np.ndarray:
@@ -269,7 +269,7 @@ class ModulationSpec:
         for row in self.transition:
             if len(row) != m:
                 raise ConfigurationError("transition matrix must be square")
-            if any(p < 0.0 for p in row) or abs(sum(row) - 1.0) > 1e-9:
+            if not all(p >= 0.0 for p in row) or not abs(sum(row) - 1.0) <= 1e-9:
                 raise ConfigurationError("transition rows must be probability vectors")
         if not _strongly_connected(self.transition):
             raise ConfigurationError("modulating chain must be irreducible")
@@ -336,8 +336,8 @@ class SequenceSpec:
                 if not isinstance(dist, Deterministic):
                     raise ConfigurationError(f"deterministic model requires a constant {name}")
         if self.model == "lattice":
-            if self.alpha is None or self.alpha <= 0.0:
-                raise ConfigurationError("lattice model requires a positive alpha")
+            if self.alpha is None or not 0.0 < self.alpha < math.inf:
+                raise ConfigurationError(f"lattice model requires a positive finite alpha, got {self.alpha}")
             if self.tau.lattice_multipliers(self.alpha) is None:
                 raise ConfigurationError("lattice model requires tau supported on multiples of alpha")
             if self.sigma.lattice_multipliers(self.alpha) is None:

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from impatientq.coupling import ReachableSet, cftp
+from impatientq.coupling import ReachableSet, _bounding_chain, cftp
 from impatientq.kernel import _require_ordered, advance_lattice
 from impatientq.loynes import _effective_work, envelope_states
 from impatientq.sequences import (
@@ -72,6 +72,34 @@ def advance_lattice_batch(u_mult, tau_mult, sigma_mult, patience, alpha):
     comparison ``k * alpha <= patience``."""
     accepted = u_mult[:, 0].astype(np.float64) * alpha <= patience
     return sort_merge_batch(u_mult, u_mult[:, 0] + np.where(accepted, sigma_mult, 0), tau_mult)
+
+
+# ---------------------------------------------------------------------------
+# Closed-form references
+# ---------------------------------------------------------------------------
+
+
+def erlang_b(servers: int, offered_load: float) -> float:
+    """Blocking probability of the S-server loss system (stable recursion)."""
+    if servers < 1:
+        raise ValueError("servers must be >= 1")
+    if not (offered_load > 0.0):
+        raise ValueError("offered load must be positive")
+    b = 1.0
+    for k in range(1, servers + 1):
+        b = offered_load * b / (k + offered_load * b)
+    return b
+
+
+def mm1_wait_tail(rho: float, mu: float, x: float) -> float:
+    """P(stationary wait > x) for the single-server Markovian queue."""
+    if not (0.0 < rho < 1.0):
+        raise ValueError("utilization must be in (0, 1)")
+    if mu <= 0.0:
+        raise ValueError("service rate must be positive")
+    if x < 0.0:
+        raise ValueError("x must be non-negative")
+    return rho * math.exp(-mu * (1.0 - rho) * x)
 
 
 def iid_spec(seed, tau, sigma, patience):
@@ -218,6 +246,18 @@ def random_lattice_spec(rng: np.random.Generator, alpha: float = 1.0,
 def random_ordered(rng: np.random.Generator, count: int, servers: int,
                    scale: float = 4.0) -> np.ndarray:
     return np.sort(rng.uniform(0.0, scale, size=(count, servers)), axis=1)
+
+
+def renovation_box(path: StationaryPath, servers: int, ev) -> tuple[tuple, tuple]:
+    """The box certificate of renovation event ``ev``: the interval ``[L,
+    U]`` that the bounding chain from ``[0, Y]`` at ``ev.index`` reaches
+    S-1 steps later. ``L == U`` proves that every state of the box lands on
+    that one point. On a lattice path the box, like ``cftp``'s, holds the
+    multiples ``floor(y / alpha + 1e-9)``, and so do ``L`` and ``U``."""
+    top, zero = ev.y_estimate, 0.0
+    if path.spec.is_lattice:
+        top, zero = tuple(math.floor(v / path.spec.alpha + 1e-9) for v in top), 0
+    return _bounding_chain(path, ev.index, servers - 1, (zero,) * servers, top)
 
 
 def path_of(spec) -> StationaryPath:

@@ -8,11 +8,11 @@ import json
 import numpy as np
 
 from impatientq.cli import main as cli_main
-from impatientq.coupling import cftp, coalescence_check, detect_renovation, reachable_profile
+from impatientq.coupling import cftp, detect_renovation, reachable_profile
 from impatientq.des import cross_validate
 from impatientq.kernel import advance, advance_batch
 from impatientq.loynes import envelope_states, exact_states, supremum_bound
-from impatientq.metrics import bound_report, erlang_b, loss_probability
+from impatientq.metrics import bound_report, loss_probability
 from impatientq.sequences import (
     Deterministic,
     DriverSample,
@@ -21,13 +21,16 @@ from impatientq.sequences import (
     Uniform,
 )
 from support import (
+    advance_direct_batch,
     advance_lower_batch,
     advance_upper_batch,
+    erlang_b,
     iid_spec,
     random_iid_spec,
     random_lattice_spec,
     random_mm_spec,
     random_ordered,
+    renovation_box,
 )
 
 
@@ -212,11 +215,16 @@ def test_criterion_7_renovation_coalescence():
         scan = detect_renovation(path, servers, (0, 9_999))
         assert scan.estimate.coalesced
         assert scan.frequency > 0.0
+        blk = path.block(0, 10_000 + servers)
         for ev in scan.events:
-            y = np.asarray(ev.y_estimate)
-            pts = np.sort(rng.uniform(0.0, 1.0, size=(100, servers)) * y, axis=1)
-            initials = np.vstack([np.zeros(servers), y, pts])
-            assert coalescence_check(path, ev.index, initials, y_estimate=ev.y_estimate), ev
+            # the box certificate: every state of [0, Y] lands on one point
+            lo, hi = renovation_box(path, servers, ev)
+            assert lo == hi, (ev, lo, hi)
+            # 100 sampled states of the box, stepped by the literal oracle
+            pts = np.sort(rng.uniform(0.0, 1.0, size=(100, servers)) * np.asarray(ev.y_estimate), axis=1)
+            for i in range(ev.index, ev.index + servers - 1):
+                pts = advance_direct_batch(pts, blk.tau[i], blk.sigma[i], blk.patience[i])
+            assert (pts == np.asarray(lo)).all(), ev
             checked += 1
     assert checked > 0
     _report("criterion 7 (renovation => coalescence)",

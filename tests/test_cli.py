@@ -194,7 +194,10 @@ def test_cli_bad_config_exit_2(tmp_path):
     (LATTICE_INI, "alpha = 1.0\n\n[tau]", "alpha = x\n\n[tau]", "alpha"),
     (MM_INI, "transition = 0.9 0.1", "transition = 0.9 x", "transition"),
     (MM2D_INI, "kind = iid", "kind = iid\nalpha = 1.0", "alpha"),
-], ids=["alpha-not-float", "transition-not-float", "alpha-on-iid"])
+    (LATTICE_INI, "alpha = 1.0\n\n[tau]", "alpha = nan\n\n[tau]", "alpha"),
+    (MM_INI, "transition = 0.9 0.1", "transition = nan 0.1", "transition"),
+    (MM2D_INI, "[run]", "[run]\ntol = nan", "tol"),
+], ids=["alpha-not-float", "transition-not-float", "alpha-on-iid", "alpha-nan", "transition-nan", "tol-nan"])
 def test_cli_bad_model_key_exit_2(tmp_path, capsys, ini, old, new, key):
     assert old in ini
     cfg = _write(tmp_path, "bad.ini", ini.replace(old, new, 1))

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import re
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from impatientq.coupling import (
     _key_weights,
     _ordered_boxes,
     cftp,
-    coalescence_check,
     detect_renovation,
     reachable_profile,
 )
@@ -34,6 +32,7 @@ from support import (
     GROWTH,
     LATTICE,
     MM_SPEC,
+    advance_direct_batch,
     deep_envelope,
     det_spec,
     iid_spec,
@@ -44,6 +43,7 @@ from support import (
     random_mm_spec,
     reachable_profile_reference,
     reference_sweep_configs,
+    renovation_box,
 )
 
 MM2D = iid_spec(17, Exponential(1.0), Exponential(0.6), Deterministic(1.0))
@@ -127,40 +127,23 @@ def test_renovation_events_against_deep_reference(name, spec, servers):
 
 
 def test_renovation_implies_coalescence():
-    path = StationaryPath(MM2D)
-    scan = detect_renovation(path, 2, (0, 999))
+    # Each event's box closes to one point S-1 steps on (in multiples of
+    # alpha on LATTICE), and states sampled from the box, stepped by the
+    # literal oracle, land on that point.
     rng = np.random.default_rng(0)
-    assert scan.events
-    for ev in scan.events[:100]:
-        y = np.asarray(ev.y_estimate)
-        pts = np.sort(rng.uniform(0.0, 1.0, size=(20, 2)) * y, axis=1)
-        initials = [(0.0, 0.0), tuple(y)] + [tuple(p) for p in pts]
-        assert coalescence_check(path, ev.index, initials, y_estimate=ev.y_estimate)
-
-
-def test_coalescence_precondition_reported():
-    path = StationaryPath(MM2D)
-    with pytest.raises(ContractError):
-        coalescence_check(path, 0, [(0.0, 0.0), (9.0, 9.0)], y_estimate=(0.0, 1.0))
-    with pytest.raises(ContractError):
-        coalescence_check(path, 0, [(1.0, 0.5)], y_estimate=(2.0, 2.0))  # unordered
-    with pytest.raises(ValueError):
-        coalescence_check(path, 0, [])
-
-
-def test_coalescence_precondition_names_first_offending_row():
-    path = StationaryPath(MM2D)
-    pts = np.sort(np.random.default_rng(3).uniform(0.0, 4.0, size=(20_000, 2)), axis=1)
-    pts[[7_000, 12_000]] = (1.0, 6.0), (2.0, 1.0)   # above y, then unordered
-    with pytest.raises(ContractError, match=re.escape(
-            "initial state (1.0, 6.0) is not dominated by the upper estimate (5.0, 5.0)")):
-        coalescence_check(path, 0, pts, y_estimate=(5.0, 5.0))
-    pts[7_000] = (0.5, 0.75)
-    with pytest.raises(ContractError, match=re.escape("initial state must be ordered, got (2.0, 1.0)")):
-        coalescence_check(path, 0, pts, y_estimate=(5.0, 5.0))
-    pts[12_000] = (-1.0, 1.0)
-    with pytest.raises(ContractError, match="must be ordered"):
-        coalescence_check(path, 0, pts, y_estimate=(5.0, 5.0))
+    for spec, servers in ((MM2D, 2), (LATTICE, 3)):
+        path = StationaryPath(spec)
+        scan = detect_renovation(path, servers, (0, 999))
+        assert scan.events
+        for ev in scan.events[:100]:
+            lo, hi = renovation_box(path, servers, ev)
+            assert lo == hi, (ev, lo, hi)
+            y = np.asarray(ev.y_estimate)
+            pts = np.vstack([np.zeros(servers), y, np.sort(rng.uniform(0.0, 1.0, size=(20, servers)) * y, axis=1)])
+            blk = path.block(ev.index, servers - 1)
+            for d in zip(blk.tau, blk.sigma, blk.patience):
+                pts = advance_direct_batch(pts, *d)
+            assert (pts == np.asarray(lo) * (spec.alpha if spec.is_lattice else 1.0)).all(), ev
 
 
 def test_deterministic_two_server_coalescence_in_one_step():
@@ -174,17 +157,17 @@ def test_deterministic_two_server_coalescence_in_one_step():
     assert est.value == (0.0, 0.5)
     scan = detect_renovation(path, 2, (0, 9))
     assert scan.frequency == 1.0
-    initials = [(0.0, 0.0), (0.0, 0.25), (0.0, 0.5)]
-    assert coalescence_check(path, 0, initials, y_estimate=est.value)
+    assert scan.events[0].y_estimate == est.value
+    assert renovation_box(path, 2, scan.events[0]) == ((0.0, 0.0), (0.0, 0.0))
     out = advance((0.0, 0.25), path.sample_at(0)).next
     assert out == (0.0, 0.0)
 
 
 def test_single_server_coalescence_trivial():
-    scan = detect_renovation(StationaryPath(DRAIN), 1, (0, 5))
+    path = StationaryPath(DRAIN)
+    scan = detect_renovation(path, 1, (0, 5))
     for ev in scan.events:
-        assert coalescence_check(StationaryPath(DRAIN), ev.index,
-                                 [(0.0,), ev.y_estimate], y_estimate=ev.y_estimate)
+        assert renovation_box(path, 1, ev) == ((0.0,), (0.0,))
 
 
 def test_negative_control_non_coalescence():
@@ -194,8 +177,8 @@ def test_negative_control_non_coalescence():
     # distinct starts below the upper state stay distinct forever
     est = cftp(path, 1, 0, kind="upper")
     assert est.value == (2.2 - 1.0,)
-    # S=1: zero steps, distinct states simply stay distinct (diagnostic)
-    assert not coalescence_check(path, 0, [(0.0,), (0.1,)], y_estimate=est.value)
+    # S=1: zero steps, so the box [0, 1.2] stays open
+    assert _bounding_chain(path, 0, 0, (0.0,), est.value) == ((0.0,), est.value)
     res = cftp(path, 1, max_horizon=64)
     assert not res.coalesced
     assert res.value is None

@@ -13,10 +13,6 @@ from impatientq.kernel import (
     advance,
     advance_batch,
     advance_lattice,
-    advance_lower,
-    advance_upper,
-    is_ordered,
-    ordered,
 )
 from impatientq.sequences import DriverSample
 from support import (
@@ -58,27 +54,34 @@ def test_advance_direct_examples():
     assert advance_direct((1.0, 2.0), DriverSample(0.5, 4.0, 0.0)) == (0.5, 1.5)
 
 
+def _envelope_examples(work, oracle, cases):
+    # each case by the R = 1 merge of the envelope's work and by the oracle
+    for u, (tau, sigma, pat), want in cases:
+        assert _merge_shift(u, work(sigma, pat), tau) == want
+        assert oracle(np.array([u]), tau, sigma, pat).tolist() == [list(want)]
+
+
 def test_advance_upper_examples():
-    assert advance_upper((0.0, 0.0), DriverSample(1.0, 2.0, 1.0)) == (0.0, 2.0)
-    assert advance_upper((1.0, 4.0), DriverSample(2.0, 2.0, 1.0)) == (1.0, 2.0)
-    # full drain when the gap dominates
-    assert advance_upper((1.0, 2.0), DriverSample(9.0, 2.0, 1.0)) == (0.0, 0.0)
+    _envelope_examples(lambda sigma, pat: sigma + pat, advance_upper_batch, [
+        ((0.0, 0.0), (1.0, 2.0, 1.0), (0.0, 2.0)),
+        ((1.0, 4.0), (2.0, 2.0, 1.0), (1.0, 2.0)),
+        ((1.0, 2.0), (9.0, 2.0, 1.0), (0.0, 0.0)),   # full drain when the gap dominates
+    ])
 
 
 def test_advance_lower_examples():
-    assert advance_lower((0.0, 0.0), DriverSample(1.0, 2.0, 1.0)) == (0.0, 0.0)
-    assert advance_lower((1.0, 4.0), DriverSample(2.0, 5.0, 3.0)) == (1.0, 2.0)
-    # zero effective work: pure drain
-    assert advance_lower((1.0, 4.0), DriverSample(0.5, 0.0, 3.0)) == (0.5, 3.5)
+    _envelope_examples(min, advance_lower_batch, [
+        ((0.0, 0.0), (1.0, 2.0, 1.0), (0.0, 0.0)),
+        ((1.0, 4.0), (2.0, 5.0, 3.0), (1.0, 2.0)),
+        ((1.0, 4.0), (0.5, 0.0, 3.0), (0.5, 3.5)),   # zero effective work: pure drain
+    ])
 
 
 def test_contract_violations():
     with pytest.raises(ContractError):
         advance((2.0, 1.0), DriverSample(1.0, 1.0, 1.0))
-    with pytest.raises(ContractError):
-        advance_upper((2.0, 1.0), DriverSample(1.0, 1.0, 1.0))
-    with pytest.raises(ContractError):
-        advance_lower((-1.0, 1.0), DriverSample(1.0, 1.0, 1.0))
+    with pytest.raises(ContractError, match="ascending and non-negative"):
+        advance((-1.0, 1.0), DriverSample(1.0, 1.0, 1.0))
     with pytest.raises(ContractError):
         advance((), DriverSample(1.0, 1.0, 1.0))
 
@@ -110,8 +113,8 @@ def test_batch_matches_scalar(servers):
         d = DriverSample(tau[i], sigma[i], pat[i])
         out = advance(tuple(u[i]), d)
         assert out.next == tuple(batch[i]) and out.accepted == acc[i]
-        assert advance_upper(tuple(u[i]), d) == tuple(up[i])
-        assert advance_lower(tuple(u[i]), d) == tuple(lo[i])
+        assert _merge_shift(tuple(u[i]), d.sigma + d.patience, d.tau) == tuple(up[i])
+        assert _merge_shift(tuple(u[i]), min(d.sigma, d.patience), d.tau) == tuple(lo[i])
         assert advance_direct(tuple(u[i]), d) == out.next
 
 
@@ -299,13 +302,12 @@ finite = st.floats(min_value=0.0, max_value=50.0, allow_nan=False)
        st.floats(min_value=0.01, max_value=50.0, allow_nan=False))
 @settings(max_examples=300, deadline=None)
 def test_hypothesis_equivalence_and_order(raw, sigma, pat, tau):
-    u = ordered(raw)
+    u = tuple(sorted(raw))
     d = DriverSample(tau, sigma, pat)
     out = advance(u, d)
     assert out.next == advance_direct(u, d)
-    assert is_ordered(out.next)
-    assert is_ordered(advance_upper(u, d))
-    assert is_ordered(advance_lower(u, d))
+    for v in (out.next, _merge_shift(u, sigma + pat, tau), _merge_shift(u, min(sigma, pat), tau)):
+        assert list(v) == sorted(v) and min(v) >= 0.0
     assert out.accepted == (u[0] <= pat)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from impatientq.coupling import cftp
 from impatientq.errors import ConfigurationError
-from impatientq.kernel import advance_lower, advance_upper
+from impatientq.kernel import _merge_shift
 from impatientq.loynes import (
     certified_supremum,
     envelope_states,
@@ -162,12 +162,13 @@ def test_stabilized_estimate_is_pathwise_fixed_point():
     hits = 0
     for _ in range(15):
         path = StationaryPath(random_iid_spec(rng))
-        for kind, step in (("upper", advance_upper), ("lower", advance_lower)):
+        d = path.sample_at(0)
+        for kind, work in (("upper", d.sigma + d.patience), ("lower", min(d.sigma, d.patience))):
             est = cftp(path, 2, 0, kind=kind)
             if not est.coalesced:
                 continue
             hits += 1
-            rolled = step(est.value, path.sample_at(0))
+            rolled = _merge_shift(est.value, work, d.tau)
             nxt = envelope_states(path, 1 - est.horizon_used, est.horizon_used, (0.0, 0.0), kind)[-1]
             assert all(abs(a - b) <= 1e-9 for a, b in zip(rolled, nxt))
     assert hits > 10
@@ -212,7 +213,8 @@ def test_envelope_states_consistency():
     states = envelope_states(path, 0, 100, est.value, "upper")
     u = est.value
     for i in range(100):
-        u = advance_upper(u, path.sample_at(i))
+        d = path.sample_at(i)
+        u = _merge_shift(u, d.sigma + d.patience, d.tau)
         assert tuple(states[i + 1]) == u
 
 

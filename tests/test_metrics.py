@@ -12,17 +12,9 @@ from impatientq import metrics, sequences
 from impatientq.coupling import CftpResult
 from impatientq.errors import ConfigurationError, ContractError
 from impatientq.des import run
-from impatientq.metrics import (
-    ProbabilityEstimate,
-    batch_means,
-    bound_report,
-    erlang_b,
-    loss_probability,
-    mm1_wait_tail,
-    t_quantile,
-)
+from impatientq.metrics import ProbabilityEstimate, batch_means, bound_report, loss_probability, t_quantile
 from impatientq.sequences import Deterministic, Exponential, StationaryPath, Uniform, stream_uniforms
-from support import DRAIN, GROWTH, MM_SPEC, det_spec, iid_spec, random_iid_spec
+from support import DRAIN, GROWTH, MM_SPEC, det_spec, erlang_b, iid_spec, mm1_wait_tail, random_iid_spec
 
 
 def test_erlang_b_values():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from impatientq import loynes, metrics
-from impatientq.kernel import advance, advance_lattice, advance_lower, advance_upper
+from impatientq.kernel import _merge_shift, advance, advance_lattice
 from impatientq.sequences import (
     Deterministic,
     DriverSample,
@@ -170,7 +170,7 @@ def test_bound_report_matches_scalar_rolls(monkeypatch):
 
 
 def _kernel_roll(u0, one_step, blk):
-    """The scalar reference roll under one of the kernel's public maps."""
+    """The scalar reference roll under one step ``one_step(u, DriverSample)``."""
     return loynes._scalar_roll(u0, lambda u, *d: one_step(u, DriverSample(*d)), blk)
 
 
@@ -179,8 +179,8 @@ def _assert_stacked_matches_scalar_rolls(path, at, steps, starts):
     stacked = loynes.sandwich_states(path, at, steps, *starts)
     assert stacked.shape == (3, steps + 1, len(starts[0]))
     references = (_kernel_roll(starts[0], lambda u, d: advance(u, d).next, blk),
-                  _kernel_roll(starts[1], advance_lower, blk),
-                  _kernel_roll(starts[2], advance_upper, blk))
+                  _kernel_roll(starts[1], lambda u, d: _merge_shift(u, min(d.sigma, d.patience), d.tau), blk),
+                  _kernel_roll(starts[2], lambda u, d: _merge_shift(u, d.sigma + d.patience, d.tau), blk))
     for name, rows, reference in zip(("exact", "lower", "upper"), stacked, references):
         assert _identical(rows, reference), (name, steps, starts)
 

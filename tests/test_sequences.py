@@ -659,6 +659,8 @@ def test_infinite_patience_allowed():
     lambda: ShiftedExponential(-0.1, 1.0),
     lambda: LatticeDiscrete(1.0, (0, 1), (0.6, 0.6)),
     lambda: LatticeDiscrete(0.0, (1,), (1.0,)),
+    lambda: ShiftedExponential(math.nan, 1.0),
+    lambda: LatticeDiscrete(1.0, (1, 2), (math.nan, 1.0)),
 ])
 def test_invalid_distributions(bad):
     with pytest.raises(ConfigurationError):
