@@ -28,10 +28,14 @@ lattice-valued service and gaps the whole ordered box below the upper
 estimate is finite; propagating it forward with exact integer arithmetic
 yields a shrinking nested family of reachable sets whose collapse to a
 single point certifies a unique stationary state on the lattice. One
-pass enumerates the boxes of all requested depths; they propagate in
-lockstep as one int64 row per distinct state with a membership bit per
-depth, so every depth shares the same driver block and kernel calls.
-Equal states are found by one sort of exact int64 keys into which the
+pass enumerates the boxes of all requested depths, and every box row then
+takes its one step, all rows at once. When the box an index later holds
+the image, the image is found there by its lexicographic rank, a closed
+form over a table of suffix counts (the ranking of combinations, Knuth,
+TAOCP Vol. 4A, 7.2.1.3), so no sort is needed. Each row points to its
+image's row, and the rows reached from a depth's box at the target form
+that depth's set. Only images that no box holds step on index by index,
+and equal ones are merged by one sort of exact int64 keys into which the
 rows are packed, as many columns to a key as its base allows.
 """
 
@@ -39,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 from typing import Optional, Sequence
 
 import numpy as np
@@ -284,18 +287,30 @@ def reachable_profile(path: StationaryPath, servers: int, depths: Sequence[int],
     sets built from it.
 
     One ``_ordered_boxes`` pass enumerates every box, deepest first, so it
-    holds at most ``len(depths) * cap`` rows. They propagate in lockstep as
-    one int64 row per distinct state and uint64 words whose bit k is set
-    when the k-th depth's box reaches the state; every box row's word is
-    built once, and the box of depth ``d`` joins with its words at index
-    ``at-d``. Each index takes one step, one ``np.lexsort`` of the rows
-    packed into int64 keys (``_key_weights``), and keeps the first row of
-    each run of equal keys with the OR of the run's words; rows are held in
-    key order, which is lexicographic. The keys are exact: a step raises
-    the top coordinate by at most sigma and clips at zero, so over the
-    window every coordinate lies in ``[0, base)`` with ``base = max cap +
-    sum of sigma + 1``. The sets are read back from one bit matrix over
-    one list of row tuples.
+    holds at most ``len(depths) * cap`` rows. Every row is a node of one
+    forest, each edge leading from a state to its image one index later:
+
+    * **Bulk step.** Every box row but those at ``at`` takes its one step
+      in one ``advance_batch`` call per group of consecutive boxes holding
+      at most ``cap`` rows, which bounds the step's temporaries as ``cap``
+      bounds one box. An image that lies under the suffix-minimum caps of
+      the box one index later (when that depth was requested) is held
+      there, at the row its rank names (``_rank_tables``, ``_rank``); no
+      sort is needed.
+    * **Loose states.** An image that no box holds (the next depth was not
+      requested, or the image lies above its box) is a loose state. Only
+      loose states step index by index; each index tests them against its
+      box, if any, and merges equal ones by one ``np.lexsort`` of the rows
+      packed into exact int64 keys (``_key_weights``). A step raises the
+      top coordinate by at most sigma and clips at zero, so over the window
+      every coordinate lies in ``[0, base)`` with ``base = max cap + sum of
+      sigma + 1``.
+
+    The roots of the forest are the states at ``at``: the box of depth 0,
+    if requested, and the loose states left there. Each edge moves one
+    index on, so ``deepest.bit_length()`` rounds of pointer jumping take
+    every row to its root. Depth ``d``'s set is the roots reached from its
+    box, read back from one bit matrix over one list of root tuples.
 
     A box over ``cap`` is refused; of several, the error names the deepest
     one over it at the first column where any box is.
@@ -303,7 +318,9 @@ def reachable_profile(path: StationaryPath, servers: int, depths: Sequence[int],
     if not path.spec.is_lattice:
         raise ConfigurationError("reachable sets require a lattice-model spec")
     depths = sorted(set(int(d) for d in depths))
-    if not depths or depths[0] < 0:
+    if not depths:
+        raise ValueError("depths must name at least one depth")
+    if depths[0] < 0:
         raise ValueError("depths must be non-negative")
     deepest = depths[-1]
     alpha = path.spec.alpha
@@ -312,23 +329,66 @@ def reachable_profile(path: StationaryPath, servers: int, depths: Sequence[int],
     rolled = envelope_states(path, at - deepest, deepest, est.value, "upper")
     tau, sigma, deadline = _exact_drivers(path, at - deepest, deepest)
 
-    desc = depths[::-1]   # box j is the box of depth desc[j], with bit len(depths)-1-j
-    caps = np.floor(rolled[deepest - np.array(desc)] / alpha + 1e-9).astype(np.int64)
-    boxes, sizes = _ordered_boxes(caps, cap, [f"at depth {d} (index {at - d})" for d in desc])
-    joins = {d: slice(e - n, e) for d, n, e in zip(desc, sizes.tolist(), np.cumsum(sizes).tolist())}
-    bit = np.arange(len(depths))   # depths[k] owns bit k of the membership words
-    words = np.zeros((len(desc), (len(depths) + 63) // 64), dtype=np.uint64)
-    words[bit, bit[::-1] // 64] = np.uint64(1) << (bit[::-1] % 64).astype(np.uint64)
-    words = np.repeat(words, sizes, axis=0)   # one per box row, sliced like the boxes
+    desc = np.array(depths[::-1])   # box b is the box of depth desc[b], at driver row deepest - desc[b]
+    caps = np.floor(rolled[deepest - desc] / alpha + 1e-9).astype(np.int64)
+    boxes, sizes = _ordered_boxes(caps, cap, [f"at depth {d} (index {at - d})" for d in desc.tolist()])
+    tops = _suffix_minima(caps)
+    table, entry = _rank_tables(tops)
+    starts = np.cumsum(sizes) - sizes
+    box_at = dict(zip((deepest - desc).tolist(), range(len(desc))))   # driver row -> its box
     weights = _key_weights(int(caps.max()) + int(sigma.sum()) + 1, servers)
-    states, member = boxes[:0], words[:0]
-    for i in range(deepest + 1):
-        depth = deepest - i
-        if depth in joins:
-            states = np.concatenate((states, boxes[joins[depth]]))
-            member = np.concatenate((member, words[joins[depth]]))
-        if depth > 0:
-            states = advance_batch(states, tau[i], sigma[i], deadline[i])[0]
+
+    def place(states, b):
+        """Whether box ``b[r]`` holds row r of ``states``, and the row's
+        node there when it does. Each row is ranked clipped to its box's
+        caps, which keeps it ascending and inside the box."""
+        inside = np.ones(len(states), dtype=bool)
+        for j, top in enumerate(tops.T):
+            inside &= states[:, j] <= top.take(b)
+        clipped = (np.minimum(states[:, j], top.take(b)) for j, top in enumerate(tops.T))
+        return inside, starts.take(b) + _rank(table, entry.take(b), clipped)
+
+    # Bulk step: every box row but those at ``at`` steps once, and is
+    # tested against the next box when there is one an index later.
+    step_row = deepest - desc[desc > 0]   # the driver row of each box that steps
+    drivers = np.vstack((tau[step_row], sigma[step_row], deadline[step_row]))
+    follows = np.append(desc[1:] == desc[:-1] - 1, False)[:len(step_row)]   # box b+1 sits an index later
+    parent, loose_at, loose_states, loose_from = [], [], [], []
+    for lo, hi in _groups(sizes[:len(step_row)], cap):
+        reps = sizes[lo:hi]
+        images = advance_batch(boxes[starts[lo]:starts[hi - 1] + reps[-1]],
+                               *np.repeat(drivers[:, lo:hi], reps, axis=1))[0]
+        nxt = np.minimum(np.arange(lo, hi) + 1, len(desc) - 1)   # the last box has none after it
+        inside, nodes = place(images, np.repeat(nxt, reps))
+        inside &= np.repeat(follows[lo:hi], reps)
+        out = np.flatnonzero(~inside)
+        if len(out):
+            loose_at.append(np.repeat(step_row[lo:hi] + 1, reps)[out])
+            loose_states.append(images[out])
+            loose_from.append(out + starts[lo])
+        parent.append(nodes)
+        del images, inside   # before the next group steps
+    settled = int(sizes[:len(step_row)].sum())   # the rows from here on are the box at ``at``, if any
+    parent = np.concatenate(parent + [np.arange(settled, len(boxes))])
+    if loose_at:
+        loose_at, loose_states, loose_from = (np.concatenate(a) for a in (loose_at, loose_states, loose_from))
+
+    # Loose states step index by index from the first one.
+    links = []   # (nodes, the nodes of their images) found by the loose pass
+    roots, root_states = [np.arange(settled, len(boxes))], [boxes[settled:]]
+    count = len(boxes)
+    if len(loose_at):
+        states, nodes = boxes[:0], parent[:0]
+        cut = np.searchsorted(loose_at, np.arange(deepest + 2))
+        for i in range(int(loose_at[0]), deepest + 1):
+            if len(states):
+                states = advance_batch(states, tau[i - 1], sigma[i - 1], deadline[i - 1])[0]
+            states = np.concatenate((states, loose_states[cut[i]:cut[i + 1]]))
+            nodes = np.concatenate((nodes, loose_from[cut[i]:cut[i + 1]]))
+            if i in box_at:
+                inside, held = place(states, np.full(len(states), box_at[i]))
+                links.append((nodes[inside], held[inside]))
+                states, nodes = states[~inside], nodes[~inside]
             keys = [states[:, cols] @ w for cols, w in weights]
             order = np.lexsort(keys)
             keys = [key.take(order) for key in keys]
@@ -337,15 +397,27 @@ def reachable_profile(path: StationaryPath, servers: int, depths: Sequence[int],
             np.not_equal(keys[0][1:], keys[0][:-1], out=new[1:])
             for key in keys[1:]:
                 new[1:] |= key[1:] != key[:-1]
-            first = new.nonzero()[0]
-            states = states.take(order[first], axis=0)
-            member = np.bitwise_or.reduceat(member.take(order, axis=0), first, axis=0)
+            links.append((nodes.take(order), count - 1 + np.cumsum(new)))
+            states = states.take(order[new], axis=0)
+            nodes = count + np.arange(len(states))
+            count += len(states)
+        roots.append(nodes)
+        root_states.append(states)
 
-    bits = (member[:, bit // 64] >> (bit % 64).astype(np.uint64)) & np.uint64(1) == 1
-    rows = list(map(tuple, states.tolist()))
-    sets = [frozenset(compress(rows, col)) for col in bits.T.tolist()]
-    return [ReachableSet(d, p, alpha, len(boxes[joins[d]]), k == 0 or p <= sets[k - 1], est.coalesced)
-            for k, (d, p) in enumerate(zip(depths, sets))]
+    parent = np.concatenate((parent, np.arange(len(boxes), count)))
+    for src, dst in links:
+        parent[src] = dst
+    for _ in range(deepest.bit_length()):   # each edge moves one index on: 2^k >= deepest edges
+        parent = parent[parent]
+    roots = np.concatenate(roots)
+    where = np.empty(count, dtype=np.intp)
+    where[roots] = np.arange(len(roots))
+    bits = np.zeros((len(depths), len(roots)), dtype=bool)   # depths[k] owns row k
+    bits[np.repeat(np.arange(len(depths))[::-1], sizes), where[parent[:len(boxes)]]] = True
+    rows = list(map(tuple, np.concatenate(root_states).tolist()))
+    sets = [frozenset(map(rows.__getitem__, np.flatnonzero(member).tolist())) for member in bits]
+    return [ReachableSet(d, p, alpha, n, k == 0 or p <= sets[k - 1], est.coalesced)
+            for k, (d, p, n) in enumerate(zip(depths, sets, sizes[::-1].tolist()))]
 
 
 # Packed keys stay below this bound, so every key is an exact int64.
@@ -378,6 +450,67 @@ def _key_weights(base: int, width: int) -> list[tuple[slice, np.ndarray]]:
             for g in groups[::-1]]
 
 
+def _suffix_minima(caps) -> np.ndarray:
+    """Each cap lowered to the least cap at or after it: an ascending vector
+    under the caps has coordinate j at most every later cap too."""
+    return np.minimum.accumulate(np.asarray(caps, dtype=np.int64)[:, ::-1], axis=1)[:, ::-1]
+
+
+def _rank_tables(tops) -> tuple[np.ndarray, np.ndarray]:
+    """Rank tables of the boxes of a ``(B, S)`` array of suffix-minimum caps
+    ``c``, side by side in one ``(S, total)`` array, and each box's first
+    column.
+
+    Box b owns the ``c[b, -1] + 2`` columns from its first, and entry ``[j,
+    first + y]`` counts the ascending suffixes ``v_j <= ... <= v_{S-1}`` with
+    ``v_j >= y`` and ``v_k <= c[b, k]``; ``[0, first]`` is the box's size.
+    Row j is the reversed cumulative sum of row j+1 (row S counts the empty
+    suffix, 1) cut above ``c[b, j]``, all boxes at once. The box holds every
+    ``(0, ..., 0, y)`` with ``y <= c[b, -1]``, so its table has at most
+    ``(S+1) (size+1)`` entries, whatever the largest cap.
+    """
+    width = tops[:, -1] + 2
+    first = np.cumsum(width) - width
+    y = np.arange(width.sum()) - np.repeat(first, width)
+    above = y > np.repeat(tops.T, width, axis=1)   # row j: the columns above cap j
+    table = np.empty(above.shape, dtype=np.int64)
+    count = np.ones(len(y), dtype=np.int64)   # row S
+    for j in range(len(above) - 1, -1, -1):
+        count[above[j]] = 0
+        tail = np.cumsum(count[::-1])[::-1]   # from each column to the last of all boxes
+        count = table[j] = tail - np.repeat(np.append(tail[first[1:]], 0), width)
+    return table, first
+
+
+def _rank(table: np.ndarray, first, columns) -> np.ndarray:
+    """Lexicographic rank of each ascending row in its box, from the rank
+    tables (``_rank_tables``), the box's first column there and the row's
+    coordinates, one column at a time. The rows before ``v`` share its
+    first j coordinates and have a smaller coordinate j, so with ``v_{-1} =
+    0`` the rank is ``sum_j T[j, v_{j-1}] - T[j, v_j]``."""
+    rank = table[0].take(first)   # T[0, v_{-1}]: the box size
+    for j, col in enumerate(columns):
+        col = col + first
+        rank -= table[j].take(col)
+        if j + 1 < len(table):
+            rank += table[j + 1].take(col)
+    return rank
+
+
+def _groups(sizes: np.ndarray, cap: int) -> list[tuple[int, int]]:
+    """Runs ``[first, last)`` of consecutive boxes of at most ``cap`` rows in
+    all, each as long as the next box allows (one box alone is within it)."""
+    groups, first, rows = [], 0, 0
+    for b, n in enumerate(sizes.tolist()):
+        if rows + n > cap and b > first:
+            groups.append((first, b))
+            first, rows = b, 0
+        rows += n
+    if len(sizes):
+        groups.append((first, len(sizes)))
+    return groups
+
+
 def _ordered_boxes(caps, cap: int, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """The ordered integer vectors of every box of a ``(B, S)`` array of cap
     rows (coordinate j at most ``caps[b, j]``) in one pass: int64 rows
@@ -396,7 +529,7 @@ def _ordered_boxes(caps, cap: int, names: Sequence[str]) -> tuple[np.ndarray, np
     owner = np.arange(len(caps))
     low = np.zeros(len(caps), dtype=np.int64)
     coords, parents = [], []
-    for col in np.minimum.accumulate(caps[:, ::-1], axis=1)[:, ::-1].T:
+    for col in _suffix_minima(caps).T:
         counts = np.maximum(col[owner] - low + 1, 0)
         over = np.flatnonzero(np.bincount(owner, weights=counts, minlength=len(caps)) > cap)
         if len(over):
@@ -410,7 +543,7 @@ def _ordered_boxes(caps, cap: int, names: Sequence[str]) -> tuple[np.ndarray, np
         parents.append(parent)
     sizes = np.bincount(owner, minlength=len(caps))
     del owner, low, parent   # before the box is allocated
-    box = np.empty((len(coords[-1]), len(coords)), dtype=np.int64)
+    box = np.empty((len(coords[-1]), len(coords)), dtype=np.int64, order="F")   # the step reads whole columns
     rows = slice(None)
     for j in range(len(coords) - 1, -1, -1):   # popped, so each column is freed once read
         box[:, j] = coords.pop()[rows]

@@ -10,6 +10,9 @@ from impatientq.coupling import (
     _key_columns,
     _key_weights,
     _ordered_boxes,
+    _rank,
+    _rank_tables,
+    _suffix_minima,
     cftp,
     detect_renovation,
     reachable_profile,
@@ -528,6 +531,37 @@ def test_cftp_reports_certified_box():
     assert res.z_depth >= 3 and 0.0 <= res.z_risk <= 1e-12
 
 
+def test_cftp_lattice_box_holds_the_stationary_state(monkeypatch):
+    # On a lattice path the exact chain starts from the box of multiples
+    # [0, floor(Z / alpha + 1e-9)]. On this queue the stationary state often
+    # sits exactly on that top, so a box one multiple lower misses it. The
+    # top of each fresh chain (a new path per target remembers no chain)
+    # must hold the depth-64 reachable singleton at its start index, which
+    # is the stationary state there. The chain itself stays open here: with
+    # L0 <= D < U0 its hull keeps both 0 and a state of at least sigma - 1.
+    spec = SequenceSpec(model="lattice", seed=3, alpha=1.0,
+                        tau=LatticeDiscrete(1.0, (1,), (1.0,)),
+                        sigma=LatticeDiscrete(1.0, (1, 2), (0.5, 0.5)),
+                        patience=Deterministic(1.0))
+    real, tops = coupling._bounding_chain, {}
+
+    def chain(path, start, steps, lo, hi, kind="exact"):
+        if kind == "exact":
+            assert lo == (0,)
+            tops[start] = hi
+        return real(path, start, steps, lo, hi, kind)
+
+    monkeypatch.setattr(coupling, "_bounding_chain", chain)
+    for t in range(0, 600, 3):
+        cftp(StationaryPath(spec), 1, at=t, max_horizon=64)
+    on_top = 0
+    for start, top in tops.items():
+        (state,) = reachable_profile(StationaryPath(spec), 1, (64,), at=start)[0].points
+        assert state <= top, (start, state, top)
+        on_top += state == top
+    assert len(tops) >= 200 and on_top >= len(tops) // 2, (len(tops), on_top)
+
+
 def _rescaled(spec, c):
     """``spec`` with every time (gap, service, patience) multiplied by ``c``."""
     def law(d):
@@ -744,10 +778,56 @@ def test_ordered_boxes_cap_names_the_box_over_it():
     assert exc.value.requested == 7 ** 3 and "shallow" in str(exc.value)
 
 
+def test_rank_tables_rank_every_box_row():
+    # T[0, 0] of each box is its size, and the rank of every row of a box is
+    # its place in the box's lexicographic order. Half the trials draw caps
+    # that are not ascending, which need lowering to suffix minima; the
+    # all-zero row holds one state.
+    rng = np.random.default_rng(77)
+    lowered = 0
+    for trial in range(48):
+        servers = 1 + trial % 8
+        caps = rng.integers(0, 7 if servers <= 4 else 4, size=(1 + trial % 5, servers))
+        if trial % 2:
+            caps = np.sort(caps, axis=1)
+        caps[-1] = 0
+        tops = _suffix_minima(caps)
+        lowered += int((tops != caps).any())
+        box, sizes = _ordered_boxes(caps, 10**6, [str(b) for b in range(len(caps))])
+        table, first = _rank_tables(tops)
+        want = [len(ordered_box_reference(row)) for row in caps.tolist()]
+        assert table[0, first].tolist() == sizes.tolist() == want, caps
+        owner = np.repeat(np.arange(len(caps)), sizes)
+        place = np.arange(len(box)) - (np.cumsum(sizes) - sizes)[owner]
+        assert _rank(table, first[owner], box.T).tolist() == place.tolist(), caps
+    assert lowered >= 10
+
+
+def test_reachable_profile_in_groups_of_boxes(monkeypatch):
+    # A cap just above the largest box steps the boxes in several groups;
+    # every set, box size and nesting flag equals the run in one group. The
+    # last depth list has gaps, so the images of the boxes before each gap
+    # are loose states.
+    groups, real = [], coupling._groups
+
+    def grouped(sizes, cap):
+        groups.append(real(sizes, cap))
+        return groups[-1]
+
+    monkeypatch.setattr(coupling, "_groups", grouped)
+    path = StationaryPath(LATTICE)
+    for at, depths in ((0, range(31)), (257, range(31)), (514, (0, 1, 2, 5, 6, 9, 14, 15, 16, 30))):
+        whole = reachable_profile(path, 3, depths, at=at)
+        assert len(groups.pop()) == 1
+        cap = max(s.box_size for s in whole) + 1
+        assert reachable_profile(path, 3, depths, at=at, cap=cap) == whole, at
+        assert len(groups.pop()) >= 3, at
+
+
 def test_reachable_profile_two_membership_words():
-    # More than 64 depths: the membership bits of the deepest sets live in a
-    # second uint64 word. A null-drift queue with long patience keeps those
-    # sets apart from the shallow ones, so a word mix-up shows.
+    # More than 64 depths, so a profile whose depths were packed into one
+    # 64-bit word would fold the deepest sets into shallow ones. A null-drift
+    # queue with long patience keeps those sets apart, so a mix-up shows.
     def spec(seed, tau, sigma, patience):
         return SequenceSpec(
             model="lattice", seed=seed, alpha=1.0,
@@ -761,7 +841,7 @@ def test_reachable_profile_two_membership_words():
         path = StationaryPath(lattice)
         got = reachable_profile(path, servers, range(70))
         assert got == reachable_profile_reference(path, servers, range(70)), lattice
-        if servers == 1:   # the second word holds sets of several sizes
+        if servers == 1:   # the depths past 64 hold sets of several sizes
             assert len(got[64]) > 1 and len(got[69]) == 1
 
 
@@ -844,10 +924,10 @@ def test_packing_base_bounds_every_propagated_coordinate(monkeypatch):
 
 
 def test_reachable_profile_against_per_depth_reference(monkeypatch):
-    # Lockstep propagation of all depths at once against each depth's box
-    # stepped on its own, state by state, with rows packed into one key per
-    # row (the int64 limit), into keys of one to three columns, and into
-    # one key per column.
+    # The bulk step of all depths at once against each depth's box stepped
+    # on its own, state by state. Gaps between the depths make loose states,
+    # whose rows pack into one key per row (the int64 limit), into keys of
+    # one to three columns, and into one key per column.
     for limit in (1 << 63, 1 << 12, 1):
         monkeypatch.setattr(coupling, "_KEY_LIMIT", limit)
         _compare_profile_with_reference()
@@ -903,5 +983,7 @@ def test_reachable_set_depth_validation():
         sigma=LatticeDiscrete(1.0, (1,), (1.0,)),
         patience=Deterministic(0.0),
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-negative"):
         reachable_profile(StationaryPath(spec), 1, (-1, 0))
+    with pytest.raises(ValueError, match="at least one depth"):
+        reachable_profile(StationaryPath(spec), 1, [])

@@ -13,7 +13,13 @@ from impatientq.loynes import (
     supremum_bound,
 )
 from impatientq.metrics import estimate_conditions
-from impatientq.sequences import Deterministic, Exponential, StationaryPath
+from impatientq.sequences import (
+    Deterministic,
+    Exponential,
+    ModulationSpec,
+    SequenceSpec,
+    StationaryPath,
+)
 from support import (
     CERTIFY,
     DRAIN,
@@ -308,16 +314,25 @@ def test_supremum_certificate_against_deep_reference():
 def test_supremum_risk_closed_form():
     # Exp(1) gaps, Exp(0.4) service, Exp(0.2) patience: phi/(1-phi) = 1/theta,
     # so risk = min over the grid of M_sigma M_D e^(-theta (m + T)) / theta;
-    # the grid is 2^-8 .. 2^3 in eighth octaves over the largest mean, 5
-    spec = iid_spec(1, Exponential(1.0), Exponential(0.4), Exponential(0.2))
-    path = StationaryPath(spec)
-    for at, depth in ((28, 40), (35, 150), (7, 400)):
-        zb = supremum_bound(path, at, "upper", depth, 3)
-        assert zb.values[0] < zb.values[-1]   # the least coordinate is the one that counts
-        elapsed = float(path.block(at - depth, depth).tau.sum())
-        want = min(0.4 / (0.4 - t) * 0.2 / (0.2 - t) * math.exp(-t * (zb.values[0] + elapsed)) / t
-                   for t in (2.0 ** (k / 8) / 5.0 for k in range(-64, 25)) if t < 0.2)
-        assert zb.risk == pytest.approx(min(want, 1.0), rel=1e-9), (at, depth)
+    # the grid is 2^-8 .. 2^3 in eighth octaves over the largest mean, 5.
+    # Under Markov modulation each factor comes from its worst state: here
+    # the gaps from the state with the shorter Exp(2) gaps (phi = 2/(2+theta)
+    # against 1/(1+theta), so phi/(1-phi) = 2/theta), the work from the other.
+    # Its seed puts the least coordinate below the top one in all three reads.
+    iid = iid_spec(1, Exponential(1.0), Exponential(0.4), Exponential(0.2))
+    modulated = SequenceSpec(model="markov_modulated", seed=162, modulation=ModulationSpec(
+        transition=((0.6, 0.4), (0.3, 0.7)),
+        states=((Exponential(2.0), Exponential(0.5), Exponential(0.25)),
+                (Exponential(1.0), Exponential(0.4), Exponential(0.2)))))
+    for spec, gaps in ((iid, 1.0), (modulated, 2.0)):
+        path = StationaryPath(spec)
+        for at, depth in ((28, 40), (35, 150), (7, 400)):
+            zb = supremum_bound(path, at, "upper", depth, 3)
+            assert zb.values[0] < zb.values[-1]   # the least coordinate is the one that counts
+            elapsed = float(path.block(at - depth, depth).tau.sum())
+            want = min(0.4 / (0.4 - t) * 0.2 / (0.2 - t) * math.exp(-t * (zb.values[0] + elapsed)) * gaps / t
+                       for t in (2.0 ** (k / 8) / 5.0 for k in range(-64, 25)) if t < 0.2)
+            assert zb.risk == pytest.approx(min(want, 1.0), rel=1e-9), (spec.model, at, depth)
 
 
 def test_supremum_risk_fields():
