@@ -16,10 +16,12 @@ at the target, that point is the stationary workload, bit for bit. The same
 routine reads each monotone envelope's backward limit from the box of its
 own kind: an envelope's contribution does not depend on the state, so its
 chain is the two rolls of dominated CFTP (Kendall & Moller 2000). A path
-remembers each start's box and chain, so a later target that starts at the
-same index resumes the chain instead of reading the box again; the chain
-is a deterministic function of its interval and of index-tied drivers, so
-the result is the same, bit for bit.
+remembers each start's box and chain, and starts lie on a grid of
+absolute indices, so later targets that share a start resume its chain
+instead of reading the box again. The chain is a deterministic function of
+its interval and of index-tied drivers, and from a certified box it closes
+to the stationary state whatever its start, so the result is the same, bit
+for bit.
 
 Every exact step here, on a lattice path too, is the one exact map: there
 it runs on int64 multiples of ``alpha`` with each patience's integer
@@ -113,8 +115,8 @@ def detect_renovation(path: StationaryPath, servers: int,
 
 @dataclass(frozen=True)
 class CftpResult:
-    """A sample, the horizon that coalesced (or the last one tried), and the
-    depth and risk of the certified start box."""
+    """A sample, the length of the chain that closed (or of the last one
+    tried), and the depth and risk of the certified start box."""
 
     value: Optional[tuple[float, ...]]
     coalesced: bool
@@ -133,27 +135,30 @@ def cftp(path: StationaryPath, servers: int, at: int = 0,
     coupling from the past.
 
     ``kind`` is ``"exact"`` (the workload) or ``"lower"`` / ``"upper"`` (an
-    envelope, whose sample is its backward limit). At horizon n a bounding
-    chain runs from index ``at-n`` to ``at``, started from the box between
-    the empty state and the certified supremum vector of the same kind
-    (upper for the exact map) at ``at-n``. The horizon doubles from
-    ``max(2S, 16)``, or from ``max_horizon`` if that is smaller, until the
-    chain closes to a point at ``at``; it never exceeds ``max_horizon``,
-    which must be at least 1. Drivers are tied to indices, so deeper
-    horizons replay the same randomness. The exact chain runs on int64
-    multiples on a lattice path; an envelope's always runs in floats.
+    envelope, whose sample is its backward limit). A bounding chain runs
+    from a start to ``at``, started from the box between the empty state
+    and the certified supremum vector of the same kind (upper for the exact
+    map) there. Rung ``h`` doubles from ``max(2S, 16)``, or from
+    ``max_horizon`` if that is smaller, until the chain closes to a point at
+    ``at``; it starts at the last multiple of ``h`` in absolute index at or
+    before ``at - h``, but not before ``at - max_horizon`` (``>= 1``).
+    ``horizon_used`` is ``at`` less the start: in ``[h, 2h)``, at most
+    ``max_horizon``, and equal to it when the chain stays open. Drivers are
+    tied to indices, so deeper rungs replay the same randomness. The exact
+    chain runs on int64 multiples on a lattice path; an envelope's always
+    runs in floats.
 
     The path remembers, for the ``CHAIN_MEMO`` starts used last (keyed on
     the absolute start index, ``servers`` and ``kind``), the certified box
     read there and the furthest index its chain has reached, with the
-    interval there. A start seen before skips the box read; its chain
-    resumes from that index when the index is not past ``at``, and reruns
-    from the box otherwise. The chain is a deterministic function of its
-    interval and of drivers tied to indices, so a resumed chain ends on the
-    interval a fresh one would, bit for bit: the memo changes no result. A
-    start first seen by the exact chain takes the box the upper envelope's
-    chain read there, and vice versa. A start whose box is refused is never
-    remembered.
+    interval there. A start seen before (consecutive targets share the
+    starts of each rung) skips the box read; its chain resumes from that
+    index when the index is not past ``at``, and reruns from the box
+    otherwise. The chain is a deterministic function of its interval and of
+    drivers tied to indices, so a resumed chain ends on the interval a fresh
+    one would, bit for bit: the memo changes no result. A start first seen
+    by the exact chain takes the box the upper envelope's chain read there,
+    and vice versa. A start whose box is refused is never remembered.
     """
     if servers < 1:
         raise ValueError("servers must be >= 1")
@@ -164,9 +169,10 @@ def cftp(path: StationaryPath, servers: int, at: int = 0,
     lattice = kind == "exact" and path.spec.is_lattice
     chains = path._chains
     twin = {"exact": "upper", "upper": "exact"}.get(kind)  # the other kind whose chain starts from this box
-    horizon = min(max(2 * servers, 16), max_horizon)
+    rung = min(max(2 * servers, 16), max_horizon)
     while True:
-        start = at - horizon
+        start = max((at + path.offset - rung) // rung * rung - path.offset, at - max_horizon)
+        horizon = at - start
         key = (start + path.offset, servers, kind)
         # (box, absolute index the chain reached, L and U there); taken out
         # and put back, so the entry evicted first is the least recently used
@@ -197,7 +203,7 @@ def cftp(path: StationaryPath, servers: int, at: int = 0,
             return CftpResult(lo, True, horizon, zb.horizon, zb.risk)
         if horizon >= max_horizon:
             return CftpResult(None, False, horizon, zb.horizon, zb.risk)
-        horizon = min(2 * horizon, max_horizon)
+        rung = min(2 * rung, max_horizon)
 
 
 def _envelope_estimate(path: StationaryPath, servers: int, at: int, kind: str) -> CftpResult:

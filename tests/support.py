@@ -11,7 +11,7 @@ import numpy as np
 
 from impatientq.coupling import ReachableSet, _bounding_chain, cftp
 from impatientq.kernel import _require_ordered, advance_lattice
-from impatientq.loynes import _effective_work, envelope_states
+from impatientq.loynes import _effective_work, certified_supremum, envelope_states
 from impatientq.sequences import (
     _CHAIN_BLOCK,
     STREAM_MODULATION,
@@ -258,6 +258,30 @@ def renovation_box(path: StationaryPath, servers: int, ev) -> tuple[tuple, tuple
     if path.spec.is_lattice:
         top, zero = tuple(math.floor(v / path.spec.alpha + 1e-9) for v in top), 0
     return _bounding_chain(path, ev.index, servers - 1, (zero,) * servers, top)
+
+
+def cftp_from_unaligned_starts(path: StationaryPath, servers: int, at: int,
+                               max_horizon: int = 1 << 20, kind: str = "exact"):
+    """Reference for ``coupling.cftp``'s value from another start rule:
+    horizon h doubles from ``max(2S, 16)`` (or ``max_horizon``) and starts
+    at ``at - h`` exactly, with its own box read and a fresh bounding chain,
+    no memo. The box rule is ``cftp``'s: between empty and the certified
+    supremum vector of the same kind (upper for the exact map), on a
+    lattice path in the multiples ``floor(z / alpha + 1e-9)``. The point the
+    chain closes to at ``at``, or ``None`` when no horizon closes it."""
+    lattice = kind == "exact" and path.spec.is_lattice
+    horizon = min(max(2 * servers, 16), max_horizon)
+    while True:
+        top = certified_supremum(path, at - horizon, "upper" if kind == "exact" else kind, servers).values
+        zero = 0.0
+        if lattice:
+            top, zero = tuple(math.floor(v / path.spec.alpha + 1e-9) for v in top), 0
+        lo, hi = _bounding_chain(path, at - horizon, horizon, (zero,) * servers, top, kind)
+        if lo == hi:
+            return tuple(float(k) * path.spec.alpha for k in lo) if lattice else lo
+        if horizon >= max_horizon:
+            return None
+        horizon = min(2 * horizon, max_horizon)
 
 
 def path_of(spec) -> StationaryPath:

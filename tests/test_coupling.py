@@ -36,6 +36,7 @@ from support import (
     LATTICE,
     MM_SPEC,
     advance_direct_batch,
+    cftp_from_unaligned_starts,
     deep_envelope,
     det_spec,
     iid_spec,
@@ -254,18 +255,93 @@ def test_cftp_equals_deep_forward_roll(seed):
 
 
 def test_cftp_horizon_never_exceeds_max_horizon():
-    # max_horizon below the starting horizon max(2S, 16) = 16 caps the start.
+    # max_horizon below the starting horizon max(2S, 16) = 16 caps the start,
+    # and a cap that is no power of two clips the grid start of the last
+    # rung to at - max_horizon: on targets off every grid, negative targets
+    # and a shifted path. An open chain spans the whole cap; TWO_CYCLES
+    # never closes.
+    open_chains = 0
+    for spec, servers in ((CERTIFY, 3), (MM_SPEC, 2), (TWO_CYCLES, 1)):
+        for offset in (0, 37):
+            path = StationaryPath(spec).shifted(offset)
+            for t in (7, 23, 101, 999, -5, -77, -1000):
+                for max_horizon in (1, 3, 4, 8, 16, 24, 32, 100, 1000):
+                    res = cftp(path, servers, at=t, max_horizon=max_horizon)
+                    assert res.horizon_used <= max_horizon, (spec.seed, offset, t, max_horizon, res)
+                    if res.coalesced:
+                        free = cftp(StationaryPath(spec).shifted(offset), servers, at=t)
+                        assert res.value == free.value, (spec.seed, offset, t, max_horizon, res)
+                    else:
+                        assert res.horizon_used == max_horizon, (spec.seed, offset, t, max_horizon, res)
+                        open_chains += 1
+    assert open_chains >= 2 * 7 * 9, open_chains
+
+
+def test_cftp_ladder_at_zero_is_unchanged():
+    # At index 0 of an unshifted path the grid starts of rung h are -h, so
+    # the horizons are the doubling ladder 16, 32, 64, ... (from 2S when S
+    # is above 8), or the cap.
+    rng = np.random.default_rng(29)
+    specs = [(CERTIFY, 3), (MM_SPEC, 2), (LATTICE, 3), (TWO_CYCLES, 1)]
+    specs += [(random_iid_spec(rng), 1 + k % 3) for k in range(4)]
+    specs += [(random_mm_spec(rng), 2), (random_lattice_spec(rng, alpha=0.5), 2), (CERTIFY, 9)]
+    seen = set()
+    for spec, servers in specs:
+        first = max(2 * servers, 16)
+        for kind in KINDS:
+            for max_horizon in (64, 1 << 20):
+                res = cftp(StationaryPath(spec), servers, at=0, max_horizon=max_horizon, kind=kind)
+                ratio = res.horizon_used // first
+                on_ladder = res.horizon_used == first * ratio and ratio & (ratio - 1) == 0
+                assert on_ladder or res.horizon_used == max_horizon, (spec.seed, kind, res)
+                seen.add(ratio)
+    assert {1, 2, 4} <= seen, seen
+
+
+@pytest.mark.parametrize("model", ["certify", "markov", "lattice", "random"])
+def test_cftp_value_does_not_depend_on_the_start(model):
+    # Every value where both close equals, bit for bit, the chain's from the
+    # unaligned starts at - h with a fresh box read at each horizon.
+    rng = np.random.default_rng(2930)
+    if model == "random":
+        cases = [(random_iid_spec(rng), 2), (random_mm_spec(rng), 3),
+                 (random_lattice_spec(rng, alpha=0.5), 2), (random_heavy_spec(rng, 2), 2)]
+    else:
+        cases = [{"certify": (CERTIFY, 3), "markov": (MM_SPEC, 2), "lattice": (LATTICE, 3)}[model]]
+    both = 0
+    for spec, servers in cases:
+        path = StationaryPath(spec)
+        for kind in KINDS:
+            for t in list(range(-40, 40, 3)) + [1000 + 17 * k for k in range(8)]:
+                res = cftp(path, servers, at=t, max_horizon=256, kind=kind)
+                want = cftp_from_unaligned_starts(StationaryPath(spec), servers, t, 256, kind)
+                if res.coalesced and want is not None:
+                    both += 1
+                    assert np.array_equal(np.array(res.value).view(np.int64), np.array(want).view(np.int64)), \
+                        (spec.seed, kind, t, res, want)
+    assert both >= 50 * len(cases), both
+
+
+def test_consecutive_cftp_targets_step_few_merges(monkeypatch):
+    # 100 consecutive targets share their chains: each resumes the one
+    # before by a step, 798 _merge_shift calls in all. Without the memo the
+    # chains take 11,443 calls, and from the unaligned starts at - h 11,805.
+    calls = []
+    merge_shift = coupling._merge_shift
+    monkeypatch.setattr(coupling, "_merge_shift", lambda *a: calls.append(1) or merge_shift(*a))
     path = StationaryPath(CERTIFY)
-    free = cftp(path, 3, at=7)
-    for max_horizon in (1, 4, 8, 16, 32):
-        res = cftp(path, 3, at=7, max_horizon=max_horizon)
-        assert res.horizon_used <= max_horizon, (max_horizon, res)
-        assert res.value == (free.value if res.coalesced else None), (max_horizon, res)
+    for t in range(1, 101):
+        assert cftp(path, 3, at=t).coalesced
+    assert len(calls) <= 1000, len(calls)
 
 
 def test_consecutive_cftp_targets_share_driver_generations(monkeypatch):
     # Every horizon of every target reads a window inside one page cover of
     # the path's memo; one window per read would generate over 200 times.
+    # A grid start lies up to 2h - 1 indices before its target, and the box
+    # read asks for a window that reaches the target, so the read and the
+    # chain share one cover even when the chain crosses a page edge (index
+    # 4096) where the box read alone would stop.
     from impatientq import sequences
 
     generated = []
@@ -281,12 +357,19 @@ def test_consecutive_cftp_targets_share_driver_generations(monkeypatch):
     for t in range(1, 101):
         assert cftp(path, 3, at=t).coalesced
     assert 1 <= len(generated) <= 2, generated
+    for t in range(4097, 4112):
+        generated.clear()
+        assert cftp(StationaryPath(CERTIFY), 3, at=t).coalesced
+        assert len(generated) == 1, (t, generated)
 
 
 def test_consecutive_cftp_targets_read_each_box_once(monkeypatch):
-    # Target t at horizon h starts where target t - h/2 started at h/2, so
-    # past the deepest horizon only each target's first start is new.
-    # Without the chain memo, cftp read about 2.3 boxes per target here.
+    # Rung h starts target t on the last multiple of h at or before t - h,
+    # so consecutive targets share their starts, and a multiple of 32 or 64
+    # is a start of rung 16 too: past the first 128 targets only every
+    # sixteenth target meets a new start, and 100 targets read 6 boxes.
+    # From the starts t - h, cftp would read one box per target here, and
+    # about 2.3 with no chain memo as well.
     from impatientq import coupling
 
     reads = []
@@ -297,7 +380,7 @@ def test_consecutive_cftp_targets_read_each_box_once(monkeypatch):
     reads.clear()
     for t in range(129, 229):
         assert cftp(path, 3, at=t).coalesced
-    assert max(horizons) <= 128 and len(reads) <= 110, len(reads)
+    assert max(horizons) <= 128 and 1 <= len(reads) <= 6, len(reads)
 
 
 def test_exact_and_upper_chains_share_one_box_read(monkeypatch):
@@ -401,11 +484,12 @@ def test_cftp_on_a_shifted_path():
 
 
 def test_cftp_memo_stays_bounded():
+    # targets 17 apart share no start, so 3000 of them fill the memo
     from impatientq import coupling
 
     path = StationaryPath(CERTIFY)
     for t in range(3000):
-        cftp(path, 3, at=t)
+        cftp(path, 3, at=17 * t)
         assert len(path._chains) <= coupling.CHAIN_MEMO
     assert len(path._chains) == coupling.CHAIN_MEMO
 
