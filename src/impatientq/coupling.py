@@ -30,20 +30,20 @@ lattice-valued service and gaps the whole ordered box below the upper
 estimate is finite; propagating it forward with exact integer arithmetic
 yields a shrinking nested family of reachable sets whose collapse to a
 single point certifies a unique stationary state on the lattice. One
-pass enumerates the boxes of all requested depths, and every box row then
-takes its one step, all rows at once. When the box an index later holds
-the image, the image is found there by its lexicographic rank, a closed
-form over a table of suffix counts (the ranking of combinations, Knuth,
-TAOCP Vol. 4A, 7.2.1.3), so no sort is needed. Each row points to its
-image's row, and the rows reached from a depth's box at the target form
-that depth's set. Only images that no box holds step on index by index,
-and equal ones are merged by one sort of exact int64 keys into which the
-rows are packed, as many columns to a key as its base allows.
+pass enumerates the boxes of every depth up to the deepest requested, and
+every box row then takes its one step, all rows at once. The exact map is
+dominated by the upper envelope, so each image lies in the box one index
+later, where its lexicographic rank, a closed form over a table of suffix
+counts (the ranking of combinations, Knuth, TAOCP Vol. 4A, 7.2.1.3),
+names its row with no sort; an image above that box is refused. Each row
+points to its image's row, and the rows reached from a depth's box at the
+target form that depth's set.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -292,38 +292,31 @@ def reachable_profile(path: StationaryPath, servers: int, depths: Sequence[int],
     may under-estimate the box, so the profile refuses rather than report
     sets built from it.
 
-    One ``_ordered_boxes`` pass enumerates every box, deepest first, so it
-    holds at most ``len(depths) * cap`` rows. Every row is a node of one
-    forest, each edge leading from a state to its image one index later:
+    One ``_ordered_boxes`` pass enumerates the box of every depth from 0 to
+    the deepest requested, requested or not, deepest first, so it holds at
+    most ``(deepest + 1) * cap`` rows; ``cap`` bounds every one of them. All
+    rows but those of the box at ``at`` then take their one step, one
+    ``advance_batch`` call per group of consecutive boxes holding at most
+    ``cap`` rows, which bounds the step's temporaries as ``cap`` bounds one
+    box. The exact map is dominated by the upper envelope, so the image of
+    a row of the depth-d box lies in the depth-(d-1) box one index later,
+    at the row its rank names (``_rank_tables``, ``_rank``); no sort is
+    needed. An image above that box would break the certificate, and is
+    refused with ``ContractError``.
 
-    * **Bulk step.** Every box row but those at ``at`` takes its one step
-      in one ``advance_batch`` call per group of consecutive boxes holding
-      at most ``cap`` rows, which bounds the step's temporaries as ``cap``
-      bounds one box. An image that lies under the suffix-minimum caps of
-      the box one index later (when that depth was requested) is held
-      there, at the row its rank names (``_rank_tables``, ``_rank``); no
-      sort is needed.
-    * **Loose states.** An image that no box holds (the next depth was not
-      requested, or the image lies above its box) is a loose state. Only
-      loose states step index by index; each index tests them against its
-      box, if any, and merges equal ones by one ``np.lexsort`` of the rows
-      packed into exact int64 keys (``_key_weights``). A step raises the
-      top coordinate by at most sigma and clips at zero, so over the window
-      every coordinate lies in ``[0, base)`` with ``base = max cap + sum of
-      sigma + 1``.
-
-    The roots of the forest are the states at ``at``: the box of depth 0,
-    if requested, and the loose states left there. Each edge moves one
-    index on, so ``deepest.bit_length()`` rounds of pointer jumping take
-    every row to its root. Depth ``d``'s set is the roots reached from its
-    box, read back from one bit matrix over one list of root tuples.
+    The groups step from the box at ``at`` back, and once a group is
+    placed its boxes take their roots, the rows of the box at ``at`` they
+    reach, from its last box back: the rows of the next box already hold
+    theirs, so a row takes the root of its image, one gather per row.
+    Depth ``d``'s set is the roots reached from its box, read back from one
+    bit matrix over the rows of the box at ``at``.
 
     A box over ``cap`` is refused; of several, the error names the deepest
     one over it at the first column where any box is.
     """
     if not path.spec.is_lattice:
         raise ConfigurationError("reachable sets require a lattice-model spec")
-    depths = sorted(set(int(d) for d in depths))
+    depths = sorted(set(map(operator.index, depths)))
     if not depths:
         raise ValueError("depths must name at least one depth")
     if depths[0] < 0:
@@ -331,129 +324,44 @@ def reachable_profile(path: StationaryPath, servers: int, depths: Sequence[int],
     deepest = depths[-1]
     alpha = path.spec.alpha
     est = _envelope_estimate(path, servers, at - deepest, "upper")
-    # Estimates at every shallower index, consistent by construction.
+    # Estimates at every shallower index, consistent by construction: box b
+    # is the box of depth deepest - b, at driver row b.
     rolled = envelope_states(path, at - deepest, deepest, est.value, "upper")
-    tau, sigma, deadline = _exact_drivers(path, at - deepest, deepest)
-
-    desc = np.array(depths[::-1])   # box b is the box of depth desc[b], at driver row deepest - desc[b]
-    caps = np.floor(rolled[deepest - desc] / alpha + 1e-9).astype(np.int64)
-    boxes, sizes = _ordered_boxes(caps, cap, [f"at depth {d} (index {at - d})" for d in desc.tolist()])
+    drivers = np.vstack(_exact_drivers(path, at - deepest, deepest))
+    caps = np.floor(rolled / alpha + 1e-9).astype(np.int64)
+    boxes, sizes = _ordered_boxes(caps, cap, [f"at depth {deepest - b} (index {at - deepest + b})"
+                                              for b in range(deepest + 1)])
     tops = _suffix_minima(caps)
     table, entry = _rank_tables(tops)
-    starts = np.cumsum(sizes) - sizes
-    box_at = dict(zip((deepest - desc).tolist(), range(len(desc))))   # driver row -> its box
-    weights = _key_weights(int(caps.max()) + int(sigma.sum()) + 1, servers)
+    starts = np.append(0, np.cumsum(sizes))   # box b holds rows starts[b]:starts[b + 1]
 
-    def place(states, b):
-        """Whether box ``b[r]`` holds row r of ``states``, and the row's
-        node there when it does. Each row is ranked clipped to its box's
-        caps, which keeps it ascending and inside the box."""
-        inside = np.ones(len(states), dtype=bool)
-        for j, top in enumerate(tops.T):
-            inside &= states[:, j] <= top.take(b)
-        clipped = (np.minimum(states[:, j], top.take(b)) for j, top in enumerate(tops.T))
-        return inside, starts.take(b) + _rank(table, entry.take(b), clipped)
-
-    # Bulk step: every box row but those at ``at`` steps once, and is
-    # tested against the next box when there is one an index later.
-    step_row = deepest - desc[desc > 0]   # the driver row of each box that steps
-    drivers = np.vstack((tau[step_row], sigma[step_row], deadline[step_row]))
-    follows = np.append(desc[1:] == desc[:-1] - 1, False)[:len(step_row)]   # box b+1 sits an index later
-    parent, loose_at, loose_states, loose_from = [], [], [], []
-    for lo, hi in _groups(sizes[:len(step_row)], cap):
-        reps = sizes[lo:hi]
-        images = advance_batch(boxes[starts[lo]:starts[hi - 1] + reps[-1]],
+    root = np.arange(len(boxes))   # each row's image's row, then the row of the box at ``at`` it reaches
+    for lo, hi in reversed(_groups(sizes[:-1], cap)):
+        reps, nxt = sizes[lo:hi], slice(lo + 1, hi + 1)   # the boxes the images lie in
+        images = advance_batch(boxes[starts[lo]:starts[hi]],
                                *np.repeat(drivers[:, lo:hi], reps, axis=1))[0]
-        nxt = np.minimum(np.arange(lo, hi) + 1, len(desc) - 1)   # the last box has none after it
-        inside, nodes = place(images, np.repeat(nxt, reps))
-        inside &= np.repeat(follows[lo:hi], reps)
-        out = np.flatnonzero(~inside)
-        if len(out):
-            loose_at.append(np.repeat(step_row[lo:hi] + 1, reps)[out])
-            loose_states.append(images[out])
-            loose_from.append(out + starts[lo])
-        parent.append(nodes)
-        del images, inside   # before the next group steps
-    settled = int(sizes[:len(step_row)].sum())   # the rows from here on are the box at ``at``, if any
-    parent = np.concatenate(parent + [np.arange(settled, len(boxes))])
-    if loose_at:
-        loose_at, loose_states, loose_from = (np.concatenate(a) for a in (loose_at, loose_states, loose_from))
+        above = np.zeros(len(images), dtype=bool)
+        for j, top in enumerate(tops[nxt].T):   # an ascending row under the suffix minima is under the caps
+            above |= images[:, j] > np.repeat(top, reps)
+        if above.any():
+            r = int(np.argmax(above))
+            b = int(np.searchsorted(starts, starts[lo] + r, side="right"))   # the box after the row's
+            raise ContractError(f"exact image {tuple(images[r].tolist())} at index {at - deepest + b} lies "
+                                f"above the upper estimate's box {tuple(caps[b].tolist())} there")
+        root[starts[lo]:starts[hi]] = (_rank(table, np.repeat(entry[nxt], reps), images.T)
+                                       + np.repeat(starts[nxt], reps))
+        del images, above   # before the next group steps
+        for b in range(hi - 1, lo - 1, -1):   # the rows of box b + 1 already hold their roots
+            root[starts[b]:starts[b + 1]] = root.take(root[starts[b]:starts[b + 1]])
 
-    # Loose states step index by index from the first one.
-    links = []   # (nodes, the nodes of their images) found by the loose pass
-    roots, root_states = [np.arange(settled, len(boxes))], [boxes[settled:]]
-    count = len(boxes)
-    if len(loose_at):
-        states, nodes = boxes[:0], parent[:0]
-        cut = np.searchsorted(loose_at, np.arange(deepest + 2))
-        for i in range(int(loose_at[0]), deepest + 1):
-            if len(states):
-                states = advance_batch(states, tau[i - 1], sigma[i - 1], deadline[i - 1])[0]
-            states = np.concatenate((states, loose_states[cut[i]:cut[i + 1]]))
-            nodes = np.concatenate((nodes, loose_from[cut[i]:cut[i + 1]]))
-            if i in box_at:
-                inside, held = place(states, np.full(len(states), box_at[i]))
-                links.append((nodes[inside], held[inside]))
-                states, nodes = states[~inside], nodes[~inside]
-            keys = [states[:, cols] @ w for cols, w in weights]
-            order = np.lexsort(keys)
-            keys = [key.take(order) for key in keys]
-            new = np.empty(len(order), dtype=bool)   # first row of each distinct state
-            new[:1] = True
-            np.not_equal(keys[0][1:], keys[0][:-1], out=new[1:])
-            for key in keys[1:]:
-                new[1:] |= key[1:] != key[:-1]
-            links.append((nodes.take(order), count - 1 + np.cumsum(new)))
-            states = states.take(order[new], axis=0)
-            nodes = count + np.arange(len(states))
-            count += len(states)
-        roots.append(nodes)
-        root_states.append(states)
-
-    parent = np.concatenate((parent, np.arange(len(boxes), count)))
-    for src, dst in links:
-        parent[src] = dst
-    for _ in range(deepest.bit_length()):   # each edge moves one index on: 2^k >= deepest edges
-        parent = parent[parent]
-    roots = np.concatenate(roots)
-    where = np.empty(count, dtype=np.intp)
-    where[roots] = np.arange(len(roots))
-    bits = np.zeros((len(depths), len(roots)), dtype=bool)   # depths[k] owns row k
-    bits[np.repeat(np.arange(len(depths))[::-1], sizes), where[parent[:len(boxes)]]] = True
-    rows = list(map(tuple, np.concatenate(root_states).tolist()))
+    first = starts[deepest]
+    bits = np.zeros((len(depths), len(boxes) - first), dtype=bool)   # depths[k] owns row k
+    for k, d in enumerate(depths):
+        bits[k, root[starts[deepest - d]:starts[deepest - d + 1]] - first] = True
+    rows = list(map(tuple, boxes[first:].tolist()))
     sets = [frozenset(map(rows.__getitem__, np.flatnonzero(member).tolist())) for member in bits]
-    return [ReachableSet(d, p, alpha, n, k == 0 or p <= sets[k - 1], est.coalesced)
-            for k, (d, p, n) in enumerate(zip(depths, sets, sizes[::-1].tolist()))]
-
-
-# Packed keys stay below this bound, so every key is an exact int64.
-_KEY_LIMIT = 1 << 63
-
-
-def _key_columns(base: int, width: int) -> int:
-    """Columns per packed key for coordinates in ``[0, base)``: the largest
-    ``k <= width`` with ``base**k < _KEY_LIMIT``, and at least one."""
-    k = 1
-    while k < width and base ** (k + 1) < _KEY_LIMIT:
-        k += 1
-    return k
-
-
-def _key_weights(base: int, width: int) -> list[tuple[slice, np.ndarray]]:
-    """Column groups and int64 weights that pack rows of ``width``
-    coordinates in ``[0, base)`` into exact keys, ``rows[:, group] @ weights``.
-
-    Each group reads as a number in base ``base``, first column most
-    significant, so equal keys mean equal rows; at S = 3 one group holds
-    the row, and wider rows spill into further groups (base 354 puts seven
-    of eight columns in one). The groups are listed last first: one
-    ``np.lexsort`` sorts by its last key, so the rows come out in
-    lexicographic order whatever the number of keys.
-    """
-    k = _key_columns(base, width)
-    groups = [slice(a, min(a + k, width)) for a in range(0, width, k)]
-    return [(g, np.array([base ** e for e in range(g.stop - g.start - 1, -1, -1)], dtype=np.int64))
-            for g in groups[::-1]]
+    return [ReachableSet(d, p, alpha, int(sizes[deepest - d]), k == 0 or p <= sets[k - 1], est.coalesced)
+            for k, (d, p) in enumerate(zip(depths, sets))]
 
 
 def _suffix_minima(caps) -> np.ndarray:

@@ -90,12 +90,13 @@ def advance_batch(u: np.ndarray, tau, sigma, patience) -> tuple[np.ndarray, np.n
 def _merge_shift_batch(u: np.ndarray, x: np.ndarray, tau) -> np.ndarray:
     # States run along the last axis of ``u``; ``x`` has the leading shape
     # and ``tau`` broadcasts against it from the right. The gap and the clip
-    # take the state's dtype, so int64 lattice states stay int64.
+    # take the state's dtype, so int64 lattice states stay int64. Every
+    # step writes into ``out``, so no temporary of the state's size is made.
     out = np.empty_like(u)
     if u.shape[-1] > 1:
-        hi = np.maximum(u[..., :-1], x[..., None])
-        out[..., :-1] = np.minimum(hi, u[..., 1:])
-    out[..., -1] = np.maximum(u[..., -1], x)
+        np.maximum(u[..., :-1], x[..., None], out=out[..., :-1])
+        np.minimum(out[..., :-1], u[..., 1:], out=out[..., :-1])
+    np.maximum(u[..., -1], x, out=out[..., -1])
     out -= np.asarray(tau, dtype=u.dtype)[..., None]
     np.maximum(out, 0, out=out)
     return out

@@ -11,7 +11,7 @@ import pytest
 from impatientq import cli, coupling, metrics
 from impatientq.cli import main, replication_seed
 from impatientq.config import load_config, parse_config
-from impatientq.errors import ConfigurationError
+from impatientq.errors import ConfigurationError, ContractError
 from impatientq.sequences import Deterministic, Exponential, LatticeDiscrete, StationaryPath, Uniform
 
 MM2D_INI = """
@@ -513,8 +513,7 @@ hset_depth = 30
 """
 
 
-# The same model at S = 8, profiled to depth 80: its coordinates need base
-# 354, seven columns to an int64 key, so each row packs into two keys.
+# The same model at S = 8, profiled to depth 80: the widest rows.
 LATTICE_BENCH_S8_INI = LATTICE_BENCH_INI.replace("servers = 3", "servers = 8").replace(
     "hset_depth = 30", "hset_depth = 80")
 
@@ -569,11 +568,11 @@ def test_cli_hset_cap_exit_3(tmp_path, capsys):
     assert not (out / "hset.json").exists()
 
 
-def test_cli_hset_nesting_failure_exit_1(tmp_path, monkeypatch):
+def test_cli_hset_nesting_failure_exit_1(tmp_path, monkeypatch, capsys):
     # A rolled estimate lowered at depth 1 shrinks that box to the empty
-    # state, so the depth-2 set (the image of a larger box) falls outside
-    # the depth-1 set. Nesting is checked between the sets read back, so it
-    # must fail there and only there, and hset must refuse.
+    # state, so the images of the depth-2 box lie above it. Each image must
+    # lie in the box one index later, so the profile refuses, naming the
+    # index and the image, and hset exits 1 with that message.
     real = coupling.envelope_states
 
     def lowered(path, at, steps, u0, kind):
@@ -584,13 +583,13 @@ def test_cli_hset_nesting_failure_exit_1(tmp_path, monkeypatch):
     monkeypatch.setattr(coupling, "envelope_states", lowered)
     cfg = _write(tmp_path, "cfg.ini", LATTICE_BENCH_INI)
     spec = load_config(cfg).spec
-    sets = coupling.reachable_profile(StationaryPath(spec), 3, range(0, 31))
-    assert sets[1].box_size == len(sets[1]) == 1
-    assert [s.depth for s in sets if not s.nested_in_previous] == [2]
+    message = r"exact image \(0, 0, \d+\) at index -1 lies above the upper estimate's box \(0, 0, 0\) there"
+    with pytest.raises(ContractError, match=message):
+        coupling.reachable_profile(StationaryPath(spec), 3, range(0, 31))
     out = tmp_path / "out"
     assert main(["hset", "--config", cfg, "--out", str(out)]) == 1
-    payload = json.loads((out / "hset.json").read_text())
-    assert payload["all_nested"] is False
+    assert re.search(message, capsys.readouterr().err)
+    assert not (out / "hset.json").exists()
 
 
 def test_cli_hset_on_non_lattice_exit_2(tmp_path):

@@ -1,5 +1,4 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -7,8 +6,6 @@ import pytest
 from impatientq import coupling
 from impatientq.coupling import (
     _bounding_chain,
-    _key_columns,
-    _key_weights,
     _ordered_boxes,
     _rank,
     _rank_tables,
@@ -889,9 +886,8 @@ def test_rank_tables_rank_every_box_row():
 
 def test_reachable_profile_in_groups_of_boxes(monkeypatch):
     # A cap just above the largest box steps the boxes in several groups;
-    # every set, box size and nesting flag equals the run in one group. The
-    # last depth list has gaps, so the images of the boxes before each gap
-    # are loose states.
+    # every set, box size and nesting flag equals the run in one group, on
+    # contiguous and on gapped depths.
     groups, real = [], coupling._groups
 
     def grouped(sizes, cap):
@@ -929,95 +925,10 @@ def test_reachable_profile_two_membership_words():
             assert len(got[64]) > 1 and len(got[69]) == 1
 
 
-def test_key_columns_change_at_the_int64_limit():
-    # base**k must stay below 2**63: the column count per key drops by one
-    # where base**k reaches it
-    limit = 1 << 63
-    b2 = math.isqrt(limit - 1)
-    assert b2 ** 2 < limit < (b2 + 1) ** 2
-    assert _key_columns(b2, 8) == 2 and _key_columns(b2 + 1, 8) == 1
-    b3 = 1 << 21   # b3**3 is exactly 2**63
-    assert _key_columns(b3 - 1, 8) == 3 and _key_columns(b3, 8) == 2
-    assert _key_columns(2, 100) == 62 and _key_columns(3, 100) == 39
-    # never more columns than the row has, never fewer than one
-    assert _key_columns(354, 8) == 7 and _key_columns(354, 3) == 3
-    assert _key_columns(1, 5) == 5 and _key_columns(limit, 4) == 1
-
-
-@pytest.mark.parametrize("base, width", [((1 << 21) - 1, 8), (1 << 21, 8), (354, 8),
-                                         (math.isqrt((1 << 63) - 1), 5), (3, 100), (1 << 40, 2)])
-def test_packed_keys_are_exact_and_lexicographic(base, width):
-    weights = _key_weights(base, width)
-    assert sorted(c for cols, _ in weights for c in range(width)[cols]) == list(range(width))
-    rng = np.random.default_rng(base % 1000 + width)
-    top = np.full(width, base - 1, dtype=np.int64)
-    rows = [top] + [rng.integers(0, base, width) for _ in range(200)]
-    for j in range(width):   # the largest row with one column lowered by one
-        row = top.copy()
-        row[j] -= 1
-        rows.append(row)
-    rows = np.array(rows + rows[:20], dtype=np.int64)   # with repeats
-    keys = [rows[:, cols] @ w for cols, w in weights]
-    # each key is its group read as a number in base ``base``, exactly
-    for (cols, _), key in zip(weights, keys):
-        want = [sum(int(c) * base ** e for e, c in enumerate(reversed(row[cols].tolist()))) for row in rows]
-        assert key.tolist() == want and max(want) < 1 << 63
-    # so rows differing in any column (the last of a group too) differ in
-    # a key, and one sort over the keys orders the rows lexicographically
-    tuples = list(map(tuple, rows.tolist()))
-    assert len(set(zip(*(k.tolist() for k in keys)))) == len(set(tuples))
-    assert [tuples[i] for i in np.lexsort(keys)] == sorted(tuples)
-
-
-def test_packing_base_bounds_every_propagated_coordinate(monkeypatch):
-    # Keys are exact only if every coordinate stays below the base. States
-    # often climb above every cap, so the base needs the sigma term.
-    seen = {}
-    real_weights, real_boxes = coupling._key_weights, coupling._ordered_boxes
-    real_step = coupling.advance_batch
-
-    def weights(base, width):
-        seen["base"] = base
-        return real_weights(base, width)
-
-    def step(states, *drivers):
-        out = real_step(states, *drivers)
-        seen["top"] = max(seen["top"], int(out[0].max(initial=0)))
-        return out
-
-    def boxes(caps, *args):
-        seen["cap"] = int(np.max(caps))
-        return real_boxes(caps, *args)
-
-    monkeypatch.setattr(coupling, "_key_weights", weights)
-    monkeypatch.setattr(coupling, "advance_batch", step)
-    monkeypatch.setattr(coupling, "_ordered_boxes", boxes)
-    rng = np.random.default_rng(5)
-    above_caps = 0
-    for trial in range(60):
-        spec = random_lattice_spec(rng, alpha=1.0, sigma_max=2 + 3 * (trial % 3))
-        depth = int(rng.integers(1, 13))
-        seen["top"] = 0
-        try:
-            reachable_profile(StationaryPath(spec), 1 + trial % 4, (depth,) if trial % 2 else (0, depth))
-        except ContractError:   # unstabilized estimate
-            continue
-        assert seen["top"] < seen["base"], trial
-        above_caps += seen["top"] > seen["cap"]
-    assert above_caps >= 10
-
-
-def test_reachable_profile_against_per_depth_reference(monkeypatch):
+def test_reachable_profile_against_per_depth_reference():
     # The bulk step of all depths at once against each depth's box stepped
-    # on its own, state by state. Gaps between the depths make loose states,
-    # whose rows pack into one key per row (the int64 limit), into keys of
-    # one to three columns, and into one key per column.
-    for limit in (1 << 63, 1 << 12, 1):
-        monkeypatch.setattr(coupling, "_KEY_LIMIT", limit)
-        _compare_profile_with_reference()
-
-
-def _compare_profile_with_reference():
+    # on its own, state by state. The depths come unsorted, with a repeat
+    # and gaps; a gapped profile is the contiguous one read at its depths.
     rng = np.random.default_rng(2718)
     compared = 0
     for trial in range(36):
@@ -1036,7 +947,10 @@ def _compare_profile_with_reference():
             with pytest.raises(ContractError):
                 reachable_profile(path, servers, depths, at)
             continue
-        assert reachable_profile(path, servers, depths, at) == want, (trial, depths)
+        got = reachable_profile(path, servers, depths, at)
+        assert got == want, (trial, depths)
+        contiguous = reachable_profile(path, servers, range(max(depths) + 1), at)
+        assert got == [contiguous[s.depth] for s in got], (trial, depths)
         compared += 1
     assert compared >= 30
 
@@ -1071,3 +985,5 @@ def test_reachable_set_depth_validation():
         reachable_profile(StationaryPath(spec), 1, (-1, 0))
     with pytest.raises(ValueError, match="at least one depth"):
         reachable_profile(StationaryPath(spec), 1, [])
+    with pytest.raises(TypeError):   # not read as depth 2
+        reachable_profile(StationaryPath(spec), 1, (2.5,))

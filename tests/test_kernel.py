@@ -384,3 +384,23 @@ def test_merge_bit_identical_to_batch_on_ties(servers):
         assert _float_bits(got) == batch[i].tobytes(), (row, x[i], tau[i])
         direct = advance_direct(row, DriverSample(tau[i].item(), sigma[i].item(), math.inf))
         assert _float_bits(got) == _float_bits(direct), (row, x[i], tau[i])
+
+
+def test_batch_step_peak_memory():
+    # The merge writes into its output: on column-major int64 rows at S = 3,
+    # as the lattice boxes are stepped, advance_batch holds its 24-byte
+    # output rows, the acceptance mask and the merged work, about 33 bytes a
+    # row at its peak (65 with an (N, S-1) maximum and minimum allocated).
+    import tracemalloc
+
+    rng = np.random.default_rng(3)
+    n = 200_000
+    u = np.asfortranarray(np.sort(rng.integers(0, 40, size=(n, 3)), axis=1))
+    drivers = rng.integers(1, 4, n), rng.integers(0, 9, n), rng.integers(0, 12, n)
+    tracemalloc.start()
+    try:
+        out, _ = advance_batch(u, *drivers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.flags.f_contiguous and peak <= 40 * n, peak / n
