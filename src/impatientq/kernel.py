@@ -11,8 +11,9 @@ coordinate, subtracts the gap and clips at zero (``_merge_shift``). The
 exact map merges ``u0 + sigma`` or ``u0``; the monotone envelopes of the
 backward schemes merge a work that does not depend on the state
 (``loynes._effective_work``). ``advance_batch`` steps many ascending
-states at once on ``(N, S)`` arrays (the lattice set propagation and the
-time-parallel forward rolls in ``loynes``).
+states at once on ``(N, S)`` arrays (the lattice set propagation); its
+merge reads them transposed, coordinate-major, as the time-parallel
+forward rolls in ``loynes`` store their ``(S, k, lanes)`` lanes.
 
 Every map works in its state's dtype. On a lattice the state, tau and
 sigma are int64 multiples of the step ``alpha``, and the float test
@@ -84,22 +85,24 @@ def advance_batch(u: np.ndarray, tau, sigma, patience) -> tuple[np.ndarray, np.n
     """
     accepted = u[:, 0] <= patience
     x = u[:, 0] + np.where(accepted, sigma, 0)
-    return _merge_shift_batch(u, x, tau), accepted
+    return _merge_shift_batch(u.T, x, tau).T, accepted
 
 
-def _merge_shift_batch(u: np.ndarray, x: np.ndarray, tau) -> np.ndarray:
-    # States run along the last axis of ``u``; ``x`` has the leading shape
-    # and ``tau`` broadcasts against it from the right. The gap and the clip
-    # take the state's dtype, so int64 lattice states stay int64. Every
-    # step writes into ``out``, so no temporary of the state's size is made.
-    out = np.empty_like(u)
-    if u.shape[-1] > 1:
-        np.maximum(u[..., :-1], x[..., None], out=out[..., :-1])
-        np.minimum(out[..., :-1], u[..., 1:], out=out[..., :-1])
-    np.maximum(u[..., -1], x, out=out[..., -1])
-    out -= np.asarray(tau, dtype=u.dtype)[..., None]
-    np.maximum(out, 0, out=out)
-    return out
+def _merge_shift_batch(u: np.ndarray, x, tau, out=None) -> np.ndarray:
+    # Coordinate i of every state is ``u[i]``: contiguous in a C-ordered
+    # ``u``, or in the transpose of a column-major (N, S) box. ``x`` and
+    # ``tau`` broadcast against ``u[0]``; the gap and the clip take the
+    # state's dtype, so int64 lattice states stay int64. Every step writes
+    # into ``out`` (not ``u``), so no temporary of the state's size is made;
+    # ``x`` may be ``out[-1]``, which only the last merge step overwrites.
+    if out is None:
+        out = np.empty_like(u)
+    if len(u) > 1:
+        np.maximum(u[:-1], x, out=out[:-1])
+        np.minimum(out[:-1], u[1:], out=out[:-1])
+    np.maximum(u[-1], x, out=out[-1])
+    out -= np.asarray(tau, dtype=u.dtype)
+    return np.maximum(out, 0, out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceCapError
-from .kernel import _merge_shift, _merge_shift_batch, accepted_multiples, advance_batch
+from .kernel import _merge_shift, _merge_shift_batch, accepted_multiples
 from .sequences import StationaryPath
 
 DEFAULT_MAX_DEPTH = 1 << 20
@@ -228,33 +228,32 @@ def certified_supremum(path: StationaryPath, at: int, kind: str, servers: int,
 # step of width R per row. Every lane but the first starts from the empty
 # state, a guess at its unknown true state, and its first row is its seam.
 #
-# The seams are repaired in one lockstep round. Every seam restarts from
-# its predecessor's last row, and all unfinished seams advance together
-# through the same lane step, each under its own drivers, overwriting their
-# rows. A seam drops out as soon as its new row equals the stored one in
-# every recursion the pass carries. From there on its lane is correct as
+# The seams are repaired in one lockstep round. Every seam restarts from its
+# predecessor's last row, and all unfinished seams advance together through
+# the same lane step, each under its own drivers, overwriting their rows. A
+# seam drops out once a new row equals the stored one in every recursion the
+# pass carries (checked every 16 rows). From there on its lane is correct as
 # stored, because the lane step applies the same IEEE max, min, add and
 # subtract to the same operands. (Ties between +0 and -0 could pick
 # different zeros, but every gap is strictly positive, so a zero never
-# survives the subtraction that follows.) A seam that reaches its lane's
-# end without matching changes that lane's last row, so the next seam
-# restarted from a row that was not yet true. The scalar walk then runs in
-# order, from the first seam whose incoming row differs from the one its
-# round read: the scalar step re-runs from the true row until a stored row
-# holds, running on through later seams if it must. Seams whose incoming
-# row did not move are skipped. The worst case is one scalar roll on top
-# of the lane pass and one round. Rows equal the scalar roll's bit for
-# bit; rolls shorter than two chunks run the scalar loop alone. Rows take
-# their dtype from the starting state, so the same roll serves the int64
-# lattice recursion, where every step is exact and the argument holds
-# trivially.
+# survives the subtraction that follows.) A seam that reaches its lane's end
+# without matching changes that lane's last row, so the next seam restarted
+# from a row that was not yet true. The scalar walk then runs in order, from
+# the first seam whose incoming row differs from the one its round read: the
+# scalar step re-runs from the true row until a stored row holds, running on
+# through later seams if it must. Seams whose incoming row did not move are
+# skipped. The worst case is one scalar roll on top of the lane pass and one
+# round. Rows equal the scalar roll's bit for bit; rolls shorter than two
+# chunks run the scalar loop alone. Rows take their dtype from the starting
+# state, so the same roll serves the int64 lattice recursion, where every
+# step is exact and the argument holds trivially.
 #
 # One pass can carry k recursions over the same drivers: their lanes stack
-# into one (k*R, S) array, recursion i in rows [i*R, (i+1)*R), so a step
-# costs one set of numpy calls on k times the rows instead of k sets. The
-# lane step applies each recursion's own map to its rows, and the walk
-# repairs each recursion with its own scalar step, so every recursion's
-# rows are still its scalar roll's, bit for bit.
+# coordinate-major into one contiguous (S, k, R) array, recursion i in
+# ``[:, i]``. A step applies each recursion's own map to its lanes in one
+# set of numpy calls on whole rows, writing into a buffer reused across
+# steps, and the walk repairs each recursion with its own scalar step, so
+# every recursion's rows are still its scalar roll's, bit for bit.
 # ---------------------------------------------------------------------------
 
 CHUNK = 256
@@ -276,10 +275,10 @@ def _forward_roll(rolls, lane_step, drivers: tuple[np.ndarray, ...]) -> np.ndarr
     ``rolls``, by seam repair, stacked into one ``(k, steps+1, S)`` array.
 
     The k recursions share the lane drivers ``drivers``, columns of the
-    same ``steps`` indices as each ``own``: ``lane_step(U, *d)`` applies
-    recursion i's ``step`` to rows ``[i*R, (i+1)*R)`` of the ``(k*R, S)``
-    lane array ``U``, lane ``r`` under the values ``d[c][r]``. Every chunk
-    after the first starts from the empty state.
+    same ``steps`` indices as each ``own``: ``lane_step(U, *d, out)``
+    writes recursion i's ``step`` of ``U[:, i]`` (lane ``r`` under the values
+    ``d[c][r]``) into ``out[:, i]`` and returns ``out``. Every chunk after
+    the first starts from the empty state.
     """
     steps = len(drivers[0])
     lanes = steps // CHUNK
@@ -298,35 +297,38 @@ def _forward_roll(rolls, lane_step, drivers: tuple[np.ndarray, ...]) -> np.ndarr
     k, width = len(rolls), len(rolls[0][0])
     dtype = np.asarray(rolls[0][0]).dtype
     states = np.empty((k, lanes * length + 1, width), dtype=dtype)
-    u = np.zeros((k, lanes, width), dtype=dtype)
-    for i, (u0, _, _) in enumerate(rolls):
-        states[i, 0] = u[i, 0] = u0
     by_lane = states[:, 1:].reshape(k, lanes, length, width)
-    # Lanes are stored column by column, so each numpy call's inner loop
-    # runs over the lanes rather than over the few coordinates. Their rows
-    # reach ``states`` 16 steps at a time: a lane's rows lie a chunk apart
-    # there, and a write per step would touch every lane's page.
-    u = np.asfortranarray(u.reshape(k * lanes, width))
-    batch = np.empty((k, lanes, 16, width), dtype=dtype)
+    # Step j reads slot j-1 of ``batch`` (the start in the last slot) and
+    # writes slot j % 16. The rows reach ``states`` 16 steps at a time: a
+    # lane's rows lie a chunk apart there, and a write per step would touch
+    # every lane's page.
+    batch = np.zeros((16, width, k, lanes), dtype=dtype)
+    u = batch[-1]
+    for i, (u0, _, _) in enumerate(rolls):
+        states[i, 0] = u[:, i, 0] = u0
     for j, d in enumerate(zip(*cols)):
-        u = lane_step(u, *d)
-        batch[:, :, j % 16] = u.reshape(k, lanes, width)
+        u = lane_step(u, *d, batch[j % 16])
         if j % 16 == 15 or j == length - 1:
-            by_lane[:, :, j - j % 16 : j + 1] = batch[:, :, : j % 16 + 1]
+            by_lane[:, :, j - j % 16 : j + 1] = batch[: j % 16 + 1].transpose(2, 3, 0, 1)
 
-    # The round: every seam restarts from its predecessor's last row.
-    incoming = by_lane[:, :-1, -1].copy()
-    live = np.arange(1, lanes)
-    u = incoming.reshape(-1, width)
-    for j in range(length):
-        u = lane_step(u, *(col[j, live] for col in cols)).reshape(k, len(live), width)
-        held = (u == by_lane[:, live, j]).all(axis=(0, 2))
-        by_lane[:, live, j] = u
-        if held.any():
-            if held.all():
-                break
-            live, u = live[~held], u[:, ~held]
-        u = u.reshape(-1, width)
+    # The round: every seam restarts from its predecessor's last row. Live
+    # seams step 16 rows at a time into one reused buffer, written back
+    # together; a seam that reproduced a stored row reproduces every later
+    # one (the same step of the same row), so it drops out at a block's end.
+    lane_rows = by_lane.transpose(3, 0, 1, 2)   # (S, k, lanes, length), as the lanes step
+    u = lane_rows[:, :, :-1, -1].copy()
+    incoming = u.transpose(1, 2, 0)   # the round never writes into u
+    live, flat = np.arange(1, lanes), np.empty(16 * u.size, dtype=dtype)
+    for j in range(0, length, 16):
+        rows = flat[: min(16, length - j) * u.size].reshape(-1, *u.shape)
+        block = [np.take(col[j : j + len(rows)], live, axis=1) for col in cols]
+        for i, slot in enumerate(rows):
+            u = lane_step(u, *(d[i] for d in block), slot)
+        held = (u == lane_rows[:, :, live, j + len(rows) - 1]).all(axis=(0, 1))
+        lane_rows[:, :, live, j : j + len(rows)] = rows.transpose(1, 2, 3, 0)
+        if held.all():
+            break
+        live, u = live[~held], np.compress(~held, u, axis=2)
     states = states[:, : steps + 1]
 
     # The walk: a seam whose incoming row moved since the round read it
@@ -386,10 +388,11 @@ def _exact_step(u, tau, sigma, deadline):
     return _merge_shift(u, x, tau)
 
 
-def _exact_lane_step(u, tau, sigma, deadline):
+def _exact_lane_step(u, tau, sigma, deadline, out):
     # A rejected first coordinate exceeds a non-negative patience, so adding
-    # zero to it leaves its bits alone: this is ``_exact_step`` on every row.
-    return advance_batch(u, tau, sigma, deadline)[0]
+    # zero to it leaves its bits alone: this is ``_exact_step`` on every lane.
+    np.add(u[0], np.where(u[0] <= deadline, sigma, 0), out=out[-1])
+    return _merge_shift_batch(u, out[-1], tau, out)
 
 
 def _exact_drivers(path: StationaryPath, at: int, steps: int) -> tuple[np.ndarray, ...]:
@@ -419,17 +422,15 @@ def exact_states(path: StationaryPath, at: int, steps: int,
     return _exact_roll(tuple(map(float, u0)), path.block(at, steps))
 
 
-def _sandwich_lane_step(u, tau, sigma, patience):
-    # Rows stack the exact, lower and upper lanes; each block takes its own
-    # contribution (the exact one as ``advance_batch`` forms it), then one
-    # merge shift advances all three.
-    rows = u.reshape(3, -1, u.shape[1])
-    x = np.empty(rows.shape[:2])
-    first = rows[0, :, 0]
+def _sandwich_lane_step(u, tau, sigma, patience, out):
+    # ``u[:, 0]``, ``u[:, 1]`` and ``u[:, 2]`` are the exact, lower and upper
+    # lanes; each forms its own work in ``out[-1]`` (the exact one as
+    # ``_exact_lane_step`` does), then one merge shift advances all three.
+    x, first = out[-1], u[0, 0]
     np.add(first, np.where(first <= patience, sigma, 0.0), out=x[0])
     np.minimum(sigma, patience, out=x[1])
     np.add(sigma, patience, out=x[2])
-    return _merge_shift_batch(rows, x, tau).reshape(u.shape)
+    return _merge_shift_batch(u, x, tau, out)
 
 
 def sandwich_states(path: StationaryPath, at: int, steps: int, exact0: tuple[float, ...],
@@ -442,11 +443,10 @@ def sandwich_states(path: StationaryPath, at: int, steps: int, exact0: tuple[flo
     one lane pass over the drivers of ``[at, at+steps)``.
     """
     blk = path.block(at, steps)
-    lower, upper = ((_effective_work(blk.tau, blk.sigma, blk.patience, kind), blk.tau)
-                    for kind in ("lower", "upper"))
+    # The envelopes' scalar steps form their work from the block, as the lane step does
     rolls = ((tuple(map(float, exact0)), _exact_step, blk),
-             (tuple(map(float, lower0)), _merge_shift, lower),
-             (tuple(map(float, upper0)), _merge_shift, upper))
+             (tuple(map(float, lower0)), lambda u, t, s, p: _merge_shift(u, min(s, p), t), blk),
+             (tuple(map(float, upper0)), lambda u, t, s, p: _merge_shift(u, s + p, t), blk))
     return _forward_roll(rolls, _sandwich_lane_step, blk)
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Optional, Sequence
@@ -68,18 +69,25 @@ def stream_uniforms(seed: int, stream: int, start: int, count: int) -> np.ndarra
     Pure function of its arguments: index ``n`` always yields the same
     value, independent of any other call. Outputs are strictly inside
     (0, 1) so inverse-CDF transforms never produce boundary artifacts.
+    The SplitMix64 finalizer (Steele, Lea & Flood 2014) runs in place on
+    one uint64 array, each shift written into one scratch array that then
+    takes the float64 output, through the int64 view (exact: x >> 11 < 2^53).
     """
+    start, count = operator.index(start), operator.index(count)
     if count < 0:
         raise ValueError("count must be non-negative")
-    key = np.uint64(_stream_key(seed, stream))
-    idx = np.arange(start, start + count, dtype=np.int64).astype(np.uint64)
-    x = key + idx * np.uint64(_PHI64)
-    x ^= x >> np.uint64(30)
+    x = np.arange(start, start + count, dtype=np.int64).view(np.uint64)
+    x *= np.uint64(_PHI64)
+    x += np.uint64(_stream_key(seed, stream))
+    scratch = np.empty_like(x)
+    x ^= np.right_shift(x, np.uint64(30), out=scratch)
     x *= np.uint64(0xBF58476D1CE4E5B9)
-    x ^= x >> np.uint64(27)
+    x ^= np.right_shift(x, np.uint64(27), out=scratch)
     x *= np.uint64(0x94D049BB133111EB)
-    x ^= x >> np.uint64(31)
-    return ((x >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    x ^= np.right_shift(x, np.uint64(31), out=scratch)
+    x >>= np.uint64(11)
+    out = np.add(x.view(np.int64), 0.5, out=scratch.view(np.float64))
+    return np.multiply(out, 2.0**-53, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +460,7 @@ class StationaryPath:
     def sample_at(self, n: int) -> DriverSample:
         """The triple at index ``n``: read from the memo on a hit, otherwise
         generated alone, leaving the memo as it is."""
-        base = n + self.offset
+        base = operator.index(n) + self.offset
         memo = self._window
         if memo is not None and 0 <= base - memo[0] < len(memo[1].tau):
             blk, i = memo[1], base - memo[0]
@@ -462,6 +470,7 @@ class StationaryPath:
 
     def block(self, start: int, count: int) -> DriverBlock:
         """Driver triples for indices ``start .. start+count-1`` as read-only arrays."""
+        start, count = operator.index(start), operator.index(count)
         if count < 0:
             raise ValueError("count must be non-negative")
         base = start + self.offset

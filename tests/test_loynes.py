@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from impatientq import loynes, metrics
 from impatientq.coupling import cftp
 from impatientq.errors import ConfigurationError
 from impatientq.kernel import _merge_shift
@@ -10,6 +11,7 @@ from impatientq.loynes import (
     certified_supremum,
     envelope_states,
     exact_states,
+    lattice_states,
     supremum_bound,
 )
 from impatientq.metrics import estimate_conditions
@@ -235,6 +237,27 @@ def test_exact_states_matches_scalar_advance():
         assert bool(accepted[i]) == out.accepted
         u = out.next
         assert tuple(states[i + 1]) == u
+
+
+def test_lane_rolls_hand_the_merge_contiguous_lanes(monkeypatch):
+    # The merge reads coordinate i of every lane as the row ``u[i]`` and
+    # writes into the roll's own ``out``: both must be C-contiguous in every
+    # lane step of every roll, the main pass and the round alike. The values
+    # would not change on a strided view, only the speed: a (3, R, S) view
+    # of stacked lanes, neither C- nor F-contiguous, slows every call.
+    seen, merge = [], loynes._merge_shift_batch
+
+    def spy(u, x, tau, out=None):
+        seen.append((u.shape, u.flags.c_contiguous and out is not None and out.flags.c_contiguous))
+        return merge(u, x, tau, out)
+
+    monkeypatch.setattr(loynes, "_merge_shift_batch", spy)
+    metrics.bound_report(StationaryPath(MM_SPEC), 2, 20_000)
+    exact_states(StationaryPath(MM_SPEC), 0, 3 * loynes.CHUNK + 5, (0.0, 0.0))
+    lattice_states(StationaryPath(LATTICE), 0, 3 * loynes.CHUNK + 5, (0, 0, 0))
+    bad = [shape for shape, ok in seen if not ok]
+    assert len(seen) > 500 and not bad, (len(seen), len(bad), bad[:5])
+    assert {shape[:2] for shape, _ in seen} >= {(2, 3), (1, 1), (2, 1), (3, 1)}
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,32 @@ def test_bound_report_samples():
         assert not len(bad), (spec.seed, servers, bad[:8], rep.samples[bad[:8], :4])
 
 
+SANDWICH_MODULATION = sequences.ModulationSpec(
+    transition=((0.995, 0.005), (0.02, 0.98)),
+    states=((Exponential(1.0), Exponential(0.6), Deterministic(1.0)),
+            (Exponential(1.8), Exponential(0.6), Uniform(0.0, 2.0))))
+
+
+def test_bound_report_peak_memory():
+    # A 100,000-sample report on the benchmark's sandwich model holds its
+    # driver pages, chain states and the three stacked rolls at its peak,
+    # and no per-step or per-call copy of their size: at most 127 bytes a
+    # sample, traced.
+    import tracemalloc
+
+    n = 100_000
+    specs = [sequences.SequenceSpec(model="markov_modulated", seed=seed, modulation=SANDWICH_MODULATION)
+             for seed in (1, 5)]
+    bound_report(StationaryPath(specs[0]), 2, n)   # module caches and imports
+    tracemalloc.start()
+    try:
+        bound_report(StationaryPath(specs[1]), 2, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 127 * n, peak / n
+
+
 def test_bound_report_rejects_empty():
     with pytest.raises(ValueError):
         bound_report(StationaryPath(DRAIN), 2, 0)

@@ -645,6 +645,69 @@ def test_uniform_stream_reproducible_and_open():
     assert not np.array_equal(u1, stream_uniforms(43, 0xA1, -10, 100))
 
 
+def _splitmix_reference(seed, stream, start, count):
+    """Uniforms of the pure-Python SplitMix64: the finalizer ``_mix64_int``
+    on ``key + n * phi`` (mod 2^64), its top 53 bits centred in (0, 1)."""
+    key = sequences._stream_key(seed, stream)
+    return np.array([((sequences._mix64_int(key + n * sequences._PHI64) >> 11) + 0.5) * 2.0**-53
+                     for n in range(start, start + count)], dtype=np.float64)
+
+
+@pytest.mark.parametrize("start", [-2**62, -7, 0, 2**62 - 100])
+@pytest.mark.parametrize("count", [0, 1, 17, 5000])
+def test_stream_uniforms_match_python_splitmix(start, count):
+    got = stream_uniforms(2024, STREAM_TAU, start, count)
+    assert got.dtype == np.float64 and got.shape == (count,)
+    assert got.tobytes() == _splitmix_reference(2024, STREAM_TAU, start, count).tobytes()
+
+
+def test_stream_uniforms_peak_memory():
+    # The finalizer runs in place on one uint64 array plus one scratch array
+    # that becomes the output: 16 bytes an index at its peak.
+    n = 106_496
+    stream_uniforms(3, STREAM_SIGMA, 0, n)
+    tracemalloc.start()
+    try:
+        stream_uniforms(3, STREAM_SIGMA, 12_345, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 17 * n, peak / n
+
+
+def test_stream_uniforms_refuse_non_integral_indices():
+    with pytest.raises(TypeError):
+        stream_uniforms(1, STREAM_TAU, 0, 2.5)
+    with pytest.raises(TypeError):
+        stream_uniforms(1, STREAM_TAU, 0.5, 3)
+    want = stream_uniforms(1, STREAM_TAU, 4, 3)
+    assert stream_uniforms(1, STREAM_TAU, np.int64(4), np.uint16(3)).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(MEMO_SPECS))
+def test_sample_at_refuses_non_integral_indices(kind):
+    path = StationaryPath(MEMO_SPECS[kind])
+    with pytest.raises(TypeError):
+        path.sample_at(0.5)  # a miss: nothing is memoized yet
+    path.block(0, 100)
+    with pytest.raises(TypeError):
+        path.sample_at(0.5)  # inside the memo
+    assert path.sample_at(np.int32(7)) == path.sample_at(7)
+
+
+@pytest.mark.parametrize("kind", sorted(MEMO_SPECS))
+def test_block_refuses_non_integral_indices(kind):
+    path = StationaryPath(MEMO_SPECS[kind])
+    for start, count in ((0.5, 3), (0, 2.5)):
+        with pytest.raises(TypeError):
+            path.block(start, count)
+    path.block(0, 100)
+    for start, count in ((10.0, 3), (10, 3.0)):
+        with pytest.raises(TypeError):
+            path.block(start, count)  # inside the memo
+    assert _bits(path.block(np.int64(10), np.int8(3))) == _bits(path.block(10, 3))
+
+
 def test_infinite_patience_allowed():
     spec = iid_spec(1, Exponential(1.0), Exponential(2.0), Deterministic(math.inf))
     assert StationaryPath(spec).sample_at(0).patience == math.inf

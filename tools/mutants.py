@@ -107,6 +107,16 @@ MUTANTS = (
            'twin = {"exact": "upper", "upper": "exact", "lower": "upper"}.get(kind)',
            ("tests/test_coupling.py::test_cftp_memo_changes_no_result[iid]",
             "tests/test_coupling.py::test_exact_and_upper_chains_share_one_box_read")),
+    # The stacked sandwich lanes: each recursion forms its own work.
+    Mutant("sandwich-lower-lanes-take-the-larger-work", LOYNES,
+           "np.minimum(sigma, patience, out=x[1])",
+           "np.maximum(sigma, patience, out=x[1])",
+           ("tests/test_rolls.py::test_stacked_roll_matches_three_scalar_rolls[2]",)),
+    # Changes no value, only the lane layout the merge reads; the test spies on it.
+    Mutant("lane-slots-strided", LOYNES,
+           "batch = np.zeros((16, width, k, lanes), dtype=dtype)",
+           "batch = np.zeros((16, k, lanes, width), dtype=dtype).transpose(0, 3, 1, 2)",
+           ("tests/test_loynes.py::test_lane_rolls_hand_the_merge_contiguous_lanes",)),
     # Markov-modulated chain states, one linear pass per run of blocks.
     Mutant("chain-state-not-carried", SEQUENCES,
            "            state = after[a + len(piece)]\n",
