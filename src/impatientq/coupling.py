@@ -54,6 +54,7 @@ from .kernel import _merge_shift, advance_batch
 from .loynes import (
     _effective_work,
     _exact_drivers,
+    _exact_lists,
     _renovation_mask,
     certified_supremum,
     envelope_states,
@@ -153,10 +154,11 @@ def cftp(path: StationaryPath, servers: int, at: int = 0,
     read there and the furthest index its chain has reached, with the
     interval there. A start seen before (consecutive targets share the
     starts of each rung) skips the box read; its chain resumes from that
-    index when the index is not past ``at``, and reruns from the box
-    otherwise. The chain is a deterministic function of its interval and of
-    drivers tied to indices, so a resumed chain ends on the interval a fresh
-    one would, bit for bit: the memo changes no result. A start first seen
+    index when the index is not past ``at`` (as a point if it had closed),
+    and reruns from the box otherwise. The chain is a deterministic
+    function of its interval and of drivers tied to indices, so a resumed
+    chain ends on the interval a fresh one would, bit for bit: the memo
+    changes no result. A start first seen
     by the exact chain takes the box the upper envelope's chain read there,
     and vice versa. A start whose box is refused is never remembered.
     """
@@ -231,34 +233,42 @@ def _bounding_chain(path: StationaryPath, start: int, steps: int,
     bound every image bit for bit. ``D`` is the patience, or on the lattice
     its deadline, the largest accepted multiple. Once the interval closes
     (``L == U``) the two updates are the same computation, so the point
-    advances alone, one ``_merge_shift`` per index.
+    advances alone, one ``_merge_shift`` per index, from the first step if
+    it is handed in closed. The exact drivers are slices of the path's
+    driver pages (``loynes._exact_lists``).
     """
     if kind != "exact":
         blk = path.block(start, steps)
         drivers = zip(_effective_work(blk.tau, blk.sigma, blk.patience, kind).tolist(), blk.tau.tolist())
+        if lo != hi:
+            for x, tau in drivers:
+                lo = _merge_shift(lo, x, tau)
+                hi = _merge_shift(hi, x, tau)
+                if lo == hi:
+                    break
+            else:
+                return lo, hi
         for x, tau in drivers:
             lo = _merge_shift(lo, x, tau)
-            hi = _merge_shift(hi, x, tau)
+        return lo, lo
+    drivers = zip(*_exact_lists(path, start, steps))
+    if lo != hi:
+        for tau, sigma, deadline in drivers:
+            if hi[0] <= deadline:
+                x_lo, x_hi = lo[0] + sigma, hi[0] + sigma
+            elif lo[0] > deadline:
+                x_lo, x_hi = lo[0], hi[0]
+            else:
+                x_lo, x_hi = lo[0], max(hi[0], deadline + sigma)
+            lo = _merge_shift(lo, x_lo, tau)
+            hi = _merge_shift(hi, x_hi, tau)
             if lo == hi:
-                for x, tau in drivers:
-                    lo = _merge_shift(lo, x, tau)
-                return lo, lo
-        return lo, hi
-    drivers = zip(*(col.tolist() for col in _exact_drivers(path, start, steps)))
-    for tau, sigma, deadline in drivers:
-        if hi[0] <= deadline:
-            x_lo, x_hi = lo[0] + sigma, hi[0] + sigma
-        elif lo[0] > deadline:
-            x_lo, x_hi = lo[0], hi[0]
+                break
         else:
-            x_lo, x_hi = lo[0], max(hi[0], deadline + sigma)
-        lo = _merge_shift(lo, x_lo, tau)
-        hi = _merge_shift(hi, x_hi, tau)
-        if lo == hi:
-            for tau, sigma, deadline in drivers:
-                lo = _merge_shift(lo, lo[0] + sigma if lo[0] <= deadline else lo[0], tau)
-            return lo, lo
-    return lo, hi
+            return lo, hi
+    for tau, sigma, deadline in drivers:
+        lo = _merge_shift(lo, lo[0] + sigma if lo[0] <= deadline else lo[0], tau)
+    return lo, lo
 
 
 # ---------------------------------------------------------------------------

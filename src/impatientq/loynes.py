@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import ResourceCapError
 from .kernel import _merge_shift, _merge_shift_batch, accepted_multiples
-from .sequences import StationaryPath
+from .sequences import _CHAIN_BLOCK, StationaryPath
 
 DEFAULT_MAX_DEPTH = 1 << 20
 Z_RISK = 1e-12
@@ -404,6 +404,21 @@ def _exact_drivers(path: StationaryPath, at: int, steps: int) -> tuple[np.ndarra
         return path.block(at, steps)
     blk = path.lattice_block(at, steps)
     return blk.tau, blk.sigma, accepted_multiples(blk.patience, path.spec.alpha)
+
+
+def _exact_lists(path: StationaryPath, at: int, steps: int) -> tuple[list, ...]:
+    """``_exact_drivers`` at ``at .. at+steps-1`` as Python lists: slices of
+    the lists of its page of ``_CHAIN_BLOCK`` absolute indices, converted on
+    the page's first read and kept in ``path._pages`` until ``block``
+    replaces the cover, or a window across a page edge converted alone."""
+    page, o = divmod(at + path.offset, _CHAIN_BLOCK)
+    if not 0 <= steps <= _CHAIN_BLOCK - o:
+        return tuple(col.tolist() for col in _exact_drivers(path, at, steps))
+    lists = path._pages.get(page)
+    if lists is None:   # stored after the read, which may replace the cover and drop its pages
+        lists = path._pages[page] = tuple(col.tolist() for col in _exact_drivers(path, at - o, _CHAIN_BLOCK))
+    tau, sigma, deadline = lists
+    return tau[o:o + steps], sigma[o:o + steps], deadline[o:o + steps]
 
 
 def _exact_roll(u0: tuple, drivers: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:

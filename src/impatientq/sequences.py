@@ -430,12 +430,15 @@ class StationaryPath:
     shared between a path and its shifts; the float cover of ``block``
     (its absolute base index and read-only arrays), kept per path; and, per
     path too, ``coupling.cftp``'s bounded memo of each start's certified
-    box and bounding chain, and ``loynes.supremum_bound``'s resume entry
-    per ``(kind, servers)``: the depth, the absolute index where the read's
+    box and bounding chain, ``loynes.supremum_bound``'s resume entry per
+    ``(kind, servers)``: the depth, the absolute index where the read's
     common recursion ended, its value there and the absolute index of its
-    last reset. Each holds only values that are functions of absolute
-    indices, each entry one tuple, so a race between two readers can at
-    worst cost a recomputation, never a different result. On a
+    last reset, and the driver pages of the exact chain
+    (``loynes._exact_lists``): a cover page's ``_exact_drivers`` as Python
+    lists, keyed by absolute page index and dropped with the cover. Each
+    holds only values that are functions of absolute indices, each entry
+    one tuple, so a race between two readers can at worst cost a
+    recomputation, never a different result. On a
     miss, ``block`` generates the request's aligned cover: the whole pages
     of ``_CHAIN_BLOCK`` absolute indices it touches, so that on a Markov
     path a page is exactly one chain block. The cover replaces the memo,
@@ -453,6 +456,7 @@ class StationaryPath:
                                                        compare=False)
     _chains: OrderedDict = field(default_factory=OrderedDict, init=False, repr=False, compare=False)
     _suprema: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _pages: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def shifted(self, k: int) -> "StationaryPath":
         return StationaryPath(self.spec, self.offset + k, self._chain_cache)
@@ -482,6 +486,7 @@ class StationaryPath:
             for a in cover:
                 a.setflags(write=False)
             memo = self._window = (lo, cover)
+            self._pages = {}   # the old cover's page lists go with it
         i = base - memo[0]
         return DriverBlock(*(a[i : i + count] for a in memo[1]))
 

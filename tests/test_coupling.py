@@ -321,15 +321,43 @@ def test_cftp_value_does_not_depend_on_the_start(model):
 
 def test_consecutive_cftp_targets_step_few_merges(monkeypatch):
     # 100 consecutive targets share their chains: each resumes the one
-    # before by a step, 798 _merge_shift calls in all. Without the memo the
-    # chains take 11,443 calls, and from the unaligned starts at - h 11,805.
+    # before by a step, 703 _merge_shift calls in all. A chain remembered
+    # closed steps as a point from its first step; stepping both of its
+    # ends took 798 calls. Without the memo the chains take 11,443 calls,
+    # and from the unaligned starts at - h 11,805.
     calls = []
     merge_shift = coupling._merge_shift
     monkeypatch.setattr(coupling, "_merge_shift", lambda *a: calls.append(1) or merge_shift(*a))
     path = StationaryPath(CERTIFY)
     for t in range(1, 101):
         assert cftp(path, 3, at=t).coalesced
-    assert len(calls) <= 1000, len(calls)
+    assert len(calls) <= 703, len(calls)
+
+
+def test_consecutive_cftp_targets_convert_each_page_once(monkeypatch):
+    # The exact chains of 1,000 consecutive targets read their drivers as
+    # slices of the path's converted pages: each page they touch is
+    # converted once, where one conversion per chain would be about 1,800.
+    from impatientq import loynes
+
+    built, touched = [], set()
+    exact_drivers, exact_lists = loynes._exact_drivers, loynes._exact_lists
+
+    def spying(path, at, steps):
+        if steps == 4096 and (at + path.offset) % 4096 == 0:
+            built.append((at + path.offset) // 4096)
+        return exact_drivers(path, at, steps)
+
+    def reading(path, at, steps):
+        touched.update(range((at + path.offset) // 4096, (at + path.offset + max(steps, 1) - 1) // 4096 + 1))
+        return exact_lists(path, at, steps)
+
+    monkeypatch.setattr(loynes, "_exact_drivers", spying)
+    monkeypatch.setattr(coupling, "_exact_lists", reading)
+    path = StationaryPath(CERTIFY)
+    for t in range(1, 1001):
+        assert cftp(path, 3, at=t).coalesced
+    assert built and len(set(built)) == len(built) and set(built) <= touched, (built, touched)
 
 
 def test_consecutive_cftp_targets_share_driver_generations(monkeypatch):

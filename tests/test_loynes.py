@@ -484,3 +484,41 @@ def test_supremum_bound_resume_is_keyed_on_servers():
         assert _bound_fields(zb) == _bound_fields(supremum_bound(fresh, t, "upper", 8, 1)), t
         deeper_lags_count += zb.values != supremum_bound(fresh, t, "upper", 5, 1).values
     assert deeper_lags_count > 0
+
+
+def _list_bits(lists):
+    return [[(type(x), x.hex() if isinstance(x, float) else x) for x in col] for col in lists]
+
+
+@pytest.mark.parametrize("offset", [0, 4097])
+@pytest.mark.parametrize("spec", [CERTIFY, MM_SPEC, LATTICE], ids=["iid", "markov", "lattice"])
+def test_exact_lists_equal_exact_drivers(spec, offset):
+    # windows inside a page, on its edges, across index 4096 and across
+    # index 0, at negative indices and empty, all from one path's pages
+    # against a fresh path's converted window, bit for bit and type for
+    # type (Python floats, or ints for the lattice multiples and deadlines)
+    path = StationaryPath(spec).shifted(offset)
+    windows = [(10, 50), (0, 4096), (4090, 6), (4090, 20), (4095, 1), (4096, 7), (-30, 25),
+               (-5, 10), (-4100, 10), (-8192, 4096), (17, 0), (6000, 3000)]
+    for at, steps in windows:
+        fresh = StationaryPath(spec).shifted(offset)
+        want = tuple(col.tolist() for col in loynes._exact_drivers(fresh, at, steps))
+        assert _list_bits(loynes._exact_lists(path, at, steps)) == _list_bits(want), (at, steps)
+
+
+@pytest.mark.parametrize("spec", [CERTIFY, LATTICE], ids=["iid", "lattice"])
+def test_exact_lists_after_the_cover_moves(spec):
+    # reads a page apart, and targets about 10^6 apart, each replacing the
+    # path's cover and its pages: every window still holds its own indices'
+    # drivers, and every cftp value equals a fresh path's
+    path = StationaryPath(spec)
+    for at in [4096 * k + 3 for k in range(6)] + [10**6 * k + 5 for k in (0, 1, 0, -1, 1, 2, 0)]:
+        want = tuple(col.tolist() for col in loynes._exact_drivers(StationaryPath(spec), at, 40))
+        assert _list_bits(loynes._exact_lists(path, at, 40)) == _list_bits(want), at
+    shared = StationaryPath(spec)
+    for t in range(1, 25):
+        for at in (t, 10**6 + t):
+            res, fresh = cftp(shared, 3, at=at), cftp(StationaryPath(spec), 3, at=at)
+            assert res == fresh and repr(res) == repr(fresh), at
+            base, cover = shared._window   # the pages kept lie in the cover
+            assert all(0 <= page * 4096 - base < len(cover.tau) for page in shared._pages), at

@@ -117,6 +117,21 @@ MUTANTS = (
            "batch = np.zeros((16, width, k, lanes), dtype=dtype)",
            "batch = np.zeros((16, k, lanes, width), dtype=dtype).transpose(0, 3, 1, 2)",
            ("tests/test_loynes.py::test_lane_rolls_hand_the_merge_contiguous_lanes",)),
+    # The exact chain's driver pages: keyed and sliced by absolute index.
+    Mutant("page-key-relative-to-cover", LOYNES,
+           "page, o = divmod(at + path.offset, _CHAIN_BLOCK)",
+           "page, o = divmod(at + path.offset - (path._window or (0,))[0], _CHAIN_BLOCK)",
+           ("tests/test_loynes.py::test_exact_lists_after_the_cover_moves[iid]",)),
+    Mutant("page-slice-one-late", LOYNES,
+           "return tau[o:o + steps], sigma[o:o + steps], deadline[o:o + steps]",
+           "return tau[o + 1:o + steps + 1], sigma[o + 1:o + steps + 1], deadline[o + 1:o + steps + 1]",
+           ("tests/test_loynes.py::test_exact_lists_equal_exact_drivers[iid-0]",
+            "tests/test_loynes.py::test_exact_lists_equal_exact_drivers[lattice-4097]")),
+    # Changes no value, only the merges a closed chain takes; the test counts them.
+    Mutant("closed-chain-steps-both-ends", COUPLING,
+           "    drivers = zip(*_exact_lists(path, start, steps))\n    if lo != hi:\n",
+           "    drivers = zip(*_exact_lists(path, start, steps))\n    if True:\n",
+           ("tests/test_coupling.py::test_consecutive_cftp_targets_step_few_merges",)),
     # Markov-modulated chain states, one linear pass per run of blocks.
     Mutant("chain-state-not-carried", SEQUENCES,
            "            state = after[a + len(piece)]\n",
