@@ -55,7 +55,9 @@ from .loynes import (
     _effective_work,
     _exact_drivers,
     _exact_lists,
+    _multiples,
     _renovation_mask,
+    _times,
     certified_supremum,
     envelope_states,
 )
@@ -192,7 +194,7 @@ def cftp(path: StationaryPath, servers: int, at: int = 0,
         else:
             reached, lo, hi = start, (0.0,) * servers, zb.values
             if lattice:
-                lo, hi = (0,) * servers, tuple(int(math.floor(v / path.spec.alpha + 1e-9)) for v in hi)
+                lo, hi = (0,) * servers, tuple(_multiples(hi, path.spec.alpha).tolist())
         lo, hi = _bounding_chain(path, reached, at - reached, lo, hi, kind)
         if memo is None or resume:   # otherwise the remembered chain reached further
             memo = (zb, at + path.offset, lo, hi)
@@ -200,9 +202,8 @@ def cftp(path: StationaryPath, servers: int, at: int = 0,
         if len(chains) > CHAIN_MEMO:
             chains.popitem(last=False)
         if lo == hi:
-            if lattice:
-                lo = tuple(float(k) * path.spec.alpha for k in lo)
-            return CftpResult(lo, True, horizon, zb.horizon, zb.risk)
+            value = tuple(_times(lo, path.spec.alpha).tolist()) if lattice else lo
+            return CftpResult(value, True, horizon, zb.horizon, zb.risk)
         if horizon >= max_horizon:
             return CftpResult(None, False, horizon, zb.horizon, zb.risk)
         rung = min(2 * rung, max_horizon)
@@ -334,11 +335,10 @@ def reachable_profile(path: StationaryPath, servers: int, depths: Sequence[int],
     deepest = depths[-1]
     alpha = path.spec.alpha
     est = _envelope_estimate(path, servers, at - deepest, "upper")
-    # Estimates at every shallower index, consistent by construction: box b
-    # is the box of depth deepest - b, at driver row b.
-    rolled = envelope_states(path, at - deepest, deepest, est.value, "upper")
+    # Caps from the estimates at every shallower index, consistent by
+    # construction: box b is the box of depth deepest - b, at driver row b.
+    caps = _multiples(envelope_states(path, at - deepest, deepest, est.value, "upper"), alpha)
     drivers = np.vstack(_exact_drivers(path, at - deepest, deepest))
-    caps = np.floor(rolled / alpha + 1e-9).astype(np.int64)
     boxes, sizes = _ordered_boxes(caps, cap, [f"at depth {deepest - b} (index {at - deepest + b})"
                                               for b in range(deepest + 1)])
     tops = _suffix_minima(caps)

@@ -46,7 +46,7 @@ from typing import IO, Optional
 
 import numpy as np
 
-from .loynes import _exact_drivers, exact_states, lattice_states
+from .loynes import _exact_drivers, exact_states
 from .sequences import StationaryPath
 
 _CHUNK = 1 << 15
@@ -170,15 +170,11 @@ def cross_validate(path: StationaryPath, servers: int, n_arrivals: int,
 
     The workload vector seen by each arrival must match the recursion state
     within ``tol`` in every coordinate, and the served/lost flag must equal
-    the recursion's acceptance indicator exactly. Lattice paths are rolled
-    in integer steps and scaled by ``alpha`` once, as the engine does.
+    the recursion's acceptance indicator exactly. The recursion runs in the
+    path's own arithmetic (``loynes.exact_states``), as the engine does.
     """
     trace = run(path, servers, n_arrivals)
-    if path.spec.is_lattice:
-        states, accepted = lattice_states(path, 0, n_arrivals, (0,) * servers)
-        states = states * path.spec.alpha
-    else:
-        states, accepted = exact_states(path, 0, n_arrivals, (0.0,) * servers)
+    states, accepted = exact_states(path, 0, n_arrivals, (0.0,) * servers)
     diff = trace.seen - states[:-1]
     disc = np.abs(diff, out=diff).max(axis=1)
     bad = (disc > tol) | (trace.served != accepted)

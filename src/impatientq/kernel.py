@@ -8,12 +8,12 @@ workload does not exceed her patience; then the inter-arrival gap elapses.
 
 Each map merges a new work ``x`` into the state in place of its least
 coordinate, subtracts the gap and clips at zero (``_merge_shift``). The
-exact map merges ``u0 + sigma`` or ``u0``; the monotone envelopes of the
-backward schemes merge a work that does not depend on the state
-(``loynes._effective_work``). ``advance_batch`` steps many ascending
-states at once on ``(N, S)`` arrays (the lattice set propagation); its
-merge reads them transposed, coordinate-major, as the time-parallel
-forward rolls in ``loynes`` store their ``(S, k, lanes)`` lanes.
+monotone envelopes of the backward schemes merge a work that does not
+depend on the state (``loynes._effective_work``). The exact map merges
+``u0 + sigma`` or ``u0``; every exact roll steps ``_exact_step`` or, on
+coordinate-major lanes as ``loynes`` stores them, ``_exact_lane_step``,
+which ``advance_batch`` runs on its ``(N, S)`` rows transposed (the
+lattice set propagation).
 
 Every map works in its state's dtype. On a lattice the state, tau and
 sigma are int64 multiples of the step ``alpha``, and the float test
@@ -47,9 +47,12 @@ def _require_ordered(u: Sequence[float]):
 def advance(u: Sequence[float], d: DriverSample) -> StepOutcome:
     """Exact one-arrival update, coordinate form."""
     _require_ordered(u)
-    accepted = u[0] <= d.patience
-    x = u[0] + d.sigma if accepted else u[0]
-    return StepOutcome(_merge_shift(u, x, d.tau), accepted)
+    return StepOutcome(_exact_step(u, d.tau, d.sigma, d.patience), u[0] <= d.patience)
+
+
+def _exact_step(u, tau, sigma, deadline):
+    x = u[0] + sigma if u[0] <= deadline else u[0]
+    return _merge_shift(u, x, tau)
 
 
 def _merge_shift(u: Sequence[float], x: float, tau: float) -> tuple[float, ...]:
@@ -83,9 +86,7 @@ def advance_batch(u: np.ndarray, tau, sigma, patience) -> tuple[np.ndarray, np.n
     lattice states the drivers are int multiples and ``patience`` is the
     deadline from ``accepted_multiples``.
     """
-    accepted = u[:, 0] <= patience
-    x = u[:, 0] + np.where(accepted, sigma, 0)
-    return _merge_shift_batch(u.T, x, tau).T, accepted
+    return _exact_lane_step(u.T, tau, sigma, patience, np.empty_like(u.T)).T, u[:, 0] <= patience
 
 
 def _merge_shift_batch(u: np.ndarray, x, tau, out=None) -> np.ndarray:
@@ -103,6 +104,13 @@ def _merge_shift_batch(u: np.ndarray, x, tau, out=None) -> np.ndarray:
     np.maximum(u[-1], x, out=out[-1])
     out -= np.asarray(tau, dtype=u.dtype)
     return np.maximum(out, 0, out=out)
+
+
+def _exact_lane_step(u, tau, sigma, deadline, out):
+    # A rejected first coordinate exceeds a non-negative patience, so adding
+    # zero to it leaves its bits alone: this is ``_exact_step`` on every lane.
+    np.add(u[0], np.where(u[0] <= deadline, sigma, 0), out=out[-1])
+    return _merge_shift_batch(u, out[-1], tau, out)
 
 
 # ---------------------------------------------------------------------------

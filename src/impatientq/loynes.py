@@ -38,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceCapError
-from .kernel import _merge_shift, _merge_shift_batch, accepted_multiples
+from .errors import ContractError, ResourceCapError
+from .kernel import _exact_lane_step, _exact_step, _merge_shift, _merge_shift_batch, accepted_multiples
 from .sequences import _CHAIN_BLOCK, StationaryPath
 
 DEFAULT_MAX_DEPTH = 1 << 20
@@ -383,18 +383,6 @@ def envelope_states(path: StationaryPath, at: int, steps: int, u0: tuple[float, 
                          drivers)[0]
 
 
-def _exact_step(u, tau, sigma, deadline):
-    x = u[0] + sigma if u[0] <= deadline else u[0]
-    return _merge_shift(u, x, tau)
-
-
-def _exact_lane_step(u, tau, sigma, deadline, out):
-    # A rejected first coordinate exceeds a non-negative patience, so adding
-    # zero to it leaves its bits alone: this is ``_exact_step`` on every lane.
-    np.add(u[0], np.where(u[0] <= deadline, sigma, 0), out=out[-1])
-    return _merge_shift_batch(u, out[-1], tau, out)
-
-
 def _exact_drivers(path: StationaryPath, at: int, steps: int) -> tuple[np.ndarray, ...]:
     """``(tau, sigma, deadline)`` of the exact map at ``at .. at+steps-1`` in
     the path's own arithmetic: the float block, or on a lattice path the
@@ -421,20 +409,36 @@ def _exact_lists(path: StationaryPath, at: int, steps: int) -> tuple[list, ...]:
     return tau[o:o + steps], sigma[o:o + steps], deadline[o:o + steps]
 
 
-def _exact_roll(u0: tuple, drivers: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
-    states = _forward_roll(((u0, _exact_step, drivers),), _exact_lane_step, drivers)[0]
-    return states, states[:-1, 0] <= drivers[2]
+def _multiples(values, alpha: float) -> np.ndarray:
+    """Time values as int64 multiples of alpha, ``floor(v / alpha + 1e-9)``: ``fl(k * alpha)`` gives k."""
+    return np.floor(np.asarray(values, dtype=np.float64) / alpha + 1e-9).astype(np.int64)
+
+
+def _times(multiples, alpha: float) -> np.ndarray:
+    """Int64 multiples of ``alpha`` in time units, ``k * alpha`` each."""
+    return np.asarray(multiples, dtype=np.int64) * alpha
 
 
 def exact_states(path: StationaryPath, at: int, steps: int,
                  u0: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Exact workload recursion along the path.
+    """Exact workload recursion along the path, in time units.
 
-    Returns ``(states, accepted)`` where ``states[i]`` is the workload at
-    index ``at+i`` (row 0 is ``u0``) and ``accepted[i]`` says whether the
-    customer at index ``at+i`` enters service before her deadline.
+    Returns ``(states, accepted)``: row ``i`` is the workload at ``at+i``
+    (row 0 is ``u0``), ``accepted[i]`` whether that customer is served. A
+    lattice roll runs in multiples, scaled once; a start off it is refused.
     """
-    return _exact_roll(tuple(map(float, u0)), path.block(at, steps))
+    drivers, start = _exact_drivers(path, at, steps), tuple(map(float, u0))
+    alpha = path.spec.alpha if path.spec.is_lattice else None
+    if alpha is not None:
+        k = _multiples(np.nan_to_num(start, nan=0.0, posinf=0.0, neginf=0.0), alpha)   # refused below
+        if (off := _times(k, alpha) != start).any():
+            j = int(off.argmax())
+            raise ContractError(f"start coordinate {j} is {start[j]!r}, not a multiple of alpha {alpha!r}")
+        start = tuple(k.tolist())
+    states = _forward_roll(((start, _exact_step, drivers),), _exact_lane_step, drivers)[0]
+    accepted = states[:-1, 0] <= drivers[2]
+    del drivers   # before a lattice roll's rows are scaled
+    return (states if alpha is None else _times(states, alpha)), accepted
 
 
 def _sandwich_lane_step(u, tau, sigma, patience, out):
@@ -454,27 +458,23 @@ def sandwich_states(path: StationaryPath, at: int, steps: int, exact0: tuple[flo
 
     ``states[0]``, ``states[1]`` and ``states[2]`` are the rows of
     ``exact_states`` from ``exact0`` and of ``envelope_states`` from
-    ``lower0`` (lower) and ``upper0`` (upper), bit for bit; the three share
-    one lane pass over the drivers of ``[at, at+steps)``.
+    ``lower0`` (lower) and ``upper0`` (upper), bit for bit, in one lane pass
+    over the drivers of ``[at, at+steps)``. On a lattice path the exact rows
+    are rolled in multiples, and the float envelopes, which can end an ulp
+    past an equal exact value, are held on their sides of it.
     """
+    if path.spec.is_lattice:
+        states = np.empty((3, steps + 1, len(exact0)))
+        states[0] = exact_states(path, at, steps, exact0)[0]
+        np.minimum(envelope_states(path, at, steps, lower0, "lower"), states[0], out=states[1])
+        np.maximum(envelope_states(path, at, steps, upper0, "upper"), states[0], out=states[2])
+        return states
     blk = path.block(at, steps)
     # The envelopes' scalar steps form their work from the block, as the lane step does
     rolls = ((tuple(map(float, exact0)), _exact_step, blk),
              (tuple(map(float, lower0)), lambda u, t, s, p: _merge_shift(u, min(s, p), t), blk),
              (tuple(map(float, upper0)), lambda u, t, s, p: _merge_shift(u, s + p, t), blk))
     return _forward_roll(rolls, _sandwich_lane_step, blk)
-
-
-def lattice_states(path: StationaryPath, at: int, steps: int,
-                   u0: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """``exact_states`` for a lattice-model path, in integer lattice steps.
-
-    The same roll runs on int64 states with integer deadlines: row ``i``
-    is the workload at index ``at+i`` in multiples of ``alpha`` (row 0 is
-    ``u0``) and ``accepted`` the acceptance indicator, both as the
-    ``advance_lattice`` loop gives them.
-    """
-    return _exact_roll(tuple(u0), _exact_drivers(path, at, steps))
 
 
 def top_supremum_series(path: StationaryPath, at: int, n: int, zb: SupremumBound) -> np.ndarray:

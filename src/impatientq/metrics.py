@@ -261,15 +261,17 @@ def bound_report(path: StationaryPath, servers: int, n_samples: int, at: int = 0
     Every sampled state is stationary by construction. ``coupling.cftp``
     gives the exact workload at ``at``, bit for bit, and of the envelope
     kinds the backward limits there that both envelopes start from; the
-    three recursions then roll forward over the window together
-    (``loynes.sandwich_states``). The top supremum, read to the depth its
-    certificate needs, rolls forward by ``loynes.top_supremum_series``. The
-    report refuses (``ContractError``) when a chain does not coalesce,
-    naming the kind, the index and the horizon, since no start from an
-    arbitrary state is stationary, or when the four loss indicators are
-    out of order at a sample; an infinite top supremum leaves no box to
-    couple from, and ``cftp`` refuses it (``ConfigurationError``).
-    ``max_horizon`` caps the exact ``cftp`` call.
+    three recursions roll forward over the window, the exact one in its
+    path's arithmetic (``loynes.sandwich_states``). The top supremum, read
+    to the depth its certificate needs, rolls forward by
+    ``loynes.top_supremum_series`` (on a lattice path, raised to the upper
+    rows as those are to the exact ones). The report refuses
+    (``ContractError``) when a chain does not coalesce, naming the kind, the
+    index and the horizon, since no start from an arbitrary state is
+    stationary, or when the four loss indicators are out of order at a
+    sample; an infinite top supremum leaves no box to couple from, and
+    ``cftp`` refuses it (``ConfigurationError``). ``max_horizon`` caps the
+    exact ``cftp`` call.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -284,37 +286,22 @@ def bound_report(path: StationaryPath, servers: int, n_samples: int, at: int = 0
     exact, lower_states, upper_states = sandwich_states(path, at, n_samples - 1, anchor.value,
                                                         lower.value, upper.value)
     patience = path.block(at, n_samples).patience
-    loss_ind = exact[:, 0] > patience
-    lower_ind = lower_states[:, 0] > patience
-    upper_ind = upper_states[:, 0] > patience
     z_top = top_supremum_series(path, at, n_samples, zb)
-    z_ind = z_top > patience
+    if path.spec.is_lattice:
+        np.maximum(z_top, upper_states[:, 0], out=z_top)
+    cols = (lower_states[:, 0], exact[:, 0], upper_states[:, 0], z_top, patience)
     # The sandwich holds pointwise: lower_ind <= loss_ind <= upper_ind <= z_ind.
-    inds = np.stack([lower_ind, loss_ind, upper_ind, z_ind])
+    inds = np.stack([col > patience for col in cols[:4]])
     bad = np.flatnonzero((inds[:-1] > inds[1:]).any(axis=0))
     if len(bad):
         i = int(bad[0])
-        got = (lower_states[i, 0], exact[i, 0], upper_states[i, 0], z_top[i], patience[i])
+        got = (float(col[i]) for col in cols)
         raise ContractError("loss indicators out of order at sample {} (index {}): lower1 {!r}, W1 {!r}, "
-                            "upper1 {!r}, z_top {!r}, patience {!r}".format(i, at + i, *map(float, got)))
-
-    samples = None
-    if keep_samples:
-        samples = np.column_stack([
-            lower_states[:, 0], exact[:, 0], upper_states[:, 0], z_top, patience,
-            loss_ind.astype(np.float64),
-        ])
-    return BoundReport(
-        p_lower=batch_means(lower_ind, n_batches),
-        p_loss=batch_means(loss_ind, n_batches),
-        p_upper=batch_means(upper_ind, n_batches),
-        p_z=batch_means(z_ind, n_batches),
-        n_samples=n_samples,
-        lower_stabilized=lower.coalesced,
-        upper_stabilized=upper.coalesced,
-        z_stabilized=zb.stabilized,
-        samples=samples,
-    )
+                            "upper1 {!r}, z_top {!r}, patience {!r}".format(i, at + i, *got))
+    samples = np.column_stack([*cols, inds[1].astype(np.float64)]) if keep_samples else None
+    return BoundReport(*(batch_means(ind, n_batches) for ind in inds), n_samples=n_samples,   # p_lower .. p_z
+                       lower_stabilized=lower.coalesced, upper_stabilized=upper.coalesced,
+                       z_stabilized=zb.stabilized, samples=samples)
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,16 @@ LATTICE = SequenceSpec(
     sigma=LatticeDiscrete(0.5, (0, 2, 4, 6, 8), (0.2,) * 5),
     patience=Uniform(0.0, 6.0),
 )
+# The same gaps and services on a step that is not a power of two, with a
+# patience of two steps: a roll of these drivers in floats drifts off the
+# lattice, and its test ``u0 > patience`` then flags losses the exact map
+# accepts.
+NON_DYADIC = SequenceSpec(
+    model="lattice", seed=1, alpha=0.1,
+    tau=LatticeDiscrete(0.1, (1, 2, 3), (0.3, 0.4, 0.3)),
+    sigma=LatticeDiscrete(0.1, (0, 2, 4, 6, 8), (0.2,) * 5),
+    patience=Deterministic(0.2),
+)
 
 
 def random_distribution(rng: np.random.Generator, role: str):

@@ -12,7 +12,7 @@ from impatientq import des
 from impatientq.config import parse_config
 from impatientq.des import Trace, cross_validate, run, write_trace
 from impatientq.kernel import _merge_shift, advance_lattice
-from impatientq.loynes import _exact_drivers, exact_states, lattice_states
+from impatientq.loynes import _exact_drivers, exact_states
 from impatientq.sequences import (
     Deterministic,
     Exponential,
@@ -380,14 +380,12 @@ def test_run_equals_the_recursion_across_engine_chunks(kind, seed):
     path = StationaryPath(spec)
     trace = run(path, servers, n)
     ref_seen, ref_served = _reference_engine(path, servers, n)
+    states, accepted = exact_states(path, 0, n, (0.0,) * servers)
     if spec.is_lattice:
         ref_seen = np.array(ref_seen, dtype=np.int64) * spec.alpha
-        states, accepted = lattice_states(path, 0, n, (0,) * servers)
-        states = states[:-1] * spec.alpha
-        assert np.array_equal(trace.seen.view(np.int64), states.view(np.int64))
+        assert np.array_equal(trace.seen.view(np.int64), states[:-1].view(np.int64))
     else:
         ref_seen = np.array(ref_seen, dtype=np.float64)
-        states, accepted = exact_states(path, 0, n, (0.0,) * servers)
         assert np.abs(trace.seen - states[:-1]).max() <= 1e-12
     assert trace.seen.dtype == np.float64 and trace.seen.shape == (n, servers)
     assert np.array_equal(trace.seen.view(np.int64), ref_seen.view(np.int64))

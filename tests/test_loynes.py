@@ -1,17 +1,17 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from impatientq import loynes, metrics
+from impatientq import kernel, loynes, metrics
 from impatientq.coupling import cftp
-from impatientq.errors import ConfigurationError
+from impatientq.errors import ConfigurationError, ContractError
 from impatientq.kernel import _merge_shift
 from impatientq.loynes import (
     certified_supremum,
     envelope_states,
     exact_states,
-    lattice_states,
     supremum_bound,
 )
 from impatientq.metrics import estimate_conditions
@@ -28,6 +28,7 @@ from support import (
     GROWTH,
     LATTICE,
     MM_SPEC,
+    NON_DYADIC,
     deep_envelope,
     iid_spec,
     random_heavy_spec,
@@ -239,6 +240,19 @@ def test_exact_states_matches_scalar_advance():
         assert tuple(states[i + 1]) == u
 
 
+def test_exact_states_refuses_an_off_lattice_start():
+    # A lattice path rolls in multiples of alpha, so a start must hold the
+    # values k * alpha that the roll scales back to: three steps of 0.1 are
+    # 3 * 0.1, which is not the float 0.3.
+    path = StationaryPath(NON_DYADIC)
+    states, _ = exact_states(path, 0, 10, (0.1, 2 * 0.1, 3 * 0.1))
+    assert states[0].tolist() == [0.1, 0.2, 3 * 0.1]
+    for start, j in (((0.0, 0.15, 0.3), 1), ((0.1, 0.2, 0.3), 2), ((0.1, 0.2, 1e-12), 2),
+                     ((0.0, 0.1, math.inf), 2), ((0.0, math.nan, 0.2), 1)):
+        with pytest.raises(ContractError, match=re.escape(f"start coordinate {j} is {start[j]!r}")):
+            exact_states(path, 0, 10, start)
+
+
 def test_lane_rolls_hand_the_merge_contiguous_lanes(monkeypatch):
     # The merge reads coordinate i of every lane as the row ``u[i]`` and
     # writes into the roll's own ``out``: both must be C-contiguous in every
@@ -252,9 +266,10 @@ def test_lane_rolls_hand_the_merge_contiguous_lanes(monkeypatch):
         return merge(u, x, tau, out)
 
     monkeypatch.setattr(loynes, "_merge_shift_batch", spy)
+    monkeypatch.setattr(kernel, "_merge_shift_batch", spy)   # the exact lane step's
     metrics.bound_report(StationaryPath(MM_SPEC), 2, 20_000)
     exact_states(StationaryPath(MM_SPEC), 0, 3 * loynes.CHUNK + 5, (0.0, 0.0))
-    lattice_states(StationaryPath(LATTICE), 0, 3 * loynes.CHUNK + 5, (0, 0, 0))
+    exact_states(StationaryPath(LATTICE), 0, 3 * loynes.CHUNK + 5, (0.0, 0.0, 0.0))
     bad = [shape for shape, ok in seen if not ok]
     assert len(seen) > 500 and not bad, (len(seen), len(bad), bad[:5])
     assert {shape[:2] for shape, _ in seen} >= {(2, 3), (1, 1), (2, 1), (3, 1)}

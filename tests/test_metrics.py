@@ -3,18 +3,20 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from impatientq import metrics, sequences
-from impatientq.coupling import CftpResult
+from impatientq.coupling import CftpResult, cftp
 from impatientq.errors import ConfigurationError, ContractError
 from impatientq.des import run
+from impatientq.loynes import exact_states
 from impatientq.metrics import ProbabilityEstimate, batch_means, bound_report, loss_probability, t_quantile
 from impatientq.sequences import Deterministic, Exponential, StationaryPath, Uniform, stream_uniforms
-from support import DRAIN, GROWTH, MM_SPEC, det_spec, erlang_b, iid_spec, mm1_wait_tail, random_iid_spec
+from support import DRAIN, GROWTH, MM_SPEC, NON_DYADIC, det_spec, erlang_b, iid_spec, mm1_wait_tail, random_iid_spec
 
 
 def test_erlang_b_values():
@@ -237,6 +239,28 @@ def test_bound_report_samples():
         assert not len(bad), (spec.seed, servers, bad[:8], rep.samples[bad[:8], :4])
 
 
+@pytest.mark.parametrize("patience", [0.2, 0.3])
+def test_bound_report_on_a_non_dyadic_lattice(patience):
+    # With alpha = 0.1 a float roll drifts off the lattice and counts losses
+    # that the exact map accepts. Each W1 is the stationary workload that
+    # ``cftp`` gives at its index, and the loss column is the exact lattice
+    # recursion's, rolled from the anchor. The envelopes and z_top are float
+    # rolls, yet the columns are ordered by value at every sample: unclipped,
+    # upper1 ended an ulp below an equal W1 at patience 0.2. The float 0.3 is
+    # below 3 * 0.1, so that patience accepts two steps, not three.
+    path, n = StationaryPath(replace(NON_DYADIC, patience=Deterministic(patience))), 20_000
+    rep = bound_report(path, 3, n, keep_samples=True)
+    w1 = rep.samples[:, 1]
+    for i in range(0, n, 1999):
+        assert w1[i] == cftp(path, 3, at=i).value[0], i
+    bad = np.flatnonzero((np.diff(rep.samples[:, :4], axis=1) < 0.0).any(axis=1))
+    assert not len(bad), (bad[:8], rep.samples[bad[:8], :4])
+    _, accepted = exact_states(path, 0, n, cftp(path, 3).value)
+    assert np.array_equal(rep.samples[:, 5] == 1.0, ~accepted)
+    assert np.array_equal(~accepted, w1 > 2 * 0.1)
+    assert rep.p_loss.probability == (~accepted).mean()
+
+
 SANDWICH_MODULATION = sequences.ModulationSpec(
     transition=((0.995, 0.005), (0.02, 0.98)),
     states=((Exponential(1.0), Exponential(0.6), Deterministic(1.0)),
@@ -270,8 +294,6 @@ def test_bound_report_rejects_empty():
 
 def test_mm1_wait_tail_matches_simulation():
     # single Markovian server at half load, no impatience
-    from impatientq.loynes import exact_states
-
     rho, mu = 0.5, 2.0
     spec = iid_spec(77, Exponential(1.0), Exponential(mu), Deterministic(math.inf))
     states, _ = exact_states(StationaryPath(spec), 0, 200_000, (0.0,))

@@ -4,7 +4,9 @@ Every long roll in ``loynes`` runs as time-parallel lanes whose chunk seams
 are repaired afterwards; the result must equal the plain scalar loop
 (``loynes._scalar_roll``) bit for bit, not merely closely. The reference is
 obtained by raising ``loynes.CHUNK`` past the roll length, which sends the
-same call down the scalar loop.
+same call down the scalar loop. Lanes and loop share their arithmetic, so on
+a lattice path the exact rows must also equal the ``advance_lattice`` loop,
+scaled by ``alpha`` once.
 """
 
 import math
@@ -27,6 +29,7 @@ from impatientq.sequences import (
 
 from support import (
     DRAIN,
+    NON_DYADIC,
     det_spec,
     iid_spec,
     random_iid_spec,
@@ -66,6 +69,11 @@ def _assert_matches_oracle(monkeypatch, path, at, steps, u0):
         scalar = _rolls(path, at, steps, u0)
     for name in scalar:
         assert _identical(lanes[name], scalar[name]), (name, steps, u0)
+    if path.spec.is_lattice:
+        states, accepted = _lattice_loop(path, at, steps, _multiples_of(path, u0))
+        assert _identical(lanes["exact"], states * path.spec.alpha), (steps, u0)
+        assert _identical(lanes["sandwich"][0], states * path.spec.alpha), (steps, u0)
+        assert _identical(lanes["accepted"], accepted), (steps, u0)
     return lanes
 
 
@@ -95,7 +103,7 @@ def test_random_sweep_matches_oracle(monkeypatch, servers):
 @pytest.mark.parametrize("steps", STEPS)
 def test_named_models_match_oracle(monkeypatch, steps):
     for spec, servers in ((SANDWICH, 2), (CERTIFY, 3), (MM1_HEAVY, 1), (S8_HEAVY, 8), (LOSS, 2),
-                          (DRAIN, 2)):
+                          (DRAIN, 2), (NON_DYADIC, 3)):
         _assert_matches_oracle(monkeypatch, StationaryPath(spec), 11, steps, (0.0,) * servers)
 
 
@@ -178,9 +186,14 @@ def _assert_stacked_matches_scalar_rolls(path, at, steps, starts):
     blk = path.block(at, steps)
     stacked = loynes.sandwich_states(path, at, steps, *starts)
     assert stacked.shape == (3, steps + 1, len(starts[0]))
-    references = (_kernel_roll(starts[0], lambda u, d: advance(u, d).next, blk),
-                  _kernel_roll(starts[1], lambda u, d: _merge_shift(u, min(d.sigma, d.patience), d.tau), blk),
-                  _kernel_roll(starts[2], lambda u, d: _merge_shift(u, d.sigma + d.patience, d.tau), blk))
+    lower = _kernel_roll(starts[1], lambda u, d: _merge_shift(u, min(d.sigma, d.patience), d.tau), blk)
+    upper = _kernel_roll(starts[2], lambda u, d: _merge_shift(u, d.sigma + d.patience, d.tau), blk)
+    if path.spec.is_lattice:   # the exact rows in the lattice's own arithmetic bound the float envelopes
+        exact = _lattice_loop(path, at, steps, _multiples_of(path, starts[0]))[0] * path.spec.alpha
+        lower, upper = np.minimum(lower, exact), np.maximum(upper, exact)
+    else:
+        exact = _kernel_roll(starts[0], lambda u, d: advance(u, d).next, blk)
+    references = (exact, lower, upper)
     for name, rows, reference in zip(("exact", "lower", "upper"), stacked, references):
         assert _identical(rows, reference), (name, steps, starts)
 
@@ -196,7 +209,7 @@ def test_stacked_roll_matches_three_scalar_rolls(monkeypatch, servers):
     monkeypatch.setattr(loynes, "CHUNK", 8)
     rng = np.random.default_rng(3000 + servers)
     specs = (random_iid_spec(rng), random_mm_spec(rng), random_lattice_spec(rng),
-             LOSS, LATTICE_TIES)
+             LOSS, LATTICE_TIES, NON_DYADIC)
     for spec in specs:
         path = StationaryPath(spec)
         for steps in (7, 16, 700):
@@ -205,7 +218,7 @@ def test_stacked_roll_matches_three_scalar_rolls(monkeypatch, servers):
 
 
 # ---------------------------------------------------------------------------
-# The int64 lattice roll against the ``advance_lattice`` loop
+# The lattice roll, in int64 multiples, against the ``advance_lattice`` loop
 # ---------------------------------------------------------------------------
 
 LATTICE_STEPS = (1, CHUNK - 1) + STEPS
@@ -230,11 +243,18 @@ def _lattice_loop(path, at, steps, u0):
     return np.array(rows, dtype=np.int64), np.array(accepted, dtype=bool)
 
 
+def _multiples_of(path, u):
+    """A start on the lattice in multiples of ``alpha``."""
+    return tuple(round(v / path.spec.alpha) for v in u)
+
+
 def _assert_lattice_matches_loop(path, at, steps, u0):
-    states, accepted = loynes.lattice_states(path, at, steps, u0)
+    """``exact_states`` from the multiples ``u0`` against the loop, scaled once."""
+    alpha = path.spec.alpha
+    states, accepted = loynes.exact_states(path, at, steps, tuple(k * alpha for k in u0))
     ref_states, ref_accepted = _lattice_loop(path, at, steps, u0)
-    assert states.dtype == np.int64, steps
-    assert _identical(states, ref_states), (steps, u0)
+    assert states.dtype == np.float64, steps
+    assert _identical(states, ref_states * alpha), (steps, u0)
     assert _identical(accepted, ref_accepted), (steps, u0)
 
 

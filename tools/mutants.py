@@ -33,6 +33,7 @@ from typing import Optional
 ROOT = Path(__file__).resolve().parent.parent
 COUPLING = "coupling.py"
 LOYNES = "loynes.py"
+METRICS = "metrics.py"
 SEQUENCES = "sequences.py"
 
 
@@ -74,8 +75,8 @@ MUTANTS = (
            "log_phi = min(tau.log_mgf(-theta) for tau, _, _ in laws)",
            ("tests/test_loynes.py::test_supremum_risk_closed_form",)),
     Mutant("cftp-lattice-box-one-multiple-low", COUPLING,
-           "tuple(int(math.floor(v / path.spec.alpha + 1e-9)) for v in hi)",
-           "tuple(int(math.floor(v / path.spec.alpha + 1e-9)) - 1 for v in hi)",
+           "tuple(_multiples(hi, path.spec.alpha).tolist())",
+           "tuple((_multiples(hi, path.spec.alpha) - 1).tolist())",
            ("tests/test_coupling.py::test_cftp_lattice_box_holds_the_stationary_state",)),
     # The grid of cftp starts, on absolute indices.
     Mutant("cftp-grid-relative-index", COUPLING,
@@ -112,6 +113,41 @@ MUTANTS = (
            "np.minimum(sigma, patience, out=x[1])",
            "np.maximum(sigma, patience, out=x[1])",
            ("tests/test_rolls.py::test_stacked_roll_matches_three_scalar_rolls[2]",)),
+    # A lattice path's exact rows: in multiples, not drifting in floats.
+    Mutant("sandwich-exact-lane-in-floats-on-lattice", LOYNES,
+           "    if path.spec.is_lattice:\n        states = np.empty(",
+           "    if False:\n        states = np.empty(",
+           ("tests/test_rolls.py::test_named_models_match_oracle[511]",
+            "tests/test_rolls.py::test_stacked_roll_matches_three_scalar_rolls[1]",
+            "tests/test_metrics.py::test_bound_report_on_a_non_dyadic_lattice[0.2]")),
+    # On a lattice path the float envelopes are held on their side of the
+    # exact rows, and z_top on its side of the upper rows.
+    Mutant("sandwich-lattice-envelopes-unclipped", LOYNES,
+           "np.minimum(envelope_states(path, at, steps, lower0, \"lower\"), states[0], out=states[1])\n"
+           "        np.maximum(envelope_states(path, at, steps, upper0, \"upper\"), states[0], out=states[2])",
+           "states[1] = envelope_states(path, at, steps, lower0, \"lower\")\n"
+           "        states[2] = envelope_states(path, at, steps, upper0, \"upper\")",
+           ("tests/test_rolls.py::test_stacked_roll_matches_three_scalar_rolls[1]",
+            "tests/test_metrics.py::test_bound_report_on_a_non_dyadic_lattice[0.2]")),
+    Mutant("bound-report-lattice-z-unclipped", METRICS,
+           "np.maximum(z_top, upper_states[:, 0], out=z_top)",
+           "pass",
+           ("tests/test_metrics.py::test_bound_report_on_a_non_dyadic_lattice[0.2]",)),
+    # The lag-S series starts from the certified read's own values, not from
+    # a clipped maximum of cumulative sums over its window, which rounds
+    # differently and fell 4.4e-16 below upper1.
+    Mutant("top-series-clipped-cumsum-start", LOYNES,
+           "    z = envelope_states(path, at, n - 1, (zb.values[-1],), \"upper\")[:, 0]\n"
+           "    tau = path.block(at, n - 1).tau\n"
+           "    for start in zb.values[-2::-1]:\n",
+           "    init = path.block(at - zb.horizon, zb.horizon)\n"
+           "    terms = (init.sigma + init.patience)[::-1] - np.cumsum(init.tau[::-1])\n"
+           "    m0 = [max(float(terms[lag - 1:].max()), 0.0) for lag in range(len(zb.values), 0, -1)]\n"
+           "    z = envelope_states(path, at, n - 1, (m0[-1],), \"upper\")[:, 0]\n"
+           "    tau = path.block(at, n - 1).tau\n"
+           "    for start in m0[-2::-1]:\n",
+           ("tests/test_metrics.py::test_bound_report_samples",
+            "tests/test_metrics.py::test_top_supremum_roll_matches_per_index_bound")),
     # Changes no value, only the lane layout the merge reads; the test spies on it.
     Mutant("lane-slots-strided", LOYNES,
            "batch = np.zeros((16, width, k, lanes), dtype=dtype)",
