@@ -149,7 +149,7 @@ def cftp(path: StationaryPath, servers: int, at: int = 0,
     ``max_horizon``, and equal to it when the chain stays open. Drivers are
     tied to indices, so deeper rungs replay the same randomness. The exact
     chain runs on int64 multiples on a lattice path; an envelope's always
-    runs in floats.
+    runs in floats. ``at`` and ``max_horizon`` are read by ``operator.index``.
 
     The path remembers, for the ``CHAIN_MEMO`` starts used last (keyed on
     the absolute start index, ``servers`` and ``kind``), the certified box
@@ -166,6 +166,7 @@ def cftp(path: StationaryPath, servers: int, at: int = 0,
     """
     if servers < 1:
         raise ValueError("servers must be >= 1")
+    at, max_horizon = operator.index(at), operator.index(max_horizon)
     if max_horizon < 1:
         raise ValueError(f"max_horizon must be >= 1, got {max_horizon}")
     if kind not in ("exact", "lower", "upper"):

@@ -13,8 +13,8 @@ The module computes the one-dimensional running-supremum bounds (the
 ascending vector whose j-th entry is the backward supremum started at lag
 S+1-j), the renovation-event mask, and forward state rolls along a driver
 path used throughout the higher-level modules. One clipped delay line ends
-every read and rolls it forward (``top_supremum_series``), so the rolled
-series is the certified read at every index.
+every read, and shifts the upper envelope's top coordinate, the lag-1
+supremum, to the certified read at every index (``metrics.bound_report``).
 A supremum is read to a finite depth and carries a certificate: a
 closed-form Chernoff bound on the chance that a deeper lag raises it,
 ``stabilized`` when at most ``Z_RISK``. Up to that risk, the vector
@@ -131,7 +131,7 @@ def supremum_bound(path: StationaryPath, at: int, kind: str, depth: int,
     start holds at most the earlier run's value at every common index. At
     the reset it therefore takes the same work term or the same clip, and
     from there both runs are one computation. The final ``S-1`` lags run
-    the delay line of ``top_supremum_series``; the risk reads every lag.
+    ``metrics.bound_report``'s delay line; the risk reads every lag.
     """
     if servers < 1:
         raise ValueError("servers must be >= 1")
@@ -170,8 +170,8 @@ def supremum_bound(path: StationaryPath, at: int, kind: str, depth: int,
                 v = 0.0
         reset = i
     path._suprema[(kind, servers)] = (depth, end, v, reset)
-    # The final S-1 lags run the delay line of ``top_supremum_series``: each
-    # value shifts one lag deeper and only the new lag-1 value takes work.
+    # The final S-1 lags run a clipped delay line: each value shifts one lag
+    # deeper and only the new lag-1 value takes work.
     values = [v]
     for w, t in zip(work[fresh:], tau[fresh:]):
         top = values[-1]
@@ -458,16 +458,15 @@ def sandwich_states(path: StationaryPath, at: int, steps: int, exact0: tuple[flo
 
     ``states[0]``, ``states[1]`` and ``states[2]`` are the rows of
     ``exact_states`` from ``exact0`` and of ``envelope_states`` from
-    ``lower0`` (lower) and ``upper0`` (upper), bit for bit, in one lane pass
-    over the drivers of ``[at, at+steps)``. On a lattice path the exact rows
-    are rolled in multiples, and the float envelopes, which can end an ulp
-    past an equal exact value, are held on their sides of it.
+    ``lower0`` (lower) and ``upper0`` (upper), bit for bit, on every path.
+    One lane pass carries the three over the drivers of ``[at, at+steps)``;
+    on a lattice path, whose exact roll runs in multiples, each rolls alone.
     """
     if path.spec.is_lattice:
         states = np.empty((3, steps + 1, len(exact0)))
         states[0] = exact_states(path, at, steps, exact0)[0]
-        np.minimum(envelope_states(path, at, steps, lower0, "lower"), states[0], out=states[1])
-        np.maximum(envelope_states(path, at, steps, upper0, "upper"), states[0], out=states[2])
+        states[1] = envelope_states(path, at, steps, lower0, "lower")
+        states[2] = envelope_states(path, at, steps, upper0, "upper")
         return states
     blk = path.block(at, steps)
     # The envelopes' scalar steps form their work from the block, as the lane step does
@@ -475,22 +474,6 @@ def sandwich_states(path: StationaryPath, at: int, steps: int, exact0: tuple[flo
              (tuple(map(float, lower0)), lambda u, t, s, p: _merge_shift(u, min(s, p), t), blk),
              (tuple(map(float, upper0)), lambda u, t, s, p: _merge_shift(u, s + p, t), blk))
     return _forward_roll(rolls, _sandwich_lane_step, blk)
-
-
-def top_supremum_series(path: StationaryPath, at: int, n: int, zb: SupremumBound) -> np.ndarray:
-    """The lag-S supremum of the upper read ``zb`` at ``at``, rolled over
-    indices ``at .. at+n-1`` as a clipped delay line: the lag-1 value is
-    the 1-D upper envelope from ``zb.values[-1]``, and lag l+1 at ``t+1`` is
-    ``[lag l at t - tau_t]+``, started from ``zb``'s own value at ``at``.
-    These are ``supremum_bound``'s steps, so entry ``i`` is the read's
-    ``values[0]`` at ``at+i``, bit for bit, unless a lag deeper than that
-    read raises it (by the resume argument there).
-    """
-    z = envelope_states(path, at, n - 1, (zb.values[-1],), "upper")[:, 0]
-    tau = path.block(at, n - 1).tau
-    for start in zb.values[-2::-1]:
-        z = np.concatenate(([start], np.maximum(z[:-1] - tau, 0.0)))
-    return z
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,10 @@ above again by the top backward supremum:
     P(lower(1) > D)  <=  P_loss  <=  P(upper(1) > D)  <=  P(Z_top > D)
 
 The exact workload and both envelopes start from ``coupling.cftp`` of
-their kind (an envelope's sample is its backward limit) and the top
-supremum from its certified read, each as deep as its own certificate
-needs, so the report has no depth or warm-up to configure: every sampled
-index is stationary.
+their kind (an envelope's sample is its backward limit), each as deep as
+its own certificate needs, so the report has no depth or warm-up to
+configure: every sampled index is stationary. The top supremum is the
+upper envelope's top coordinate, shifted to lag S by a delay line.
 
 Confidence intervals use batch means (the driver sequence may be
 dependent), with a Student-t quantile on the batch count. The quantile
@@ -37,7 +37,7 @@ import numpy as np
 
 from .coupling import CftpResult, _envelope_estimate, cftp, detect_renovation
 from .errors import ContractError
-from .loynes import certified_supremum, sandwich_states, top_supremum_series
+from .loynes import certified_supremum, envelope_states, sandwich_states
 from .sequences import StationaryPath
 
 DEFAULT_BATCHES = 30
@@ -262,19 +262,21 @@ def bound_report(path: StationaryPath, servers: int, n_samples: int, at: int = 0
     gives the exact workload at ``at``, bit for bit, and of the envelope
     kinds the backward limits there that both envelopes start from; the
     three recursions roll forward over the window, the exact one in its
-    path's arithmetic (``loynes.sandwich_states``). The top supremum, read
-    to the depth its certificate needs, rolls forward by
-    ``loynes.top_supremum_series`` (on a lattice path, raised to the upper
-    rows as those are to the exact ones). The report refuses
+    path's arithmetic (``loynes.sandwich_states``). z_top shifts the upper
+    rows' top coordinate, the lag-1 supremum, to lag S by the delay line of
+    the certified read (on a lattice path, the reported float columns are
+    held on their sides of W1, and z_top above upper1). The report refuses
     (``ContractError``) when a chain does not coalesce, naming the kind, the
     index and the horizon, since no start from an arbitrary state is
     stationary, or when the four loss indicators are out of order at a
     sample; an infinite top supremum leaves no box to couple from, and
     ``cftp`` refuses it (``ConfigurationError``). ``max_horizon`` caps the
-    exact ``cftp`` call.
+    exact ``cftp`` call. Fewer samples than batches are refused up front.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if n_samples < n_batches:
+        raise ValueError(f"n_samples ({n_samples}) must be at least n_batches ({n_batches})")
     # Read first, the certified supremum covers the window too, so the page
     # cover it leaves in the path's memo serves the rolls and, unless their
     # deeper reads cross a page boundary, the coupling box and estimates.
@@ -285,13 +287,17 @@ def bound_report(path: StationaryPath, servers: int, n_samples: int, at: int = 0
     lower, upper = (_envelope_estimate(path, servers, at, kind) for kind in ("lower", "upper"))
     exact, lower_states, upper_states = sandwich_states(path, at, n_samples - 1, anchor.value,
                                                         lower.value, upper.value)
-    patience = path.block(at, n_samples).patience
-    z_top = top_supremum_series(path, at, n_samples, zb)
+    blk = path.block(at, n_samples)
+    z_top = upper_states[:, -1]   # lag 1; lag l+1 at t+1 is [lag l at t - tau_t]+, at ``at`` zb's
+    for start in zb.values[-2::-1]:
+        z_top = np.concatenate(([start], np.maximum(z_top[:-1] - blk.tau[:-1], 0.0)))
+    lower1, w1, upper1 = lower_states[:, 0], exact[:, 0], upper_states[:, 0]
     if path.spec.is_lattice:
-        np.maximum(z_top, upper_states[:, 0], out=z_top)
-    cols = (lower_states[:, 0], exact[:, 0], upper_states[:, 0], z_top, patience)
+        lower1, upper1 = np.minimum(lower1, w1), np.maximum(upper1, w1)
+        z_top = np.maximum(z_top, upper1)
+    cols = (lower1, w1, upper1, z_top, blk.patience)
     # The sandwich holds pointwise: lower_ind <= loss_ind <= upper_ind <= z_ind.
-    inds = np.stack([col > patience for col in cols[:4]])
+    inds = np.stack([col > blk.patience for col in cols[:4]])
     bad = np.flatnonzero((inds[:-1] > inds[1:]).any(axis=0))
     if len(bad):
         i = int(bad[0])
@@ -335,7 +341,7 @@ def estimate_conditions(path: StationaryPath, servers: int, n_samples: int,
     sigma_lt_tau = int(np.count_nonzero(blk.sigma < blk.tau))
 
     zb = certified_supremum(path, at, "upper", 1)
-    z_hits = int(np.count_nonzero(top_supremum_series(path, at, n_samples, zb) == 0.0))
+    z_hits = int(np.count_nonzero(envelope_states(path, at, n_samples - 1, zb.values, "upper") == 0.0))
 
     scan = detect_renovation(path, servers, (at, at + n_samples - 1))
 

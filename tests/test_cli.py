@@ -366,8 +366,16 @@ def test_cli_renovate_infinite_patience_exit_2(tmp_path, capsys):
 
 def test_cli_bounds_refuses_out_of_order_indicators(tmp_path, capsys, monkeypatch):
     # A z_top below upper1 at a sample breaks the pointwise sandwich: exit 1,
-    # naming the sample, and no output file.
-    monkeypatch.setattr(metrics, "top_supremum_series", lambda path, at, n, zb: np.zeros(n))
+    # naming the sample, and no output file. With the upper rows' top
+    # coordinate zero, z_top is zero past its first sample.
+    sandwich_states = metrics.sandwich_states
+
+    def top_zeroed(*args):
+        states = sandwich_states(*args)
+        states[2][:, -1] = 0.0
+        return states
+
+    monkeypatch.setattr(metrics, "sandwich_states", top_zeroed)
     cfg = _write(tmp_path, "cfg.ini", MM2D_INI)
     out = tmp_path / "out"
     assert main(["bounds", "--config", cfg, "--out", str(out)]) == 1

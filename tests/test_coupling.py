@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -490,6 +491,29 @@ def test_cftp_refuses_max_horizon_below_one(monkeypatch, max_horizon):
     monkeypatch.setattr(coupling, "certified_supremum", None)
     with pytest.raises(ValueError, match="max_horizon"):
         cftp(StationaryPath(CERTIFY), 3, at=0, max_horizon=max_horizon)
+
+
+@pytest.mark.parametrize("at, max_horizon", [(0, 64.0), (0, 100.5), (7.0, 64)])
+def test_cftp_refuses_a_float_index(monkeypatch, at, max_horizon):
+    # Read as an index, as ``block`` reads its own: refused before any box
+    # read, not at the first rung that reaches a float max_horizon (GROWTH's
+    # chain never closes).
+    from impatientq import coupling
+
+    reads = []
+    monkeypatch.setattr(coupling, "certified_supremum", lambda *args: reads.append(args))
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        cftp(StationaryPath(GROWTH), 1, at=at, max_horizon=max_horizon)
+    assert reads == []
+
+
+def test_cftp_reads_numpy_integers_as_ints():
+    # A numpy index gives the result of the same Python int, whose fields
+    # ``json.dumps`` takes.
+    res = cftp(StationaryPath(CERTIFY), 2, at=np.int64(7), max_horizon=np.int64(1 << 20))
+    assert type(res.horizon_used) is int
+    assert res == cftp(StationaryPath(CERTIFY), 2, at=7)
+    json.dumps(dataclasses.asdict(res))
 
 
 def test_cftp_refuses_unknown_kind(monkeypatch):

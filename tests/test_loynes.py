@@ -270,6 +270,7 @@ def test_lane_rolls_hand_the_merge_contiguous_lanes(monkeypatch):
     metrics.bound_report(StationaryPath(MM_SPEC), 2, 20_000)
     exact_states(StationaryPath(MM_SPEC), 0, 3 * loynes.CHUNK + 5, (0.0, 0.0))
     exact_states(StationaryPath(LATTICE), 0, 3 * loynes.CHUNK + 5, (0.0, 0.0, 0.0))
+    loynes.envelope_states(StationaryPath(MM_SPEC), 0, 3 * loynes.CHUNK + 5, (0.0,), "upper")
     bad = [shape for shape, ok in seen if not ok]
     assert len(seen) > 500 and not bad, (len(seen), len(bad), bad[:5])
     assert {shape[:2] for shape, _ in seen} >= {(2, 3), (1, 1), (2, 1), (3, 1)}

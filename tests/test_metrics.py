@@ -9,14 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from impatientq import metrics, sequences
+from impatientq import coupling, loynes, metrics, sequences
 from impatientq.coupling import CftpResult, cftp
 from impatientq.errors import ConfigurationError, ContractError
 from impatientq.des import run
-from impatientq.loynes import exact_states
+from impatientq.loynes import certified_supremum, exact_states
 from impatientq.metrics import ProbabilityEstimate, batch_means, bound_report, loss_probability, t_quantile
 from impatientq.sequences import Deterministic, Exponential, StationaryPath, Uniform, stream_uniforms
-from support import DRAIN, GROWTH, MM_SPEC, NON_DYADIC, det_spec, erlang_b, iid_spec, mm1_wait_tail, random_iid_spec
+from support import DRAIN, GROWTH, LATTICE, MM_SPEC, NON_DYADIC, det_spec, erlang_b, iid_spec, mm1_wait_tail, random_iid_spec
 
 
 def test_erlang_b_values():
@@ -305,33 +305,80 @@ def test_mm1_wait_tail_matches_simulation():
 
 
 def test_top_supremum_roll_matches_per_index_bound():
-    # The rolled lag-S supremum is the certified read at every index, bit
-    # for bit, across the seams of its lane roll; the reads run on a path
-    # of their own.
-    from impatientq.loynes import CHUNK, certified_supremum, top_supremum_series
-
-    n = 3 * CHUNK + 37
-    for spec in (iid_spec(41, Exponential(1.0), Exponential(0.7), Uniform(0.0, 1.5)), MM_SPEC):
+    # z_top is the upper rows' top coordinate, the lag-1 supremum, shifted to
+    # lag S by a clipped delay line: the certified read at every index, bit
+    # for bit, across the seams of the lane roll; the reads run on a path of
+    # their own. On a lattice path z_top is that read raised to the reported
+    # upper1, and at S = 1 it is upper1 itself.
+    n = 3 * loynes.CHUNK + 37
+    for spec in (iid_spec(41, Exponential(1.0), Exponential(0.7), Uniform(0.0, 1.5)), MM_SPEC, NON_DYADIC):
         for servers in (1, 2, 3, 4):
-            series = top_supremum_series(StationaryPath(spec), 0, n,
-                                         certified_supremum(StationaryPath(spec), 0, "upper", servers))
+            samples = bound_report(StationaryPath(spec), servers, n, keep_samples=True).samples
+            upper1, z_top = np.ascontiguousarray(samples[:, 2]), np.ascontiguousarray(samples[:, 3])
             reads = StationaryPath(spec)
             want = np.array([certified_supremum(reads, t, "upper", servers).values[0] for t in range(n)])
-            assert np.array_equal(series.view(np.int64), want.view(np.int64)), (spec.seed, servers)
+            if spec.is_lattice:
+                want = np.maximum(want, upper1)
+            assert np.array_equal(z_top.view(np.int64), want.view(np.int64)), (spec.seed, servers)
+            if servers == 1:
+                assert np.array_equal(z_top.view(np.int64), upper1.view(np.int64)), spec.seed
 
 
 def test_bound_report_refuses_out_of_order_indicators(monkeypatch):
-    # With z_top forced to zero, the first sample whose upper envelope
-    # exceeds its patience breaks upper_ind <= z_ind.
+    # With the upper rows' top coordinate zero, z_top is zero past its first
+    # sample, and the first later sample whose upper envelope exceeds its
+    # patience breaks upper_ind <= z_ind.
     samples = bound_report(StationaryPath(MM_SPEC), 2, 2_000, at=5, keep_samples=True).samples
-    i = int(np.argmax(samples[:, 2] > samples[:, 4]))
+    i = 1 + int(np.argmax(samples[1:, 2] > samples[1:, 4]))
     lower1, w1, upper1, _, patience = samples[i, :5].tolist()
-    monkeypatch.setattr(metrics, "top_supremum_series", lambda path, at, n, zb: np.zeros(n))
+    sandwich_states = metrics.sandwich_states
+
+    def top_zeroed(*args):
+        states = sandwich_states(*args)
+        states[2][:, -1] = 0.0
+        return states
+
+    monkeypatch.setattr(metrics, "sandwich_states", top_zeroed)
     with pytest.raises(ContractError) as err:
         bound_report(StationaryPath(MM_SPEC), 2, 2_000, at=5)
     assert str(err.value) == (
         f"loss indicators out of order at sample {i} (index {i + 5}): lower1 {lower1!r}, "
         f"W1 {w1!r}, upper1 {upper1!r}, z_top 0.0, patience {patience!r}")
+
+
+def test_bound_report_rolls_each_recursion_once(monkeypatch):
+    # A float report carries its three recursions in one lane pass, and z_top
+    # reads the upper rows: no fourth roll. A lattice report rolls the exact
+    # recursion in multiples and each float envelope alone.
+    calls, forward_roll = [], loynes._forward_roll
+
+    def counting(rolls, lane_step, drivers):
+        calls.append(len(rolls))
+        return forward_roll(rolls, lane_step, drivers)
+
+    monkeypatch.setattr(loynes, "_forward_roll", counting)
+    bound_report(StationaryPath(MM_SPEC), 2, 2_000)
+    assert calls == [3]
+    calls.clear()
+    bound_report(StationaryPath(LATTICE), 3, 2_000)
+    assert calls == [1, 1, 1]
+
+
+def test_bound_report_refuses_fewer_samples_than_batches(monkeypatch):
+    # Refused before any work, naming both counts: no chain runs.
+    chains, real = [], coupling.cftp
+
+    def spy(*args, **kwargs):
+        chains.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "cftp", spy)
+    monkeypatch.setattr(coupling, "cftp", spy)   # the envelope estimates'
+    with pytest.raises(ValueError, match=r"^n_samples \(10\) must be at least n_batches \(30\)$"):
+        bound_report(StationaryPath(MM_SPEC), 2, 10)
+    assert chains == []
+    assert bound_report(StationaryPath(MM_SPEC), 2, 10, n_batches=5).n_samples == 10
+    assert len(chains) == 3
 
 
 def test_bound_report_single_server():

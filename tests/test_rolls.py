@@ -57,8 +57,6 @@ def _rolls(path, at, steps, u0):
         "upper": loynes.envelope_states(path, at, steps, u0, "upper"),
         "lower": loynes.envelope_states(path, at, steps, u0, "lower"),
         "sandwich": loynes.sandwich_states(path, at, steps, u0, u0, u0),
-        "delay": loynes.top_supremum_series(
-            path, at, steps, loynes.supremum_bound(path, at, "upper", 64, len(u0))),
     }
 
 
@@ -127,7 +125,6 @@ def test_infinite_patience_states_match_oracle(monkeypatch):
     spec = iid_spec(21, Exponential(1.0), Exponential(0.7), Deterministic(math.inf))
     lanes = _assert_matches_oracle(monkeypatch, StationaryPath(spec), 0, 3 * CHUNK, (0.0, 0.0))
     assert np.isinf(lanes["upper"][2:]).all()
-    assert np.isinf(lanes["delay"]).all()
 
 
 def test_start_far_above_stationarity_matches_oracle(monkeypatch):
@@ -188,9 +185,8 @@ def _assert_stacked_matches_scalar_rolls(path, at, steps, starts):
     assert stacked.shape == (3, steps + 1, len(starts[0]))
     lower = _kernel_roll(starts[1], lambda u, d: _merge_shift(u, min(d.sigma, d.patience), d.tau), blk)
     upper = _kernel_roll(starts[2], lambda u, d: _merge_shift(u, d.sigma + d.patience, d.tau), blk)
-    if path.spec.is_lattice:   # the exact rows in the lattice's own arithmetic bound the float envelopes
+    if path.spec.is_lattice:   # the exact rows in the lattice's own arithmetic
         exact = _lattice_loop(path, at, steps, _multiples_of(path, starts[0]))[0] * path.spec.alpha
-        lower, upper = np.minimum(lower, exact), np.maximum(upper, exact)
     else:
         exact = _kernel_roll(starts[0], lambda u, d: advance(u, d).next, blk)
     references = (exact, lower, upper)

@@ -120,31 +120,37 @@ MUTANTS = (
            ("tests/test_rolls.py::test_named_models_match_oracle[511]",
             "tests/test_rolls.py::test_stacked_roll_matches_three_scalar_rolls[1]",
             "tests/test_metrics.py::test_bound_report_on_a_non_dyadic_lattice[0.2]")),
-    # On a lattice path the float envelopes are held on their side of the
-    # exact rows, and z_top on its side of the upper rows.
-    Mutant("sandwich-lattice-envelopes-unclipped", LOYNES,
-           "np.minimum(envelope_states(path, at, steps, lower0, \"lower\"), states[0], out=states[1])\n"
-           "        np.maximum(envelope_states(path, at, steps, upper0, \"upper\"), states[0], out=states[2])",
-           "states[1] = envelope_states(path, at, steps, lower0, \"lower\")\n"
-           "        states[2] = envelope_states(path, at, steps, upper0, \"upper\")",
-           ("tests/test_rolls.py::test_stacked_roll_matches_three_scalar_rolls[1]",
-            "tests/test_metrics.py::test_bound_report_on_a_non_dyadic_lattice[0.2]")),
-    Mutant("bound-report-lattice-z-unclipped", METRICS,
-           "np.maximum(z_top, upper_states[:, 0], out=z_top)",
+    # On a lattice path the reported float envelopes are held on their sides
+    # of the exact column, and z_top on its side of the upper one.
+    Mutant("sandwich-lattice-envelopes-unclipped", METRICS,
+           "lower1, upper1 = np.minimum(lower1, w1), np.maximum(upper1, w1)",
            "pass",
            ("tests/test_metrics.py::test_bound_report_on_a_non_dyadic_lattice[0.2]",)),
-    # The lag-S series starts from the certified read's own values, not from
-    # a clipped maximum of cumulative sums over its window, which rounds
+    Mutant("bound-report-lattice-z-unclipped", METRICS,
+           "z_top = np.maximum(z_top, upper1)",
+           "pass",
+           ("tests/test_metrics.py::test_bound_report_on_a_non_dyadic_lattice[0.2]",)),
+    # z_top's lag-1 value is the upper rows' top coordinate, as rolled: not
+    # their least one, and not raised to the exact rows first, which moves it
+    # at 79 rows of the non-dyadic lattice at S = 2.
+    Mutant("z-lag1-from-least-coordinate", METRICS,
+           "z_top = upper_states[:, -1]",
+           "z_top = upper_states[:, 0]",
+           ("tests/test_metrics.py::test_top_supremum_roll_matches_per_index_bound",)),
+    Mutant("z-lag1-from-clipped-upper", LOYNES,
+           "states[1] = envelope_states(path, at, steps, lower0, \"lower\")\n"
+           "        states[2] = envelope_states(path, at, steps, upper0, \"upper\")",
+           "np.minimum(envelope_states(path, at, steps, lower0, \"lower\"), states[0], out=states[1])\n"
+           "        np.maximum(envelope_states(path, at, steps, upper0, \"upper\"), states[0], out=states[2])",
+           ("tests/test_metrics.py::test_top_supremum_roll_matches_per_index_bound",)),
+    # The delay line starts from the certified read's own values, not from a
+    # clipped maximum of cumulative sums over its window, which rounds
     # differently and fell 4.4e-16 below upper1.
-    Mutant("top-series-clipped-cumsum-start", LOYNES,
-           "    z = envelope_states(path, at, n - 1, (zb.values[-1],), \"upper\")[:, 0]\n"
-           "    tau = path.block(at, n - 1).tau\n"
+    Mutant("top-series-clipped-cumsum-start", METRICS,
            "    for start in zb.values[-2::-1]:\n",
            "    init = path.block(at - zb.horizon, zb.horizon)\n"
            "    terms = (init.sigma + init.patience)[::-1] - np.cumsum(init.tau[::-1])\n"
            "    m0 = [max(float(terms[lag - 1:].max()), 0.0) for lag in range(len(zb.values), 0, -1)]\n"
-           "    z = envelope_states(path, at, n - 1, (m0[-1],), \"upper\")[:, 0]\n"
-           "    tau = path.block(at, n - 1).tau\n"
            "    for start in m0[-2::-1]:\n",
            ("tests/test_metrics.py::test_bound_report_samples",
             "tests/test_metrics.py::test_top_supremum_roll_matches_per_index_bound")),
@@ -206,6 +212,7 @@ def main(names) -> int:
     if names and len(chosen) != len(set(names)):
         print(f"unknown mutants: {sorted(set(names) - {m.name for m in MUTANTS})}")
         return 2
+    began_all = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         clean = Path(tmp) / "clean"
         _copy(clean)
@@ -236,6 +243,7 @@ def main(names) -> int:
                     return 2
                 print(f"{m.name}: {verdict} by {test} in {took:.1f} s")
             shutil.rmtree(where)
+    print(f"{len(chosen)} mutants, {survived} survived, in {time.perf_counter() - began_all:.0f} s")
     return 1 if survived else 0
 
 
