@@ -17,8 +17,8 @@ routine reads each monotone envelope's backward limit from the box of its
 own kind: an envelope's contribution does not depend on the state, so its
 chain is the two rolls of dominated CFTP (Kendall & Moller 2000). A path
 remembers each start's box and chain, and starts lie on a grid of
-absolute indices, so later targets that share a start resume its chain
-instead of reading the box again. The chain is a deterministic function of
+indices, so later targets that share a start resume its chain instead of
+reading the box again. The chain is a deterministic function of
 its interval and of index-tied drivers, and from a certified box it closes
 to the stationary state whatever its start, so the result is the same, bit
 for bit.
@@ -143,26 +143,26 @@ def cftp(path: StationaryPath, servers: int, at: int = 0,
     and the certified supremum vector of the same kind (upper for the exact
     map) there. Rung ``h`` doubles from ``max(2S, 16)``, or from
     ``max_horizon`` if that is smaller, until the chain closes to a point at
-    ``at``; it starts at the last multiple of ``h`` in absolute index at or
-    before ``at - h``, but not before ``at - max_horizon`` (``>= 1``).
-    ``horizon_used`` is ``at`` less the start: in ``[h, 2h)``, at most
-    ``max_horizon``, and equal to it when the chain stays open. Drivers are
-    tied to indices, so deeper rungs replay the same randomness. The exact
-    chain runs on int64 multiples on a lattice path; an envelope's always
-    runs in floats. ``at`` and ``max_horizon`` are read by ``operator.index``.
+    ``at``; it starts at the last multiple of ``h`` at or before ``at - h``,
+    but not before ``at - max_horizon`` (``>= 1``). ``horizon_used`` is
+    ``at`` less the start: in ``[h, 2h)``, at most ``max_horizon``, and
+    equal to it when the chain stays open. Drivers are tied to indices, so
+    deeper rungs replay the same randomness. The exact chain runs on int64
+    multiples on a lattice path; an envelope's always runs in floats.
+    ``at`` and ``max_horizon`` are read by ``operator.index``.
 
     The path remembers, for the ``CHAIN_MEMO`` starts used last (keyed on
-    the absolute start index, ``servers`` and ``kind``), the certified box
-    read there and the furthest index its chain has reached, with the
-    interval there. A start seen before (consecutive targets share the
-    starts of each rung) skips the box read; its chain resumes from that
-    index when the index is not past ``at`` (as a point if it had closed),
-    and reruns from the box otherwise. The chain is a deterministic
-    function of its interval and of drivers tied to indices, so a resumed
-    chain ends on the interval a fresh one would, bit for bit: the memo
-    changes no result. A start first seen
-    by the exact chain takes the box the upper envelope's chain read there,
-    and vice versa. A start whose box is refused is never remembered.
+    the start index, ``servers`` and ``kind``), the certified box read
+    there and the furthest index its chain has reached, with the interval
+    there. A start seen before (consecutive targets share the starts of
+    each rung) skips the box read; its chain resumes from that index when
+    the index is not past ``at`` (as a point if it had closed), and reruns
+    from the box otherwise. The chain is a deterministic function of its
+    interval and of drivers tied to indices, so a resumed chain ends on the
+    interval a fresh one would, bit for bit: the memo changes no result. A
+    start first seen by the exact chain takes the box the upper envelope's
+    chain read there, and vice versa. A start whose box is refused is never
+    remembered.
     """
     if servers < 1:
         raise ValueError("servers must be >= 1")
@@ -176,29 +176,29 @@ def cftp(path: StationaryPath, servers: int, at: int = 0,
     twin = {"exact": "upper", "upper": "exact"}.get(kind)  # the other kind whose chain starts from this box
     rung = min(max(2 * servers, 16), max_horizon)
     while True:
-        start = max((at + path.offset - rung) // rung * rung - path.offset, at - max_horizon)
+        start = max((at - rung) // rung * rung, at - max_horizon)
         horizon = at - start
-        key = (start + path.offset, servers, kind)
-        # (box, absolute index the chain reached, L and U there); taken out
-        # and put back, so the entry evicted first is the least recently used
+        key = (start, servers, kind)
+        # (box, index the chain reached, L and U there); taken out and put
+        # back, so the entry evicted first is the least recently used
         memo = chains.pop(key, None)
-        boxed = memo or chains.get((key[0], servers, twin))
+        boxed = memo or chains.get((start, servers, twin))
         if boxed is None:
             zb = certified_supremum(path, start, "upper" if kind == "exact" else kind, servers, horizon)
             if any(not math.isfinite(v) for v in zb.values):
                 raise ConfigurationError("top supremum is not finite; cannot bound the stationary states")
         else:
             zb = boxed[0]
-        resume = memo is not None and memo[1] - path.offset <= at
+        resume = memo is not None and memo[1] <= at
         if resume:
-            reached, lo, hi = memo[1] - path.offset, memo[2], memo[3]
+            reached, lo, hi = memo[1:]
         else:
             reached, lo, hi = start, (0.0,) * servers, zb.values
             if lattice:
                 lo, hi = (0,) * servers, tuple(_multiples(hi, path.spec.alpha).tolist())
         lo, hi = _bounding_chain(path, reached, at - reached, lo, hi, kind)
         if memo is None or resume:   # otherwise the remembered chain reached further
-            memo = (zb, at + path.offset, lo, hi)
+            memo = (zb, at, lo, hi)
         chains[key] = memo
         if len(chains) > CHAIN_MEMO:
             chains.popitem(last=False)

@@ -138,11 +138,9 @@ def supremum_bound(path: StationaryPath, at: int, kind: str, depth: int,
     if depth < servers:
         raise ValueError(f"depth must be at least the server count, got {depth} < {servers}")
     blk = path.block(at - depth, depth)
-    # Absolute indices: the window starts at ``base`` and its common lags
-    # end at ``end``. The memo is (depth, end, v there, last reset).
-    common = depth - servers + 1
-    base = at - depth + path.offset
-    end = base + common
+    # The window starts at ``base`` and its common lags end at ``end``. The
+    # memo is (depth, end, v there, last reset).
+    base, end = at - depth, at - servers + 1
     memo = path._suprema.get((kind, servers))
     if memo is not None and memo[0] == depth and memo[1] <= end and memo[3] >= base:
         _, first, v, reset = memo
@@ -396,11 +394,12 @@ def _exact_drivers(path: StationaryPath, at: int, steps: int) -> tuple[np.ndarra
 
 def _exact_lists(path: StationaryPath, at: int, steps: int) -> tuple[list, ...]:
     """``_exact_drivers`` at ``at .. at+steps-1`` as Python lists: slices of
-    the lists of its page of ``_CHAIN_BLOCK`` absolute indices, converted on
-    the page's first read and kept in ``path._pages`` until ``block``
-    replaces the cover, or a window across a page edge converted alone."""
-    page, o = divmod(at + path.offset, _CHAIN_BLOCK)
-    if not 0 <= steps <= _CHAIN_BLOCK - o:
+    the lists of its page of ``_CHAIN_BLOCK`` indices, converted on the
+    page's first read and kept in ``path._pages`` until ``block`` replaces
+    the cover, or a window across a page edge converted alone. A window of
+    no steps converts nothing."""
+    page, o = divmod(at, _CHAIN_BLOCK)
+    if not 0 < steps <= _CHAIN_BLOCK - o:
         return tuple(col.tolist() for col in _exact_drivers(path, at, steps))
     lists = path._pages.get(page)
     if lists is None:   # stored after the read, which may replace the cover and drop its pages

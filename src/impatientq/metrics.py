@@ -271,10 +271,13 @@ def bound_report(path: StationaryPath, servers: int, n_samples: int, at: int = 0
     stationary, or when the four loss indicators are out of order at a
     sample; an infinite top supremum leaves no box to couple from, and
     ``cftp`` refuses it (``ConfigurationError``). ``max_horizon`` caps the
-    exact ``cftp`` call. Fewer samples than batches are refused up front.
+    exact ``cftp`` call. Fewer than 2 batches, or fewer samples than
+    batches, are refused up front.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    if n_batches < 2:
+        raise ValueError(f"batch means need at least 2 batches, got {n_batches}")
     if n_samples < n_batches:
         raise ValueError(f"n_samples ({n_samples}) must be at least n_batches ({n_batches})")
     # Read first, the certified supremum covers the window too, so the page

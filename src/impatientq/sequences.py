@@ -424,52 +424,42 @@ class LatticeBlock(NamedTuple):
 class StationaryPath:
     """Index-addressed view of one realized driver sequence.
 
-    ``sample_at(n)`` is a pure function of ``(spec, n + offset)``; a path
-    shifted by ``k`` is just the same sequence read at translated indices.
-    The only mutable members are memos: the modulating-chain blocks,
-    shared between a path and its shifts; the float cover of ``block``
-    (its absolute base index and read-only arrays), kept per path; and, per
-    path too, ``coupling.cftp``'s bounded memo of each start's certified
-    box and bounding chain, ``loynes.supremum_bound``'s resume entry per
-    ``(kind, servers)``: the depth, the absolute index where the read's
-    common recursion ended, its value there and the absolute index of its
-    last reset, and the driver pages of the exact chain
-    (``loynes._exact_lists``): a cover page's ``_exact_drivers`` as Python
-    lists, keyed by absolute page index and dropped with the cover. Each
-    holds only values that are functions of absolute indices, each entry
-    one tuple, so a race between two readers can at worst cost a
-    recomputation, never a different result. On a
-    miss, ``block`` generates the request's aligned cover: the whole pages
-    of ``_CHAIN_BLOCK`` absolute indices it touches, so that on a Markov
-    path a page is exactly one chain block. The cover replaces the memo,
-    and the request and any later window inside it are returned as views
-    of it. They hold the very numbers a fresh generation would, since every
-    value is a function of its absolute index alone; a run of short reads
-    near one index, such as the horizons of ``coupling.cftp`` at
-    neighbouring targets, then shares one generation.
+    ``sample_at(n)`` is a pure function of ``(spec, n)``, so the shift of
+    the sequence by ``k`` is the same path read at ``n + k``. The only
+    mutable members are memos keyed on driver indices: the modulating-chain
+    blocks, by block index; the float cover of ``block`` (its first index
+    and read-only arrays); ``coupling.cftp``'s bounded memo of each start's
+    certified box and bounding chain; ``loynes.supremum_bound``'s resume
+    entry per ``(kind, servers)``; and the driver pages of the exact chain
+    (``loynes._exact_lists``), dropped with the cover. Each entry is one
+    tuple of values that are functions of indices, so a race between two
+    readers can at worst cost a recomputation, never a different result.
+    On a miss, ``block`` generates the request's aligned cover: the whole
+    pages of ``_CHAIN_BLOCK`` indices it touches, so that on a Markov path
+    a page is exactly one chain block. The cover replaces the memo, and the
+    request and any later window inside it are returned as views of it;
+    a run of short reads near one index, such as the horizons of
+    ``coupling.cftp`` at neighbouring targets, then shares one generation.
+    A read of no indices touches no memo.
     """
 
     spec: SequenceSpec
-    offset: int = 0
-    _chain_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _chain_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _window: Optional[tuple[int, DriverBlock]] = field(default=None, init=False, repr=False,
                                                        compare=False)
     _chains: OrderedDict = field(default_factory=OrderedDict, init=False, repr=False, compare=False)
     _suprema: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _pages: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def shifted(self, k: int) -> "StationaryPath":
-        return StationaryPath(self.spec, self.offset + k, self._chain_cache)
-
     def sample_at(self, n: int) -> DriverSample:
         """The triple at index ``n``: read from the memo on a hit, otherwise
         generated alone, leaving the memo as it is."""
-        base = operator.index(n) + self.offset
+        n = operator.index(n)
         memo = self._window
-        if memo is not None and 0 <= base - memo[0] < len(memo[1].tau):
-            blk, i = memo[1], base - memo[0]
+        if memo is not None and 0 <= n - memo[0] < len(memo[1].tau):
+            blk, i = memo[1], n - memo[0]
         else:
-            blk, i = self._generate(base, 1), 0
+            blk, i = self._generate(n, 1), 0
         return DriverSample(float(blk.tau[i]), float(blk.sigma[i]), float(blk.patience[i]))
 
     def block(self, start: int, count: int) -> DriverBlock:
@@ -477,25 +467,26 @@ class StationaryPath:
         start, count = operator.index(start), operator.index(count)
         if count < 0:
             raise ValueError("count must be non-negative")
-        base = start + self.offset
+        if count == 0:   # read-only empty arrays; the memo stays as it is
+            return DriverBlock(*(np.frombuffer(b"") for _ in range(3)))
         memo = self._window
-        if memo is None or not (0 <= base - memo[0] <= len(memo[1].tau) - count):
-            lo = base - base % _CHAIN_BLOCK
-            hi = base + count + (-(base + count)) % _CHAIN_BLOCK
+        if memo is None or not (0 <= start - memo[0] <= len(memo[1].tau) - count):
+            lo = start - start % _CHAIN_BLOCK
+            hi = start + count + (-(start + count)) % _CHAIN_BLOCK
             cover = self._generate(lo, hi - lo)
             for a in cover:
                 a.setflags(write=False)
             memo = self._window = (lo, cover)
             self._pages = {}   # the old cover's page lists go with it
-        i = base - memo[0]
+        i = start - memo[0]
         return DriverBlock(*(a[i : i + count] for a in memo[1]))
 
-    def _generate(self, base: int, count: int) -> DriverBlock:
-        u_tau = stream_uniforms(self.spec.seed, STREAM_TAU, base, count)
-        u_sigma = stream_uniforms(self.spec.seed, STREAM_SIGMA, base, count)
-        u_pat = stream_uniforms(self.spec.seed, STREAM_PATIENCE, base, count)
+    def _generate(self, start: int, count: int) -> DriverBlock:
+        u_tau = stream_uniforms(self.spec.seed, STREAM_TAU, start, count)
+        u_sigma = stream_uniforms(self.spec.seed, STREAM_SIGMA, start, count)
+        u_pat = stream_uniforms(self.spec.seed, STREAM_PATIENCE, start, count)
         if self.spec.model == "markov_modulated":
-            states = self._states(base, count)
+            states = self._states(start, count)
             mod = self.spec.modulation
             tau = np.empty(count)
             sigma = np.empty(count)
@@ -528,8 +519,8 @@ class StationaryPath:
 
     # -- modulating chain ---------------------------------------------------
 
-    def _states(self, base_start: int, count: int) -> np.ndarray:
-        """Chain states for indices ``base_start .. base_start+count-1``.
+    def _states(self, start: int, count: int) -> np.ndarray:
+        """Chain states for indices ``start .. start+count-1``.
 
         The chain is a grand coupling: the uniform at each index fixes a
         jump map on ``{0..m-1}``, the state entered from every state (looked
@@ -541,24 +532,21 @@ class StationaryPath:
         exactly stationary and a pure function of ``(spec, index)``.
 
         States are cached per chain block of ``_CHAIN_BLOCK`` indices, keyed
-        on ``(spec, b)`` and shared between a path and its shifts. Each run
-        of consecutive blocks not yet cached is built in one pass
-        (``_chain_run``).
+        on the block index ``b``. Each run of consecutive blocks not yet
+        cached is built in one pass (``_chain_run``). ``count`` is at least 1.
         """
-        if count == 0:
-            return np.empty(0, dtype=np.int64)
         cache = self._chain_cache
-        first, last = base_start // _CHAIN_BLOCK, (base_start + count - 1) // _CHAIN_BLOCK
-        blocks = {b: cache.get((self.spec, b)) for b in range(first, last + 1)}
+        first, last = start // _CHAIN_BLOCK, (start + count - 1) // _CHAIN_BLOCK
+        blocks = {b: cache.get(b) for b in range(first, last + 1)}
         missing = [b for b, block in blocks.items() if block is None]
         while missing:
             run = 1
             while run < len(missing) and missing[run] == missing[0] + run:
                 run += 1
             for b, block in zip(missing, self._chain_run(missing[0], missing[0] + run)):
-                blocks[b] = cache[(self.spec, b)] = block
+                blocks[b] = cache[b] = block
             missing = missing[run:]
-        lo = base_start - first * _CHAIN_BLOCK
+        lo = start - first * _CHAIN_BLOCK
         return np.concatenate(list(blocks.values()))[lo : lo + count]
 
     def _chain_run(self, first: int, stop: int) -> list[np.ndarray]:

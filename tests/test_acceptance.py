@@ -284,7 +284,7 @@ def test_criterion_9_lattice_reachable_sets():
     assert estimate_conditions(path, 2, 2_000).sigma_lt_tau.probability > 0.0
     depth = 10 * 2
     singletons = sum(
-        len(reachable_profile(path.shifted(401 * t), 2, (depth,))[0]) == 1
+        len(reachable_profile(path, 2, (depth,), at=401 * t)[0]) == 1
         for t in range(30)
     )
     assert singletons > 0

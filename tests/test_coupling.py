@@ -17,7 +17,8 @@ from impatientq.coupling import (
 )
 from impatientq.errors import ConfigurationError, ContractError, ResourceCapError
 from impatientq.kernel import advance, advance_lattice
-from impatientq.loynes import envelope_states
+from impatientq.loynes import envelope_states, exact_states
+from impatientq.metrics import bound_report, estimate_conditions
 from impatientq.sequences import (
     Deterministic,
     DriverSample,
@@ -255,28 +256,29 @@ def test_cftp_equals_deep_forward_roll(seed):
 def test_cftp_horizon_never_exceeds_max_horizon():
     # max_horizon below the starting horizon max(2S, 16) = 16 caps the start,
     # and a cap that is no power of two clips the grid start of the last
-    # rung to at - max_horizon: on targets off every grid, negative targets
-    # and a shifted path. An open chain spans the whole cap; TWO_CYCLES
-    # never closes.
+    # rung to at - max_horizon: on targets off every grid and negative
+    # targets, also 37 indices later. An open chain spans the whole cap;
+    # TWO_CYCLES never closes.
     open_chains = 0
     for spec, servers in ((CERTIFY, 3), (MM_SPEC, 2), (TWO_CYCLES, 1)):
         for offset in (0, 37):
-            path = StationaryPath(spec).shifted(offset)
+            path = StationaryPath(spec)
             for t in (7, 23, 101, 999, -5, -77, -1000):
+                at = t + offset
                 for max_horizon in (1, 3, 4, 8, 16, 24, 32, 100, 1000):
-                    res = cftp(path, servers, at=t, max_horizon=max_horizon)
-                    assert res.horizon_used <= max_horizon, (spec.seed, offset, t, max_horizon, res)
+                    res = cftp(path, servers, at=at, max_horizon=max_horizon)
+                    assert res.horizon_used <= max_horizon, (spec.seed, at, max_horizon, res)
                     if res.coalesced:
-                        free = cftp(StationaryPath(spec).shifted(offset), servers, at=t)
-                        assert res.value == free.value, (spec.seed, offset, t, max_horizon, res)
+                        free = cftp(StationaryPath(spec), servers, at=at)
+                        assert res.value == free.value, (spec.seed, at, max_horizon, res)
                     else:
-                        assert res.horizon_used == max_horizon, (spec.seed, offset, t, max_horizon, res)
+                        assert res.horizon_used == max_horizon, (spec.seed, at, max_horizon, res)
                         open_chains += 1
     assert open_chains >= 2 * 7 * 9, open_chains
 
 
 def test_cftp_ladder_at_zero_is_unchanged():
-    # At index 0 of an unshifted path the grid starts of rung h are -h, so
+    # At index 0 the grid starts of rung h are -h, so
     # the horizons are the doubling ladder 16, 32, 64, ... (from 2S when S
     # is above 8), or the cap.
     rng = np.random.default_rng(29)
@@ -345,12 +347,12 @@ def test_consecutive_cftp_targets_convert_each_page_once(monkeypatch):
     exact_drivers, exact_lists = loynes._exact_drivers, loynes._exact_lists
 
     def spying(path, at, steps):
-        if steps == 4096 and (at + path.offset) % 4096 == 0:
-            built.append((at + path.offset) // 4096)
+        if steps == 4096 and at % 4096 == 0:
+            built.append(at // 4096)
         return exact_drivers(path, at, steps)
 
     def reading(path, at, steps):
-        touched.update(range((at + path.offset) // 4096, (at + path.offset + max(steps, 1) - 1) // 4096 + 1))
+        touched.update(range(at // 4096, (at + max(steps, 1) - 1) // 4096 + 1))
         return exact_lists(path, at, steps)
 
     monkeypatch.setattr(loynes, "_exact_drivers", spying)
@@ -483,6 +485,43 @@ def test_cftp_memo_changes_no_result(family):
     assert open_chains > 0
 
 
+def _bits(x):
+    """``x`` for an exact comparison: dataclasses field by field, arrays by
+    dtype, shape and bytes, and every float by its bits."""
+    if dataclasses.is_dataclass(x):
+        return type(x).__name__, tuple(_bits(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, (tuple, list)):
+        return tuple(_bits(v) for v in x)
+    return np.float64(x).tobytes() if isinstance(x, float) else x
+
+
+@pytest.mark.parametrize("spec", [CERTIFY, MM_SPEC, LATTICE], ids=["iid", "markov", "lattice"])
+def test_mixed_entry_points_on_one_path(spec):
+    # Every entry point that reads a path's memos, run in turn on one path,
+    # in two orders, against a fresh path per call: the sandwich report at
+    # a, cftp of each kind at targets before and after a, a renovation
+    # scan, the condition estimates, an exact roll and, on the lattice, a
+    # reachable profile. Their windows cross the page edge at 12288, so the
+    # cover moves between calls.
+    a = 12_200
+    calls = [lambda p: bound_report(p, 2, 300, at=a, keep_samples=True)]
+    calls += [lambda p, t=t, kind=kind: cftp(p, 2, at=t, kind=kind)
+              for t in (a - 40, a + 7, a + 150) for kind in KINDS]
+    calls += [lambda p: detect_renovation(p, 2, (a - 20, a + 120)),
+              lambda p: estimate_conditions(p, 2, 300, at=a + 50),
+              lambda p: exact_states(p, a + 10, 200, cftp(p, 2, at=a + 10).value)]
+    if spec.is_lattice:
+        calls.append(lambda p: reachable_profile(p, 2, (0, 4, 9), at=a + 20))
+    fresh = [_bits(call(StationaryPath(spec))) for call in calls]
+    for order in (calls, calls[::-1]):
+        path = StationaryPath(spec)
+        for call in order:
+            k = calls.index(call)
+            assert _bits(call(path)) == fresh[k], (k, order is calls)
+
+
 @pytest.mark.parametrize("max_horizon", [0, -5])
 def test_cftp_refuses_max_horizon_below_one(monkeypatch, max_horizon):
     # refused before any box read, naming the argument
@@ -523,13 +562,6 @@ def test_cftp_refuses_unknown_kind(monkeypatch):
     monkeypatch.setattr(coupling, "certified_supremum", None)
     with pytest.raises(ValueError, match="kind must be 'exact', 'lower' or 'upper', got 'middle'"):
         cftp(StationaryPath(CERTIFY), 3, at=0, kind="middle")
-
-
-def test_cftp_on_a_shifted_path():
-    path = StationaryPath(MM_SPEC)
-    shifted = path.shifted(37)
-    for t in list(range(-20, 20)) + list(range(20, -20, -3)):
-        assert _fields(cftp(shifted, 2, at=t)) == _fields(cftp(path, 2, at=t + 37)), t
 
 
 def test_cftp_memo_stays_bounded():
@@ -803,7 +835,7 @@ def test_reachable_set_collapse_under_drift():
     path = StationaryPath(spec)
     singleton = 0
     for t in range(20):
-        rs = reachable_profile(path.shifted(311 * t), 2, (20,))[0]
+        rs = reachable_profile(path, 2, (20,), at=311 * t)[0]
         singleton += len(rs) == 1
     assert singleton > 0
 
@@ -1007,10 +1039,8 @@ def test_coupling_at_negative_indices():
     scan = detect_renovation(path, 2, (-500, -301))
     res = cftp(path, 2, at=-173)
     assert res.coalesced
-    # shifting the path relabels indices without changing anything else
-    shifted = StationaryPath(MM2D).shifted(-173)
-    res_shifted = cftp(shifted, 2, at=0)
-    assert res_shifted.value == res.value
+    # the renovation scan's memos change nothing
+    assert cftp(StationaryPath(MM2D), 2, at=-173) == res
     lat = SequenceSpec(
         model="lattice", seed=21, alpha=0.5,
         tau=LatticeDiscrete(0.5, (2, 3), (0.5, 0.5)),

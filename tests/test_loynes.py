@@ -437,19 +437,19 @@ def test_supremum_bound_resume_changes_no_result(name):
     # path per read: every field, the risk by its bits. Each order
     # interleaves both kinds and S = 1..4 at the certified depth or its
     # doubling, so a read also follows reads of other keys; every other
-    # order runs on a shifted path. The sweep must both resume reads and
-    # meet remembered resets that lie before the new window.
+    # order reads its targets 37 indices later. The sweep must both resume
+    # reads and meet remembered resets that lie before the new window.
     spec = RESUME_SPECS[name]
     rng = np.random.default_rng(2020)
     keys = [(kind, servers) for kind in ("upper", "lower") for servers in range(1, 5)]
-    reference = StationaryPath(spec)   # its shifts share one memo of chain blocks
+    reference = StationaryPath(spec)   # its resume entries are dropped before each read
     certified = {key: certified_supremum(reference, 0, *key).horizon for key in keys}
     orders = ("ascending", "descending", "shuffled", "stride-7", "stride-depth-1", "stride-depth+1")
     resumed = reset_outside = 0
     for scale in (1, 2):
         for i, order in enumerate(orders):
             shift = 37 * (i % 2)
-            shared = StationaryPath(spec).shifted(shift)
+            shared = StationaryPath(spec)
             reads = zip(*[[(t, key) for t in _sweep_targets(order, scale * certified[key], rng)] for key in keys])
             for t, (kind, servers) in (read for step in reads for read in step):
                 depth = scale * certified[kind, servers]
@@ -458,8 +458,9 @@ def test_supremum_bound_resume_changes_no_result(name):
                     inside = before[3] >= t + shift - depth
                     resumed += inside
                     reset_outside += not inside
-                zb = supremum_bound(shared, t, kind, depth, servers)
-                fresh = supremum_bound(reference.shifted(t + shift), 0, kind, depth, servers)
+                zb = supremum_bound(shared, t + shift, kind, depth, servers)
+                reference._suprema.clear()
+                fresh = supremum_bound(reference, t + shift, kind, depth, servers)
                 assert _bound_fields(zb) == _bound_fields(fresh), (name, scale, order, t, kind, servers)
     assert resumed > 0 and reset_outside > 0, (resumed, reset_outside)
 
@@ -506,20 +507,20 @@ def _list_bits(lists):
     return [[(type(x), x.hex() if isinstance(x, float) else x) for x in col] for col in lists]
 
 
-@pytest.mark.parametrize("offset", [0, 4097])
+@pytest.mark.parametrize("base", [0, 4097])
 @pytest.mark.parametrize("spec", [CERTIFY, MM_SPEC, LATTICE], ids=["iid", "markov", "lattice"])
-def test_exact_lists_equal_exact_drivers(spec, offset):
-    # windows inside a page, on its edges, across index 4096 and across
-    # index 0, at negative indices and empty, all from one path's pages
-    # against a fresh path's converted window, bit for bit and type for
-    # type (Python floats, or ints for the lattice multiples and deadlines)
-    path = StationaryPath(spec).shifted(offset)
+def test_exact_lists_equal_exact_drivers(spec, base):
+    # windows inside a page, on its edges, across a page edge and across
+    # index 0 (with base 0), at negative indices and empty, all from one
+    # path's pages against a fresh path's converted window, bit for bit and
+    # type for type (Python floats, or ints for the lattice multiples and
+    # deadlines); every window starts ``base`` indices later
+    path = StationaryPath(spec)
     windows = [(10, 50), (0, 4096), (4090, 6), (4090, 20), (4095, 1), (4096, 7), (-30, 25),
                (-5, 10), (-4100, 10), (-8192, 4096), (17, 0), (6000, 3000)]
     for at, steps in windows:
-        fresh = StationaryPath(spec).shifted(offset)
-        want = tuple(col.tolist() for col in loynes._exact_drivers(fresh, at, steps))
-        assert _list_bits(loynes._exact_lists(path, at, steps)) == _list_bits(want), (at, steps)
+        want = tuple(col.tolist() for col in loynes._exact_drivers(StationaryPath(spec), base + at, steps))
+        assert _list_bits(loynes._exact_lists(path, base + at, steps)) == _list_bits(want), (at, steps)
 
 
 @pytest.mark.parametrize("spec", [CERTIFY, LATTICE], ids=["iid", "lattice"])
@@ -538,3 +539,27 @@ def test_exact_lists_after_the_cover_moves(spec):
             assert res == fresh and repr(res) == repr(fresh), at
             base, cover = shared._window   # the pages kept lie in the cover
             assert all(0 <= page * 4096 - base < len(cover.tau) for page in shared._pages), at
+
+
+@pytest.mark.parametrize("spec", [CERTIFY, LATTICE], ids=["iid", "lattice"])
+def test_a_read_of_no_indices_keeps_the_cover(monkeypatch, spec):
+    # zero-length reads inside and outside the cover (page 0) return empty
+    # read-only arrays and empty lists, and leave the cover and its page
+    # lists as they were: the next read inside page 0 generates nothing
+    generate = StationaryPath._generate
+    generated = []
+    monkeypatch.setattr(StationaryPath, "_generate",
+                        lambda self, start, count: generated.append((start, count)) or generate(self, start, count))
+    path = StationaryPath(spec)
+    path.block(100, 50)
+    loynes._exact_lists(path, 100, 50)
+    cover, lists = path._window, path._pages[0]
+    for at in (8192, 8200, -1, 100, 4095):
+        blk = path.block(at, 0)
+        assert all(a.shape == (0,) and a.dtype == np.float64 and not a.flags.writeable for a in blk), at
+        assert loynes._exact_lists(path, at, 0) == ([], [], []), at
+        assert path._window is cover and path._pages == {0: lists} and path._pages[0] is lists, at
+    path.block(100, 50)
+    loynes._exact_lists(path, 100, 50)
+    assert generated == [(0, 4096)], generated
+    assert path._pages[0] is lists

@@ -381,6 +381,17 @@ def test_bound_report_refuses_fewer_samples_than_batches(monkeypatch):
     assert len(chains) == 3
 
 
+@pytest.mark.parametrize("n_batches", [1, 0, -3])
+def test_bound_report_refuses_fewer_than_two_batches(monkeypatch, n_batches):
+    # Refused up front with batch_means' message: no chain runs.
+    chains = []
+    monkeypatch.setattr(metrics, "cftp", lambda *args, **kwargs: chains.append(args))
+    monkeypatch.setattr(coupling, "cftp", lambda *args, **kwargs: chains.append(args))
+    with pytest.raises(ValueError, match=rf"^batch means need at least 2 batches, got {n_batches}$"):
+        bound_report(StationaryPath(MM_SPEC), 2, 100, n_batches=n_batches)
+    assert chains == []
+
+
 def test_bound_report_single_server():
     spec = iid_spec(53, Exponential(1.0), Exponential(0.8), Deterministic(0.5))
     rep = bound_report(StationaryPath(spec), 1, 20_000)

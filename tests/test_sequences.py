@@ -65,31 +65,11 @@ def test_block_matches_scalar():
             assert (s.tau, s.sigma, s.patience) == (blk.tau[i], blk.sigma[i], blk.patience[i])
 
 
-def test_shift_group_law():
-    rng = np.random.default_rng(2)
-    path = StationaryPath(random_iid_spec(rng))
-    for _ in range(200):
-        j = int(rng.integers(-10_000, 10_000))
-        n = int(rng.integers(-10_000, 10_000))
-        assert path.shifted(j).sample_at(n) == path.sample_at(n + j)
-    mm = StationaryPath(MM_SPEC)
-    for _ in range(20):
-        j = int(rng.integers(-5_000, 5_000))
-        n = int(rng.integers(-5_000, 5_000))
-        assert mm.shifted(j).sample_at(n) == mm.sample_at(n + j)
-
-
-def test_shift_identity_and_inverse():
-    path = StationaryPath(iid_spec(3, Exponential(1.0), Exponential(1.0), Deterministic(1.0)))
-    assert path.shifted(0).sample_at(42) == path.sample_at(42)
-    assert path.shifted(3).shifted(-3).sample_at(-11) == path.sample_at(-11)
-
-
 def test_deterministic_path_is_shift_invariant():
     spec = SequenceSpec(model="deterministic", seed=9, tau=Deterministic(2.0),
                         sigma=Deterministic(1.0), patience=Deterministic(0.5))
     path = StationaryPath(spec)
-    assert path.shifted(17).sample_at(5) == path.sample_at(5)
+    assert path.sample_at(5) == path.sample_at(22)
 
 
 def test_simple_arrivals_tau_positive():
@@ -346,22 +326,23 @@ def test_states_over_covers_match_sequential_chain(monkeypatch, chain, back_star
 
 
 @pytest.mark.parametrize("chain", COVER_CHAINS)
-def test_partly_cached_runs_through_shifts(chain):
-    # Shifted paths share the block cache: a wide read after scattered
-    # narrow ones builds only the runs between cached blocks, and every
-    # block it returns, cached or new, is the stepped reference.
+def test_partly_cached_runs_through_shifts(monkeypatch, chain):
+    # The block cache is keyed on the chain-block index: a wide read after
+    # scattered narrow ones builds only the runs between cached blocks, and
+    # every block it returns, cached or new, is the stepped reference.
     spec = _chain_spec(CHAINS[chain])
     path = StationaryPath(spec)
-    rng = np.random.default_rng(len(chain))
     for b in (-4, -1, 0, 3, 4):
-        k = int(rng.integers(-3 * _CHAIN_BLOCK, 3 * _CHAIN_BLOCK))
-        path.shifted(k).block(b * _CHAIN_BLOCK + 100 - k, 50)
-    assert {key[1] for key in path._chain_cache} == {-4, -1, 0, 3, 4}
-    k = int(rng.integers(-3 * _CHAIN_BLOCK, 3 * _CHAIN_BLOCK))
+        path.block(b * _CHAIN_BLOCK + 100, 50)
+    assert set(path._chain_cache) == {-4, -1, 0, 3, 4}
+    runs, chain_run = [], StationaryPath._chain_run
+    monkeypatch.setattr(StationaryPath, "_chain_run",
+                        lambda self, first, stop: runs.append((first, stop)) or chain_run(self, first, stop))
     lo, count = -6 * _CHAIN_BLOCK + 7, 12 * _CHAIN_BLOCK - 20
-    path.shifted(k).block(lo - k, count)
-    assert {key[1] for key in path._chain_cache} == set(range(-6, 6))
-    for (_, b), block in path._chain_cache.items():
+    path.block(lo, count)
+    assert runs == [(-6, -4), (-3, -1), (1, 3), (5, 6)], runs
+    assert set(path._chain_cache) == set(range(-6, 6))
+    for b, block in path._chain_cache.items():
         assert np.array_equal(block, _reference_chain_block(spec, b, 1 << 20)), b
     assert np.array_equal(path._states(lo, count), _reference_states(spec, lo, count))
 
@@ -447,9 +428,8 @@ def test_chain_cell_maps_match_row_search(chain):
 
 
 def test_block_straddling_chain_blocks_through_shift():
-    k = -3 * _CHAIN_BLOCK + 11
-    path = StationaryPath(MM_SPEC).shifted(k)
-    start, count = -5 - k, _CHAIN_BLOCK + 20  # base indices -5 .. BLOCK+14: blocks -1, 0, 1
+    path = StationaryPath(MM_SPEC)
+    start, count = -5, _CHAIN_BLOCK + 20  # indices -5 .. BLOCK+14: blocks -1, 0, 1
     states = np.concatenate([sequential_chain_block(MM_SPEC, b) for b in (-1, 0, 1)])
     states = states[_CHAIN_BLOCK - 5 : _CHAIN_BLOCK - 5 + count]
     assert set(states.tolist()) == {0, 1}
@@ -479,45 +459,44 @@ def _bits(blk):
     return [a.tobytes() for a in blk]
 
 
-def _memo_cover(offset):
-    """Path indices ``[lo, hi)`` of the page cover that ``block(MEMO_LO, MEMO_N)``
-    generates on a path shifted by ``offset``: whole pages of ``_CHAIN_BLOCK``
-    absolute indices."""
-    lo = (MEMO_LO + offset) // _CHAIN_BLOCK * _CHAIN_BLOCK - offset
-    hi = -(-(MEMO_LO + MEMO_N + offset) // _CHAIN_BLOCK) * _CHAIN_BLOCK - offset
+def _memo_cover(base):
+    """Indices ``[lo, hi)`` of the page cover that ``block(MEMO_LO + base,
+    MEMO_N)`` generates: whole pages of ``_CHAIN_BLOCK`` indices."""
+    lo = (MEMO_LO + base) // _CHAIN_BLOCK * _CHAIN_BLOCK
+    hi = -(-(MEMO_LO + MEMO_N + base) // _CHAIN_BLOCK) * _CHAIN_BLOCK
     return lo, hi
 
 
-def _memo_windows(offset):
-    """(start, count) windows that lie inside the memo of a path shifted by
-    ``offset`` after ``block(MEMO_LO, MEMO_N)``, and windows that do not."""
-    lo, hi = _memo_cover(offset)
+def _memo_windows(base):
+    """(start, count) windows that lie inside the memo after
+    ``block(MEMO_LO + base, MEMO_N)``, and windows that do not."""
+    lo, hi = _memo_cover(base)
     n = hi - lo
-    # First path index past lo + 10 that starts a chain block.
-    seam = -(-(lo + 10 + offset) // _CHAIN_BLOCK) * _CHAIN_BLOCK - offset
-    inside = [(lo, n), (MEMO_LO, MEMO_N), (lo + 17, 100), (lo, 50), (lo + n - 50, 50),
+    # First index past lo + 10 that starts a chain block.
+    seam = -(-(lo + 10) // _CHAIN_BLOCK) * _CHAIN_BLOCK
+    inside = [(lo, n), (MEMO_LO + base, MEMO_N), (lo + 17, 100), (lo, 50), (lo + n - 50, 50),
               (seam - 7, 30), (seam - 7, _CHAIN_BLOCK + 14)]
     outside = [(lo - 1, 50), (lo + n - 49, 50), (lo - 1, n + 2), (lo + n + 10, 30),
                (lo - 200, 30)]
     return inside, outside
 
 
-@pytest.mark.parametrize("offset", [0, -3 * _CHAIN_BLOCK + 11])
+@pytest.mark.parametrize("base", [0, -3 * _CHAIN_BLOCK + 11])
 @pytest.mark.parametrize("kind", sorted(MEMO_SPECS))
-def test_block_memo_equals_fresh_blocks(kind, offset):
+def test_block_memo_equals_fresh_blocks(kind, base):
     spec = MEMO_SPECS[kind]
-    inside, outside = _memo_windows(offset)
+    inside, outside = _memo_windows(base)
     for window, hit in [(w, True) for w in inside] + [(w, False) for w in outside]:
-        path = StationaryPath(spec).shifted(offset)
-        path.block(MEMO_LO, MEMO_N)
+        path = StationaryPath(spec)
+        path.block(MEMO_LO + base, MEMO_N)
         memo = path._window[1]
         got = path.block(*window)
-        assert _bits(got) == _bits(StationaryPath(spec).shifted(offset).block(*window)), window
+        assert _bits(got) == _bits(StationaryPath(spec).block(*window)), window
         assert np.shares_memory(got.tau, memo.tau) == hit, window
         # A miss replaces the memo with the page cover it generated, which
-        # starts at an absolute page boundary.
-        base, cover = path._window
-        assert base % _CHAIN_BLOCK == 0 and len(cover.tau) % _CHAIN_BLOCK == 0, window
+        # starts at a page boundary.
+        first, cover = path._window
+        assert first % _CHAIN_BLOCK == 0 and len(cover.tau) % _CHAIN_BLOCK == 0, window
         assert np.shares_memory(path.block(*window).tau, got.tau), window
 
 
@@ -538,13 +517,13 @@ def test_sample_at_inside_and_outside_the_memo(kind):
 @pytest.mark.parametrize("kind", ["iid", "lattice", "markov_modulated"])
 def test_sample_at_equals_a_one_index_block_at_random_indices(kind):
     spec = MEMO_SPECS[kind]
-    path = StationaryPath(spec).shifted(-5)
-    path.block(MEMO_LO, MEMO_N)
+    path = StationaryPath(spec)
+    path.block(MEMO_LO - 5, MEMO_N)
     memo = path._window
     rng = np.random.default_rng(91)
-    inside = rng.integers(MEMO_LO, MEMO_LO + MEMO_N, 20)
+    inside = rng.integers(MEMO_LO - 5, MEMO_LO - 5 + MEMO_N, 20)
     for n in np.concatenate([inside, rng.integers(-10**9, 10**9, 40)]).tolist():
-        want = StationaryPath(spec).shifted(-5).block(n, 1)
+        want = StationaryPath(spec).block(n, 1)
         assert np.array(path.sample_at(n)).tobytes() == np.array([a[0] for a in want]).tobytes(), n
         assert path._window is memo, n
 

@@ -78,19 +78,15 @@ MUTANTS = (
            "tuple(_multiples(hi, path.spec.alpha).tolist())",
            "tuple((_multiples(hi, path.spec.alpha) - 1).tolist())",
            ("tests/test_coupling.py::test_cftp_lattice_box_holds_the_stationary_state",)),
-    # The grid of cftp starts, on absolute indices.
-    Mutant("cftp-grid-relative-index", COUPLING,
-           "start = max((at + path.offset - rung) // rung * rung - path.offset, at - max_horizon)",
-           "start = max((at - rung) // rung * rung, at - max_horizon)",
-           ("tests/test_coupling.py::test_cftp_on_a_shifted_path",)),
+    # The grid of cftp starts.
     Mutant("cftp-grid-one-early", COUPLING,
-           "start = max((at + path.offset - rung) // rung * rung - path.offset, at - max_horizon)",
-           "start = max((at + path.offset - rung) // rung * rung - path.offset - 1, at - max_horizon)",
+           "start = max((at - rung) // rung * rung, at - max_horizon)",
+           "start = max((at - rung) // rung * rung - 1, at - max_horizon)",
            ("tests/test_coupling.py::test_cftp_drain_coalesces_immediately",
             "tests/test_coupling.py::test_cftp_ladder_at_zero_is_unchanged")),
     Mutant("cftp-grid-one-late", COUPLING,
-           "start = max((at + path.offset - rung) // rung * rung - path.offset, at - max_horizon)",
-           "start = max((at + path.offset - rung) // rung * rung - path.offset + 1, at - max_horizon)",
+           "start = max((at - rung) // rung * rung, at - max_horizon)",
+           "start = max((at - rung) // rung * rung + 1, at - max_horizon)",
            ("tests/test_coupling.py::test_cftp_drain_coalesces_immediately",), timeout=60.0),
     # Changes no value, only the driver pages generated; the test counts them.
     Mutant("cftp-box-read-ahead-at-rung", COUPLING,
@@ -99,8 +95,8 @@ MUTANTS = (
            ("tests/test_coupling.py::test_consecutive_cftp_targets_share_driver_generations",)),
     # The memo of cftp boxes and chains.
     Mutant("cftp-memo-key-without-kind", COUPLING,
-           "key = (start + path.offset, servers, kind)",
-           "key = (start + path.offset, servers)",
+           "key = (start, servers, kind)",
+           "key = (start, servers)",
            ("tests/test_coupling.py::test_cftp_memo_changes_no_result[lattice]",
             "tests/test_coupling.py::test_exact_and_upper_chains_share_one_box_read")),
     Mutant("cftp-lower-shares-upper-box", COUPLING,
@@ -159,16 +155,26 @@ MUTANTS = (
            "batch = np.zeros((16, width, k, lanes), dtype=dtype)",
            "batch = np.zeros((16, k, lanes, width), dtype=dtype).transpose(0, 3, 1, 2)",
            ("tests/test_loynes.py::test_lane_rolls_hand_the_merge_contiguous_lanes",)),
-    # The exact chain's driver pages: keyed and sliced by absolute index.
+    # The exact chain's driver pages: keyed and sliced by index.
     Mutant("page-key-relative-to-cover", LOYNES,
-           "page, o = divmod(at + path.offset, _CHAIN_BLOCK)",
-           "page, o = divmod(at + path.offset - (path._window or (0,))[0], _CHAIN_BLOCK)",
+           "page, o = divmod(at, _CHAIN_BLOCK)",
+           "page, o = divmod(at - (path._window or (0,))[0], _CHAIN_BLOCK)",
            ("tests/test_loynes.py::test_exact_lists_after_the_cover_moves[iid]",)),
     Mutant("page-slice-one-late", LOYNES,
            "return tau[o:o + steps], sigma[o:o + steps], deadline[o:o + steps]",
            "return tau[o + 1:o + steps + 1], sigma[o + 1:o + steps + 1], deadline[o + 1:o + steps + 1]",
            ("tests/test_loynes.py::test_exact_lists_equal_exact_drivers[iid-0]",
             "tests/test_loynes.py::test_exact_lists_equal_exact_drivers[lattice-4097]")),
+    # Change no value, only the pages generated and converted: a read of no
+    # indices leaves the cover and its page lists as they were.
+    Mutant("empty-read-replaces-cover", SEQUENCES,
+           "        if count == 0:   # read-only empty arrays; the memo stays as it is\n",
+           "        if False:\n",
+           ("tests/test_loynes.py::test_a_read_of_no_indices_keeps_the_cover[iid]",)),
+    Mutant("empty-window-converts-a-page", LOYNES,
+           "if not 0 < steps <= _CHAIN_BLOCK - o:",
+           "if not 0 <= steps <= _CHAIN_BLOCK - o:",
+           ("tests/test_loynes.py::test_a_read_of_no_indices_keeps_the_cover[lattice]",)),
     # Changes no value, only the merges a closed chain takes; the test counts them.
     Mutant("closed-chain-steps-both-ends", COUPLING,
            "    drivers = zip(*_exact_lists(path, start, steps))\n    if lo != hi:\n",
