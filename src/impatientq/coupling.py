@@ -15,13 +15,13 @@ that box holds the image of every state in it. When it closes to a point
 at the target, that point is the stationary workload, bit for bit. The same
 routine reads each monotone envelope's backward limit from the box of its
 own kind: an envelope's contribution does not depend on the state, so its
-chain is the two rolls of dominated CFTP (Kendall & Moller 2000). A path
-remembers each start's box and chain, and starts lie on a grid of
-indices, so later targets that share a start resume its chain instead of
-reading the box again. The chain is a deterministic function of
-its interval and of index-tied drivers, and from a certified box it closes
-to the stationary state whatever its start, so the result is the same, bit
-for bit.
+chain is the two rolls of dominated CFTP (Kendall & Moller 2000). The
+path's memo keeps the box and chain of the starts used last, and starts
+lie on a grid of indices, so later targets that share a start resume its
+chain instead of reading the box again. The chain is a deterministic
+function of its interval and of index-tied drivers, and from a certified
+box it closes to the stationary state whatever its start, so the result
+is the same, bit for bit.
 
 Every exact step here, on a lattice path too, is the one exact map: there
 it runs on int64 multiples of ``alpha`` with each patience's integer
@@ -61,10 +61,7 @@ from .loynes import (
     certified_supremum,
     envelope_states,
 )
-from .sequences import StationaryPath
-
-# Starts whose certified box and bounding chain a path remembers (``cftp``).
-CHAIN_MEMO = 1024
+from .sequences import CHAIN_MEMO, StationaryPath
 
 
 @dataclass(frozen=True)
@@ -151,18 +148,18 @@ def cftp(path: StationaryPath, servers: int, at: int = 0,
     multiples on a lattice path; an envelope's always runs in floats.
     ``at`` and ``max_horizon`` are read by ``operator.index``.
 
-    The path remembers, for the ``CHAIN_MEMO`` starts used last (keyed on
-    the start index, ``servers`` and ``kind``), the certified box read
-    there and the furthest index its chain has reached, with the interval
-    there. A start seen before (consecutive targets share the starts of
-    each rung) skips the box read; its chain resumes from that index when
-    the index is not past ``at`` (as a point if it had closed), and reruns
-    from the box otherwise. The chain is a deterministic function of its
-    interval and of drivers tied to indices, so a resumed chain ends on the
-    interval a fresh one would, bit for bit: the memo changes no result. A
-    start first seen by the exact chain takes the box the upper envelope's
-    chain read there, and vice versa. A start whose box is refused is never
-    remembered.
+    The path's memo (``sequences._PathMemo.chains``, least recently used
+    past ``CHAIN_MEMO`` starts) keeps, per start index, ``servers`` and
+    ``kind``, the certified box read there and the furthest index its chain
+    has reached, with the interval there. A start seen before (consecutive
+    targets share the starts of each rung) skips the box read; its chain
+    resumes from that index when the index is not past ``at`` (as a point
+    if it had closed), and reruns from the box otherwise. The chain is a
+    deterministic function of its interval and of drivers tied to indices,
+    so a resumed chain ends on the interval a fresh one would, bit for bit:
+    the memo changes no result. A start first seen by the exact chain takes
+    the box the upper envelope's chain read there, and vice versa. A start
+    whose box is refused is never remembered.
     """
     if servers < 1:
         raise ValueError("servers must be >= 1")
@@ -172,36 +169,32 @@ def cftp(path: StationaryPath, servers: int, at: int = 0,
     if kind not in ("exact", "lower", "upper"):
         raise ValueError(f"kind must be 'exact', 'lower' or 'upper', got {kind!r}")
     lattice = kind == "exact" and path.spec.is_lattice
-    chains = path._chains
+    memo = path._memo
     twin = {"exact": "upper", "upper": "exact"}.get(kind)  # the other kind whose chain starts from this box
     rung = min(max(2 * servers, 16), max_horizon)
     while True:
         start = max((at - rung) // rung * rung, at - max_horizon)
         horizon = at - start
         key = (start, servers, kind)
-        # (box, index the chain reached, L and U there); taken out and put
-        # back, so the entry evicted first is the least recently used
-        memo = chains.pop(key, None)
-        boxed = memo or chains.get((start, servers, twin))
+        kept = memo.chains.get(key)   # (box, index the chain reached, L and U there)
+        boxed = kept or memo.chains.get((start, servers, twin))
         if boxed is None:
             zb = certified_supremum(path, start, "upper" if kind == "exact" else kind, servers, horizon)
             if any(not math.isfinite(v) for v in zb.values):
                 raise ConfigurationError("top supremum is not finite; cannot bound the stationary states")
         else:
             zb = boxed[0]
-        resume = memo is not None and memo[1] <= at
+        resume = kept is not None and kept[1] <= at
         if resume:
-            reached, lo, hi = memo[1:]
+            reached, lo, hi = kept[1:]
         else:
             reached, lo, hi = start, (0.0,) * servers, zb.values
             if lattice:
                 lo, hi = (0,) * servers, tuple(_multiples(hi, path.spec.alpha).tolist())
         lo, hi = _bounding_chain(path, reached, at - reached, lo, hi, kind)
-        if memo is None or resume:   # otherwise the remembered chain reached further
-            memo = (zb, at, lo, hi)
-        chains[key] = memo
-        if len(chains) > CHAIN_MEMO:
-            chains.popitem(last=False)
+        if kept is None or resume:   # otherwise the remembered chain reached further
+            kept = (zb, at, lo, hi)
+        memo.keep_chain(key, kept)
         if lo == hi:
             value = tuple(_times(lo, path.spec.alpha).tolist()) if lattice else lo
             return CftpResult(value, True, horizon, zb.horizon, zb.risk)

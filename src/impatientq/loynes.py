@@ -121,10 +121,10 @@ def supremum_bound(path: StationaryPath, at: int, kind: str, depth: int,
     The lags ``>= S`` common to every coordinate run as one clipped
     recursion ``v = [max(v, w) - t]+`` from ``v = 0`` at the deepest lag,
     which resumes the path's previous read of the same ``(kind, servers)``
-    (``StationaryPath._suprema``). A *reset* is an index where ``v`` took
-    the work term (``v <= w``) or was clipped to zero; from there on ``v``
-    no longer depends on the steps before it. A read of the same depth
-    whose window ends at or after the remembered one, and contains its
+    (the path memo's ``suprema``, one per key). A *reset* is an index where
+    ``v`` took the work term (``v <= w``) or was clipped to zero; from there
+    on ``v`` no longer depends on the steps before it. A read of the same
+    depth whose window ends at or after the remembered one, and contains its
     last reset, steps only its new lags from the remembered ``v``. That is
     the value a fresh run reaches, bit for bit: the max, the subtraction of
     the same gap and the clip are monotone under rounding, so the later
@@ -141,7 +141,7 @@ def supremum_bound(path: StationaryPath, at: int, kind: str, depth: int,
     # The window starts at ``base`` and its common lags end at ``end``. The
     # memo is (depth, end, v there, last reset).
     base, end = at - depth, at - servers + 1
-    memo = path._suprema.get((kind, servers))
+    memo = path._memo.suprema.get((kind, servers))
     if memo is not None and memo[0] == depth and memo[1] <= end and memo[3] >= base:
         _, first, v, reset = memo
     else:
@@ -167,7 +167,7 @@ def supremum_bound(path: StationaryPath, at: int, kind: str, depth: int,
             if v < 0.0:
                 v = 0.0
         reset = i
-    path._suprema[(kind, servers)] = (depth, end, v, reset)
+    path._memo.suprema[(kind, servers)] = (depth, end, v, reset)
     # The final S-1 lags run a clipped delay line: each value shifts one lag
     # deeper and only the new lag-1 value takes work.
     values = [v]
@@ -395,15 +395,15 @@ def _exact_drivers(path: StationaryPath, at: int, steps: int) -> tuple[np.ndarra
 def _exact_lists(path: StationaryPath, at: int, steps: int) -> tuple[list, ...]:
     """``_exact_drivers`` at ``at .. at+steps-1`` as Python lists: slices of
     the lists of its page of ``_CHAIN_BLOCK`` indices, converted on the
-    page's first read and kept in ``path._pages`` until ``block`` replaces
-    the cover, or a window across a page edge converted alone. A window of
-    no steps converts nothing."""
+    page's first read and kept in the path memo's ``pages`` until ``block``
+    replaces the cover, or a window across a page edge converted alone. A
+    window of no steps converts nothing."""
     page, o = divmod(at, _CHAIN_BLOCK)
     if not 0 < steps <= _CHAIN_BLOCK - o:
         return tuple(col.tolist() for col in _exact_drivers(path, at, steps))
-    lists = path._pages.get(page)
+    lists = path._memo.pages.get(page)
     if lists is None:   # stored after the read, which may replace the cover and drop its pages
-        lists = path._pages[page] = tuple(col.tolist() for col in _exact_drivers(path, at - o, _CHAIN_BLOCK))
+        lists = path._memo.pages[page] = tuple(col.tolist() for col in _exact_drivers(path, at - o, _CHAIN_BLOCK))
     tau, sigma, deadline = lists
     return tau[o:o + steps], sigma[o:o + steps], deadline[o:o + steps]
 

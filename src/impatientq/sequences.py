@@ -8,12 +8,11 @@ generator keyed on ``(seed, stream, index)``, so the sequence shifted by
 ``k`` customers is exactly the sequence read at translated indices, any
 window can be regenerated on demand, and concurrent readers never interact.
 
-Driver blocks are read-only arrays. A path memoizes the most recent float
-cover it generated (whole pages of ``_CHAIN_BLOCK`` indices), next to its
-memo of modulating-chain blocks, and serves any window inside it as
-slices of that one; since the values are pure, a race between two readers
-can only cost a regeneration. Lattice reads (``lattice_block``) round the
-same memo's values to integer multiples of the step.
+Driver blocks are read-only arrays. A path keeps the most recent float
+cover it generated (whole pages of ``_CHAIN_BLOCK`` indices) among its
+memos (``_PathMemo``) and serves any window inside it as slices of that
+one. Lattice reads (``lattice_block``) round the same cover's values to
+integer multiples of the step.
 """
 
 from __future__ import annotations
@@ -40,6 +39,8 @@ STREAM_PATIENCE = 0xA3
 STREAM_MODULATION = 0xA4
 
 _CHAIN_BLOCK = 4096
+_BLOCK_MEMO = 256
+CHAIN_MEMO = 1024
 # A chain block looks back from _BACK_START maps before its start, doubling
 # until the maps coalesce, and refuses past _BACK_CAP maps.
 _BACK_START = 256
@@ -420,42 +421,61 @@ class LatticeBlock(NamedTuple):
     patience: np.ndarray   # float64, unconstrained
 
 
-@dataclass
+def _keep(entries: OrderedDict, key, value, bound: int) -> None:
+    """Store ``value`` as the most recent entry; past ``bound``, drop the least recent."""
+    entries.pop(key, None)   # re-inserted last; a racing reader can cost an entry, never an error
+    entries[key] = value
+    if len(entries) > bound:
+        entries.popitem(last=False)
+
+
+class _PathMemo:
+    """The memos of one ``StationaryPath``, each with one eviction rule. Every
+    entry is a function of driver indices, so a memo changes cost, never a
+    value, and a race between two readers can at worst cost a recomputation.
+    - ``cover``: ``block``'s one float cover, ``(first index, DriverBlock)``;
+      ``pages``, ``loynes._exact_lists``' driver lists per page, go with it.
+    - ``chains``: ``coupling.cftp``'s box and chain per ``(start, servers,
+      kind)``, least recently used past ``CHAIN_MEMO`` (``keep_chain``).
+    - ``suprema``: ``loynes.supremum_bound``'s resume entry per ``(kind, servers)``.
+    - ``blocks``: modulating-chain states per block index, in the smallest
+      unsigned dtype and owning their bytes, least recently used past
+      ``_BLOCK_MEMO`` (``keep_block``; a 10^6-index read spans 246).
+    """
+
+    def __init__(self):
+        self.cover, self.pages, self.suprema = None, {}, {}
+        self.chains, self.blocks = OrderedDict(), OrderedDict()
+
+    def keep_chain(self, key: tuple, entry: tuple) -> None:
+        _keep(self.chains, key, entry, CHAIN_MEMO)
+
+    def keep_block(self, b: int, states: np.ndarray) -> None:
+        _keep(self.blocks, b, states, _BLOCK_MEMO)
+
+
+@dataclass(frozen=True)
 class StationaryPath:
     """Index-addressed view of one realized driver sequence.
 
     ``sample_at(n)`` is a pure function of ``(spec, n)``, so the shift of
-    the sequence by ``k`` is the same path read at ``n + k``. The only
-    mutable members are memos keyed on driver indices: the modulating-chain
-    blocks, by block index; the float cover of ``block`` (its first index
-    and read-only arrays); ``coupling.cftp``'s bounded memo of each start's
-    certified box and bounding chain; ``loynes.supremum_bound``'s resume
-    entry per ``(kind, servers)``; and the driver pages of the exact chain
-    (``loynes._exact_lists``), dropped with the cover. Each entry is one
-    tuple of values that are functions of indices, so a race between two
-    readers can at worst cost a recomputation, never a different result.
-    On a miss, ``block`` generates the request's aligned cover: the whole
-    pages of ``_CHAIN_BLOCK`` indices it touches, so that on a Markov path
-    a page is exactly one chain block. The cover replaces the memo, and the
-    request and any later window inside it are returned as views of it;
-    a run of short reads near one index, such as the horizons of
-    ``coupling.cftp`` at neighbouring targets, then shares one generation.
-    A read of no indices touches no memo.
+    the sequence by ``k`` is the same path read at ``n + k``. The path is
+    frozen, so ``spec`` cannot change under its memos (one ``_PathMemo``).
+    On a miss, ``block`` generates the request's aligned cover, the whole
+    pages of ``_CHAIN_BLOCK`` indices (on a Markov path, chain blocks) it
+    touches, and serves later windows inside it as views, so short reads
+    near one index, such as ``coupling.cftp``'s horizons at neighbouring
+    targets, share one generation. A read of no indices touches no memo.
     """
 
     spec: SequenceSpec
-    _chain_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _window: Optional[tuple[int, DriverBlock]] = field(default=None, init=False, repr=False,
-                                                       compare=False)
-    _chains: OrderedDict = field(default_factory=OrderedDict, init=False, repr=False, compare=False)
-    _suprema: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _pages: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: _PathMemo = field(default_factory=_PathMemo, init=False, repr=False, compare=False)
 
     def sample_at(self, n: int) -> DriverSample:
-        """The triple at index ``n``: read from the memo on a hit, otherwise
+        """The triple at index ``n``: read from the cover on a hit, otherwise
         generated alone, leaving the memo as it is."""
         n = operator.index(n)
-        memo = self._window
+        memo = self._memo.cover
         if memo is not None and 0 <= n - memo[0] < len(memo[1].tau):
             blk, i = memo[1], n - memo[0]
         else:
@@ -469,15 +489,15 @@ class StationaryPath:
             raise ValueError("count must be non-negative")
         if count == 0:   # read-only empty arrays; the memo stays as it is
             return DriverBlock(*(np.frombuffer(b"") for _ in range(3)))
-        memo = self._window
+        memo = self._memo.cover
         if memo is None or not (0 <= start - memo[0] <= len(memo[1].tau) - count):
             lo = start - start % _CHAIN_BLOCK
             hi = start + count + (-(start + count)) % _CHAIN_BLOCK
             cover = self._generate(lo, hi - lo)
             for a in cover:
                 a.setflags(write=False)
-            memo = self._window = (lo, cover)
-            self._pages = {}   # the old cover's page lists go with it
+            memo = self._memo.cover = (lo, cover)
+            self._memo.pages = {}   # the old cover's page lists go with it
         i = start - memo[0]
         return DriverBlock(*(a[i : i + count] for a in memo[1]))
 
@@ -531,23 +551,24 @@ class StationaryPath:
         is constant every longer one is the same constant, so each state is
         exactly stationary and a pure function of ``(spec, index)``.
 
-        States are cached per chain block of ``_CHAIN_BLOCK`` indices, keyed
-        on the block index ``b``. Each run of consecutive blocks not yet
-        cached is built in one pass (``_chain_run``). ``count`` is at least 1.
+        States are kept per chain block of ``_CHAIN_BLOCK`` indices in the
+        memo's ``blocks``. Each run of consecutive blocks not kept is built
+        in one pass (``_chain_run``). ``count`` is at least 1.
         """
-        cache = self._chain_cache
+        memo = self._memo
         first, last = start // _CHAIN_BLOCK, (start + count - 1) // _CHAIN_BLOCK
-        blocks = {b: cache.get(b) for b in range(first, last + 1)}
+        blocks = {b: memo.blocks.get(b) for b in range(first, last + 1)}
         missing = [b for b, block in blocks.items() if block is None]
         while missing:
             run = 1
             while run < len(missing) and missing[run] == missing[0] + run:
                 run += 1
-            for b, block in zip(missing, self._chain_run(missing[0], missing[0] + run)):
-                blocks[b] = cache[b] = block
+            blocks.update(zip(missing, self._chain_run(missing[0], missing[0] + run)))
             missing = missing[run:]
+        for b, block in blocks.items():
+            memo.keep_block(b, block)
         lo = start - first * _CHAIN_BLOCK
-        return np.concatenate(list(blocks.values()))[lo : lo + count]
+        return np.concatenate(list(blocks.values()), dtype=np.int64)[lo : lo + count]
 
     def _chain_run(self, first: int, stop: int) -> list[np.ndarray]:
         """Chain blocks ``first .. stop-1``, in one linear pass.
@@ -594,7 +615,7 @@ class StationaryPath:
             after[a + 1 : a + 1 + len(piece)] = _prefix_compose(piece)[:, state]
             state = after[a + len(piece)]
         states = np.repeat(after, np.diff(moves, prepend=0, append=n))
-        return np.split(states[_BACK_START - 1 :], stop - first)
+        return [b.astype(np.min_scalar_type(m - 1)) for b in np.split(states[_BACK_START - 1 :], stop - first)]
 
 
 @functools.lru_cache(maxsize=64)

@@ -497,14 +497,12 @@ def _bits(x):
     return np.float64(x).tobytes() if isinstance(x, float) else x
 
 
-@pytest.mark.parametrize("spec", [CERTIFY, MM_SPEC, LATTICE], ids=["iid", "markov", "lattice"])
-def test_mixed_entry_points_on_one_path(spec):
-    # Every entry point that reads a path's memos, run in turn on one path,
-    # in two orders, against a fresh path per call: the sandwich report at
-    # a, cftp of each kind at targets before and after a, a renovation
-    # scan, the condition estimates, an exact roll and, on the lattice, a
-    # reachable profile. Their windows cross the page edge at 12288, so the
-    # cover moves between calls.
+def _entry_point_calls(spec):
+    """Every entry point that reads a path's memos, each a call on a path:
+    the sandwich report at a, cftp of each kind at targets before and after
+    a, a renovation scan, the condition estimates, an exact roll and, on
+    the lattice, a reachable profile. Their windows cross the page edge at
+    12288, so the cover moves between calls."""
     a = 12_200
     calls = [lambda p: bound_report(p, 2, 300, at=a, keep_samples=True)]
     calls += [lambda p, t=t, kind=kind: cftp(p, 2, at=t, kind=kind)
@@ -514,12 +512,44 @@ def test_mixed_entry_points_on_one_path(spec):
               lambda p: exact_states(p, a + 10, 200, cftp(p, 2, at=a + 10).value)]
     if spec.is_lattice:
         calls.append(lambda p: reachable_profile(p, 2, (0, 4, 9), at=a + 20))
+    return calls
+
+
+@pytest.mark.parametrize("spec", [CERTIFY, MM_SPEC, LATTICE], ids=["iid", "markov", "lattice"])
+def test_mixed_entry_points_on_one_path(spec):
+    # The entry points run in turn on one path, in two orders, against a
+    # fresh path per call.
+    calls = _entry_point_calls(spec)
     fresh = [_bits(call(StationaryPath(spec))) for call in calls]
     for order in (calls, calls[::-1]):
         path = StationaryPath(spec)
         for call in order:
             k = calls.index(call)
             assert _bits(call(path)) == fresh[k], (k, order is calls)
+
+
+@pytest.mark.parametrize("spec", [CERTIFY, MM_SPEC, LATTICE], ids=["iid", "markov", "lattice"])
+def test_eviction_changes_no_result(spec):
+    # One path driven past every bound of its memo: the entry points, then
+    # cftp at more than CHAIN_MEMO targets 1,100 apart, each a start of its
+    # own, over 292 pages (on the Markov path, chain blocks, more than the
+    # 256 kept). Every entry the entry points and the first targets left is
+    # evicted; read again, each equals a fresh path's, floats by their bits.
+    calls = _entry_point_calls(spec)
+    fresh = [_bits(call(StationaryPath(spec))) for call in calls]
+    path = StationaryPath(spec)
+    assert [_bits(call(path)) for call in calls] == fresh
+    targets = [10**7 + 1100 * k for k in range(coupling.CHAIN_MEMO + 60)]
+    first = [_bits(cftp(path, 2, at=t)) for t in targets[:20]]
+    for t in targets[20:]:
+        cftp(path, 2, at=t)
+    memo = path._memo
+    assert len(memo.chains) == coupling.CHAIN_MEMO and min(memo.chains)[0] > targets[19]
+    if spec.model == "markov_modulated":
+        assert len(memo.blocks) == 256 and min(memo.blocks) > targets[19] // 4096
+    assert [_bits(call(path)) for call in calls] == fresh
+    assert [_bits(cftp(path, 2, at=t)) for t in targets[:20]] == first
+    assert first == [_bits(cftp(StationaryPath(spec), 2, at=t)) for t in targets[:20]]
 
 
 @pytest.mark.parametrize("max_horizon", [0, -5])
@@ -571,8 +601,8 @@ def test_cftp_memo_stays_bounded():
     path = StationaryPath(CERTIFY)
     for t in range(3000):
         cftp(path, 3, at=17 * t)
-        assert len(path._chains) <= coupling.CHAIN_MEMO
-    assert len(path._chains) == coupling.CHAIN_MEMO
+        assert len(path._memo.chains) <= coupling.CHAIN_MEMO
+    assert len(path._memo.chains) == coupling.CHAIN_MEMO
 
 
 def test_cftp_lattice_equals_deep_advance_lattice_loop():
@@ -777,7 +807,7 @@ def test_cftp_uncertified_box_hits_depth_cap(monkeypatch):
     for _ in range(2):   # a refused box is not remembered
         with pytest.raises(ResourceCapError, match="not certified"):
             cftp(path, 2)
-        assert not path._chains
+        assert not path._memo.chains
 
 
 def test_cftp_infinite_top_refused():
@@ -786,7 +816,7 @@ def test_cftp_infinite_top_refused():
     for _ in range(2):   # a refused box is not remembered
         with pytest.raises(ConfigurationError):
             cftp(path, 2)
-        assert not path._chains
+        assert not path._memo.chains
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,7 @@ def test_unstabilized_flag_on_divergent_config():
     path = StationaryPath(spec)
     with pytest.raises(ConfigurationError, match="top supremum is not finite"):
         cftp(path, 1, 0, kind="upper")
-    assert not path._chains
+    assert not path._memo.chains
 
 
 SWEEP = reference_sweep_configs()
@@ -453,13 +453,13 @@ def test_supremum_bound_resume_changes_no_result(name):
             reads = zip(*[[(t, key) for t in _sweep_targets(order, scale * certified[key], rng)] for key in keys])
             for t, (kind, servers) in (read for step in reads for read in step):
                 depth = scale * certified[kind, servers]
-                before = shared._suprema.get((kind, servers))
+                before = shared._memo.suprema.get((kind, servers))
                 if before is not None and before[0] == depth and before[1] <= t + shift - servers + 1:
                     inside = before[3] >= t + shift - depth
                     resumed += inside
                     reset_outside += not inside
                 zb = supremum_bound(shared, t + shift, kind, depth, servers)
-                reference._suprema.clear()
+                reference._memo.suprema.clear()
                 fresh = supremum_bound(reference, t + shift, kind, depth, servers)
                 assert _bound_fields(zb) == _bound_fields(fresh), (name, scale, order, t, kind, servers)
     assert resumed > 0 and reset_outside > 0, (resumed, reset_outside)
@@ -537,8 +537,8 @@ def test_exact_lists_after_the_cover_moves(spec):
         for at in (t, 10**6 + t):
             res, fresh = cftp(shared, 3, at=at), cftp(StationaryPath(spec), 3, at=at)
             assert res == fresh and repr(res) == repr(fresh), at
-            base, cover = shared._window   # the pages kept lie in the cover
-            assert all(0 <= page * 4096 - base < len(cover.tau) for page in shared._pages), at
+            base, cover = shared._memo.cover   # the pages kept lie in the cover
+            assert all(0 <= page * 4096 - base < len(cover.tau) for page in shared._memo.pages), at
 
 
 @pytest.mark.parametrize("spec", [CERTIFY, LATTICE], ids=["iid", "lattice"])
@@ -553,13 +553,13 @@ def test_a_read_of_no_indices_keeps_the_cover(monkeypatch, spec):
     path = StationaryPath(spec)
     path.block(100, 50)
     loynes._exact_lists(path, 100, 50)
-    cover, lists = path._window, path._pages[0]
+    cover, lists = path._memo.cover, path._memo.pages[0]
     for at in (8192, 8200, -1, 100, 4095):
         blk = path.block(at, 0)
         assert all(a.shape == (0,) and a.dtype == np.float64 and not a.flags.writeable for a in blk), at
         assert loynes._exact_lists(path, at, 0) == ([], [], []), at
-        assert path._window is cover and path._pages == {0: lists} and path._pages[0] is lists, at
+        assert path._memo.cover is cover and path._memo.pages == {0: lists} and path._memo.pages[0] is lists, at
     path.block(100, 50)
     loynes._exact_lists(path, 100, 50)
     assert generated == [(0, 4096)], generated
-    assert path._pages[0] is lists
+    assert path._memo.pages[0] is lists

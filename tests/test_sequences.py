@@ -28,6 +28,7 @@ from impatientq.sequences import (
     stream_uniforms,
 )
 from support import (
+    CERTIFY,
     MM_SPEC,
     det_spec,
     iid_spec,
@@ -327,24 +328,70 @@ def test_states_over_covers_match_sequential_chain(monkeypatch, chain, back_star
 
 @pytest.mark.parametrize("chain", COVER_CHAINS)
 def test_partly_cached_runs_through_shifts(monkeypatch, chain):
-    # The block cache is keyed on the chain-block index: a wide read after
+    # The chain-block memo is keyed on the block index: a wide read after
     # scattered narrow ones builds only the runs between cached blocks, and
     # every block it returns, cached or new, is the stepped reference.
     spec = _chain_spec(CHAINS[chain])
     path = StationaryPath(spec)
     for b in (-4, -1, 0, 3, 4):
         path.block(b * _CHAIN_BLOCK + 100, 50)
-    assert set(path._chain_cache) == {-4, -1, 0, 3, 4}
+    assert set(path._memo.blocks) == {-4, -1, 0, 3, 4}
     runs, chain_run = [], StationaryPath._chain_run
     monkeypatch.setattr(StationaryPath, "_chain_run",
                         lambda self, first, stop: runs.append((first, stop)) or chain_run(self, first, stop))
     lo, count = -6 * _CHAIN_BLOCK + 7, 12 * _CHAIN_BLOCK - 20
     path.block(lo, count)
     assert runs == [(-6, -4), (-3, -1), (1, 3), (5, 6)], runs
-    assert set(path._chain_cache) == set(range(-6, 6))
-    for b, block in path._chain_cache.items():
+    assert set(path._memo.blocks) == set(range(-6, 6))
+    for b, block in path._memo.blocks.items():
         assert np.array_equal(block, _reference_chain_block(spec, b, 1 << 20)), b
     assert np.array_equal(path._states(lo, count), _reference_states(spec, lo, count))
+
+
+def test_spaced_reads_keep_a_bounded_chain_memo():
+    # 3,000 ten-index reads 5,000 apart touch 3,006 chain blocks. The path
+    # keeps the 256 used last, one byte a state, each block owning its
+    # bytes rather than holding its run alive: at most 1 MiB, where keeping
+    # every block as int64 held 93.9 MiB. A kept block holds a fresh
+    # path's states.
+    path = StationaryPath(MM_SPEC)
+    for k in range(3000):
+        path.block(5000 * k, 10)
+    blocks = path._memo.blocks
+    assert len(blocks) == sequences._BLOCK_MEMO == 256
+    assert sum(b.nbytes for b in blocks.values()) <= 1 << 20
+    assert all(b.dtype == np.uint8 and b.base is None for b in blocks.values())
+    last = 5000 * 2999 // _CHAIN_BLOCK
+    assert list(blocks)[-1] == last and min(blocks) > last - 400
+    for b in (min(blocks), last):
+        assert np.array_equal(blocks[b], StationaryPath(MM_SPEC)._states(b * _CHAIN_BLOCK, _CHAIN_BLOCK)), b
+
+
+def test_a_million_sample_report_builds_each_chain_block_once(monkeypatch):
+    # Every read of a 10^6-sample report (the certified read, the cftp
+    # boxes and chains, the rolls) lies in 246 chain blocks, which the
+    # bounded memo holds at once: each is built once.
+    from impatientq.metrics import bound_report
+
+    built, chain_run = [], StationaryPath._chain_run
+    monkeypatch.setattr(StationaryPath, "_chain_run",
+                        lambda self, first, stop: built.extend(range(first, stop)) or chain_run(self, first, stop))
+    path = StationaryPath(MM_SPEC)
+    bound_report(path, 2, 10**6)
+    assert len(built) == len(set(built)) == len(path._memo.blocks) == 246, sorted(built)
+
+
+def test_a_path_refuses_a_new_spec():
+    # The memos serve the spec the path was made with, so neither the spec
+    # nor the memo can be replaced; the path still reads its own drivers.
+    path = StationaryPath(CERTIFY)
+    want = _bits(path.block(0, 5))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        path.spec = MM_SPEC
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        path._memo = type(path._memo)()
+    assert path.spec is CERTIFY and _bits(path.block(0, 5)) == want
+    assert _bits(StationaryPath(MM_SPEC).block(0, 5)) != want
 
 
 def test_run_composes_moving_maps_across_piece_seams(monkeypatch):
@@ -489,13 +536,13 @@ def test_block_memo_equals_fresh_blocks(kind, base):
     for window, hit in [(w, True) for w in inside] + [(w, False) for w in outside]:
         path = StationaryPath(spec)
         path.block(MEMO_LO + base, MEMO_N)
-        memo = path._window[1]
+        memo = path._memo.cover[1]
         got = path.block(*window)
         assert _bits(got) == _bits(StationaryPath(spec).block(*window)), window
         assert np.shares_memory(got.tau, memo.tau) == hit, window
         # A miss replaces the memo with the page cover it generated, which
         # starts at a page boundary.
-        first, cover = path._window
+        first, cover = path._memo.cover
         assert first % _CHAIN_BLOCK == 0 and len(cover.tau) % _CHAIN_BLOCK == 0, window
         assert np.shares_memory(path.block(*window).tau, got.tau), window
 
@@ -507,11 +554,11 @@ def test_sample_at_inside_and_outside_the_memo(kind):
     lo, hi = _memo_cover(0)
     for n in (lo, MEMO_LO, MEMO_LO + 1234, hi - 1, lo - 1, hi):
         path.block(MEMO_LO, MEMO_N)
-        memo = path._window
+        memo = path._memo.cover
         got = path.sample_at(n)
         assert np.array(got).tobytes() == np.array(StationaryPath(spec).sample_at(n)).tobytes()
         # A miss generates the one index and leaves the memo as it was.
-        assert path._window is memo
+        assert path._memo.cover is memo
 
 
 @pytest.mark.parametrize("kind", ["iid", "lattice", "markov_modulated"])
@@ -519,13 +566,13 @@ def test_sample_at_equals_a_one_index_block_at_random_indices(kind):
     spec = MEMO_SPECS[kind]
     path = StationaryPath(spec)
     path.block(MEMO_LO - 5, MEMO_N)
-    memo = path._window
+    memo = path._memo.cover
     rng = np.random.default_rng(91)
     inside = rng.integers(MEMO_LO - 5, MEMO_LO - 5 + MEMO_N, 20)
     for n in np.concatenate([inside, rng.integers(-10**9, 10**9, 40)]).tolist():
         want = StationaryPath(spec).block(n, 1)
         assert np.array(path.sample_at(n)).tobytes() == np.array([a[0] for a in want]).tobytes(), n
-        assert path._window is memo, n
+        assert path._memo.cover is memo, n
 
 
 @pytest.mark.parametrize("kind", sorted(MEMO_SPECS))

@@ -158,7 +158,7 @@ MUTANTS = (
     # The exact chain's driver pages: keyed and sliced by index.
     Mutant("page-key-relative-to-cover", LOYNES,
            "page, o = divmod(at, _CHAIN_BLOCK)",
-           "page, o = divmod(at - (path._window or (0,))[0], _CHAIN_BLOCK)",
+           "page, o = divmod(at - (path._memo.cover or (0,))[0], _CHAIN_BLOCK)",
            ("tests/test_loynes.py::test_exact_lists_after_the_cover_moves[iid]",)),
     Mutant("page-slice-one-late", LOYNES,
            "return tau[o:o + steps], sigma[o:o + steps], deadline[o:o + steps]",
@@ -180,6 +180,21 @@ MUTANTS = (
            "    drivers = zip(*_exact_lists(path, start, steps))\n    if lo != hi:\n",
            "    drivers = zip(*_exact_lists(path, start, steps))\n    if True:\n",
            ("tests/test_coupling.py::test_consecutive_cftp_targets_step_few_merges",)),
+    # The path's memo serves the spec the path was made with.
+    Mutant("path-not-frozen", SEQUENCES,
+           "@dataclass(frozen=True)\nclass StationaryPath:",
+           "@dataclass\nclass StationaryPath:",
+           ("tests/test_sequences.py::test_a_path_refuses_a_new_spec",)),
+    # Change no value, only the chain blocks kept and built; the tests count them.
+    Mutant("chain-blocks-unbounded", SEQUENCES,
+           "        _keep(self.blocks, b, states, _BLOCK_MEMO)\n",
+           "        self.blocks[b] = states\n",
+           ("tests/test_sequences.py::test_spaced_reads_keep_a_bounded_chain_memo",
+            "tests/test_coupling.py::test_eviction_changes_no_result[markov]")),
+    Mutant("chain-blocks-below-a-report", SEQUENCES,
+           "_BLOCK_MEMO = 256\n",
+           "_BLOCK_MEMO = 128\n",
+           ("tests/test_sequences.py::test_a_million_sample_report_builds_each_chain_block_once",)),
     # Markov-modulated chain states, one linear pass per run of blocks.
     Mutant("chain-state-not-carried", SEQUENCES,
            "            state = after[a + len(piece)]\n",
