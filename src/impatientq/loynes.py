@@ -121,7 +121,7 @@ def supremum_bound(path: StationaryPath, at: int, kind: str, depth: int,
     The lags ``>= S`` common to every coordinate run as one clipped
     recursion ``v = [max(v, w) - t]+`` from ``v = 0`` at the deepest lag,
     which resumes the path's previous read of the same ``(kind, servers)``
-    (the path memo's ``suprema``, one per key). A *reset* is an index where
+    (``_PathMemo.suprema``, one per key). A *reset* is an index where
     ``v`` took the work term (``v <= w``) or was clipped to zero; from there
     on ``v`` no longer depends on the steps before it. A read of the same
     depth whose window ends at or after the remembered one, and contains its
@@ -395,9 +395,9 @@ def _exact_drivers(path: StationaryPath, at: int, steps: int) -> tuple[np.ndarra
 def _exact_lists(path: StationaryPath, at: int, steps: int) -> tuple[list, ...]:
     """``_exact_drivers`` at ``at .. at+steps-1`` as Python lists: slices of
     the lists of its page of ``_CHAIN_BLOCK`` indices, converted on the
-    page's first read and kept in the path memo's ``pages`` until ``block``
-    replaces the cover, or a window across a page edge converted alone. A
-    window of no steps converts nothing."""
+    page's first read and kept in ``sequences._PathMemo.pages`` until
+    ``block`` replaces the cover, or a window across a page edge converted
+    alone. A window of no steps converts nothing."""
     page, o = divmod(at, _CHAIN_BLOCK)
     if not 0 < steps <= _CHAIN_BLOCK - o:
         return tuple(col.tolist() for col in _exact_drivers(path, at, steps))
