@@ -124,7 +124,7 @@ def cmd_bounds(cfg: ExperimentConfig, out_dir: Path) -> int:
     for r in range(cfg.run.replications):
         spec = dataclasses.replace(cfg.spec, seed=replication_seed(cfg.spec.seed, r))
         rep = metrics.bound_report(
-            StationaryPath(spec), cfg.servers, cfg.run.n_samples, n_batches=cfg.run.batches,
+            StationaryPath(spec), cfg.servers, cfg.run.n_samples,
             keep_samples=(r == 0), max_horizon=cfg.run.cftp_max_horizon,
         )
         if r == 0:
@@ -242,7 +242,7 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
     path = StationaryPath(cfg.spec)
     trace = des.run(path, cfg.servers, cfg.run.n_arrivals)
     lost = ~trace.served
-    est = metrics.loss_probability(lost, n_batches=cfg.run.batches)
+    est = metrics.loss_probability(lost)
     payload = _header(cfg, "simulate")
     payload.update({
         "n_arrivals": cfg.run.n_arrivals,

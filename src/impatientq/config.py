@@ -29,14 +29,13 @@ Schema (INI syntax, parsed with :mod:`configparser`)::
 
     [run]                  ; command parameters, all optional
     n_arrivals = 100000
-    n_samples = 100000
-    tol = 1e-9
+    n_samples = 100000     ; >= 30, the fixed batch count of the intervals
+    tol = 1e-9             ; > 0 and finite
     cftp_max_horizon = 1048576
     renovation_start = 0
     renovation_end = 9999
     hset_depth = 0               ; 0 means 10 * servers
     hset_cap = 1000000
-    batches = 30                 ; >= 2
     replications = 1
 
 Distribution sections: ``dist = exponential`` (rate), ``deterministic``
@@ -48,7 +47,8 @@ would take no effect (a misspelled section, a key the chosen ``dist`` or
 model kind does not use, ``[tau]`` under ``markov_modulated``, a
 ``stateN`` section beyond the chain's size) is refused, naming the section
 and key. Backward reads take the depth their certificates need, so no key
-sets a depth; a ``z_depth`` key is refused like any other unread key. Nor
+sets a depth; a ``z_depth`` key is refused like any other unread key, as
+is ``batches``: every interval uses 30 batches (``metrics.BATCHES``). Nor
 does a key set where ``bounds`` starts the workload or a warm-up for the
 modulating chain: both are read by coupling from the past.
 """
@@ -63,6 +63,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import ConfigurationError
+from .metrics import BATCHES
 from .sequences import (
     Deterministic,
     Distribution,
@@ -85,20 +86,16 @@ class RunParams:
     renovation_end: int = 9_999
     hset_depth: int = 0
     hset_cap: int = 1_000_000
-    batches: int = 30
     replications: int = 1
 
     def __post_init__(self):
         for name in ("n_arrivals", "n_samples", "cftp_max_horizon", "hset_cap", "replications"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"run.{name} must be >= 1")
-        if self.batches < 2:
-            # one batch leaves no spread to estimate: the half-width is NaN
-            raise ConfigurationError(f"run.batches must be >= 2, got {self.batches}")
-        if self.n_samples < self.batches:
-            raise ConfigurationError(f"run.n_samples must be >= run.batches ({self.batches}), got {self.n_samples}")
-        if not self.tol > 0.0:
-            raise ConfigurationError("run.tol must be positive")
+        if self.n_samples < BATCHES:
+            raise ConfigurationError(f"run.n_samples must be >= {BATCHES} (the batch count), got {self.n_samples}")
+        if not 0.0 < self.tol < math.inf:
+            raise ConfigurationError(f"run.tol must be positive and finite, got {self.tol}")
         if self.renovation_end < self.renovation_start:
             raise ConfigurationError("run renovation window is empty")
         if self.hset_depth < 0:

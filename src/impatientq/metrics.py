@@ -15,13 +15,8 @@ configure: every sampled index is stationary. The top supremum is the
 upper envelope's top coordinate, shifted to lag S by a delay line.
 
 Confidence intervals use batch means (the driver sequence may be
-dependent), with a Student-t quantile on the batch count. The quantile
-needs only ``math``: Hill's closed form (CACM Algorithm 396, 1970) starts
-Halley steps (Newton with a curvature term) on the t tail, written as a
-regularized incomplete beta whose continued fraction is evaluated by the
-modified Lentz method. The tests hold it to 1e-12 relative of a
-reference library quantile at q = 0.975 for df 1-1000, 1e4 and 1e6 (it
-comes within 4e-15 there) and on a grid of levels from 1e-6 to 1 - 1e-6.
+dependent) over a fixed 30 batches, so the Student-t quantile is one
+constant. The batch length grows with the sample size; the count does not.
 
 The module also estimates the frequencies of the sufficient stability
 conditions (``estimate_conditions``), with binomial intervals.
@@ -40,7 +35,8 @@ from .errors import ContractError
 from .loynes import certified_supremum, envelope_states, sandwich_states
 from .sequences import StationaryPath
 
-DEFAULT_BATCHES = 30
+BATCHES = 30
+T_975 = 2.0452296421327025   # Student's t at 0.975 on BATCHES - 1 = 29 degrees of freedom
 
 
 @dataclass(frozen=True)
@@ -60,168 +56,27 @@ class ProbabilityEstimate:
         return f"{self.probability:.6g} ± {self.half_width:.2g} (n={self.n})"
 
 
-def batch_means(x: np.ndarray, n_batches: int = DEFAULT_BATCHES) -> ProbabilityEstimate:
-    """Mean with a 95% half-width from non-overlapping batch means."""
-    if n_batches < 2:
-        raise ValueError(f"batch means need at least 2 batches, got {n_batches}")
+def batch_means(x: np.ndarray) -> ProbabilityEstimate:
+    """Mean with a 95% half-width from ``BATCHES`` non-overlapping batch means."""
     x = np.asarray(x, dtype=np.float64)
     n = x.size
-    if n < n_batches:
-        raise ValueError(f"need at least {n_batches} observations, got {n}")
-    per = n // n_batches
-    means = x[: per * n_batches].reshape(n_batches, per).mean(axis=1)
+    if n < BATCHES:
+        raise ValueError(f"need at least {BATCHES} observations, got {n}")
+    per = n // BATCHES
+    means = x[: per * BATCHES].reshape(BATCHES, per).mean(axis=1)
     spread = float(means.std(ddof=1))
-    return ProbabilityEstimate(float(x.mean()),
-                               t_quantile(0.975, n_batches - 1) * spread / math.sqrt(n_batches), n)
+    return ProbabilityEstimate(float(x.mean()), T_975 * spread / math.sqrt(BATCHES), n)
 
 
-def loss_probability(losses: np.ndarray, n_batches: int = DEFAULT_BATCHES) -> ProbabilityEstimate:
+def loss_probability(losses: np.ndarray) -> ProbabilityEstimate:
     """Fraction of lost arrivals, from their loss indicators, with a batch-means interval."""
     losses = np.asarray(losses, dtype=np.float64)
     if losses.size < 1:
         raise ValueError("trace must contain at least one arrival")
-    if losses.size < n_batches:
+    if losses.size < BATCHES:
         # Short traces: fall back to a plain binomial interval.
         return ProbabilityEstimate.binomial(float(losses.sum()), int(losses.size))
-    return batch_means(losses, n_batches)
-
-
-# ---------------------------------------------------------------------------
-# Student-t quantile
-# ---------------------------------------------------------------------------
-
-
-_HALF_LOG_PI = 0.5 * math.log(math.pi)
-
-
-def t_quantile(q: float, df: float) -> float:
-    """Quantile at level ``q`` of Student's t with ``df >= 1`` degrees of freedom.
-
-    Hill's Algorithm 396 gives a start within about 1e-3 relative; Halley
-    steps on the upper tail then run until a step moves ``t`` by less than
-    1e-6 relative. Convergence is cubic, so what is left is the rounding
-    of the tail itself (about 1e-15 relative), not the iteration's.
-    """
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"quantile level must be in (0, 1), got {q}")
-    if not df >= 1.0:
-        raise ValueError(f"degrees of freedom must be >= 1, got {df}")
-    if q == 0.5:
-        return 0.0
-    # Past 1e20 the t quantile equals the normal one to double precision.
-    df = min(df, 1e20)
-    p = min(q, 1.0 - q)          # upper-tail probability of |t|; 1 - q is exact for q >= 1/2
-    t = _hill(2.0 * p, df)
-    for _ in range(8):
-        step = (_t_tail(t, df) - p) / _t_density(t, df)
-        step /= 1.0 - 0.5 * step * t * (df + 1.0) / (df + t * t)
-        t += step
-        if abs(step) <= 1e-6 * t:
-            return t if q > 0.5 else -t
-    raise ArithmeticError(f"t quantile at q={q}, df={df} did not converge")
-
-
-def _hill(p: float, n: float) -> float:
-    """Hill (1970), CACM Algorithm 396: |t| with two-tailed probability ``p``
-    (exact for n = 1 and 2)."""
-    if n == 1.0:
-        return 1.0 / math.tan(0.5 * math.pi * p)
-    if n == 2.0:
-        return math.sqrt(2.0 / (p * (2.0 - p)) - 2.0)
-    a = 1.0 / (n - 0.5)
-    b = 48.0 / (a * a)
-    c = ((20700.0 * a / b - 98.0) * a - 16.0) * a + 96.36
-    d = ((94.5 / (b + c) - 3.0) / b + 1.0) * math.sqrt(0.5 * math.pi * a) * n
-    y = (d * p) ** (2.0 / n)
-    if y > 0.05 + a:
-        # asymptotic expansion around the normal deviate
-        x = _normal_upper(0.5 * p)
-        y = x * x
-        if n < 5.0:
-            c += 0.3 * (n - 4.5) * (x + 0.6)
-        c = (((0.05 * d * x - 5.0) * x - 7.0) * x - 2.0) * x + b + c
-        y = (((((0.4 * y + 6.3) * y + 36.0) * y + 94.5) / c - y - 3.0) / b + 1.0) * x
-        y = math.expm1(a * y * y)
-    else:
-        y = ((1.0 / (((n + 6.0) / (n * y) - 0.089 * d - 0.822) * (n + 2.0) * 3.0)
-              + 0.5 / (n + 4.0)) * y - 1.0) * (n + 1.0) / (n + 2.0) + 1.0 / y
-    return math.sqrt(n * y)
-
-
-def _normal_upper(p: float) -> float:
-    """Normal deviate with upper tail ``p <= 1/2`` (Abramowitz & Stegun
-    26.2.23, absolute error below 4.5e-4): only a start for ``_hill``."""
-    t = math.sqrt(-2.0 * math.log(p))
-    return t - (2.515517 + t * (0.802853 + t * 0.010328)) / (
-        1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308)))
-
-
-def _t_tail(t: float, df: float) -> float:
-    """P(T > t) for t > 0: half the regularized incomplete beta I_x(df/2, 1/2)
-    at x = df / (df + t^2), taken directly for t >= 1 and as the
-    complement of I_(1-x)(1/2, df/2) below, where both fractions are
-    short and well conditioned."""
-    a, t2 = 0.5 * df, t * t
-    x, y = df / (df + t2), t2 / (df + t2)
-    # x^a y^(1/2) / B(a, 1/2), with log1p keeping x^a exact when x is near 1
-    front = math.exp(_log_gamma_ratio(a) - _HALF_LOG_PI - a * math.log1p(t2 / df)
-                     + 0.5 * math.log(y))
-    if t2 >= 1.0:
-        return 0.5 * front * _beta_fraction(a, 0.5, x, y) / a
-    return 0.5 - front * _beta_fraction(0.5, a, y, x)
-
-
-def _t_density(t: float, df: float) -> float:
-    return math.exp(_log_gamma_ratio(0.5 * df) - _HALF_LOG_PI - 0.5 * math.log(df)
-                    - 0.5 * (df + 1.0) * math.log1p(t * t / df))
-
-
-def _log_gamma_ratio(a: float) -> float:
-    """log(Gamma(a + 1/2) / Gamma(a)). For large ``a`` the difference of two
-    ``lgamma`` values would lose digits to their size, so it is taken from
-    the difference of the two Stirling series instead (error below 1e-17
-    for a >= 20)."""
-    if a < 20.0:
-        return math.lgamma(a + 0.5) - math.lgamma(a)
-
-    def series(z):
-        w = 1.0 / (z * z)
-        return (1 / 12 - w * (1 / 360 - w * (1 / 1260 - w * (1 / 1680 - w / 1188)))) / z
-
-    return 0.5 * math.log(a) + (a * math.log1p(0.5 / a) - 0.5) + (series(a + 0.5) - series(a))
-
-
-def _beta_fraction(a: float, b: float, x: float, y: float) -> float:
-    """Continued fraction of I_x(a, b) * a * B(a, b) / (x^a y^b), y = 1 - x,
-    by the modified Lentz method.
-
-    When x is near 1 and ``a`` is large, the odd partial numerators lie
-    within O(1/a) of -1 and the textbook recurrence cancels away about
-    log10(a) digits. So for b <= 1 the sum 1 + odd term is formed from
-    ``y`` (all its parts are then non-negative), and the even steps carry
-    C - 1 and D - 1 rather than C and D.
-    """
-    small_b = b <= 1.0
-    one_plus_odd = ((1.0 - b) + (a + b) * y) / (a + 1.0) if small_b else 1.0 - (a + b) * x / (a + 1.0)
-    d = 1.0 / one_plus_odd
-    c, h = 1.0, d
-    for m in range(1, 100_000):
-        a2m = a + 2 * m
-        even = m * (b - m) * x / ((a2m - 1.0) * a2m)
-        d_less_1 = -even * d / (1.0 + even * d)
-        c_less_1 = even / c
-        den, num = a2m * (a2m + 1.0), (a + m) * (a + b + m)
-        odd = -num * x / den
-        if small_b:
-            one_plus_odd = (a * (2 * m + 1.0 - b) + m * (3 * m + 2.0 - b) + num * y) / den
-        else:
-            one_plus_odd = 1.0 + odd
-        d = 1.0 / (one_plus_odd + odd * d_less_1)
-        c = one_plus_odd - odd * c_less_1 / (1.0 + c_less_1)
-        h *= (1.0 + d_less_1) * (1.0 + c_less_1) * d * c
-        if abs(d * c - 1.0) <= 2.2e-16:
-            return h
-    raise ArithmeticError(f"incomplete beta fraction at a={a}, b={b}, x={x} did not converge")
+    return batch_means(losses)
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +109,7 @@ class BoundReport:
 
 
 def bound_report(path: StationaryPath, servers: int, n_samples: int, at: int = 0,
-                 n_batches: int = DEFAULT_BATCHES, keep_samples: bool = False,
-                 max_horizon: int = 1 << 20) -> BoundReport:
+                 keep_samples: bool = False, max_horizon: int = 1 << 20) -> BoundReport:
     """Estimate the four sandwich probabilities over stationary indices.
 
     Every sampled state is stationary by construction. ``coupling.cftp``
@@ -271,15 +125,11 @@ def bound_report(path: StationaryPath, servers: int, n_samples: int, at: int = 0
     stationary, or when the four loss indicators are out of order at a
     sample; an infinite top supremum leaves no box to couple from, and
     ``cftp`` refuses it (``ConfigurationError``). ``max_horizon`` caps the
-    exact ``cftp`` call. Fewer than 2 batches, or fewer samples than
-    batches, are refused up front.
+    exact ``cftp`` call. The intervals are batch means over ``BATCHES``
+    = 30 batches, so fewer than 30 samples are refused up front.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    if n_batches < 2:
-        raise ValueError(f"batch means need at least 2 batches, got {n_batches}")
-    if n_samples < n_batches:
-        raise ValueError(f"n_samples ({n_samples}) must be at least n_batches ({n_batches})")
+    if n_samples < BATCHES:
+        raise ValueError(f"n_samples ({n_samples}) must be at least the {BATCHES} batches")
     # Read first, the certified supremum covers the window too, so the page
     # cover it leaves in the path's memo serves the rolls and, unless their
     # deeper reads cross a page boundary, the coupling box and estimates.
@@ -308,7 +158,7 @@ def bound_report(path: StationaryPath, servers: int, n_samples: int, at: int = 0
         raise ContractError("loss indicators out of order at sample {} (index {}): lower1 {!r}, W1 {!r}, "
                             "upper1 {!r}, z_top {!r}, patience {!r}".format(i, at + i, *got))
     samples = np.column_stack([*cols, inds[1].astype(np.float64)]) if keep_samples else None
-    return BoundReport(*(batch_means(ind, n_batches) for ind in inds), n_samples=n_samples,   # p_lower .. p_z
+    return BoundReport(*(batch_means(ind) for ind in inds), n_samples=n_samples,   # p_lower .. p_z
                        lower_stabilized=lower.coalesced, upper_stabilized=upper.coalesced,
                        z_stabilized=zb.stabilized, samples=samples)
 

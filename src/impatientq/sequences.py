@@ -568,7 +568,7 @@ class StationaryPath:
         for b, block in blocks.items():
             memo.keep_block(b, block)
         lo = start - first * _CHAIN_BLOCK
-        return np.concatenate(list(blocks.values()), dtype=np.int64)[lo : lo + count]
+        return np.concatenate(list(blocks.values()))[lo : lo + count]
 
     def _chain_run(self, first: int, stop: int) -> list[np.ndarray]:
         """Chain blocks ``first .. stop-1``, in one linear pass.

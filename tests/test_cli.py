@@ -121,7 +121,6 @@ def test_parse_config_iid():
     assert cfg.spec.sigma == Exponential(0.6)
     assert cfg.spec.patience == Deterministic(1.0)
     assert cfg.run.n_arrivals == 5000
-    assert cfg.run.batches == 30  # default
     assert len(cfg.sha256) == 64
 
 
@@ -196,8 +195,10 @@ def test_cli_bad_config_exit_2(tmp_path):
     (MM2D_INI, "kind = iid", "kind = iid\nalpha = 1.0", "alpha"),
     (LATTICE_INI, "alpha = 1.0\n\n[tau]", "alpha = nan\n\n[tau]", "alpha"),
     (MM_INI, "transition = 0.9 0.1", "transition = nan 0.1", "transition"),
-    (MM2D_INI, "[run]", "[run]\ntol = nan", "tol"),
-], ids=["alpha-not-float", "transition-not-float", "alpha-on-iid", "alpha-nan", "transition-nan", "tol-nan"])
+    (MM2D_INI, "[run]", "[run]\ntol = nan", "run.tol"),
+    (MM2D_INI, "[run]", "[run]\ntol = inf", "run.tol"),
+], ids=["alpha-not-float", "transition-not-float", "alpha-on-iid", "alpha-nan", "transition-nan", "tol-nan",
+        "tol-inf"])
 def test_cli_bad_model_key_exit_2(tmp_path, capsys, ini, old, new, key):
     assert old in ini
     cfg = _write(tmp_path, "bad.ini", ini.replace(old, new, 1))
@@ -223,29 +224,17 @@ def test_cli_bad_model_key_exit_2(tmp_path, capsys, ini, old, new, key):
     (MM_INI, "kind = markov_modulated", "kind = markov_modulated\nburn_in = 2000",
      "[model] burn_in"),
     (MM2D_INI, "kind = iid", "kind = iid\nburn_in = 500", "[model] burn_in"),
+    (MM2D_INI, "[run]", "[run]\nbatches = 30", "[run] batches"),
 ], ids=["misspelled-section", "extra-experiment-key", "key-dist-ignores", "extra-modulation-key",
         "iid-section-under-markov", "state-beyond-chain", "modulation-under-iid",
         "cftp-interior-points", "cftp-initial-horizon", "z-depth", "warmup", "burn_in-on-markov",
-        "burn_in-on-iid"])
+        "burn_in-on-iid", "batches"])
 def test_cli_key_without_effect_exit_2(tmp_path, capsys, ini, old, new, named):
     assert old in ini
     cfg = _write(tmp_path, "bad.ini", ini.replace(old, new, 1))
     assert main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
-
-
-@pytest.mark.parametrize("batches", ["1", "0"])
-def test_cli_batches_below_two_exit_2(tmp_path, capsys, batches):
-    # One batch leaves no spread to estimate: refuse it rather than write a
-    # NaN half-width (which is not valid JSON).
-    text = MM2D_INI.replace("n_arrivals = 5000", f"n_arrivals = 2000\nbatches = {batches}")
-    cfg = _write(tmp_path, "cfg.ini", text)
-    out = tmp_path / "out"
-    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "run.batches" in err and "Traceback" not in err
-    assert not (out / "simulate.json").exists()
 
 
 def test_cli_n_samples_below_batches_exit_2(tmp_path, capsys):
@@ -255,7 +244,7 @@ def test_cli_n_samples_below_batches_exit_2(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["bounds", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "run.n_samples" in err and "run.batches" in err and "Traceback" not in err
+    assert "run.n_samples" in err and "30" in err and "Traceback" not in err
     assert not (out / "bounds.json").exists()
     assert not (out / "bounds_samples.csv").exists()
 

@@ -14,7 +14,7 @@ from impatientq.coupling import CftpResult, cftp
 from impatientq.errors import ConfigurationError, ContractError
 from impatientq.des import run
 from impatientq.loynes import certified_supremum, exact_states
-from impatientq.metrics import ProbabilityEstimate, batch_means, bound_report, loss_probability, t_quantile
+from impatientq.metrics import BATCHES, T_975, ProbabilityEstimate, batch_means, bound_report, loss_probability
 from impatientq.sequences import Deterministic, Exponential, StationaryPath, Uniform, stream_uniforms
 from support import DRAIN, GROWTH, LATTICE, MM_SPEC, NON_DYADIC, det_spec, erlang_b, iid_spec, mm1_wait_tail, random_iid_spec
 
@@ -71,6 +71,17 @@ def test_loss_probability_short_trace_binomial():
             loss_probability(empty)
 
 
+def test_loss_probability_switches_to_batch_means_at_30():
+    # Below BATCHES arrivals a batch would be empty: the binomial interval.
+    for n in (BATCHES - 1, BATCHES):
+        losses = np.arange(n) % 3 == 0
+        want = (ProbabilityEstimate.binomial(float(losses.sum()), n) if n < BATCHES
+                else batch_means(losses))
+        assert loss_probability(losses) == want, n
+    losses = np.arange(BATCHES) % 3 == 0
+    assert loss_probability(losses) != ProbabilityEstimate.binomial(float(losses.sum()), BATCHES)
+
+
 def test_batch_means_basics():
     est = batch_means(np.full(3000, 0.25))
     assert est.probability == 0.25 and est.half_width == 0.0
@@ -83,13 +94,6 @@ def test_batch_means_basics():
         batch_means(np.ones(10))
 
 
-@pytest.mark.parametrize("n_batches", [1, 0, -3])
-def test_batch_means_needs_two_batches(n_batches):
-    # one batch has no spread (the half-width would be NaN), none divides by zero
-    with pytest.raises(ValueError, match="at least 2 batches"):
-        batch_means(np.ones(100), n_batches)
-
-
 def test_binomial_estimate():
     est = ProbabilityEstimate.binomial(3, 10)
     assert (est.probability, est.n) == (0.3, 10)
@@ -100,43 +104,11 @@ def test_binomial_estimate():
     assert loss_probability(losses) == est
 
 
-# ---------------------------------------------------------------------------
-# Student-t quantile
-# ---------------------------------------------------------------------------
-
-
-def test_t_quantile_matches_reference_at_975():
+def test_t_975_matches_reference():
+    # the one t quantile the intervals use: 0.975 on BATCHES - 1 degrees of freedom
     stats = pytest.importorskip("scipy.stats")
-    for df in list(range(1, 1001)) + [10_000, 1_000_000]:
-        want = float(stats.t.ppf(0.975, df))
-        assert abs(t_quantile(0.975, df) / want - 1.0) <= 1e-12, df
-
-
-def test_t_quantile_matches_reference_on_a_grid():
-    stats = pytest.importorskip("scipy.stats")
-    for q in (1e-6, 1e-3, 0.025, 0.1, 0.3, 0.7, 0.9, 0.999, 1 - 1e-6):
-        for df in (1, 1.5, 2, 3, 4, 5, 7, 10, 29, 100, 1000, 1e4, 1e6, 1e12):
-            want = float(stats.t.ppf(q, df))
-            assert abs(t_quantile(q, df) / want - 1.0) <= 1e-12, (q, df)
-
-
-def test_t_quantile_closed_forms_and_symmetry():
-    for q in (0.001, 0.2, 0.6, 0.975):
-        # Cauchy (df = 1) and df = 2 have closed-form quantiles
-        assert t_quantile(q, 1) == pytest.approx(math.tan(math.pi * (q - 0.5)), rel=1e-13)
-        assert t_quantile(q, 2) == pytest.approx((2 * q - 1) / math.sqrt(2 * q * (1 - q)), rel=1e-13)
-    for q in (2.0 ** -10, 0.125, 0.375):   # 1 - q exact
-        for df in (1, 3, 29, 1e5):
-            assert t_quantile(1 - q, df) == -t_quantile(q, df)
-    assert t_quantile(0.5, 7) == 0.0
-    # the normal limit: 1.959963984540054 is the standard normal 0.975 quantile
-    assert t_quantile(0.975, math.inf) == pytest.approx(1.959963984540054, rel=1e-15)
-
-
-@pytest.mark.parametrize("q, df", [(0.0, 5), (1.0, 5), (-0.1, 5), (0.975, 0.5), (0.975, math.nan)])
-def test_t_quantile_rejects_bad_arguments(q, df):
-    with pytest.raises(ValueError):
-        t_quantile(q, df)
+    want = float(stats.t.ppf(0.975, BATCHES - 1))
+    assert BATCHES == 30 and abs(T_975 / want - 1.0) <= 1e-15
 
 
 def test_package_import_loads_only_stdlib_and_numpy():
@@ -365,7 +337,7 @@ def test_bound_report_rolls_each_recursion_once(monkeypatch):
 
 
 def test_bound_report_refuses_fewer_samples_than_batches(monkeypatch):
-    # Refused before any work, naming both counts: no chain runs.
+    # Refused before any work, naming the sample count and the 30 batches: no chain runs.
     chains, real = [], coupling.cftp
 
     def spy(*args, **kwargs):
@@ -374,22 +346,11 @@ def test_bound_report_refuses_fewer_samples_than_batches(monkeypatch):
 
     monkeypatch.setattr(metrics, "cftp", spy)
     monkeypatch.setattr(coupling, "cftp", spy)   # the envelope estimates'
-    with pytest.raises(ValueError, match=r"^n_samples \(10\) must be at least n_batches \(30\)$"):
-        bound_report(StationaryPath(MM_SPEC), 2, 10)
+    with pytest.raises(ValueError, match=r"^n_samples \(29\) must be at least the 30 batches$"):
+        bound_report(StationaryPath(MM_SPEC), 2, 29)
     assert chains == []
-    assert bound_report(StationaryPath(MM_SPEC), 2, 10, n_batches=5).n_samples == 10
+    assert bound_report(StationaryPath(MM_SPEC), 2, 30).n_samples == 30
     assert len(chains) == 3
-
-
-@pytest.mark.parametrize("n_batches", [1, 0, -3])
-def test_bound_report_refuses_fewer_than_two_batches(monkeypatch, n_batches):
-    # Refused up front with batch_means' message: no chain runs.
-    chains = []
-    monkeypatch.setattr(metrics, "cftp", lambda *args, **kwargs: chains.append(args))
-    monkeypatch.setattr(coupling, "cftp", lambda *args, **kwargs: chains.append(args))
-    with pytest.raises(ValueError, match=rf"^batch means need at least 2 batches, got {n_batches}$"):
-        bound_report(StationaryPath(MM_SPEC), 2, 100, n_batches=n_batches)
-    assert chains == []
 
 
 def test_bound_report_single_server():
