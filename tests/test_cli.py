@@ -237,6 +237,19 @@ def test_cli_key_without_effect_exit_2(tmp_path, capsys, ini, old, new, named):
     assert named in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("batches", ["1", "0"])
+def test_cli_batches_below_two_exit_2(tmp_path, capsys, batches):
+    # The batch count is fixed at metrics.BATCHES; a config that still asks
+    # for too few batches is refused as an unread key before any output.
+    text = MM2D_INI.replace("n_arrivals = 5000", f"n_arrivals = 2000\nbatches = {batches}")
+    cfg = _write(tmp_path, "cfg.ini", text)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "[run] batches" in err and "Traceback" not in err
+    assert not (out / "simulate.json").exists()
+
+
 def test_cli_n_samples_below_batches_exit_2(tmp_path, capsys):
     # Fewer samples than batches leave a batch empty; refuse the config
     # before any coupling or roll work rather than fail in batch_means.
