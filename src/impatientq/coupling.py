@@ -13,15 +13,17 @@ in the box ``[0, Z]`` below the certified top supremum vector
 (``loynes.certified_supremum``), and a bounding chain (Huber 2004) run from
 that box holds the image of every state in it. When it closes to a point
 at the target, that point is the stationary workload, bit for bit. The same
-routine reads each monotone envelope's backward limit from the box of its
-own kind: an envelope's contribution does not depend on the state, so its
-chain is the two rolls of dominated CFTP (Kendall & Moller 2000). The
-path's memo keeps the box and chain of the starts used last, and starts
-lie on a grid of indices, so later targets that share a start resume its
-chain instead of reading the box again. The chain is a deterministic
-function of its interval and of index-tied drivers, and from a certified
-box it closes to the stationary state whatever its start, so the result
-is the same, bit for bit.
+routine reads each monotone envelope's backward limit from the same box,
+which dominates the stationary states of both envelopes: an envelope's
+contribution does not depend on the state, so its chain is the two rolls
+of dominated CFTP (Kendall & Moller 2000), and from any larger start the
+two rolls still meet only at the backward limit. The path's memo keeps
+the box and chains of the starts used last, and starts lie on a grid of
+indices, so later targets that share a start resume a chain instead of
+reading the box again. The chain is a deterministic function of its
+interval and of index-tied drivers, and from a certified box it closes to
+the stationary state whatever its start, so the result is the same, bit
+for bit.
 
 Every exact step here, on a lattice path too, is the one exact map: there
 it runs on int64 multiples of ``alpha`` with each patience's integer
@@ -137,29 +139,28 @@ def cftp(path: StationaryPath, servers: int, at: int = 0,
     ``kind`` is ``"exact"`` (the workload) or ``"lower"`` / ``"upper"`` (an
     envelope, whose sample is its backward limit). A bounding chain runs
     from a start to ``at``, started from the box between the empty state
-    and the certified supremum vector of the same kind (upper for the exact
-    map) there. Rung ``h`` doubles from ``max(2S, 16)``, or from
-    ``max_horizon`` if that is smaller, until the chain closes to a point at
-    ``at``; it starts at the last multiple of ``h`` at or before ``at - h``,
-    but not before ``at - max_horizon`` (``>= 1``). ``horizon_used`` is
-    ``at`` less the start: in ``[h, 2h)``, at most ``max_horizon``, and
-    equal to it when the chain stays open. Drivers are tied to indices, so
-    deeper rungs replay the same randomness. The exact chain runs on int64
+    and the certified supremum vector there, the same box for every kind
+    (it dominates both envelopes' stationary states). Rung ``h`` doubles
+    from ``max(2S, 16)``, or from ``max_horizon`` if that is smaller, until
+    the chain closes to a point at ``at``; it starts at the last multiple
+    of ``h`` at or before ``at - h``, but not before ``at - max_horizon``
+    (``>= 1``). ``horizon_used`` is ``at`` less the start: in ``[h, 2h)``,
+    at most ``max_horizon``, and equal to it when the chain stays open.
+    Drivers are tied to indices, so deeper rungs replay the same randomness. The exact chain runs on int64
     multiples on a lattice path; an envelope's always runs in floats.
     ``at`` and ``max_horizon`` are read by ``operator.index``.
 
     The path's memo (``sequences._PathMemo.chains``, least recently used
-    past ``CHAIN_MEMO`` starts) keeps, per start index, ``servers`` and
-    ``kind``, the certified box read there and the furthest index its chain
+    past ``CHAIN_MEMO`` starts) keeps, per start index and ``servers``, the
+    certified box read there and, per kind, the furthest index its chain
     has reached, with the interval there. A start seen before (consecutive
-    targets share the starts of each rung) skips the box read; its chain
-    resumes from that index when the index is not past ``at`` (as a point
-    if it had closed), and reruns from the box otherwise. The chain is a
-    deterministic function of its interval and of drivers tied to indices,
-    so a resumed chain ends on the interval a fresh one would, bit for bit:
-    the memo changes no result. A start first seen by the exact chain takes
-    the box the upper envelope's chain read there, and vice versa. A start
-    whose box is refused is never remembered.
+    targets share the starts of each rung) skips the box read, whichever
+    kind read it; the chain of the kind asked for resumes from its index
+    when that is not past ``at`` (as a point if it had closed), and reruns
+    from the box otherwise. The chain is a deterministic function of its
+    interval and of drivers tied to indices, so a resumed chain ends on the
+    interval a fresh one would, bit for bit: the memo changes no result. A
+    start whose box is refused is never remembered.
     """
     if servers < 1:
         raise ValueError("servers must be >= 1")
@@ -169,32 +170,30 @@ def cftp(path: StationaryPath, servers: int, at: int = 0,
     if kind not in ("exact", "lower", "upper"):
         raise ValueError(f"kind must be 'exact', 'lower' or 'upper', got {kind!r}")
     lattice = kind == "exact" and path.spec.is_lattice
-    memo = path._memo
-    twin = {"exact": "upper", "upper": "exact"}.get(kind)  # the other kind whose chain starts from this box
     rung = min(max(2 * servers, 16), max_horizon)
     while True:
         start = max((at - rung) // rung * rung, at - max_horizon)
         horizon = at - start
-        key = (start, servers, kind)
-        kept = memo.chains.get(key)   # (box, index the chain reached, L and U there)
-        boxed = kept or memo.chains.get((start, servers, twin))
-        if boxed is None:
-            zb = certified_supremum(path, start, "upper" if kind == "exact" else kind, servers, horizon)
+        key = (start, servers)
+        entry = path._memo.chains.get(key)   # (box, {kind: (index its chain reached, L and U there)})
+        if entry is None:
+            zb = certified_supremum(path, start, servers, horizon)
             if any(not math.isfinite(v) for v in zb.values):
                 raise ConfigurationError("top supremum is not finite; cannot bound the stationary states")
-        else:
-            zb = boxed[0]
-        resume = kept is not None and kept[1] <= at
+            entry = (zb, {})
+        zb, chains = entry
+        kept = chains.get(kind)
+        resume = kept is not None and kept[0] <= at
         if resume:
-            reached, lo, hi = kept[1:]
+            reached, lo, hi = kept
         else:
             reached, lo, hi = start, (0.0,) * servers, zb.values
             if lattice:
                 lo, hi = (0,) * servers, tuple(_multiples(hi, path.spec.alpha).tolist())
         lo, hi = _bounding_chain(path, reached, at - reached, lo, hi, kind)
         if kept is None or resume:   # otherwise the remembered chain reached further
-            kept = (zb, at, lo, hi)
-        memo.keep_chain(key, kept)
+            chains[kind] = (at, lo, hi)
+        path._memo.keep_chain(key, entry)
         if lo == hi:
             value = tuple(_times(lo, path.spec.alpha).tolist()) if lattice else lo
             return CftpResult(value, True, horizon, zb.horizon, zb.risk)
@@ -234,7 +233,7 @@ def _bounding_chain(path: StationaryPath, start: int, steps: int,
     """
     if kind != "exact":
         blk = path.block(start, steps)
-        drivers = zip(_effective_work(blk.tau, blk.sigma, blk.patience, kind).tolist(), blk.tau.tolist())
+        drivers = zip(_effective_work(blk.sigma, blk.patience, kind).tolist(), blk.tau.tolist())
         if lo != hi:
             for x, tau in drivers:
                 lo = _merge_shift(lo, x, tau)

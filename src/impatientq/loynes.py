@@ -8,6 +8,9 @@ nothing about deeper lags. Their limits are read instead by a dominating
 start (Kendall & Moller 2000): ``coupling.cftp`` of an envelope kind rolls
 from empty and from the certified supremum vector of this module, which
 lies above the stationary state, and the two rolls meet only at that state.
+The vector is the upper envelope's: the lower envelope merges the work
+min(sigma, D) <= sigma + D through the same monotone ``_merge_shift``, so
+its stationary state lies below the upper one's, and one box serves both.
 
 The module computes the one-dimensional running-supremum bounds (the
 ascending vector whose j-th entry is the backward supremum started at lag
@@ -18,13 +21,12 @@ supremum, to the certified read at every index (``metrics.bound_report``).
 A supremum is read to a finite depth and carries a certificate: a
 closed-form Chernoff bound on the chance that a deeper lag raises it,
 ``stabilized`` when at most ``Z_RISK``. Up to that risk, the vector
-dominates the envelope's stationary state and hence, for the upper kind,
-every stationary workload. ``certified_supremum`` reads it as deep as the
-certificate needs; it is the start box of every ``coupling.cftp`` chain,
-exact or envelope. A read resumes the path's previous read of the same
-kind, server count and depth from its last reset, so reads at neighbouring
-indices step only their new lags, bit-identical to a read from scratch
-(see ``supremum_bound``).
+dominates both envelopes' stationary states and every stationary workload.
+``certified_supremum`` reads it as deep as the certificate needs; it is
+the one start box of every ``coupling.cftp`` chain, exact or envelope. A
+read resumes the path's previous read of the same server count and depth
+from its last reset, so reads at neighbouring indices step only their new
+lags, bit-identical to a read from scratch (see ``supremum_bound``).
 Long forward rolls run as time-parallel lanes with seam repair and return
 the scalar recursion's states bit for bit; recursions over the same drivers
 can share one such pass (see "Forward rolls" below).
@@ -66,7 +68,7 @@ class SupremumBound:
     risk: float
 
 
-def _effective_work(tau: np.ndarray, sigma: np.ndarray, patience: np.ndarray, kind: str) -> np.ndarray:
+def _effective_work(sigma: np.ndarray, patience: np.ndarray, kind: str) -> np.ndarray:
     if kind == "upper":
         return sigma + patience
     if kind == "lower":
@@ -75,19 +77,18 @@ def _effective_work(tau: np.ndarray, sigma: np.ndarray, patience: np.ndarray, ki
 
 
 @functools.lru_cache(maxsize=256)
-def _chernoff_constants(laws: tuple, kind: str) -> tuple[np.ndarray, np.ndarray, float]:
+def _chernoff_constants(laws: tuple) -> tuple[np.ndarray, np.ndarray, float]:
     """Constants of the top-supremum certificate for ``SequenceSpec.laws``.
 
     Past the ``d`` lags read, lag ``k`` raises a coordinate only if its work
     exceeds ``m + T`` (least coordinate plus the gaps read) plus ``k - d``
     unread gaps. By Markov's inequality and a union bound over ``k``, that
     has probability at most ``M_work(theta) e^(-theta (m + T)) phi/(1-phi)``,
-    ``phi = M_tau(-theta)``, at any theta with ``M_work`` finite and
-    ``phi < 1``; ``M_work`` is ``M_sigma M_D`` (upper) or ``min(M_sigma, M_D)``
-    (lower). Under Markov modulation the drivers are independent given the
-    chain and the worst state bounds each factor. Thetas scale with one over
-    the largest finite mean, so a change of time unit scales them and leaves
-    the risk as it is. Returns the usable thetas, ``log(M_work phi/(1-phi))``
+    ``phi = M_tau(-theta)``, at any theta with ``M_work = M_sigma M_D``
+    finite and ``phi < 1``. Under Markov modulation the drivers are
+    independent given the chain and the worst state bounds each factor.
+    Thetas scale with one over the largest finite mean, so a change of time
+    unit scales them and leaves the risk as it is. Returns the usable thetas, ``log(M_work phi/(1-phi))``
     at each, and the depth at which the mean gaps alone reach ``Z_RISK``
     (0 if no theta is usable). They depend on the laws alone, so specs
     that differ only in their seed share one entry.
@@ -96,10 +97,7 @@ def _chernoff_constants(laws: tuple, kind: str) -> tuple[np.ndarray, np.ndarray,
     thetas, log_c = [], []
     for theta in (g / scale for g in _THETA_GRID):
         log_phi = max(tau.log_mgf(-theta) for tau, _, _ in laws)
-        if kind == "upper":
-            log_work = max(sigma.log_mgf(theta) + patience.log_mgf(theta) for _, sigma, patience in laws)
-        else:
-            log_work = max(min(sigma.log_mgf(theta), patience.log_mgf(theta)) for _, sigma, patience in laws)
+        log_work = max(sigma.log_mgf(theta) + patience.log_mgf(theta) for _, sigma, patience in laws)
         if log_work < math.inf and log_phi < 0.0:
             thetas.append(theta)
             log_c.append(log_work + log_phi - math.log(-math.expm1(log_phi)))
@@ -110,20 +108,19 @@ def _chernoff_constants(laws: tuple, kind: str) -> tuple[np.ndarray, np.ndarray,
     return thetas, log_c, max(need, 0.0) / min(tau.mean() for tau, _, _ in laws)
 
 
-def supremum_bound(path: StationaryPath, at: int, kind: str, depth: int,
-                   servers: int) -> SupremumBound:
+def supremum_bound(path: StationaryPath, at: int, depth: int, servers: int) -> SupremumBound:
     """Supremum vector at index ``at`` read to ``depth`` lags, certified.
 
     Coordinate ``j`` is ``[max over k in [S+1-j, depth] of
-    (work shifted back k) - (sum of the k previous gaps)]+`` with work
-    equal to sigma+patience (upper) or min(sigma, patience) (lower).
+    (work shifted back k) - (sum of the k previous gaps)]+`` with the upper
+    envelope's work, sigma+patience.
 
     The lags ``>= S`` common to every coordinate run as one clipped
     recursion ``v = [max(v, w) - t]+`` from ``v = 0`` at the deepest lag,
-    which resumes the path's previous read of the same ``(kind, servers)``
-    (``_PathMemo.suprema``, one per key). A *reset* is an index where
-    ``v`` took the work term (``v <= w``) or was clipped to zero; from there
-    on ``v`` no longer depends on the steps before it. A read of the same
+    which resumes the path's previous read of the same ``servers``
+    (``_PathMemo.suprema``, one per server count). A *reset* is an index
+    where ``v`` took the work term (``v <= w``) or was clipped to zero; from
+    there on ``v`` no longer depends on the steps before it. A read of the same
     depth whose window ends at or after the remembered one, and contains its
     last reset, steps only its new lags from the remembered ``v``. That is
     the value a fresh run reaches, bit for bit: the max, the subtraction of
@@ -141,13 +138,13 @@ def supremum_bound(path: StationaryPath, at: int, kind: str, depth: int,
     # The window starts at ``base`` and its common lags end at ``end``. The
     # memo is (depth, end, v there, last reset).
     base, end = at - depth, at - servers + 1
-    memo = path._memo.suprema.get((kind, servers))
+    memo = path._memo.suprema.get(servers)
     if memo is not None and memo[0] == depth and memo[1] <= end and memo[3] >= base:
         _, first, v, reset = memo
     else:
         first, v, reset = base, 0.0, base
     new = slice(first - base, None)
-    work = _effective_work(blk.tau[new], blk.sigma[new], blk.patience[new], kind).tolist()
+    work = _effective_work(blk.sigma[new], blk.patience[new], "upper").tolist()
     tau = blk.tau[new].tolist()
 
     # Each coordinate is a running supremum of partial sums; evaluate it by
@@ -167,7 +164,7 @@ def supremum_bound(path: StationaryPath, at: int, kind: str, depth: int,
             if v < 0.0:
                 v = 0.0
         reset = i
-    path._memo.suprema[(kind, servers)] = (depth, end, v, reset)
+    path._memo.suprema[servers] = (depth, end, v, reset)
     # The final S-1 lags run a clipped delay line: each value shifts one lag
     # deeper and only the new lag-1 value takes work.
     values = [v]
@@ -176,7 +173,7 @@ def supremum_bound(path: StationaryPath, at: int, kind: str, depth: int,
         values = [max(x - t, 0.0) for x in values] + [max((top if top > w else w) - t, 0.0)]
     values = tuple(values)
 
-    thetas, log_c, _ = _chernoff_constants(path.spec.laws, kind)
+    thetas, log_c, _ = _chernoff_constants(path.spec.laws)
     # At most 1, which is also the risk when no theta is usable; no lag
     # raises an infinite supremum.
     exponent = float((log_c - thetas * (values[0] + blk.tau.sum())).min(initial=0.0))
@@ -184,8 +181,7 @@ def supremum_bound(path: StationaryPath, at: int, kind: str, depth: int,
     return SupremumBound(values, depth, risk <= Z_RISK, risk)
 
 
-def certified_supremum(path: StationaryPath, at: int, kind: str, servers: int,
-                       ahead: int = 0) -> SupremumBound:
+def certified_supremum(path: StationaryPath, at: int, servers: int, ahead: int = 0) -> SupremumBound:
     """The supremum vector at ``at``, read as deep as its certificate needs.
 
     The first read goes a quarter past the depth at which the mean gaps
@@ -203,15 +199,15 @@ def certified_supremum(path: StationaryPath, at: int, kind: str, servers: int,
     and steps only its new lags (``supremum_bound``); a doubled read
     replaces the path's resume entry and starts from scratch.
     """
-    depth = max(servers, math.ceil(min(1.25 * _chernoff_constants(path.spec.laws, kind)[2],
+    depth = max(servers, math.ceil(min(1.25 * _chernoff_constants(path.spec.laws)[2],
                                        DEFAULT_MAX_DEPTH)))
     while True:
         path.block(at - depth, depth + ahead)
-        zb = supremum_bound(path, at, kind, depth, servers)
+        zb = supremum_bound(path, at, depth, servers)
         if zb.stabilized:
             return zb
         if depth >= DEFAULT_MAX_DEPTH:
-            raise ResourceCapError(f"{kind} supremum at index {at} not certified "
+            raise ResourceCapError(f"upper supremum at index {at} not certified "
                                    f"(risk {zb.risk:.3g})", DEFAULT_MAX_DEPTH, 2 * depth)
         depth = min(2 * depth, DEFAULT_MAX_DEPTH)
 
@@ -376,7 +372,7 @@ def envelope_states(path: StationaryPath, at: int, steps: int, u0: tuple[float, 
     backward limit rolls forward into the limits at the later indices.
     """
     blk = path.block(at, steps)
-    drivers = (_effective_work(blk.tau, blk.sigma, blk.patience, kind), blk.tau)
+    drivers = (_effective_work(blk.sigma, blk.patience, kind), blk.tau)
     return _forward_roll(((tuple(map(float, u0)), _merge_shift, drivers),), _merge_shift_batch,
                          drivers)[0]
 

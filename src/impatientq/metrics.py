@@ -133,7 +133,7 @@ def bound_report(path: StationaryPath, servers: int, n_samples: int, at: int = 0
     # Read first, the certified supremum covers the window too, so the page
     # cover it leaves in the path's memo serves the rolls and, unless their
     # deeper reads cross a page boundary, the coupling box and estimates.
-    zb = certified_supremum(path, at, "upper", servers, n_samples)
+    zb = certified_supremum(path, at, servers, n_samples)
     anchor = cftp(path, servers, at, max_horizon)
     if not anchor.coalesced:
         raise ContractError(f"cftp did not coalesce at index {at} by horizon {anchor.horizon_used}")
@@ -193,7 +193,7 @@ def estimate_conditions(path: StationaryPath, servers: int, n_samples: int,
     work_le_tau = int(np.count_nonzero(blk.sigma + blk.patience <= blk.tau))
     sigma_lt_tau = int(np.count_nonzero(blk.sigma < blk.tau))
 
-    zb = certified_supremum(path, at, "upper", 1)
+    zb = certified_supremum(path, at, 1)
     z_hits = int(np.count_nonzero(envelope_states(path, at, n_samples - 1, zb.values, "upper") == 0.0))
 
     scan = detect_renovation(path, servers, (at, at + n_samples - 1))

@@ -21,7 +21,7 @@ import functools
 import math
 import operator
 from collections import OrderedDict
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -359,28 +359,13 @@ class SequenceSpec:
     @property
     def laws(self) -> tuple[tuple[Distribution, Distribution, Distribution], ...]:
         """The (tau, sigma, patience) laws: one triple, or one per modulating
-        state. Built once, like the hash, and left out of a copy's state."""
+        state, built once."""
         try:
             return self._laws
         except AttributeError:
             laws = self.__dict__["_laws"] = (self.modulation.states if self.model == "markov_modulated"
                                              else ((self.tau, self.sigma, self.patience),))
             return laws
-
-    def __hash__(self) -> int:
-        # The hash of the fields, computed once: hashing the laws and the
-        # modulating chain takes microseconds, and the caches keyed on a
-        # spec hash it on every lookup. Equality stays the fields'.
-        try:
-            return self._hash
-        except AttributeError:
-            h = self.__dict__["_hash"] = hash(tuple(getattr(self, f.name) for f in fields(self)))
-            return h
-
-    def __getstate__(self) -> dict:
-        # String hashes differ between processes: a copy hashes afresh, and
-        # builds its own laws.
-        return {k: v for k, v in self.__dict__.items() if k not in ("_hash", "_laws")}
 
 
 def _check_roles(tau: Distribution, sigma: Distribution, patience: Distribution):
@@ -435,9 +420,10 @@ class _PathMemo:
     value, and a race between two readers can at worst cost a recomputation.
     - ``cover``: ``block``'s one float cover, ``(first index, DriverBlock)``;
       ``pages``, ``loynes._exact_lists``' driver lists per page, go with it.
-    - ``chains``: ``coupling.cftp``'s box and chain per ``(start, servers,
-      kind)``, least recently used past ``CHAIN_MEMO`` (``keep_chain``).
-    - ``suprema``: ``loynes.supremum_bound``'s resume entry per ``(kind, servers)``.
+    - ``chains``: ``coupling.cftp``'s one box per ``(start, servers)``, with
+      the chain of each kind that started from it, least recently used past
+      ``CHAIN_MEMO`` (``keep_chain``).
+    - ``suprema``: ``loynes.supremum_bound``'s resume entry per server count.
     - ``blocks``: modulating-chain states per block index, in the smallest
       unsigned dtype and owning their bytes, least recently used past
       ``_BLOCK_MEMO`` (``keep_block``; a 10^6-index read spans 246).

@@ -276,13 +276,13 @@ def cftp_from_unaligned_starts(path: StationaryPath, servers: int, at: int,
     horizon h doubles from ``max(2S, 16)`` (or ``max_horizon``) and starts
     at ``at - h`` exactly, with its own box read and a fresh bounding chain,
     no memo. The box rule is ``cftp``'s: between empty and the certified
-    supremum vector of the same kind (upper for the exact map), on a
-    lattice path in the multiples ``floor(z / alpha + 1e-9)``. The point the
-    chain closes to at ``at``, or ``None`` when no horizon closes it."""
+    supremum vector, for every kind, on a lattice path in the multiples
+    ``floor(z / alpha + 1e-9)``. The point the chain closes to at ``at``,
+    or ``None`` when no horizon closes it."""
     lattice = kind == "exact" and path.spec.is_lattice
     horizon = min(max(2 * servers, 16), max_horizon)
     while True:
-        top = certified_supremum(path, at - horizon, "upper" if kind == "exact" else kind, servers).values
+        top = certified_supremum(path, at - horizon, servers).values
         zero = 0.0
         if lattice:
             top, zero = tuple(math.floor(v / path.spec.alpha + 1e-9) for v in top), 0
@@ -406,7 +406,7 @@ def deep_envelope(path: StationaryPath, ats, kind: str, servers: int,
     ats = np.asarray(ats, dtype=np.int64)
     base = int(ats.min()) - depth
     blk = path.block(base, int(ats.max()) - base)
-    work = _effective_work(blk.tau, blk.sigma, blk.patience, kind)
+    work = _effective_work(blk.sigma, blk.patience, kind)
     offsets = ats - depth - base
     u = [np.zeros(len(ats)) for _ in range(servers)]
     for j in range(depth):

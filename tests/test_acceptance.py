@@ -181,7 +181,7 @@ def test_criterion_6_backward_structure():
         path = StationaryPath(random_iid_spec(rng))
         for depth in (1, 13, 64):
             it = envelope_states(path, -depth, depth, (0.0,), "upper")[-1]
-            zb = supremum_bound(path, 0, "upper", depth, 1)
+            zb = supremum_bound(path, 0, depth, 1)
             assert it[0] == zb.values[0]
             exact_hits += 1
     for servers in (2, 3, 5):
@@ -189,7 +189,7 @@ def test_criterion_6_backward_structure():
             path = StationaryPath(random_iid_spec(rng))
             for depth in (servers, 32, 129):
                 it = envelope_states(path, -depth, depth, (0.0,) * servers, "upper")[-1]
-                zb = supremum_bound(path, 0, "upper", depth, servers)
+                zb = supremum_bound(path, 0, depth, servers)
                 assert it[-1] == zb.values[-1]
                 exact_hits += 1
     _report("criterion 6 (backward scheme structure)",

@@ -411,29 +411,33 @@ def test_consecutive_cftp_targets_read_each_box_once(monkeypatch):
     assert max(horizons) <= 128 and 1 <= len(reads) <= 6, len(reads)
 
 
-def test_exact_and_upper_chains_share_one_box_read(monkeypatch):
-    # The exact chain and the upper envelope's start from the same box: at a
-    # start where either kind has run, the other reads no box of its own.
-    # bound_report runs all three kinds from the same start.
+def test_every_kind_starts_from_one_box_read(monkeypatch):
+    # The exact chain and both envelopes' start from one box per start and
+    # server count: whichever kind reaches a start first reads it, and the
+    # others take it from the memo. All three kinds run at several targets,
+    # in every order of the kinds, on one path each, against a fresh path
+    # per call, field for field. On the lattice the exact chain runs in
+    # multiples beside the envelopes' float chains from the same box.
+    import itertools
+
     from impatientq import coupling
-    from impatientq.metrics import bound_report
 
     reads = []
     certified = coupling.certified_supremum
     monkeypatch.setattr(coupling, "certified_supremum",
                         lambda *a, **k: reads.append(a[1:3]) or certified(*a, **k))
-    bound_report(StationaryPath(MM_SPEC), 2, 2000)
-    assert reads and len(set(reads)) == len(reads), reads
-    assert {kind for _, kind in reads} == {"lower", "upper"}
-    calls = [(kind, at) for kind in KINDS for at in (0, 5, -40)]
-    fresh = {call: _fields(cftp(StationaryPath(MM_SPEC), 2, at=call[1], kind=call[0])) for call in calls}
-    for first in ("exact", "upper"):
-        reads.clear()
-        path = StationaryPath(MM_SPEC)
-        for kind, at in sorted(calls, key=lambda call: call[0] != first):
-            assert _fields(cftp(path, 2, at=at, kind=kind)) == fresh[kind, at], (first, kind, at)
-        assert len(set(reads)) == len(reads), (first, reads)
-        assert {kind for _, kind in reads} == {"lower", "upper"}, (first, reads)
+    targets = (0, 5, -40, 37, 300)
+    for spec, servers in ((MM_SPEC, 2), (CERTIFY, 3), (LATTICE, 3)):
+        fresh = {(kind, at): _fields(cftp(StationaryPath(spec), servers, at=at, kind=kind))
+                 for kind in KINDS for at in targets}
+        for order in itertools.permutations(KINDS):
+            reads.clear()
+            path = StationaryPath(spec)
+            for at in targets:
+                for kind in order:
+                    assert _fields(cftp(path, servers, at=at, kind=kind)) == fresh[kind, at], (order, kind, at)
+            assert sorted(reads) == sorted(path._memo.chains), (spec.seed, order, reads)
+            assert max(len(chains) for _, chains in path._memo.chains.values()) == 3, (spec.seed, order)
 
 
 KINDS = ("exact", "lower", "upper")
@@ -453,8 +457,8 @@ def test_cftp_memo_changes_no_result(family):
     # heavy iid and Markov specs reach deeper horizons and resume box reads
     # over long runs without a reset. Every target runs the exact map and
     # both envelopes, in a rotating order, so the chains of all three kinds
-    # start at the same indices of one path: a memo that did not tell the
-    # kinds apart would hand one kind's box or chain to another.
+    # start at the same indices of one path, from one box: a memo that did
+    # not tell the kinds apart would hand one kind's chain to another.
     rng = np.random.default_rng(1818)
     fixed, draw = {"iid": (CERTIFY, random_iid_spec),
                    "lattice": (LATTICE, lambda r: random_lattice_spec(r, alpha=0.5)),
@@ -709,11 +713,34 @@ def test_certified_box_dominates_deep_states():
         exact = exact_states(path, at - 4096, 4096, (0.0,) * servers)[0][-1]
         upper = envelope_states(path, at - 4096, 4096, (0.0,) * servers, "upper")[-1]
         depth = servers
-        zb = supremum_bound(path, at, "upper", depth, servers)
+        zb = supremum_bound(path, at, depth, servers)
         while not zb.stabilized:
             depth *= 2
-            zb = supremum_bound(path, at, "upper", depth, servers)
+            zb = supremum_bound(path, at, depth, servers)
         assert all(w <= u <= z for w, u, z in zip(exact, upper, zb.values)), (trial, exact, upper, zb)
+
+
+_FAMILIES = {"iid": random_iid_spec, "mm": random_mm_spec, "lattice": lambda r: random_lattice_spec(r, alpha=0.5)}
+LOWER_BOX_SPECS = SWEEP + [(f"random-{family}-{k}", _FAMILIES[family](np.random.default_rng(3838 + k)), 1 + k % 4)
+                           for k, family in enumerate(list(_FAMILIES) * 4)]
+
+
+@pytest.mark.parametrize("name, spec, servers", LOWER_BOX_SPECS, ids=[c[0] for c in LOWER_BOX_SPECS])
+def test_lower_envelope_starts_from_the_upper_box(name, spec, servers):
+    # The lower envelope's chain starts from the upper certified box. At 40
+    # indices its iterate from empty 8192 indices back lies under that box,
+    # componentwise, and cftp of the lower kind equals it bit for bit.
+    from impatientq.loynes import certified_supremum
+
+    path = StationaryPath(spec)
+    ats = np.arange(-5000, 5000, 250)
+    deep = deep_envelope(path, ats, "lower", servers)
+    for at, ref in zip(ats.tolist(), deep):
+        box = np.array(certified_supremum(StationaryPath(spec), at, servers).values)   # read alone
+        assert (ref <= box).all(), (at, ref, box)
+        est = cftp(path, servers, at, kind="lower")
+        assert est.coalesced and np.array(est.value).view(np.int64).tolist() == ref.view(np.int64).tolist(), \
+            (at, est, ref)
 
 
 def test_cftp_reports_certified_box():

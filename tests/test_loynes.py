@@ -43,42 +43,31 @@ MM2D = iid_spec(17, Exponential(1.0), Exponential(0.6), Deterministic(1.0))
 def test_supremum_bound_drain_is_zero():
     path = StationaryPath(DRAIN)
     for depth in (3, 10, 100):
-        zb = supremum_bound(path, 0, "upper", depth, 3)
+        zb = supremum_bound(path, 0, depth, 3)
         assert zb.values == (0.0, 0.0, 0.0)
 
 
 def test_supremum_bound_growth_example():
     # work 3, gap 1: the lag-l supremum is 3 - l, so the vector is (0, 1, 2)
     path = StationaryPath(GROWTH)
-    zb = supremum_bound(path, 0, "upper", 2000, 3)
+    zb = supremum_bound(path, 0, 2000, 3)
     assert zb.values == (0.0, 1.0, 2.0)
     assert zb.stabilized
-
-
-def test_lower_below_upper():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        path = StationaryPath(random_iid_spec(rng))
-        lo = supremum_bound(path, 0, "lower", 256, 3)
-        up = supremum_bound(path, 0, "upper", 256, 3)
-        assert all(a <= b for a, b in zip(lo.values, up.values))
 
 
 def test_depth_below_servers_rejected():
     path = StationaryPath(MM2D)
     with pytest.raises(ValueError):
-        supremum_bound(path, 0, "upper", 2, 3)
-    with pytest.raises(ValueError):
-        supremum_bound(path, 0, "sideways", 8, 2)
+        supremum_bound(path, 0, 2, 3)
 
 
 def test_supremum_monotone_in_horizon():
     rng = np.random.default_rng(6)
     for _ in range(10):
         path = StationaryPath(random_iid_spec(rng))
-        prev = supremum_bound(path, 0, "upper", 4, 4).values
+        prev = supremum_bound(path, 0, 4, 4).values
         for depth in (8, 16, 64, 256):
-            cur = supremum_bound(path, 0, "upper", depth, 4).values
+            cur = supremum_bound(path, 0, depth, 4).values
             assert all(a <= b for a, b in zip(prev, cur))
             prev = cur
 
@@ -88,11 +77,10 @@ def test_single_server_iterate_telescopes_exactly():
     paths = [StationaryPath(random_iid_spec(rng)) for _ in range(10)]
     paths.append(StationaryPath(random_mm_spec(rng)))
     for path in paths:
-        for kind in ("upper", "lower"):
-            for depth in (1, 3, 17, 128):
-                it = envelope_states(path, -depth, depth, (0.0,), kind)[-1]
-                zb = supremum_bound(path, 0, kind, depth, 1)
-                assert it[0] == zb.values[0]
+        for depth in (1, 3, 17, 128):
+            it = envelope_states(path, -depth, depth, (0.0,), "upper")[-1]
+            zb = supremum_bound(path, 0, depth, 1)
+            assert it[0] == zb.values[0]
 
 
 def test_top_coordinate_identity_exact():
@@ -102,11 +90,8 @@ def test_top_coordinate_identity_exact():
             path = StationaryPath(random_iid_spec(rng))
             for depth in (servers, 2 * servers, 64, 257):
                 it = envelope_states(path, -3 - depth, depth, (0.0,) * servers, "upper")[-1]
-                zb = supremum_bound(path, -3, "upper", depth, servers)
+                zb = supremum_bound(path, -3, depth, servers)
                 assert it[-1] == zb.values[-1]
-                lo = envelope_states(path, -3 - depth, depth, (0.0,) * servers, "lower")[-1]
-                zl = supremum_bound(path, -3, "lower", depth, servers)
-                assert lo[-1] == zl.values[-1]
 
 
 def test_supremum_values_match_direct_maximum():
@@ -117,7 +102,7 @@ def test_supremum_values_match_direct_maximum():
     blk = path.block(-depth, depth)
     work = (blk.sigma + blk.patience)[::-1]
     terms = work - np.cumsum(blk.tau[::-1])
-    zb = supremum_bound(path, 0, "upper", depth, servers)
+    zb = supremum_bound(path, 0, depth, servers)
     for j in range(1, servers + 1):
         lag0 = servers + 1 - j
         direct = max(float(terms[lag0 - 1:].max()), 0.0)
@@ -145,7 +130,7 @@ def test_iterate_dominated_by_supremum_at_stabilized_depth():
         est = cftp(path, 3, 0, kind="upper")
         if not est.coalesced:
             continue
-        zb = supremum_bound(path, 0, "upper", max(est.horizon_used, 3), 3)
+        zb = supremum_bound(path, 0, max(est.horizon_used, 3), 3)
         assert all(v <= z + 1e-9 for v, z in zip(est.value, zb.values))
 
 
@@ -185,13 +170,15 @@ def test_stabilized_estimate_is_pathwise_fixed_point():
 
 def test_unstabilized_flag_on_divergent_config():
     # infinite patience makes the upper effective work and the supremum
-    # infinite: there is no box to couple from, so the upper estimate is
-    # refused at its first box read rather than rolled from empty alone
+    # infinite: there is no box to couple from, so each envelope's estimate
+    # is refused at its first box read rather than rolled from empty alone;
+    # the lower one too, whose own work min(sigma, D) stays finite
     spec = iid_spec(3, Exponential(1.0), Exponential(2.0), Deterministic(float("inf")))
     path = StationaryPath(spec)
-    with pytest.raises(ConfigurationError, match="top supremum is not finite"):
-        cftp(path, 1, 0, kind="upper")
-    assert not path._memo.chains
+    for kind in ("upper", "lower"):
+        with pytest.raises(ConfigurationError, match="top supremum is not finite"):
+            cftp(path, 1, 0, kind=kind)
+        assert not path._memo.chains
 
 
 SWEEP = reference_sweep_configs()
@@ -305,8 +292,8 @@ def test_conditions_read_the_top_supremum_at_z_depth():
     # top supremum: certified there, and far short of a fixed 4096
     path = StationaryPath(MM2D)
     rep = estimate_conditions(path, 2, 200)
-    assert rep.z_depth == certified_supremum(path, 0, "upper", 1).horizon
-    assert supremum_bound(path, 0, "upper", rep.z_depth, 1).stabilized
+    assert rep.z_depth == certified_supremum(path, 0, 1).horizon
+    assert supremum_bound(path, 0, rep.z_depth, 1).stabilized
     assert 1 <= rep.z_depth < 4096
 
 
@@ -334,10 +321,10 @@ def test_supremum_certificate_against_deep_reference():
         for at in range(0, 20 * 997, 997):
             blk = [col[at : at + 8192] for col in window]
             depth = servers
-            zb = supremum_bound(path, at, "upper", depth, servers)
+            zb = supremum_bound(path, at, depth, servers)
             while zb.risk > risk and depth < 8192:
                 depth *= 2
-                zb = supremum_bound(path, at, "upper", depth, servers)
+                zb = supremum_bound(path, at, depth, servers)
             if zb.risk > risk:
                 continue
             tau, sigma, patience = blk
@@ -366,7 +353,7 @@ def test_supremum_risk_closed_form():
     for spec, gaps in ((iid, 1.0), (modulated, 2.0)):
         path = StationaryPath(spec)
         for at, depth in ((28, 40), (35, 150), (7, 400)):
-            zb = supremum_bound(path, at, "upper", depth, 3)
+            zb = supremum_bound(path, at, depth, 3)
             assert zb.values[0] < zb.values[-1]   # the least coordinate is the one that counts
             elapsed = float(path.block(at - depth, depth).tau.sum())
             want = min(0.4 / (0.4 - t) * 0.2 / (0.2 - t) * math.exp(-t * (zb.values[0] + elapsed)) * gaps / t
@@ -376,13 +363,13 @@ def test_supremum_risk_closed_form():
 
 def test_supremum_risk_fields():
     path = StationaryPath(MM2D)
-    shallow = supremum_bound(path, 0, "upper", 4, 2)
-    deep = supremum_bound(path, 0, "upper", 4096, 2)
+    shallow = supremum_bound(path, 0, 4, 2)
+    deep = supremum_bound(path, 0, 4096, 2)
     assert 0.0 <= deep.risk <= 1e-12 and deep.stabilized
     assert shallow.risk > 1e-12 and not shallow.stabilized
     # infinite work: nothing can raise an infinite supremum
     inf = StationaryPath(iid_spec(3, Exponential(1.0), Exponential(2.0), Deterministic(float("inf"))))
-    zb = supremum_bound(inf, 0, "upper", 8, 2)
+    zb = supremum_bound(inf, 0, 8, 2)
     assert zb.values == (float("inf"),) * 2 and zb.risk == 0.0
 
 
@@ -399,11 +386,11 @@ def test_chernoff_constants_are_shared_across_seeds(model):
             else random_mm_spec(np.random.default_rng(2718)))
     other = dataclasses.replace(base, seed=base.seed + 1)
     misses = loynes._chernoff_constants.cache_info().misses
-    a = loynes._chernoff_constants(base.laws, "upper")
-    b = loynes._chernoff_constants(other.laws, "upper")
+    a = loynes._chernoff_constants(base.laws)
+    b = loynes._chernoff_constants(other.laws)
     assert loynes._chernoff_constants.cache_info().misses == misses + 1
     assert all(np.array_equal(x, y) for x, y in zip(a[:2], b[:2])) and a[2] == b[2]
-    zb = [certified_supremum(StationaryPath(s), 0, "upper", 2) for s in (base, other)]
+    zb = [certified_supremum(StationaryPath(s), 0, 2) for s in (base, other)]
     assert loynes._chernoff_constants.cache_info().misses == misses + 1
     assert zb[0].values != zb[1].values   # the seeds read different paths
 
@@ -435,15 +422,15 @@ RESUME_SPECS = {
 def test_supremum_bound_resume_changes_no_result(name):
     # reads on one shared path, which resume each other, against a fresh
     # path per read: every field, the risk by its bits. Each order
-    # interleaves both kinds and S = 1..4 at the certified depth or its
-    # doubling, so a read also follows reads of other keys; every other
-    # order reads its targets 37 indices later. The sweep must both resume
-    # reads and meet remembered resets that lie before the new window.
+    # interleaves S = 1..4 at the certified depth or its doubling, so a read
+    # also follows reads of other server counts; every other order reads
+    # its targets 37 indices later. The sweep must both resume reads and
+    # meet remembered resets that lie before the new window.
     spec = RESUME_SPECS[name]
     rng = np.random.default_rng(2020)
-    keys = [(kind, servers) for kind in ("upper", "lower") for servers in range(1, 5)]
+    keys = range(1, 5)
     reference = StationaryPath(spec)   # its resume entries are dropped before each read
-    certified = {key: certified_supremum(reference, 0, *key).horizon for key in keys}
+    certified = {servers: certified_supremum(reference, 0, servers).horizon for servers in keys}
     orders = ("ascending", "descending", "shuffled", "stride-7", "stride-depth-1", "stride-depth+1")
     resumed = reset_outside = 0
     for scale in (1, 2):
@@ -451,17 +438,17 @@ def test_supremum_bound_resume_changes_no_result(name):
             shift = 37 * (i % 2)
             shared = StationaryPath(spec)
             reads = zip(*[[(t, key) for t in _sweep_targets(order, scale * certified[key], rng)] for key in keys])
-            for t, (kind, servers) in (read for step in reads for read in step):
-                depth = scale * certified[kind, servers]
-                before = shared._memo.suprema.get((kind, servers))
+            for t, servers in (read for step in reads for read in step):
+                depth = scale * certified[servers]
+                before = shared._memo.suprema.get(servers)
                 if before is not None and before[0] == depth and before[1] <= t + shift - servers + 1:
                     inside = before[3] >= t + shift - depth
                     resumed += inside
                     reset_outside += not inside
-                zb = supremum_bound(shared, t + shift, kind, depth, servers)
+                zb = supremum_bound(shared, t + shift, depth, servers)
                 reference._memo.suprema.clear()
-                fresh = supremum_bound(reference, t + shift, kind, depth, servers)
-                assert _bound_fields(zb) == _bound_fields(fresh), (name, scale, order, t, kind, servers)
+                fresh = supremum_bound(reference, t + shift, depth, servers)
+                assert _bound_fields(zb) == _bound_fields(fresh), (name, scale, order, t, servers)
     assert resumed > 0 and reset_outside > 0, (resumed, reset_outside)
 
 
@@ -475,9 +462,9 @@ def test_consecutive_cftp_box_reads_step_few_lags(monkeypatch):
     stepped = []
     effective_work = loynes._effective_work
 
-    def counting(tau, sigma, patience, kind):
-        stepped.append(len(tau) - 2)   # less the final S - 1 = 2 lags
-        return effective_work(tau, sigma, patience, kind)
+    def counting(sigma, patience, kind):
+        stepped.append(len(sigma) - 2)   # less the final S - 1 = 2 lags
+        return effective_work(sigma, patience, kind)
 
     path = StationaryPath(CERTIFY)
     for t in range(1, 129):
@@ -495,11 +482,11 @@ def test_supremum_bound_resume_is_keyed_on_servers():
     path = StationaryPath(CERTIFY)
     deeper_lags_count = 0
     for t in range(-200, 200):
-        supremum_bound(path, t + 3, "upper", 8, 4)
-        zb = supremum_bound(path, t, "upper", 8, 1)
+        supremum_bound(path, t + 3, 8, 4)
+        zb = supremum_bound(path, t, 8, 1)
         fresh = StationaryPath(CERTIFY)
-        assert _bound_fields(zb) == _bound_fields(supremum_bound(fresh, t, "upper", 8, 1)), t
-        deeper_lags_count += zb.values != supremum_bound(fresh, t, "upper", 5, 1).values
+        assert _bound_fields(zb) == _bound_fields(supremum_bound(fresh, t, 8, 1)), t
+        deeper_lags_count += zb.values != supremum_bound(fresh, t, 5, 1).values
     assert deeper_lags_count > 0
 
 

@@ -288,7 +288,7 @@ def test_top_supremum_roll_matches_per_index_bound():
             samples = bound_report(StationaryPath(spec), servers, n, keep_samples=True).samples
             upper1, z_top = np.ascontiguousarray(samples[:, 2]), np.ascontiguousarray(samples[:, 3])
             reads = StationaryPath(spec)
-            want = np.array([certified_supremum(reads, t, "upper", servers).values[0] for t in range(n)])
+            want = np.array([certified_supremum(reads, t, servers).values[0] for t in range(n)])
             if spec.is_lattice:
                 want = np.maximum(want, upper1)
             assert np.array_equal(z_top.view(np.int64), want.view(np.int64)), (spec.seed, servers)

@@ -778,7 +778,7 @@ def test_invalid_specs():
         iid_spec(1, Deterministic(math.inf), Exponential(1.0), Deterministic(1.0))
 
 
-def test_spec_hash_is_computed_once_and_keeps_equality():
+def test_spec_hash_is_the_fields_hash_and_keeps_equality():
     import os
     import pickle
     import subprocess
@@ -789,27 +789,25 @@ def test_spec_hash_is_computed_once_and_keeps_equality():
     spec = dataclasses.replace(MM_SPEC)
     assert spec is not MM_SPEC and spec == MM_SPEC and hash(spec) == hash(MM_SPEC)
     assert hash(spec) == hash(tuple(getattr(spec, f.name) for f in dataclasses.fields(spec)))
-    assert spec.__dict__["_hash"] == hash(spec)        # computed once, then read back
     other = dataclasses.replace(MM_SPEC, seed=MM_SPEC.seed + 1)
     assert other != spec and hash(other) != hash(spec)
-    # An equal spec built apart finds the entries cached under the first one.
-    loynes._chernoff_constants(MM_SPEC.laws, "upper")
+    # An equal spec built apart finds the entry cached under the first one.
+    loynes._chernoff_constants(MM_SPEC.laws)
     hits = loynes._chernoff_constants.cache_info().hits
-    loynes._chernoff_constants(spec.laws, "upper")
+    loynes._chernoff_constants(spec.laws)
     assert loynes._chernoff_constants.cache_info().hits == hits + 1
-    # String hashes differ between processes, so a copy must hash afresh: a
-    # spec pickled after hashing, loaded under another hash seed, hashes as
-    # an equal spec built there does.
-    assert "_hash" not in pickle.loads(pickle.dumps(spec)).__dict__
+    # String hashes differ between processes: a spec pickled after hashing
+    # and reading its laws, loaded under another hash seed, equals and
+    # hashes as an equal spec built there does.
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONHASHSEED="1",
                PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]))
     probe = ("import pickle, sys; from support import MM_SPEC; "
              "s = pickle.loads(sys.stdin.buffer.read()); "
-             "print(s == MM_SPEC, hash(s) == hash(MM_SPEC))")
+             "print(s == MM_SPEC, hash(s) == hash(MM_SPEC), s.laws == MM_SPEC.laws)")
     out = subprocess.run([sys.executable, "-c", probe], input=pickle.dumps(spec), env=env,
                          check=True, capture_output=True).stdout.decode().split()
-    assert out == ["True", "True"], out
+    assert out == ["True", "True", "True"], out
 
 
 def test_lattice_deterministic_requires_exact_multiple():

@@ -90,20 +90,28 @@ MUTANTS = (
            ("tests/test_coupling.py::test_cftp_drain_coalesces_immediately",), timeout=60.0),
     # Changes no value, only the driver pages generated; the test counts them.
     Mutant("cftp-box-read-ahead-at-rung", COUPLING,
-           'zb = certified_supremum(path, start, "upper" if kind == "exact" else kind, servers, horizon)',
-           'zb = certified_supremum(path, start, "upper" if kind == "exact" else kind, servers, rung)',
+           "zb = certified_supremum(path, start, servers, horizon)",
+           "zb = certified_supremum(path, start, servers, rung)",
            ("tests/test_coupling.py::test_consecutive_cftp_targets_share_driver_generations",)),
-    # The memo of cftp boxes and chains.
+    # The memo of cftp boxes and chains: one box per start and server count,
+    # one chain per kind from it. A kind must resume its own chain.
     Mutant("cftp-memo-key-without-kind", COUPLING,
-           "key = (start, servers, kind)",
-           "key = (start, servers)",
+           "kept = chains.get(kind)",
+           "kept = next(iter(chains.values()), None)",
            ("tests/test_coupling.py::test_cftp_memo_changes_no_result[lattice]",
-            "tests/test_coupling.py::test_exact_and_upper_chains_share_one_box_read")),
-    Mutant("cftp-lower-shares-upper-box", COUPLING,
-           'twin = {"exact": "upper", "upper": "exact"}.get(kind)',
-           'twin = {"exact": "upper", "upper": "exact", "lower": "upper"}.get(kind)',
-           ("tests/test_coupling.py::test_cftp_memo_changes_no_result[iid]",
-            "tests/test_coupling.py::test_exact_and_upper_chains_share_one_box_read")),
+            "tests/test_coupling.py::test_every_kind_starts_from_one_box_read")),
+    # Changes no value, only the box reads: each kind reads its own box.
+    Mutant("cftp-box-per-kind", COUPLING,
+           "key = (start, servers)",
+           "key = (start, servers, kind)",
+           ("tests/test_coupling.py::test_every_kind_starts_from_one_box_read",)),
+    # The box is [0, Z]: a lower end raised to Z's least coordinate closes
+    # chains, the lower envelope's too, above the stationary state.
+    Mutant("cftp-box-low-end-raised", COUPLING,
+           "reached, lo, hi = start, (0.0,) * servers, zb.values",
+           "reached, lo, hi = start, (zb.values[0],) * servers, zb.values",
+           ("tests/test_coupling.py::test_lower_envelope_starts_from_the_upper_box[certify]",
+            "tests/test_coupling.py::test_cftp_equals_deep_forward_roll[1]")),
     # The stacked sandwich lanes: each recursion forms its own work.
     Mutant("sandwich-lower-lanes-take-the-larger-work", LOYNES,
            "np.minimum(sigma, patience, out=x[1])",
