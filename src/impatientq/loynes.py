@@ -248,6 +248,10 @@ def certified_supremum(path: StationaryPath, at: int, servers: int, ahead: int =
 # set of numpy calls on whole rows, writing into a buffer reused across
 # steps, and the walk repairs each recursion with its own scalar step, so
 # every recursion's rows are still its scalar roll's, bit for bit.
+#
+# Only the output rows take the roll's size. The lanes read their drivers
+# in place: every 16 steps, the pass and the round copy the drivers of those
+# steps of every lane into one reused (16, R) buffer per driver column.
 # ---------------------------------------------------------------------------
 
 CHUNK = 256
@@ -272,7 +276,9 @@ def _forward_roll(rolls, lane_step, drivers: tuple[np.ndarray, ...]) -> np.ndarr
     same ``steps`` indices as each ``own``: ``lane_step(U, *d, out)``
     writes recursion i's ``step`` of ``U[:, i]`` (lane ``r`` under the values
     ``d[c][r]``) into ``out[:, i]`` and returns ``out``. Every chunk after
-    the first starts from the empty state.
+    the first starts from the empty state. The columns are read in place,
+    16 steps at a time into reused ``(16, lanes)`` buffers; besides the
+    returned rows, the roll allocates nothing of the roll's size.
     """
     steps = len(drivers[0])
     lanes = steps // CHUNK
@@ -280,14 +286,23 @@ def _forward_roll(rolls, lane_step, drivers: tuple[np.ndarray, ...]) -> np.ndarr
         return np.stack([_scalar_roll(u0, step, own) for u0, step, own in rolls])
     length = -(-steps // lanes)
     lanes = -(-steps // length)  # no lane lies wholly in the padding
-    # Driver c of lane r at its j-th step is cols[c][j, r]; the last lane
-    # runs past the roll on zero padding, and those rows are cut off.
-    cols, full = [], (lanes - 1) * length
-    for col in drivers:
-        lane_col = np.zeros((length, lanes), dtype=col.dtype)
-        lane_col[:, :-1] = col[:full].reshape(lanes - 1, length).T
-        lane_col[: steps - full, -1] = col[full:]
-        cols.append(lane_col)
+    # Driver c of lane r at its j-th step is drivers[c][r * length + j]; the
+    # last lane runs past the roll on zero padding, and those rows are cut
+    # off. ``read(j)`` copies the drivers of steps j .. j+15 of every lane
+    # into the rows of one reused (16, lanes) buffer per driver.
+    full = (lanes - 1) * length
+    heads = [col[:full].reshape(lanes - 1, length).T for col in drivers]
+    bufs = [np.zeros((16, lanes), dtype=col.dtype) for col in drivers]
+
+    def read(j: int) -> list[np.ndarray]:
+        h = min(16, length - j)
+        for buf, head, col in zip(bufs, heads, drivers):
+            buf[:h, :-1] = head[j : j + h]
+            tail = col[full + j : full + j + h]
+            buf[: len(tail), -1] = tail
+            buf[len(tail) : h, -1] = 0
+        return [buf[:h] for buf in bufs]
+
     k, width = len(rolls), len(rolls[0][0])
     dtype = np.asarray(rolls[0][0]).dtype
     states = np.empty((k, lanes * length + 1, width), dtype=dtype)
@@ -300,10 +315,11 @@ def _forward_roll(rolls, lane_step, drivers: tuple[np.ndarray, ...]) -> np.ndarr
     u = batch[-1]
     for i, (u0, _, _) in enumerate(rolls):
         states[i, 0] = u[:, i, 0] = u0
-    for j, d in enumerate(zip(*cols)):
-        u = lane_step(u, *d, batch[j % 16])
-        if j % 16 == 15 or j == length - 1:
-            by_lane[:, :, j - j % 16 : j + 1] = batch[: j % 16 + 1].transpose(2, 3, 0, 1)
+    for j in range(0, length, 16):
+        block = read(j)
+        for slot, *d in zip(batch, *block):
+            u = lane_step(u, *d, slot)
+        by_lane[:, :, j : j + len(block[0])] = batch[: len(block[0])].transpose(2, 3, 0, 1)
 
     # The round: every seam restarts from its predecessor's last row. Live
     # seams step 16 rows at a time into one reused buffer, written back
@@ -315,9 +331,9 @@ def _forward_roll(rolls, lane_step, drivers: tuple[np.ndarray, ...]) -> np.ndarr
     live, flat = np.arange(1, lanes), np.empty(16 * u.size, dtype=dtype)
     for j in range(0, length, 16):
         rows = flat[: min(16, length - j) * u.size].reshape(-1, *u.shape)
-        block = [np.take(col[j : j + len(rows)], live, axis=1) for col in cols]
-        for i, slot in enumerate(rows):
-            u = lane_step(u, *(d[i] for d in block), slot)
+        block = [np.take(d, live, axis=1) for d in read(j)]
+        for slot, *d in zip(rows, *block):
+            u = lane_step(u, *d, slot)
         held = (u == lane_rows[:, :, live, j + len(rows) - 1]).all(axis=(0, 1))
         lane_rows[:, :, live, j : j + len(rows)] = rows.transpose(1, 2, 3, 0)
         if held.all():

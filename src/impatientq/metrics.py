@@ -57,8 +57,15 @@ class ProbabilityEstimate:
 
 
 def batch_means(x: np.ndarray) -> ProbabilityEstimate:
-    """Mean with a 95% half-width from ``BATCHES`` non-overlapping batch means."""
-    x = np.asarray(x, dtype=np.float64)
+    """Mean with a 95% half-width from ``BATCHES`` non-overlapping batch means.
+
+    Bool indicators are summed as they are, in float64 (``mean`` casts them
+    in small buffers): every partial sum is a count, exact, so the estimate
+    is the float64 indicators' bit for bit, without their copy.
+    """
+    x = np.asarray(x)
+    if x.dtype != np.bool_:
+        x = x.astype(np.float64, copy=False)
     n = x.size
     if n < BATCHES:
         raise ValueError(f"need at least {BATCHES} observations, got {n}")
@@ -70,7 +77,7 @@ def batch_means(x: np.ndarray) -> ProbabilityEstimate:
 
 def loss_probability(losses: np.ndarray) -> ProbabilityEstimate:
     """Fraction of lost arrivals, from their loss indicators, with a batch-means interval."""
-    losses = np.asarray(losses, dtype=np.float64)
+    losses = np.asarray(losses)
     if losses.size < 1:
         raise ValueError("trace must contain at least one arrival")
     if losses.size < BATCHES:
@@ -141,22 +148,32 @@ def bound_report(path: StationaryPath, servers: int, n_samples: int, at: int = 0
     exact, lower_states, upper_states = sandwich_states(path, at, n_samples - 1, anchor.value,
                                                         lower.value, upper.value)
     blk = path.block(at, n_samples)
-    z_top = upper_states[:, -1]   # lag 1; lag l+1 at t+1 is [lag l at t - tau_t]+, at ``at`` zb's
-    for start in zb.values[-2::-1]:
-        z_top = np.concatenate(([start], np.maximum(z_top[:-1] - blk.tau[:-1], 0.0)))
+    # lag 1; lag l+1 at t+1 is [lag l at t - tau_t]+, at ``at`` zb's. The
+    # lags alternate between two preallocated arrays.
+    z_top = upper_states[:, -1]
+    line = [np.empty(n_samples) for _ in range(min(servers - 1, 2))]
+    for lag, start in enumerate(zb.values[-2::-1]):
+        shifted = line[lag % 2]
+        np.subtract(z_top[:-1], blk.tau[:-1], out=shifted[1:])
+        np.maximum(shifted[1:], 0.0, out=shifted[1:])
+        shifted[0], z_top = start, shifted
     lower1, w1, upper1 = lower_states[:, 0], exact[:, 0], upper_states[:, 0]
     if path.spec.is_lattice:
         lower1, upper1 = np.minimum(lower1, w1), np.maximum(upper1, w1)
         z_top = np.maximum(z_top, upper1)
     cols = (lower1, w1, upper1, z_top, blk.patience)
     # The sandwich holds pointwise: lower_ind <= loss_ind <= upper_ind <= z_ind.
-    inds = np.stack([col > blk.patience for col in cols[:4]])
-    bad = np.flatnonzero((inds[:-1] > inds[1:]).any(axis=0))
-    if len(bad):
-        i = int(bad[0])
-        got = (float(col[i]) for col in cols)
+    inds, worse = np.empty((4, n_samples), dtype=bool), np.empty(n_samples, dtype=bool)
+    bad = n_samples
+    for ind, col in zip(inds, cols):
+        np.greater(col, blk.patience, out=ind)
+    for a, b in zip(inds, inds[1:]):
+        if np.greater(a, b, out=worse).any():
+            bad = min(bad, int(worse.argmax()))
+    if bad < n_samples:
+        got = (float(col[bad]) for col in cols)
         raise ContractError("loss indicators out of order at sample {} (index {}): lower1 {!r}, W1 {!r}, "
-                            "upper1 {!r}, z_top {!r}, patience {!r}".format(i, at + i, *got))
+                            "upper1 {!r}, z_top {!r}, patience {!r}".format(bad, at + bad, *got))
     samples = np.column_stack([*cols, inds[1].astype(np.float64)]) if keep_samples else None
     return BoundReport(*(batch_means(ind) for ind in inds), n_samples=n_samples,   # p_lower .. p_z
                        lower_stabilized=lower.coalesced, upper_stabilized=upper.coalesced,

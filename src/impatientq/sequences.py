@@ -115,7 +115,11 @@ class Exponential:
         return True
 
     def sample(self, u: np.ndarray) -> np.ndarray:
-        return -np.log1p(-u) / self.rate
+        # ``-log1p(-u) / rate``, every step in one output array
+        x = np.negative(u)
+        np.log1p(x, out=x)
+        np.negative(x, out=x)
+        return np.divide(x, self.rate, out=x)
 
     def log_mgf(self, theta: float) -> float:
         return -math.log1p(-theta / self.rate) if theta < self.rate else math.inf
@@ -170,7 +174,8 @@ class Uniform:
         return self.low >= 0.0
 
     def sample(self, u: np.ndarray) -> np.ndarray:
-        return self.low + u * (self.high - self.low)
+        x = np.multiply(u, self.high - self.low)
+        return np.add(self.low, x, out=x)
 
     def log_mgf(self, theta: float) -> float:
         # log of (e^(theta b) - e^(theta a)) / (theta (b - a)), factored at
@@ -199,7 +204,11 @@ class ShiftedExponential:
         return True
 
     def sample(self, u: np.ndarray) -> np.ndarray:
-        return self.shift - np.log1p(-u) / self.rate
+        # ``shift - log1p(-u) / rate``, every step in one output array
+        x = np.negative(u)
+        np.log1p(x, out=x)
+        np.divide(x, self.rate, out=x)
+        return np.subtract(self.shift, x, out=x)
 
     def log_mgf(self, theta: float) -> float:
         return theta * self.shift - math.log1p(-theta / self.rate) if theta < self.rate else math.inf
@@ -488,29 +497,25 @@ class StationaryPath:
         return DriverBlock(*(a[i : i + count] for a in memo[1]))
 
     def _generate(self, start: int, count: int) -> DriverBlock:
-        u_tau = stream_uniforms(self.spec.seed, STREAM_TAU, start, count)
-        u_sigma = stream_uniforms(self.spec.seed, STREAM_SIGMA, start, count)
-        u_pat = stream_uniforms(self.spec.seed, STREAM_PATIENCE, start, count)
+        """Driver triples for ``start .. start+count-1``, built in the arrays
+        of their uniforms. A Markov-modulated path builds its chain states
+        first, while no stream is held, and takes one index list per state;
+        each stream is then drawn and every state's law samples its own
+        indices, one gather, one sampler output and one scatter a state."""
+        laws = self.spec.laws
         if self.spec.model == "markov_modulated":
             states = self._states(start, count)
-            mod = self.spec.modulation
-            tau = np.empty(count)
-            sigma = np.empty(count)
-            patience = np.empty(count)
-            for s in range(mod.n_states()):
-                mask = states == s
-                if not mask.any():
-                    continue
-                tau_d, sigma_d, pat_d = mod.states[s]
-                tau[mask] = tau_d.sample(u_tau[mask])
-                sigma[mask] = sigma_d.sample(u_sigma[mask])
-                patience[mask] = pat_d.sample(u_pat[mask])
-            return DriverBlock(tau, sigma, patience)
-        return DriverBlock(
-            self.spec.tau.sample(u_tau),
-            self.spec.sigma.sample(u_sigma),
-            self.spec.patience.sample(u_pat),
-        )
+            at = [np.flatnonzero(states == s) for s in range(len(laws))]
+            del states
+        else:
+            at = [slice(None)]
+        cols = []
+        for c, stream in enumerate((STREAM_TAU, STREAM_SIGMA, STREAM_PATIENCE)):
+            u = stream_uniforms(self.spec.seed, stream, start, count)
+            for law, i in zip(laws, at):
+                u[i] = law[c].sample(u[i])
+            cols.append(u)
+        return DriverBlock(*cols)
 
     def lattice_block(self, start: int, count: int) -> LatticeBlock:
         """Integer tau/sigma multipliers for exact-arithmetic consumers, read
@@ -572,11 +577,13 @@ class StationaryPath:
         Only the maps that move some state are composed: prefix scans
         (``_prefix_compose``) in pieces of at most ``_CHAIN_BLOCK`` maps,
         each read at the state where the last one ended, give the state
-        after every move, and one ``np.repeat`` holds it until the next. The
-        pass starts before the first window, at a state from which that
-        window reaches the first block's certified state. Only integer
-        gathers run, so every state equals the one the chain stepped index
-        by index from the coalesced state reaches, bit for bit.
+        after every move, and one ``np.repeat`` holds it until the next,
+        both in the smallest unsigned dtype that holds a state; each block
+        then copies out its own bytes. The pass starts before the first
+        window, at a state from which that window reaches the first block's
+        certified state. Only integer gathers run, so every state equals the
+        one the chain stepped index by index from the coalesced state
+        reaches, bit for bit.
         """
         spec = self.spec
         edges, cell_maps = _chain_tables(spec.modulation)
@@ -594,14 +601,14 @@ class StationaryPath:
             if k == 0:
                 state = before
         moves = np.flatnonzero(np.take((cell_maps != np.arange(m)).any(axis=1), cells))
-        after = np.empty(len(moves) + 1, dtype=np.int64)
+        after = np.empty(len(moves) + 1, dtype=np.min_scalar_type(m - 1))
         after[0] = state
         for a in range(0, len(moves), _CHAIN_BLOCK):
             piece = np.take(cell_maps, cells[moves[a : a + _CHAIN_BLOCK]], axis=0)
             after[a + 1 : a + 1 + len(piece)] = _prefix_compose(piece)[:, state]
             state = after[a + len(piece)]
         states = np.repeat(after, np.diff(moves, prepend=0, append=n))
-        return [b.astype(np.min_scalar_type(m - 1)) for b in np.split(states[_BACK_START - 1 :], stop - first)]
+        return [b.copy() for b in np.split(states[_BACK_START - 1 :], stop - first)]
 
 
 @functools.lru_cache(maxsize=64)

@@ -491,6 +491,73 @@ def test_block_straddling_chain_blocks_through_shift():
         assert np.array_equal(blk[coord], expected)
 
 
+# A 3-state chain, and one whose covers near index 0 never enter state 2:
+# it is entered with probability 1e-9 an index, from state 0 alone.
+COVER_CHAINS = {
+    "random3": CHAINS["random3"],
+    "unvisited": ((0.5, 0.5 - 1e-9, 1e-9), (0.5, 0.5, 0.0), (1.0, 0.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("chain", sorted(COVER_CHAINS))
+def test_markov_cover_matches_masked_reference(chain):
+    # The cover samples each state's laws at that state's index list; the
+    # reference gathers and scatters through a boolean mask per state and
+    # coordinate, at the sequential chain's states.
+    spec = _chain_spec(COVER_CHAINS[chain])
+    start, count = -5, _CHAIN_BLOCK + 20  # blocks -1, 0, 1
+    states = np.concatenate([sequential_chain_block(spec, b) for b in (-1, 0, 1)])
+    states = states[_CHAIN_BLOCK - 5 : _CHAIN_BLOCK - 5 + count]
+    assert set(states.tolist()) == ({0, 1} if chain == "unvisited" else {0, 1, 2})
+    blk = StationaryPath(spec).block(start, count)
+    for coord, stream in enumerate((0xA1, 0xA2, 0xA3)):
+        u = stream_uniforms(spec.seed, stream, start, count)
+        expected = np.full(count, np.nan)
+        for s, dists in enumerate(spec.modulation.states):
+            expected[states == s] = dists[coord].sample(u[states == s])
+        assert blk[coord].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("chain", ["sandwich", "dense"])
+def test_markov_cover_peak_memory(chain):
+    # A cover of 26 pages keeps 24 bytes an index of drivers and one of chain
+    # states (2.55 MiB). Its chain states are built before any stream is
+    # drawn, and each stream is sampled in its own uniforms' array, so the
+    # build peaks at 1.84 (sandwich) and 1.66 (dense) times what it keeps;
+    # streams drawn before the states peak at 2.30 on the dense chain, whose
+    # states move at most indices.
+    spec = _chain_spec(CHAINS[chain])
+    n = 26 * _CHAIN_BLOCK
+    StationaryPath(dataclasses.replace(spec, seed=1)).block(-_CHAIN_BLOCK, n)   # module caches
+    tracemalloc.start()
+    try:
+        path = StationaryPath(spec)
+        path.block(-_CHAIN_BLOCK, n)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept <= 25.2 * n and peak <= 2 * kept, (kept / n, peak / kept)
+
+
+@pytest.mark.parametrize("dist", [Exponential(1.7), ShiftedExponential(0.4, 2.5), Uniform(0.3, 2.1)],
+                         ids=lambda d: type(d).__name__)
+def test_samplers_keep_their_argument_and_the_closed_forms(dist):
+    # Each sampler computes in one output array; its argument is left as it
+    # was, and the values are the closed forms' bit for bit.
+    u = stream_uniforms(5, STREAM_TAU, -100, 10_000)
+    u[:3] = np.nextafter(0.0, 1.0), 0.5, np.nextafter(1.0, 0.0)
+    before = u.copy()
+    got = dist.sample(u)
+    assert u.tobytes() == before.tobytes()
+    if isinstance(dist, Exponential):
+        want = -np.log1p(-u) / dist.rate
+    elif isinstance(dist, ShiftedExponential):
+        want = dist.shift - np.log1p(-u) / dist.rate
+    else:
+        want = dist.low + u * (dist.high - dist.low)
+    assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # The float page memo of StationaryPath.block
 # ---------------------------------------------------------------------------

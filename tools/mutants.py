@@ -151,11 +151,11 @@ MUTANTS = (
     # clipped maximum of cumulative sums over its window, which rounds
     # differently and fell 4.4e-16 below upper1.
     Mutant("top-series-clipped-cumsum-start", METRICS,
-           "    for start in zb.values[-2::-1]:\n",
+           "    for lag, start in enumerate(zb.values[-2::-1]):\n",
            "    init = path.block(at - zb.horizon, zb.horizon)\n"
            "    terms = (init.sigma + init.patience)[::-1] - np.cumsum(init.tau[::-1])\n"
            "    m0 = [max(float(terms[lag - 1:].max()), 0.0) for lag in range(len(zb.values), 0, -1)]\n"
-           "    for start in m0[-2::-1]:\n",
+           "    for lag, start in enumerate(m0[-2::-1]):\n",
            ("tests/test_metrics.py::test_bound_report_samples",
             "tests/test_metrics.py::test_top_supremum_roll_matches_per_index_bound")),
     # Changes no value, only the lane layout the merge reads; the test spies on it.
@@ -163,6 +163,38 @@ MUTANTS = (
            "batch = np.zeros((16, width, k, lanes), dtype=dtype)",
            "batch = np.zeros((16, k, lanes, width), dtype=dtype).transpose(0, 3, 1, 2)",
            ("tests/test_loynes.py::test_lane_rolls_hand_the_merge_contiguous_lanes",)),
+    # Change no value, only the traced peaks the tests bound: the lane roll
+    # reads its drivers 16 steps at a time, not from a transposed copy of
+    # every column, and a cover builds its chain states before it draws any
+    # stream (on the dense chain, drawing them first peaks at 2.3 times what
+    # the cover keeps).
+    Mutant("lane-drivers-copied-whole", LOYNES,
+           "heads = [col[:full].reshape(lanes - 1, length).T for col in drivers]",
+           "heads = [col[:full].reshape(lanes - 1, length).T.copy() for col in drivers]",
+           ("tests/test_metrics.py::test_bound_report_peak_memory",)),
+    Mutant("cover-streams-before-states", SEQUENCES,
+           "        laws = self.spec.laws\n"
+           "        if self.spec.model == \"markov_modulated\":\n"
+           "            states = self._states(start, count)\n"
+           "            at = [np.flatnonzero(states == s) for s in range(len(laws))]\n"
+           "            del states\n"
+           "        else:\n"
+           "            at = [slice(None)]\n"
+           "        cols = []\n"
+           "        for c, stream in enumerate((STREAM_TAU, STREAM_SIGMA, STREAM_PATIENCE)):\n"
+           "            u = stream_uniforms(self.spec.seed, stream, start, count)\n",
+           "        laws = self.spec.laws\n"
+           "        drawn = [stream_uniforms(self.spec.seed, stream, start, count)\n"
+           "                 for stream in (STREAM_TAU, STREAM_SIGMA, STREAM_PATIENCE)]\n"
+           "        if self.spec.model == \"markov_modulated\":\n"
+           "            states = self._states(start, count)\n"
+           "            at = [np.flatnonzero(states == s) for s in range(len(laws))]\n"
+           "            del states\n"
+           "        else:\n"
+           "            at = [slice(None)]\n"
+           "        cols = []\n"
+           "        for c, u in enumerate(drawn):\n",
+           ("tests/test_sequences.py::test_markov_cover_peak_memory[dense]",)),
     # The exact chain's driver pages: keyed and sliced by index.
     Mutant("page-key-relative-to-cover", LOYNES,
            "page, o = divmod(at, _CHAIN_BLOCK)",
