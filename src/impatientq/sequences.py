@@ -497,23 +497,25 @@ class StationaryPath:
         return DriverBlock(*(a[i : i + count] for a in memo[1]))
 
     def _generate(self, start: int, count: int) -> DriverBlock:
-        """Driver triples for ``start .. start+count-1``, built in the arrays
-        of their uniforms. A Markov-modulated path builds its chain states
-        first, while no stream is held, and takes one index list per state;
-        each stream is then drawn and every state's law samples its own
-        indices, one gather, one sampler output and one scatter a state."""
-        laws = self.spec.laws
+        """Driver triples for ``start .. start+count-1``, one stream at a
+        time. A Markov-modulated path builds its chain states first, while
+        no stream is held, and takes one index list per state; each stream
+        is then drawn and every state's law samples its own indices into
+        the uniforms' array, one gather, one sampler output and one scatter
+        a state."""
+        laws, at = self.spec.laws, None
         if self.spec.model == "markov_modulated":
             states = self._states(start, count)
             at = [np.flatnonzero(states == s) for s in range(len(laws))]
             del states
-        else:
-            at = [slice(None)]
         cols = []
         for c, stream in enumerate((STREAM_TAU, STREAM_SIGMA, STREAM_PATIENCE)):
             u = stream_uniforms(self.spec.seed, stream, start, count)
-            for law, i in zip(laws, at):
-                u[i] = law[c].sample(u[i])
+            if at is None:
+                u = laws[0][c].sample(u)
+            else:
+                for law, i in zip(laws, at):
+                    u[i] = law[c].sample(u[i])
             cols.append(u)
         return DriverBlock(*cols)
 

@@ -173,25 +173,21 @@ MUTANTS = (
            "heads = [col[:full].reshape(lanes - 1, length).T.copy() for col in drivers]",
            ("tests/test_metrics.py::test_bound_report_peak_memory",)),
     Mutant("cover-streams-before-states", SEQUENCES,
-           "        laws = self.spec.laws\n"
+           "        laws, at = self.spec.laws, None\n"
            "        if self.spec.model == \"markov_modulated\":\n"
            "            states = self._states(start, count)\n"
            "            at = [np.flatnonzero(states == s) for s in range(len(laws))]\n"
            "            del states\n"
-           "        else:\n"
-           "            at = [slice(None)]\n"
            "        cols = []\n"
            "        for c, stream in enumerate((STREAM_TAU, STREAM_SIGMA, STREAM_PATIENCE)):\n"
            "            u = stream_uniforms(self.spec.seed, stream, start, count)\n",
-           "        laws = self.spec.laws\n"
+           "        laws, at = self.spec.laws, None\n"
            "        drawn = [stream_uniforms(self.spec.seed, stream, start, count)\n"
            "                 for stream in (STREAM_TAU, STREAM_SIGMA, STREAM_PATIENCE)]\n"
            "        if self.spec.model == \"markov_modulated\":\n"
            "            states = self._states(start, count)\n"
            "            at = [np.flatnonzero(states == s) for s in range(len(laws))]\n"
            "            del states\n"
-           "        else:\n"
-           "            at = [slice(None)]\n"
            "        cols = []\n"
            "        for c, u in enumerate(drawn):\n",
            ("tests/test_sequences.py::test_markov_cover_peak_memory[dense]",)),
