@@ -164,16 +164,14 @@ def bound_report(path: StationaryPath, servers: int, n_samples: int, at: int = 0
     cols = (lower1, w1, upper1, z_top, blk.patience)
     # The sandwich holds pointwise: lower_ind <= loss_ind <= upper_ind <= z_ind.
     inds, worse = np.empty((4, n_samples), dtype=bool), np.empty(n_samples, dtype=bool)
-    bad = n_samples
     for ind, col in zip(inds, cols):
         np.greater(col, blk.patience, out=ind)
-    for a, b in zip(inds, inds[1:]):
-        if np.greater(a, b, out=worse).any():
-            bad = min(bad, int(worse.argmax()))
-    if bad < n_samples:
-        got = (float(col[bad]) for col in cols)
+    bad = [int(worse.argmax()) for a, b in zip(inds, inds[1:]) if np.greater(a, b, out=worse).any()]
+    if bad:
+        i = min(bad)
+        got = (float(col[i]) for col in cols)
         raise ContractError("loss indicators out of order at sample {} (index {}): lower1 {!r}, W1 {!r}, "
-                            "upper1 {!r}, z_top {!r}, patience {!r}".format(bad, at + bad, *got))
+                            "upper1 {!r}, z_top {!r}, patience {!r}".format(i, at + i, *got))
     samples = np.column_stack([*cols, inds[1].astype(np.float64)]) if keep_samples else None
     return BoundReport(*(batch_means(ind) for ind in inds), n_samples=n_samples,   # p_lower .. p_z
                        lower_stabilized=lower.coalesced, upper_stabilized=upper.coalesced,

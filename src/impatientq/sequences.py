@@ -115,11 +115,11 @@ class Exponential:
         return True
 
     def sample(self, u: np.ndarray) -> np.ndarray:
-        # ``-log1p(-u) / rate``, every step in one output array
+        # ``-log1p(-u) / rate`` in one output array (IEEE division rounds
+        # symmetrically, so dividing by ``-rate`` is the same bits)
         x = np.negative(u)
         np.log1p(x, out=x)
-        np.negative(x, out=x)
-        return np.divide(x, self.rate, out=x)
+        return np.divide(x, -self.rate, out=x)
 
     def log_mgf(self, theta: float) -> float:
         return -math.log1p(-theta / self.rate) if theta < self.rate else math.inf
@@ -204,11 +204,11 @@ class ShiftedExponential:
         return True
 
     def sample(self, u: np.ndarray) -> np.ndarray:
-        # ``shift - log1p(-u) / rate``, every step in one output array
+        # ``shift - log1p(-u) / rate`` in one output array, as ``Exponential``'s
         x = np.negative(u)
         np.log1p(x, out=x)
-        np.divide(x, self.rate, out=x)
-        return np.subtract(self.shift, x, out=x)
+        np.divide(x, -self.rate, out=x)
+        return np.add(x, self.shift, out=x)
 
     def log_mgf(self, theta: float) -> float:
         return theta * self.shift - math.log1p(-theta / self.rate) if theta < self.rate else math.inf
