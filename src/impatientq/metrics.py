@@ -59,9 +59,9 @@ class ProbabilityEstimate:
 def batch_means(x: np.ndarray) -> ProbabilityEstimate:
     """Mean with a 95% half-width from ``BATCHES`` non-overlapping batch means.
 
-    Bool indicators are summed as they are, in float64 (``mean`` casts them
-    in small buffers): every partial sum is a count, exact, so the estimate
-    is the float64 indicators' bit for bit, without their copy.
+    Bool indicators are counted as they are (``np.count_nonzero``): every
+    sum of float64 indicators is such a count, exact, so the estimate is
+    theirs bit for bit, without their copy.
     """
     x = np.asarray(x)
     if x.dtype != np.bool_:
@@ -70,9 +70,13 @@ def batch_means(x: np.ndarray) -> ProbabilityEstimate:
     if n < BATCHES:
         raise ValueError(f"need at least {BATCHES} observations, got {n}")
     per = n // BATCHES
-    means = x[: per * BATCHES].reshape(BATCHES, per).mean(axis=1)
+    batches = x[: per * BATCHES].reshape(BATCHES, per)
+    if x.dtype == np.bool_:
+        means, mean = np.count_nonzero(batches, axis=1) / per, np.count_nonzero(x) / n
+    else:
+        means, mean = batches.mean(axis=1), x.mean()
     spread = float(means.std(ddof=1))
-    return ProbabilityEstimate(float(x.mean()), T_975 * spread / math.sqrt(BATCHES), n)
+    return ProbabilityEstimate(float(mean), T_975 * spread / math.sqrt(BATCHES), n)
 
 
 def loss_probability(losses: np.ndarray) -> ProbabilityEstimate:

@@ -507,7 +507,6 @@ class StationaryPath:
         if self.spec.model == "markov_modulated":
             states = self._states(start, count)
             at = [np.flatnonzero(states == s) for s in range(len(laws))]
-            del states
         cols = []
         for c, stream in enumerate((STREAM_TAU, STREAM_SIGMA, STREAM_PATIENCE)):
             u = stream_uniforms(self.spec.seed, stream, start, count)

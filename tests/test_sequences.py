@@ -523,7 +523,7 @@ def test_markov_cover_peak_memory(chain):
     # A cover of 26 pages keeps 24 bytes an index of drivers and one of chain
     # states (2.55 MiB). Its chain states are built before any stream is
     # drawn, and each stream is sampled in its own uniforms' array, so the
-    # build peaks at 1.84 (sandwich) and 1.66 (dense) times what it keeps;
+    # build peaks at 1.88 (sandwich) and 1.70 (dense) times what it keeps;
     # streams drawn before the states peak at 2.30 on the dense chain, whose
     # states move at most indices.
     spec = _chain_spec(CHAINS[chain])

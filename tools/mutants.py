@@ -177,7 +177,6 @@ MUTANTS = (
            "        if self.spec.model == \"markov_modulated\":\n"
            "            states = self._states(start, count)\n"
            "            at = [np.flatnonzero(states == s) for s in range(len(laws))]\n"
-           "            del states\n"
            "        cols = []\n"
            "        for c, stream in enumerate((STREAM_TAU, STREAM_SIGMA, STREAM_PATIENCE)):\n"
            "            u = stream_uniforms(self.spec.seed, stream, start, count)\n",
@@ -187,7 +186,6 @@ MUTANTS = (
            "        if self.spec.model == \"markov_modulated\":\n"
            "            states = self._states(start, count)\n"
            "            at = [np.flatnonzero(states == s) for s in range(len(laws))]\n"
-           "            del states\n"
            "        cols = []\n"
            "        for c, u in enumerate(drawn):\n",
            ("tests/test_sequences.py::test_markov_cover_peak_memory[dense]",)),
