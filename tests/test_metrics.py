@@ -262,9 +262,9 @@ SANDWICH_MODULATION = sequences.ModulationSpec(
 def test_bound_report_peak_memory():
     # A 100,000-sample report on the benchmark's sandwich model holds its
     # driver pages, chain states and the three stacked rolls at its peak,
-    # with the delay line and the four indicators: 92.5 traced bytes a
+    # with the delay line and the four indicators: 92.4 traced bytes a
     # sample. No per-step or per-call copy of their size is made; a copy of
-    # the lane drivers would add 24. The bound is 100, a margin of 7.5.
+    # the lane drivers would add 24. The bound is 100, a margin of 7.6.
     import tracemalloc
 
     n = 100_000
