@@ -115,7 +115,7 @@ def detect_renovation(path: StationaryPath, servers: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CftpResult:
     """A sample, the length of the chain that closed (or of the last one
     tried), and the depth and risk of the certified start box."""
@@ -126,9 +126,12 @@ class CftpResult:
     z_depth: int
     z_risk: float
 
-    def __post_init__(self):
-        if self.coalesced and self.value is None:
+    def __init__(self, value, coalesced, horizon_used, z_depth, z_risk):
+        if coalesced and value is None:
             raise ValueError("coalesced result must carry a value")
+        d = self.__dict__   # each field stored once, not through a frozen object.__setattr__
+        d["value"], d["coalesced"], d["horizon_used"], d["z_depth"], d["z_risk"] = \
+            value, coalesced, horizon_used, z_depth, z_risk
 
 
 def cftp(path: StationaryPath, servers: int, at: int = 0,
@@ -181,6 +184,9 @@ def cftp(path: StationaryPath, servers: int, at: int = 0,
             if any(not math.isfinite(v) for v in zb.values):
                 raise ConfigurationError("top supremum is not finite; cannot bound the stationary states")
             entry = (zb, {})
+            path._memo.keep_chain(key, entry)
+        else:   # refreshed in place: its chains are updated in the entry itself
+            path._memo.chains.move_to_end(key)
         zb, chains = entry
         kept = chains.get(kind)
         resume = kept is not None and kept[0] <= at
@@ -193,7 +199,6 @@ def cftp(path: StationaryPath, servers: int, at: int = 0,
         lo, hi = _bounding_chain(path, reached, at - reached, lo, hi, kind)
         if kept is None or resume:   # otherwise the remembered chain reached further
             chains[kind] = (at, lo, hi)
-        path._memo.keep_chain(key, entry)
         if lo == hi:
             value = tuple(_times(lo, path.spec.alpha).tolist()) if lattice else lo
             return CftpResult(value, True, horizon, zb.horizon, zb.risk)
@@ -228,8 +233,8 @@ def _bounding_chain(path: StationaryPath, start: int, steps: int,
     its deadline, the largest accepted multiple. Once the interval closes
     (``L == U``) the two updates are the same computation, so the point
     advances alone, one ``_merge_shift`` per index, from the first step if
-    it is handed in closed. The exact drivers are slices of the path's
-    driver pages (``loynes._exact_lists``).
+    it is handed in closed. The exact drivers are read by index from the
+    path's driver pages (``loynes._exact_lists``).
     """
     if kind != "exact":
         blk = path.block(start, steps)
@@ -245,9 +250,11 @@ def _bounding_chain(path: StationaryPath, start: int, steps: int,
         for x, tau in drivers:
             lo = _merge_shift(lo, x, tau)
         return lo, lo
-    drivers = zip(*_exact_lists(path, start, steps))
+    (taus, sigmas, deadlines), o = _exact_lists(path, start, steps)
+    drivers = iter(range(o, o + steps))
     if lo != hi:
-        for tau, sigma, deadline in drivers:
+        for i in drivers:
+            tau, sigma, deadline = taus[i], sigmas[i], deadlines[i]
             if hi[0] <= deadline:
                 x_lo, x_hi = lo[0] + sigma, hi[0] + sigma
             elif lo[0] > deadline:
@@ -260,8 +267,8 @@ def _bounding_chain(path: StationaryPath, start: int, steps: int,
                 break
         else:
             return lo, hi
-    for tau, sigma, deadline in drivers:
-        lo = _merge_shift(lo, lo[0] + sigma if lo[0] <= deadline else lo[0], tau)
+    for i in drivers:
+        lo = _merge_shift(lo, lo[0] + sigmas[i] if lo[0] <= deadlines[i] else lo[0], taus[i])
     return lo, lo
 
 

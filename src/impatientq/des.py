@@ -173,6 +173,7 @@ def cross_validate(path: StationaryPath, servers: int, n_arrivals: int,
     the recursion's acceptance indicator exactly. The recursion runs in the
     path's own arithmetic (``loynes.exact_states``), as the engine does.
     """
+    path.block(0, max(n_arrivals, 0))   # one cover for the engine's chunks and the recursion; run refuses n < 1
     trace = run(path, servers, n_arrivals)
     states, accepted = exact_states(path, 0, n_arrivals, (0.0,) * servers)
     diff = trace.seen - states[:-1]

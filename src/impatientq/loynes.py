@@ -130,11 +130,16 @@ def supremum_bound(path: StationaryPath, at: int, depth: int, servers: int) -> S
     from there both runs are one computation. The final ``S-1`` lags run
     ``metrics.bound_report``'s delay line; the risk reads every lag.
     """
+    return _supremum_read(path, at, depth, servers, 0, *_chernoff_constants(path.spec.laws)[:2])
+
+
+def _supremum_read(path: StationaryPath, at: int, depth: int, servers: int, ahead: int, thetas, log_c):
+    """``supremum_bound`` from one block that also covers ``ahead`` indices, with the laws' constants."""
     if servers < 1:
         raise ValueError("servers must be >= 1")
     if depth < servers:
         raise ValueError(f"depth must be at least the server count, got {depth} < {servers}")
-    blk = path.block(at - depth, depth)
+    blk = path.block(at - depth, depth + ahead)
     # The window starts at ``base`` and its common lags end at ``end``. The
     # memo is (depth, end, v there, last reset).
     base, end = at - depth, at - servers + 1
@@ -143,7 +148,7 @@ def supremum_bound(path: StationaryPath, at: int, depth: int, servers: int) -> S
         _, first, v, reset = memo
     else:
         first, v, reset = base, 0.0, base
-    new = slice(first - base, None)
+    new = slice(first - base, depth)
     work = _effective_work(blk.sigma[new], blk.patience[new], "upper").tolist()
     tau = blk.tau[new].tolist()
 
@@ -173,10 +178,9 @@ def supremum_bound(path: StationaryPath, at: int, depth: int, servers: int) -> S
         values = [max(x - t, 0.0) for x in values] + [max((top if top > w else w) - t, 0.0)]
     values = tuple(values)
 
-    thetas, log_c, _ = _chernoff_constants(path.spec.laws)
     # At most 1, which is also the risk when no theta is usable; no lag
     # raises an infinite supremum.
-    exponent = float((log_c - thetas * (values[0] + blk.tau.sum())).min(initial=0.0))
+    exponent = float((log_c - thetas * (values[0] + blk.tau[:depth].sum())).min(initial=0.0))
     risk = 0.0 if values[0] == math.inf else math.exp(exponent)
     return SupremumBound(values, depth, risk <= Z_RISK, risk)
 
@@ -199,11 +203,10 @@ def certified_supremum(path: StationaryPath, at: int, servers: int, ahead: int =
     and steps only its new lags (``supremum_bound``); a doubled read
     replaces the path's resume entry and starts from scratch.
     """
-    depth = max(servers, math.ceil(min(1.25 * _chernoff_constants(path.spec.laws)[2],
-                                       DEFAULT_MAX_DEPTH)))
+    thetas, log_c, need = _chernoff_constants(path.spec.laws)
+    depth = max(servers, math.ceil(min(1.25 * need, DEFAULT_MAX_DEPTH)))
     while True:
-        path.block(at - depth, depth + ahead)
-        zb = supremum_bound(path, at, depth, servers)
+        zb = _supremum_read(path, at, depth, servers, ahead, thetas, log_c)
         if zb.stabilized:
             return zb
         if depth >= DEFAULT_MAX_DEPTH:
@@ -404,20 +407,19 @@ def _exact_drivers(path: StationaryPath, at: int, steps: int) -> tuple[np.ndarra
     return blk.tau, blk.sigma, accepted_multiples(blk.patience, path.spec.alpha)
 
 
-def _exact_lists(path: StationaryPath, at: int, steps: int) -> tuple[list, ...]:
-    """``_exact_drivers`` at ``at .. at+steps-1`` as Python lists: slices of
-    the lists of its page of ``_CHAIN_BLOCK`` indices, converted on the
-    page's first read and kept in ``sequences._PathMemo.pages`` until
-    ``block`` replaces the cover, or a window across a page edge converted
-    alone. A window of no steps converts nothing."""
+def _exact_lists(path: StationaryPath, at: int, steps: int) -> tuple[tuple[list, ...], int]:
+    """``_exact_drivers`` at ``at .. at+steps-1`` as Python lists and the
+    offset of ``at`` in them: its page's lists of ``_CHAIN_BLOCK`` indices,
+    converted on its first read and kept in ``sequences._PathMemo.pages``
+    until ``block`` replaces the cover, or a window across a page edge
+    converted alone, at 0. A window of no steps converts nothing."""
     page, o = divmod(at, _CHAIN_BLOCK)
     if not 0 < steps <= _CHAIN_BLOCK - o:
-        return tuple(col.tolist() for col in _exact_drivers(path, at, steps))
+        return tuple(col.tolist() for col in _exact_drivers(path, at, steps)), 0
     lists = path._memo.pages.get(page)
     if lists is None:   # stored after the read, which may replace the cover and drop its pages
         lists = path._memo.pages[page] = tuple(col.tolist() for col in _exact_drivers(path, at - o, _CHAIN_BLOCK))
-    tau, sigma, deadline = lists
-    return tau[o:o + steps], sigma[o:o + steps], deadline[o:o + steps]
+    return lists, o
 
 
 def _multiples(values, alpha: float) -> np.ndarray:

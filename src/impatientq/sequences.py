@@ -417,21 +417,21 @@ class LatticeBlock(NamedTuple):
 
 def _keep(entries: OrderedDict, key, value, bound: int) -> None:
     """Store ``value`` as the most recent entry; past ``bound``, drop the least recent."""
-    entries.pop(key, None)   # re-inserted last; a racing reader can cost an entry, never an error
-    entries[key] = value
+    entries[key] = value   # a key stored before keeps its place, so it is moved
+    entries.move_to_end(key)
     if len(entries) > bound:
         entries.popitem(last=False)
 
 
 class _PathMemo:
-    """The memos of one ``StationaryPath``, each with one eviction rule. Every
-    entry is a function of driver indices, so a memo changes cost, never a
-    value, and a race between two readers can at worst cost a recomputation.
+    """The memos of one ``StationaryPath``, each with one eviction rule, read
+    by one caller at a time. Every entry is a function of driver indices, so
+    a memo changes cost, never a value.
     - ``cover``: ``block``'s one float cover, ``(first index, DriverBlock)``;
       ``pages``, ``loynes._exact_lists``' driver lists per page, go with it.
     - ``chains``: ``coupling.cftp``'s one box per ``(start, servers)``, with
       the chain of each kind that started from it, least recently used past
-      ``CHAIN_MEMO`` (``keep_chain``).
+      ``CHAIN_MEMO`` (``keep_chain``; a start met again moves to the end).
     - ``suprema``: ``loynes.supremum_bound``'s resume entry per server count.
     - ``blocks``: modulating-chain states per block index, in the smallest
       unsigned dtype and owning their bytes, least recently used past

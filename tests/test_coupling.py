@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import pickle
+import sys
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -361,6 +364,84 @@ def test_consecutive_cftp_targets_convert_each_page_once(monkeypatch):
     for t in range(1, 1001):
         assert cftp(path, 3, at=t).coalesced
     assert built and len(set(built)) == len(built) and set(built) <= touched, (built, touched)
+
+
+def test_cftp_result_contract():
+    # A coalesced result must carry a value, built positionally, by keyword
+    # or by dataclasses.replace. A result is frozen; equal results compare
+    # and hash equal and print alike; asdict, replace and pickle read back
+    # the five fields.
+    for build in (lambda: coupling.CftpResult(None, True, 16, 100, 1e-13),
+                  lambda: coupling.CftpResult(value=None, coalesced=True, horizon_used=16, z_depth=100,
+                                              z_risk=1e-13)):
+        with pytest.raises(ValueError, match="coalesced result must carry a value"):
+            build()
+    res = cftp(StationaryPath(CERTIFY), 3, at=5)
+    with pytest.raises(ValueError, match="coalesced result must carry a value"):
+        dataclasses.replace(res, value=None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        res.value = None
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del res.coalesced
+    names = ["value", "coalesced", "horizon_used", "z_depth", "z_risk"]
+    assert [f.name for f in dataclasses.fields(res)] == names
+    same = coupling.CftpResult(res.value, True, res.horizon_used, res.z_depth, res.z_risk)
+    again = cftp(StationaryPath(CERTIFY), 3, at=5)
+    for other in (same, again, pickle.loads(pickle.dumps(res)), dataclasses.replace(res)):
+        assert other == res and hash(other) == hash(res) and repr(other) == repr(res), other
+    assert dataclasses.asdict(res) == dict(zip(names, (res.value, True, res.horizon_used, res.z_depth, res.z_risk)))
+    assert repr(res) == (f"CftpResult(value={res.value!r}, coalesced=True, horizon_used={res.horizon_used!r}, "
+                         f"z_depth={res.z_depth!r}, z_risk={res.z_risk!r})")
+    open_chain = coupling.CftpResult(None, False, 64, 100, 1e-13)
+    assert open_chain != res and len({res, open_chain, same}) == 2
+    deeper = dataclasses.replace(open_chain, horizon_used=128)
+    assert deeper == coupling.CftpResult(None, False, 128, 100, 1e-13) and open_chain.horizon_used == 64
+
+
+def test_a_cftp_result_is_built_in_one_call():
+    # Speed only: the result's own __init__ checks it and stores the five
+    # fields in its __dict__ in one statement, one Python call a result
+    # with no object.__setattr__; a frozen dataclass's generated __init__
+    # sets each field through object.__setattr__ and then calls
+    # __post_init__.
+    calls = []
+    sys.setprofile(lambda frame, event, arg: calls.append(frame.f_code.co_name) if event == "call" else None)
+    try:
+        coupling.CftpResult((1.0, 2.0), True, 16, 100, 1e-13)
+    finally:
+        sys.setprofile(None)
+    assert calls == ["__init__"], calls
+    assert "__setattr__" not in coupling.CftpResult.__init__.__code__.co_names
+
+
+def test_a_start_met_again_moves_to_the_end_in_place():
+    # Speed only: a chain entry already stored is refreshed with
+    # move_to_end, never popped and stored again, and only a new start is
+    # stored; the memo stays least recently used, so after each call the
+    # start of its last rung is the most recent entry. 300 consecutive
+    # targets meet a stored start on most rungs.
+    stores, pops, moves = [], [], []
+
+    class Counting(OrderedDict):
+        def __setitem__(self, key, value):
+            stores.append(key in self)
+            super().__setitem__(key, value)
+
+        def pop(self, *args):
+            pops.append(args[0])
+            return super().pop(*args)
+
+        def move_to_end(self, key, last=True):
+            moves.append(key)
+            super().move_to_end(key, last)
+
+    path = StationaryPath(CERTIFY)
+    path._memo.chains = Counting()
+    for t in range(1, 301):
+        res = cftp(path, 3, at=t)
+        assert next(reversed(path._memo.chains)) == (t - res.horizon_used, 3), t
+    assert not any(stores) and not pops and len(moves) > 300, (sum(stores), len(pops), len(moves))
+    assert len(stores) == len(path._memo.chains), len(stores)
 
 
 def test_consecutive_cftp_targets_share_driver_generations(monkeypatch):

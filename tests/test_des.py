@@ -21,7 +21,7 @@ from impatientq.sequences import (
     StationaryPath,
     Uniform,
 )
-from support import det_spec, iid_spec, random_iid_spec, random_lattice_spec, random_mm_spec
+from support import LATTICE, det_spec, iid_spec, random_iid_spec, random_lattice_spec, random_mm_spec
 from test_cli import LATTICE_INI, MM2D_INI
 
 
@@ -392,6 +392,22 @@ def test_run_equals_the_recursion_across_engine_chunks(kind, seed):
     assert trace.served.tolist() == ref_served
     assert np.array_equal(trace.served, accepted)
     assert 0 < accepted.sum() < n
+
+
+@pytest.mark.parametrize("kind", ["iid", "lattice"])
+def test_cross_validate_generates_its_drivers_once(monkeypatch, kind):
+    # Speed only: a run past the engine's driver chunk (32,768 arrivals)
+    # generates its window's page cover once, and the engine's chunks and
+    # the recursion both read it; before, the chunks generated their own
+    # covers and the recursion a third, twice the indices.
+    generate = StationaryPath._generate
+    generated = []
+    monkeypatch.setattr(StationaryPath, "_generate",
+                        lambda self, start, count: generated.append((start, count)) or generate(self, start, count))
+    spec = iid_spec(3, Exponential(1.0), Exponential(0.4), Exponential(0.2)) if kind == "iid" else LATTICE
+    report = cross_validate(StationaryPath(spec), 3, 50_000)
+    assert generated == [(0, 53_248)], generated
+    assert report.passed and report.n_arrivals == 50_000, report
 
 
 def test_trace_columns_are_read_only():

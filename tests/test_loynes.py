@@ -494,6 +494,12 @@ def _list_bits(lists):
     return [[(type(x), x.hex() if isinstance(x, float) else x) for x in col] for col in lists]
 
 
+def _exact_window(path, at, steps):
+    # the window ``_exact_lists`` hands the chain: its lists from its offset
+    lists, o = loynes._exact_lists(path, at, steps)
+    return [col[o:o + steps] for col in lists]
+
+
 @pytest.mark.parametrize("base", [0, 4097])
 @pytest.mark.parametrize("spec", [CERTIFY, MM_SPEC, LATTICE], ids=["iid", "markov", "lattice"])
 def test_exact_lists_equal_exact_drivers(spec, base):
@@ -507,7 +513,57 @@ def test_exact_lists_equal_exact_drivers(spec, base):
                (-5, 10), (-4100, 10), (-8192, 4096), (17, 0), (6000, 3000)]
     for at, steps in windows:
         want = tuple(col.tolist() for col in loynes._exact_drivers(StationaryPath(spec), base + at, steps))
-        assert _list_bits(loynes._exact_lists(path, base + at, steps)) == _list_bits(want), (at, steps)
+        assert _list_bits(_exact_window(path, base + at, steps)) == _list_bits(want), (at, steps)
+
+
+@pytest.mark.parametrize("spec", [CERTIFY, LATTICE], ids=["iid", "lattice"])
+def test_exact_lists_hand_out_the_page_lists(spec):
+    # Speed only: a window inside a page is its page's own stored lists and
+    # its offset there, nothing sliced or copied, whatever its length; a
+    # window across a page edge is its own lists, at offset 0
+    path = StationaryPath(spec)
+    for at, steps in [(5, 1), (4095, 1), (100, 3996), (0, 4096), (4096 + 7, 20), (-3, 2)]:
+        lists, o = loynes._exact_lists(path, at, steps)
+        assert o == at % 4096 and all(a is b for a, b in zip(lists, path._memo.pages[at // 4096])), (at, steps)
+        assert [len(col) for col in lists] == [4096] * 3, (at, steps)
+    lists, o = loynes._exact_lists(path, 4090, 20)
+    assert o == 0 and [len(col) for col in lists] == [20] * 3
+
+
+def test_a_certified_read_reads_its_window_once(monkeypatch):
+    # Speed only: each depth a certified read tries asks ``block`` for its
+    # one window, the one that also covers the ``ahead`` indices, and the
+    # read looks up the laws' Chernoff constants once; ``supremum_bound``
+    # reads one window and looks them up once too. Reads at neighbouring
+    # indices resume one another; with the constants' first depth cut to
+    # an eighth, reads double their depth.
+    blocks, lookups, scale = [], [], [1.0]
+    block, chernoff = StationaryPath.block, loynes._chernoff_constants
+
+    def constants(laws):
+        lookups.append(1)
+        thetas, log_c, need = chernoff(laws)
+        return thetas, log_c, need * scale[0]
+
+    monkeypatch.setattr(StationaryPath, "block", lambda self, s, c: blocks.append((s, c)) or block(self, s, c))
+    monkeypatch.setattr(loynes, "_chernoff_constants", constants)
+    doubled = 0
+    for scale[0] in (1.0, 0.125):
+        first = max(3, math.ceil(1.25 * constants(CERTIFY.laws)[2]))
+        path = StationaryPath(CERTIFY)
+        for t in range(0, 300, 7):
+            blocks.clear(), lookups.clear()
+            zb = certified_supremum(path, t, 3, 40)
+            depths = [first << k for k in range(len(blocks))]
+            assert blocks == [(t - d, d + 40) for d in depths] and depths[-1] == zb.horizon, (t, blocks)
+            assert lookups == [1], (t, lookups)
+            doubled += len(blocks) > 1
+    path = StationaryPath(CERTIFY)
+    for t in range(0, 300, 7):
+        blocks.clear(), lookups.clear()
+        supremum_bound(path, t, 64, 3)
+        assert blocks == [(t - 64, 64)] and lookups == [1], (t, blocks, lookups)
+    assert doubled > 10, doubled
 
 
 @pytest.mark.parametrize("spec", [CERTIFY, LATTICE], ids=["iid", "lattice"])
@@ -518,7 +574,7 @@ def test_exact_lists_after_the_cover_moves(spec):
     path = StationaryPath(spec)
     for at in [4096 * k + 3 for k in range(6)] + [10**6 * k + 5 for k in (0, 1, 0, -1, 1, 2, 0)]:
         want = tuple(col.tolist() for col in loynes._exact_drivers(StationaryPath(spec), at, 40))
-        assert _list_bits(loynes._exact_lists(path, at, 40)) == _list_bits(want), at
+        assert _list_bits(_exact_window(path, at, 40)) == _list_bits(want), at
     shared = StationaryPath(spec)
     for t in range(1, 25):
         for at in (t, 10**6 + t):
@@ -544,7 +600,7 @@ def test_a_read_of_no_indices_keeps_the_cover(monkeypatch, spec):
     for at in (8192, 8200, -1, 100, 4095):
         blk = path.block(at, 0)
         assert all(a.shape == (0,) and a.dtype == np.float64 and not a.flags.writeable for a in blk), at
-        assert loynes._exact_lists(path, at, 0) == ([], [], []), at
+        assert loynes._exact_lists(path, at, 0) == (([], [], []), 0), at
         assert path._memo.cover is cover and path._memo.pages == {0: lists} and path._memo.pages[0] is lists, at
     path.block(100, 50)
     loynes._exact_lists(path, 100, 50)

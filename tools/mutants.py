@@ -34,6 +34,7 @@ ROOT = Path(__file__).resolve().parent.parent
 COUPLING = "coupling.py"
 LOYNES = "loynes.py"
 METRICS = "metrics.py"
+DES = "des.py"
 SEQUENCES = "sequences.py"
 
 
@@ -195,8 +196,8 @@ MUTANTS = (
            "page, o = divmod(at - (path._memo.cover or (0,))[0], _CHAIN_BLOCK)",
            ("tests/test_loynes.py::test_exact_lists_after_the_cover_moves[iid]",)),
     Mutant("page-slice-one-late", LOYNES,
-           "return tau[o:o + steps], sigma[o:o + steps], deadline[o:o + steps]",
-           "return tau[o + 1:o + steps + 1], sigma[o + 1:o + steps + 1], deadline[o + 1:o + steps + 1]",
+           "    return lists, o\n",
+           "    return lists, o + 1\n",
            ("tests/test_loynes.py::test_exact_lists_equal_exact_drivers[iid-0]",
             "tests/test_loynes.py::test_exact_lists_equal_exact_drivers[lattice-4097]")),
     # Change no value, only the pages generated and converted: a read of no
@@ -211,9 +212,42 @@ MUTANTS = (
            ("tests/test_loynes.py::test_a_read_of_no_indices_keeps_the_cover[lattice]",)),
     # Changes no value, only the merges a closed chain takes; the test counts them.
     Mutant("closed-chain-steps-both-ends", COUPLING,
-           "    drivers = zip(*_exact_lists(path, start, steps))\n    if lo != hi:\n",
-           "    drivers = zip(*_exact_lists(path, start, steps))\n    if True:\n",
+           "    drivers = iter(range(o, o + steps))\n    if lo != hi:\n",
+           "    drivers = iter(range(o, o + steps))\n    if True:\n",
            ("tests/test_coupling.py::test_consecutive_cftp_targets_step_few_merges",)),
+    # Change no value, only the bookkeeping of a cftp call; the tests count
+    # it: the chain reads its page's lists unsliced, a start met again moves
+    # to the end of the memo in place, the result stores its fields in one
+    # statement, and a certified read reads its window and the laws'
+    # constants once.
+    Mutant("exact-lists-slice-the-window", LOYNES,
+           "    return lists, o\n",
+           "    return tuple(col[o:o + steps] for col in lists), 0\n",
+           ("tests/test_loynes.py::test_exact_lists_hand_out_the_page_lists[iid]",)),
+    Mutant("stored-chain-kept-again", COUPLING,
+           "            path._memo.chains.move_to_end(key)\n",
+           "            path._memo.keep_chain(key, entry)\n",
+           ("tests/test_coupling.py::test_a_start_met_again_moves_to_the_end_in_place",)),
+    Mutant("memo-keep-pops-and-reinserts", SEQUENCES,
+           "    entries[key] = value   # a key stored before keeps its place, so it is moved\n"
+           "    entries.move_to_end(key)\n",
+           "    entries.pop(key, None)\n    entries[key] = value\n",
+           ("tests/test_coupling.py::test_a_start_met_again_moves_to_the_end_in_place",)),
+    Mutant("cftp-result-setattr-per-field", COUPLING,
+           "        d[\"value\"], d[\"coalesced\"], d[\"horizon_used\"], d[\"z_depth\"], d[\"z_risk\"] = \\\n"
+           "            value, coalesced, horizon_used, z_depth, z_risk\n",
+           "        for name in (\"value\", \"coalesced\", \"horizon_used\", \"z_depth\", \"z_risk\"):\n"
+           "            object.__setattr__(self, name, locals()[name])\n",
+           ("tests/test_coupling.py::test_a_cftp_result_is_built_in_one_call",)),
+    Mutant("box-read-through-supremum-bound", LOYNES,
+           "        zb = _supremum_read(path, at, depth, servers, ahead, thetas, log_c)\n",
+           "        path.block(at - depth, depth + ahead)\n        zb = supremum_bound(path, at, depth, servers)\n",
+           ("tests/test_loynes.py::test_a_certified_read_reads_its_window_once",)),
+    # Changes no value, only the driver covers a cross-validation generates.
+    Mutant("cross-validate-covers-per-chunk", DES,
+           "    path.block(0, max(n_arrivals, 0))   # one cover for the engine's chunks and the recursion; run refuses n < 1\n",
+           "",
+           ("tests/test_des.py::test_cross_validate_generates_its_drivers_once[lattice]",)),
     # The path's memo serves the spec the path was made with.
     Mutant("path-not-frozen", SEQUENCES,
            "@dataclass(frozen=True)\nclass StationaryPath:",
