@@ -13,7 +13,9 @@ depend on the state (``loynes._effective_work``). The exact map merges
 ``u0 + sigma`` or ``u0``; every exact roll steps ``_exact_step`` or, on
 coordinate-major lanes as ``loynes`` stores them, ``_exact_lane_step``,
 which ``advance_batch`` runs on its ``(N, S)`` rows transposed (the
-lattice set propagation).
+lattice set propagation). On lanes the work is ``_exact_work``'s
+``u0 + sigma * (u0 <= D)``, which ``loynes``' stacked sandwich step
+shares.
 
 Every map works in its state's dtype. On a lattice the state, tau and
 sigma are int64 multiples of the step ``alpha``, and the float test
@@ -106,11 +108,20 @@ def _merge_shift_batch(u: np.ndarray, x, tau, out=None) -> np.ndarray:
     return np.maximum(out, 0, out=out)
 
 
+def _exact_work(u0, sigma, deadline, out):
+    # The exact map's new work ``u0 + sigma * (u0 <= deadline)`` on every
+    # lane, into ``out``, with no ``np.where`` temporary. The role check
+    # keeps sigma finite, so an accepted lane adds ``sigma * True``, sigma
+    # itself, and a rejected one a zero (int 0 on a lattice). A rejected
+    # ``u0`` exceeds a non-negative patience, so adding a zero of either sign
+    # leaves its bits alone: this is ``_exact_step``'s work, bit for bit.
+    np.multiply(sigma, u0 <= deadline, out=out)
+    return np.add(u0, out, out=out)
+
+
 def _exact_lane_step(u, tau, sigma, deadline, out):
-    # A rejected first coordinate exceeds a non-negative patience, so adding
-    # zero to it leaves its bits alone: this is ``_exact_step`` on every lane.
-    np.add(u[0], np.where(u[0] <= deadline, sigma, 0), out=out[-1])
-    return _merge_shift_batch(u, out[-1], tau, out)
+    # ``_exact_step`` on every lane: the new work in ``out[-1]``, then the merge.
+    return _merge_shift_batch(u, _exact_work(u[0], sigma, deadline, out[-1]), tau, out)
 
 
 # ---------------------------------------------------------------------------

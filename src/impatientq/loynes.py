@@ -41,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ResourceCapError
-from .kernel import _exact_lane_step, _exact_step, _merge_shift, _merge_shift_batch, accepted_multiples
+from .kernel import (_exact_lane_step, _exact_step, _exact_work, _merge_shift, _merge_shift_batch,
+                     accepted_multiples)
 from .sequences import _CHAIN_BLOCK, StationaryPath
 
 DEFAULT_MAX_DEPTH = 1 << 20
@@ -456,10 +457,11 @@ def exact_states(path: StationaryPath, at: int, steps: int,
 
 def _sandwich_lane_step(u, tau, sigma, patience, out):
     # ``u[:, 0]``, ``u[:, 1]`` and ``u[:, 2]`` are the exact, lower and upper
-    # lanes; each forms its own work in ``out[-1]`` (the exact one as
-    # ``_exact_lane_step`` does), then one merge shift advances all three.
-    x, first = out[-1], u[0, 0]
-    np.add(first, np.where(first <= patience, sigma, 0.0), out=x[0])
+    # lanes; each forms its own work in ``out[-1]`` (the exact one by
+    # ``kernel._exact_work``, as ``_exact_lane_step`` does), then one merge
+    # shift advances all three.
+    x = out[-1]
+    _exact_work(u[0, 0], sigma, patience, x[0])
     np.minimum(sigma, patience, out=x[1])
     np.add(sigma, patience, out=x[2])
     return _merge_shift_batch(u, x, tau, out)

@@ -493,8 +493,8 @@ class StationaryPath:
                 a.setflags(write=False)
             memo = self._memo.cover = (lo, cover)
             self._memo.pages = {}   # the old cover's page lists go with it
-        i = start - memo[0]
-        return DriverBlock(*(a[i : i + count] for a in memo[1]))
+        i, (tau, sigma, patience) = start - memo[0], memo[1]
+        return DriverBlock(tau[i : i + count], sigma[i : i + count], patience[i : i + count])
 
     def _generate(self, start: int, count: int) -> DriverBlock:
         """Driver triples for ``start .. start+count-1``, one stream at a
@@ -502,7 +502,9 @@ class StationaryPath:
         no stream is held, and takes one index list per state; each stream
         is then drawn and every state's law samples its own indices into
         the uniforms' array, one gather, one sampler output and one scatter
-        a state."""
+        a state. A column whose law is equal in every state (the same law
+        by value) is sampled once over the whole stream instead: the
+        samplers act index by index, so the bits are the same."""
         laws, at = self.spec.laws, None
         if self.spec.model == "markov_modulated":
             states = self._states(start, count)
@@ -510,7 +512,7 @@ class StationaryPath:
         cols = []
         for c, stream in enumerate((STREAM_TAU, STREAM_SIGMA, STREAM_PATIENCE)):
             u = stream_uniforms(self.spec.seed, stream, start, count)
-            if at is None:
+            if at is None or all(law[c] == laws[0][c] for law in laws):
                 u = laws[0][c].sample(u)
             else:
                 for law, i in zip(laws, at):
@@ -566,16 +568,20 @@ class StationaryPath:
         """Chain blocks ``first .. stop-1``, in one linear pass.
 
         The modulation uniforms are drawn once, from the first block's
-        look-back window to the run's end, and mapped to their cells. Each
-        block keeps its own certificate: its window, the ``_BACK_START``
-        maps ending at its start, is composed (``_fold``, every window at
-        once); a block whose window composes to a constant, as one holding
-        a constant map does, has coalesced, and any other runs the doubling
-        look-back (``_look_back``). The blocks are checked in order before
-        any is built, so a run is refused as a read of its first refused
-        block alone is.
+        look-back window to the run's end. Each block keeps its own
+        certificate: its window, the ``_BACK_START`` maps ending at its
+        start, is mapped to its cells and composed (``_fold``, every window
+        at once); a block whose window composes to a constant, as one
+        holding a constant map does, has coalesced, and any other runs the
+        doubling look-back (``_look_back``). The blocks are checked in order
+        before any is built, so a run is refused as a read of its first
+        refused block alone is.
 
-        Only the maps that move some state are composed: prefix scans
+        Only the maps that move some state are composed. A uniform takes
+        the identity exactly when it lies in every state's stay interval,
+        their intersection ``_stay_interval``, so two compares find the
+        moves, and only their uniforms are mapped to cells (on a dense
+        chain the interval is empty and every uniform is). Prefix scans
         (``_prefix_compose``) in pieces of at most ``_CHAIN_BLOCK`` maps,
         each read at the state where the last one ended, give the state
         after every move, and one ``np.repeat`` holds it until the next,
@@ -588,28 +594,39 @@ class StationaryPath:
         """
         spec = self.spec
         edges, cell_maps = _chain_tables(spec.modulation)
+        stay_lo, stay_hi = _stay_interval(spec.modulation)
         m = cell_maps.shape[1]
         lo = first * _CHAIN_BLOCK + 1 - _BACK_START
         n = stop * _CHAIN_BLOCK - lo
-        cells = np.searchsorted(edges, stream_uniforms(spec.seed, STREAM_MODULATION, lo, n),
-                                side="right")
+        u = stream_uniforms(spec.seed, STREAM_MODULATION, lo, n)
         # the composition of each block's window, the _BACK_START maps ending at its start
         window = np.arange(stop - first)[:, None] * _CHAIN_BLOCK + np.arange(_BACK_START)
-        windows = _fold(np.take(cell_maps, np.take(cells, window), axis=0))
+        windows = _fold(np.take(cell_maps, np.searchsorted(edges, np.take(u, window), side="right"), axis=0))
         state = 0
         for k in np.flatnonzero((windows != windows[:, :1]).any(axis=1)).tolist():
             before = _look_back(spec, first + k, windows[k])
             if k == 0:
                 state = before
-        moves = np.flatnonzero(np.take((cell_maps != np.arange(m)).any(axis=1), cells))
+        moving = np.less(u, stay_lo)
+        moving |= u >= stay_hi
+        moves = np.flatnonzero(moving)
+        cells = np.searchsorted(edges, u[moving], side="right")
+        del u, moving
         after = np.empty(len(moves) + 1, dtype=np.min_scalar_type(m - 1))
         after[0] = state
         for a in range(0, len(moves), _CHAIN_BLOCK):
-            piece = np.take(cell_maps, cells[moves[a : a + _CHAIN_BLOCK]], axis=0)
+            piece = np.take(cell_maps, cells[a : a + _CHAIN_BLOCK], axis=0)
             after[a + 1 : a + 1 + len(piece)] = _prefix_compose(piece)[:, state]
             state = after[a + len(piece)]
         states = np.repeat(after, np.diff(moves, prepend=0, append=n))
         return [b.copy() for b in np.split(states[_BACK_START - 1 :], stop - first)]
+
+
+def _cumulative(mod: ModulationSpec) -> np.ndarray:
+    """The cumulative transition rows, each ending on exactly 1.0."""
+    cum = np.cumsum(np.asarray(mod.transition, dtype=np.float64), axis=1)
+    cum[:, -1] = 1.0
+    return cum
 
 
 @functools.lru_cache(maxsize=64)
@@ -621,10 +638,9 @@ def _chain_tables(mod: ModulationSpec) -> tuple[np.ndarray, np.ndarray]:
     cell ``k`` (``[edges[k-1], edges[k])``, with cell 0 below ``edges[0]``).
     A row's inverse-CDF search compares the uniform only with that row's
     entries, none of which lies inside a cell, so every uniform in a cell
-    takes the cell's map exactly.
+    takes the cell's map exactly. ``_stay_interval`` reads the same rows.
     """
-    cum = np.cumsum(np.asarray(mod.transition, dtype=np.float64), axis=1)
-    cum[:, -1] = 1.0
+    cum = _cumulative(mod)
     m = len(cum)
     flat = np.sort(cum, axis=None)  # np.unique would import numpy.ma
     edges = flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
@@ -634,6 +650,21 @@ def _chain_tables(mod: ModulationSpec) -> tuple[np.ndarray, np.ndarray]:
     for table in (edges, cell_maps):
         table.setflags(write=False)
     return edges, cell_maps
+
+
+@functools.lru_cache(maxsize=64)
+def _stay_interval(mod: ModulationSpec) -> tuple[float, float]:
+    """The uniforms whose jump map is the identity, ``[lo, hi)``.
+
+    Row ``s``'s search keeps state ``s`` exactly when ``cum[s, s-1] <= u <
+    cum[s, s]``, with ``cum[0, -1]`` read as 0 and the last state's upper
+    end unbounded (the search is clipped to it). The identity keeps every
+    state, so its uniforms are the intersection ``[max_s cum[s, s-1],
+    min_s cum[s, s])``: empty (``lo >= hi``) on a chain where every map
+    moves a state.
+    """
+    cum = _cumulative(mod)
+    return float(np.diagonal(cum, -1).max(initial=0.0)), float(np.diagonal(cum)[:-1].min(initial=np.inf))
 
 
 def _jump_maps(spec: SequenceSpec, start: int, count: int) -> np.ndarray:

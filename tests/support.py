@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 
+from impatientq import sequences
 from impatientq.coupling import ReachableSet, _bounding_chain, cftp
 from impatientq.kernel import _require_ordered, advance_lattice
 from impatientq.loynes import _effective_work, certified_supremum, envelope_states
@@ -332,6 +333,35 @@ def sequential_chain_block(spec: SequenceSpec, b: int, max_depth: int = 1 << 20)
         s = row[s]
         out.append(s)
     return np.array(out, dtype=np.int64)
+
+
+def full_search_chain_run(path: StationaryPath, first: int, stop: int) -> list[np.ndarray]:
+    """Oracle for ``StationaryPath._chain_run``: the same linear pass, but
+    every modulation uniform is mapped to its cell by ``np.searchsorted``
+    and the moves are read off the cells' maps, as the pass did before it
+    searched only the uniforms outside the stay interval."""
+    spec = path.spec
+    edges, cell_maps = sequences._chain_tables(spec.modulation)
+    m = cell_maps.shape[1]
+    lo = first * _CHAIN_BLOCK + 1 - sequences._BACK_START
+    n = stop * _CHAIN_BLOCK - lo
+    cells = np.searchsorted(edges, stream_uniforms(spec.seed, STREAM_MODULATION, lo, n), side="right")
+    window = np.arange(stop - first)[:, None] * _CHAIN_BLOCK + np.arange(sequences._BACK_START)
+    windows = sequences._fold(np.take(cell_maps, np.take(cells, window), axis=0))
+    state = 0
+    for k in np.flatnonzero((windows != windows[:, :1]).any(axis=1)).tolist():
+        before = sequences._look_back(spec, first + k, windows[k])
+        if k == 0:
+            state = before
+    moves = np.flatnonzero(np.take((cell_maps != np.arange(m)).any(axis=1), cells))
+    after = np.empty(len(moves) + 1, dtype=np.min_scalar_type(m - 1))
+    after[0] = state
+    for a in range(0, len(moves), _CHAIN_BLOCK):
+        piece = np.take(cell_maps, cells[moves[a : a + _CHAIN_BLOCK]], axis=0)
+        after[a + 1 : a + 1 + len(piece)] = sequences._prefix_compose(piece)[:, state]
+        state = after[a + len(piece)]
+    states = np.repeat(after, np.diff(moves, prepend=0, append=n))
+    return [b.copy() for b in np.split(states[sequences._BACK_START - 1 :], stop - first)]
 
 
 def ordered_box_reference(caps) -> list[tuple[int, ...]]:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from impatientq.errors import ContractError
 from impatientq.kernel import (
     NEVER,
+    _exact_work,
     _merge_shift,
     _merge_shift_batch,
     accepted_multiples,
@@ -404,3 +405,32 @@ def test_batch_step_peak_memory():
     finally:
         tracemalloc.stop()
     assert out.flags.f_contiguous and peak <= 40 * n, peak / n
+
+
+@pytest.mark.parametrize("n", [1, 7, 16, 1000])
+def test_exact_work_equals_the_where_form(n):
+    # The lane work ``u0 + sigma * (u0 <= D)`` has the bits of the
+    # ``u0 + where(u0 <= D, sigma, 0)`` form it replaces, on floats with
+    # ties u0 == D, zero services, empty states and infinite patience, and
+    # on int64 lattice lanes with the ``NEVER`` deadline.
+    rng = np.random.default_rng(n)
+    u0 = rng.exponential(1.0, n)
+    u0[::3] = 0.0
+    deadline = rng.uniform(0.0, 2.0, n)
+    deadline[1::4] = u0[1::4]
+    deadline[2::5] = math.inf
+    sigma = rng.exponential(1.0, n)
+    sigma[::2] = 0.0
+    k0 = rng.integers(0, 20, n)
+    kd = rng.integers(0, 20, n)
+    kd[1::4] = k0[1::4]
+    kd[2::5] = NEVER
+    ks = rng.integers(0, 9, n)
+    cases = [(u0, sigma, deadline), (u0, sigma, math.inf), (u0, 0.0, deadline), (u0, 0.7, 0.0),
+             (k0, ks, kd), (k0, ks, NEVER), (k0, 3, kd), (k0, 0, 0)]
+    for first, s, d in cases:
+        want = np.add(first, np.where(first <= d, s, 0))
+        out = np.empty_like(first)
+        got = _exact_work(first, s, d, out)
+        assert got is out and got.dtype == first.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), (first.dtype, s, d)

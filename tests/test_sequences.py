@@ -31,6 +31,7 @@ from support import (
     CERTIFY,
     MM_SPEC,
     det_spec,
+    full_search_chain_run,
     iid_spec,
     random_iid_spec,
     random_lattice_spec,
@@ -476,6 +477,74 @@ def test_chain_cell_maps_match_row_search(chain):
     assert np.array_equal(np.take(cell_maps, np.searchsorted(edges, u, side="right"), axis=0), expected)
 
 
+# Chains for the stay-interval pass: a sticky one (few moves), a dense one
+# (empty interval), rows with zero-probability entries, 3 and 4 states.
+RUN_CHAINS = {
+    "sticky": CHAINS["sandwich"],
+    "dense": CHAINS["dense"],
+    "zero_entries": ((0.5, 0.0, 0.5), (0.2, 0.6, 0.2), (0.0, 0.3, 0.7)),
+    "three": CHAINS["random3"],
+    "four": ((0.97, 0.01, 0.01, 0.01), (0.02, 0.95, 0.02, 0.01),
+             (0.01, 0.0, 0.96, 0.03), (0.03, 0.0, 0.02, 0.95)),
+}
+
+
+@pytest.mark.parametrize("run", [(-3, 2), (-1, 0), (0, 1), (7, 10)], ids=lambda r: f"{r[0]}..{r[1]}")
+@pytest.mark.parametrize("chain", sorted(RUN_CHAINS))
+def test_chain_run_equals_the_full_search_oracle(chain, run):
+    # Searching only the uniforms outside the stay interval builds the same
+    # blocks, bit for bit and in the same dtype, as mapping every uniform to
+    # its cell; the runs cross page edges and negative indices.
+    spec = _chain_spec(RUN_CHAINS[chain])
+    got = StationaryPath(spec)._chain_run(*run)
+    want = full_search_chain_run(StationaryPath(spec), *run)
+    assert len(got) == len(want) == run[1] - run[0]
+    for b, (g, w) in enumerate(zip(got, want), run[0]):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), b
+
+
+@pytest.mark.parametrize("chain", sorted(CHAINS) + sorted(RUN_CHAINS))
+def test_stay_interval_holds_exactly_the_identity_cells(chain):
+    # A uniform lies in the stay interval exactly when its cell's jump map
+    # is the identity, also on, and one ulp either side of, every edge.
+    mod = _chain_spec({**CHAINS, **RUN_CHAINS}[chain]).modulation
+    edges, cell_maps = _chain_tables(mod)
+    lo, hi = sequences._stay_interval(mod)
+    near = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+    u = np.concatenate([near[(near > 0.0) & (near < 1.0)], np.random.default_rng(5).random(1000)])
+    identity = (cell_maps == np.arange(mod.n_states())).all(axis=1)
+    assert np.array_equal((lo <= u) & (u < hi), identity[np.searchsorted(edges, u, side="right")])
+    assert (lo < hi) == bool(identity.any())
+
+
+@pytest.mark.parametrize("chain", ["sticky", "dense"])
+def test_chain_run_searches_only_windows_and_moves(monkeypatch, chain):
+    # The cell search reads each block's window and the uniforms whose map
+    # moves a state: about 9 % of the uniforms on the sticky chain of the
+    # sandwich benchmark, every one on the dense chain, whose stay interval
+    # is empty.
+    spec = _chain_spec(RUN_CHAINS[chain])
+    first, stop = -2, 24
+    lo = first * _CHAIN_BLOCK + 1 - sequences._BACK_START
+    n = stop * _CHAIN_BLOCK - lo
+    edges, cell_maps = _chain_tables(spec.modulation)
+    u = stream_uniforms(spec.seed, sequences.STREAM_MODULATION, lo, n)
+    moving = ~(cell_maps == np.arange(spec.modulation.n_states())).all(axis=1)
+    moves = int(np.count_nonzero(moving[np.searchsorted(edges, u, side="right")]))
+    windows = (stop - first) * sequences._BACK_START
+    sizes, looked, search = [], [], np.searchsorted
+    monkeypatch.setattr(np, "searchsorted", lambda a, v, *args, **kw: sizes.append(np.size(v)) or search(a, v, *args, **kw))
+    look_back = sequences._look_back
+    monkeypatch.setattr(sequences, "_look_back", lambda *args: looked.append(args[1]) or look_back(*args))
+    StationaryPath(spec)._chain_run(first, stop)
+    assert not looked   # every window of this run composes to a constant
+    assert sum(sizes) == windows + moves, (sizes, windows, moves)
+    if chain == "sticky":
+        assert sum(sizes) <= 0.1 * n, sum(sizes) / n
+    else:
+        assert moves == n
+
+
 def test_block_straddling_chain_blocks_through_shift():
     path = StationaryPath(MM_SPEC)
     start, count = -5, _CHAIN_BLOCK + 20  # indices -5 .. BLOCK+14: blocks -1, 0, 1
@@ -537,6 +606,59 @@ def test_markov_cover_peak_memory(chain):
     finally:
         tracemalloc.stop()
     assert kept <= 25.2 * n and peak <= 2 * kept, (kept / n, peak / kept)
+
+
+# Modulated specs with some column whose law is the same in every state. The
+# equal laws are built as distinct objects, so only their values are equal.
+SHARED_SPECS = {
+    # the sandwich benchmark's laws: only the service law is shared
+    "sigma": (CHAINS["sandwich"], lambda: (
+        (Exponential(1.0), Exponential(0.6), Deterministic(1.0)),
+        (Exponential(1.8), Exponential(0.6), Uniform(0.0, 2.0)))),
+    "tau_and_patience": (CHAINS["dense"], lambda: (
+        (Exponential(1.0), Exponential(0.6), Uniform(0.0, 2.0)),
+        (Exponential(1.0), Exponential(0.9), Uniform(0.0, 2.0)))),
+    "patience_of_three": (CHAINS["random3"], lambda: tuple(
+        (Exponential(1.0 + s), Uniform(0.1 * s, 2.0), ShiftedExponential(0.5, 2.0)) for s in range(3))),
+    "all": (CHAINS["dense"], lambda: tuple(
+        (Exponential(1.5), Uniform(0.2, 1.0), Deterministic(1.5)) for _ in range(2))),
+}
+
+
+def _shared_spec(name):
+    transition, laws = SHARED_SPECS[name]
+    states = laws()
+    assert states[0][0] is not states[1][0]
+    return SequenceSpec(model="markov_modulated", seed=31,
+                        modulation=ModulationSpec(transition=transition, states=states))
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_SPECS))
+def test_shared_laws_sample_as_per_state_laws(monkeypatch, name):
+    # A column whose law is equal in every state is sampled once over the
+    # whole stream, and its values are the per-state gather, sample and
+    # scatter's bit for bit; every other column still samples per state.
+    spec = _shared_spec(name)
+    laws = spec.modulation.states
+    start, count = -5, 3 * _CHAIN_BLOCK + 20   # blocks -1 .. 2
+    states = StationaryPath(spec)._states(start, count)
+    calls, samplers = [], {}
+    for cls in (Exponential, Deterministic, Uniform, ShiftedExponential):
+        samplers[cls] = cls.sample
+        monkeypatch.setattr(cls, "sample", lambda self, u: calls.append((self, len(u))) or samplers[type(self)](self, u))
+    got = StationaryPath(spec)._generate(start, count)
+    want = []
+    for c, stream in enumerate((STREAM_TAU, STREAM_SIGMA, sequences.STREAM_PATIENCE)):
+        u = stream_uniforms(spec.seed, stream, start, count)
+        expected = np.full(count, np.nan)
+        for s, law in enumerate(laws):
+            expected[states == s] = samplers[type(law[c])](law[c], u[states == s])
+        assert got[c].tobytes() == expected.tobytes(), c
+        shared = all(law[c] == laws[0][c] for law in laws)
+        want += ([(laws[0][c], count)] if shared else
+                 [(law[c], int(np.count_nonzero(states == s))) for s, law in enumerate(laws)])
+    assert calls == want
+    assert any(len({law[c] for law in laws}) == 1 for c in range(3))
 
 
 @pytest.mark.parametrize("dist", [Exponential(1.7), ShiftedExponential(0.4, 2.5), Uniform(0.3, 2.1)],

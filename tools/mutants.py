@@ -274,6 +274,19 @@ MUTANTS = (
            "np.diff(moves + 1, prepend=0, append=n)",
            ("tests/test_sequences.py::test_markov_modulated_golden_states",
             "tests/test_sequences.py::test_chain_block_matches_sequential_chain[dense-1]")),
+    # Only the uniforms outside the stay interval are mapped to cells: its
+    # top is each state's own upper end, not the next state's.
+    Mutant("stay-interval-top-one-state-late", SEQUENCES,
+           "np.diagonal(cum)[:-1].min(initial=np.inf)",
+           "np.diagonal(cum, 1).min(initial=np.inf)",
+           ("tests/test_sequences.py::test_chain_run_equals_the_full_search_oracle[sticky--3..2]",
+            "tests/test_sequences.py::test_stay_interval_holds_exactly_the_identity_cells[sandwich]")),
+    # A column is sampled once over the stream only when its law is the same in every state.
+    Mutant("shared-law-test-forced-true", SEQUENCES,
+           "if at is None or all(law[c] == laws[0][c] for law in laws):",
+           "if True:",
+           ("tests/test_sequences.py::test_shared_laws_sample_as_per_state_laws[sigma]",
+            "tests/test_sequences.py::test_markov_cover_matches_masked_reference[random3]")),
 )
 
 
@@ -287,7 +300,9 @@ def _copy(dest: Path) -> None:
 def _pytest(where: Path, tests, timeout: Optional[float]) -> Optional[int]:
     """The exit status of pytest on ``tests`` in ``where``, or None when it
     did not end within ``timeout`` seconds."""
-    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests]
+    # hypothesis' plugin imports hypothesis in every run, about 1.7 s of 2.5;
+    # the one @given test still runs without it, and no mutant names it.
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "no:hypothesispytest", *tests]
     env = dict(os.environ, PYTHONPATH=str(where / "src"))   # the copy, not an installed package
     try:
         return subprocess.run(cmd, cwd=where, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
