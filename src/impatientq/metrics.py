@@ -102,6 +102,8 @@ class BoundReport:
     p_upper: ProbabilityEstimate   # P(upper envelope first coordinate > patience)
     p_z: ProbabilityEstimate       # P(top backward supremum > patience)
     n_samples: int
+    # The three flags always read true, as an open chain or an uncertified
+    # box is refused; perfbench's sandwich check reads them (ROADMAP item 1b).
     lower_stabilized: bool
     upper_stabilized: bool
     z_stabilized: bool
@@ -109,6 +111,7 @@ class BoundReport:
     # z_top is the clipped lag-S supremum, the certified read at its index
     samples: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
+    # Always true, as out-of-order indicators are refused; perfbench's sandwich check reads it (ROADMAP item 1b).
     @property
     def ordering_ok(self) -> bool:
         """Sandwich ordering within the summed adjacent half-widths."""

@@ -384,7 +384,7 @@ def reachable_profile_reference(path: StationaryPath, servers: int, depths,
     alpha = path.spec.alpha
     est = cftp(path, servers, at - deepest, kind="upper")
     rolled = envelope_states(path, at - deepest, deepest, est.value, "upper")
-    out, prev = [], None
+    out = []
     for d in depths:
         box = ordered_box_reference([math.floor(v / alpha + 1e-9) for v in rolled[deepest - d]])
         blk = path.lattice_block(at - d, d)
@@ -392,10 +392,7 @@ def reachable_profile_reference(path: StationaryPath, servers: int, depths,
         for i in range(d):
             points = {advance_lattice(u, int(blk.tau[i]), int(blk.sigma[i]),
                                       float(blk.patience[i]), alpha)[0] for u in points}
-        points = frozenset(points)
-        out.append(ReachableSet(d, points, alpha, len(box), prev is None or points <= prev,
-                                est.coalesced))
-        prev = points
+        out.append(ReachableSet(d, frozenset(points), alpha, len(box), est.coalesced))
     return out
 
 

@@ -307,8 +307,12 @@ def test_cli_bounds_and_reproducibility(tmp_path):
     assert (out1 / "bounds.json").read_bytes() == (out2 / "bounds.json").read_bytes()
     assert (out1 / "bounds_samples.csv").read_bytes() == (out2 / "bounds_samples.csv").read_bytes()
     payload = json.loads((out1 / "bounds.json").read_text())
-    assert payload["all_orderings_ok"] is True
     assert len(payload["replications"]) == 1
+    # the four probabilities in sandwich order, as the indicators of every
+    # sample are
+    rep = payload["replications"][0]
+    probabilities = [rep[name]["probability"] for name in ("p_lower", "p_loss", "p_upper", "p_z")]
+    assert probabilities == sorted(probabilities)
 
 
 GROWTH_INI = """
@@ -398,7 +402,7 @@ def test_cli_bounds_replications(tmp_path):
     assert len(seeds) == 3
     # Pinned bytes: the replications' estimates and replication 0's samples.
     assert hashlib.sha256((out / "bounds.json").read_bytes()).hexdigest() == (
-        "f19db71f5cdf08058d6daa6f2c32a3587a06a0c0851c511573b5b44cc9d6af7b")
+        "ae1715ddff30ccafb4bb8b7c816c9ff51c7c2442f97e4adcef2185b96e84fc70")
     assert hashlib.sha256((out / "bounds_samples.csv").read_bytes()).hexdigest() == (
         "f62ffd65486cf139ecd855dd871aa825074ea487d3d4b79a771815b6e8fb2e59")
 
@@ -424,12 +428,17 @@ def test_cli_cftp_renovate(tmp_path):
     scan = json.loads((out / "renovate.json").read_text())
     assert scan["n_events"] >= 1
     # the horizon at which the two rolls met, and the box they started from
-    assert scan["estimate_stabilized"] and scan["estimate_depth"] >= 16
+    assert scan["estimate_depth"] >= 16
     assert scan["z_depth"] >= 2 and 0.0 <= scan["z_risk"] <= 1e-12
     lines = (out / "renovate.csv").read_text().strip().split("\n")
     assert lines[0].startswith("# config_sha256=")
-    assert lines[1] == "index,checked_length,Y1,Y2,tau_sum_2"
+    assert lines[1] == "index,Y1,Y2,tau_sum_2"
     assert len(lines) == scan["n_events"] + 2
+    # each event's witnesses: an empty first coordinate, and the second at
+    # most the one gap sum
+    for line in lines[2:]:
+        _, y1, y2, tau_sum = map(float, line.split(","))
+        assert y1 == 0.0 and y2 <= tau_sum
 
 
 def test_cli_cftp_not_coalesced_exit_1(tmp_path):
@@ -481,14 +490,33 @@ def test_cli_hset(tmp_path):
     out = tmp_path / "out"
     assert main(["hset", "--config", cfg, "--out", str(out)]) == 0
     payload = json.loads((out / "hset.json").read_text())
-    assert payload["all_nested"] is True
     sizes = payload["sizes"]
     assert len(sizes) == 9
     assert all(a >= b for a, b in zip(sizes, sizes[1:]))
     lines = (out / "hset.csv").read_text().strip().split("\n")
     assert lines[0].startswith("# config_sha256=")
-    assert lines[1] == "depth,size,nested_in_previous,box_size"
+    assert lines[1] == "depth,size,box_size"
     assert len(lines) == 11
+    # the sizes are those of sets each nested in the one before
+    sets = coupling.reachable_profile(StationaryPath(load_config(cfg).spec), 2, range(9))
+    assert [len(s) for s in sets] == sizes
+    assert all(b.points <= a.points for a, b in zip(sets, sets[1:]))
+
+
+@pytest.mark.parametrize("name, command", [("MM2D_INI", "bounds"), ("MM2D_INI", "renovate"),
+                                           ("LATTICE_INI", "hset")])
+def test_cli_outputs_carry_no_field_that_cannot_vary(tmp_path, name, command):
+    # Out-of-order indicators, an open chain and an image outside the next
+    # box are refused before any file is written, so no output reports an
+    # ordering, stabilization or nesting flag, nor the renovation check
+    # length, which is always servers - 1 and so the number of tau_sum columns.
+    cfg = _write(tmp_path, "cfg.ini", globals()[name])
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    for f in sorted(out.iterdir()):
+        head = f.read_text() if f.suffix == ".json" else f.read_text().split("\n")[1]
+        for deleted in ("ordering", "stabilized", "nested", "checked_length"):
+            assert deleted not in head, (f.name, deleted)
 
 
 # The lattice benchmark model at S = 3, profiled to depth 30.
@@ -530,18 +558,17 @@ LATTICE_BENCH_S8_INI = LATTICE_BENCH_INI.replace("servers = 3", "servers = 8").r
 
 @pytest.mark.parametrize("text, json_sha, csv_sha", [
     (LATTICE_INI,
-     "8944fdf52a51767c661ca98db35938fadd87fbfd49f2af99e8b82546e7682dd9",
-     "3bdb77dca6a79748477e24f966d3543c8df88c59c0d26e0ef9150cc40d5e2740"),
+     "aa2166150b2a9dc8c654be5897a2f25a4db1aa08b976650fc14dd74f738bced6",
+     "ae659597f6c6d49ef3b23c0c89b2c1c89dcaad082b1f3811188bae3752ee6b21"),
     (LATTICE_BENCH_INI,
-     "994f518a26a454237595fa5a1a5cf1a23ddf4b5508304012d8110b0c8a3c2b59",
-     "21c55c07a22ad6b410e4cd6389b484198a732a0934c072f7508845af6d4d543b"),
+     "d421f0350eea91196747ad9579017d2b78f9e65bc73d9d5ba9be857c62ecf142",
+     "3feb1b45a38d4aad368ba62ba6385a704f9bcaf20001d7677c026cb3badbfe17"),
     (LATTICE_BENCH_S8_INI,
-     "e16da1e25c730ebf56de8e60ed0587aabd4b4632e8b5cbcf9e3883bb2eb8b7cc",
-     "bd6fb7e95fcf38c6732ad22f3ce7bf14b0d61f0dff3d5972cb571f39dbb56287"),
+     "09ab871265a6603f6b2604cc24c96046608a05f78c6acf61b9395f099601fb4f",
+     "27dc163bb0742328865809cb483004c7ae791498ae6ef578a81358a9969c0436"),
 ], ids=["lattice-ini", "lattice-bench-S3", "lattice-bench-S8"])
 def test_cli_hset_golden(tmp_path, text, json_sha, csv_sha):
-    # Pinned outputs: set sizes, box sizes and nesting flags are part of the
-    # byte-reproducible contract.
+    # Pinned outputs: set sizes and box sizes are part of the byte-reproducible contract.
     cfg = _write(tmp_path, "cfg.ini", text)
     out = tmp_path / "out"
     assert main(["hset", "--config", cfg, "--out", str(out)]) == 0

@@ -65,7 +65,7 @@ def test_renovation_everywhere_when_draining():
     scan = detect_renovation(StationaryPath(DRAIN), 1, (0, 99))
     assert scan.frequency == 1.0
     assert len(scan.events) == 100
-    assert scan.events[0].checked_length == 0
+    assert scan.events[0].tau_sums == ()   # servers - 1 gap sums
     assert scan.events[0].y_estimate == (0.0,)
 
 
@@ -81,7 +81,7 @@ def test_renovation_events_witnesses():
     path = StationaryPath(MM2D)
     for ev in scan.events[:10]:
         assert ev.y_estimate[0] == 0.0
-        assert len(ev.tau_sums) == 1
+        assert len(ev.tau_sums) == 2 - 1   # servers - 1
         assert ev.y_estimate[1] <= ev.tau_sums[0]
         assert ev.tau_sums[0] == path.sample_at(ev.index).tau
 
@@ -130,6 +130,7 @@ def test_renovation_events_against_deep_reference(name, spec, servers):
                                        for ell in range(2, servers + 1))]
         scan = detect_renovation(path, servers, (a, a + 99))
         assert [ev.index for ev in scan.events] == want, (a, scan.estimate, tuple(y0.tolist()))
+        assert all(len(ev.tau_sums) == servers - 1 for ev in scan.events)
 
 
 def test_renovation_implies_coalescence():
@@ -939,9 +940,9 @@ def test_reachable_set_trivial_box():
         sigma=LatticeDiscrete(1.0, (1,), (1.0,)),
         patience=Deterministic(0.0),
     )
-    rs = reachable_profile(StationaryPath(spec), 1, (4, 5))[-1]
+    shallow, rs = reachable_profile(StationaryPath(spec), 1, (4, 5))
     assert rs.points == frozenset({(0,)})
-    assert rs.nested_in_previous
+    assert rs.points <= shallow.points
 
 
 def test_reachable_profile_nesting_random_configs():
@@ -950,7 +951,7 @@ def test_reachable_profile_nesting_random_configs():
         spec = random_lattice_spec(rng)
         path = StationaryPath(spec)
         sets = reachable_profile(path, 2, range(0, 11))
-        assert all(s.nested_in_previous for s in sets)
+        assert all(b.points <= a.points for a, b in zip(sets, sets[1:]))
         sizes = [len(s) for s in sets]
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
         assert sizes[-1] >= 1
@@ -1186,7 +1187,7 @@ def test_coupling_at_negative_indices():
         patience=Uniform(0.0, 2.0),
     )
     sets = reachable_profile(StationaryPath(lat), 2, range(0, 8), at=-97)
-    assert all(s.nested_in_previous for s in sets)
+    assert all(b.points <= a.points for a, b in zip(sets, sets[1:]))
 
 
 def test_reachable_set_depth_validation():

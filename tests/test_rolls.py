@@ -270,6 +270,21 @@ def test_lattice_roll_from_a_high_start_matches_loop():
     _assert_lattice_matches_loop(path, 0, 6 * CHUNK + 5, (400, 700, 1000))
 
 
+def test_lattice_roll_from_a_large_start_matches_loop():
+    # Past k = 20,971,524 at alpha = 0.1 (27,962,031 at 0.3), fl(k * alpha)
+    # over alpha can fall short of k by more than ``loynes._multiples``' 1e-9
+    # slack: it reads 9980000.1 = fl(99,800,001 * 0.1) as 99,800,000, so a
+    # start read that way would be refused as off the lattice. A start is
+    # read by rint, as ``lattice_block`` reads its drivers, and the roll runs
+    # from k.
+    assert loynes._multiples(9980000.1, 0.1) == 99_800_000
+    tenth = StationaryPath(NON_DYADIC)
+    three_tenths = StationaryPath(random_lattice_spec(np.random.default_rng(3), alpha=0.3))
+    for path, u0 in ((tenth, (99_800_001,)), (tenth, (20_971_524,)), (tenth, (20_971_524, 99_800_001)),
+                     (three_tenths, (27_962_031,))):
+        _assert_lattice_matches_loop(path, 0, 2 * CHUNK + 1, u0)
+
+
 def test_lattice_roll_small_chunks_match_loop(monkeypatch):
     rng = np.random.default_rng(78)
     monkeypatch.setattr(loynes, "CHUNK", 8)
@@ -356,7 +371,6 @@ def test_walk_resumes_at_the_seam_where_it_matched(monkeypatch):
     tau[23], sigma[23], deadline[23] = 20.0, 100.0, 2.0
     drivers = (tau, sigma, deadline)
     calls = _record_repairs(monkeypatch)
-    rows = loynes._forward_roll((((10.0,), loynes._exact_step, drivers),), loynes._exact_lane_step,
-                                drivers)[0]
+    rows = loynes._forward_roll((((10.0,), loynes._exact_step),), loynes._exact_lane_step, drivers)[0]
     assert _identical(rows, loynes._scalar_roll((10.0,), loynes._exact_step, drivers))
     assert [i for _, i in calls][:2] == [16, 24]

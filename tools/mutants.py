@@ -79,6 +79,12 @@ MUTANTS = (
            "tuple(_multiples(hi, path.spec.alpha).tolist())",
            "tuple((_multiples(hi, path.spec.alpha) - 1).tolist())",
            ("tests/test_coupling.py::test_cftp_lattice_box_holds_the_stationary_state",)),
+    # A lattice start is read by rint, not by the floor with a fixed slack,
+    # which reads fl(k * alpha) as k - 1 for large k.
+    Mutant("exact-start-read-by-floor", LOYNES,
+           "k = np.rint(np.nan_to_num(start, nan=0.0, posinf=0.0, neginf=0.0) / alpha).astype(np.int64)",
+           "k = _multiples(np.nan_to_num(start, nan=0.0, posinf=0.0, neginf=0.0), alpha)",
+           ("tests/test_rolls.py::test_lattice_roll_from_a_large_start_matches_loop",)),
     # The grid of cftp starts.
     Mutant("cftp-grid-one-early", COUPLING,
            "start = max((at - rung) // rung * rung, at - max_horizon)",
