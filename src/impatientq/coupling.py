@@ -31,15 +31,10 @@ deadline (``kernel.accepted_multiples``) in place of the patience. For
 lattice-valued service and gaps the whole ordered box below the upper
 estimate is finite; propagating it forward with exact integer arithmetic
 yields a shrinking nested family of reachable sets whose collapse to a
-single point certifies a unique stationary state on the lattice. One
-pass enumerates the boxes of every depth up to the deepest requested, and
-every box row then takes its one step, all rows at once. The exact map is
-dominated by the upper envelope, so each image lies in the box one index
-later, where its lexicographic rank, a closed form over a table of suffix
-counts (the ranking of combinations, Knuth, TAOCP Vol. 4A, 7.2.1.3),
-names its row with no sort; an image above that box is refused. Each row
-points to its image's row, and the rows reached from a depth's box at the
-target form that depth's set.
+single point certifies a unique stationary state on the lattice
+(``reachable_profile``). Each image lies in the box one index later, where
+its lexicographic rank, a closed form over a table of suffix counts (the
+ranking of combinations, Knuth, TAOCP Vol. 4A, 7.2.1.3), names its row.
 """
 
 from __future__ import annotations
@@ -294,35 +289,33 @@ def reachable_profile(path: StationaryPath, servers: int, depths: Sequence[int],
                       at: int = 0, cap: int = 1_000_000) -> list[ReachableSet]:
     """Reachable sets for several depths off one anchored estimate.
 
-    All boxes derive from a single backward estimate at the deepest index
-    rolled forward, which makes the nested-family property exact: every
-    image is refused unless it lies in the box one index later (below), so
-    each deeper set lies in the shallower one and no separate check can
-    fail. The estimate's chain must have closed (``_envelope_estimate``): an
-    open one may under-estimate the box, so the profile refuses rather than
-    report sets built from it.
+    All boxes derive from one backward estimate at the deepest index, rolled
+    forward; its chain must have closed (``_envelope_estimate``), as an open
+    one may under-estimate the boxes. One ``_ordered_boxes`` pass enumerates
+    the box of every depth from 0 to the deepest, requested or not, so
+    ``cap`` bounds each of them. Every row but those of the box at ``at``
+    takes its one step, one ``advance_batch`` call per group of consecutive
+    boxes holding at most ``cap`` rows (``_groups``), which bounds the
+    step's temporaries as ``cap`` bounds one box. The exact map is dominated
+    by the upper envelope, so a depth-d row's image lies in the depth-(d-1)
+    box one index later, at the row its rank names (``_rank_tables``,
+    ``_rank``); an image above that box would break the certificate and is
+    refused with ``ContractError``. So each deeper set lies in the shallower
+    one, and no nesting check can fail.
 
-    One ``_ordered_boxes`` pass enumerates the box of every depth from 0 to
-    the deepest requested, requested or not, deepest first, so it holds at
-    most ``(deepest + 1) * cap`` rows; ``cap`` bounds every one of them. All
-    rows but those of the box at ``at`` then take their one step, one
-    ``advance_batch`` call per group of consecutive boxes holding at most
-    ``cap`` rows, which bounds the step's temporaries as ``cap`` bounds one
-    box. The exact map is dominated by the upper envelope, so the image of
-    a row of the depth-d box lies in the depth-(d-1) box one index later,
-    at the row its rank names (``_rank_tables``, ``_rank``); no sort is
-    needed. An image above that box would break the certificate, and is
-    refused with ``ContractError``.
-
-    The groups step from the box at ``at`` back, and once a group is
-    placed its boxes take their roots, the rows of the box at ``at`` they
-    reach, from its last box back: the rows of the next box already hold
-    theirs, so a row takes the root of its image, one gather per row.
-    Depth ``d``'s set is the roots reached from its box, read back from one
-    bit matrix over the rows of the box at ``at``.
+    Each row then takes its root, the row of the box at ``at`` it reaches,
+    by pointer jumping (Hillis & Steele 1986, as ``_prefix_compose`` in
+    ``sequences``): ``ceil(log2(deepest))`` passes of ``root <- root[root]``
+    into one reused buffer. One ``np.maximum.at`` gives each row of the box
+    at ``at`` its reach, the deepest depth whose box reaches it. A depth-d
+    row reaches its root through a row of every shallower depth, so depth
+    d's set is the rows of reach at least d: one stable sort and one
+    ``searchsorted`` make every set a prefix of the shallowest one's rows,
+    whose tuples are built once.
 
     A box over ``cap`` is refused; of several, the error names the deepest
-    one over it at the first column where any box is.
+    one over it at the first column where any box is, and of several images
+    above their boxes, the first in the deepest box, whatever the groups.
     """
     if not path.spec.is_lattice:
         raise ConfigurationError("reachable sets require a lattice-model spec")
@@ -334,8 +327,7 @@ def reachable_profile(path: StationaryPath, servers: int, depths: Sequence[int],
     deepest = depths[-1]
     alpha = path.spec.alpha
     est = _envelope_estimate(path, servers, at - deepest, "upper")
-    # Caps from the estimates at every shallower index, consistent by
-    # construction: box b is the box of depth deepest - b, at driver row b.
+    # box b is the box of depth deepest - b, at driver row b, capped by the estimate rolled there
     caps = _multiples(envelope_states(path, at - deepest, deepest, est.value, "upper"), alpha)
     drivers = np.vstack(_exact_drivers(path, at - deepest, deepest))
     boxes, sizes = _ordered_boxes(caps, cap, [f"at depth {deepest - b} (index {at - deepest + b})"
@@ -344,31 +336,37 @@ def reachable_profile(path: StationaryPath, servers: int, depths: Sequence[int],
     table, entry = _rank_tables(tops)
     starts = np.append(0, np.cumsum(sizes))   # box b holds rows starts[b]:starts[b + 1]
 
-    root = np.arange(len(boxes))   # each row's image's row, then the row of the box at ``at`` it reaches
-    for lo, hi in reversed(_groups(sizes[:-1], cap)):
-        reps, nxt = sizes[lo:hi], slice(lo + 1, hi + 1)   # the boxes the images lie in
+    root = np.arange(len(boxes))   # each row's image's row; the rows of the box at ``at`` are their own
+    for lo, hi in _groups(sizes[:-1], cap):
+        reps = sizes[lo:hi]
         images = advance_batch(boxes[starts[lo]:starts[hi]],
                                *np.repeat(drivers[:, lo:hi], reps, axis=1))[0]
+        nxt = np.repeat(np.arange(lo + 1, hi + 1), reps)   # the box each image lies in
         above = np.zeros(len(images), dtype=bool)
-        for j, top in enumerate(tops[nxt].T):   # an ascending row under the suffix minima is under the caps
-            above |= images[:, j] > np.repeat(top, reps)
+        for j, top in enumerate(tops.T):   # an ascending row under the suffix minima is under the caps
+            above |= images[:, j] > top.take(nxt)
         if above.any():
             r = int(np.argmax(above))
-            b = int(np.searchsorted(starts, starts[lo] + r, side="right"))   # the box after the row's
-            raise ContractError(f"exact image {tuple(images[r].tolist())} at index {at - deepest + b} lies "
-                                f"above the upper estimate's box {tuple(caps[b].tolist())} there")
-        root[starts[lo]:starts[hi]] = (_rank(table, np.repeat(entry[nxt], reps), images.T)
-                                       + np.repeat(starts[nxt], reps))
-        del images, above   # before the next group steps
-        for b in range(hi - 1, lo - 1, -1):   # the rows of box b + 1 already hold their roots
-            root[starts[b]:starts[b + 1]] = root.take(root[starts[b]:starts[b + 1]])
+            raise ContractError(f"exact image {tuple(images[r].tolist())} at index {at - deepest + nxt[r]} lies "
+                                f"above the upper estimate's box {tuple(caps[nxt[r]].tolist())} there")
+        place = root[starts[lo]:starts[hi]]   # each image's rank in its box, then its row
+        _rank(table, entry.take(nxt), images.T, out=place)
+        place += starts.take(nxt)
+        del images, above, nxt, place   # before the next group steps
 
+    spare, span = np.empty_like(root), 1   # each row points span images on, or at its root
+    while span < deepest:   # a row of box b lies deepest - b images before its root
+        root, spare = np.take(root, root, out=spare, mode="clip"), root
+        span *= 2
     first = starts[deepest]
-    bits = np.zeros((len(depths), len(boxes) - first), dtype=bool)   # depths[k] owns row k
-    for k, d in enumerate(depths):
-        bits[k, root[starts[deepest - d]:starts[deepest - d + 1]] - first] = True
-    rows = list(map(tuple, boxes[first:].tolist()))
-    sets = [frozenset(map(rows.__getitem__, np.flatnonzero(member).tolist())) for member in bits]
+    reach = np.zeros(sizes[deepest], dtype=np.min_scalar_type(deepest))   # of the rows of the box at ``at``
+    np.maximum.at(reach, np.subtract(root[:first], first, out=spare[:first]),
+                  np.repeat(np.arange(deepest, 0, -1, dtype=reach.dtype), sizes[:-1]))
+    del root, spare
+    order = np.argsort(reach, kind="stable")   # deepest reach last
+    counts = len(reach) - np.searchsorted(reach[order], depths)   # the rows of reach >= d, last in order
+    rows = list(map(tuple, boxes[first + order[len(reach) - counts[0]:][::-1]].tolist()))
+    sets = [frozenset(rows[:n]) for n in counts.tolist()]
     return [ReachableSet(d, p, alpha, int(sizes[deepest - d]), est.coalesced) for d, p in zip(depths, sets)]
 
 
@@ -404,13 +402,13 @@ def _rank_tables(tops) -> tuple[np.ndarray, np.ndarray]:
     return table, first
 
 
-def _rank(table: np.ndarray, first, columns) -> np.ndarray:
+def _rank(table: np.ndarray, first, columns, out=None) -> np.ndarray:
     """Lexicographic rank of each ascending row in its box, from the rank
     tables (``_rank_tables``), the box's first column there and the row's
-    coordinates, one column at a time. The rows before ``v`` share its
-    first j coordinates and have a smaller coordinate j, so with ``v_{-1} =
-    0`` the rank is ``sum_j T[j, v_{j-1}] - T[j, v_j]``."""
-    rank = table[0].take(first)   # T[0, v_{-1}]: the box size
+    coordinates, one column at a time, summed in ``out`` if given. The rows
+    before ``v`` share its first j coordinates and have a smaller coordinate
+    j, so with ``v_{-1} = 0`` the rank is ``sum_j T[j, v_{j-1}] - T[j, v_j]``."""
+    rank = table[0].take(first, out=out, mode="clip")   # T[0, v_{-1}]: the box size
     for j, col in enumerate(columns):
         col = col + first
         rank -= table[j].take(col)

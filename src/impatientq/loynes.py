@@ -263,13 +263,10 @@ CHUNK = 256
 
 def _scalar_roll(u0: tuple[float, ...], step, drivers: tuple[np.ndarray, ...]) -> np.ndarray:
     """The reference roll: row 0 is ``u0``, row i+1 is ``step(row i, *drivers[:, i])``."""
-    states = np.empty((len(drivers[0]) + 1, len(u0)), dtype=np.asarray(u0).dtype)
-    states[0] = u0
-    u = tuple(u0)
-    for i, d in enumerate(zip(*[col.tolist() for col in drivers]), 1):
-        u = step(u, *d)
-        states[i] = u
-    return states
+    rows = [u := tuple(u0)]
+    for d in zip(*[col.tolist() for col in drivers]):
+        rows.append(u := step(u, *d))
+    return np.array(rows, dtype=np.asarray(u0).dtype)
 
 
 def _forward_roll(rolls, lane_step, drivers: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -423,13 +420,18 @@ def _exact_lists(path: StationaryPath, at: int, steps: int) -> tuple[tuple[list,
 
 
 def _multiples(values, alpha: float) -> np.ndarray:
-    """Time values as int64 multiples of alpha, ``floor(v / alpha + 1e-9)``,
-    for the ``cftp`` box top and the reachable-set caps. The slack is one
-    fixed 1e-9 of a step, and large values drift further than that: for
-    ``v = fl(k * alpha)`` it gives ``k - 1`` from k = 20,971,524 at alpha =
-    0.1. A start that must lie on the lattice is read by ``rint`` instead
-    (``exact_states``, as ``StationaryPath.lattice_block``)."""
-    return np.floor(np.asarray(values, dtype=np.float64) / alpha + 1e-9).astype(np.int64)
+    """Time values as int64 multiples of alpha for the ``cftp`` box top and
+    the reachable-set caps: the largest k with ``fl(k * alpha) <= v``, or one
+    more within a slack of 1e-9 of a step. From 2^22 steps the floor of ``v
+    / alpha + 1e-9`` can fall one short (from k = 20,971,524 at alpha = 0.1),
+    so it is raised as ``kernel.accepted_multiples`` raises its own, below
+    2^52 steps. A lattice start is read by ``rint`` (``exact_states``)."""
+    v = np.asarray(values, dtype=np.float64)
+    k = np.floor(v / alpha + 1e-9).astype(np.int64)
+    if v.max(initial=0.0) >= 2**22 * alpha:   # below, the quotient is short by at most k * 2^-52 < 1e-9
+        while (up := ((k + 1) * alpha <= v) & (v < 2.0**52 * alpha)).any():
+            k += up
+    return k
 
 
 def _times(multiples, alpha: float) -> np.ndarray:

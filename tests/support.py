@@ -373,12 +373,22 @@ def ordered_box_reference(caps) -> list[tuple[int, ...]]:
             if all(k <= c for k, c in zip(u, caps))]
 
 
+def lattice_floor(v: float, alpha: float) -> int:
+    """``floor(v / alpha + 1e-9)`` raised while ``(k + 1) * alpha <= v``:
+    the largest k with ``k * alpha <= v`` in floats, or one above it within
+    the slack, scalar by scalar."""
+    k = math.floor(v / alpha + 1e-9)
+    while (k + 1) * alpha <= v:
+        k += 1
+    return k
+
+
 def reachable_profile_reference(path: StationaryPath, servers: int, depths,
                                 at: int = 0) -> list[ReachableSet]:
     """Per-depth reference for ``coupling.reachable_profile``: each depth's
-    box, read off the same rolled upper estimate, enumerated by brute force
-    and stepped state by state with the scalar ``advance_lattice`` over its
-    own ``lattice_block(at - d, d)``."""
+    box, read off the same rolled upper estimate (``lattice_floor`` of each
+    cap), enumerated by brute force and stepped state by state with the
+    scalar ``advance_lattice`` over its own ``lattice_block(at - d, d)``."""
     depths = sorted(set(depths))
     deepest = depths[-1]
     alpha = path.spec.alpha
@@ -386,7 +396,7 @@ def reachable_profile_reference(path: StationaryPath, servers: int, depths,
     rolled = envelope_states(path, at - deepest, deepest, est.value, "upper")
     out = []
     for d in depths:
-        box = ordered_box_reference([math.floor(v / alpha + 1e-9) for v in rolled[deepest - d]])
+        box = ordered_box_reference([lattice_floor(v, alpha) for v in rolled[deepest - d]])
         blk = path.lattice_block(at - d, d)
         points = set(box)
         for i in range(d):

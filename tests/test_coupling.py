@@ -1122,6 +1122,51 @@ def test_reachable_profile_in_groups_of_boxes(monkeypatch):
         assert len(groups.pop()) >= 3, at
 
 
+def test_reachable_refusal_names_the_deepest_box_whatever_the_groups(monkeypatch):
+    # Estimates lowered to the empty state at depths 1 and 5 leave images of
+    # the depth-2 and depth-6 boxes above their boxes. The refusal names the
+    # first image above the box at depth 5 (index -5), in one group of boxes
+    # as in several.
+    real = coupling.envelope_states
+
+    def lowered(path, at, steps, u0, kind):
+        out = real(path, at, steps, u0, kind).copy()
+        out[[steps - 5, steps - 1]] = 0.0
+        return out
+
+    path = StationaryPath(LATTICE)
+    sizes = np.array([s.box_size for s in reachable_profile(path, 3, range(31))][:0:-1])   # the stepped boxes
+    monkeypatch.setattr(coupling, "envelope_states", lowered)
+    pattern = r"at index -5 lies above the upper estimate's box \(0, 0, 0\)"
+    messages = []
+    for cap in (10**6, sizes.max() + 1):
+        with pytest.raises(ContractError, match=pattern) as exc:
+            reachable_profile(path, 3, range(31), cap=cap)
+        messages.append(str(exc.value))
+    assert len(coupling._groups(sizes, sizes.max() + 1)) >= 3 and messages[0] == messages[1]
+
+
+def test_reachable_profile_peak_memory():
+    # A large profile: S = 3, patience Uniform(0, 40), 1.75M box rows in 31
+    # boxes, the largest 95k rows. Its traced peak is the rank of its group
+    # of 1M images, 2.645 times the boxes' bytes before the roots were
+    # composed by pointer jumping; the spare root buffer and the reach array
+    # come after the groups and keep under it.
+    import tracemalloc
+
+    path = StationaryPath(dataclasses.replace(LATTICE, patience=Uniform(0.0, 40.0)))
+    cftp(path, 3, -30, kind="upper")   # the estimate and its drivers, kept by the path
+    tracemalloc.start()
+    try:
+        sets = reachable_profile(path, 3, range(31))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    boxes = 3 * 8 * sum(s.box_size for s in sets)
+    assert boxes > 40 * 10**6 and len(sets[0]) == sets[0].box_size == 70_196
+    assert peak <= 2.65 * boxes, (peak, boxes)
+
+
 def test_reachable_profile_two_membership_words():
     # More than 64 depths, so a profile whose depths were packed into one
     # 64-bit word would fold the deepest sets into shallow ones. A null-drift

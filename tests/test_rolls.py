@@ -32,6 +32,7 @@ from support import (
     NON_DYADIC,
     det_spec,
     iid_spec,
+    lattice_floor,
     random_iid_spec,
     random_lattice_spec,
     random_mm_spec,
@@ -272,17 +273,36 @@ def test_lattice_roll_from_a_high_start_matches_loop():
 
 def test_lattice_roll_from_a_large_start_matches_loop():
     # Past k = 20,971,524 at alpha = 0.1 (27,962,031 at 0.3), fl(k * alpha)
-    # over alpha can fall short of k by more than ``loynes._multiples``' 1e-9
-    # slack: it reads 9980000.1 = fl(99,800,001 * 0.1) as 99,800,000, so a
-    # start read that way would be refused as off the lattice. A start is
-    # read by rint, as ``lattice_block`` reads its drivers, and the roll runs
-    # from k.
-    assert loynes._multiples(9980000.1, 0.1) == 99_800_000
+    # over alpha can fall short of k by more than a 1e-9 slack: the floor
+    # alone reads 9980000.1 = fl(99,800,001 * 0.1) as 99,800,000, so a start
+    # read that way would be refused as off the lattice. ``loynes._multiples``
+    # corrects that floor upward; a start is read by rint, as
+    # ``lattice_block`` reads its drivers, and the roll runs from k.
+    assert loynes._multiples(9980000.1, 0.1) == 99_800_001
     tenth = StationaryPath(NON_DYADIC)
     three_tenths = StationaryPath(random_lattice_spec(np.random.default_rng(3), alpha=0.3))
     for path, u0 in ((tenth, (99_800_001,)), (tenth, (20_971_524,)), (tenth, (20_971_524, 99_800_001)),
                      (three_tenths, (27_962_031,))):
         _assert_lattice_matches_loop(path, 0, 2 * CHUNK + 1, u0)
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.3])
+def test_multiples_of_large_values_are_the_largest_below(alpha):
+    # The cftp box top and the reachable-set caps are read by ``_multiples``:
+    # the largest k with fl(k * alpha) <= v. From about k = 2e7 the floor of
+    # v / alpha with its 1e-9 slack reads fl(k * alpha) as k - 1; the
+    # correction reads every multiple as itself and every value halfway
+    # between two multiples as the lower one, up to k = 2^50.
+    rng = np.random.default_rng(int(alpha * 10))
+    k = np.concatenate([np.arange(20_971_500, 20_971_600), np.arange(99_799_950, 99_800_050),
+                        np.sort(rng.integers(2**24, 2**50, size=2000))])
+    exact, halfway = k * alpha, (k + 0.5) * alpha
+    assert (np.floor(exact / alpha + 1e-9) < k).sum() >= 10   # the floor alone misses these
+    assert loynes._multiples(exact, alpha).tolist() == k.tolist()
+    got = loynes._multiples(halfway, alpha)
+    assert got.tolist() == k.tolist()
+    assert (got * alpha <= halfway).all() and ((got + 1) * alpha > halfway).all()
+    assert [lattice_floor(v, alpha) for v in exact[::50].tolist()] == k[::50].tolist()
 
 
 def test_lattice_roll_small_chunks_match_loop(monkeypatch):

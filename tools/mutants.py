@@ -55,20 +55,34 @@ MUTANTS = (
            "        if False:\n",
            ("tests/test_cli.py::test_cli_hset_nesting_failure_exit_1",)),
     Mutant("reachable-rank-in-own-box", COUPLING,
-           "_rank(table, np.repeat(entry[nxt], reps), images.T)\n"
-           "                                       + np.repeat(starts[nxt], reps))",
-           "_rank(table, np.repeat(entry[lo:hi], reps), images.T)\n"
-           "                                       + np.repeat(starts[lo:hi], reps))",
+           "_rank(table, entry.take(nxt), images.T, out=place)\n"
+           "        place += starts.take(nxt)\n",
+           "_rank(table, entry.take(nxt - 1), images.T, out=place)\n"
+           "        place += starts.take(nxt - 1)\n",
            ("tests/test_coupling.py::test_reachable_profile_against_per_depth_reference",
             "tests/test_acceptance.py::test_criterion_9_lattice_reachable_sets")),
-    Mutant("reachable-groups-deepest-first", COUPLING,
-           "for lo, hi in reversed(_groups(sizes[:-1], cap)):",
+    # The roots are composed after every group, so the group order changes
+    # no set; it decides only which of several refusals is named.
+    Mutant("reachable-groups-shallowest-first", COUPLING,
            "for lo, hi in _groups(sizes[:-1], cap):",
-           ("tests/test_coupling.py::test_reachable_profile_in_groups_of_boxes",)),
+           "for lo, hi in reversed(_groups(sizes[:-1], cap)):",
+           ("tests/test_coupling.py::test_reachable_refusal_names_the_deepest_box_whatever_the_groups",)),
+    # Each row's root is ceil(log2(deepest)) pointer-jumping passes away, and
+    # depth d's set is the rows whose reach is at least d.
+    Mutant("reachable-roots-one-pass-short", COUPLING,
+           "spare, span = np.empty_like(root), 1",
+           "spare, span = np.empty_like(root), 2",
+           ("tests/test_coupling.py::test_reachable_profile_against_per_depth_reference",
+            "tests/test_acceptance.py::test_criterion_9_lattice_reachable_sets")),
+    Mutant("reachable-reach-strict", COUPLING,
+           "np.searchsorted(reach[order], depths)",
+           "np.searchsorted(reach[order], depths, side=\"right\")",
+           ("tests/test_coupling.py::test_reachable_profile_against_per_depth_reference",
+            "tests/test_acceptance.py::test_criterion_9_lattice_reachable_sets")),
     # Ranks and the risk and box of a certified read.
     Mutant("rank-without-first-term", COUPLING,
-           "    rank = table[0].take(first)   # T[0, v_{-1}]: the box size\n",
-           "    rank = table[0].take(first) * 0\n",
+           "    rank = table[0].take(first, out=out, mode=\"clip\")   # T[0, v_{-1}]: the box size\n",
+           "    rank = table[0].take(first, out=out, mode=\"clip\")\n    rank *= 0\n",
            ("tests/test_coupling.py::test_rank_tables_rank_every_box_row",
             "tests/test_coupling.py::test_reachable_profile_against_per_depth_reference")),
     Mutant("chernoff-best-gap-state", LOYNES,
@@ -83,8 +97,15 @@ MUTANTS = (
     # which reads fl(k * alpha) as k - 1 for large k.
     Mutant("exact-start-read-by-floor", LOYNES,
            "k = np.rint(np.nan_to_num(start, nan=0.0, posinf=0.0, neginf=0.0) / alpha).astype(np.int64)",
-           "k = _multiples(np.nan_to_num(start, nan=0.0, posinf=0.0, neginf=0.0), alpha)",
+           "k = np.floor(np.nan_to_num(start, nan=0.0, posinf=0.0, neginf=0.0) / alpha + 1e-9).astype(np.int64)",
            ("tests/test_rolls.py::test_lattice_roll_from_a_large_start_matches_loop",)),
+    # The box top and the caps: that floor, corrected upward to the largest
+    # k with fl(k * alpha) <= v.
+    Mutant("multiples-without-upward-correction", LOYNES,
+           "if v.max(initial=0.0) >= 2**22 * alpha:",
+           "if False:",
+           ("tests/test_rolls.py::test_multiples_of_large_values_are_the_largest_below[0.1]",
+            "tests/test_rolls.py::test_lattice_roll_from_a_large_start_matches_loop")),
     # The grid of cftp starts.
     Mutant("cftp-grid-one-early", COUPLING,
            "start = max((at - rung) // rung * rung, at - max_horizon)",
