@@ -27,9 +27,7 @@ from .coupling import (
 from .des import CrossValidation, Trace, cross_validate, run
 from .metrics import (
     BoundReport,
-    ConditionReport,
     bound_report,
-    estimate_conditions,
     loss_probability,
 )
 from .config import ExperimentConfig, RunParams, load_config, parse_config
@@ -49,9 +47,7 @@ __all__ = [
     "Uniform",
     "StepOutcome",
     "advance",
-    "ConditionReport",
     "SupremumBound",
-    "estimate_conditions",
     "supremum_bound",
     "CftpResult",
     "ReachableSet",

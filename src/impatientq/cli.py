@@ -177,6 +177,9 @@ def cmd_renovate(cfg: ExperimentConfig, out_dir: Path) -> int:
     payload.update({
         "window": list(scan.window),
         "frequency": scan.frequency,
+        "z1_zero": scan.z1_zero,
+        "work_le_tau": scan.work_le_tau,
+        "sigma_lt_tau": scan.sigma_lt_tau,
         "n_events": len(scan.events),
         "estimate_depth": scan.estimate.horizon_used,
         "z_depth": scan.estimate.z_depth,

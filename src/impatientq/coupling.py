@@ -72,9 +72,16 @@ class RenovationEvent:
 
 @dataclass(frozen=True)
 class RenovationScan:
+    """The events of a window and their frequency there, with the
+    frequencies of the paper's simpler sufficient conditions: an empty top
+    supremum (``z1_zero``), ``sigma + patience <= tau`` and ``sigma < tau``."""
+
     events: tuple[RenovationEvent, ...]
     window: tuple[int, int]
     frequency: float
+    z1_zero: float
+    work_le_tau: float
+    sigma_lt_tau: float
     estimate: CftpResult
 
 
@@ -87,6 +94,11 @@ def detect_renovation(path: StationaryPath, servers: int,
     later indices). Detection refuses to run from an estimate whose chain
     did not close (``_envelope_estimate``): an under-estimate could flag
     spurious events.
+
+    The rolled estimate's top coordinate takes the one-dimensional
+    recursion of the top supremum Z1, so ``z1_zero`` counts its zeros; an
+    all-zero state meets every inequality of the event, so each is an
+    event. The driver conditions are counted on the block the gap sums read.
     """
     a, b = window
     if b < a:
@@ -94,13 +106,16 @@ def detect_renovation(path: StationaryPath, servers: int,
     est = _envelope_estimate(path, servers, a, "upper")
     n = b - a + 1
     states = envelope_states(path, a, n - 1, est.value, "upper")
-    tau = path.block(a, n + servers).tau
-    mask, sums_by_ell = _renovation_mask(states, tau, servers)
+    blk = path.block(a, n + servers)
+    mask, sums_by_ell = _renovation_mask(states, blk.tau, servers)
     events = []
     for row in np.flatnonzero(mask):
         sums = tuple(float(col[row]) for col in sums_by_ell)
         events.append(RenovationEvent(a + int(row), tuple(map(float, states[row])), sums))
-    return RenovationScan(tuple(events), (a, b), len(events) / n, est)
+    sigma, tau = blk.sigma[:n], blk.tau[:n]
+    hits = (states[:, -1] == 0.0, sigma + blk.patience[:n] <= tau, sigma < tau)
+    return RenovationScan(tuple(events), (a, b), len(events) / n,
+                          *(np.count_nonzero(h) / n for h in hits), est)
 
 
 # ---------------------------------------------------------------------------

@@ -91,15 +91,13 @@ def advance_batch(u: np.ndarray, tau, sigma, patience) -> tuple[np.ndarray, np.n
     return _exact_lane_step(u.T, tau, sigma, patience, np.empty_like(u.T)).T, u[:, 0] <= patience
 
 
-def _merge_shift_batch(u: np.ndarray, x, tau, out=None) -> np.ndarray:
+def _merge_shift_batch(u: np.ndarray, x, tau, out: np.ndarray) -> np.ndarray:
     # Coordinate i of every state is ``u[i]``: contiguous in a C-ordered
     # ``u``, or in the transpose of a column-major (N, S) box. ``x`` and
     # ``tau`` broadcast against ``u[0]``; the gap and the clip take the
     # state's dtype, so int64 lattice states stay int64. Every step writes
     # into ``out`` (not ``u``), so no temporary of the state's size is made;
     # ``x`` may be ``out[-1]``, which only the last merge step overwrites.
-    if out is None:
-        out = np.empty_like(u)
     if len(u) > 1:
         np.maximum(u[:-1], x, out=out[:-1])
         np.minimum(out[:-1], u[1:], out=out[:-1])

@@ -17,9 +17,6 @@ upper envelope's top coordinate, shifted to lag S by a delay line.
 Confidence intervals use batch means (the driver sequence may be
 dependent) over a fixed 30 batches, so the Student-t quantile is one
 constant. The batch length grows with the sample size; the count does not.
-
-The module also estimates the frequencies of the sufficient stability
-conditions (``estimate_conditions``), with binomial intervals.
 """
 
 from __future__ import annotations
@@ -30,9 +27,9 @@ from typing import Optional
 
 import numpy as np
 
-from .coupling import CftpResult, _envelope_estimate, cftp, detect_renovation
+from .coupling import _envelope_estimate, cftp
 from .errors import ContractError
-from .loynes import certified_supremum, envelope_states, sandwich_states
+from .loynes import certified_supremum, sandwich_states
 from .sequences import StationaryPath
 
 BATCHES = 30
@@ -183,50 +180,3 @@ def bound_report(path: StationaryPath, servers: int, n_samples: int, at: int = 0
     return BoundReport(*(batch_means(ind) for ind in inds), n_samples=n_samples,   # p_lower .. p_z
                        lower_stabilized=lower.coalesced, upper_stabilized=upper.coalesced,
                        z_stabilized=zb.stabilized, samples=samples)
-
-
-# ---------------------------------------------------------------------------
-# Stability-condition estimation
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    """Empirical frequencies of the sufficient stability conditions."""
-
-    n_samples: int
-    z1_zero: ProbabilityEstimate
-    work_le_tau: ProbabilityEstimate        # sigma + patience <= tau
-    sigma_lt_tau: ProbabilityEstimate       # sigma < tau
-    renovation: ProbabilityEstimate         # the coalescence-forcing event
-    z_depth: int
-    upper_estimate: CftpResult
-
-
-def estimate_conditions(path: StationaryPath, servers: int, n_samples: int,
-                        at: int = 0) -> ConditionReport:
-    """Monte-Carlo frequencies of the stability conditions over
-    ``n_samples`` consecutive indices starting at ``at``; the top supremum
-    is read to the depth its certificate needs, and the renovation events
-    are ``coupling.detect_renovation``'s over the same window."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    blk = path.block(at, n_samples)
-    work_le_tau = int(np.count_nonzero(blk.sigma + blk.patience <= blk.tau))
-    sigma_lt_tau = int(np.count_nonzero(blk.sigma < blk.tau))
-
-    zb = certified_supremum(path, at, 1)
-    z_hits = int(np.count_nonzero(envelope_states(path, at, n_samples - 1, zb.values, "upper") == 0.0))
-
-    scan = detect_renovation(path, servers, (at, at + n_samples - 1))
-
-    return ConditionReport(
-        n_samples=n_samples,
-        z1_zero=ProbabilityEstimate.binomial(z_hits, n_samples),
-        work_le_tau=ProbabilityEstimate.binomial(work_le_tau, n_samples),
-        sigma_lt_tau=ProbabilityEstimate.binomial(sigma_lt_tau, n_samples),
-        renovation=ProbabilityEstimate.binomial(len(scan.events), n_samples),
-        z_depth=zb.horizon,
-        upper_estimate=scan.estimate,
-    )
-

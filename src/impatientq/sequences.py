@@ -327,6 +327,8 @@ class SequenceSpec:
       marginals; each chain state is read by coupling from the past, so the
       sequence is exactly stationary and ergodic (see
       ``StationaryPath._states``).
+
+    A field its model does not read is refused.
     """
 
     model: str
@@ -340,6 +342,11 @@ class SequenceSpec:
     def __post_init__(self):
         if self.model not in ("iid", "deterministic", "lattice", "markov_modulated"):
             raise ConfigurationError(f"unknown model {self.model!r}")
+        read = {"markov_modulated": ("modulation",),
+                "lattice": ("tau", "sigma", "patience", "alpha")}.get(self.model, ("tau", "sigma", "patience"))
+        for name in ("tau", "sigma", "patience", "alpha", "modulation"):
+            if name not in read and getattr(self, name) is not None:
+                raise ConfigurationError(f"model {self.model!r} does not read {name}")
         if self.model == "markov_modulated":
             if self.modulation is None:
                 raise ConfigurationError("markov_modulated model requires a modulation spec")
@@ -365,16 +372,12 @@ class SequenceSpec:
     def is_lattice(self) -> bool:
         return self.model == "lattice"
 
-    @property
+    @functools.cached_property
     def laws(self) -> tuple[tuple[Distribution, Distribution, Distribution], ...]:
         """The (tau, sigma, patience) laws: one triple, or one per modulating
         state, built once."""
-        try:
-            return self._laws
-        except AttributeError:
-            laws = self.__dict__["_laws"] = (self.modulation.states if self.model == "markov_modulated"
-                                             else ((self.tau, self.sigma, self.patience),))
-            return laws
+        return (self.modulation.states if self.model == "markov_modulated"
+                else ((self.tau, self.sigma, self.patience),))
 
 
 def _check_roles(tau: Distribution, sigma: Distribution, patience: Distribution):

@@ -203,15 +203,13 @@ def test_criterion_6_backward_structure():
 
 
 def test_criterion_7_renovation_coalescence():
-    from impatientq.metrics import estimate_conditions
-
     rng = np.random.default_rng(707)
     checked = 0
     for servers, seed in ((2, 501), (3, 502)):
         spec = iid_spec(seed, Deterministic(3.0), Exponential(1.0), Uniform(0.0, 1.0))
         path = StationaryPath(spec)
         # premise: the explicit sufficient condition holds empirically
-        assert estimate_conditions(path, servers, 2_000).z1_zero.probability > 0.0
+        assert detect_renovation(path, servers, (0, 1_999)).z1_zero > 0.0
         scan = detect_renovation(path, servers, (0, 9_999))
         assert scan.estimate.coalesced
         assert scan.frequency > 0.0
@@ -277,11 +275,9 @@ def test_criterion_9_lattice_reachable_sets():
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
 
     # independent coordinates, positive probability of sigma < tau
-    from impatientq.metrics import estimate_conditions
-
     spec = random_lattice_spec(np.random.default_rng(4), alpha=1.0)
     path = StationaryPath(spec)
-    assert estimate_conditions(path, 2, 2_000).sigma_lt_tau.probability > 0.0
+    assert detect_renovation(path, 2, (0, 1_999)).sigma_lt_tau > 0.0
     depth = 10 * 2
     singletons = sum(
         len(reachable_profile(path, 2, (depth,), at=401 * t)[0]) == 1

@@ -20,8 +20,8 @@ from impatientq.coupling import (
 )
 from impatientq.errors import ConfigurationError, ContractError, ResourceCapError
 from impatientq.kernel import advance, advance_lattice
-from impatientq.loynes import envelope_states, exact_states
-from impatientq.metrics import bound_report, estimate_conditions
+from impatientq.loynes import certified_supremum, envelope_states, exact_states
+from impatientq.metrics import bound_report
 from impatientq.sequences import (
     Deterministic,
     DriverSample,
@@ -91,16 +91,6 @@ def test_empty_window_rejected():
         detect_renovation(StationaryPath(DRAIN), 1, (5, 4))
 
 
-def test_renovation_frequency_consistent_with_conditions():
-    from impatientq.metrics import estimate_conditions
-
-    path = StationaryPath(MM2D)
-    n = 2_000
-    scan = detect_renovation(path, 2, (0, n - 1))
-    rep = estimate_conditions(path, 2, n)
-    assert scan.frequency == rep.renovation.probability
-
-
 def test_unstabilized_estimate_disables_detection():
     # infinite patience: the upper supremum is infinite, so there is no box
     # to read the upper estimate from and detection is refused
@@ -131,6 +121,24 @@ def test_renovation_events_against_deep_reference(name, spec, servers):
         scan = detect_renovation(path, servers, (a, a + 99))
         assert [ev.index for ev in scan.events] == want, (a, scan.estimate, tuple(y0.tolist()))
         assert all(len(ev.tau_sums) == servers - 1 for ev in scan.events)
+
+
+@pytest.mark.parametrize("name, spec, servers", SWEEP, ids=[c[0] for c in SWEEP])
+def test_renovation_scan_condition_frequencies(name, spec, servers):
+    # The scan's condition frequencies against independent counts: Z1 = 0 on
+    # the top supremum certified at S = 1 and rolled by the one-dimensional
+    # upper recursion, the driver conditions on a block of the window. Every
+    # index with Z1 = 0 is an event: an all-zero upper state meets each of
+    # its inequalities.
+    path = StationaryPath(spec)
+    for a, n in ((0, 2_000), (12_200, 3_000), (-500, 1_500)):
+        scan = detect_renovation(path, servers, (a, a + n - 1))
+        z1 = envelope_states(path, a, n - 1, certified_supremum(path, a, 1).values, "upper")[:, 0]
+        blk = path.block(a, n)
+        assert scan.z1_zero == np.count_nonzero(z1 == 0.0) / n, a
+        assert scan.work_le_tau == np.count_nonzero(blk.sigma + blk.patience <= blk.tau) / n, a
+        assert scan.sigma_lt_tau == np.count_nonzero(blk.sigma < blk.tau) / n, a
+        assert set((a + np.flatnonzero(z1 == 0.0)).tolist()) <= {ev.index for ev in scan.events}, a
 
 
 def test_renovation_implies_coalescence():
@@ -586,7 +594,7 @@ def _bits(x):
 def _entry_point_calls(spec):
     """Every entry point that reads a path's memos, each a call on a path:
     the sandwich report at a, cftp of each kind at targets before and after
-    a, a renovation scan, the condition estimates, an exact roll and, on
+    a, two renovation scans, an exact roll and, on
     the lattice, a reachable profile. Their windows cross the page edge at
     12288, so the cover moves between calls."""
     a = 12_200
@@ -594,7 +602,7 @@ def _entry_point_calls(spec):
     calls += [lambda p, t=t, kind=kind: cftp(p, 2, at=t, kind=kind)
               for t in (a - 40, a + 7, a + 150) for kind in KINDS]
     calls += [lambda p: detect_renovation(p, 2, (a - 20, a + 120)),
-              lambda p: estimate_conditions(p, 2, 300, at=a + 50),
+              lambda p: detect_renovation(p, 2, (a + 50, a + 349)),
               lambda p: exact_states(p, a + 10, 200, cftp(p, 2, at=a + 10).value)]
     if spec.is_lattice:
         calls.append(lambda p: reachable_profile(p, 2, (0, 4, 9), at=a + 20))

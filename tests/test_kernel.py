@@ -348,7 +348,8 @@ def test_merge_edges_bit_identical_to_batch_and_direct(u, sigma, tau):
     x = u[0] + sigma
     got = _merge_shift(u, x, tau)
     assert all(type(v) is float for v in got)
-    batch = _merge_shift_batch(np.array([u]).T, np.array([x]), tau)[:, 0]
+    lanes = np.array([u]).T
+    batch = _merge_shift_batch(lanes, np.array([x]), tau, np.empty_like(lanes))[:, 0]
     direct = advance_direct(u, DriverSample(tau, sigma, math.inf))
     assert _float_bits(got) == batch.tobytes() == _float_bits(direct), (got, batch, direct)
 
@@ -378,7 +379,7 @@ def test_merge_bit_identical_to_batch_on_ties(servers):
     sigma = rng.integers(0, 4, n).astype(np.float64)
     tau = rng.integers(1, 4, n).astype(np.float64)
     x = u[:, 0] + sigma
-    batch = _merge_shift_batch(u.T, x, tau).T
+    batch = _merge_shift_batch(u.T, x, tau, np.empty_like(u.T)).T
     for i in range(n):
         row = tuple(u[i].tolist())
         got = _merge_shift(row, x[i].item(), tau[i].item())

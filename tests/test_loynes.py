@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from impatientq import kernel, loynes, metrics
-from impatientq.coupling import cftp
+from impatientq.coupling import cftp, detect_renovation
 from impatientq.errors import ConfigurationError, ContractError
 from impatientq.kernel import _merge_shift
 from impatientq.loynes import (
@@ -14,7 +14,6 @@ from impatientq.loynes import (
     exact_states,
     supremum_bound,
 )
-from impatientq.metrics import estimate_conditions
 from impatientq.sequences import (
     Deterministic,
     Exponential,
@@ -269,37 +268,22 @@ def test_lane_rolls_hand_the_merge_contiguous_lanes(monkeypatch):
 
 
 def test_conditions_drain():
-    rep = estimate_conditions(StationaryPath(DRAIN), 2, 1000)
-    assert rep.work_le_tau.probability == 1.0
-    assert rep.z1_zero.probability == 1.0
-    assert rep.renovation.probability == 1.0
+    scan = detect_renovation(StationaryPath(DRAIN), 2, (0, 999))
+    assert scan.work_le_tau == 1.0
+    assert scan.z1_zero == 1.0
+    assert scan.frequency == 1.0
 
 
 def test_conditions_growth():
-    rep = estimate_conditions(StationaryPath(GROWTH), 1, 1000)
-    assert rep.sigma_lt_tau.probability == 0.0
-    assert rep.renovation.probability == 0.0   # upper state is constant 2 > 0
+    scan = detect_renovation(StationaryPath(GROWTH), 1, (0, 999))
+    assert scan.sigma_lt_tau == 0.0
+    assert scan.frequency == 0.0   # upper state is constant 2 > 0
 
 
 def test_conditions_exponential_pair():
     spec = iid_spec(11, Exponential(1.0), Exponential(1.0), Deterministic(0.0))
-    rep = estimate_conditions(StationaryPath(spec), 1, 100_000)
-    assert abs(rep.work_le_tau.probability - 0.5) <= 0.01
-
-
-def test_conditions_read_the_top_supremum_at_z_depth():
-    # z_depth is the depth the certificate needed for the one-dimensional
-    # top supremum: certified there, and far short of a fixed 4096
-    path = StationaryPath(MM2D)
-    rep = estimate_conditions(path, 2, 200)
-    assert rep.z_depth == certified_supremum(path, 0, 1).horizon
-    assert supremum_bound(path, 0, rep.z_depth, 1).stabilized
-    assert 1 <= rep.z_depth < 4096
-
-
-def test_conditions_reject_empty():
-    with pytest.raises(ValueError):
-        estimate_conditions(StationaryPath(DRAIN), 2, 0)
+    scan = detect_renovation(StationaryPath(spec), 1, (0, 99_999))
+    assert abs(scan.work_le_tau - 0.5) <= 0.01
 
 
 def test_supremum_certificate_against_deep_reference():

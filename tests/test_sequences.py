@@ -29,6 +29,7 @@ from impatientq.sequences import (
 )
 from support import (
     CERTIFY,
+    LATTICE,
     MM_SPEC,
     det_spec,
     full_search_chain_run,
@@ -965,6 +966,26 @@ def test_invalid_specs():
     with pytest.raises(ConfigurationError):
         # infinite-mean tau
         iid_spec(1, Deterministic(math.inf), Exponential(1.0), Deterministic(1.0))
+
+
+UNREAD_FIELDS = [
+    (CERTIFY, "alpha", 0.5),
+    (det_spec(1, 2.0, 1.0, 1.0), "alpha", 0.5),
+    (MM_SPEC, "alpha", 0.5),
+    (MM_SPEC, "tau", Exponential(1.0)),
+    (MM_SPEC, "sigma", Exponential(1.0)),
+    (MM_SPEC, "patience", Deterministic(1.0)),
+    (CERTIFY, "modulation", MM_SPEC.modulation),
+    (LATTICE, "modulation", MM_SPEC.modulation),
+]
+
+
+@pytest.mark.parametrize("spec, name, value", UNREAD_FIELDS,
+                         ids=[f"{spec.model}-{name}" for spec, name, _ in UNREAD_FIELDS])
+def test_spec_refuses_a_field_its_model_does_not_read(spec, name, value):
+    # The config parser refuses such a key; the constructor refuses the field.
+    with pytest.raises(ConfigurationError, match=f"model '{spec.model}' does not read {name}"):
+        dataclasses.replace(spec, **{name: value})
 
 
 def test_spec_hash_is_the_fields_hash_and_keeps_equality():

@@ -314,6 +314,14 @@ MUTANTS = (
            "if True:",
            ("tests/test_sequences.py::test_shared_laws_sample_as_per_state_laws[sigma]",
             "tests/test_sequences.py::test_markov_cover_matches_masked_reference[random3]")),
+    # Z1 is the rolled upper estimate's top coordinate; at S = 1 it is also
+    # the least, so only the configs with S >= 2 can kill this.
+    Mutant("renovate-z1-least-coordinate", COUPLING,
+           "states[:, -1] == 0.0",
+           "states[:, 0] == 0.0",
+           tuple(f"tests/test_coupling.py::test_renovation_scan_condition_frequencies[{name}]"
+                 for name in ("mm2-d1", "bursty", "lattice", "certify", "iid-1", "iid-2",
+                              "mm-0", "mm-1", "lattice-0", "lattice-1"))),
 )
 
 
