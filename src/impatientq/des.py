@@ -21,12 +21,13 @@ is the same multiset, sorted, bit for bit; the simulator shares no
 arithmetic with the kernel it is checked against.
 
 The line is walked once per arrival: the fold's walk also takes the last
-gap off each waiting customer's patience, the same subtraction the gap
-itself would make, and drops the customers it leaves past their deadline.
-Dropping only keeps the line short: an expired entry never fits in the
-fold and would be lost when it reached the head. During a gap the line
-holds patiences as of its start, which the FCFS starts compare against
-the completion times measured from that arrival.
+gap off each waiting customer's patience in place, the same subtraction
+the gap itself would make. An entry left below zero never fits in the fold
+(no virtual workload is negative) and would be lost at the head, so the
+line is rebuilt without such entries, only at an arrival where a deadline
+passed. During a gap the line holds patiences as of its start, which the
+FCFS starts compare against the completion times measured from that
+arrival.
 
 Timekeeping is relative to the current arrival (everything is decremented
 by each gap), so float error does not grow with the horizon. A lattice path
@@ -72,8 +73,8 @@ def run(path: StationaryPath, servers: int, n_arrivals: int) -> Trace:
     """Simulate ``n_arrivals`` customers from an initially empty system.
 
     The engine's flat list of workloads is reshaped once. A lattice run's
-    multiples are scaled by ``alpha`` in one array multiply; int64 to
-    float64 is exact here, so each value has the bits of ``k * alpha``.
+    multiples (``np.fromiter``) are scaled by ``alpha`` in one multiply;
+    int64 to float64 is exact here, so each value has the bits of ``k * alpha``.
     """
     if servers < 1:
         raise ValueError("servers must be >= 1")
@@ -81,7 +82,7 @@ def run(path: StationaryPath, servers: int, n_arrivals: int) -> Trace:
         raise ValueError("n_arrivals must be >= 1")
     flat, served = _simulate(path, servers, n_arrivals, 0 if path.spec.is_lattice else 0.0)
     if path.spec.is_lattice:
-        seen = np.array(flat, dtype=np.int64) * path.spec.alpha
+        seen = np.fromiter(flat, dtype=np.int64, count=len(flat)) * path.spec.alpha
     else:
         seen = np.array(flat, dtype=np.float64)
     return Trace(seen.reshape(n_arrivals, servers), np.frombuffer(served, dtype=bool))
@@ -106,18 +107,18 @@ def _simulate(path: StationaryPath, servers: int, n_arrivals: int, zero) -> tupl
             taus[-1] = math.inf
         for j in range(count):
             # Virtual workloads just before this arrival. The walk ages the
-            # line by the last gap and drops whom it leaves past a deadline.
+            # line in place by the last gap, and drops whom it leaves expired.
             if line:
                 fold = residuals.copy()  # an ascending list is a heap
-                waiting: deque[list] = deque()
+                expired = False
                 for entry in line:
-                    rem = entry[0] - gap
-                    if rem >= zero:
-                        entry[0] = rem
-                        waiting.append(entry)
-                        if fold[0] <= rem:
-                            heapreplace(fold, fold[0] + entry[1])
-                line = waiting
+                    rem = entry[0] = entry[0] - gap
+                    if fold[0] <= rem:
+                        heapreplace(fold, fold[0] + entry[1])
+                    elif rem < zero:
+                        expired = True
+                if expired:
+                    line = deque(entry for entry in line if entry[0] >= zero)
                 fold.sort()
                 seen += fold
                 line.append([patiences[j], sigmas[j], pos + j])
@@ -194,7 +195,10 @@ def write_trace(records: Trace, out: IO[str]):
     repeated row template. ``%s`` of a float is its ``repr``, which never
     holds a comma or a quote, so no field needs CSV quoting. A block with
     few distinct values (a lattice trace) formats each of them once; they
-    are told apart by their bits, so ``0.0`` and ``-0.0`` stay apart.
+    are told apart by their bits, so ``0.0`` and ``-0.0`` stay apart. Each
+    distinct row, keyed on its values' ranks and its served flag, is joined
+    once and written after each of its indices; a block whose key would
+    not fit an int64 writes that text value by value.
     """
     n, servers = records.seen.shape
     out.write(",".join(["index", *(f"W{i + 1}" for i in range(servers)), "served", "loss"]) + "\n")
@@ -202,14 +206,25 @@ def write_trace(records: Trace, out: IO[str]):
     flags = np.array(["0,1", "1,0"], dtype=object)  # served, loss
     for a in range(0, n, _WRITE_ROWS):
         block = records.seen[a:a + _WRITE_ROWS]
+        served = records.served[a:a + _WRITE_ROWS].view(np.uint8)
         rows = len(block)
-        cells = np.empty((rows, servers + 2), dtype=object)
-        cells[:, 0] = range(a, a + rows)
         bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
-        if 2 * bits.size < block.size:
+        few = 2 * bits.size < block.size
+        if few:
             text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-            cells[:, 1:-1] = text[inverse].reshape(block.shape)
+            ranks = inverse.reshape(block.shape)
+        if few and 2 * bits.size ** servers <= 1 << 63:
+            key = served.astype(np.int64)
+            for column in ranks.T:
+                key = key * bits.size + column
+            _, first, row_of = np.unique(key, return_index=True, return_inverse=True)
+            lines = np.array([",".join([*row, flags[flag]]) + "\n" for row, flag in
+                              zip(text[ranks[first]].tolist(), served[first].tolist())], dtype=object)
+            cells, form = np.empty((rows, 2), dtype=object), "%d,%s" * rows
+            cells[:, 1] = lines[row_of]
         else:
-            cells[:, 1:-1] = block
-        cells[:, -1] = flags[records.served[a:a + rows].view(np.uint8)]
-        out.write((template * rows) % tuple(cells.ravel()))
+            cells, form = np.empty((rows, servers + 2), dtype=object), template * rows
+            cells[:, 1:-1] = text[ranks] if few else block
+            cells[:, -1] = flags[served]
+        cells[:, 0] = range(a, a + rows)
+        out.write(form % tuple(cells.ravel()))

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import math
+from collections import deque
 from heapq import heapreplace
 
 import numpy as np
@@ -305,7 +306,9 @@ def test_write_trace_bytes_match_csv_writer(spec, servers, n):
 @pytest.mark.parametrize("spec,servers", [
     (iid_spec(12, Exponential(1.0), Exponential(0.5), Uniform(0.0, 1.0)), 2),
     (random_lattice_spec(np.random.default_rng(9), alpha=0.3), 3),
-], ids=["iid", "lattice"])
+    # about 300 values a block, whose ranks over 8 servers overflow an int64 key
+    (random_lattice_spec(np.random.default_rng(9), alpha=0.3, sigma_max=300), 8),
+], ids=["iid", "lattice", "lattice-wide"])
 def test_write_trace_bytes_match_csv_writer_at_write_seams(spec, servers, rows):
     _assert_writers_agree(run(StationaryPath(spec), servers, rows))
 
@@ -313,27 +316,46 @@ def test_write_trace_bytes_match_csv_writer_at_write_seams(spec, servers, rows):
 @pytest.mark.parametrize("rows", [des._WRITE_ROWS - 1, des._WRITE_ROWS + 1])
 def test_write_trace_formats_values_by_their_bits(rows):
     # Blocks of few distinct values, where 0.0 and -0.0 compare equal but
-    # print apart, and blocks of mostly distinct values holding both zeros.
+    # print apart, and blocks of mostly distinct values holding both zeros,
+    # alone and alternating across the writer's block seams. Few-valued
+    # blocks also hold rows that differ only in the sign of a zero, and rows
+    # repeated with the opposite served flag: at 8 servers over 215 values
+    # (the most whose row key fits an int64) and over 256, whose key would
+    # lose the flag to an overflow.
     rng = np.random.default_rng(rows)
     pool = np.array([0.0, -0.0, 0.5, 0.1 + 0.2, 1e-5, 1e16, 2.5e-300, 7.0])
     few = pool[rng.integers(0, pool.size, (rows, 3))]
     many = rng.exponential(size=(rows, 3))
     many[rng.random((rows, 3)) < 0.2] = 0.0
     many[rng.random((rows, 3)) < 0.2] = -0.0
-    for seen in (few, many, np.vstack([few, many]), np.vstack([many, few])):
-        text = _assert_writers_agree(Trace(seen, rng.random(len(seen)) < 0.5))
+    half = few[:rows // 2]
+    cases = [(seen, rng.random(len(seen)) < 0.5) for seen in (
+        few, many, np.vstack([few, many]), np.vstack([many, few]), np.vstack([few, many, few, many]),
+        np.vstack([half, np.where(half == 0.0, -half, half)]))]
+    for distinct in (215, 256):
+        wide = np.concatenate([pool, np.arange(distinct - pool.size) / 8.0 + 100.0])
+        wide = wide[rng.integers(0, distinct, (rows // 2, 8))]
+        flags = rng.random(len(wide)) < 0.5
+        assert np.unique(wide.view(np.int64)).size == distinct
+        cases.append((np.vstack([wide, wide]), np.concatenate([flags, ~flags])))
+    for seen, served in cases:
+        text = _assert_writers_agree(Trace(seen, served))
         assert ",-0.0," in text and ",0.0," in text
 
 
-def _reference_engine(path, servers, n):
+def _reference_engine(path, servers, n, lines=None):
     """The simulator before its residuals were kept ascending: residuals in
     server order, a sorted copy for every fold, ``min`` and ``list.index``
     to find the server that takes a job, and the line purged at every
-    arrival. Workloads are in the path's own arithmetic."""
+    arrival. Workloads are in the path's own arithmetic. Given a list
+    ``lines``, the line's remaining patiences at each arrival, before the
+    purge, are appended to it."""
     zero = 0 if path.spec.is_lattice else 0.0
     taus, sigmas, patiences = (col.tolist() for col in _exact_drivers(path, 0, n))
     residuals, line, seen, served = [zero] * servers, [], [], [False] * n
     for j in range(n):
+        if lines is not None:
+            lines.append([entry[0] for entry in line])
         line = [entry for entry in line if entry[0] >= zero]
         fold = sorted(residuals)
         for rem, sig, _ in line:
@@ -392,6 +414,52 @@ def test_run_equals_the_recursion_across_engine_chunks(kind, seed):
     assert trace.served.tolist() == ref_served
     assert np.array_equal(trace.served, accepted)
     assert 0 < accepted.sum() < n
+
+
+def _steps(*multiples, probs=None):
+    """A law on multiples of the step 1, uniform unless ``probs`` is given."""
+    return LatticeDiscrete(1.0, multiples, probs or (1 / len(multiples),) * len(multiples))
+
+
+@pytest.mark.parametrize("seed,tau,sigma,patience,happens,head", [
+    # Gap 1, service 2, patience 1 on one server: customer 1's deadline
+    # falls on the departure at t = 2 and she starts then; customer 2's
+    # remaining patience is exactly 0 at arrival 3, where she stays in line
+    # but cannot fit behind the busy server (nobody waits while a virtual
+    # workload is 0), so she is lost at the head.
+    (1, _steps(1), _steps(2), _steps(1), lambda rems: 0 in rems, [True, True, False, True]),
+    # A customer of patience 0 who waits expires at the next arrival,
+    # behind customers of patience 6 who do not.
+    (2, _steps(1), _steps(4), _steps(0, 6, probs=(0.3, 0.7)),
+     lambda rems: len(rems) > 1 and rems[-1] < 0 <= min(rems[:-1]), None),
+    # A gap of 3 behind a service of 20 expires the whole line of patience 2.
+    (3, _steps(1, 3, probs=(0.7, 0.3)), _steps(20), _steps(2),
+     lambda rems: len(rems) > 1 and max(rems) < 0, None),
+], ids=["patience-exactly-zero", "last-entry-expires", "every-entry-expires"])
+def test_walk_ages_the_line_in_place_and_rebuilds_it_at_expiries(monkeypatch, seed, tau, sigma, patience,
+                                                                  happens, head):
+    # The walk takes each gap off the waiting entries in place and builds a
+    # new line only at an arrival where some remaining patience fell below
+    # 0. Bit for bit against the reference engine, which purges the line at
+    # every arrival, and against the recursion's acceptance; the engine
+    # builds one line to start with and one per arrival with an expiry.
+    built = []
+    monkeypatch.setattr(des, "deque", lambda *args: built.append(args) or deque(*args))
+    spec = SequenceSpec(model="lattice", seed=seed, alpha=1.0, tau=tau, sigma=sigma, patience=patience)
+    path, n = StationaryPath(spec), 200
+    trace = run(path, 1, n)
+    lines = []
+    ref_seen, ref_served = _reference_engine(path, 1, n, lines)
+    states, accepted = exact_states(path, 0, n, (0.0,))
+    assert any(map(happens, lines))
+    assert trace.seen[:, 0].tolist() == [float(u) for u, in ref_seen]
+    assert np.array_equal(trace.seen.view(np.int64), states[:-1].view(np.int64))
+    assert trace.served.tolist() == ref_served
+    assert np.array_equal(trace.served, accepted)
+    assert 0 < accepted.sum() < n
+    assert len(built) == 1 + sum(min(rems, default=0) < 0 for rems in lines)
+    if head:
+        assert trace.served[:len(head)].tolist() == head
 
 
 @pytest.mark.parametrize("kind", ["iid", "lattice"])
