@@ -197,8 +197,8 @@ def write_trace(records: Trace, out: IO[str]):
     few distinct values (a lattice trace) formats each of them once; they
     are told apart by their bits, so ``0.0`` and ``-0.0`` stay apart. Each
     distinct row, keyed on its values' ranks and its served flag, is joined
-    once and written after each of its indices; a block whose key would
-    not fit an int64 writes that text value by value.
+    once and written after each of its indices; a key that the next
+    column's ranks would take past an int64 is ranked first.
     """
     n, servers = records.seen.shape
     out.write(",".join(["index", *(f"W{i + 1}" for i in range(servers)), "served", "loss"]) + "\n")
@@ -209,14 +209,14 @@ def write_trace(records: Trace, out: IO[str]):
         served = records.served[a:a + _WRITE_ROWS].view(np.uint8)
         rows = len(block)
         bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
-        few = 2 * bits.size < block.size
-        if few:
+        if 2 * bits.size < block.size:
             text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
             ranks = inverse.reshape(block.shape)
-        if few and 2 * bits.size ** servers <= 1 << 63:
-            key = served.astype(np.int64)
+            key, size = served.astype(np.int64), 2
             for column in ranks.T:
-                key = key * bits.size + column
+                if size * bits.size > 1 << 63:  # ranked, the key so far is below ``rows``
+                    key, size = np.unique(key, return_inverse=True)[1], rows
+                key, size = key * bits.size + column, size * bits.size
             _, first, row_of = np.unique(key, return_index=True, return_inverse=True)
             lines = np.array([",".join([*row, flags[flag]]) + "\n" for row, flag in
                               zip(text[ranks[first]].tolist(), served[first].tolist())], dtype=object)
@@ -224,7 +224,7 @@ def write_trace(records: Trace, out: IO[str]):
             cells[:, 1] = lines[row_of]
         else:
             cells, form = np.empty((rows, servers + 2), dtype=object), template * rows
-            cells[:, 1:-1] = text[ranks] if few else block
+            cells[:, 1:-1] = block
             cells[:, -1] = flags[served]
         cells[:, 0] = range(a, a + rows)
         out.write(form % tuple(cells.ravel()))

@@ -285,7 +285,11 @@ def _assert_writers_agree(trace):
     new, old = io.StringIO(), io.StringIO()
     write_trace(trace, new)
     _old_write_trace(trace, old)
-    assert new.getvalue() == old.getvalue()
+    got, want = new.getvalue().split("\n"), old.getvalue().split("\n")
+    # Names the first differing line: pytest's diff of two texts of hundreds
+    # of kB would take minutes.
+    bad = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), min(len(got), len(want)))
+    assert bad == len(got) == len(want), f"line {bad}: {got[bad:bad + 1]} != {want[bad:bad + 1]}"
     return new.getvalue()
 
 
@@ -306,7 +310,7 @@ def test_write_trace_bytes_match_csv_writer(spec, servers, n):
 @pytest.mark.parametrize("spec,servers", [
     (iid_spec(12, Exponential(1.0), Exponential(0.5), Uniform(0.0, 1.0)), 2),
     (random_lattice_spec(np.random.default_rng(9), alpha=0.3), 3),
-    # about 300 values a block, whose ranks over 8 servers overflow an int64 key
+    # about 300 values a block: over 8 servers the writer ranks its row key midway
     (random_lattice_spec(np.random.default_rng(9), alpha=0.3, sigma_max=300), 8),
 ], ids=["iid", "lattice", "lattice-wide"])
 def test_write_trace_bytes_match_csv_writer_at_write_seams(spec, servers, rows):
@@ -320,8 +324,8 @@ def test_write_trace_formats_values_by_their_bits(rows):
     # alone and alternating across the writer's block seams. Few-valued
     # blocks also hold rows that differ only in the sign of a zero, and rows
     # repeated with the opposite served flag: at 8 servers over 215 values
-    # (the most whose row key fits an int64) and over 256, whose key would
-    # lose the flag to an overflow.
+    # (the most whose packed row key fits an int64) and over 256, whose key
+    # the writer must rank midway, or it would lose the flag to an overflow.
     rng = np.random.default_rng(rows)
     pool = np.array([0.0, -0.0, 0.5, 0.1 + 0.2, 1e-5, 1e16, 2.5e-300, 7.0])
     few = pool[rng.integers(0, pool.size, (rows, 3))]

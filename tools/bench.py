@@ -11,25 +11,24 @@ direction), with every run's value. The tool exits with status 1 when a
 run ends without perfbench's JSON verdict, reports ``correct: false`` or
 fails a job.
 
-It also records the change's ``src/`` line count, the machine (``nproc``,
-python and numpy versions) and whether ``MALLOC_MMAP_THRESHOLD_`` was set
-for the runs; with ``--suites`` it also times the change's tier-1 suite and
-its mutant gate (``tools/mutants.py``), each once.
+It also records the environment perfbench wrote to the change's first
+run record (``.bench_out/<workload>-seed<S>-trace0.json``: ``nproc``, the
+python, numpy and scipy versions and the ``src/`` line count) and whether
+``MALLOC_MMAP_THRESHOLD_`` was set for the runs; with ``--suites`` it also
+times the change's tier-1 suite and its mutant gate (``tools/mutants.py``),
+each once.
 
-    python tools/bench.py PARENT [CHANGE] --out bench.json --pairs 5 oracle=10 --suites
+    python tools/bench.py PARENT [CHANGE] --out bench.json --pairs 10 --suites
 
 ``PARENT`` and ``CHANGE`` are checkout roots (``CHANGE`` defaults to the
-one holding this script); ``--pairs`` takes a pair count for every workload
-and ``W=N`` counts for single ones.
+one holding this script); every workload runs ``--pairs`` pairs.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib.metadata
 import json
 import os
-import platform
 import statistics
 import subprocess
 import sys
@@ -42,7 +41,8 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"
 
 
 def perfbench(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced perfbench run of the checkout at ``root``: its verdict line."""
+    """One untraced perfbench run of the checkout at ``root``: its verdict
+    line, with the environment from the run's record as ``env``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
@@ -50,7 +50,8 @@ def perfbench(root: Path, workload: str, seed: int, seconds: float) -> dict:
     try:
         result = json.loads(lines[-1])
         result["metrics"] = {name: m["value"] for name, m in result["metrics"].items()}
-    except (IndexError, ValueError, KeyError, TypeError):
+        result["env"] = json.loads((root / ".bench_out" / f"{workload}-seed{seed}-trace0.json").read_text())["env"]
+    except (IndexError, ValueError, KeyError, TypeError, OSError):
         raise SystemExit(f"{root}: {' '.join(cmd[1:])} exited {proc.returncode} without a verdict:\n"
                          f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
     return result
@@ -72,46 +73,31 @@ def timed(cmd: list[str], root: Path) -> dict:
     return {"seconds": round(took, 2), "exit": proc.returncode, "last_line": out}
 
 
-def pair_counts(items: list[str], workloads: list[str]) -> dict[str, int]:
-    counts = dict.fromkeys(workloads, 5)
-    for item in items:
-        name, _, n = item.rpartition("=")
-        for w in ([name] if name else workloads):
-            if w not in counts:
-                raise SystemExit(f"--pairs {item}: {w!r} is not one of {workloads}")
-            counts[w] = int(n)
-    return counts
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path, nargs="?", default=ROOT)
     ap.add_argument("--out", type=Path, required=True)
     ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    ap.add_argument("--pairs", nargs="+", default=[], metavar="N|W=N")
+    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1, help="the first pair's seed")
     ap.add_argument("--seconds", type=float, default=18.0)
     ap.add_argument("--suites", action="store_true", help="also time the change's tier-1 suite and mutant gate")
     args = ap.parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     better = {m["name"]: m["better"] for m in json.loads((roots["change"] / "BENCHMARK.json").read_text())["end_to_end"]}
-    counts = pair_counts(args.pairs, args.workloads)
 
     report: dict = {
         "command": f"perfbench/run.py --seconds {args.seconds:g} --trace 0, one fresh process a run",
         "order": "pair k runs seed first_seed + k, the parent first on even k",
         "first_seed": args.seed,
-        "nproc": len(os.sched_getaffinity(0)),
-        "python": platform.python_version(),
-        "numpy": importlib.metadata.version("numpy"),
+        "pairs": args.pairs,
         "malloc_mmap_threshold": os.environ.get("MALLOC_MMAP_THRESHOLD_"),
-        "src_lines": sum(len(p.read_text().splitlines()) for p in (roots["change"] / "src/impatientq").glob("*.py")),
         "workloads": {},
     }
     for w in args.workloads:
         runs: dict[str, list[dict]] = {"parent": [], "change": []}
-        for k in range(counts[w]):
+        for k in range(args.pairs):
             for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
                 result = perfbench(roots[side], w, args.seed + k, args.seconds)
                 runs[side].append(result)
@@ -122,9 +108,9 @@ def main(argv=None) -> int:
             values = {side: [r["metrics"][name] for r in rs] for side, rs in runs.items()}
             wins = sum((c < p) if direction == "lower" else (c > p) for p, c in zip(values["parent"], values["change"]))
             metrics[name] = {**{side: {**spread(v), "runs": v} for side, v in values.items()},
-                             "better": direction, "change_won": wins, "pairs": counts[w]}
+                             "better": direction, "change_won": wins}
+        report.setdefault("env", {k: v for k, v in runs["change"][0]["env"].items() if k != "seed"})
         report["workloads"][w] = {
-            "pairs": counts[w],
             "correct": all(r["correct"] for rs in runs.values() for r in rs),
             "failed": sum(r["failed"] for rs in runs.values() for r in rs),
             "metrics": metrics,
