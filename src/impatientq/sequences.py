@@ -9,10 +9,11 @@ generator keyed on ``(seed, stream, index)``, so the sequence shifted by
 window can be regenerated on demand, and concurrent readers never interact.
 
 Driver blocks are read-only arrays. A path keeps the most recent float
-cover it generated (whole pages of ``_CHAIN_BLOCK`` indices) among its
-memos (``_PathMemo``) and serves any window inside it as slices of that
-one. Lattice reads (``lattice_block``) round the same cover's values to
-integer multiples of the step.
+cover it generated (whole pages of ``_CHAIN_BLOCK`` indices, a Markov path's
+chain states built in one pass over them) among its memos (``_PathMemo``)
+and serves any window inside it as slices of that one. Lattice reads
+(``lattice_block``) round the same cover's values to integer multiples of
+the step.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ STREAM_PATIENCE = 0xA3
 STREAM_MODULATION = 0xA4
 
 _CHAIN_BLOCK = 4096
-_BLOCK_MEMO = 256
 CHAIN_MEMO = 1024
 # A chain block looks back from _BACK_START maps before its start, doubling
 # until the maps coalesce, and refuses past _BACK_CAP maps.
@@ -418,38 +418,27 @@ class LatticeBlock(NamedTuple):
     patience: np.ndarray   # float64, unconstrained
 
 
-def _keep(entries: OrderedDict, key, value, bound: int) -> None:
-    """Store ``value`` as the most recent entry; past ``bound``, drop the least recent."""
-    entries[key] = value   # a key stored before keeps its place, so it is moved
-    entries.move_to_end(key)
-    if len(entries) > bound:
-        entries.popitem(last=False)
-
-
 class _PathMemo:
     """The memos of one ``StationaryPath``, each with one eviction rule, read
     by one caller at a time. Every entry is a function of driver indices, so
     a memo changes cost, never a value.
     - ``cover``: ``block``'s one float cover, ``(first index, DriverBlock)``;
       ``pages``, ``loynes._exact_lists``' driver lists per page, go with it.
+      A Markov path keeps no chain states apart from the cover's values.
     - ``chains``: ``coupling.cftp``'s one box per ``(start, servers)``, with
       the chain of each kind that started from it, least recently used past
       ``CHAIN_MEMO`` (``keep_chain``; a start met again moves to the end).
     - ``suprema``: ``loynes.supremum_bound``'s resume entry per server count.
-    - ``blocks``: modulating-chain states per block index, in the smallest
-      unsigned dtype and owning their bytes, least recently used past
-      ``_BLOCK_MEMO`` (``keep_block``; a 10^6-index read spans 246).
     """
 
     def __init__(self):
-        self.cover, self.pages, self.suprema = None, {}, {}
-        self.chains, self.blocks = OrderedDict(), OrderedDict()
+        self.cover, self.pages, self.suprema, self.chains = None, {}, {}, OrderedDict()
 
     def keep_chain(self, key: tuple, entry: tuple) -> None:
-        _keep(self.chains, key, entry, CHAIN_MEMO)
-
-    def keep_block(self, b: int, states: np.ndarray) -> None:
-        _keep(self.blocks, b, states, _BLOCK_MEMO)
+        self.chains[key] = entry   # a key stored before keeps its place, so it is moved
+        self.chains.move_to_end(key)
+        if len(self.chains) > CHAIN_MEMO:
+            self.chains.popitem(last=False)
 
 
 @dataclass(frozen=True)
@@ -548,27 +537,15 @@ class StationaryPath:
         is constant every longer one is the same constant, so each state is
         exactly stationary and a pure function of ``(spec, index)``.
 
-        States are kept per chain block of ``_CHAIN_BLOCK`` indices in the
-        memo's ``blocks``. Each run of consecutive blocks not kept is built
-        in one pass (``_chain_run``). ``count`` is at least 1.
+        The states are one pass (``_chain_run``) over the chain blocks of
+        ``_CHAIN_BLOCK`` indices the window touches (for ``block``, its
+        cover's pages), sliced to the window. ``count`` is at least 1.
         """
-        memo = self._memo
-        first, last = start // _CHAIN_BLOCK, (start + count - 1) // _CHAIN_BLOCK
-        blocks = {b: memo.blocks.get(b) for b in range(first, last + 1)}
-        missing = [b for b, block in blocks.items() if block is None]
-        while missing:
-            run = 1
-            while run < len(missing) and missing[run] == missing[0] + run:
-                run += 1
-            blocks.update(zip(missing, self._chain_run(missing[0], missing[0] + run)))
-            missing = missing[run:]
-        for b, block in blocks.items():
-            memo.keep_block(b, block)
-        lo = start - first * _CHAIN_BLOCK
-        return np.concatenate(list(blocks.values()))[lo : lo + count]
+        first, lo = divmod(start, _CHAIN_BLOCK)
+        return self._chain_run(first, (start + count - 1) // _CHAIN_BLOCK + 1)[lo : lo + count]
 
-    def _chain_run(self, first: int, stop: int) -> list[np.ndarray]:
-        """Chain blocks ``first .. stop-1``, in one linear pass.
+    def _chain_run(self, first: int, stop: int) -> np.ndarray:
+        """The states of chain blocks ``first .. stop-1``, in one linear pass.
 
         The modulation uniforms are drawn once, from the first block's
         look-back window to the run's end. Each block keeps its own
@@ -588,12 +565,11 @@ class StationaryPath:
         (``_prefix_compose``) in pieces of at most ``_CHAIN_BLOCK`` maps,
         each read at the state where the last one ended, give the state
         after every move, and one ``np.repeat`` holds it until the next,
-        both in the smallest unsigned dtype that holds a state; each block
-        then copies out its own bytes. The pass starts before the first
-        window, at a state from which that window reaches the first block's
-        certified state. Only integer gathers run, so every state equals the
-        one the chain stepped index by index from the coalesced state
-        reaches, bit for bit.
+        both in the smallest unsigned dtype that holds a state. The pass
+        starts before the first window, at a state from which that window
+        reaches the first block's certified state. Only integer gathers run,
+        so every state equals the one the chain stepped index by index from
+        the coalesced state reaches, bit for bit.
         """
         spec = self.spec
         edges, cell_maps = _chain_tables(spec.modulation)
@@ -621,8 +597,7 @@ class StationaryPath:
             piece = np.take(cell_maps, cells[a : a + _CHAIN_BLOCK], axis=0)
             after[a + 1 : a + 1 + len(piece)] = _prefix_compose(piece)[:, state]
             state = after[a + len(piece)]
-        states = np.repeat(after, np.diff(moves, prepend=0, append=n))
-        return [b.copy() for b in np.split(states[_BACK_START - 1 :], stop - first)]
+        return np.repeat(after, np.diff(moves, prepend=0, append=n))[_BACK_START - 1 :]
 
 
 def _cumulative(mod: ModulationSpec) -> np.ndarray:

@@ -92,6 +92,27 @@ def erlang_b(servers: int, offered_load: float) -> float:
     return b
 
 
+def erlang_a(servers: int, arrival_rate: float, service_rate: float, abandon_rate: float) -> float:
+    """Loss probability of the M/M/S+M queue (Erlang-A), exactly.
+
+    The number in system is a birth-death chain: births at ``arrival_rate``,
+    deaths at ``min(n, S) * service_rate + (n - S)^+ * abandon_rate``. Its
+    stationary law is summed until the terms vanish past the mode, and the
+    fraction of arrivals lost is ``abandon_rate * E[queue] / arrival_rate``.
+    """
+    if servers < 1 or not min(arrival_rate, service_rate, abandon_rate) > 0.0:
+        raise ValueError("need servers >= 1 and positive rates")
+    p, total, queued, n = 1.0, 1.0, 0.0, 0
+    while True:
+        n += 1
+        ratio = arrival_rate / (min(n, servers) * service_rate + max(n - servers, 0) * abandon_rate)
+        p *= ratio
+        total += p
+        queued += max(n - servers, 0) * p
+        if n > servers and ratio < 1.0 and p * n <= 1e-17 * total:
+            return abandon_rate * queued / (arrival_rate * total)
+
+
 def mm1_wait_tail(rho: float, mu: float, x: float) -> float:
     """P(stationary wait > x) for the single-server Markovian queue."""
     if not (0.0 < rho < 1.0):
@@ -335,7 +356,7 @@ def sequential_chain_block(spec: SequenceSpec, b: int, max_depth: int = 1 << 20)
     return np.array(out, dtype=np.int64)
 
 
-def full_search_chain_run(path: StationaryPath, first: int, stop: int) -> list[np.ndarray]:
+def full_search_chain_run(path: StationaryPath, first: int, stop: int) -> np.ndarray:
     """Oracle for ``StationaryPath._chain_run``: the same linear pass, but
     every modulation uniform is mapped to its cell by ``np.searchsorted``
     and the moves are read off the cells' maps, as the pass did before it
@@ -360,8 +381,7 @@ def full_search_chain_run(path: StationaryPath, first: int, stop: int) -> list[n
         piece = np.take(cell_maps, cells[moves[a : a + _CHAIN_BLOCK]], axis=0)
         after[a + 1 : a + 1 + len(piece)] = sequences._prefix_compose(piece)[:, state]
         state = after[a + len(piece)]
-    states = np.repeat(after, np.diff(moves, prepend=0, append=n))
-    return [b.copy() for b in np.split(states[sequences._BACK_START - 1 :], stop - first)]
+    return np.repeat(after, np.diff(moves, prepend=0, append=n))[sequences._BACK_START - 1 :]
 
 
 def ordered_box_reference(caps) -> list[tuple[int, ...]]:

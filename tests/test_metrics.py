@@ -16,7 +16,7 @@ from impatientq.des import run
 from impatientq.loynes import certified_supremum, exact_states
 from impatientq.metrics import BATCHES, T_975, ProbabilityEstimate, batch_means, bound_report, loss_probability
 from impatientq.sequences import Deterministic, Exponential, StationaryPath, Uniform, stream_uniforms
-from support import DRAIN, GROWTH, LATTICE, MM_SPEC, NON_DYADIC, det_spec, erlang_b, iid_spec, mm1_wait_tail, random_iid_spec
+from support import DRAIN, GROWTH, LATTICE, MM_SPEC, NON_DYADIC, det_spec, erlang_a, erlang_b, iid_spec, mm1_wait_tail, random_iid_spec
 
 
 def test_erlang_b_values():
@@ -32,6 +32,36 @@ def test_erlang_b_arguments():
         erlang_b(2, 0.0)
     with pytest.raises(ValueError):
         erlang_b(2, -1.0)
+
+
+def test_erlang_a_values():
+    # At a very large abandonment rate a customer who finds every server
+    # busy leaves at once, as in the loss system. At abandonment rate equal
+    # to the service rate the number in system is Poisson(rho), so one
+    # server loses (rho - 1 + e^-rho) / rho of the arrivals.
+    for servers, load in ((1, 0.5), (3, 2.7), (8, 6.0)):
+        assert erlang_a(servers, 1.0, 1.0 / load, 1e9) == pytest.approx(erlang_b(servers, load), rel=1e-6)
+    for rho in (0.3, 1.0, 4.0):
+        assert erlang_a(1, rho, 1.0, 1.0) == pytest.approx((rho - 1.0 + math.exp(-rho)) / rho, rel=1e-12)
+    assert erlang_a(3, 1.0, 1 / 2.7, 1 / 13.5) == pytest.approx(0.107358, abs=5e-7)
+    with pytest.raises(ValueError):
+        erlang_a(0, 1.0, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        erlang_a(2, 1.0, 1.0, 0.0)
+
+
+def test_bound_report_p_loss_covers_erlang_a():
+    # 200 seeded M/M/3+M reports (gaps Exp(1), service mean 2.7, patience
+    # mean 13.5, 10^5 samples each): p_loss's batch-means interval covers
+    # the exact Erlang-A loss. At nominal 95 % the count covered is
+    # Binomial(200, 0.95), inside [180, 198] with probability 0.998.
+    want = erlang_a(3, 1.0, 1 / 2.7, 1 / 13.5)
+    covered = 0
+    for seed in range(1000, 1200):
+        spec = iid_spec(seed, Exponential(1.0), Exponential(1 / 2.7), Exponential(1 / 13.5))
+        est = bound_report(StationaryPath(spec), 3, 100_000).p_loss
+        covered += abs(est.probability - want) <= est.half_width
+    assert 180 <= covered <= 198, covered
 
 
 def test_mm1_wait_tail_values():

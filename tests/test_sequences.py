@@ -326,63 +326,44 @@ def test_states_over_covers_match_sequential_chain(monkeypatch, chain, back_star
         count = int(rng.integers(1, 10 * _CHAIN_BLOCK))
         got = StationaryPath(spec)._states(lo, count)
         m = spec.modulation.n_states()
-        assert got.dtype == np.min_scalar_type(m - 1), (got.dtype, m)   # the memo's blocks, not widened
+        assert got.dtype == np.min_scalar_type(m - 1), (got.dtype, m)   # the pass's dtype, not widened
         assert np.array_equal(got, _reference_states(spec, lo, count)), (lo, count)
-
-
-@pytest.mark.parametrize("chain", COVER_CHAINS)
-def test_partly_cached_runs_through_shifts(monkeypatch, chain):
-    # The chain-block memo is keyed on the block index: a wide read after
-    # scattered narrow ones builds only the runs between cached blocks, and
-    # every block it returns, cached or new, is the stepped reference.
-    spec = _chain_spec(CHAINS[chain])
-    path = StationaryPath(spec)
-    for b in (-4, -1, 0, 3, 4):
-        path.block(b * _CHAIN_BLOCK + 100, 50)
-    assert set(path._memo.blocks) == {-4, -1, 0, 3, 4}
-    runs, chain_run = [], StationaryPath._chain_run
-    monkeypatch.setattr(StationaryPath, "_chain_run",
-                        lambda self, first, stop: runs.append((first, stop)) or chain_run(self, first, stop))
-    lo, count = -6 * _CHAIN_BLOCK + 7, 12 * _CHAIN_BLOCK - 20
-    path.block(lo, count)
-    assert runs == [(-6, -4), (-3, -1), (1, 3), (5, 6)], runs
-    assert set(path._memo.blocks) == set(range(-6, 6))
-    for b, block in path._memo.blocks.items():
-        assert np.array_equal(block, _reference_chain_block(spec, b, 1 << 20)), b
-    assert np.array_equal(path._states(lo, count), _reference_states(spec, lo, count))
-
-
-def test_spaced_reads_keep_a_bounded_chain_memo():
-    # 3,000 ten-index reads 5,000 apart touch 3,006 chain blocks. The path
-    # keeps the 256 used last, one byte a state, each block owning its
-    # bytes rather than holding its run alive: at most 1 MiB, where keeping
-    # every block as int64 held 93.9 MiB. A kept block holds a fresh
-    # path's states.
-    path = StationaryPath(MM_SPEC)
-    for k in range(3000):
-        path.block(5000 * k, 10)
-    blocks = path._memo.blocks
-    assert len(blocks) == sequences._BLOCK_MEMO == 256
-    assert sum(b.nbytes for b in blocks.values()) <= 1 << 20
-    assert all(b.dtype == np.uint8 and b.base is None for b in blocks.values())
-    last = 5000 * 2999 // _CHAIN_BLOCK
-    assert list(blocks)[-1] == last and min(blocks) > last - 400
-    for b in (min(blocks), last):
-        assert np.array_equal(blocks[b], StationaryPath(MM_SPEC)._states(b * _CHAIN_BLOCK, _CHAIN_BLOCK)), b
 
 
 def test_a_million_sample_report_builds_each_chain_block_once(monkeypatch):
     # Every read of a 10^6-sample report (the certified read, the cftp
-    # boxes and chains, the rolls) lies in 246 chain blocks, which the
-    # bounded memo holds at once: each is built once.
+    # boxes and chains, the rolls) lies in one cover of 246 chain blocks:
+    # each is built once.
     from impatientq.metrics import bound_report
 
     built, chain_run = [], StationaryPath._chain_run
     monkeypatch.setattr(StationaryPath, "_chain_run",
                         lambda self, first, stop: built.extend(range(first, stop)) or chain_run(self, first, stop))
+    bound_report(StationaryPath(MM_SPEC), 2, 10**6)
+    assert len(built) == len(set(built)) == 246, sorted(built)
+
+
+def test_a_cover_miss_runs_one_chain_pass_over_its_pages(monkeypatch):
+    # A block miss builds its cover's chain states in one pass over exactly
+    # the cover's pages; a read inside the cover builds none, and a lone
+    # sample_at miss builds only its own page, leaving the cover.
+    runs, chain_run = [], StationaryPath._chain_run
+    monkeypatch.setattr(StationaryPath, "_chain_run",
+                        lambda self, first, stop: runs.append((first, stop)) or chain_run(self, first, stop))
     path = StationaryPath(MM_SPEC)
-    bound_report(path, 2, 10**6)
-    assert len(built) == len(set(built)) == len(path._memo.blocks) == 246, sorted(built)
+    want = _bits(StationaryPath(MM_SPEC).block(-2 * _CHAIN_BLOCK, 3 * _CHAIN_BLOCK))
+    runs.clear()
+    path.block(-_CHAIN_BLOCK - 7, 2 * _CHAIN_BLOCK)   # pages -2 .. 0
+    assert runs == [(-2, 1)]
+    assert _bits(path.block(-2 * _CHAIN_BLOCK, 3 * _CHAIN_BLOCK)) == want
+    path.block(5, 100)
+    path.sample_at(-2 * _CHAIN_BLOCK)
+    path.sample_at(_CHAIN_BLOCK - 1)
+    assert runs == [(-2, 1)]
+    path.sample_at(10**6)
+    assert runs == [(-2, 1), (244, 245)] and path._memo.cover[0] == -2 * _CHAIN_BLOCK
+    path.block(_CHAIN_BLOCK - 6, 10)   # pages 0 .. 1
+    assert runs == [(-2, 1), (244, 245), (0, 2)]
 
 
 def test_a_path_refuses_a_new_spec():
@@ -494,14 +475,13 @@ RUN_CHAINS = {
 @pytest.mark.parametrize("chain", sorted(RUN_CHAINS))
 def test_chain_run_equals_the_full_search_oracle(chain, run):
     # Searching only the uniforms outside the stay interval builds the same
-    # blocks, bit for bit and in the same dtype, as mapping every uniform to
+    # states, bit for bit and in the same dtype, as mapping every uniform to
     # its cell; the runs cross page edges and negative indices.
     spec = _chain_spec(RUN_CHAINS[chain])
     got = StationaryPath(spec)._chain_run(*run)
     want = full_search_chain_run(StationaryPath(spec), *run)
-    assert len(got) == len(want) == run[1] - run[0]
-    for b, (g, w) in enumerate(zip(got, want), run[0]):
-        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), b
+    assert len(got) == len(want) == (run[1] - run[0]) * _CHAIN_BLOCK
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("chain", sorted(CHAINS) + sorted(RUN_CHAINS))

@@ -256,9 +256,9 @@ MUTANTS = (
            "            path._memo.keep_chain(key, entry)\n",
            ("tests/test_coupling.py::test_a_start_met_again_moves_to_the_end_in_place",)),
     Mutant("memo-keep-pops-and-reinserts", SEQUENCES,
-           "    entries[key] = value   # a key stored before keeps its place, so it is moved\n"
-           "    entries.move_to_end(key)\n",
-           "    entries.pop(key, None)\n    entries[key] = value\n",
+           "        self.chains[key] = entry   # a key stored before keeps its place, so it is moved\n"
+           "        self.chains.move_to_end(key)\n",
+           "        self.chains.pop(key, None)\n        self.chains[key] = entry\n",
            ("tests/test_coupling.py::test_a_start_met_again_moves_to_the_end_in_place",)),
     Mutant("cftp-result-setattr-per-field", COUPLING,
            "        d[\"value\"], d[\"coalesced\"], d[\"horizon_used\"], d[\"z_depth\"], d[\"z_risk\"] = \\\n"
@@ -280,17 +280,20 @@ MUTANTS = (
            "@dataclass(frozen=True)\nclass StationaryPath:",
            "@dataclass\nclass StationaryPath:",
            ("tests/test_sequences.py::test_a_path_refuses_a_new_spec",)),
-    # Change no value, only the chain blocks kept and built; the tests count them.
-    Mutant("chain-blocks-unbounded", SEQUENCES,
-           "        _keep(self.blocks, b, states, _BLOCK_MEMO)\n",
-           "        self.blocks[b] = states\n",
-           ("tests/test_sequences.py::test_spaced_reads_keep_a_bounded_chain_memo",
-            "tests/test_coupling.py::test_eviction_changes_no_result[markov]")),
-    Mutant("chain-blocks-below-a-report", SEQUENCES,
-           "_BLOCK_MEMO = 256\n",
-           "_BLOCK_MEMO = 128\n",
-           ("tests/test_sequences.py::test_a_million_sample_report_builds_each_chain_block_once",)),
-    # Markov-modulated chain states, one linear pass per run of blocks.
+    # Markov-modulated chain states: one pass over the pages a read touches,
+    # sliced to the read.
+    Mutant("chain-states-one-index-late", SEQUENCES,
+           "[lo : lo + count]\n",
+           "[lo + 1 : lo + 1 + count]\n",
+           ("tests/test_sequences.py::test_markov_modulated_golden_states",
+            "tests/test_sequences.py::test_states_over_covers_match_sequential_chain[sandwich-256]")),
+    # Changes no value, only the pages a pass builds; the test counts them.
+    Mutant("chain-pass-one-page-long", SEQUENCES,
+           "(start + count - 1) // _CHAIN_BLOCK + 1)",
+           "(start + count) // _CHAIN_BLOCK + 1)",
+           ("tests/test_sequences.py::test_a_cover_miss_runs_one_chain_pass_over_its_pages",
+            "tests/test_sequences.py::test_a_million_sample_report_builds_each_chain_block_once")),
+    # The linear pass itself.
     Mutant("chain-state-not-carried", SEQUENCES,
            "            state = after[a + len(piece)]\n",
            "            pass\n",
@@ -308,6 +311,13 @@ MUTANTS = (
            "np.diagonal(cum, 1).min(initial=np.inf)",
            ("tests/test_sequences.py::test_chain_run_equals_the_full_search_oracle[sticky--3..2]",
             "tests/test_sequences.py::test_stay_interval_holds_exactly_the_identity_cells[sandwich]")),
+    # The loss estimate's interval covers the exact Erlang-A loss at about its
+    # nominal rate; an estimate one half-width off covers it about half as often.
+    Mutant("loss-estimate-one-half-width-high", METRICS,
+           "return ProbabilityEstimate(float(mean), T_975 * spread / math.sqrt(BATCHES), n)",
+           "return ProbabilityEstimate(float(mean) + T_975 * spread / math.sqrt(BATCHES), "
+           "T_975 * spread / math.sqrt(BATCHES), n)",
+           ("tests/test_metrics.py::test_bound_report_p_loss_covers_erlang_a",)),
     # A column is sampled once over the stream only when its law is the same in every state.
     Mutant("shared-law-test-forced-true", SEQUENCES,
            "if at is None or all(law[c] == laws[0][c] for law in laws):",
