@@ -20,21 +20,26 @@ recursion's merge with a zero gap, which only selects values, so the fold
 is the same multiset, sorted, bit for bit; the simulator shares no
 arithmetic with the kernel it is checked against.
 
-The line is walked once per arrival: the fold's walk also takes the last
-gap off each waiting customer's patience in place, the same subtraction
-the gap itself would make. An entry left below zero never fits in the fold
-(no virtual workload is negative) and would be lost at the head, so the
-line is rebuilt without such entries, only at an arrival where a deadline
-passed. During a gap the line holds patiences as of its start, which the
-FCFS starts compare against the completion times measured from that
-arrival.
+The engine keeps two clocks, in the path's own arithmetic. On floats the
+clock restarts at every arrival: the residual work is re-expressed after
+each gap, and the fold's walk also takes the last gap off each waiting
+customer's patience in place, the same subtraction the gap itself would
+make. So float error does not grow with the horizon, and stays bounded by
+one gap. A lattice path runs the same engine on integers: multiples of
+``alpha`` for gaps and service, and each customer's deadline from
+``kernel.accepted_multiples``, so every comparison is exact and nothing
+needs to restart. One running clock then serves the whole run: servers
+hold their free times and the line its deadlines on it, which the walk,
+the expiry check and the head compare with the clock, and ``run`` takes
+each workload seen relative to its arrival once, at the end.
 
-Timekeeping is relative to the current arrival (everything is decremented
-by each gap), so float error does not grow with the horizon. A lattice path
-runs the same engine on integers: multiples of ``alpha`` for gaps and
-service, and each customer's deadline from ``kernel.accepted_multiples``,
-so every deadline comparison is exact. ``run`` returns a ``Trace`` of
-columns, which ``cross_validate`` and ``write_trace`` read.
+The line is walked once per arrival. An entry whose deadline has passed
+never fits in the fold (no virtual workload is below the clock) and would
+be lost at the head, so the line is rebuilt without such entries, only at
+an arrival where a deadline passed. During a gap the line holds deadlines
+on the clock of its start, which the FCFS starts compare against the
+completion times on that clock. ``run`` returns a ``Trace`` of columns,
+which ``cross_validate`` and ``write_trace`` read.
 """
 
 from __future__ import annotations
@@ -47,6 +52,8 @@ from typing import IO, Optional
 
 import numpy as np
 
+from .errors import ResourceCapError
+from .kernel import NEVER
 from .loynes import _exact_drivers, exact_states
 from .sequences import StationaryPath
 
@@ -73,78 +80,104 @@ def run(path: StationaryPath, servers: int, n_arrivals: int) -> Trace:
     """Simulate ``n_arrivals`` customers from an initially empty system.
 
     The engine's flat list of workloads is reshaped once. A lattice run's
-    multiples (``np.fromiter``) are scaled by ``alpha`` in one multiply;
-    int64 to float64 is exact here, so each value has the bits of ``k * alpha``.
+    free times on its running clock (``np.fromiter``) are taken relative to
+    each arrival in one int64 subtraction of the arrival times, clipped at
+    0, and scaled by ``alpha`` in one multiply; int64 to float64 is exact
+    here, so each value has the bits of ``k * alpha``.
     """
     if servers < 1:
         raise ValueError("servers must be >= 1")
     if n_arrivals < 1:
         raise ValueError("n_arrivals must be >= 1")
-    flat, served = _simulate(path, servers, n_arrivals, 0 if path.spec.is_lattice else 0.0)
+    flat, served, arrivals = _simulate(path, servers, n_arrivals)
     if path.spec.is_lattice:
-        seen = np.fromiter(flat, dtype=np.int64, count=len(flat)) * path.spec.alpha
+        seen = np.fromiter(flat, dtype=np.int64, count=len(flat)).reshape(n_arrivals, servers)
+        seen -= arrivals[:, None]
+        seen = np.maximum(seen, 0, out=seen) * path.spec.alpha
     else:
-        seen = np.array(flat, dtype=np.float64)
-    return Trace(seen.reshape(n_arrivals, servers), np.frombuffer(served, dtype=bool))
+        seen = np.array(flat, dtype=np.float64).reshape(n_arrivals, servers)
+    return Trace(seen, np.frombuffer(served, dtype=bool))
 
 
-def _simulate(path: StationaryPath, servers: int, n_arrivals: int, zero) -> tuple[list, bytearray]:
-    """The workloads seen (``servers`` values per arrival, one flat list)
-    and the served flags, in the path's own arithmetic, whose zero is
-    ``zero``. ``residuals`` stays ascending: the server that takes a job is
-    ``residuals[0]``, and subtracting the gap and clipping keeps the order.
-    The last arrival's gap is infinite, which drains the line."""
-    residuals = [zero] * servers
-    line: deque[list] = deque()  # [remaining patience or deadline, sigma, index]
+def _simulate(path: StationaryPath, servers: int,
+              n_arrivals: int) -> tuple[list, bytearray, Optional[np.ndarray]]:
+    """The workloads seen (``servers`` values per arrival, one flat list),
+    the served flags and, on a lattice path, the arrival times.
+
+    ``free`` holds each server's free time, ascending: the server that
+    takes a job is ``free[0]``. On floats the clock restarts at each
+    arrival: ``free`` is re-expressed after every gap (subtracting and
+    clipping keeps the order), ``gap`` ages the line, and ``now`` stays
+    ``-0.0``, so ``now + x`` is ``x`` bit for bit. On a lattice path
+    ``now`` runs over the whole run, across chunks, and ``gap`` stays 0:
+    free times and deadlines are kept on the clock, and the workloads seen
+    are free times, which ``run`` takes relative to each arrival. The last
+    arrival's gap is infinite, which drains the line."""
+    running = path.spec.is_lattice
+    zero, now = (0, 0) if running else (0.0, -0.0)
+    free = [zero] * servers
+    line: deque[list] = deque()  # [remaining patience (floats) or deadline, sigma, index]
     seen: list = []
     served = bytearray(n_arrivals)  # a customer never marked served is lost
-    gap = zero  # the last gap, not yet taken off the line's patiences
+    gap = zero  # floats: the last gap, not yet taken off the line's patiences
+    arrivals = []
 
     for pos in range(0, n_arrivals, _CHUNK):
         count = min(_CHUNK, n_arrivals - pos)
-        taus, sigmas, patiences = (col.tolist() for col in _exact_drivers(path, pos, count))
+        taus, sigmas, patiences = _exact_drivers(path, pos, count)
+        if running:  # the next arrival and each deadline on the clock
+            ends = np.cumsum(taus) + now
+            if ends[-1] >= NEVER or ends.min() < now:  # a deadline past an int64, or a time wrapped
+                raise ResourceCapError("lattice simulation clock in steps", NEVER, now + sum(taus.tolist()))
+            arrivals.append(ends - taus)
+            taus, patiences = ends, arrivals[-1] + patiences
+        taus, sigmas, patiences = taus.tolist(), sigmas.tolist(), patiences.tolist()
         if pos + count == n_arrivals:
             taus[-1] = math.inf
         for j in range(count):
             # Virtual workloads just before this arrival. The walk ages the
-            # line in place by the last gap, and drops whom it leaves expired.
+            # line in place by the last gap (0 on the running clock), and
+            # drops whom it finds expired.
             if line:
-                fold = residuals.copy()  # an ascending list is a heap
+                fold = free.copy()  # an ascending list is a heap
                 expired = False
                 for entry in line:
                     rem = entry[0] = entry[0] - gap
                     if fold[0] <= rem:
                         heapreplace(fold, fold[0] + entry[1])
-                    elif rem < zero:
+                    elif rem < now:
                         expired = True
                 if expired:
-                    line = deque(entry for entry in line if entry[0] >= zero)
+                    line = deque(entry for entry in line if entry[0] >= now)
                 fold.sort()
                 seen += fold
                 line.append([patiences[j], sigmas[j], pos + j])
             else:
-                seen += residuals
-                if residuals[0] > zero:
+                seen += free
+                if free[0] > now:
                     line.append([patiences[j], sigmas[j], pos + j])
                 else:
                     served[pos + j] = True
-                    residuals[0] = sigmas[j]
-                    residuals.sort()
+                    free[0] = now + sigmas[j]
+                    free.sort()
 
             # Gap until the next arrival: completions trigger FCFS starts.
-            tau_n = taus[j]
+            nxt = taus[j]
             while line:
-                f = residuals[0]
-                if f > tau_n:
+                f = free[0]
+                if f > nxt:
                     break
                 rem, sig, i = line.popleft()
                 if rem >= f:
                     served[i] = True
-                    residuals[0] = f + sig
-                    residuals.sort()
-            residuals = [r - tau_n if r > tau_n else zero for r in residuals]
-            gap = tau_n
-    return seen, served
+                    free[0] = f + sig
+                    free.sort()
+            if running:
+                now = nxt
+            else:
+                free = [r - nxt if r > nxt else zero for r in free]
+                gap = nxt
+    return seen, served, np.concatenate(arrivals) if running else None
 
 
 # ---------------------------------------------------------------------------

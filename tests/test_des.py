@@ -12,6 +12,7 @@ import pytest
 from impatientq import des
 from impatientq.config import parse_config
 from impatientq.des import Trace, cross_validate, run, write_trace
+from impatientq.errors import ResourceCapError
 from impatientq.kernel import _merge_shift, advance_lattice
 from impatientq.loynes import _exact_drivers, exact_states
 from impatientq.sequences import (
@@ -420,6 +421,58 @@ def test_run_equals_the_recursion_across_engine_chunks(kind, seed):
     assert 0 < accepted.sum() < n
 
 
+def _assert_lattice_run_exact(path, servers, n):
+    """``run`` on a lattice path, bit for bit against the reference engine
+    and the recursion, workloads and served flags; returns the trace."""
+    trace = run(path, servers, n)
+    ref_seen, ref_served = _reference_engine(path, servers, n)
+    states, accepted = exact_states(path, 0, n, (0.0,) * servers)
+    ref_seen = np.array(ref_seen, dtype=np.int64) * path.spec.alpha
+    assert np.array_equal(trace.seen.view(np.int64), ref_seen.view(np.int64))
+    assert np.array_equal(trace.seen.view(np.int64), states[:-1].view(np.int64))
+    assert trace.served.tolist() == ref_served
+    assert np.array_equal(trace.served, accepted)
+    return trace
+
+
+@pytest.mark.parametrize("servers", [1, 3, 8])
+def test_lattice_clock_runs_across_engine_chunk_seams(monkeypatch, servers):
+    # The integer engine keeps one running clock for the whole run: each
+    # chunk's arrival times and deadlines continue the clock of the chunk
+    # before, and the free times and waiting deadlines carry over unchanged.
+    # With 64-arrival chunks a 2,000-arrival run crosses 31 seams, many of
+    # them with every server busy and customers waiting.
+    monkeypatch.setattr(des, "_CHUNK", 64)
+    rng = np.random.default_rng(80 + servers)
+    spec = random_lattice_spec(rng, alpha=0.3, sigma_max=4 * servers)
+    trace = _assert_lattice_run_exact(StationaryPath(spec), servers, 2_000)
+    assert 0 < trace.served.sum() < 2_000
+    assert (trace.seen[::64, 0] > 0).sum() > 5
+
+
+@pytest.mark.parametrize("servers", [1, 3, 8])
+def test_lattice_clock_with_infinite_patience(servers):
+    # An infinite patience is the deadline ``kernel.NEVER`` steps after the
+    # arrival, on the running clock: nobody expires and nobody is lost.
+    spec = SequenceSpec(model="lattice", seed=30 + servers, alpha=1.0, tau=_steps(1, 2, 3),
+                        sigma=_steps(*range(4 * servers)), patience=Deterministic(math.inf))
+    trace = _assert_lattice_run_exact(StationaryPath(spec), servers, 2_000)
+    assert trace.served.all() and trace.seen[:, 0].any()
+
+
+def test_lattice_clock_refuses_to_pass_never():
+    # Deadlines are ``kernel.NEVER`` (2^62) steps at most after an arrival,
+    # so the clock must stay below 2^62 steps for them to fit an int64. With
+    # gaps of 1.5 * 2^62 steps the int64 sum wraps past 2^63 to -2^62 and
+    # then ends the chunk at 2^61, below the cap.
+    spec = SequenceSpec(model="lattice", seed=1, alpha=1.0, tau=_steps(1 << 60),
+                        sigma=_steps(1), patience=Deterministic(math.inf))
+    assert run(StationaryPath(spec), 2, 3).served.all()
+    for path, n in ((StationaryPath(spec), 5), (StationaryPath(dataclasses.replace(spec, tau=_steps(3 << 61))), 3)):
+        with pytest.raises(ResourceCapError, match="lattice simulation clock"):
+            run(path, 2, n)
+
+
 def _steps(*multiples, probs=None):
     """A law on multiples of the step 1, uniform unless ``probs`` is given."""
     return LatticeDiscrete(1.0, multiples, probs or (1 / len(multiples),) * len(multiples))
@@ -442,9 +495,12 @@ def _steps(*multiples, probs=None):
 ], ids=["patience-exactly-zero", "last-entry-expires", "every-entry-expires"])
 def test_walk_ages_the_line_in_place_and_rebuilds_it_at_expiries(monkeypatch, seed, tau, sigma, patience,
                                                                   happens, head):
-    # The walk takes each gap off the waiting entries in place and builds a
-    # new line only at an arrival where some remaining patience fell below
-    # 0. Bit for bit against the reference engine, which purges the line at
+    # On a lattice path the line holds each waiting customer's deadline on
+    # the engine's running clock, which the walk compares with the clock and
+    # leaves as it is (a float line is aged in place by each gap instead).
+    # A new line is built only at an arrival where some deadline has passed:
+    # where the reference engine's remaining patience fell below 0. Bit for
+    # bit against the reference engine, which ages and purges its line at
     # every arrival, and against the recursion's acceptance; the engine
     # builds one line to start with and one per arrival with an expiry.
     built = []

@@ -5,8 +5,11 @@ Each checkout's ``perfbench/workloads.py`` is imported unchanged, with the
 The two sides then run the same job list in pairs: job k of the parent and
 job k of the change, the parent first on even k and the change first on odd
 k, so both see the same state of the machine. The fingerprints of the two
-jobs of a pair must be equal; the first pair that differs ends the run with
-exit status 1. The output gives each side's median job time and quartiles,
+jobs of a pair must be equal, and so must the bytes of every file the two
+sides' jobs have written in their work directories; the first pair that
+differs ends the run with exit status 1, naming the first file and line
+that differ (a fingerprint such as ``oracle``'s CLI exit code cannot see a
+changed trace). The output gives each side's median job time and quartiles,
 in ms, and the share of pairs the change ran faster. A job that raises
 counts as a fingerprint of ``None``. Checks, tracing and the speed scale of
 ``perfbench/run.py`` are left out: only the job calls are timed.
@@ -27,6 +30,7 @@ import sys
 import tempfile
 from pathlib import Path
 from time import perf_counter
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -59,6 +63,21 @@ def timed(wl, k: int) -> tuple[float, object]:
     return took, wl.fingerprint(out)
 
 
+def first_difference(parent: Path, change: Path) -> Optional[str]:
+    """The first file, by relative path, whose bytes differ between the two
+    work directories, with its first differing line, or None."""
+    names = sorted({f.relative_to(root) for root in (parent, change) for f in root.rglob("*") if f.is_file()})
+    for name in names:
+        texts = [(root / name).read_bytes() if (root / name).is_file() else None for root in (parent, change)]
+        if None in texts:
+            return f"{name}: written by the {'parent' if texts[1] is None else 'change'} only"
+        if texts[0] != texts[1]:
+            lines = [text.splitlines(keepends=True) + [b""] for text in texts]
+            k = next(k for k, (a, b) in enumerate(zip(*lines)) if a != b)
+            return f"{name}: line {k + 1} differs: parent {lines[0][k][:200]!r}, change {lines[1][k][:200]!r}"
+    return None
+
+
 def summary(name: str, times: list[float]) -> str:
     q1, q2, q3 = statistics.quantiles(times, n=4)
     return f"{name}: median {1e3 * q2:.4f} ms, quartiles {1e3 * q1:.4f} .. {1e3 * q3:.4f} ms"
@@ -79,10 +98,11 @@ def main(argv=None) -> int:
         ap.error(f"--seconds {args.seconds} gives {n_jobs} job; quartiles need two")
     times: list[list[float]] = [[], []]
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
+        workdirs = [Path(tmp) / str(i) for i in range(2)]
         wls = []
-        for i, cls in enumerate(classes):
-            (Path(tmp) / str(i)).mkdir()
-            wls.append(cls(args.seed, Path(tmp) / str(i)))
+        for workdir, cls in zip(workdirs, classes):
+            workdir.mkdir()
+            wls.append(cls(args.seed, workdir))
         for k in range(n_jobs):
             fingerprints = [None, None]
             for i in ((0, 1) if k % 2 == 0 else (1, 0)):
@@ -91,8 +111,12 @@ def main(argv=None) -> int:
             if fingerprints[0] != fingerprints[1]:
                 print(f"job {k}: fingerprints differ: parent {fingerprints[0]!r}, change {fingerprints[1]!r}")
                 return 1
+            differ = first_difference(*workdirs)
+            if differ:
+                print(f"job {k}: output files differ: {differ}")
+                return 1
     won = sum(b < a for a, b in zip(*times))
-    print(f"{args.workload}, seed {args.seed}: {n_jobs} pairs, equal fingerprints")
+    print(f"{args.workload}, seed {args.seed}: {n_jobs} pairs, equal fingerprints and output files")
     print(summary("parent", times[0]))
     print(summary("change", times[1]))
     ratio = statistics.median(times[1]) / statistics.median(times[0]) - 1

@@ -11,6 +11,12 @@ direction), with every run's value. The tool exits with status 1 when a
 run ends without perfbench's JSON verdict, reports ``correct: false`` or
 fails a job.
 
+A workload that cycles job kinds (``oracle``: ``validate`` and ``simulate``,
+each on a float and a lattice config) also gets, under ``kinds_ms``, the
+same record of each kind's median job time in ms, read from the
+``scaled_latencies_s`` of the run's record; job k has kind k mod the
+workload's ``cycle``.
+
 It also records the environment perfbench wrote to the change's first
 run record (``.bench_out/<workload>-seed<S>-trace0.json``: ``nproc``, the
 python, numpy and scipy versions and the ``src/`` line count) and whether
@@ -35,6 +41,8 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
+from ab import load_workloads
+
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("sandwich", "oracle", "certify", "lattice")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
@@ -42,7 +50,8 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"
 
 def perfbench(root: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced perfbench run of the checkout at ``root``: its verdict
-    line, with the environment from the run's record as ``env``."""
+    line, with the environment and the scaled job latencies from the run's
+    record as ``env`` and ``latencies``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
@@ -50,7 +59,8 @@ def perfbench(root: Path, workload: str, seed: int, seconds: float) -> dict:
     try:
         result = json.loads(lines[-1])
         result["metrics"] = {name: m["value"] for name, m in result["metrics"].items()}
-        result["env"] = json.loads((root / ".bench_out" / f"{workload}-seed{seed}-trace0.json").read_text())["env"]
+        record = json.loads((root / ".bench_out" / f"{workload}-seed{seed}-trace0.json").read_text())
+        result["env"], result["latencies"] = record["env"], record["scaled_latencies_s"]
     except (IndexError, ValueError, KeyError, TypeError, OSError):
         raise SystemExit(f"{root}: {' '.join(cmd[1:])} exited {proc.returncode} without a verdict:\n"
                          f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
@@ -60,6 +70,20 @@ def perfbench(root: Path, workload: str, seed: int, seconds: float) -> dict:
 def spread(values: list[float]) -> dict:
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
     return {"median": q2, "q1": q1, "q3": q3}
+
+
+def compared(values: dict[str, list[float]], direction: str) -> dict:
+    """Each side's spread and runs of one metric, and the pairs the change won."""
+    wins = sum((c < p) if direction == "lower" else (c > p) for p, c in zip(values["parent"], values["change"]))
+    return {**{side: {**spread(v), "runs": v} for side, v in values.items()}, "better": direction, "change_won": wins}
+
+
+def kinds(root: Path, workload: str) -> list[str]:
+    """The job kinds a run of ``workload`` cycles through, named by the
+    checkout at ``root`` (``command config`` for ``oracle``'s ``runs``), or
+    none when it has one kind."""
+    cls = load_workloads(root).WORKLOADS[workload]
+    return [" ".join(run) for run in cls.runs] if cls.cycle > 1 else []
 
 
 def timed(cmd: list[str], root: Path) -> dict:
@@ -103,18 +127,20 @@ def main(argv=None) -> int:
                 runs[side].append(result)
                 print(f"{w} pair {k} {side}: job_p50_ms {result['metrics'].get('job_p50_ms', float('nan')):.4g}",
                       file=sys.stderr)
-        metrics = {}
-        for name, direction in better.items():
-            values = {side: [r["metrics"][name] for r in rs] for side, rs in runs.items()}
-            wins = sum((c < p) if direction == "lower" else (c > p) for p, c in zip(values["parent"], values["change"]))
-            metrics[name] = {**{side: {**spread(v), "runs": v} for side, v in values.items()},
-                             "better": direction, "change_won": wins}
+        metrics = {name: compared({side: [r["metrics"][name] for r in rs] for side, rs in runs.items()}, direction)
+                   for name, direction in better.items()}
         report.setdefault("env", {k: v for k, v in runs["change"][0]["env"].items() if k != "seed"})
         report["workloads"][w] = {
             "correct": all(r["correct"] for rs in runs.values() for r in rs),
             "failed": sum(r["failed"] for rs in runs.values() for r in rs),
             "metrics": metrics,
         }
+        names = kinds(roots["change"], w)
+        if names:
+            report["workloads"][w]["kinds_ms"] = {
+                name: compared({side: [1e3 * statistics.median(r["latencies"][c::len(names)]) for r in rs]
+                                for side, rs in runs.items()}, "lower")
+                for c, name in enumerate(names)}
     if args.suites:
         report["tier1"] = timed(TIER1, roots["change"])
         report["mutant_gate"] = timed([sys.executable, "tools/mutants.py"], roots["change"])

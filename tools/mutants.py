@@ -275,6 +275,26 @@ MUTANTS = (
            "    path.block(0, max(n_arrivals, 0))   # one cover for the engine's chunks and the recursion; run refuses n < 1\n",
            "",
            ("tests/test_des.py::test_cross_validate_generates_its_drivers_once[lattice]",)),
+    # A lattice run keeps one running clock: its free times and deadlines
+    # are not re-expressed at each arrival, and a chunk continues the clock.
+    Mutant("des-integer-path-restarts-its-clock", DES,
+           "            if running:\n                now = nxt\n",
+           "            if False:\n                now = nxt\n",
+           ("tests/test_des.py::test_golden_traces[oracle_lattice]",
+            "tests/test_des.py::test_golden_traces[zero_mass_services]",
+            "tests/test_des.py::test_run_equals_the_recursion_across_engine_chunks[lattice-75]",
+            "tests/test_des.py::test_lattice_clock_runs_across_engine_chunk_seams[3]")),
+    Mutant("des-integer-clock-reset-at-chunk", DES,
+           "            ends = np.cumsum(taus) + now\n",
+           "            now = 0\n            ends = np.cumsum(taus) + now\n",
+           ("tests/test_des.py::test_golden_traces[oracle_lattice]",
+            "tests/test_des.py::test_run_equals_the_recursion_across_engine_chunks[lattice-75]",
+            "tests/test_des.py::test_lattice_clock_runs_across_engine_chunk_seams[3]")),
+    # A clock that wraps in int64 can end a chunk below the cap.
+    Mutant("des-clock-wrap-unchecked", DES,
+           "if ends[-1] >= NEVER or ends.min() < now:",
+           "if ends[-1] >= NEVER:",
+           ("tests/test_des.py::test_lattice_clock_refuses_to_pass_never",)),
     # The path's memo serves the spec the path was made with.
     Mutant("path-not-frozen", SEQUENCES,
            "@dataclass(frozen=True)\nclass StationaryPath:",
