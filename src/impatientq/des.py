@@ -30,8 +30,8 @@ one gap. A lattice path runs the same engine on integers: multiples of
 ``kernel.accepted_multiples``, so every comparison is exact and nothing
 needs to restart. One running clock then serves the whole run: servers
 hold their free times and the line its deadlines on it, which the walk,
-the expiry check and the head compare with the clock, and ``run`` takes
-each workload seen relative to its arrival once, at the end.
+the expiry check and the head compare with the clock. The engine writes
+each page of ``_PAGE`` arrivals into the output arrays as the page ends.
 
 The line is walked once per arrival. An entry whose deadline has passed
 never fits in the fold (no virtual workload is below the clock) and would
@@ -57,8 +57,7 @@ from .kernel import NEVER
 from .loynes import _exact_drivers, exact_states
 from .sequences import StationaryPath
 
-_CHUNK = 1 << 15
-_WRITE_ROWS = 1 << 12  # rows formatted per write in ``write_trace``
+_PAGE = 1 << 12  # arrivals per engine page, and rows per write in ``write_trace``
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,58 +78,54 @@ class Trace:
 def run(path: StationaryPath, servers: int, n_arrivals: int) -> Trace:
     """Simulate ``n_arrivals`` customers from an initially empty system.
 
-    The engine's flat list of workloads is reshaped once. A lattice run's
-    free times on its running clock (``np.fromiter``) are taken relative to
-    each arrival in one int64 subtraction of the arrival times, clipped at
-    0, and scaled by ``alpha`` in one multiply; int64 to float64 is exact
-    here, so each value has the bits of ``k * alpha``.
+    The engine writes each page of workloads seen into the ``(n, S)``
+    float64 column as the page ends, so the run holds one page of Python
+    values, not all of them.
     """
     if servers < 1:
         raise ValueError("servers must be >= 1")
     if n_arrivals < 1:
         raise ValueError("n_arrivals must be >= 1")
-    flat, served, arrivals = _simulate(path, servers, n_arrivals)
-    if path.spec.is_lattice:
-        seen = np.fromiter(flat, dtype=np.int64, count=len(flat)).reshape(n_arrivals, servers)
-        seen -= arrivals[:, None]
-        seen = np.maximum(seen, 0, out=seen) * path.spec.alpha
-    else:
-        seen = np.array(flat, dtype=np.float64).reshape(n_arrivals, servers)
+    seen, served = _simulate(path, servers, n_arrivals)
     return Trace(seen, np.frombuffer(served, dtype=bool))
 
 
-def _simulate(path: StationaryPath, servers: int,
-              n_arrivals: int) -> tuple[list, bytearray, Optional[np.ndarray]]:
-    """The workloads seen (``servers`` values per arrival, one flat list),
-    the served flags and, on a lattice path, the arrival times.
+def _simulate(path: StationaryPath, servers: int, n_arrivals: int) -> tuple[np.ndarray, bytearray]:
+    """The workloads seen (a row of ``servers`` values an arrival) and the
+    served flags.
 
     ``free`` holds each server's free time, ascending: the server that
     takes a job is ``free[0]``. On floats the clock restarts at each
     arrival: ``free`` is re-expressed after every gap (subtracting and
     clipping keeps the order), ``gap`` ages the line, and ``now`` stays
     ``-0.0``, so ``now + x`` is ``x`` bit for bit. On a lattice path
-    ``now`` runs over the whole run, across chunks, and ``gap`` stays 0:
+    ``now`` runs over the whole run, across pages, and ``gap`` stays 0:
     free times and deadlines are kept on the clock, and the workloads seen
-    are free times, which ``run`` takes relative to each arrival. The last
-    arrival's gap is infinite, which drains the line."""
+    are free times. The last arrival's gap is infinite, which drains the
+    line.
+
+    A page's flat list of workloads becomes its rows of ``out`` as the page
+    ends. On a lattice the free times are taken relative to each arrival in
+    one int64 subtraction, clipped at 0, and scaled by ``alpha`` in one
+    multiply: int64 to float64 is exact here, so each value is ``k * alpha``."""
     running = path.spec.is_lattice
     zero, now = (0, 0) if running else (0.0, -0.0)
     free = [zero] * servers
     line: deque[list] = deque()  # [remaining patience (floats) or deadline, sigma, index]
     seen: list = []
+    out = np.empty((n_arrivals, servers))
     served = bytearray(n_arrivals)  # a customer never marked served is lost
     gap = zero  # floats: the last gap, not yet taken off the line's patiences
-    arrivals = []
 
-    for pos in range(0, n_arrivals, _CHUNK):
-        count = min(_CHUNK, n_arrivals - pos)
+    for pos in range(0, n_arrivals, _PAGE):
+        count = min(_PAGE, n_arrivals - pos)
         taus, sigmas, patiences = _exact_drivers(path, pos, count)
         if running:  # the next arrival and each deadline on the clock
             ends = np.cumsum(taus) + now
             if ends[-1] >= NEVER or ends.min() < now:  # a deadline past an int64, or a time wrapped
                 raise ResourceCapError("lattice simulation clock in steps", NEVER, now + sum(taus.tolist()))
-            arrivals.append(ends - taus)
-            taus, patiences = ends, arrivals[-1] + patiences
+            arrivals = ends - taus
+            taus, patiences = ends, arrivals + patiences
         taus, sigmas, patiences = taus.tolist(), sigmas.tolist(), patiences.tolist()
         if pos + count == n_arrivals:
             taus[-1] = math.inf
@@ -177,7 +172,15 @@ def _simulate(path: StationaryPath, servers: int,
             else:
                 free = [r - nxt if r > nxt else zero for r in free]
                 gap = nxt
-    return seen, served, np.concatenate(arrivals) if running else None
+        rows = out[pos:pos + count]
+        if running:
+            page = np.array(seen, dtype=np.int64).reshape(count, servers)
+            page -= arrivals[:, None]
+            np.multiply(np.maximum(page, 0, out=page), path.spec.alpha, out=rows)
+        else:
+            rows[:] = np.reshape(seen, (count, servers))
+        seen.clear()
+    return out, served
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +227,7 @@ def cross_validate(path: StationaryPath, servers: int, n_arrivals: int,
 def write_trace(records: Trace, out: IO[str]):
     """CSV dump: index, W(1..S), served, loss.
 
-    Rows are formatted ``_WRITE_ROWS`` at a time, by one ``%`` over a
+    Rows are formatted ``_PAGE`` at a time, by one ``%`` over a
     repeated row template. ``%s`` of a float is its ``repr``, which never
     holds a comma or a quote, so no field needs CSV quoting. A block with
     few distinct values (a lattice trace) formats each of them once; they
@@ -237,9 +240,9 @@ def write_trace(records: Trace, out: IO[str]):
     out.write(",".join(["index", *(f"W{i + 1}" for i in range(servers)), "served", "loss"]) + "\n")
     template = "%d," + "%s," * servers + "%s\n"
     flags = np.array(["0,1", "1,0"], dtype=object)  # served, loss
-    for a in range(0, n, _WRITE_ROWS):
-        block = records.seen[a:a + _WRITE_ROWS]
-        served = records.served[a:a + _WRITE_ROWS].view(np.uint8)
+    for a in range(0, n, _PAGE):
+        block = records.seen[a:a + _PAGE]
+        served = records.served[a:a + _PAGE].view(np.uint8)
         rows = len(block)
         bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
         if 2 * bits.size < block.size:

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import math
+import tracemalloc
 from collections import deque
 from heapq import heapreplace
 
@@ -306,8 +307,8 @@ def test_write_trace_bytes_match_csv_writer(spec, servers, n):
     assert _assert_writers_agree(empty) == "index,served,loss\n"
 
 
-@pytest.mark.parametrize("rows", [des._WRITE_ROWS - 1, des._WRITE_ROWS, des._WRITE_ROWS + 1,
-                                  2 * des._WRITE_ROWS + 1])
+@pytest.mark.parametrize("rows", [des._PAGE - 1, des._PAGE, des._PAGE + 1,
+                                  2 * des._PAGE + 1])
 @pytest.mark.parametrize("spec,servers", [
     (iid_spec(12, Exponential(1.0), Exponential(0.5), Uniform(0.0, 1.0)), 2),
     (random_lattice_spec(np.random.default_rng(9), alpha=0.3), 3),
@@ -318,7 +319,7 @@ def test_write_trace_bytes_match_csv_writer_at_write_seams(spec, servers, rows):
     _assert_writers_agree(run(StationaryPath(spec), servers, rows))
 
 
-@pytest.mark.parametrize("rows", [des._WRITE_ROWS - 1, des._WRITE_ROWS + 1])
+@pytest.mark.parametrize("rows", [des._PAGE - 1, des._PAGE + 1])
 def test_write_trace_formats_values_by_their_bits(rows):
     # Blocks of few distinct values, where 0.0 and -0.0 compare equal but
     # print apart, and blocks of mostly distinct values holding both zeros,
@@ -392,8 +393,8 @@ def _reference_engine(path, servers, n, lines=None):
 
 @pytest.mark.parametrize("kind,seed", [("iid", 72), ("lattice", 75), ("mm", 74)])
 def test_run_equals_the_recursion_across_engine_chunks(kind, seed):
-    # Seeded random specs, with losses, and n crossing the engine's driver
-    # chunk. The trace equals the reference engine bit for bit, and the
+    # Seeded random specs, with losses, and n crossing the engine's page.
+    # The trace equals the reference engine bit for bit, and the
     # served flags are the recursion's acceptance indicator. The workloads
     # equal the recursion's bit for bit on a lattice; a float engine adds a
     # waiting customer's service after gaps the recursion subtracts after
@@ -403,7 +404,7 @@ def test_run_equals_the_recursion_across_engine_chunks(kind, seed):
         spec = random_lattice_spec(rng, alpha=0.3, sigma_max=6)
     else:
         spec = (random_iid_spec if kind == "iid" else random_mm_spec)(rng)
-    servers, n = int(rng.integers(1, 5)), des._CHUNK + 1_000
+    servers, n = int(rng.integers(1, 5)), des._PAGE + 1_000
     path = StationaryPath(spec)
     trace = run(path, servers, n)
     ref_seen, ref_served = _reference_engine(path, servers, n)
@@ -438,11 +439,11 @@ def _assert_lattice_run_exact(path, servers, n):
 @pytest.mark.parametrize("servers", [1, 3, 8])
 def test_lattice_clock_runs_across_engine_chunk_seams(monkeypatch, servers):
     # The integer engine keeps one running clock for the whole run: each
-    # chunk's arrival times and deadlines continue the clock of the chunk
+    # page's arrival times and deadlines continue the clock of the page
     # before, and the free times and waiting deadlines carry over unchanged.
-    # With 64-arrival chunks a 2,000-arrival run crosses 31 seams, many of
+    # With 64-arrival pages a 2,000-arrival run crosses 31 seams, many of
     # them with every server busy and customers waiting.
-    monkeypatch.setattr(des, "_CHUNK", 64)
+    monkeypatch.setattr(des, "_PAGE", 64)
     rng = np.random.default_rng(80 + servers)
     spec = random_lattice_spec(rng, alpha=0.3, sigma_max=4 * servers)
     trace = _assert_lattice_run_exact(StationaryPath(spec), servers, 2_000)
@@ -524,10 +525,10 @@ def test_walk_ages_the_line_in_place_and_rebuilds_it_at_expiries(monkeypatch, se
 
 @pytest.mark.parametrize("kind", ["iid", "lattice"])
 def test_cross_validate_generates_its_drivers_once(monkeypatch, kind):
-    # Speed only: a run past the engine's driver chunk (32,768 arrivals)
-    # generates its window's page cover once, and the engine's chunks and
-    # the recursion both read it; before, the chunks generated their own
-    # covers and the recursion a third, twice the indices.
+    # Speed only: a run over many engine pages generates its window's page
+    # cover once, and the engine's pages and the recursion both read it;
+    # otherwise each page would generate its own cover and the recursion a
+    # third, twice the indices.
     generate = StationaryPath._generate
     generated = []
     monkeypatch.setattr(StationaryPath, "_generate",
@@ -578,6 +579,28 @@ def test_golden_traces(name, spec, servers, n, digest, losses):
     write_trace(trace, buf)
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
     assert (~trace.served).sum() == losses
+
+
+@pytest.mark.parametrize("name", ["oracle_lattice", "oracle_float"])
+def test_run_memory_grows_by_its_output_arrays_alone(name):
+    # The engine writes each page's workloads into the output arrays as the
+    # page ends, so a longer run holds only more of those: 8 bytes a value
+    # and 1 served byte an arrival. Keeping every value as a Python object
+    # until the run ends costs 36-40 bytes a value instead.
+    _, spec, servers, *_ = next(g for g in GOLDEN if g[0] == name)
+
+    def peak(pages):
+        path = StationaryPath(spec)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run(path, servers, pages * des._PAGE)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    per_arrival = (peak(16) - peak(4)) / (12 * des._PAGE)
+    assert per_arrival <= 8 * servers + 4, per_arrival
 
 
 def _bits(values) -> list[int]:

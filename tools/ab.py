@@ -10,7 +10,9 @@ sides' jobs have written in their work directories; the first pair that
 differs ends the run with exit status 1, naming the first file and line
 that differ (a fingerprint such as ``oracle``'s CLI exit code cannot see a
 changed trace). The output gives each side's median job time and quartiles,
-in ms, and the share of pairs the change ran faster. A job that raises
+in ms, with its median minor page faults per job (``ru_minflt`` of the
+process, read around each job), and the share of pairs the change ran
+faster. A job that raises
 counts as a fingerprint of ``None``. Checks, tracing and the speed scale of
 ``perfbench/run.py`` are left out: only the job calls are timed.
 
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import resource
 import statistics
 import sys
 import tempfile
@@ -52,15 +55,18 @@ def load_workloads(root: Path):
     return module
 
 
-def timed(wl, k: int) -> tuple[float, object]:
-    """Job ``k``'s time in seconds and its fingerprint (``None`` if it raised)."""
+def timed(wl, k: int) -> tuple[float, int, object]:
+    """Job ``k``'s time in seconds, its minor page faults and its
+    fingerprint (``None`` if it raised)."""
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     t0 = perf_counter()
     try:
-        out = wl.job(k)
+        out, raised = wl.job(k), False
     except Exception:
-        return perf_counter() - t0, None
+        out, raised = None, True
     took = perf_counter() - t0
-    return took, wl.fingerprint(out)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return took, faults, None if raised else wl.fingerprint(out)
 
 
 def first_difference(parent: Path, change: Path) -> Optional[str]:
@@ -78,9 +84,10 @@ def first_difference(parent: Path, change: Path) -> Optional[str]:
     return None
 
 
-def summary(name: str, times: list[float]) -> str:
+def summary(name: str, times: list[float], faults: list[int]) -> str:
     q1, q2, q3 = statistics.quantiles(times, n=4)
-    return f"{name}: median {1e3 * q2:.4f} ms, quartiles {1e3 * q1:.4f} .. {1e3 * q3:.4f} ms"
+    return (f"{name}: median {1e3 * q2:.4f} ms, quartiles {1e3 * q1:.4f} .. {1e3 * q3:.4f} ms; "
+            f"median {statistics.median(faults):g} minor faults per job")
 
 
 def main(argv=None) -> int:
@@ -97,6 +104,7 @@ def main(argv=None) -> int:
     if n_jobs < 2:
         ap.error(f"--seconds {args.seconds} gives {n_jobs} job; quartiles need two")
     times: list[list[float]] = [[], []]
+    faults: list[list[int]] = [[], []]
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         workdirs = [Path(tmp) / str(i) for i in range(2)]
         wls = []
@@ -106,8 +114,9 @@ def main(argv=None) -> int:
         for k in range(n_jobs):
             fingerprints = [None, None]
             for i in ((0, 1) if k % 2 == 0 else (1, 0)):
-                took, fingerprints[i] = timed(wls[i], k)
+                took, faulted, fingerprints[i] = timed(wls[i], k)
                 times[i].append(took)
+                faults[i].append(faulted)
             if fingerprints[0] != fingerprints[1]:
                 print(f"job {k}: fingerprints differ: parent {fingerprints[0]!r}, change {fingerprints[1]!r}")
                 return 1
@@ -117,8 +126,8 @@ def main(argv=None) -> int:
                 return 1
     won = sum(b < a for a, b in zip(*times))
     print(f"{args.workload}, seed {args.seed}: {n_jobs} pairs, equal fingerprints and output files")
-    print(summary("parent", times[0]))
-    print(summary("change", times[1]))
+    print(summary("parent", times[0], faults[0]))
+    print(summary("change", times[1], faults[1]))
     ratio = statistics.median(times[1]) / statistics.median(times[0]) - 1
     print(f"change won {won} of {n_jobs} pairs ({won / n_jobs:.0%}); median {ratio:+.1%}")
     return 0

@@ -295,6 +295,13 @@ MUTANTS = (
            "if ends[-1] >= NEVER or ends.min() < now:",
            "if ends[-1] >= NEVER:",
            ("tests/test_des.py::test_lattice_clock_refuses_to_pass_never",)),
+    # Changes no value, only the memory a run holds: every page's list of
+    # workloads seen stays alive past the run instead of being cleared.
+    Mutant("des-pages-kept-alive", DES,
+           "        seen.clear()\n",
+           "        globals().setdefault(\"kept_pages\", []).append(seen)\n        seen = []\n",
+           ("tests/test_des.py::test_run_memory_grows_by_its_output_arrays_alone[oracle_lattice]",
+            "tests/test_des.py::test_run_memory_grows_by_its_output_arrays_alone[oracle_float]")),
     # The path's memo serves the spec the path was made with.
     Mutant("path-not-frozen", SEQUENCES,
            "@dataclass(frozen=True)\nclass StationaryPath:",
