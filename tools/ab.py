@@ -12,9 +12,9 @@ that differ (a fingerprint such as ``oracle``'s CLI exit code cannot see a
 changed trace). The output gives each side's median job time and quartiles,
 in ms, with its median minor page faults per job (``ru_minflt`` of the
 process, read around each job), and the share of pairs the change ran
-faster. A job that raises
-counts as a fingerprint of ``None``. Checks, tracing and the speed scale of
-``perfbench/run.py`` are left out: only the job calls are timed.
+faster. A job that raises counts as a fingerprint of ``None``. Checks,
+tracing and the speed scale of ``perfbench/run.py`` are left out: only the
+job calls are timed.
 
     python tools/ab.py PARENT [CHANGE] --workload lattice --seed 1 --seconds 18
 
