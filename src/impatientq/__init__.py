@@ -14,7 +14,7 @@ from .sequences import (
     Uniform,
 )
 from .kernel import StepOutcome, advance
-from .loynes import SupremumBound, supremum_bound
+from .loynes import SupremumBound, certified_supremum
 from .coupling import (
     CftpResult,
     ReachableSet,
@@ -48,7 +48,7 @@ __all__ = [
     "StepOutcome",
     "advance",
     "SupremumBound",
-    "supremum_bound",
+    "certified_supremum",
     "CftpResult",
     "ReachableSet",
     "RenovationEvent",

@@ -223,6 +223,9 @@ def cmd_hset(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
+    if cfg.run.n_arrivals < metrics.BATCHES:
+        raise ConfigurationError(f"run.n_arrivals must be >= {metrics.BATCHES} (the batch count) for simulate, "
+                                 f"got {cfg.run.n_arrivals}")
     path = StationaryPath(cfg.spec)
     trace = des.run(path, cfg.servers, cfg.run.n_arrivals)
     lost = ~trace.served

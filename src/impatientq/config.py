@@ -28,7 +28,7 @@ Schema (INI syntax, parsed with :mod:`configparser`)::
     ; [state0.tau], [state0.sigma], [state0.patience], [state1.tau], ...
 
     [run]                  ; command parameters, all optional
-    n_arrivals = 100000
+    n_arrivals = 100000    ; simulate: >= 30, the batch count of its interval
     n_samples = 100000     ; >= 30, the fixed batch count of the intervals
     tol = 1e-9             ; > 0 and finite
     cftp_max_horizon = 1048576
@@ -58,7 +58,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -108,7 +108,6 @@ class ExperimentConfig:
     spec: SequenceSpec
     run: RunParams
     sha256: str
-    source: Optional[str] = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.servers < 1:
@@ -117,7 +116,7 @@ class ExperimentConfig:
 
 def load_config(path: str | Path, seed_override: Optional[int] = None) -> ExperimentConfig:
     text = Path(path).read_text()
-    return parse_config(text, seed_override=seed_override, source=str(path))
+    return parse_config(text, seed_override=seed_override)
 
 
 class _Reader(configparser.ConfigParser):
@@ -132,8 +131,7 @@ class _Reader(configparser.ConfigParser):
         return super().get(section, option, **kwargs)
 
 
-def parse_config(text: str, seed_override: Optional[int] = None,
-                 source: Optional[str] = None) -> ExperimentConfig:
+def parse_config(text: str, seed_override: Optional[int] = None) -> ExperimentConfig:
     cp = _Reader()
     try:
         cp.read_string(text)
@@ -175,7 +173,7 @@ def parse_config(text: str, seed_override: Optional[int] = None,
 
     digest = hashlib.sha256(text.encode()).hexdigest()
     return ExperimentConfig(servers=servers, spec=spec, run=RunParams(**run_kwargs),
-                            sha256=digest, source=source)
+                            sha256=digest)
 
 
 def _get(cp: configparser.ConfigParser, section: str, key: str, default):

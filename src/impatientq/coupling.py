@@ -291,7 +291,6 @@ class ReachableSet:
 
     depth: int
     points: frozenset[tuple[int, ...]]
-    alpha: float
     box_size: int
     # Always true, as an open estimate is refused; perfbench's lattice check reads it (ROADMAP item 1b).
     estimate_stabilized: bool
@@ -340,10 +339,9 @@ def reachable_profile(path: StationaryPath, servers: int, depths: Sequence[int],
     if depths[0] < 0:
         raise ValueError("depths must be non-negative")
     deepest = depths[-1]
-    alpha = path.spec.alpha
     est = _envelope_estimate(path, servers, at - deepest, "upper")
     # box b is the box of depth deepest - b, at driver row b, capped by the estimate rolled there
-    caps = _multiples(envelope_states(path, at - deepest, deepest, est.value, "upper"), alpha)
+    caps = _multiples(envelope_states(path, at - deepest, deepest, est.value, "upper"), path.spec.alpha)
     drivers = np.vstack(_exact_drivers(path, at - deepest, deepest))
     boxes, sizes = _ordered_boxes(caps, cap, [f"at depth {deepest - b} (index {at - deepest + b})"
                                               for b in range(deepest + 1)])
@@ -382,7 +380,7 @@ def reachable_profile(path: StationaryPath, servers: int, depths: Sequence[int],
     counts = len(reach) - np.searchsorted(reach[order], depths)   # the rows of reach >= d, last in order
     rows = list(map(tuple, boxes[first + order[len(reach) - counts[0]:][::-1]].tolist()))
     sets = [frozenset(rows[:n]) for n in counts.tolist()]
-    return [ReachableSet(d, p, alpha, int(sizes[deepest - d]), est.coalesced) for d, p in zip(depths, sets)]
+    return [ReachableSet(d, p, int(sizes[deepest - d]), est.coalesced) for d, p in zip(depths, sets)]
 
 
 def _suffix_minima(caps) -> np.ndarray:

@@ -31,7 +31,8 @@ one gap. A lattice path runs the same engine on integers: multiples of
 needs to restart. One running clock then serves the whole run: servers
 hold their free times and the line its deadlines on it, which the walk,
 the expiry check and the head compare with the clock. The engine writes
-each page of ``_PAGE`` arrivals into the output arrays as the page ends.
+each page of ``_PAGE`` arrivals, one driver page
+(``sequences._CHAIN_BLOCK``), into the output arrays as the page ends.
 
 The line is walked once per arrival. An entry whose deadline has passed
 never fits in the fold (no virtual workload is below the clock) and would
@@ -55,9 +56,7 @@ import numpy as np
 from .errors import ResourceCapError
 from .kernel import NEVER
 from .loynes import _exact_drivers, exact_states
-from .sequences import StationaryPath
-
-_PAGE = 1 << 12  # arrivals per engine page, and rows per write in ``write_trace``
+from .sequences import _CHAIN_BLOCK as _PAGE, StationaryPath
 
 
 @dataclass(frozen=True, eq=False)

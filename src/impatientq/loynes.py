@@ -19,14 +19,14 @@ path used throughout the higher-level modules. One clipped delay line ends
 every read, and shifts the upper envelope's top coordinate, the lag-1
 supremum, to the certified read at every index (``metrics.bound_report``).
 A supremum is read to a finite depth and carries a certificate: a
-closed-form Chernoff bound on the chance that a deeper lag raises it,
-``stabilized`` when at most ``Z_RISK``. Up to that risk, the vector
-dominates both envelopes' stationary states and every stationary workload.
-``certified_supremum`` reads it as deep as the certificate needs; it is
-the one start box of every ``coupling.cftp`` chain, exact or envelope. A
-read resumes the path's previous read of the same server count and depth
-from its last reset, so reads at neighbouring indices step only their new
-lags, bit-identical to a read from scratch (see ``supremum_bound``).
+closed-form Chernoff bound on the chance that a deeper lag raises it. Up
+to ``Z_RISK``, the vector dominates both envelopes' stationary states and
+every stationary workload. ``certified_supremum`` reads it as deep as the
+certificate needs; it is the one start box of every ``coupling.cftp``
+chain, exact or envelope. A read resumes the path's previous read of the
+same server count and depth from its last reset, so reads at neighbouring
+indices step only their new lags, bit-identical to a read from scratch
+(see ``_supremum_read``).
 Long forward rolls run as time-parallel lanes with seam repair and return
 the scalar recursion's states bit for bit; recursions over the same drivers
 can share one such pass (see "Forward rolls" below).
@@ -59,13 +59,11 @@ class SupremumBound:
     ``values[j-1]`` is the supremum over lags ``S+1-j .. horizon`` (so the
     vector is ascending and the top coordinate uses every lag >= 1).
     Truncation can only under-estimate; ``risk`` bounds the probability
-    that some lag beyond ``horizon`` raises a coordinate, and
-    ``stabilized`` means ``risk <= Z_RISK``.
+    that some lag beyond ``horizon`` raises a coordinate.
     """
 
     values: tuple[float, ...]
     horizon: int
-    stabilized: bool
     risk: float
 
 
@@ -109,8 +107,10 @@ def _chernoff_constants(laws: tuple) -> tuple[np.ndarray, np.ndarray, float]:
     return thetas, log_c, max(need, 0.0) / min(tau.mean() for tau, _, _ in laws)
 
 
-def supremum_bound(path: StationaryPath, at: int, depth: int, servers: int) -> SupremumBound:
-    """Supremum vector at index ``at`` read to ``depth`` lags, certified.
+def _supremum_read(path: StationaryPath, at: int, depth: int, servers: int, ahead: int, thetas, log_c):
+    """Supremum vector at index ``at`` read to ``depth`` lags, with its risk,
+    from one block that also covers ``ahead`` indices and the laws'
+    constants ``thetas`` and ``log_c`` (``_chernoff_constants``).
 
     Coordinate ``j`` is ``[max over k in [S+1-j, depth] of
     (work shifted back k) - (sum of the k previous gaps)]+`` with the upper
@@ -131,11 +131,6 @@ def supremum_bound(path: StationaryPath, at: int, depth: int, servers: int) -> S
     from there both runs are one computation. The final ``S-1`` lags run
     ``metrics.bound_report``'s delay line; the risk reads every lag.
     """
-    return _supremum_read(path, at, depth, servers, 0, *_chernoff_constants(path.spec.laws)[:2])
-
-
-def _supremum_read(path: StationaryPath, at: int, depth: int, servers: int, ahead: int, thetas, log_c):
-    """``supremum_bound`` from one block that also covers ``ahead`` indices, with the laws' constants."""
     if servers < 1:
         raise ValueError("servers must be >= 1")
     if depth < servers:
@@ -183,7 +178,7 @@ def _supremum_read(path: StationaryPath, at: int, depth: int, servers: int, ahea
     # raises an infinite supremum.
     exponent = float((log_c - thetas * (values[0] + blk.tau[:depth].sum())).min(initial=0.0))
     risk = 0.0 if values[0] == math.inf else math.exp(exponent)
-    return SupremumBound(values, depth, risk <= Z_RISK, risk)
+    return SupremumBound(values, depth, risk)
 
 
 def certified_supremum(path: StationaryPath, at: int, servers: int, ahead: int = 0) -> SupremumBound:
@@ -194,21 +189,21 @@ def certified_supremum(path: StationaryPath, at: int, servers: int, ahead: int =
     short of their mean often (a fifth of reads with Exp(1) gaps, Exp(0.4)
     service and Exp(0.2) patience), their spread is O(sqrt(depth)), and a
     quarter more makes a deeper read rare. The depth doubles until the
-    bound is stabilized; past ``DEFAULT_MAX_DEPTH`` it raises
+    risk is at most ``Z_RISK``; past ``DEFAULT_MAX_DEPTH`` it raises
     ``ResourceCapError``. Each read first asks for the one driver window
     that also covers the ``ahead`` indices from ``at``, so the box read and
     a roll from the box over those indices share one page cover of the
     path's memo. Without it, a roll that ends past the last page of the box
     read would miss and generate a second cover. Reads at neighbouring
     indices take the same first depth, so each resumes the one before it
-    and steps only its new lags (``supremum_bound``); a doubled read
+    and steps only its new lags (``_supremum_read``); a doubled read
     replaces the path's resume entry and starts from scratch.
     """
     thetas, log_c, need = _chernoff_constants(path.spec.laws)
     depth = max(servers, math.ceil(min(1.25 * need, DEFAULT_MAX_DEPTH)))
     while True:
         zb = _supremum_read(path, at, depth, servers, ahead, thetas, log_c)
-        if zb.stabilized:
+        if zb.risk <= Z_RISK:
             return zb
         if depth >= DEFAULT_MAX_DEPTH:
             raise ResourceCapError(f"upper supremum at index {at} not certified "

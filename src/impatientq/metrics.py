@@ -29,7 +29,7 @@ import numpy as np
 
 from .coupling import _envelope_estimate, cftp
 from .errors import ContractError
-from .loynes import certified_supremum, sandwich_states
+from .loynes import Z_RISK, certified_supremum, sandwich_states
 from .sequences import StationaryPath
 
 BATCHES = 30
@@ -42,48 +42,33 @@ class ProbabilityEstimate:
     half_width: float
     n: int
 
-    @classmethod
-    def binomial(cls, hits: float, n: int) -> ProbabilityEstimate:
-        """Frequency of ``hits`` in ``n`` trials with a 95% normal-approximation
-        binomial half-width (for independent trials or short samples)."""
-        p = hits / n
-        return cls(p, 1.96 * math.sqrt(p * (1.0 - p) / n), n)
-
     def __repr__(self):
         return f"{self.probability:.6g} ± {self.half_width:.2g} (n={self.n})"
 
 
 def batch_means(x: np.ndarray) -> ProbabilityEstimate:
-    """Mean with a 95% half-width from ``BATCHES`` non-overlapping batch means.
+    """Frequency of the bool indicators ``x`` with a 95% half-width from
+    ``BATCHES`` non-overlapping batch means.
 
-    Bool indicators are counted as they are (``np.count_nonzero``): every
-    sum of float64 indicators is such a count, exact, so the estimate is
-    theirs bit for bit, without their copy.
+    The indicators are counted as they are (``np.count_nonzero``), without a
+    float64 copy; any other dtype, or fewer than ``BATCHES`` indicators, is
+    refused (``ValueError``).
     """
     x = np.asarray(x)
     if x.dtype != np.bool_:
-        x = x.astype(np.float64, copy=False)
+        raise ValueError(f"need bool indicators, got dtype {x.dtype}")
     n = x.size
     if n < BATCHES:
         raise ValueError(f"need at least {BATCHES} observations, got {n}")
     per = n // BATCHES
-    batches = x[: per * BATCHES].reshape(BATCHES, per)
-    if x.dtype == np.bool_:
-        means, mean = np.count_nonzero(batches, axis=1) / per, np.count_nonzero(x) / n
-    else:
-        means, mean = batches.mean(axis=1), x.mean()
+    means = np.count_nonzero(x[: per * BATCHES].reshape(BATCHES, per), axis=1) / per
     spread = float(means.std(ddof=1))
-    return ProbabilityEstimate(float(mean), T_975 * spread / math.sqrt(BATCHES), n)
+    return ProbabilityEstimate(float(np.count_nonzero(x) / n), T_975 * spread / math.sqrt(BATCHES), n)
 
 
 def loss_probability(losses: np.ndarray) -> ProbabilityEstimate:
-    """Fraction of lost arrivals, from their loss indicators, with a batch-means interval."""
-    losses = np.asarray(losses)
-    if losses.size < 1:
-        raise ValueError("trace must contain at least one arrival")
-    if losses.size < BATCHES:
-        # Short traces: fall back to a plain binomial interval.
-        return ProbabilityEstimate.binomial(float(losses.sum()), int(losses.size))
+    """Fraction of lost arrivals, from their bool loss indicators, with a
+    batch-means interval (``batch_means``)."""
     return batch_means(losses)
 
 
@@ -179,4 +164,4 @@ def bound_report(path: StationaryPath, servers: int, n_samples: int, at: int = 0
     samples = np.column_stack([*cols, inds[1].astype(np.float64)]) if keep_samples else None
     return BoundReport(*(batch_means(ind) for ind in inds), n_samples=n_samples,   # p_lower .. p_z
                        lower_stabilized=lower.coalesced, upper_stabilized=upper.coalesced,
-                       z_stabilized=zb.stabilized, samples=samples)
+                       z_stabilized=zb.risk <= Z_RISK, samples=samples)

@@ -412,12 +412,6 @@ class DriverBlock(NamedTuple):
     patience: np.ndarray
 
 
-class LatticeBlock(NamedTuple):
-    tau: np.ndarray        # int64 multiples of alpha
-    sigma: np.ndarray      # int64 multiples of alpha
-    patience: np.ndarray   # float64, unconstrained
-
-
 class _PathMemo:
     """The memos of one ``StationaryPath``, each with one eviction rule, read
     by one caller at a time. Every entry is a function of driver indices, so
@@ -428,7 +422,7 @@ class _PathMemo:
     - ``chains``: ``coupling.cftp``'s one box per ``(start, servers)``, with
       the chain of each kind that started from it, least recently used past
       ``CHAIN_MEMO`` (``keep_chain``; a start met again moves to the end).
-    - ``suprema``: ``loynes.supremum_bound``'s resume entry per server count.
+    - ``suprema``: ``loynes._supremum_read``'s resume entry per server count.
     """
 
     def __init__(self):
@@ -512,16 +506,17 @@ class StationaryPath:
             cols.append(u)
         return DriverBlock(*cols)
 
-    def lattice_block(self, start: int, count: int) -> LatticeBlock:
-        """Integer tau/sigma multipliers for exact-arithmetic consumers, read
-        off ``block``'s page memo: a float value ``fl(k * alpha)`` over
-        ``alpha`` rounds back to ``k`` for every ``k`` below 2^51."""
+    def lattice_block(self, start: int, count: int) -> DriverBlock:
+        """``block`` with tau and sigma as int64 multiples of alpha (patience
+        stays float64), for exact-arithmetic consumers, read off ``block``'s
+        page memo: a float value ``fl(k * alpha)`` over ``alpha`` rounds back
+        to ``k`` for every ``k`` below 2^51."""
         if not self.spec.is_lattice:
             raise ConfigurationError("lattice_block requires a lattice-model spec")
         blk = self.block(start, count)
         alpha = self.spec.alpha
-        return LatticeBlock(np.rint(blk.tau / alpha).astype(np.int64),
-                            np.rint(blk.sigma / alpha).astype(np.int64), blk.patience)
+        return DriverBlock(np.rint(blk.tau / alpha).astype(np.int64),
+                           np.rint(blk.sigma / alpha).astype(np.int64), blk.patience)
 
     # -- modulating chain ---------------------------------------------------
 

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from impatientq import sequences
+from impatientq import loynes, sequences
 from impatientq.coupling import ReachableSet, _bounding_chain, cftp
 from impatientq.kernel import _require_ordered, advance_lattice
 from impatientq.loynes import _effective_work, certified_supremum, envelope_states
@@ -422,7 +422,7 @@ def reachable_profile_reference(path: StationaryPath, servers: int, depths,
         for i in range(d):
             points = {advance_lattice(u, int(blk.tau[i]), int(blk.sigma[i]),
                                       float(blk.patience[i]), alpha)[0] for u in points}
-        out.append(ReachableSet(d, frozenset(points), alpha, len(box), est.coalesced))
+        out.append(ReachableSet(d, frozenset(points), len(box), est.coalesced))
     return out
 
 
@@ -471,3 +471,10 @@ def deep_envelope(path: StationaryPath, ats, kind: str, servers: int,
         merged = [np.minimum(np.maximum(a, w), b) for a, b in zip(u, u[1:])] + [np.maximum(u[-1], w)]
         u = [np.maximum(m - t, 0.0) for m in merged]
     return np.column_stack(u)
+
+
+def supremum_at_depth(path: StationaryPath, at: int, depth: int, servers: int):
+    """The supremum vector at ``at`` read to exactly ``depth`` lags, with its
+    risk: ``loynes._supremum_read`` at a fixed depth, resuming and replacing
+    the path's resume entry for ``servers`` as a certified read does."""
+    return loynes._supremum_read(path, at, depth, servers, 0, *loynes._chernoff_constants(path.spec.laws)[:2])

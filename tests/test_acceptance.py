@@ -11,7 +11,7 @@ from impatientq.cli import main as cli_main
 from impatientq.coupling import cftp, detect_renovation, reachable_profile
 from impatientq.des import cross_validate
 from impatientq.kernel import advance, advance_batch
-from impatientq.loynes import envelope_states, exact_states, supremum_bound
+from impatientq.loynes import envelope_states, exact_states
 from impatientq.metrics import bound_report, loss_probability
 from impatientq.sequences import (
     Deterministic,
@@ -31,6 +31,7 @@ from support import (
     random_mm_spec,
     random_ordered,
     renovation_box,
+    supremum_at_depth,
 )
 
 
@@ -181,7 +182,7 @@ def test_criterion_6_backward_structure():
         path = StationaryPath(random_iid_spec(rng))
         for depth in (1, 13, 64):
             it = envelope_states(path, -depth, depth, (0.0,), "upper")[-1]
-            zb = supremum_bound(path, 0, depth, 1)
+            zb = supremum_at_depth(path, 0, depth, 1)
             assert it[0] == zb.values[0]
             exact_hits += 1
     for servers in (2, 3, 5):
@@ -189,7 +190,7 @@ def test_criterion_6_backward_structure():
             path = StationaryPath(random_iid_spec(rng))
             for depth in (servers, 32, 129):
                 it = envelope_states(path, -depth, depth, (0.0,) * servers, "upper")[-1]
-                zb = supremum_bound(path, 0, depth, servers)
+                zb = supremum_at_depth(path, 0, depth, servers)
                 assert it[-1] == zb.values[-1]
                 exact_hits += 1
     _report("criterion 6 (backward scheme structure)",

@@ -189,20 +189,30 @@ def test_cli_bad_config_exit_2(tmp_path):
                  "--out", str(tmp_path)]) == 2
 
 
-@pytest.mark.parametrize("ini, old, new, key", [
-    (LATTICE_INI, "alpha = 1.0\n\n[tau]", "alpha = x\n\n[tau]", "alpha"),
-    (MM_INI, "transition = 0.9 0.1", "transition = 0.9 x", "transition"),
-    (MM2D_INI, "kind = iid", "kind = iid\nalpha = 1.0", "alpha"),
-    (LATTICE_INI, "alpha = 1.0\n\n[tau]", "alpha = nan\n\n[tau]", "alpha"),
-    (MM_INI, "transition = 0.9 0.1", "transition = nan 0.1", "transition"),
-    (MM2D_INI, "[run]", "[run]\ntol = nan", "run.tol"),
-    (MM2D_INI, "[run]", "[run]\ntol = inf", "run.tol"),
+def test_cli_validate_takes_a_short_trace(tmp_path):
+    # validate computes no interval, so fewer arrivals than the 30 batches
+    # simulate refuses still run
+    cfg = _write(tmp_path, "short.ini", MM2D_INI.replace("n_arrivals = 5000", "n_arrivals = 29"))
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "validate.json").read_text())["n_arrivals"] == 29
+
+
+@pytest.mark.parametrize("command, ini, old, new, key", [
+    ("validate", LATTICE_INI, "alpha = 1.0\n\n[tau]", "alpha = x\n\n[tau]", "alpha"),
+    ("validate", MM_INI, "transition = 0.9 0.1", "transition = 0.9 x", "transition"),
+    ("validate", MM2D_INI, "kind = iid", "kind = iid\nalpha = 1.0", "alpha"),
+    ("validate", LATTICE_INI, "alpha = 1.0\n\n[tau]", "alpha = nan\n\n[tau]", "alpha"),
+    ("validate", MM_INI, "transition = 0.9 0.1", "transition = nan 0.1", "transition"),
+    ("validate", MM2D_INI, "[run]", "[run]\ntol = nan", "run.tol"),
+    ("validate", MM2D_INI, "[run]", "[run]\ntol = inf", "run.tol"),
+    # the loss interval is batch means over 30 batches; validate takes any n_arrivals >= 1
+    ("simulate", MM2D_INI, "n_arrivals = 5000", "n_arrivals = 29", "run.n_arrivals"),
 ], ids=["alpha-not-float", "transition-not-float", "alpha-on-iid", "alpha-nan", "transition-nan", "tol-nan",
-        "tol-inf"])
-def test_cli_bad_model_key_exit_2(tmp_path, capsys, ini, old, new, key):
+        "tol-inf", "simulate-short-trace"])
+def test_cli_bad_model_key_exit_2(tmp_path, capsys, command, ini, old, new, key):
     assert old in ini
     cfg = _write(tmp_path, "bad.ini", ini.replace(old, new, 1))
-    assert main(["validate", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
 

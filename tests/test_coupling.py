@@ -790,8 +790,6 @@ def test_bounding_chain_resumes_bit_for_bit():
 def test_certified_box_dominates_deep_states():
     # the start box: the exact workload and the upper envelope iterate, both
     # from empty 4096 indices back, sit under the certified supremum vector
-    from impatientq.loynes import exact_states, supremum_bound
-
     rng = np.random.default_rng(515)
     for trial in range(40):
         spec = (random_iid_spec, random_mm_spec)[trial % 2](rng)
@@ -800,11 +798,7 @@ def test_certified_box_dominates_deep_states():
         at = int(rng.integers(-10_000, 10_000))
         exact = exact_states(path, at - 4096, 4096, (0.0,) * servers)[0][-1]
         upper = envelope_states(path, at - 4096, 4096, (0.0,) * servers, "upper")[-1]
-        depth = servers
-        zb = supremum_bound(path, at, depth, servers)
-        while not zb.stabilized:
-            depth *= 2
-            zb = supremum_bound(path, at, depth, servers)
+        zb = certified_supremum(path, at, servers)
         assert all(w <= u <= z for w, u, z in zip(exact, upper, zb.values)), (trial, exact, upper, zb)
 
 
@@ -965,7 +959,7 @@ def test_reachable_profile_nesting_random_configs():
         est = cftp(path, 2, 0, kind="upper")
         for s in sets:
             for p in s.points:
-                assert all(k * s.alpha <= y + 1e-9 for k, y in zip(p, est.value))
+                assert all(k * path.spec.alpha <= y + 1e-9 for k, y in zip(p, est.value))
 
 
 def test_reachable_set_collapse_under_drift():

@@ -12,7 +12,6 @@ from impatientq.loynes import (
     certified_supremum,
     envelope_states,
     exact_states,
-    supremum_bound,
 )
 from impatientq.sequences import (
     Deterministic,
@@ -34,6 +33,7 @@ from support import (
     random_iid_spec,
     random_mm_spec,
     reference_sweep_configs,
+    supremum_at_depth,
 )
 
 MM2D = iid_spec(17, Exponential(1.0), Exponential(0.6), Deterministic(1.0))
@@ -42,31 +42,31 @@ MM2D = iid_spec(17, Exponential(1.0), Exponential(0.6), Deterministic(1.0))
 def test_supremum_bound_drain_is_zero():
     path = StationaryPath(DRAIN)
     for depth in (3, 10, 100):
-        zb = supremum_bound(path, 0, depth, 3)
+        zb = supremum_at_depth(path, 0, depth, 3)
         assert zb.values == (0.0, 0.0, 0.0)
 
 
 def test_supremum_bound_growth_example():
     # work 3, gap 1: the lag-l supremum is 3 - l, so the vector is (0, 1, 2)
     path = StationaryPath(GROWTH)
-    zb = supremum_bound(path, 0, 2000, 3)
+    zb = supremum_at_depth(path, 0, 2000, 3)
     assert zb.values == (0.0, 1.0, 2.0)
-    assert zb.stabilized
+    assert zb.risk <= loynes.Z_RISK
 
 
 def test_depth_below_servers_rejected():
     path = StationaryPath(MM2D)
     with pytest.raises(ValueError):
-        supremum_bound(path, 0, 2, 3)
+        supremum_at_depth(path, 0, 2, 3)
 
 
 def test_supremum_monotone_in_horizon():
     rng = np.random.default_rng(6)
     for _ in range(10):
         path = StationaryPath(random_iid_spec(rng))
-        prev = supremum_bound(path, 0, 4, 4).values
+        prev = supremum_at_depth(path, 0, 4, 4).values
         for depth in (8, 16, 64, 256):
-            cur = supremum_bound(path, 0, depth, 4).values
+            cur = supremum_at_depth(path, 0, depth, 4).values
             assert all(a <= b for a, b in zip(prev, cur))
             prev = cur
 
@@ -78,7 +78,7 @@ def test_single_server_iterate_telescopes_exactly():
     for path in paths:
         for depth in (1, 3, 17, 128):
             it = envelope_states(path, -depth, depth, (0.0,), "upper")[-1]
-            zb = supremum_bound(path, 0, depth, 1)
+            zb = supremum_at_depth(path, 0, depth, 1)
             assert it[0] == zb.values[0]
 
 
@@ -89,7 +89,7 @@ def test_top_coordinate_identity_exact():
             path = StationaryPath(random_iid_spec(rng))
             for depth in (servers, 2 * servers, 64, 257):
                 it = envelope_states(path, -3 - depth, depth, (0.0,) * servers, "upper")[-1]
-                zb = supremum_bound(path, -3, depth, servers)
+                zb = supremum_at_depth(path, -3, depth, servers)
                 assert it[-1] == zb.values[-1]
 
 
@@ -101,7 +101,7 @@ def test_supremum_values_match_direct_maximum():
     blk = path.block(-depth, depth)
     work = (blk.sigma + blk.patience)[::-1]
     terms = work - np.cumsum(blk.tau[::-1])
-    zb = supremum_bound(path, 0, depth, servers)
+    zb = supremum_at_depth(path, 0, depth, servers)
     for j in range(1, servers + 1):
         lag0 = servers + 1 - j
         direct = max(float(terms[lag0 - 1:].max()), 0.0)
@@ -129,7 +129,7 @@ def test_iterate_dominated_by_supremum_at_stabilized_depth():
         est = cftp(path, 3, 0, kind="upper")
         if not est.coalesced:
             continue
-        zb = supremum_bound(path, 0, max(est.horizon_used, 3), 3)
+        zb = supremum_at_depth(path, 0, max(est.horizon_used, 3), 3)
         assert all(v <= z + 1e-9 for v, z in zip(est.value, zb.values))
 
 
@@ -305,10 +305,10 @@ def test_supremum_certificate_against_deep_reference():
         for at in range(0, 20 * 997, 997):
             blk = [col[at : at + 8192] for col in window]
             depth = servers
-            zb = supremum_bound(path, at, depth, servers)
+            zb = supremum_at_depth(path, at, depth, servers)
             while zb.risk > risk and depth < 8192:
                 depth *= 2
-                zb = supremum_bound(path, at, depth, servers)
+                zb = supremum_at_depth(path, at, depth, servers)
             if zb.risk > risk:
                 continue
             tau, sigma, patience = blk
@@ -337,7 +337,7 @@ def test_supremum_risk_closed_form():
     for spec, gaps in ((iid, 1.0), (modulated, 2.0)):
         path = StationaryPath(spec)
         for at, depth in ((28, 40), (35, 150), (7, 400)):
-            zb = supremum_bound(path, at, depth, 3)
+            zb = supremum_at_depth(path, at, depth, 3)
             assert zb.values[0] < zb.values[-1]   # the least coordinate is the one that counts
             elapsed = float(path.block(at - depth, depth).tau.sum())
             want = min(0.4 / (0.4 - t) * 0.2 / (0.2 - t) * math.exp(-t * (zb.values[0] + elapsed)) * gaps / t
@@ -345,15 +345,36 @@ def test_supremum_risk_closed_form():
             assert zb.risk == pytest.approx(min(want, 1.0), rel=1e-9), (spec.model, at, depth)
 
 
+@pytest.mark.parametrize("spec", [CERTIFY, MM_SPEC, LATTICE], ids=["iid", "markov", "lattice"])
+def test_a_certified_read_stops_at_the_first_depth_within_z_risk(spec, monkeypatch):
+    # every certified read's risk is at most Z_RISK, and its depth is the
+    # first of its doubling ladder to get there: the read at half that
+    # depth, when it is on the ladder, is above Z_RISK. The ladder starts at
+    # an eighth of its depth, so reads double; they are 997 indices apart,
+    # so each steps its window from scratch.
+    chernoff = loynes._chernoff_constants
+    monkeypatch.setattr(loynes, "_chernoff_constants", lambda laws: (*chernoff(laws)[:2], chernoff(laws)[2] / 8))
+    path, doubled = StationaryPath(spec), 0
+    for servers in (1, 3):
+        first = max(servers, math.ceil(1.25 * loynes._chernoff_constants(spec.laws)[2]))
+        for at in range(0, 40 * 997, 997):
+            zb = certified_supremum(path, at, servers)
+            assert zb.risk <= loynes.Z_RISK, (servers, at, zb.risk)
+            if zb.horizon > first:
+                doubled += 1
+                assert supremum_at_depth(path, at, zb.horizon // 2, servers).risk > loynes.Z_RISK, (servers, at)
+    assert doubled > 40, doubled
+
+
 def test_supremum_risk_fields():
     path = StationaryPath(MM2D)
-    shallow = supremum_bound(path, 0, 4, 2)
-    deep = supremum_bound(path, 0, 4096, 2)
-    assert 0.0 <= deep.risk <= 1e-12 and deep.stabilized
-    assert shallow.risk > 1e-12 and not shallow.stabilized
+    shallow = supremum_at_depth(path, 0, 4, 2)
+    deep = supremum_at_depth(path, 0, 4096, 2)
+    assert 0.0 <= deep.risk <= 1e-12
+    assert shallow.risk > 1e-12
     # infinite work: nothing can raise an infinite supremum
     inf = StationaryPath(iid_spec(3, Exponential(1.0), Exponential(2.0), Deterministic(float("inf"))))
-    zb = supremum_bound(inf, 0, 8, 2)
+    zb = supremum_at_depth(inf, 0, 8, 2)
     assert zb.values == (float("inf"),) * 2 and zb.risk == 0.0
 
 
@@ -380,7 +401,7 @@ def test_chernoff_constants_are_shared_across_seeds(model):
 
 
 def _bound_fields(zb):
-    return zb.values, zb.horizon, zb.stabilized, np.float64(zb.risk).view(np.int64)
+    return zb.values, zb.horizon, np.float64(zb.risk).view(np.int64)
 
 
 def _sweep_targets(order, depth, rng, n=16, first=4096 + 8):
@@ -429,9 +450,9 @@ def test_supremum_bound_resume_changes_no_result(name):
                     inside = before[3] >= t + shift - depth
                     resumed += inside
                     reset_outside += not inside
-                zb = supremum_bound(shared, t + shift, depth, servers)
+                zb = supremum_at_depth(shared, t + shift, depth, servers)
                 reference._memo.suprema.clear()
-                fresh = supremum_bound(reference, t + shift, depth, servers)
+                fresh = supremum_at_depth(reference, t + shift, depth, servers)
                 assert _bound_fields(zb) == _bound_fields(fresh), (name, scale, order, t, servers)
     assert resumed > 0 and reset_outside > 0, (resumed, reset_outside)
 
@@ -466,11 +487,11 @@ def test_supremum_bound_resume_is_keyed_on_servers():
     path = StationaryPath(CERTIFY)
     deeper_lags_count = 0
     for t in range(-200, 200):
-        supremum_bound(path, t + 3, 8, 4)
-        zb = supremum_bound(path, t, 8, 1)
+        supremum_at_depth(path, t + 3, 8, 4)
+        zb = supremum_at_depth(path, t, 8, 1)
         fresh = StationaryPath(CERTIFY)
-        assert _bound_fields(zb) == _bound_fields(supremum_bound(fresh, t, 8, 1)), t
-        deeper_lags_count += zb.values != supremum_bound(fresh, t, 5, 1).values
+        assert _bound_fields(zb) == _bound_fields(supremum_at_depth(fresh, t, 8, 1)), t
+        deeper_lags_count += zb.values != supremum_at_depth(fresh, t, 5, 1).values
     assert deeper_lags_count > 0
 
 
@@ -517,7 +538,7 @@ def test_exact_lists_hand_out_the_page_lists(spec):
 def test_a_certified_read_reads_its_window_once(monkeypatch):
     # Speed only: each depth a certified read tries asks ``block`` for its
     # one window, the one that also covers the ``ahead`` indices, and the
-    # read looks up the laws' Chernoff constants once; ``supremum_bound``
+    # read looks up the laws' Chernoff constants once; a fixed-depth read
     # reads one window and looks them up once too. Reads at neighbouring
     # indices resume one another; with the constants' first depth cut to
     # an eighth, reads double their depth.
@@ -545,7 +566,7 @@ def test_a_certified_read_reads_its_window_once(monkeypatch):
     path = StationaryPath(CERTIFY)
     for t in range(0, 300, 7):
         blocks.clear(), lookups.clear()
-        supremum_bound(path, t, 64, 3)
+        supremum_at_depth(path, t, 64, 3)
         assert blocks == [(t - 64, 64)] and lookups == [1], (t, blocks, lookups)
     assert doubled > 10, doubled
 

@@ -92,48 +92,50 @@ def test_loss_probability_periodic():
     assert est.probability == 0.5
 
 
-def test_loss_probability_short_trace_binomial():
-    spec = det_spec(1, tau=1.0, sigma=1.5, patience=0.0)
-    est = loss_probability(~run(StationaryPath(spec), 1, 10).served)
-    assert est.n == 10 and 0.0 <= est.probability <= 1.0
-    for empty in ([], np.array([], dtype=bool)):
+def test_loss_probability_refuses_short_trace():
+    # every interval is batch means over BATCHES batches: fewer indicators
+    # are refused, BATCHES of them are batch means
+    for losses in (np.arange(BATCHES - 1) % 3 == 0, [], np.array([], dtype=bool)):
         with pytest.raises(ValueError):
-            loss_probability(empty)
-
-
-def test_loss_probability_switches_to_batch_means_at_30():
-    # Below BATCHES arrivals a batch would be empty: the binomial interval.
-    for n in (BATCHES - 1, BATCHES):
-        losses = np.arange(n) % 3 == 0
-        want = (ProbabilityEstimate.binomial(float(losses.sum()), n) if n < BATCHES
-                else batch_means(losses))
-        assert loss_probability(losses) == want, n
+            loss_probability(losses)
     losses = np.arange(BATCHES) % 3 == 0
-    assert loss_probability(losses) != ProbabilityEstimate.binomial(float(losses.sum()), BATCHES)
+    assert loss_probability(losses) == batch_means(losses)
 
 
 def test_batch_means_basics():
-    est = batch_means(np.full(3000, 0.25))
-    assert est.probability == 0.25 and est.half_width == 0.0
+    for value in (False, True):
+        est = batch_means(np.full(3000, value))
+        assert est.probability == float(value) and est.half_width == 0.0
     rng = np.random.default_rng(0)
-    x = rng.uniform(size=30_000)
-    est = batch_means(x)
+    est = batch_means(rng.uniform(size=30_000) < 0.5)
     assert abs(est.probability - 0.5) < 0.02
     assert 0.0 < est.half_width < 0.02
     with pytest.raises(ValueError):
-        batch_means(np.ones(10))
+        batch_means(np.ones(10, dtype=bool))
+    for numbers in (np.full(3000, 0.25), np.ones(3000, dtype=np.int64)):
+        with pytest.raises(ValueError, match="bool"):
+            batch_means(numbers)
+
+
+def _float_batch_means(x: np.ndarray) -> ProbabilityEstimate:
+    """The batch-means estimate of float64 values, by float sums: the
+    reference for the counts of bool indicators."""
+    per = x.size // BATCHES
+    means = x[: per * BATCHES].reshape(BATCHES, per).mean(axis=1)
+    return ProbabilityEstimate(float(x.mean()), T_975 * float(means.std(ddof=1)) / math.sqrt(BATCHES), x.size)
 
 
 @pytest.mark.parametrize("n", [31, 59, 1_001, 99_991])
 def test_batch_means_counts_bool_indicators_as_floats(n):
     # Bool indicators give the float64 indicators' probability and half-width
-    # bit for bit, on lengths whose tail is left out of the batches, and are
-    # counted without a float64 copy: that of 99,991 indicators takes 800 KB,
-    # and their counts peak at 55 KB, in the per-batch sum's cast buffers.
+    # bit for bit, on lengths whose tail is left out of the batches (every
+    # sum of float64 indicators is an exact count), and are counted without
+    # a float64 copy: that of 99,991 indicators takes 800 KB, and their
+    # counts peak at 55 KB, in the per-batch sum's cast buffers.
     import tracemalloc
 
     x = np.random.default_rng(n).random(n) < 0.3
-    want = batch_means(x.astype(np.float64))
+    want = _float_batch_means(x.astype(np.float64))
     tracemalloc.start()
     try:
         got = batch_means(x)
@@ -142,16 +144,6 @@ def test_batch_means_counts_bool_indicators_as_floats(n):
         tracemalloc.stop()
     assert (got.probability, got.half_width, got.n) == (want.probability, want.half_width, want.n)
     assert type(got.probability) is float and peak < 100_000, peak
-
-
-def test_binomial_estimate():
-    est = ProbabilityEstimate.binomial(3, 10)
-    assert (est.probability, est.n) == (0.3, 10)
-    assert est.half_width == 1.96 * math.sqrt(0.3 * 0.7 / 10)
-    assert ProbabilityEstimate.binomial(0, 50).half_width == 0.0
-    # the short-trace fallback of loss_probability is this estimate
-    losses = np.array([1, 0, 0, 1, 0, 0, 0, 1, 0, 0], dtype=bool)
-    assert loss_probability(losses) == est
 
 
 def test_t_975_matches_reference():

@@ -11,7 +11,9 @@ differs ends the run with exit status 1, naming the first file and line
 that differ (a fingerprint such as ``oracle``'s CLI exit code cannot see a
 changed trace). The output gives each side's median job time and quartiles,
 in ms, with its median minor page faults per job (``ru_minflt`` of the
-process, read around each job), and the share of pairs the change ran
+process, read around each job) and its median driver generations and
+indices generated per job (a spy on that side's
+``StationaryPath._generate``), and the share of pairs the change ran
 faster. A job that raises counts as a fingerprint of ``None``. Checks,
 tracing and the speed scale of ``perfbench/run.py`` are left out: only the
 job calls are timed.
@@ -38,10 +40,28 @@ from typing import Optional
 ROOT = Path(__file__).resolve().parent.parent
 
 
+class GenerationSpy:
+    """Counts the driver generations of one side: calls of its
+    ``StationaryPath._generate`` and the indices they generate."""
+
+    def __init__(self, path_class):
+        self.calls = self.indices = 0
+        generate = path_class._generate
+
+        def spy(path, start, count):
+            self.calls += 1
+            self.indices += count
+            return generate(path, start, count)
+
+        path_class._generate = spy
+
+
 def load_workloads(root: Path):
     """``perfbench/workloads.py`` of the checkout at ``root``, bound to that
-    checkout's ``impatientq``. The modules of an earlier load are dropped
-    from ``sys.modules`` first; the objects already loaded keep their own."""
+    checkout's ``impatientq``, with a ``GenerationSpy`` on its driver
+    generations as ``module.generations``. The modules of an earlier load
+    are dropped from ``sys.modules`` first; the objects already loaded keep
+    their own."""
     for name in [m for m in sys.modules if m in ("impatientq", "workloads") or m.startswith("impatientq.")]:
         del sys.modules[name]
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
@@ -52,21 +72,23 @@ def load_workloads(root: Path):
     package = Path(module.coupling.__file__).resolve()
     if not package.is_relative_to((root / "src").resolve()):
         raise SystemExit(f"{root}: impatientq imported from {package}, not from the checkout")
+    module.generations = GenerationSpy(sys.modules["impatientq.sequences"].StationaryPath)
     return module
 
 
-def timed(wl, k: int) -> tuple[float, int, object]:
-    """Job ``k``'s time in seconds, its minor page faults and its
-    fingerprint (``None`` if it raised)."""
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+def timed(wl, k: int, spy: GenerationSpy) -> tuple[float, tuple[int, int, int], object]:
+    """Job ``k``'s time in seconds, its work counts (minor page faults,
+    driver generations, indices generated) and its fingerprint (``None`` if
+    it raised)."""
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, spy.calls, spy.indices
     t0 = perf_counter()
     try:
         out, raised = wl.job(k), False
     except Exception:
         out, raised = None, True
     took = perf_counter() - t0
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-    return took, faults, None if raised else wl.fingerprint(out)
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, spy.calls, spy.indices
+    return took, tuple(b - a for a, b in zip(before, after)), None if raised else wl.fingerprint(out)
 
 
 def first_difference(parent: Path, change: Path) -> Optional[str]:
@@ -84,10 +106,12 @@ def first_difference(parent: Path, change: Path) -> Optional[str]:
     return None
 
 
-def summary(name: str, times: list[float], faults: list[int]) -> str:
+def summary(name: str, times: list[float], counts: list[tuple[int, int, int]]) -> str:
     q1, q2, q3 = statistics.quantiles(times, n=4)
+    faults, generations, indices = (statistics.median(c) for c in zip(*counts))
     return (f"{name}: median {1e3 * q2:.4f} ms, quartiles {1e3 * q1:.4f} .. {1e3 * q3:.4f} ms; "
-            f"median {statistics.median(faults):g} minor faults per job")
+            f"median {faults:g} minor faults, {generations:g} driver generations "
+            f"and {indices:g} indices generated per job")
 
 
 def main(argv=None) -> int:
@@ -104,7 +128,7 @@ def main(argv=None) -> int:
     if n_jobs < 2:
         ap.error(f"--seconds {args.seconds} gives {n_jobs} job; quartiles need two")
     times: list[list[float]] = [[], []]
-    faults: list[list[int]] = [[], []]
+    counts: list[list[tuple[int, int, int]]] = [[], []]
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         workdirs = [Path(tmp) / str(i) for i in range(2)]
         wls = []
@@ -114,9 +138,9 @@ def main(argv=None) -> int:
         for k in range(n_jobs):
             fingerprints = [None, None]
             for i in ((0, 1) if k % 2 == 0 else (1, 0)):
-                took, faulted, fingerprints[i] = timed(wls[i], k)
+                took, counted, fingerprints[i] = timed(wls[i], k, sides[i].generations)
                 times[i].append(took)
-                faults[i].append(faulted)
+                counts[i].append(counted)
             if fingerprints[0] != fingerprints[1]:
                 print(f"job {k}: fingerprints differ: parent {fingerprints[0]!r}, change {fingerprints[1]!r}")
                 return 1
@@ -126,8 +150,8 @@ def main(argv=None) -> int:
                 return 1
     won = sum(b < a for a, b in zip(*times))
     print(f"{args.workload}, seed {args.seed}: {n_jobs} pairs, equal fingerprints and output files")
-    print(summary("parent", times[0], faults[0]))
-    print(summary("change", times[1], faults[1]))
+    print(summary("parent", times[0], counts[0]))
+    print(summary("change", times[1], counts[1]))
     ratio = statistics.median(times[1]) / statistics.median(times[0]) - 1
     print(f"change won {won} of {n_jobs} pairs ({won / n_jobs:.0%}); median {ratio:+.1%}")
     return 0

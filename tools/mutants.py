@@ -266,10 +266,18 @@ MUTANTS = (
            "        for name in (\"value\", \"coalesced\", \"horizon_used\", \"z_depth\", \"z_risk\"):\n"
            "            object.__setattr__(self, name, locals()[name])\n",
            ("tests/test_coupling.py::test_a_cftp_result_is_built_in_one_call",)),
-    Mutant("box-read-through-supremum-bound", LOYNES,
+    Mutant("box-read-reads-its-window-twice", LOYNES,
            "        zb = _supremum_read(path, at, depth, servers, ahead, thetas, log_c)\n",
-           "        path.block(at - depth, depth + ahead)\n        zb = supremum_bound(path, at, depth, servers)\n",
+           "        path.block(at - depth, depth + ahead)\n"
+           "        zb = _supremum_read(path, at, depth, servers, 0, thetas, log_c)\n",
            ("tests/test_loynes.py::test_a_certified_read_reads_its_window_once",)),
+    # A certified read is accepted only at risk Z_RISK or below.
+    Mutant("certified-read-accepts-a-looser-risk", LOYNES,
+           "        if zb.risk <= Z_RISK:\n",
+           "        if zb.risk <= 1e6 * Z_RISK:\n",
+           ("tests/test_loynes.py::test_a_certified_read_stops_at_the_first_depth_within_z_risk[iid]",
+            "tests/test_loynes.py::test_a_certified_read_stops_at_the_first_depth_within_z_risk[markov]",
+            "tests/test_loynes.py::test_a_certified_read_stops_at_the_first_depth_within_z_risk[lattice]")),
     # Changes no value, only the driver covers a cross-validation generates.
     Mutant("cross-validate-covers-per-chunk", DES,
            "    path.block(0, max(n_arrivals, 0))   # one cover for the engine's chunks and the recursion; run refuses n < 1\n",
@@ -341,8 +349,8 @@ MUTANTS = (
     # The loss estimate's interval covers the exact Erlang-A loss at about its
     # nominal rate; an estimate one half-width off covers it about half as often.
     Mutant("loss-estimate-one-half-width-high", METRICS,
-           "return ProbabilityEstimate(float(mean), T_975 * spread / math.sqrt(BATCHES), n)",
-           "return ProbabilityEstimate(float(mean) + T_975 * spread / math.sqrt(BATCHES), "
+           "return ProbabilityEstimate(float(np.count_nonzero(x) / n), T_975 * spread / math.sqrt(BATCHES), n)",
+           "return ProbabilityEstimate(float(np.count_nonzero(x) / n) + T_975 * spread / math.sqrt(BATCHES), "
            "T_975 * spread / math.sqrt(BATCHES), n)",
            ("tests/test_metrics.py::test_bound_report_p_loss_covers_erlang_a",)),
     # A column is sampled once over the stream only when its law is the same in every state.
