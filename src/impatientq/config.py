@@ -50,13 +50,14 @@ and key. Backward reads take the depth their certificates need, so no key
 sets a depth; a ``z_depth`` key is refused like any other unread key, as
 is ``batches``: every interval uses 30 batches (``metrics.BATCHES``). Nor
 does a key set where ``bounds`` starts the workload or a warm-up for the
-modulating chain: both are read by coupling from the past.
+modulating chain: both are read by coupling from the past. ``parse_config``
+stamps the config with its text's sha256 and imports ``hashlib`` only there:
+it maps OpenSSL, which a process that parses no config then never loads.
 """
 
 from __future__ import annotations
 
 import configparser
-import hashlib
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -171,6 +172,7 @@ def parse_config(text: str, seed_override: Optional[int] = None) -> ExperimentCo
             if (section, key) not in cp.read_keys:
                 raise ConfigurationError(f"[{section}] {key} is not read by a {kind!r} config")
 
+    import hashlib
     digest = hashlib.sha256(text.encode()).hexdigest()
     return ExperimentConfig(servers=servers, spec=spec, run=RunParams(**run_kwargs),
                             sha256=digest)

@@ -207,13 +207,19 @@ def cross_validate(path: StationaryPath, servers: int, n_arrivals: int,
     The workload vector seen by each arrival must match the recursion state
     within ``tol`` in every coordinate, and the served/lost flag must equal
     the recursion's acceptance indicator exactly. The recursion runs in the
-    path's own arithmetic (``loynes.exact_states``), as the engine does.
+    path's own arithmetic (``loynes.exact_states``), as the engine does, and
+    first, so its driver cover serves the engine's pages. Rows are compared
+    a page at a time: the run holds the cover, the states and the trace.
     """
-    path.block(0, max(n_arrivals, 0))   # one cover for the engine's chunks and the recursion; run refuses n < 1
-    trace = run(path, servers, n_arrivals)
+    if min(servers, n_arrivals) < 1:
+        run(path, servers, n_arrivals)   # refuses, with its message
     states, accepted = exact_states(path, 0, n_arrivals, (0.0,) * servers)
-    diff = trace.seen - states[:-1]
-    disc = np.abs(diff, out=diff).max(axis=1)
+    trace = run(path, servers, n_arrivals)
+    disc, buf = np.empty(n_arrivals), np.empty((min(_PAGE, n_arrivals), servers))
+    for a in range(0, n_arrivals, _PAGE):
+        b = min(a + _PAGE, n_arrivals)
+        diff = np.subtract(trace.seen[a:b], states[a:b], out=buf[:b - a])
+        np.abs(diff, out=diff).max(axis=1, out=disc[a:b])
     bad = (disc > tol) | (trace.served != accepted)
     first_div = None
     if bad.any():

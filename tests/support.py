@@ -113,6 +113,33 @@ def erlang_a(servers: int, arrival_rate: float, service_rate: float, abandon_rat
             return abandon_rate * queued / (arrival_rate * total)
 
 
+def level_crossing_loss(servers: int, arrival_rate: float, service_rate: float, patience) -> float:
+    """Loss probability of the M/M/S+G queue, by level crossing (ROADMAP item 8).
+
+    With a = lambda/mu, H(x) the integral of P(D > y) over [0, x] and J the
+    integral of exp(lambda H(x) - S mu x) over [0, inf), 1/p_{S-1} is
+    sum_{j<S} ((S-1)!/j!) a^(j-S+1) + lambda J and the loss is
+    p_{S-1} (1 + (lambda - S mu) J). ``patience`` is Exponential or
+    Deterministic; J is integrated by ``scipy.integrate.quad``, split at a
+    Deterministic patience's kink in H (quad warns across it).
+    """
+    from scipy.integrate import quad
+
+    if isinstance(patience, Exponential):
+        kinks, H = (), lambda x: -math.expm1(-patience.rate * x) / patience.rate
+    elif isinstance(patience, Deterministic):
+        kinks, H = (patience.value,), lambda x: min(x, patience.value)
+    else:
+        raise TypeError(f"no level-crossing form for {patience!r}")
+    lam, smu = arrival_rate, servers * service_rate
+    edges = [0.0, *(k for k in kinks if 0.0 < k < math.inf), math.inf]
+    J = sum(quad(lambda x: math.exp(lam * H(x) - smu * x), lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            for lo, hi in zip(edges, edges[1:]))
+    a = arrival_rate / service_rate
+    inverse = sum(math.factorial(servers - 1) / math.factorial(j) * a ** (j - servers + 1) for j in range(servers))
+    return (1.0 + (lam - smu) * J) / (inverse + lam * J)
+
+
 def mm1_wait_tail(rho: float, mu: float, x: float) -> float:
     """P(stationary wait > x) for the single-server Markovian queue."""
     if not (0.0 < rho < 1.0):

@@ -581,12 +581,10 @@ def test_golden_traces(name, spec, servers, n, digest, losses):
     assert (~trace.served).sum() == losses
 
 
-@pytest.mark.parametrize("name", ["oracle_lattice", "oracle_float"])
-def test_run_memory_grows_by_its_output_arrays_alone(name):
-    # The engine writes each page's workloads into the output arrays as the
-    # page ends, so a longer run holds only more of those: 8 bytes a value
-    # and 1 served byte an arrival. Keeping every value as a Python object
-    # until the run ends costs 36-40 bytes a value instead.
+def _peak_growth_per_arrival(call, name) -> tuple[float, int]:
+    """The tracemalloc peak growth per arrival of ``call(path, servers, n)``
+    on a fresh path of the ``GOLDEN`` model ``name``, from 4 to 16 engine
+    pages, and the model's server count."""
     _, spec, servers, *_ = next(g for g in GOLDEN if g[0] == name)
 
     def peak(pages):
@@ -594,13 +592,32 @@ def test_run_memory_grows_by_its_output_arrays_alone(name):
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            run(path, servers, pages * des._PAGE)
+            call(path, servers, pages * des._PAGE)
             return tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
 
-    per_arrival = (peak(16) - peak(4)) / (12 * des._PAGE)
+    return (peak(16) - peak(4)) / (12 * des._PAGE), servers
+
+
+@pytest.mark.parametrize("name", ["oracle_lattice", "oracle_float"])
+def test_run_memory_grows_by_its_output_arrays_alone(name):
+    # The engine writes each page's workloads into the output arrays as the
+    # page ends, so a longer run holds only more of those: 8 bytes a value
+    # and 1 served byte an arrival. Keeping every value as a Python object
+    # until the run ends costs 36-40 bytes a value instead.
+    per_arrival, servers = _peak_growth_per_arrival(run, name)
     assert per_arrival <= 8 * servers + 4, per_arrival
+
+
+@pytest.mark.parametrize("name", ["oracle_lattice", "oracle_float"])
+def test_cross_validate_memory_grows_by_cover_states_and_trace_alone(name):
+    # A longer cross-validation holds only more driver cover (three 8-byte
+    # drivers an arrival), recursion states and trace (8 bytes a value
+    # each). A whole-run difference array, or a cover per engine page
+    # besides the recursion's, costs 8 * S bytes an arrival or more.
+    per_arrival, servers = _peak_growth_per_arrival(cross_validate, name)
+    assert per_arrival <= 24 + 16 * servers + 4, per_arrival
 
 
 def _bits(values) -> list[int]:

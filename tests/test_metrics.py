@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +17,8 @@ from impatientq.des import run
 from impatientq.loynes import certified_supremum, exact_states
 from impatientq.metrics import BATCHES, T_975, ProbabilityEstimate, batch_means, bound_report, loss_probability
 from impatientq.sequences import Deterministic, Exponential, StationaryPath, Uniform, stream_uniforms
-from support import DRAIN, GROWTH, LATTICE, MM_SPEC, NON_DYADIC, det_spec, erlang_a, erlang_b, iid_spec, mm1_wait_tail, random_iid_spec
+from support import (DRAIN, GROWTH, LATTICE, MM_SPEC, NON_DYADIC, det_spec, erlang_a, erlang_b, iid_spec,
+                     level_crossing_loss, mm1_wait_tail, random_iid_spec)
 
 
 def test_erlang_b_values():
@@ -48,6 +50,29 @@ def test_erlang_a_values():
         erlang_a(0, 1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         erlang_a(2, 1.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("servers,arrival_rate,service_rate,abandon_rate",
+                         [(1, 0.9, 1.0, 0.5), (2, 2.5, 1.0, 0.3), (3, 2.4, 1.0, 2.0), (5, 4.0, 0.9, 0.1)])
+def test_level_crossing_loss_equals_erlang_a(servers, arrival_rate, service_rate, abandon_rate):
+    # Exponential patience makes the M/M/S+G queue the Erlang-A chain; the
+    # two share no code (an integral against a birth-death sum).
+    pytest.importorskip("scipy.integrate")
+    got = level_crossing_loss(servers, arrival_rate, service_rate, Exponential(abandon_rate))
+    assert got == pytest.approx(erlang_a(servers, arrival_rate, service_rate, abandon_rate), rel=1e-9, abs=0)
+
+
+def test_level_crossing_loss_at_zero_patience_is_erlang_b():
+    # A customer who cannot wait is lost when every server is busy. With
+    # warnings as errors, a Deterministic patience's kink splits quad's
+    # integral rather than raising its IntegrationWarning.
+    pytest.importorskip("scipy.integrate")
+    for servers, arrival_rate, service_rate in ((1, 0.9, 1.0), (2, 2.5, 1.0), (3, 2.4, 1.0), (5, 4.0, 0.9)):
+        got = level_crossing_loss(servers, arrival_rate, service_rate, Deterministic(0.0))
+        assert got == pytest.approx(erlang_b(servers, arrival_rate / service_rate), rel=1e-12, abs=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert 0.0 < level_crossing_loss(3, 2.4, 1.0, Deterministic(1.5)) < erlang_b(3, 2.4)
 
 
 def test_bound_report_p_loss_covers_erlang_a():
@@ -157,21 +182,28 @@ def test_package_import_loads_only_stdlib_and_numpy():
     # The t quantile needs no scipy; importing the package and its CLI must
     # not pull it in, nor anything beyond the standard library and numpy.
     # The statistics and fractions modules are left out too: they are slow
-    # to import and the package has no use for them. (``__mp_main__`` is
-    # the alias of ``__main__`` that multiprocessing registers.)
+    # to import and the package has no use for them, and so is hashlib,
+    # which maps OpenSSL: only parsing a config loads it, for the config's
+    # sha256 stamp. (``__mp_main__`` is the alias of ``__main__`` that
+    # multiprocessing registers.)
+    text = "".join(f"[{section}]\n{body}\n" for section, body in (
+        ("experiment", "servers = 2\nseed = 7"), ("tau", "dist = exponential\nrate = 1.0"),
+        ("sigma", "dist = exponential\nrate = 0.5"), ("patience", "dist = deterministic\nvalue = 1.0")))
     probe = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "import impatientq, impatientq.cli\n"
         "new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
         "print(sorted(new - set(sys.stdlib_module_names) - {'numpy', 'impatientq', '__mp_main__'}))\n"
-        "print(sorted(new & {'scipy', 'statistics', 'fractions'}))\n"
+        "print(sorted(new & {'scipy', 'statistics', 'fractions', 'hashlib', '_hashlib'}))\n"
+        f"cfg = impatientq.config.parse_config({text!r})\n"
+        "print('_hashlib' in sys.modules, cfg.sha256)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout.split("\n")
-    assert out[:2] == ["[]", "[]"], out
+    assert out[:3] == ["[]", "[]", f"True {hashlib.sha256(text.encode()).hexdigest()}"], out
 
 
 def _probabilities(rep):

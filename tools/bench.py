@@ -17,12 +17,19 @@ same record of each kind's median job time in ms, read from the
 ``scaled_latencies_s`` of the run's record; job k has kind k mod the
 workload's ``cycle``.
 
+Before the workloads, ``import impatientq`` runs in ``IMPORTS`` fresh
+interpreters a side, the sides alternating, each started in its checkout's
+root with its ``src/`` on the path; under ``import`` the file records the
+same spread of each side's wall seconds for the import statement and its
+``ru_maxrss`` in MB at the end.
+
 It also records the environment perfbench wrote to the change's first
 run record (``.bench_out/<workload>-seed<S>-trace0.json``: ``nproc``, the
 python, numpy and scipy versions and the ``src/`` line count) and whether
-``MALLOC_MMAP_THRESHOLD_`` was set for the runs; with ``--suites`` it also
-times the change's tier-1 suite and its mutant gate (``tools/mutants.py``),
-each once.
+``MALLOC_MMAP_THRESHOLD_`` and ``PYTHONDONTWRITEBYTECODE`` were set for the
+runs (with the latter set, every interpreter compiles ``src/`` afresh, which
+the import's time and memory include); with ``--suites`` it also times the
+change's tier-1 suite and its mutant gate (``tools/mutants.py``), each once.
 
     python tools/bench.py PARENT [CHANGE] --out bench.json --pairs 10 --suites
 
@@ -46,6 +53,11 @@ from ab import load_workloads
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("sandwich", "oracle", "certify", "lattice")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+IMPORTS = 10
+IMPORT_PROBE = ("import resource, time\n"
+                "began = time.perf_counter()\n"
+                "import impatientq\n"
+                "print(time.perf_counter() - began, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)\n")
 
 
 def perfbench(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -86,12 +98,29 @@ def kinds(root: Path, workload: str) -> list[str]:
     return [" ".join(run) for run in cls.runs] if cls.cycle > 1 else []
 
 
+def src_env() -> dict:
+    """The environment with the checkout's ``src/`` (relative to its root) first on the path."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
+
+
+def import_probe(roots: dict[str, Path]) -> dict:
+    """``IMPORTS`` fresh ``import impatientq`` runs a side, alternating which
+    side goes first: each side's wall seconds and ``ru_maxrss`` (MB)."""
+    runs: dict[str, list[list[float]]] = {"parent": [], "change": []}
+    for k in range(IMPORTS):
+        for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
+            out = subprocess.run([sys.executable, "-c", IMPORT_PROBE], cwd=roots[side], env=src_env(), check=True,
+                                 capture_output=True, text=True).stdout
+            runs[side].append([float(v) for v in out.split()])
+    return {name: compared({side: [r[c] for r in rs] for side, rs in runs.items()}, "lower")
+            for c, name in enumerate(("seconds", "maxrss_mb"))}
+
+
 def timed(cmd: list[str], root: Path) -> dict:
     """Wall time of ``cmd`` run once in ``root`` with its ``src/`` on the path,
     and the last line it printed."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
     t0 = perf_counter()
-    proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=root, env=src_env(), capture_output=True, text=True)
     took = perf_counter() - t0
     out = (proc.stdout.strip().splitlines() or [""])[-1]
     return {"seconds": round(took, 2), "exit": proc.returncode, "last_line": out}
@@ -117,6 +146,8 @@ def main(argv=None) -> int:
         "first_seed": args.seed,
         "pairs": args.pairs,
         "malloc_mmap_threshold": os.environ.get("MALLOC_MMAP_THRESHOLD_"),
+        "python_dont_write_bytecode": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+        "import": import_probe(roots),
         "workloads": {},
     }
     for w in args.workloads:

@@ -31,6 +31,7 @@ from pathlib import Path
 from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
+CONFIG = "config.py"
 COUPLING = "coupling.py"
 LOYNES = "loynes.py"
 METRICS = "metrics.py"
@@ -278,11 +279,17 @@ MUTANTS = (
            ("tests/test_loynes.py::test_a_certified_read_stops_at_the_first_depth_within_z_risk[iid]",
             "tests/test_loynes.py::test_a_certified_read_stops_at_the_first_depth_within_z_risk[markov]",
             "tests/test_loynes.py::test_a_certified_read_stops_at_the_first_depth_within_z_risk[lattice]")),
-    # Changes no value, only the driver covers a cross-validation generates.
+    # Changes no value, only the driver covers a cross-validation generates:
+    # the engine's pages then each generate their own before the recursion's.
     Mutant("cross-validate-covers-per-chunk", DES,
-           "    path.block(0, max(n_arrivals, 0))   # one cover for the engine's chunks and the recursion; run refuses n < 1\n",
-           "",
-           ("tests/test_des.py::test_cross_validate_generates_its_drivers_once[lattice]",)),
+           "    states, accepted = exact_states(path, 0, n_arrivals, (0.0,) * servers)\n"
+           "    trace = run(path, servers, n_arrivals)\n",
+           "    trace = run(path, servers, n_arrivals)\n"
+           "    states, accepted = exact_states(path, 0, n_arrivals, (0.0,) * servers)\n",
+           ("tests/test_des.py::test_cross_validate_generates_its_drivers_once[iid]",
+            "tests/test_des.py::test_cross_validate_generates_its_drivers_once[lattice]",
+            "tests/test_des.py::test_cross_validate_memory_grows_by_cover_states_and_trace_alone[oracle_lattice]",
+            "tests/test_des.py::test_cross_validate_memory_grows_by_cover_states_and_trace_alone[oracle_float]")),
     # A lattice run keeps one running clock: its free times and deadlines
     # are not re-expressed at each arrival, and a chunk continues the clock.
     Mutant("des-integer-path-restarts-its-clock", DES,
@@ -310,6 +317,11 @@ MUTANTS = (
            "        globals().setdefault(\"kept_pages\", []).append(seen)\n        seen = []\n",
            ("tests/test_des.py::test_run_memory_grows_by_its_output_arrays_alone[oracle_lattice]",
             "tests/test_des.py::test_run_memory_grows_by_its_output_arrays_alone[oracle_float]")),
+    # Importing the package maps no OpenSSL; only a parse loads hashlib.
+    Mutant("config-hashlib-at-import", CONFIG,
+           "import configparser\nimport math\n",
+           "import configparser\nimport hashlib\nimport math\n",
+           ("tests/test_metrics.py::test_package_import_loads_only_stdlib_and_numpy",)),
     # The path's memo serves the spec the path was made with.
     Mutant("path-not-frozen", SEQUENCES,
            "@dataclass(frozen=True)\nclass StationaryPath:",
