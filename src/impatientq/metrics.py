@@ -30,10 +30,16 @@ import numpy as np
 from .coupling import _envelope_estimate, cftp
 from .errors import ContractError
 from .loynes import Z_RISK, certified_supremum, sandwich_states
-from .sequences import StationaryPath
+from .sequences import _CHAIN_BLOCK, StationaryPath
 
 BATCHES = 30
 T_975 = 2.0452296421327025   # Student's t at 0.975 on BATCHES - 1 = 29 degrees of freedom
+# A bound report's window rolls in chunks of ROLL_PAGES pages (2^17 samples)
+# and its statistics take GROUP samples at once. Each chunk's lane roll runs
+# about 256 lockstep steps whatever its length, so short chunks cost: a
+# 10^5-sample report in chunks of 16 and 8 pages ran 28 % and 81 % slower.
+ROLL_PAGES = 32
+GROUP = 8 * _CHAIN_BLOCK
 
 
 @dataclass(frozen=True)
@@ -61,9 +67,15 @@ def batch_means(x: np.ndarray) -> ProbabilityEstimate:
     if n < BATCHES:
         raise ValueError(f"need at least {BATCHES} observations, got {n}")
     per = n // BATCHES
-    means = np.count_nonzero(x[: per * BATCHES].reshape(BATCHES, per), axis=1) / per
+    return _estimate(np.count_nonzero(x[: per * BATCHES].reshape(BATCHES, per), axis=1), np.count_nonzero(x), n)
+
+
+def _estimate(counts: np.ndarray, total: int, n: int) -> ProbabilityEstimate:
+    """``batch_means`` of ``n`` indicators from their true counts: ``counts``
+    in each of the ``BATCHES`` batches of ``n // BATCHES``, ``total`` in all."""
+    means = counts / (n // BATCHES)
     spread = float(means.std(ddof=1))
-    return ProbabilityEstimate(float(np.count_nonzero(x) / n), T_975 * spread / math.sqrt(BATCHES), n)
+    return ProbabilityEstimate(float(total / n), T_975 * spread / math.sqrt(BATCHES), n)
 
 
 def loss_probability(losses: np.ndarray) -> ProbabilityEstimate:
@@ -123,45 +135,99 @@ def bound_report(path: StationaryPath, servers: int, n_samples: int, at: int = 0
     ``cftp`` refuses it (``ConfigurationError``). ``max_horizon`` caps the
     exact ``cftp`` call. The intervals are batch means over ``BATCHES``
     = 30 batches, so fewer than 30 samples are refused up front.
+
+    Apart from the kept ``samples``, the memory held does not grow with
+    the window past ``ROLL_PAGES`` pages. A longer window rolls in chunks whose seams lie on the multiples
+    of that many pages, each chunk from the rows its predecessor rolled at
+    the seam, so the rows are the one-call roll's bit for bit (the roll is
+    a pure function of its start and drivers), and each chunk's drivers are
+    one cover of its own pages. Within a chunk the statistics take
+    ``GROUP`` samples at a time (``_Tally``).
     """
     if n_samples < BATCHES:
         raise ValueError(f"n_samples ({n_samples}) must be at least the {BATCHES} batches")
-    # Read first, the certified supremum covers the window too, so the page
-    # cover it leaves in the path's memo serves the rolls and, unless their
-    # deeper reads cross a page boundary, the coupling box and estimates.
-    zb = certified_supremum(path, at, servers, n_samples)
+    end, chunk = at + n_samples, ROLL_PAGES * _CHAIN_BLOCK
+    seams = [at, *(range(at - at % chunk + chunk, end, chunk) if n_samples > chunk else ()), end]
+    # Read first, the certified supremum covers the first chunk too, so the
+    # page cover it leaves in the path's memo serves that chunk's roll and,
+    # unless their deeper reads cross a page boundary, the coupling box and
+    # estimates.
+    zb = certified_supremum(path, at, servers, seams[1] - at)
     anchor = cftp(path, servers, at, max_horizon)
     if not anchor.coalesced:
         raise ContractError(f"cftp did not coalesce at index {at} by horizon {anchor.horizon_used}")
     lower, upper = (_envelope_estimate(path, servers, at, kind) for kind in ("lower", "upper"))
-    exact, lower_states, upper_states = sandwich_states(path, at, n_samples - 1, anchor.value,
-                                                        lower.value, upper.value)
-    blk = path.block(at, n_samples)
-    # lag 1; lag l+1 at t+1 is [lag l at t - tau_t]+, at ``at`` zb's. The
-    # lags alternate between two preallocated arrays.
-    z_top = upper_states[:, -1]
-    line = [np.empty(n_samples) for _ in range(min(servers - 1, 2))]
-    for lag, start in enumerate(zb.values[-2::-1]):
-        shifted = line[lag % 2]
-        np.subtract(z_top[:-1], blk.tau[:-1], out=shifted[1:])
-        np.maximum(shifted[1:], 0.0, out=shifted[1:])
-        shifted[0], z_top = start, shifted
-    lower1, w1, upper1 = lower_states[:, 0], exact[:, 0], upper_states[:, 0]
-    if path.spec.is_lattice:
-        lower1, upper1 = np.minimum(lower1, w1), np.maximum(upper1, w1)
-        z_top = np.maximum(z_top, upper1)
-    cols = (lower1, w1, upper1, z_top, blk.patience)
-    # The sandwich holds pointwise: lower_ind <= loss_ind <= upper_ind <= z_ind.
-    inds, worse = np.empty((4, n_samples), dtype=bool), np.empty(n_samples, dtype=bool)
-    for ind, col in zip(inds, cols):
-        np.greater(col, blk.patience, out=ind)
-    bad = [int(worse.argmax()) for a, b in zip(inds, inds[1:]) if np.greater(a, b, out=worse).any()]
-    if bad:
-        i = min(bad)
-        got = (float(col[i]) for col in cols)
-        raise ContractError("loss indicators out of order at sample {} (index {}): lower1 {!r}, W1 {!r}, "
-                            "upper1 {!r}, z_top {!r}, patience {!r}".format(i, at + i, *got))
-    samples = np.column_stack([*cols, inds[1].astype(np.float64)]) if keep_samples else None
-    return BoundReport(*(batch_means(ind) for ind in inds), n_samples=n_samples,   # p_lower .. p_z
-                       lower_stabilized=lower.coalesced, upper_stabilized=upper.coalesced,
-                       z_stabilized=zb.risk <= Z_RISK, samples=samples)
+    rows, tally = (anchor.value, lower.value, upper.value), None
+    for lo, hi in zip(seams, seams[1:]):
+        blk = path.block(lo, hi - lo)   # the chunk's drivers, and the roll's inside them
+        # A chunk before the last rolls on to the seam's rows, which the next one starts from.
+        states = sandwich_states(path, lo, hi - lo - (hi == end), *rows)
+        rows = states[:, -1].tolist()
+        tally = tally or _Tally(path, servers, n_samples, at, zb, keep_samples)   # after the first roll's peak
+        for g in range(0, hi - lo, GROUP):
+            stop = min(g + GROUP, hi - lo)
+            tally.add(lo - at + g, states[:, g:stop], blk.tau[g:stop], blk.patience[g:stop])
+        del blk, states   # before the next chunk's cover and rows are made
+    return BoundReport(*(_estimate(np.array(c[:BATCHES]), sum(c), n_samples) for c in tally.counts),  # p_lower .. p_z
+                       n_samples=n_samples, lower_stabilized=lower.coalesced, upper_stabilized=upper.coalesced,
+                       z_stabilized=zb.risk <= Z_RISK, samples=tally.samples)
+
+
+class _Tally:
+    """The statistics of one ``bound_report``, formed ``GROUP`` samples at a
+    time: the delay line, the four loss indicators, their order and their
+    true count in each batch, with the ``samples`` rows when they are kept.
+    The delay line's lags carry from one group to the next, so every column
+    is the one a single group over the window would give, bit for bit."""
+
+    def __init__(self, path: StationaryPath, servers: int, n: int, at: int, zb, keep: bool):
+        self.at, self.per, self.lattice = at, n // BATCHES, path.spec.is_lattice
+        # Lags 2 .. S of z_top at the next sample; at ``at``, the certified read's.
+        self.lags = list(zb.values[-2::-1])
+        # Each indicator's count per batch, and past the last batch.
+        self.counts = [[0] * (BATCHES + 1) for _ in range(4)]
+        size = min(GROUP, n)
+        self.inds, self.worse = np.empty((4, size), dtype=bool), np.empty(size, dtype=bool)
+        self.line = [np.empty(size) for _ in range(min(servers - 1, 2))]
+        self.samples = np.empty((n, 6)) if keep else None
+
+    def add(self, i: int, states: np.ndarray, tau: np.ndarray, patience: np.ndarray) -> None:
+        """Samples ``i .. i+m-1`` of the window: their exact, lower and upper
+        rows ``states`` (``sandwich_states``' layout) and their drivers."""
+        m = len(tau)
+        # lag 1; lag l+1 at t+1 is [lag l at t - tau_t]+. The lags alternate
+        # between two preallocated arrays.
+        z_top = states[2, :, -1]
+        for lag, start in enumerate(self.lags):
+            shifted = self.line[lag % 2][:m]
+            np.subtract(z_top[:-1], tau[:-1], out=shifted[1:])
+            np.maximum(shifted[1:], 0.0, out=shifted[1:])
+            shifted[0], self.lags[lag] = start, np.maximum(z_top[-1] - tau[-1], 0.0)
+            z_top = shifted
+        lower1, w1, upper1 = states[1, :, 0], states[0, :, 0], states[2, :, 0]
+        if self.lattice:
+            lower1, upper1 = np.minimum(lower1, w1), np.maximum(upper1, w1)
+            z_top = np.maximum(z_top, upper1)
+        cols = (lower1, w1, upper1, z_top, patience)
+        # The sandwich holds pointwise: lower_ind <= loss_ind <= upper_ind <= z_ind.
+        inds, worse = self.inds[:, :m], self.worse[:m]
+        for ind, col in zip(inds, cols):
+            np.greater(col, patience, out=ind)
+        bad = [int(worse.argmax()) for a, b in zip(inds, inds[1:]) if np.greater(a, b, out=worse).any()]
+        if bad:
+            j = min(bad)
+            got = (float(col[j]) for col in cols)
+            raise ContractError("loss indicators out of order at sample {} (index {}): lower1 {!r}, W1 {!r}, "
+                                "upper1 {!r}, z_top {!r}, patience {!r}".format(i + j, self.at + i + j, *got))
+        if self.samples is not None:
+            rows = self.samples[i : i + m]
+            for k, col in enumerate(cols):
+                rows[:, k] = col
+            rows[:, 5] = inds[1]
+        # Each batch the group meets counts its piece of the group; the samples
+        # past the last batch count in the extra column.
+        ends = [*range(i - i % self.per + self.per, i + m, self.per), i + m]
+        for a, b in zip([i, *ends], ends):
+            batch = min(a // self.per, BATCHES)
+            for counts, ind in zip(self.counts, inds):
+                counts[batch] += np.count_nonzero(ind[a - i : b - i])

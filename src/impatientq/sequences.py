@@ -40,6 +40,7 @@ STREAM_PATIENCE = 0xA3
 STREAM_MODULATION = 0xA4
 
 _CHAIN_BLOCK = 4096
+_COVER_GROUP = 3  # pages a cover draws and samples at once (96 KiB buffers, below glibc's 128 KiB mmap threshold)
 CHAIN_MEMO = 1024
 # A chain block looks back from _BACK_START maps before its start, doubling
 # until the maps coalesce, and refuses past _BACK_CAP maps.
@@ -483,27 +484,33 @@ class StationaryPath:
         return DriverBlock(tau[i : i + count], sigma[i : i + count], patience[i : i + count])
 
     def _generate(self, start: int, count: int) -> DriverBlock:
-        """Driver triples for ``start .. start+count-1``, one stream at a
-        time. A Markov-modulated path builds its chain states first, while
-        no stream is held, and takes one index list per state; each stream
-        is then drawn and every state's law samples its own indices into
-        the uniforms' array, one gather, one sampler output and one scatter
-        a state. A column whose law is equal in every state (the same law
-        by value) is sampled once over the whole stream instead: the
-        samplers act index by index, so the bits are the same."""
-        laws, at = self.spec.laws, None
-        if self.spec.model == "markov_modulated":
-            states = self._states(start, count)
-            at = [np.flatnonzero(states == s) for s in range(len(laws))]
-        cols = []
-        for c, stream in enumerate((STREAM_TAU, STREAM_SIGMA, STREAM_PATIENCE)):
-            u = stream_uniforms(self.spec.seed, stream, start, count)
-            if at is None or all(law[c] == laws[0][c] for law in laws):
-                u = laws[0][c].sample(u)
-            else:
-                for law, i in zip(laws, at):
-                    u[i] = law[c].sample(u[i])
-            cols.append(u)
+        """Driver triples for ``start .. start+count-1``, drawn and sampled
+        ``_COVER_GROUP`` pages at a time into the three preallocated
+        columns, so only one group's uniforms and sampler outputs are alive
+        at once. A column whose law is equal in every state (the same law by
+        value), as every column of an unmodulated path is, samples the
+        group's uniforms whole. A Markov-modulated path with some column that
+        differs builds its chain states first, before the columns are
+        allocated, and takes one index list per state and group; each such
+        column's laws then sample their own indices into the uniforms'
+        array, one gather, one sampler output and one scatter a state. The
+        samplers act index by index, so the bits do not depend on the groups
+        or the lists."""
+        laws = self.spec.laws
+        shared = [all(law[c] == laws[0][c] for law in laws) for c in range(3)]
+        states = None if all(shared) else self._states(start, count)
+        cols, size = [np.empty(count) for _ in range(3)], _COVER_GROUP * _CHAIN_BLOCK
+        for g in range(0, count, size):
+            m = min(size, count - g)
+            at = None if states is None else [np.flatnonzero(states[g : g + m] == s) for s in range(len(laws))]
+            for c, stream in enumerate((STREAM_TAU, STREAM_SIGMA, STREAM_PATIENCE)):
+                u = stream_uniforms(self.spec.seed, stream, start + g, m)
+                if shared[c]:
+                    u = laws[0][c].sample(u)
+                else:
+                    for law, i in zip(laws, at):
+                        u[i] = law[c].sample(u[i])
+                cols[c][g : g + m] = u
         return DriverBlock(*cols)
 
     def lattice_block(self, start: int, count: int) -> DriverBlock:

@@ -15,8 +15,9 @@ from impatientq.coupling import CftpResult, cftp
 from impatientq.errors import ConfigurationError, ContractError
 from impatientq.des import run
 from impatientq.loynes import certified_supremum, exact_states
-from impatientq.metrics import BATCHES, T_975, ProbabilityEstimate, batch_means, bound_report, loss_probability
-from impatientq.sequences import Deterministic, Exponential, StationaryPath, Uniform, stream_uniforms
+from impatientq.metrics import (BATCHES, T_975, BoundReport, ProbabilityEstimate, batch_means, bound_report,
+                                loss_probability)
+from impatientq.sequences import _CHAIN_BLOCK, Deterministic, Exponential, StationaryPath, Uniform, stream_uniforms
 from support import (DRAIN, GROWTH, LATTICE, MM_SPEC, NON_DYADIC, det_spec, erlang_a, erlang_b, iid_spec,
                      level_crossing_loss, mm1_wait_tail, random_iid_spec)
 
@@ -317,11 +318,11 @@ SANDWICH_MODULATION = sequences.ModulationSpec(
 
 
 def test_bound_report_peak_memory():
-    # A 100,000-sample report on the benchmark's sandwich model holds its
-    # driver pages, chain states and the three stacked rolls at its peak,
-    # with the delay line and the four indicators: 92.4 traced bytes a
-    # sample. No per-step or per-call copy of their size is made; a copy of
-    # the lane drivers would add 24. The bound is 100, a margin of 7.6.
+    # A 100,000-sample report on the benchmark's sandwich model peaks in its
+    # roll, holding its driver pages and the three stacked rolls: 87.3 traced
+    # bytes a sample. Its statistics come after the roll, a group of samples
+    # at a time. No per-step or per-call copy of the roll's size is made; a
+    # copy of the lane drivers would add 24. The bound is 95, a margin of 7.7.
     import tracemalloc
 
     n = 100_000
@@ -334,7 +335,7 @@ def test_bound_report_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 100 * n, peak / n
+    assert peak <= 95 * n, peak / n
 
 
 def test_bound_report_rejects_empty():
@@ -447,14 +448,15 @@ def test_bound_report_markov_modulated():
 
 
 def test_bound_report_generates_its_drivers_once(monkeypatch):
-    generated = []
+    # Covers are counted where they are generated; each draws its streams
+    # in page groups, so their uniforms' calls no longer count covers.
+    generated, generate = [], StationaryPath._generate
 
-    def counting(seed, stream, start, count):
-        if stream == sequences.STREAM_TAU:
-            generated.append((start, count))
-        return stream_uniforms(seed, stream, start, count)
+    def counting(path, start, count):
+        generated.append((start, count))
+        return generate(path, start, count)
 
-    monkeypatch.setattr(sequences, "stream_uniforms", counting)
+    monkeypatch.setattr(StationaryPath, "_generate", counting)
     rep = bound_report(StationaryPath(MM_SPEC), 2, 20_000, keep_samples=True)
     # The page cover of the certified supremum's read [at - depth, at + n)
     # serves every other read.
@@ -466,3 +468,95 @@ def test_bound_report_generates_its_drivers_once(monkeypatch):
     # earlier unclipped series' positive part at every sample here.
     assert hashlib.sha256(rep.samples.tobytes()).hexdigest() == (
         "70f19c73afe443143f1a610caf3df0d429626f5b8ed95150a1e9c2061de26ba9")
+
+
+REPORT_SPECS = {"float": iid_spec(41, Exponential(1.0), Exponential(0.7), Uniform(0.0, 1.5)),
+                "markov": MM_SPEC, "lattice": NON_DYADIC}
+
+
+def _estimates(rep):
+    return [(est.probability.hex(), est.half_width.hex(), est.n)
+            for est in (rep.p_lower, rep.p_loss, rep.p_upper, rep.p_z)]
+
+
+@pytest.mark.parametrize("servers", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(REPORT_SPECS))
+def test_chunked_and_grouped_reports_equal_one_pass(monkeypatch, name, servers):
+    # A window rolled in chunks of one page, with its statistics in groups
+    # of 1,000 samples, gives the one-pass report bit for bit: estimates,
+    # samples and the refusal of an out-of-order sample. The window starts
+    # 37 samples before a seam and ends off a page, and neither the groups
+    # nor the seams lie on the batches of 562 samples. The estimates are
+    # also batch_means' of the kept samples' indicators.
+    spec, at, n = REPORT_SPECS[name], 2 * _CHAIN_BLOCK - 37, 4 * _CHAIN_BLOCK + 500
+    one = bound_report(StationaryPath(spec), servers, n, at=at, keep_samples=True)
+    indicators = one.samples[:, :4] > one.samples[:, 4:5]
+    assert _estimates(one) == _estimates(BoundReport(*(batch_means(np.ascontiguousarray(ind))
+                                                       for ind in indicators.T), n, True, True, True))
+    monkeypatch.setattr(metrics, "ROLL_PAGES", 1)
+    monkeypatch.setattr(metrics, "GROUP", 1_000)
+    chunked = bound_report(StationaryPath(spec), servers, n, at=at, keep_samples=True)
+    assert _estimates(chunked) == _estimates(one)
+    assert chunked.samples.tobytes() == one.samples.tobytes()
+    if spec.is_lattice:
+        return   # its columns are held in order by value, so no sample is out of order
+    # W1 raised above the patience at a sample whose upper envelope is not a
+    # loss, the first such in the second group of the last chunk.
+    k = next(k for k in range(5 * _CHAIN_BLOCK + 1_000 - at, n) if one.samples[k, 2] <= one.samples[k, 4])
+    sandwich_states = metrics.sandwich_states
+
+    def raised(path, lo, steps, *rows):
+        states = sandwich_states(path, lo, steps, *rows)
+        if lo <= at + k <= lo + steps:
+            states[0, at + k - lo, 0] = 1e9
+        return states
+
+    monkeypatch.setattr(metrics, "sandwich_states", raised)
+    refusals = []
+    for pages, group in ((32, 8 * _CHAIN_BLOCK), (1, 1_000)):
+        monkeypatch.setattr(metrics, "ROLL_PAGES", pages)
+        monkeypatch.setattr(metrics, "GROUP", group)
+        with pytest.raises(ContractError) as err:
+            bound_report(StationaryPath(spec), servers, n, at=at)
+        refusals.append(str(err.value))
+    assert refusals[0] == refusals[1]
+    assert refusals[0].startswith(f"loss indicators out of order at sample {k} (index {at + k}): ")
+
+
+def test_a_long_report_holds_one_roll_chunk():
+    # A 10^6-sample report on the sandwich model rolls in chunks of 2^17
+    # samples, each over a cover of its own pages, so its traced peak is
+    # that of about 1.3 * 10^5 samples: 11.4 MB, 1.4 times a 10^5-sample
+    # report's. One pass held 81.7 MB, ten times.
+    import tracemalloc
+
+    spec = sequences.SequenceSpec(model="markov_modulated", seed=5, modulation=SANDWICH_MODULATION)
+    bound_report(StationaryPath(replace(spec, seed=1)), 2, 100_000)   # module caches and imports
+    peaks = []
+    for n in (100_000, 1_000_000):
+        tracemalloc.start()
+        try:
+            bound_report(StationaryPath(spec), 2, n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.6 * peaks[0], [p / 1e6 for p in peaks]
+
+
+def test_a_chunked_report_generates_each_page_once(monkeypatch):
+    # Chunks of two pages: the certified supremum's cover serves the short
+    # first chunk, and each later chunk generates its own pages, once.
+    generated, generate = [], StationaryPath._generate
+
+    def counting(path, start, count):
+        generated.append((start, count))
+        return generate(path, start, count)
+
+    monkeypatch.setattr(StationaryPath, "_generate", counting)
+    monkeypatch.setattr(metrics, "ROLL_PAGES", 2)
+    at, n = 2 * _CHAIN_BLOCK - 37, 20_000
+    bound_report(StationaryPath(MM_SPEC), 2, n, at=at)
+    pages = [p for start, count in generated for p in range(start // _CHAIN_BLOCK, (start + count) // _CHAIN_BLOCK)]
+    assert all(start % _CHAIN_BLOCK == 0 == count % _CHAIN_BLOCK for start, count in generated)
+    assert pages == list(range(pages[0], (at + n - 1) // _CHAIN_BLOCK + 1)), generated
+    assert len(generated) == 4 and generated[1] == (2 * _CHAIN_BLOCK, 2 * _CHAIN_BLOCK), generated

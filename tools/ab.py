@@ -11,10 +11,11 @@ differs ends the run with exit status 1, naming the first file and line
 that differ (a fingerprint such as ``oracle``'s CLI exit code cannot see a
 changed trace). The output gives each side's median job time and quartiles,
 in ms, with its median minor page faults per job (``ru_minflt`` of the
-process, read around each job) and its median driver generations and
+process, read around each job), its median driver generations and
 indices generated per job (a spy on that side's
-``StationaryPath._generate``), and the share of pairs the change ran
-faster. A job that raises counts as a fingerprint of ``None``. Checks,
+``StationaryPath._generate``) and its median scalar walk steps per job (a
+spy on that side's ``loynes._repair``), and the share of pairs the change
+ran faster. A job that raises counts as a fingerprint of ``None``. Checks,
 tracing and the speed scale of ``perfbench/run.py`` are left out: only the
 job calls are timed.
 
@@ -56,10 +57,28 @@ class GenerationSpy:
         path_class._generate = spy
 
 
+class WalkSpy:
+    """Counts the scalar walk steps of one side's lane rolls: each
+    ``loynes._repair`` call's steps, every row it rewrote and the stored
+    row it found to hold."""
+
+    def __init__(self, loynes):
+        self.steps = 0
+        repair = loynes._repair
+
+        def spy(states, step, drivers, i):
+            done = repair(states, step, drivers, i)
+            self.steps += done - i
+            return done
+
+        loynes._repair = spy
+
+
 def load_workloads(root: Path):
     """``perfbench/workloads.py`` of the checkout at ``root``, bound to that
     checkout's ``impatientq``, with a ``GenerationSpy`` on its driver
-    generations as ``module.generations``. The modules of an earlier load
+    generations as ``module.generations`` and a ``WalkSpy`` on its scalar
+    walks as ``module.walks``. The modules of an earlier load
     are dropped from ``sys.modules`` first; the objects already loaded keep
     their own."""
     for name in [m for m in sys.modules if m in ("impatientq", "workloads") or m.startswith("impatientq.")]:
@@ -73,21 +92,28 @@ def load_workloads(root: Path):
     if not package.is_relative_to((root / "src").resolve()):
         raise SystemExit(f"{root}: impatientq imported from {package}, not from the checkout")
     module.generations = GenerationSpy(sys.modules["impatientq.sequences"].StationaryPath)
+    module.walks = WalkSpy(sys.modules["impatientq.loynes"])
     return module
 
 
-def timed(wl, k: int, spy: GenerationSpy) -> tuple[float, tuple[int, int, int], object]:
+def timed(wl, k: int, side) -> tuple[float, tuple[int, ...], object]:
     """Job ``k``'s time in seconds, its work counts (minor page faults,
-    driver generations, indices generated) and its fingerprint (``None`` if
-    it raised)."""
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, spy.calls, spy.indices
+    driver generations, indices generated, walk steps) read from the spies
+    of ``side``, its ``load_workloads`` module, and its fingerprint
+    (``None`` if it raised)."""
+
+    def counts():
+        return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt, side.generations.calls,
+                side.generations.indices, side.walks.steps)
+
+    before = counts()
     t0 = perf_counter()
     try:
         out, raised = wl.job(k), False
     except Exception:
         out, raised = None, True
     took = perf_counter() - t0
-    after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, spy.calls, spy.indices
+    after = counts()
     return took, tuple(b - a for a, b in zip(before, after)), None if raised else wl.fingerprint(out)
 
 
@@ -106,12 +132,12 @@ def first_difference(parent: Path, change: Path) -> Optional[str]:
     return None
 
 
-def summary(name: str, times: list[float], counts: list[tuple[int, int, int]]) -> str:
+def summary(name: str, times: list[float], counts: list[tuple[int, ...]]) -> str:
     q1, q2, q3 = statistics.quantiles(times, n=4)
-    faults, generations, indices = (statistics.median(c) for c in zip(*counts))
+    faults, generations, indices, steps = (statistics.median(c) for c in zip(*counts))
     return (f"{name}: median {1e3 * q2:.4f} ms, quartiles {1e3 * q1:.4f} .. {1e3 * q3:.4f} ms; "
-            f"median {faults:g} minor faults, {generations:g} driver generations "
-            f"and {indices:g} indices generated per job")
+            f"median {faults:g} minor faults, {generations:g} driver generations, "
+            f"{indices:g} indices generated and {steps:g} walk steps per job")
 
 
 def main(argv=None) -> int:
@@ -128,7 +154,7 @@ def main(argv=None) -> int:
     if n_jobs < 2:
         ap.error(f"--seconds {args.seconds} gives {n_jobs} job; quartiles need two")
     times: list[list[float]] = [[], []]
-    counts: list[list[tuple[int, int, int]]] = [[], []]
+    counts: list[list[tuple[int, ...]]] = [[], []]
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         workdirs = [Path(tmp) / str(i) for i in range(2)]
         wls = []
@@ -138,7 +164,7 @@ def main(argv=None) -> int:
         for k in range(n_jobs):
             fingerprints = [None, None]
             for i in ((0, 1) if k % 2 == 0 else (1, 0)):
-                took, counted, fingerprints[i] = timed(wls[i], k, sides[i].generations)
+                took, counted, fingerprints[i] = timed(wls[i], k, sides[i])
                 times[i].append(took)
                 counts[i].append(counted)
             if fingerprints[0] != fingerprints[1]:

@@ -167,8 +167,8 @@ MUTANTS = (
     # their least one, and not raised to the exact rows first, which moves it
     # at 79 rows of the non-dyadic lattice at S = 2.
     Mutant("z-lag1-from-least-coordinate", METRICS,
-           "z_top = upper_states[:, -1]",
-           "z_top = upper_states[:, 0]",
+           "z_top = states[2, :, -1]",
+           "z_top = states[2, :, 0]",
            ("tests/test_metrics.py::test_top_supremum_roll_matches_per_index_bound",)),
     Mutant("z-lag1-from-clipped-upper", LOYNES,
            "states[1] = envelope_states(path, at, steps, lower0, \"lower\")\n"
@@ -180,13 +180,30 @@ MUTANTS = (
     # clipped maximum of cumulative sums over its window, which rounds
     # differently and fell 4.4e-16 below upper1.
     Mutant("top-series-clipped-cumsum-start", METRICS,
-           "    for lag, start in enumerate(zb.values[-2::-1]):\n",
-           "    init = path.block(at - zb.horizon, zb.horizon)\n"
-           "    terms = (init.sigma + init.patience)[::-1] - np.cumsum(init.tau[::-1])\n"
-           "    m0 = [max(float(terms[lag - 1:].max()), 0.0) for lag in range(len(zb.values), 0, -1)]\n"
-           "    for lag, start in enumerate(m0[-2::-1]):\n",
+           "        self.lags = list(zb.values[-2::-1])\n",
+           "        init = path.block(at - zb.horizon, zb.horizon)\n"
+           "        terms = (init.sigma + init.patience)[::-1] - np.cumsum(init.tau[::-1])\n"
+           "        m0 = [max(float(terms[lag - 1:].max()), 0.0) for lag in range(len(zb.values), 0, -1)]\n"
+           "        self.lags = m0[-2::-1]\n",
            ("tests/test_metrics.py::test_bound_report_samples",
             "tests/test_metrics.py::test_top_supremum_roll_matches_per_index_bound")),
+    # A long window rolls in chunks, each from the rows its predecessor
+    # rolled at the seam, and the report's statistics take page groups that
+    # carry the delay line's lags; the batch counts match batch_means'.
+    Mutant("chunk-carry-one-row-late", METRICS,
+           "states = sandwich_states(path, lo, hi - lo - (hi == end), *rows)",
+           "states = sandwich_states(path, lo, hi - lo + (hi != end), *rows)",
+           ("tests/test_metrics.py::test_chunked_and_grouped_reports_equal_one_pass[markov-1]",)),
+    Mutant("delay-line-lags-reset-at-chunk-seam", METRICS,
+           "        blk = path.block(lo, hi - lo)   # the chunk's drivers, and the roll's inside them\n",
+           "        if tally:\n"
+           "            tally.lags = list(zb.values[-2::-1])\n"
+           "        blk = path.block(lo, hi - lo)   # the chunk's drivers, and the roll's inside them\n",
+           ("tests/test_metrics.py::test_chunked_and_grouped_reports_equal_one_pass[float-2]",)),
+    Mutant("batch-boundary-one-late", METRICS,
+           "ends = [*range(i - i % self.per + self.per, i + m, self.per), i + m]",
+           "ends = [*range(i - i % self.per + self.per + 1, i + m, self.per), i + m]",
+           ("tests/test_metrics.py::test_chunked_and_grouped_reports_equal_one_pass[float-1]",)),
     # Changes no value, only the lane layout the merge reads; the test spies on it.
     Mutant("lane-slots-strided", LOYNES,
            "batch = np.zeros((16, width, k, lanes), dtype=dtype)",
@@ -201,23 +218,21 @@ MUTANTS = (
            "heads = [col[:full].reshape(lanes - 1, length).T for col in drivers]",
            "heads = [col[:full].reshape(lanes - 1, length).T.copy() for col in drivers]",
            ("tests/test_metrics.py::test_bound_report_peak_memory",)),
-    Mutant("cover-streams-before-states", SEQUENCES,
-           "        laws, at = self.spec.laws, None\n"
-           "        if self.spec.model == \"markov_modulated\":\n"
-           "            states = self._states(start, count)\n"
-           "            at = [np.flatnonzero(states == s) for s in range(len(laws))]\n"
-           "        cols = []\n"
-           "        for c, stream in enumerate((STREAM_TAU, STREAM_SIGMA, STREAM_PATIENCE)):\n"
-           "            u = stream_uniforms(self.spec.seed, stream, start, count)\n",
-           "        laws, at = self.spec.laws, None\n"
-           "        drawn = [stream_uniforms(self.spec.seed, stream, start, count)\n"
-           "                 for stream in (STREAM_TAU, STREAM_SIGMA, STREAM_PATIENCE)]\n"
-           "        if self.spec.model == \"markov_modulated\":\n"
-           "            states = self._states(start, count)\n"
-           "            at = [np.flatnonzero(states == s) for s in range(len(laws))]\n"
-           "        cols = []\n"
-           "        for c, u in enumerate(drawn):\n",
+    Mutant("cover-columns-before-states", SEQUENCES,
+           "        states = None if all(shared) else self._states(start, count)\n"
+           "        cols, size = [np.empty(count) for _ in range(3)], _COVER_GROUP * _CHAIN_BLOCK\n",
+           "        cols, size = [np.empty(count) for _ in range(3)], _COVER_GROUP * _CHAIN_BLOCK\n"
+           "        states = None if all(shared) else self._states(start, count)\n",
            ("tests/test_sequences.py::test_markov_cover_peak_memory[dense]",)),
+    Mutant("cover-drawn-in-one-group", SEQUENCES,
+           "_COVER_GROUP * _CHAIN_BLOCK\n",
+           "max(count, 1)\n",
+           ("tests/test_sequences.py::test_markov_cover_peak_memory[sandwich]",)),
+    # Each page group draws its own indices' uniforms.
+    Mutant("cover-group-drawn-at-cover-start", SEQUENCES,
+           "u = stream_uniforms(self.spec.seed, stream, start + g, m)",
+           "u = stream_uniforms(self.spec.seed, stream, start, m)",
+           ("tests/test_sequences.py::test_a_cover_is_the_same_across_its_group_seams[iid-1]",)),
     # The exact chain's driver pages: keyed and sliced by index.
     Mutant("page-key-relative-to-cover", LOYNES,
            "page, o = divmod(at, _CHAIN_BLOCK)",
@@ -361,14 +376,14 @@ MUTANTS = (
     # The loss estimate's interval covers the exact Erlang-A loss at about its
     # nominal rate; an estimate one half-width off covers it about half as often.
     Mutant("loss-estimate-one-half-width-high", METRICS,
-           "return ProbabilityEstimate(float(np.count_nonzero(x) / n), T_975 * spread / math.sqrt(BATCHES), n)",
-           "return ProbabilityEstimate(float(np.count_nonzero(x) / n) + T_975 * spread / math.sqrt(BATCHES), "
+           "return ProbabilityEstimate(float(total / n), T_975 * spread / math.sqrt(BATCHES), n)",
+           "return ProbabilityEstimate(float(total / n) + T_975 * spread / math.sqrt(BATCHES), "
            "T_975 * spread / math.sqrt(BATCHES), n)",
            ("tests/test_metrics.py::test_bound_report_p_loss_covers_erlang_a",)),
-    # A column is sampled once over the stream only when its law is the same in every state.
+    # A column is sampled once over each page group only when its law is the same in every state.
     Mutant("shared-law-test-forced-true", SEQUENCES,
-           "if at is None or all(law[c] == laws[0][c] for law in laws):",
-           "if True:",
+           "shared = [all(law[c] == laws[0][c] for law in laws) for c in range(3)]",
+           "shared = [True] * 3",
            ("tests/test_sequences.py::test_shared_laws_sample_as_per_state_laws[sigma]",
             "tests/test_sequences.py::test_markov_cover_matches_masked_reference[random3]")),
     # Z1 is the rolled upper estimate's top coordinate; at S = 1 it is also
