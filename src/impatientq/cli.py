@@ -65,21 +65,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _header(cfg: ExperimentConfig, command: str) -> dict:
-    return {
-        "command": command,
-        "config_sha256": cfg.sha256,
-        "seed": cfg.spec.seed,
-        "servers": cfg.servers,
-    }
+def _write_json(out_dir: Path, cfg: ExperimentConfig, command: str, fields: dict):
+    """``<command>.json``: the command, the config's sha256, the seed and the
+    server count, with ``fields``."""
+    payload = {"command": command, "config_sha256": cfg.sha256, "seed": cfg.spec.seed,
+               "servers": cfg.servers, **fields}
+    (out_dir / f"{command}.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_json(path: Path, payload: dict):
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _csv_stamp(fh, cfg: ExperimentConfig):
-    fh.write(f"# config_sha256={cfg.sha256} seed={cfg.spec.seed}\n")
+def _write_csv(out_dir: Path, cfg: ExperimentConfig, name: str, rows, *trace_format):
+    """``name``, stamped with the config's sha256 and the seed: ``rows`` is a
+    list of CSV rows, header first, or a ``des.Trace`` that ``des.write_trace``
+    writes with ``trace_format``."""
+    with open(out_dir / name, "w", newline="") as fh:
+        fh.write(f"# config_sha256={cfg.sha256} seed={cfg.spec.seed}\n")
+        if isinstance(rows, des.Trace):
+            des.write_trace(rows, fh, *trace_format)
+        else:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def replication_seed(seed: int, r: int) -> int:
@@ -94,22 +97,21 @@ def replication_seed(seed: int, r: int) -> int:
 def cmd_validate(cfg: ExperimentConfig, out_dir: Path) -> int:
     path = StationaryPath(cfg.spec)
     report = des.cross_validate(path, cfg.servers, cfg.run.n_arrivals, tol=cfg.run.tol)
-    payload = _header(cfg, "validate")
-    payload.update({
+    fields = {
         "n_arrivals": report.n_arrivals,
         "tol": report.tol,
         "max_discrepancy": report.max_discrepancy,
         "decisions_agree": report.decisions_agree,
         "passed": report.passed,
-    })
+    }
     if report.first_divergence is not None:
         idx, seen, state = report.first_divergence
-        payload["first_divergence"] = {
+        fields["first_divergence"] = {
             "index": idx,
             "simulated": [float(v) for v in seen],
             "recursion": [float(v) for v in state],
         }
-    _write_json(out_dir / "validate.json", payload)
+    _write_json(out_dir, cfg, "validate", fields)
     if not report.passed:
         print(f"validate: FAILED (max discrepancy {report.max_discrepancy:.3e}, "
               f"decisions_agree={report.decisions_agree})", file=sys.stderr)
@@ -135,16 +137,10 @@ def cmd_bounds(cfg: ExperimentConfig, out_dir: Path) -> int:
             res[name] = {"probability": est.probability, "half_width": est.half_width, "n": est.n}
         results.append(res)
 
-    payload = _header(cfg, "bounds")
-    payload.update({"n_samples": cfg.run.n_samples, "replications": results})
-    _write_json(out_dir / "bounds.json", payload)
-
-    with open(out_dir / "bounds_samples.csv", "w", newline="") as fh:
-        _csv_stamp(fh, cfg)
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["index", "lower1", "W1", "upper1", "z_top", "patience", "loss"])
-        for i, row in enumerate(samples):
-            writer.writerow([i] + [repr(float(v)) for v in row[:5]] + [int(row[5])])
+    _write_json(out_dir, cfg, "bounds", {"n_samples": cfg.run.n_samples, "replications": results})
+    # The five float columns, and the loss column as the trace's flag
+    _write_csv(out_dir, cfg, "bounds_samples.csv", des.Trace(samples[:, :5], samples[:, 5] != 0.0),
+               ("index", "lower1", "W1", "upper1", "z_top", "patience", "loss"), ("0", "1"))
 
     print(f"bounds: ok over {len(results)} replication(s)")
     return 0
@@ -153,15 +149,13 @@ def cmd_bounds(cfg: ExperimentConfig, out_dir: Path) -> int:
 def cmd_cftp(cfg: ExperimentConfig, out_dir: Path) -> int:
     path = StationaryPath(cfg.spec)
     res = coupling.cftp(path, cfg.servers, max_horizon=cfg.run.cftp_max_horizon)
-    payload = _header(cfg, "cftp")
-    payload.update({
+    _write_json(out_dir, cfg, "cftp", {
         "coalesced": res.coalesced,
         "horizon_used": res.horizon_used,
         "z_depth": res.z_depth,
         "z_risk": res.z_risk,
         "value": list(res.value) if res.value is not None else None,
     })
-    _write_json(out_dir / "cftp.json", payload)
     if res.coalesced:
         print(f"cftp: coalesced at horizon {res.horizon_used} to {res.value}")
         return 0
@@ -173,8 +167,7 @@ def cmd_renovate(cfg: ExperimentConfig, out_dir: Path) -> int:
     path = StationaryPath(cfg.spec)
     scan = coupling.detect_renovation(
         path, cfg.servers, (cfg.run.renovation_start, cfg.run.renovation_end))
-    payload = _header(cfg, "renovate")
-    payload.update({
+    _write_json(out_dir, cfg, "renovate", {
         "window": list(scan.window),
         "frequency": scan.frequency,
         "z1_zero": scan.z1_zero,
@@ -185,15 +178,10 @@ def cmd_renovate(cfg: ExperimentConfig, out_dir: Path) -> int:
         "z_depth": scan.estimate.z_depth,
         "z_risk": scan.estimate.z_risk,
     })
-    _write_json(out_dir / "renovate.json", payload)
-    with open(out_dir / "renovate.csv", "w", newline="") as fh:
-        _csv_stamp(fh, cfg)
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["index"] + [f"Y{i + 1}" for i in range(cfg.servers)]
-                        + [f"tau_sum_{ell}" for ell in range(2, cfg.servers + 1)])
-        for ev in scan.events:
-            writer.writerow([ev.index] + [repr(v) for v in ev.y_estimate]
-                            + [repr(v) for v in ev.tau_sums])
+    header = (["index"] + [f"Y{i + 1}" for i in range(cfg.servers)]
+              + [f"tau_sum_{ell}" for ell in range(2, cfg.servers + 1)])
+    _write_csv(out_dir, cfg, "renovate.csv", [header] + [
+        [ev.index] + [repr(v) for v in ev.y_estimate] + [repr(v) for v in ev.tau_sums] for ev in scan.events])
     print(f"renovate: {len(scan.events)} events in {scan.window}, "
           f"frequency {scan.frequency:.4f}")
     return 0
@@ -204,21 +192,16 @@ def cmd_hset(cfg: ExperimentConfig, out_dir: Path) -> int:
     depth = cfg.run.hset_depth or 10 * cfg.servers
     sets = coupling.reachable_profile(path, cfg.servers, range(0, depth + 1),
                                       cap=cfg.run.hset_cap)
-    payload = _header(cfg, "hset")
-    payload.update({
+    sizes = [len(s) for s in sets]
+    _write_json(out_dir, cfg, "hset", {
         "alpha": cfg.spec.alpha,
         "max_depth": depth,
-        "sizes": [len(s) for s in sets],
+        "sizes": sizes,
         "final_singleton": len(sets[-1]) == 1,
     })
-    _write_json(out_dir / "hset.json", payload)
-    with open(out_dir / "hset.csv", "w", newline="") as fh:
-        _csv_stamp(fh, cfg)
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["depth", "size", "box_size"])
-        for s in sets:
-            writer.writerow([s.depth, len(s), s.box_size])
-    print(f"hset: sizes {payload['sizes']}")
+    _write_csv(out_dir, cfg, "hset.csv",
+               [["depth", "size", "box_size"]] + [[s.depth, len(s), s.box_size] for s in sets])
+    print(f"hset: sizes {sizes}")
     return 0
 
 
@@ -230,17 +213,13 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> int:
     trace = des.run(path, cfg.servers, cfg.run.n_arrivals)
     lost = ~trace.served
     est = metrics.loss_probability(lost)
-    payload = _header(cfg, "simulate")
-    payload.update({
+    _write_json(out_dir, cfg, "simulate", {
         "n_arrivals": cfg.run.n_arrivals,
         "losses": int(lost.sum()),
         "loss_probability": est.probability,
         "half_width": est.half_width,
     })
-    _write_json(out_dir / "simulate.json", payload)
-    with open(out_dir / "trace.csv", "w", newline="") as fh:
-        _csv_stamp(fh, cfg)
-        des.write_trace(trace, fh)
+    _write_csv(out_dir, cfg, "trace.csv", trace)
     print(f"simulate: loss probability {est.probability:.6f} ± {est.half_width:.6f} "
           f"over {cfg.run.n_arrivals} arrivals")
     return 0

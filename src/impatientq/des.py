@@ -49,7 +49,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from heapq import heapreplace
-from typing import IO, Optional
+from typing import IO, Optional, Sequence
 
 import numpy as np
 
@@ -229,43 +229,50 @@ def cross_validate(path: StationaryPath, servers: int, n_arrivals: int,
                            first_div, tol)
 
 
-def write_trace(records: Trace, out: IO[str]):
+def write_trace(records: Trace, out: IO[str], header: Optional[Sequence[str]] = None,
+                flags: Sequence[str] = ("0,1", "1,0")):
     """CSV dump: index, W(1..S), served, loss.
+
+    Any float columns with a flag go out the same way: ``header`` names
+    the columns (by default the trace's), ``records.seen`` holds the floats
+    and ``flags`` the texts of a row's flag, false then true (by default a
+    trace's served and loss columns). ``bounds`` writes its samples so.
 
     Rows are formatted ``_PAGE`` at a time, by one ``%`` over a
     repeated row template. ``%s`` of a float is its ``repr``, which never
     holds a comma or a quote, so no field needs CSV quoting. A block with
     few distinct values (a lattice trace) formats each of them once; they
     are told apart by their bits, so ``0.0`` and ``-0.0`` stay apart. Each
-    distinct row, keyed on its values' ranks and its served flag, is joined
+    distinct row, keyed on its values' ranks and its flag, is joined
     once and written after each of its indices; a key that the next
     column's ranks would take past an int64 is ranked first.
     """
-    n, servers = records.seen.shape
-    out.write(",".join(["index", *(f"W{i + 1}" for i in range(servers)), "served", "loss"]) + "\n")
-    template = "%d," + "%s," * servers + "%s\n"
-    flags = np.array(["0,1", "1,0"], dtype=object)  # served, loss
+    n, width = records.seen.shape
+    header = header or ["index", *(f"W{i + 1}" for i in range(width)), "served", "loss"]
+    out.write(",".join(header) + "\n")
+    template = "%d," + "%s," * width + "%s\n"
+    flags = np.array(flags, dtype=object)
     for a in range(0, n, _PAGE):
         block = records.seen[a:a + _PAGE]
-        served = records.served[a:a + _PAGE].view(np.uint8)
+        marked = records.served[a:a + _PAGE].view(np.uint8)
         rows = len(block)
         bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
         if 2 * bits.size < block.size:
             text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
             ranks = inverse.reshape(block.shape)
-            key, size = served.astype(np.int64), 2
+            key, size = marked.astype(np.int64), 2
             for column in ranks.T:
                 if size * bits.size > 1 << 63:  # ranked, the key so far is below ``rows``
                     key, size = np.unique(key, return_inverse=True)[1], rows
                 key, size = key * bits.size + column, size * bits.size
             _, first, row_of = np.unique(key, return_index=True, return_inverse=True)
             lines = np.array([",".join([*row, flags[flag]]) + "\n" for row, flag in
-                              zip(text[ranks[first]].tolist(), served[first].tolist())], dtype=object)
+                              zip(text[ranks[first]].tolist(), marked[first].tolist())], dtype=object)
             cells, form = np.empty((rows, 2), dtype=object), "%d,%s" * rows
             cells[:, 1] = lines[row_of]
         else:
-            cells, form = np.empty((rows, servers + 2), dtype=object), template * rows
+            cells, form = np.empty((rows, width + 2), dtype=object), template * rows
             cells[:, 1:-1] = block
-            cells[:, -1] = flags[served]
+            cells[:, -1] = flags[marked]
         cells[:, 0] = range(a, a + rows)
         out.write(form % tuple(cells.ravel()))

@@ -30,16 +30,17 @@ import numpy as np
 from .coupling import _envelope_estimate, cftp
 from .errors import ContractError
 from .loynes import Z_RISK, certified_supremum, sandwich_states
-from .sequences import _CHAIN_BLOCK, StationaryPath
+from .sequences import _CHAIN_BLOCK, _COVER_GROUP, StationaryPath
 
 BATCHES = 30
 T_975 = 2.0452296421327025   # Student's t at 0.975 on BATCHES - 1 = 29 degrees of freedom
 # A bound report's window rolls in chunks of ROLL_PAGES pages (2^17 samples)
-# and its statistics take GROUP samples at once. Each chunk's lane roll runs
-# about 256 lockstep steps whatever its length, so short chunks cost: a
-# 10^5-sample report in chunks of 16 and 8 pages ran 28 % and 81 % slower.
+# and its statistics take GROUP samples, a driver cover's page group, at once.
+# Each chunk's lane roll runs about 256 lockstep steps whatever its length, so
+# short chunks cost: a 10^5-sample report in chunks of 16 and 8 pages ran 28 %
+# and 81 % slower.
 ROLL_PAGES = 32
-GROUP = 8 * _CHAIN_BLOCK
+GROUP = _COVER_GROUP * _CHAIN_BLOCK
 
 
 @dataclass(frozen=True)

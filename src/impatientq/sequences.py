@@ -101,8 +101,20 @@ def stream_uniforms(seed: int, stream: int, start: int, count: int) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 
+class _Law:
+    """What a law states unless it says otherwise: its samples are positive
+    (each is drawn from a uniform in the open interval (0, 1)), and it lies
+    on no lattice."""
+
+    def strictly_positive(self) -> bool:
+        return True
+
+    def lattice_multipliers(self, alpha: float) -> Optional[np.ndarray]:
+        return None
+
+
 @dataclass(frozen=True)
-class Exponential:
+class Exponential(_Law):
     rate: float
 
     def __post_init__(self):
@@ -111,9 +123,6 @@ class Exponential:
 
     def mean(self) -> float:
         return 1.0 / self.rate
-
-    def strictly_positive(self) -> bool:
-        return True
 
     def sample(self, u: np.ndarray) -> np.ndarray:
         # ``-log1p(-u) / rate`` in one output array (IEEE division rounds
@@ -125,12 +134,9 @@ class Exponential:
     def log_mgf(self, theta: float) -> float:
         return -math.log1p(-theta / self.rate) if theta < self.rate else math.inf
 
-    def lattice_multipliers(self, alpha: float) -> Optional[np.ndarray]:
-        return None
-
 
 @dataclass(frozen=True)
-class Deterministic:
+class Deterministic(_Law):
     value: float
 
     def __post_init__(self):
@@ -159,7 +165,7 @@ class Deterministic:
 
 
 @dataclass(frozen=True)
-class Uniform:
+class Uniform(_Law):
     low: float
     high: float
 
@@ -169,10 +175,6 @@ class Uniform:
 
     def mean(self) -> float:
         return 0.5 * (self.low + self.high)
-
-    def strictly_positive(self) -> bool:
-        # Samples are low + u*(high-low) with u in the open interval (0,1).
-        return self.low >= 0.0
 
     def sample(self, u: np.ndarray) -> np.ndarray:
         x = np.multiply(u, self.high - self.low)
@@ -185,12 +187,9 @@ class Uniform:
         edge = self.high if theta > 0.0 else self.low
         return theta * edge + math.log(-math.expm1(-w) / w) if w else 0.0
 
-    def lattice_multipliers(self, alpha: float) -> Optional[np.ndarray]:
-        return None
-
 
 @dataclass(frozen=True)
-class ShiftedExponential:
+class ShiftedExponential(_Law):
     shift: float
     rate: float
 
@@ -200,9 +199,6 @@ class ShiftedExponential:
 
     def mean(self) -> float:
         return self.shift + 1.0 / self.rate
-
-    def strictly_positive(self) -> bool:
-        return True
 
     def sample(self, u: np.ndarray) -> np.ndarray:
         # ``shift - log1p(-u) / rate`` in one output array, as ``Exponential``'s
@@ -214,12 +210,9 @@ class ShiftedExponential:
     def log_mgf(self, theta: float) -> float:
         return theta * self.shift - math.log1p(-theta / self.rate) if theta < self.rate else math.inf
 
-    def lattice_multipliers(self, alpha: float) -> Optional[np.ndarray]:
-        return None
-
 
 @dataclass(frozen=True)
-class LatticeDiscrete:
+class LatticeDiscrete(_Law):
     """Discrete law supported on multiples of a fixed step alpha."""
 
     alpha: float
@@ -561,8 +554,8 @@ class StationaryPath:
 
         Only the maps that move some state are composed. A uniform takes
         the identity exactly when it lies in every state's stay interval,
-        their intersection ``_stay_interval``, so two compares find the
-        moves, and only their uniforms are mapped to cells (on a dense
+        their intersection (``_chain_tables``' ``stay``), so two compares
+        find the moves, and only their uniforms are mapped to cells (on a dense
         chain the interval is empty and every uniform is). Prefix scans
         (``_prefix_compose``) in pieces of at most ``_CHAIN_BLOCK`` maps,
         each read at the state where the last one ended, give the state
@@ -574,8 +567,7 @@ class StationaryPath:
         the coalesced state reaches, bit for bit.
         """
         spec = self.spec
-        edges, cell_maps = _chain_tables(spec.modulation)
-        stay_lo, stay_hi = _stay_interval(spec.modulation)
+        edges, cell_maps, (stay_lo, stay_hi) = _chain_tables(spec.modulation)
         m = cell_maps.shape[1]
         lo = first * _CHAIN_BLOCK + 1 - _BACK_START
         n = stop * _CHAIN_BLOCK - lo
@@ -602,25 +594,28 @@ class StationaryPath:
         return np.repeat(after, np.diff(moves, prepend=0, append=n))[_BACK_START - 1 :]
 
 
-def _cumulative(mod: ModulationSpec) -> np.ndarray:
-    """The cumulative transition rows, each ending on exactly 1.0."""
-    cum = np.cumsum(np.asarray(mod.transition, dtype=np.float64), axis=1)
-    cum[:, -1] = 1.0
-    return cum
-
-
 @functools.lru_cache(maxsize=64)
-def _chain_tables(mod: ModulationSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Per-spec constants of the modulating chain.
+def _chain_tables(mod: ModulationSpec) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
+    """Per-spec constants of the modulating chain, read off its cumulative
+    transition rows ``cum`` (each ending on exactly 1.0).
 
-    Returns the sorted distinct entries ``edges`` of the cumulative
-    transition rows and the jump map ``cell_maps[k]`` taken by a uniform in
-    cell ``k`` (``[edges[k-1], edges[k])``, with cell 0 below ``edges[0]``).
+    Returns the sorted distinct entries ``edges`` of ``cum``, the jump map
+    ``cell_maps[k]`` taken by a uniform in cell ``k`` (``[edges[k-1],
+    edges[k])``, with cell 0 below ``edges[0]``), and the stay interval
+    ``stay = (lo, hi)``, the uniforms ``[lo, hi)`` whose jump map is the
+    identity.
+
     A row's inverse-CDF search compares the uniform only with that row's
     entries, none of which lies inside a cell, so every uniform in a cell
-    takes the cell's map exactly. ``_stay_interval`` reads the same rows.
+    takes the cell's map exactly. Row ``s``'s search keeps state ``s``
+    exactly when ``cum[s, s-1] <= u < cum[s, s]``, with ``cum[0, -1]`` read
+    as 0 and the last state's upper end unbounded (the search is clipped to
+    it). The identity keeps every state, so its uniforms are the
+    intersection ``[max_s cum[s, s-1], min_s cum[s, s])``: empty (``lo >=
+    hi``) on a chain where every map moves a state.
     """
-    cum = _cumulative(mod)
+    cum = np.cumsum(np.asarray(mod.transition, dtype=np.float64), axis=1)
+    cum[:, -1] = 1.0
     m = len(cum)
     flat = np.sort(cum, axis=None)  # np.unique would import numpy.ma
     edges = flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
@@ -629,28 +624,14 @@ def _chain_tables(mod: ModulationSpec) -> tuple[np.ndarray, np.ndarray]:
         cell_maps[1:, s] = np.minimum(np.searchsorted(cum[s], edges, side="right"), m - 1)
     for table in (edges, cell_maps):
         table.setflags(write=False)
-    return edges, cell_maps
-
-
-@functools.lru_cache(maxsize=64)
-def _stay_interval(mod: ModulationSpec) -> tuple[float, float]:
-    """The uniforms whose jump map is the identity, ``[lo, hi)``.
-
-    Row ``s``'s search keeps state ``s`` exactly when ``cum[s, s-1] <= u <
-    cum[s, s]``, with ``cum[0, -1]`` read as 0 and the last state's upper
-    end unbounded (the search is clipped to it). The identity keeps every
-    state, so its uniforms are the intersection ``[max_s cum[s, s-1],
-    min_s cum[s, s])``: empty (``lo >= hi``) on a chain where every map
-    moves a state.
-    """
-    cum = _cumulative(mod)
-    return float(np.diagonal(cum, -1).max(initial=0.0)), float(np.diagonal(cum)[:-1].min(initial=np.inf))
+    stay = float(np.diagonal(cum, -1).max(initial=0.0)), float(np.diagonal(cum)[:-1].min(initial=np.inf))
+    return edges, cell_maps, stay
 
 
 def _jump_maps(spec: SequenceSpec, start: int, count: int) -> np.ndarray:
     """The ``(count, m)`` jump maps of the chain at indices ``start ..
     start+count-1``, each chosen by the uniform at its index."""
-    edges, cell_maps = _chain_tables(spec.modulation)
+    edges, cell_maps, _ = _chain_tables(spec.modulation)
     u = stream_uniforms(spec.seed, STREAM_MODULATION, start, count)
     return np.take(cell_maps, np.searchsorted(edges, u, side="right"), axis=0)
 

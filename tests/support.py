@@ -389,7 +389,7 @@ def full_search_chain_run(path: StationaryPath, first: int, stop: int) -> np.nda
     and the moves are read off the cells' maps, as the pass did before it
     searched only the uniforms outside the stay interval."""
     spec = path.spec
-    edges, cell_maps = sequences._chain_tables(spec.modulation)
+    edges, cell_maps, _ = sequences._chain_tables(spec.modulation)
     m = cell_maps.shape[1]
     lo = first * _CHAIN_BLOCK + 1 - sequences._BACK_START
     n = stop * _CHAIN_BLOCK - lo

@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import re
@@ -10,9 +12,10 @@ import pytest
 
 from impatientq import cli, coupling, metrics
 from impatientq.cli import main, replication_seed
-from impatientq.config import load_config, parse_config
+from impatientq.config import ExperimentConfig, RunParams, load_config, parse_config
 from impatientq.errors import ConfigurationError, ContractError
-from impatientq.sequences import Deterministic, Exponential, LatticeDiscrete, StationaryPath, Uniform
+from impatientq.sequences import _CHAIN_BLOCK, Deterministic, Exponential, LatticeDiscrete, StationaryPath, Uniform
+from support import DRAIN, MM_SPEC, NON_DYADIC, iid_spec
 
 MM2D_INI = """
 [experiment]
@@ -415,6 +418,40 @@ def test_cli_bounds_replications(tmp_path):
         "ae1715ddff30ccafb4bb8b7c816c9ff51c7c2442f97e4adcef2185b96e84fc70")
     assert hashlib.sha256((out / "bounds_samples.csv").read_bytes()).hexdigest() == (
         "f62ffd65486cf139ecd855dd871aa825074ea487d3d4b79a771815b6e8fb2e59")
+
+
+def _old_bounds_samples(cfg, samples, out):
+    # The csv-module loop that wrote bounds_samples.csv before its rows went
+    # through des.write_trace, one row at a time.
+    out.write(f"# config_sha256={cfg.sha256} seed={cfg.spec.seed}\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["index", "lower1", "W1", "upper1", "z_top", "patience", "loss"])
+    for i, row in enumerate(samples):
+        writer.writerow([i] + [repr(float(v)) for v in row[:5]] + [int(row[5])])
+
+
+SAMPLE_SPECS = {"float": iid_spec(41, Exponential(1.0), Exponential(0.7), Uniform(0.0, 1.5)),
+                "markov": MM_SPEC, "lattice": NON_DYADIC, "drain": DRAIN}
+
+
+@pytest.mark.parametrize("servers", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(SAMPLE_SPECS))
+def test_cli_bounds_samples_bytes_match_csv_writer(tmp_path, name, servers):
+    # Over two block seams of the trace writer. Its blocks take both paths:
+    # every value formatted (float at S = 1, 2, markov at S = 1) and each
+    # distinct row joined once (the rest), with both loss flags in a block
+    # (float at S = 3, markov, lattice) and rows of zeros, never lost (drain).
+    spec, n = SAMPLE_SPECS[name], 2 * _CHAIN_BLOCK + 100
+    cfg = ExperimentConfig(servers, spec, RunParams(n_samples=n), "0" * 64)
+    assert cli.cmd_bounds(cfg, tmp_path) == 0
+    want = io.StringIO()
+    _old_bounds_samples(cfg, metrics.bound_report(StationaryPath(spec), servers, n, keep_samples=True).samples,
+                        want)
+    got = (tmp_path / "bounds_samples.csv").read_bytes().decode()
+    # Names the first differing line: pytest's diff of two long texts is slow.
+    got, want = got.split("\n"), want.getvalue().split("\n")
+    bad = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), min(len(got), len(want)))
+    assert bad == len(got) == len(want) == n + 3, f"line {bad}: {got[bad:bad + 1]} != {want[bad:bad + 1]}"
 
 
 def test_cli_seed_override_changes_output(tmp_path):

@@ -489,6 +489,7 @@ def test_chunked_and_grouped_reports_equal_one_pass(monkeypatch, name, servers):
     # nor the seams lie on the batches of 562 samples. The estimates are
     # also batch_means' of the kept samples' indicators.
     spec, at, n = REPORT_SPECS[name], 2 * _CHAIN_BLOCK - 37, 4 * _CHAIN_BLOCK + 500
+    default_group = metrics.GROUP   # before the groups of 1,000 below
     one = bound_report(StationaryPath(spec), servers, n, at=at, keep_samples=True)
     indicators = one.samples[:, :4] > one.samples[:, 4:5]
     assert _estimates(one) == _estimates(BoundReport(*(batch_means(np.ascontiguousarray(ind))
@@ -513,7 +514,7 @@ def test_chunked_and_grouped_reports_equal_one_pass(monkeypatch, name, servers):
 
     monkeypatch.setattr(metrics, "sandwich_states", raised)
     refusals = []
-    for pages, group in ((32, 8 * _CHAIN_BLOCK), (1, 1_000)):
+    for pages, group in ((32, default_group), (1, 1_000)):
         monkeypatch.setattr(metrics, "ROLL_PAGES", pages)
         monkeypatch.setattr(metrics, "GROUP", group)
         with pytest.raises(ContractError) as err:

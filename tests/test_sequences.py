@@ -384,7 +384,7 @@ def test_run_composes_moving_maps_across_piece_seams(monkeypatch):
     # composes more than _CHAIN_BLOCK maps and reads its later pieces at the
     # state where the one before ended.
     spec = _chain_spec(CHAINS["dense"])
-    edges, cell_maps = _chain_tables(spec.modulation)
+    edges, cell_maps, _ = _chain_tables(spec.modulation)
     assert not (cell_maps == np.arange(2)).all(axis=1).any()
     pieces = []
     compose = sequences._prefix_compose
@@ -448,7 +448,7 @@ def test_chain_cell_maps_match_row_search(chain):
     # also for uniforms sitting exactly on, or one ulp either side of, a
     # breakpoint.
     mod = _chain_spec(CHAINS[chain]).modulation
-    edges, cell_maps = _chain_tables(mod)
+    edges, cell_maps, _ = _chain_tables(mod)
     near = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
     u = np.concatenate([near[(near > 0.0) & (near < 1.0)], np.random.default_rng(3).random(1000)])
     cum = np.cumsum(np.asarray(mod.transition), axis=1)
@@ -489,8 +489,7 @@ def test_stay_interval_holds_exactly_the_identity_cells(chain):
     # A uniform lies in the stay interval exactly when its cell's jump map
     # is the identity, also on, and one ulp either side of, every edge.
     mod = _chain_spec({**CHAINS, **RUN_CHAINS}[chain]).modulation
-    edges, cell_maps = _chain_tables(mod)
-    lo, hi = sequences._stay_interval(mod)
+    edges, cell_maps, (lo, hi) = _chain_tables(mod)
     near = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
     u = np.concatenate([near[(near > 0.0) & (near < 1.0)], np.random.default_rng(5).random(1000)])
     identity = (cell_maps == np.arange(mod.n_states())).all(axis=1)
@@ -508,7 +507,7 @@ def test_chain_run_searches_only_windows_and_moves(monkeypatch, chain):
     first, stop = -2, 24
     lo = first * _CHAIN_BLOCK + 1 - sequences._BACK_START
     n = stop * _CHAIN_BLOCK - lo
-    edges, cell_maps = _chain_tables(spec.modulation)
+    edges, cell_maps, _ = _chain_tables(spec.modulation)
     u = stream_uniforms(spec.seed, sequences.STREAM_MODULATION, lo, n)
     moving = ~(cell_maps == np.arange(spec.modulation.n_states())).all(axis=1)
     moves = int(np.count_nonzero(moving[np.searchsorted(edges, u, side="right")]))

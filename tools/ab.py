@@ -3,9 +3,15 @@
 Each checkout's ``perfbench/workloads.py`` is imported unchanged, with the
 ``impatientq`` of that checkout's ``src/``, under module objects of its own.
 The two sides then run the same job list in pairs: job k of the parent and
-job k of the change, the parent first on even k and the change first on odd
-k, so both see the same state of the machine. The fingerprints of the two
-jobs of a pair must be equal, and so must the bytes of every file the two
+job k of the change, the parent first in the even cycles of the workload's
+job kinds and the change first in the odd ones, so both see the same state
+of the machine and, over an even number of cycles, each runs first on
+every kind equally often. (Swapping on k alone, each side of a workload
+with an even cycle, such as ``oracle``'s four kinds, would always run
+first on the same kinds; the first job of a pair takes page faults that
+the second reuses, so the minor faults then read far higher on one side
+of two copies of one commit.) The fingerprints of the two jobs of a pair
+must be equal, and so must the bytes of every file the two
 sides' jobs have written in their work directories; the first pair that
 differs ends the run with exit status 1, naming the first file and line
 that differ (a fingerprint such as ``oracle``'s CLI exit code cannot see a
@@ -163,7 +169,7 @@ def main(argv=None) -> int:
             wls.append(cls(args.seed, workdir))
         for k in range(n_jobs):
             fingerprints = [None, None]
-            for i in ((0, 1) if k % 2 == 0 else (1, 0)):
+            for i in ((0, 1) if k // classes[0].cycle % 2 == 0 else (1, 0)):
                 took, counted, fingerprints[i] = timed(wls[i], k, sides[i])
                 times[i].append(took)
                 counts[i].append(counted)

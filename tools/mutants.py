@@ -366,8 +366,9 @@ MUTANTS = (
            "np.diff(moves + 1, prepend=0, append=n)",
            ("tests/test_sequences.py::test_markov_modulated_golden_states",
             "tests/test_sequences.py::test_chain_block_matches_sequential_chain[dense-1]")),
-    # Only the uniforms outside the stay interval are mapped to cells: its
-    # top is each state's own upper end, not the next state's.
+    # Only the uniforms outside the stay interval (``_chain_tables``' third
+    # table) are mapped to cells: its top is each state's own upper end, not
+    # the next state's.
     Mutant("stay-interval-top-one-state-late", SEQUENCES,
            "np.diagonal(cum)[:-1].min(initial=np.inf)",
            "np.diagonal(cum, 1).min(initial=np.inf)",
