@@ -51,8 +51,10 @@ sets a depth; a ``z_depth`` key is refused like any other unread key, as
 is ``batches``: every interval uses 30 batches (``metrics.BATCHES``). Nor
 does a key set where ``bounds`` starts the workload or a warm-up for the
 modulating chain: both are read by coupling from the past. ``parse_config``
-stamps the config with its text's sha256 and imports ``hashlib`` only there:
-it maps OpenSSL, which a process that parses no config then never loads.
+stamps the config with its text's sha256 from the interpreter's built-in
+module (``_sha2``, or ``_sha256`` before Python 3.12) in place of
+``hashlib``, as ``random`` does for its SHA-512: ``hashlib`` maps OpenSSL,
+so no command loads it. It is the fallback only when neither module imports.
 """
 
 from __future__ import annotations
@@ -172,10 +174,20 @@ def parse_config(text: str, seed_override: Optional[int] = None) -> ExperimentCo
             if (section, key) not in cp.read_keys:
                 raise ConfigurationError(f"[{section}] {key} is not read by a {kind!r} config")
 
-    import hashlib
-    digest = hashlib.sha256(text.encode()).hexdigest()
     return ExperimentConfig(servers=servers, spec=spec, run=RunParams(**run_kwargs),
-                            sha256=digest)
+                            sha256=_digest(text.encode()))
+
+
+def _digest(data: bytes) -> str:
+    """The hex sha256 of ``data``, from the built-in module (see above)."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data).hexdigest()
 
 
 def _get(cp: configparser.ConfigParser, section: str, key: str, default):

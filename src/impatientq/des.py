@@ -95,13 +95,13 @@ def _simulate(path: StationaryPath, servers: int, n_arrivals: int) -> tuple[np.n
 
     ``free`` holds each server's free time, ascending: the server that
     takes a job is ``free[0]``. On floats the clock restarts at each
-    arrival: ``free`` is re-expressed after every gap (subtracting and
-    clipping keeps the order), ``gap`` ages the line, and ``now`` stays
-    ``-0.0``, so ``now + x`` is ``x`` bit for bit. On a lattice path
-    ``now`` runs over the whole run, across pages, and ``gap`` stays 0:
-    free times and deadlines are kept on the clock, and the workloads seen
-    are free times. The last arrival's gap is infinite, which drains the
-    line.
+    arrival: ``free`` is re-expressed in place after every gap
+    (subtracting and clipping keeps the order), ``gap`` ages the line, and
+    ``now`` stays ``-0.0``, so ``now + x`` is ``x`` bit for bit. On a
+    lattice path ``now`` runs over the whole run, across pages, and ``gap``
+    stays 0: free times and deadlines are kept on the clock, and the
+    workloads seen are free times. The last arrival's gap is infinite,
+    which drains the line.
 
     A page's flat list of workloads becomes its rows of ``out`` as the page
     ends. On a lattice the free times are taken relative to each arrival in
@@ -169,7 +169,9 @@ def _simulate(path: StationaryPath, servers: int, n_arrivals: int) -> tuple[np.n
             if running:
                 now = nxt
             else:
-                free = [r - nxt if r > nxt else zero for r in free]
+                for s in range(servers):
+                    r = free[s]
+                    free[s] = r - nxt if r > nxt else zero
                 gap = nxt
         rows = out[pos:pos + count]
         if running:

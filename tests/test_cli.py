@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +126,20 @@ def test_parse_config_iid():
     assert cfg.spec.patience == Deterministic(1.0)
     assert cfg.run.n_arrivals == 5000
     assert len(cfg.sha256) == 64
+
+
+STAMP_TEXTS = [MM2D_INI, LATTICE_INI, MM_INI,
+               "; délai d'attente, 待ち時間 ≤ 1\n" + MM2D_INI.replace("seed = 2024", "seed = 2024  ; σ ≠ τ")]
+
+
+@pytest.mark.parametrize("blocked", [(), ("_sha2", "_sha256")], ids=["builtin", "fallback"])
+@pytest.mark.parametrize("text", STAMP_TEXTS, ids=["iid", "lattice", "mm", "non-ascii"])
+def test_config_stamp_is_the_sha256_of_its_text(monkeypatch, text, blocked):
+    # With neither built-in SHA-256 module importable, the stamp comes from
+    # hashlib: the same digest either way.
+    for name in blocked:
+        monkeypatch.setitem(sys.modules, name, None)
+    assert parse_config(text).sha256 == hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_parse_config_lattice_and_mm():

@@ -17,11 +17,14 @@ same record of each kind's median job time in ms, read from the
 ``scaled_latencies_s`` of the run's record; job k has kind k mod the
 workload's ``cycle``.
 
-Before the workloads, ``import impatientq`` runs in ``IMPORTS`` fresh
-interpreters a side, the sides alternating, each started in its checkout's
-root with its ``src/`` on the path; under ``import`` the file records the
-same spread of each side's wall seconds for the import statement and its
-``ru_maxrss`` in MB at the end.
+Before the workloads, two probes run in ``IMPORTS`` fresh interpreters a
+side, the sides alternating, each started in its checkout's root with its
+``src/`` on the path: ``import impatientq`` (under ``import``), and
+``import impatientq.cli`` with ``config.load_config`` of
+``perfbench/configs/oracle_float.ini`` (under ``config``), the start of
+every CLI command. For each the file records the same spread of each
+side's wall seconds for the probed statements and its ``ru_maxrss`` in MB
+at the end.
 
 It also records the environment perfbench wrote to the change's first
 run record (``.bench_out/<workload>-seed<S>-trace0.json``: ``nproc``, the
@@ -54,10 +57,10 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("sandwich", "oracle", "certify", "lattice")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 IMPORTS = 10
-IMPORT_PROBE = ("import resource, time\n"
-                "began = time.perf_counter()\n"
-                "import impatientq\n"
-                "print(time.perf_counter() - began, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)\n")
+PROBES = {
+    "import": "import impatientq\n",
+    "config": "import impatientq.cli\nimpatientq.config.load_config('perfbench/configs/oracle_float.ini')\n",
+}
 
 
 def perfbench(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -103,13 +106,17 @@ def src_env() -> dict:
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
 
 
-def import_probe(roots: dict[str, Path]) -> dict:
-    """``IMPORTS`` fresh ``import impatientq`` runs a side, alternating which
-    side goes first: each side's wall seconds and ``ru_maxrss`` (MB)."""
+def probe(roots: dict[str, Path], code: str) -> dict:
+    """``IMPORTS`` fresh runs of ``code`` a side, alternating which side goes
+    first: each side's wall seconds for it and ``ru_maxrss`` (MB)."""
+    timed_code = ("import resource, time\n"
+                  "began = time.perf_counter()\n"
+                  f"{code}"
+                  "print(time.perf_counter() - began, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)\n")
     runs: dict[str, list[list[float]]] = {"parent": [], "change": []}
     for k in range(IMPORTS):
         for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
-            out = subprocess.run([sys.executable, "-c", IMPORT_PROBE], cwd=roots[side], env=src_env(), check=True,
+            out = subprocess.run([sys.executable, "-c", timed_code], cwd=roots[side], env=src_env(), check=True,
                                  capture_output=True, text=True).stdout
             runs[side].append([float(v) for v in out.split()])
     return {name: compared({side: [r[c] for r in rs] for side, rs in runs.items()}, "lower")
@@ -147,7 +154,7 @@ def main(argv=None) -> int:
         "pairs": args.pairs,
         "malloc_mmap_threshold": os.environ.get("MALLOC_MMAP_THRESHOLD_"),
         "python_dont_write_bytecode": os.environ.get("PYTHONDONTWRITEBYTECODE"),
-        "import": import_probe(roots),
+        **{name: probe(roots, code) for name, code in PROBES.items()},
         "workloads": {},
     }
     for w in args.workloads:

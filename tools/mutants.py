@@ -337,6 +337,16 @@ MUTANTS = (
            "import configparser\nimport math\n",
            "import configparser\nimport hashlib\nimport math\n",
            ("tests/test_metrics.py::test_package_import_loads_only_stdlib_and_numpy",)),
+    # Nor does a parse: the stamp comes from the built-in SHA-256 module.
+    Mutant("config-stamp-through-hashlib", CONFIG,
+           "    try:\n        from _sha2 import sha256\n",
+           "    try:\n        from hashlib import sha256\n",
+           ("tests/test_metrics.py::test_package_import_loads_only_stdlib_and_numpy",)),
+    # hashlib stamps the config when no built-in module imports.
+    Mutant("config-stamp-without-fallback", CONFIG,
+           "            from hashlib import sha256\n",
+           "            raise\n",
+           ("tests/test_cli.py::test_config_stamp_is_the_sha256_of_its_text[iid-fallback]",)),
     # The path's memo serves the spec the path was made with.
     Mutant("path-not-frozen", SEQUENCES,
            "@dataclass(frozen=True)\nclass StationaryPath:",
