@@ -132,9 +132,8 @@ def cmd_bounds(cfg: ExperimentConfig, out_dir: Path) -> int:
         if r == 0:
             samples = rep.samples
         res = {"replication": r, "seed": spec.seed}
-        for name, est in (("p_lower", rep.p_lower), ("p_loss", rep.p_loss),
-                          ("p_upper", rep.p_upper), ("p_z", rep.p_z)):
-            res[name] = {"probability": est.probability, "half_width": est.half_width, "n": est.n}
+        for name in ("p_lower", "p_loss", "p_upper", "p_z"):
+            res[name] = dataclasses.asdict(getattr(rep, name))
         results.append(res)
 
     _write_json(out_dir, cfg, "bounds", {"n_samples": cfg.run.n_samples, "replications": results})
@@ -149,13 +148,7 @@ def cmd_bounds(cfg: ExperimentConfig, out_dir: Path) -> int:
 def cmd_cftp(cfg: ExperimentConfig, out_dir: Path) -> int:
     path = StationaryPath(cfg.spec)
     res = coupling.cftp(path, cfg.servers, max_horizon=cfg.run.cftp_max_horizon)
-    _write_json(out_dir, cfg, "cftp", {
-        "coalesced": res.coalesced,
-        "horizon_used": res.horizon_used,
-        "z_depth": res.z_depth,
-        "z_risk": res.z_risk,
-        "value": list(res.value) if res.value is not None else None,
-    })
+    _write_json(out_dir, cfg, "cftp", dataclasses.asdict(res))
     if res.coalesced:
         print(f"cftp: coalesced at horizon {res.horizon_used} to {res.value}")
         return 0

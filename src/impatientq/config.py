@@ -18,7 +18,7 @@ Schema (INI syntax, parsed with :mod:`configparser`)::
     dist = exponential
     rate = 1.0
 
-    [patience]             ; patience law ("value = inf" disables impatience)
+    [patience]             ; patience law (deterministic "value = inf" disables impatience)
     dist = deterministic
     value = 0.5
 
@@ -38,9 +38,12 @@ Schema (INI syntax, parsed with :mod:`configparser`)::
     hset_cap = 1000000
     replications = 1
 
-Distribution sections: ``dist = exponential`` (rate), ``deterministic``
-(value), ``uniform`` (low, high), ``shifted_exponential`` (shift, rate),
-``lattice`` (alpha, multipliers, probs).
+Distribution sections: ``dist`` names the law, and each other key is the
+field of the same name of that law in ``sequences``: ``exponential`` (rate),
+``deterministic`` (value), ``uniform`` (low, high), ``shifted_exponential``
+(shift, rate), ``lattice`` (alpha, multipliers, probs, the last two as
+space-separated ints and floats). Numbers are read by ``getfloat``, which
+reads ``inf``.
 
 Every section and key in the file must be read by the parse: a key that
 would take no effect (a misspelled section, a key the chosen ``dist`` or
@@ -61,7 +64,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -149,7 +152,7 @@ def parse_config(text: str, seed_override: Optional[int] = None) -> ExperimentCo
     if seed_override is not None:
         seed = seed_override
 
-    kind = _get(cp, "model", "kind", "iid").strip()
+    kind = cp.get("model", "kind", fallback="iid").strip()
     if kind == "markov_modulated":
         spec = SequenceSpec(model=kind, seed=seed, modulation=_parse_modulation(cp))
     else:
@@ -159,12 +162,12 @@ def parse_config(text: str, seed_override: Optional[int] = None) -> ExperimentCo
             tau=_parse_dist(cp, "tau"),
             sigma=_parse_dist(cp, "sigma"),
             patience=_parse_dist(cp, "patience"),
-            alpha=_number(cp, "model", "alpha", float, None) if kind == "lattice" else None,
+            alpha=_number(cp, "model", "alpha", float) if kind == "lattice" else None,
         )
 
     run_kwargs = {}
     for key in RunParams.__dataclass_fields__:
-        value = _number(cp, "run", key, float if key == "tol" else int, None)
+        value = _number(cp, "run", key, float if key == "tol" else int)
         if value is not None:
             run_kwargs[key] = value
 
@@ -190,54 +193,48 @@ def _digest(data: bytes) -> str:
     return sha256(data).hexdigest()
 
 
-def _get(cp: configparser.ConfigParser, section: str, key: str, default):
-    if cp.has_option(section, key):
-        return cp.get(section, key)
-    return default
-
-
-def _number(cp: configparser.ConfigParser, section: str, key: str, cast, default):
-    raw = _get(cp, section, key, None)
+def _number(cp: configparser.ConfigParser, section: str, key: str, cast):
+    raw = cp.get(section, key, fallback=None)
     if raw is None:
-        return default
+        return None
     try:
         return cast(raw)
     except ValueError as exc:
         raise ConfigurationError(f"[{section}] {key}: {exc}") from exc
 
 
+_LAWS = {"exponential": Exponential, "deterministic": Deterministic, "uniform": Uniform,
+         "shifted_exponential": ShiftedExponential, "lattice": LatticeDiscrete}
+
+
 def _parse_dist(cp: configparser.ConfigParser, section: str) -> Distribution:
     if not cp.has_section(section):
         raise ConfigurationError(f"missing [{section}] distribution section")
-    kind = _get(cp, section, "dist", None)
+    kind = cp.get(section, "dist", fallback=None)
     if kind is None:
         raise ConfigurationError(f"[{section}] needs a 'dist' key")
     kind = kind.strip()
+    if kind not in _LAWS:
+        raise ConfigurationError(f"[{section}] has unknown dist {kind!r}")
+    law = _LAWS[kind]
+    values = {}
     try:
-        if kind == "exponential":
-            return Exponential(rate=cp.getfloat(section, "rate"))
-        if kind == "deterministic":
-            raw = cp.get(section, "value").strip()
-            return Deterministic(value=math.inf if raw == "inf" else float(raw))
-        if kind == "uniform":
-            return Uniform(low=cp.getfloat(section, "low"), high=cp.getfloat(section, "high"))
-        if kind == "shifted_exponential":
-            return ShiftedExponential(shift=cp.getfloat(section, "shift"),
-                                      rate=cp.getfloat(section, "rate"))
-        if kind == "lattice":
-            mults = tuple(int(v) for v in cp.get(section, "multipliers").split())
-            probs = tuple(float(v) for v in cp.get(section, "probs").split())
-            return LatticeDiscrete(alpha=cp.getfloat(section, "alpha"),
-                                   multipliers=mults, probs=probs)
+        for f in fields(law):
+            if f.name == "multipliers":
+                values[f.name] = tuple(int(v) for v in cp.get(section, f.name).split())
+            elif f.name == "probs":
+                values[f.name] = tuple(float(v) for v in cp.get(section, f.name).split())
+            else:
+                values[f.name] = cp.getfloat(section, f.name)
+        return law(**values)
     except (configparser.Error, ValueError) as exc:
         raise ConfigurationError(f"[{section}]: {exc}") from exc
-    raise ConfigurationError(f"[{section}] has unknown dist {kind!r}")
 
 
 def _parse_modulation(cp: configparser.ConfigParser) -> ModulationSpec:
     if not cp.has_section("modulation"):
         raise ConfigurationError("markov_modulated model needs a [modulation] section")
-    raw = _get(cp, "modulation", "transition", None)
+    raw = cp.get("modulation", "transition", fallback=None)
     if raw is None:
         raise ConfigurationError("[modulation] needs a 'transition' key")
     try:

@@ -109,8 +109,8 @@ class _Law:
     def strictly_positive(self) -> bool:
         return True
 
-    def lattice_multipliers(self, alpha: float) -> Optional[np.ndarray]:
-        return None
+    def on_lattice(self, alpha: float) -> bool:
+        return False
 
 
 @dataclass(frozen=True)
@@ -155,13 +155,8 @@ class Deterministic(_Law):
     def log_mgf(self, theta: float) -> float:
         return theta * self.value
 
-    def lattice_multipliers(self, alpha: float) -> Optional[np.ndarray]:
-        if not math.isfinite(self.value):
-            return None
-        k = round(self.value / alpha)
-        if k * alpha != self.value:
-            return None
-        return np.array([k], dtype=np.int64)
+    def on_lattice(self, alpha: float) -> bool:
+        return math.isfinite(self.value) and round(self.value / alpha) * alpha == self.value
 
 
 @dataclass(frozen=True)
@@ -253,10 +248,8 @@ class LatticeDiscrete(_Law):
         top = max(x for x, _ in terms)
         return top + math.log(math.fsum(p * math.exp(x - top) for x, p in terms))
 
-    def lattice_multipliers(self, alpha: float) -> Optional[np.ndarray]:
-        if alpha != self.alpha:
-            return None
-        return np.asarray(self.multipliers, dtype=np.int64)
+    def on_lattice(self, alpha: float) -> bool:
+        return alpha == self.alpha
 
 
 Distribution = Exponential | Deterministic | Uniform | ShiftedExponential | LatticeDiscrete
@@ -291,21 +284,13 @@ class ModulationSpec:
 
 
 def _strongly_connected(transition: Sequence[Sequence[float]]) -> bool:
+    """Whether every state reaches every other: ``bit_length(m)`` squarings of
+    the links and stays join each pair a path of fewer than m steps joins."""
     m = len(transition)
-
-    def reach(forward: bool) -> bool:
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            i = frontier.pop()
-            for j in range(m):
-                p = transition[i][j] if forward else transition[j][i]
-                if p > 0.0 and j not in seen:
-                    seen.add(j)
-                    frontier.append(j)
-        return len(seen) == m
-
-    return reach(True) and reach(False)
+    reach = (np.asarray(transition) > 0.0) | np.eye(m, dtype=bool)
+    for _ in range(m.bit_length()):
+        reach = reach @ reach
+    return bool(reach.all())
 
 
 @dataclass(frozen=True)
@@ -357,9 +342,9 @@ class SequenceSpec:
         if self.model == "lattice":
             if self.alpha is None or not 0.0 < self.alpha < math.inf:
                 raise ConfigurationError(f"lattice model requires a positive finite alpha, got {self.alpha}")
-            if self.tau.lattice_multipliers(self.alpha) is None:
+            if not self.tau.on_lattice(self.alpha):
                 raise ConfigurationError("lattice model requires tau supported on multiples of alpha")
-            if self.sigma.lattice_multipliers(self.alpha) is None:
+            if not self.sigma.on_lattice(self.alpha):
                 raise ConfigurationError("lattice model requires sigma supported on multiples of alpha")
 
     @property

@@ -219,6 +219,27 @@ def random_distribution(rng: np.random.Generator, role: str):
                               rate=float(rng.uniform(0.5, 3.0)))
 
 
+def strongly_connected_reference(transition) -> bool:
+    """Whether every state of a chain reaches every other: a search from
+    state 0 along the positive entries and one against them. It shares no
+    code with ``ModulationSpec``'s reachability closure."""
+    m = len(transition)
+
+    def reach(forward: bool) -> bool:
+        seen = {0}
+        frontier = [0]
+        while frontier:
+            i = frontier.pop()
+            for j in range(m):
+                p = transition[i][j] if forward else transition[j][i]
+                if p > 0.0 and j not in seen:
+                    seen.add(j)
+                    frontier.append(j)
+        return len(seen) == m
+
+    return reach(True) and reach(False)
+
+
 def random_iid_spec(rng: np.random.Generator) -> SequenceSpec:
     return SequenceSpec(
         model="iid",

@@ -15,8 +15,9 @@ from impatientq import cli, coupling, metrics
 from impatientq.cli import main, replication_seed
 from impatientq.config import ExperimentConfig, RunParams, load_config, parse_config
 from impatientq.errors import ConfigurationError, ContractError
-from impatientq.sequences import _CHAIN_BLOCK, Deterministic, Exponential, LatticeDiscrete, StationaryPath, Uniform
-from support import DRAIN, MM_SPEC, NON_DYADIC, iid_spec
+from impatientq.sequences import (_CHAIN_BLOCK, Deterministic, Exponential, LatticeDiscrete, ShiftedExponential,
+                                  StationaryPath, Uniform)
+from support import DRAIN, MM_SPEC, NON_DYADIC, iid_spec, random_distribution
 
 MM2D_INI = """
 [experiment]
@@ -175,6 +176,62 @@ def test_parse_config_inf_patience():
 def test_parse_config_errors(mutate):
     with pytest.raises(ConfigurationError):
         parse_config(mutate(MM2D_INI))
+
+
+DIST_NAMES = {Exponential: "exponential", Deterministic: "deterministic", Uniform: "uniform",
+              ShiftedExponential: "shifted_exponential", LatticeDiscrete: "lattice"}
+
+
+def _dist_section(name, law) -> str:
+    """The config section of ``law``: its dist name, then one key per field
+    of the law, each value written so that it reads back exactly."""
+    lines = [f"[{name}]", f"dist = {DIST_NAMES[type(law)]}"]
+    for f in dataclasses.fields(law):
+        value = getattr(law, f.name)
+        text = " ".join(repr(v) for v in value) if isinstance(value, tuple) else repr(value)
+        lines.append(f"{f.name} = {text}")
+    return "\n".join(lines) + "\n"
+
+
+def _iid_text(tau, sigma, patience) -> str:
+    return ("[experiment]\nservers = 2\nseed = 5\n\n" + _dist_section("tau", tau) + "\n"
+            + _dist_section("sigma", sigma) + "\n" + _dist_section("patience", patience))
+
+
+def test_config_reads_back_every_law_from_its_fields():
+    rng = np.random.default_rng(54)
+    triples = [tuple(random_distribution(rng, role) for role in ("tau", "sigma", "patience")) for _ in range(40)]
+    triples.append((LatticeDiscrete(0.25, (1, 2, 7), (0.25, 0.5, 0.25)),
+                    LatticeDiscrete(0.1, (0, 3), (0.4, 0.6)), Deterministic(math.inf)))
+    drawn = {type(law) for triple in triples for law in triple}
+    assert drawn == set(DIST_NAMES), drawn
+    for triple in triples:
+        spec = parse_config(_iid_text(*triple)).spec
+        assert (spec.tau, spec.sigma, spec.patience) == triple
+
+
+# One bad key each, and the whole message its refusal gives.
+REFUSALS = {
+    "missing-section": ("[tau]\ndist = exponential\nrate = 1.0\n", "",
+                        "missing [tau] distribution section"),
+    "missing-dist": ("[tau]\ndist = exponential\n", "[tau]\n", "[tau] needs a 'dist' key"),
+    "unknown-dist": ("dist = exponential", "dist = mystery", "[tau] has unknown dist 'mystery'"),
+    "missing-key": ("rate = 1.0\n", "", "[tau]: No option 'rate' in section: 'tau'"),
+    "not-a-number": ("value = 1.0", "value = x", "[patience]: could not convert string to float: 'x'"),
+    "multiplier-not-an-int": ("dist = exponential\nrate = 1.0", "dist = lattice\nalpha = 0.5\n"
+                              "multipliers = 2 3.5\nprobs = 0.5 0.5",
+                              "[tau]: invalid literal for int() with base 10: '3.5'"),
+    "unread-key": ("rate = 1.0", "rate = 1.0\nlow = 1.0", "[tau] low is not read by a 'iid' config"),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSALS))
+def test_parse_config_refusal_messages(name):
+    old, new, message = REFUSALS[name]
+    assert old in MM2D_INI
+    with pytest.raises(ConfigurationError) as refused:
+        parse_config(MM2D_INI.replace(old, new, 1))
+    assert str(refused.value) == message
 
 
 def test_replication_seed_distinct():

@@ -38,6 +38,7 @@ from support import (
     random_lattice_spec,
     random_mm_spec,
     sequential_chain_block,
+    strongly_connected_reference,
 )
 
 
@@ -103,7 +104,7 @@ def _drawn_multipliers(dist, u, alpha):
     generation ``lattice_block`` used before it read the float page memo."""
     if isinstance(dist, LatticeDiscrete):
         return dist.sample_multipliers(u)
-    return np.full(u.shape, int(dist.lattice_multipliers(alpha)[0]), dtype=np.int64)
+    return np.full(u.shape, round(dist.value / alpha), dtype=np.int64)
 
 
 def test_lattice_block_equals_the_multipliers_drawn_from_the_uniforms():
@@ -979,6 +980,65 @@ def test_invalid_specs():
     with pytest.raises(ConfigurationError):
         # infinite-mean tau
         iid_spec(1, Deterministic(math.inf), Exponential(1.0), Deterministic(1.0))
+
+
+def _accepts(transition) -> bool:
+    """Whether ``ModulationSpec`` accepts the chain; a refusal for any other
+    reason than reducibility fails the test."""
+    try:
+        ModulationSpec(transition=transition, states=((Exponential(1.0),) * 3,) * len(transition))
+    except ConfigurationError as exc:
+        assert "irreducible" in str(exc), exc
+        return False
+    return True
+
+
+def _chain(links) -> tuple[tuple[float, ...], ...]:
+    """The chain that leaves each state ``i`` to each ``j`` of ``links[i]``
+    with equal probability."""
+    m = len(links)
+    return tuple(tuple(1.0 / len(row) if j in row else 0.0 for j in range(m)) for row in links)
+
+
+# Each state's links, and whether the chain is irreducible. A cycle of m
+# states joins 0 to m - 1 only by a path of m - 1 steps: at m = 6 the
+# closure's bit_length(6) = 3 squarings reach 8 steps, one fewer only 4.
+NAMED_CHAINS = {
+    "identity-2": (([0], [1]), False),
+    "one-way-pair": (([0, 1], [1]), False),
+    "cycle-6": (([1], [2], [3], [4], [5], [0]), True),
+    "cycle-12": (tuple([(i + 1) % 12] for i in range(12)), True),
+    "path-6": (([1], [2], [3], [4], [5], [5]), False),
+    "cycle-6-one-way-back": (([1], [2], [3], [4], [5], [0, 4]), True),
+    "two-cycles-one-way": (([1], [2], [0, 3], [4], [5], [3]), False),
+    "two-cycles-both-ways": (([1], [2], [0, 3], [4], [5], [3, 0]), True),
+}
+
+
+@pytest.mark.parametrize("name", list(NAMED_CHAINS))
+def test_modulation_irreducibility_of_named_chains(name):
+    links, irreducible = NAMED_CHAINS[name]
+    transition = _chain(links)
+    assert strongly_connected_reference(transition) == irreducible
+    assert _accepts(transition) == irreducible
+
+
+def test_modulation_irreducibility_against_the_two_way_search():
+    # Random supports of m = 1..12 states, from sparse to dense, each row
+    # with at least one positive entry: the spec accepts exactly the chains
+    # the search finds strongly connected.
+    rng = np.random.default_rng(54)
+    decided = {True: 0, False: 0}
+    for trial in range(1200):
+        m = trial % 12 + 1
+        support = rng.random((m, m)) < rng.uniform(0.05, 0.6)
+        support[np.arange(m), rng.integers(m, size=m)] |= ~support.any(axis=1)
+        weights = rng.uniform(0.1, 1.0, (m, m)) * support
+        transition = tuple(tuple((row / row.sum()).tolist()) for row in weights)
+        want = strongly_connected_reference(transition)
+        assert _accepts(transition) == want, (trial, transition)
+        decided[want] += 1
+    assert min(decided.values()) >= 300, decided
 
 
 UNREAD_FIELDS = [

@@ -384,6 +384,12 @@ MUTANTS = (
            "np.diagonal(cum, 1).min(initial=np.inf)",
            ("tests/test_sequences.py::test_chain_run_equals_the_full_search_oracle[sticky--3..2]",
             "tests/test_sequences.py::test_stay_interval_holds_exactly_the_identity_cells[sandwich]")),
+    # A modulating chain is irreducible when bit_length(m) squarings of its
+    # links and stays join every pair; a 6-cycle needs all three.
+    Mutant("irreducibility-closure-one-product-short", SEQUENCES,
+           "    for _ in range(m.bit_length()):\n",
+           "    for _ in range(m.bit_length() - 1):\n",
+           ("tests/test_sequences.py::test_modulation_irreducibility_of_named_chains[cycle-6]",)),
     # The loss estimate's interval covers the exact Erlang-A loss at about its
     # nominal rate; an estimate one half-width off covers it about half as often.
     Mutant("loss-estimate-one-half-width-high", METRICS,
